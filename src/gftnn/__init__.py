@@ -13,9 +13,9 @@ from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
 from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, Trajectory,
                     build_basis, decode, decode_partials, encode, gelu,
                     gelu_grad, init_params, layer_norm, load_checkpoint,
-                    mlp_block, predict, preset_config, save_checkpoint,
-                    scenario_spectrum, select_channels, spectral_gate,
-                    truth_trajectory)
+                    mlp_block, predict, predict_batch, preset_config,
+                    save_checkpoint, scenario_spectra, scenario_spectrum,
+                    select_channels, spectral_gate, truth_trajectory)
 from .training import (AdamState, DivergenceError, NumericError, TrainConfig,
                        TrainResult, adam_step, gradients, train,
                        trajectory_loss)

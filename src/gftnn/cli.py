@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import evaluate, write_histogram_csv, write_report_json
 from .model import (PRESETS, ModelConfig, build_basis, load_checkpoint,
-                    predict, preset_config, truth_trajectory)
+                    predict, predict_batch, preset_config, truth_trajectory)
 from .scenario import (MANEUVERS, balance, extract_scenarios, ingest_tracks,
                        load_archive, save_archive, split, synthesize, SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
@@ -167,12 +167,10 @@ def cmd_spectrum(args):
 
 
 def _model_config(opts, scenarios, fps) -> ModelConfig:
+    # load_archive guarantees that every scenario shares the first's grid.
     t_obs = scenarios[0].t_obs
     t_pred = scenarios[0].t_pred
     n_v = scenarios[0].n_vehicles
-    for s in scenarios:
-        if (s.t_obs, s.t_pred, s.n_vehicles) != (t_obs, t_pred, n_v):
-            raise ValueError("archive mixes scenario shapes")
     preset = opts["preset"]
     if preset != "custom":
         fixed = [name for name in ("p", "k", "graph_kind")
@@ -257,8 +255,7 @@ def cmd_eval(args):
     if opts["self_test"]:
         predictions = truths
     else:
-        predictions = [predict(s, ckpt.basis, ckpt.params, ckpt.config)
-                       for s in chosen]
+        predictions = predict_batch(chosen, ckpt.basis, ckpt.params, ckpt.config)
     report = evaluate(predictions, truths, opts["bin_width"])
     report_path = _out_path(opts, "eval_report.json")
     hist_path = _out_path(opts, "histogram.csv")

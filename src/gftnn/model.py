@@ -16,6 +16,7 @@ from scipy.special import erf, expit
 
 from .graph import (apply_inverse_distance_weights, build_line_graph,
                     build_mesh_graph, build_spider_graph, laplacian)
+from . import spectral
 from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
                        truncate_spectrum)
 
@@ -325,46 +326,67 @@ def select_channels(features, k: int):
     raise ValueError(f"k must be 2 or 4, got {k}")
 
 
-def scenario_basis(scenario, basis: ProductBasis, config: ModelConfig) -> ProductBasis:
-    """Per-scenario basis; with weighting enabled, the spatial factor is
-    rebuilt from inverse hub distances at the last observed step."""
-    if not config.weighted:
-        return basis
-    t0 = scenario.features.shape[1] - 1
+def _weighted_laplacian(scenario, star) -> np.ndarray:
+    # The star reweighted by inverse hub distance at the last observed step.
+    t0 = scenario.t_obs - 1
     positions = np.stack([scenario.features[0, t0, :],
                           scenario.features[1, t0, :]], axis=1)
-    g = build_spider_graph(config.n_v, hub_index=0)
-    g = apply_inverse_distance_weights(g, positions, hub_index=0)
-    return ProductBasis(basis.temporal, eigendecompose(laplacian(g)))
+    g = apply_inverse_distance_weights(star, positions, hub_index=0)
+    return laplacian(g).matrix
+
+
+def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
+    """Truncated spectral coefficients of many scenarios, one row each: (B, z).
+
+    With weighting enabled, each scenario's spatial factor is rebuilt from
+    inverse hub distances at its last observed step, and all of them are
+    solved in one stacked Jacobi call; otherwise every scenario uses the
+    reference basis.
+    """
+    for scenario in scenarios:
+        if scenario.t_obs != config.t_obs or scenario.n_vehicles != config.n_v:
+            raise ValueError(
+                f"scenario grid ({scenario.t_obs}, {scenario.n_vehicles}) does "
+                f"not match config ({config.t_obs}, {config.n_v})"
+            )
+    feats = np.stack([select_channels(s.features, config.k) for s in scenarios])
+    spatial = None
+    if config.weighted:
+        star = build_spider_graph(config.n_v, hub_index=0)
+        laps = np.stack([_weighted_laplacian(s, star) for s in scenarios])
+        # Looked up on the module, so every solve goes through one name.
+        spatial = spectral.symmetric_eigh(laps)[1]
+    return truncate_spectrum(gft_extended(feats, basis, spatial), config.p)
 
 
 def scenario_spectrum(scenario, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
     """Truncated spectral coefficients of one scenario, flattened to (z,)."""
-    if scenario.t_obs != config.t_obs or scenario.n_vehicles != config.n_v:
-        raise ValueError(
-            f"scenario grid ({scenario.t_obs}, {scenario.n_vehicles}) does not "
-            f"match config ({config.t_obs}, {config.n_v})"
-        )
-    feats = select_channels(scenario.features, config.k)
-    fhat = gft_extended(feats, scenario_basis(scenario, basis, config))
-    return truncate_spectrum(fhat, config.p)
+    return scenario_spectra([scenario], basis, config)[0]
+
+
+def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
+                  config: ModelConfig) -> list[Trajectory]:
+    """Full inference path for many scenarios: one stacked spectral pass,
+    then encode and decode per scenario."""
+    for scenario in scenarios:
+        if scenario.fps != config.fps:
+            raise ValueError(
+                f"scenario fps {scenario.fps} does not match model fps {config.fps}"
+            )
+        if scenario.t_pred != config.t_pred:
+            raise ValueError(
+                f"scenario horizon {scenario.t_pred} does not match config "
+                f"{config.t_pred}"
+            )
+    spectra = scenario_spectra(scenarios, basis, config)
+    return [decode(encode(s, params, config), scenario.v0, config.t_pred, config.fps)
+            for s, scenario in zip(spectra, scenarios)]
 
 
 def predict(scenario, basis: ProductBasis, params: ModelParams,
             config: ModelConfig) -> Trajectory:
     """Full inference path for one scenario."""
-    if scenario.fps != config.fps:
-        raise ValueError(
-            f"scenario fps {scenario.fps} does not match model fps {config.fps}"
-        )
-    if scenario.t_pred != config.t_pred:
-        raise ValueError(
-            f"scenario horizon {scenario.t_pred} does not match config "
-            f"{config.t_pred}"
-        )
-    s = scenario_spectrum(scenario, basis, config)
-    h_z = encode(s, params, config)
-    return decode(h_z, scenario.v0, config.t_pred, config.fps)
+    return predict_batch([scenario], basis, params, config)[0]
 
 
 def _spectrum_doc(spec: Spectrum) -> dict:

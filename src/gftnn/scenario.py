@@ -525,8 +525,21 @@ def load_archive(path):
         feats = feats.reshape(len(CHANNELS), t_obs, n_veh)
         future = np.asarray(item["future"], dtype=np.float64)
         future = future.reshape(item["t_pred"], 2)
-        scenarios.append(Scenario(
+        scenario = Scenario(
             scenario_id=item["id"], features=feats, future=future,
             v0=float(item["v0"]), fps=fps, maneuver=item["maneuver"],
-        ))
+        )
+        # Models, training and eval stack scenarios, so they share one grid.
+        if scenarios and _grid(scenario) != _grid(scenarios[0]):
+            raise ValueError(
+                f"{path}: scenario {scenario.scenario_id!r} has grid "
+                f"(t_obs, t_pred, n_vehicles) = {_grid(scenario)}, but "
+                f"{scenarios[0].scenario_id!r} has {_grid(scenarios[0])}; "
+                f"the archive mixes scenario shapes"
+            )
+        scenarios.append(scenario)
     return scenarios, fps
+
+
+def _grid(scenario):
+    return scenario.t_obs, scenario.t_pred, scenario.n_vehicles

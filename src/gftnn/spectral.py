@@ -24,77 +24,92 @@ JACOBI_SWEEP_LIMIT = 100
 DEGENERACY_TOL = 1e-8
 
 
+def _rotation(app, aqq, apq, sqrt):
+    # Cosine and sine of the rotation that zeroes a[p, q] (Golub & Van Loan,
+    # Matrix Computations, section 8.5), taking the smaller of the two
+    # angles. Written once for Python floats (sqrt=math.sqrt) and for
+    # arrays of pivots (sqrt=np.sqrt): the sign flip multiplies by exactly
+    # -1.0 or 1.0, so both give the same bits.
+    theta = (aqq - app) / (2.0 * apq)
+    t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+    t = t * (1.0 - 2.0 * (theta < 0.0))
+    c = 1.0 / sqrt(t * t + 1.0)
+    return c, t * c
+
+
 def _rotate(a, v, p, q, c, s):
     # A <- J^T A J and V <- V J with J the rotation in the (p, q) plane,
-    # J[p,p] = J[q,q] = c, J[p,q] = s, J[q,p] = -s.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
+    # J[p,p] = J[q,q] = c, J[p,q] = s, J[q,p] = -s. A is exactly symmetric,
+    # so rows p and q are the rotated columns except on the diagonal.
+    col_p = c * a[:, p] - s * a[:, q]
+    col_q = s * a[:, p] + c * a[:, q]
+    a_pp = c * col_p.item(p) - s * col_p.item(q)
+    a_qq = s * col_q.item(p) + c * col_q.item(q)
+    a[:, p] = col_p
+    a[:, q] = col_q
+    a[p, :] = col_p
+    a[q, :] = col_q
+    a[p, p] = a_pp
+    a[q, q] = a_qq
     a[p, q] = 0.0
     a[q, p] = 0.0
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p - s * col_q
-    v[:, q] = s * col_p + c * col_q
+    v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
 
 
-def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+def _rotate_stack(a, v, p, q, c, s):
+    # _rotate for every matrix of a (m, n, n) stack, one angle each.
+    cc = c[:, None]
+    ss = s[:, None]
+    col_p = cc * a[:, :, p] - ss * a[:, :, q]
+    col_q = ss * a[:, :, p] + cc * a[:, :, q]
+    a_pp = c * col_p[:, p] - s * col_p[:, q]
+    a_qq = s * col_q[:, p] + c * col_q[:, q]
+    a[:, :, p] = col_p
+    a[:, :, q] = col_q
+    a[:, p, :] = col_p
+    a[:, q, :] = col_q
+    a[:, p, p] = a_pp
+    a[:, q, q] = a_qq
+    a[:, p, q] = 0.0
+    a[:, q, p] = 0.0
+    v[:, :, p], v[:, :, q] = (cc * v[:, :, p] - ss * v[:, :, q],
+                              ss * v[:, :, p] + cc * v[:, :, q])
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as columns. The result is made reproducible across
-    platforms: every eigenvector is flipped so its largest-magnitude entry
-    is positive (ties broken by lowest index), and columns inside a
-    degenerate eigenvalue group are ordered lexicographically. Convergence
-    is declared once every off-diagonal entry falls below tol relative to
-    the Frobenius norm of the input.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy(), np.ones((1, 1))
-    if np.max(np.abs(a - a.T)) > 1e-9:
-        raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-    v = np.eye(n)
-    thresh = tol * max(1.0, float(np.linalg.norm(a)))
-    skip = 0.1 * thresh
-    for _ in range(max_sweeps):
-        upper = np.triu(a, k=1)
-        if np.max(np.abs(upper)) <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                _rotate(a, v, p, q, c, t * c)
-    else:
-        raise RuntimeError(
-            f"jacobi rotations did not converge within {max_sweeps} sweeps"
-        )
-    w = np.diagonal(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
-    # Lexicographic order inside degenerate groups. Eigenvalues travel with
-    # their columns so eigenpairs stay intact.
+
+def _sweep(a, v, pairs, skip):
+    """One cyclic sweep over a single (n, n) matrix."""
+    item = a.item  # Python floats: scalar arithmetic is faster on them
+    for p, q in pairs:
+        apq = item(p, q)
+        if abs(apq) <= skip:
+            continue
+        c, s = _rotation(item(p, p), item(q, q), apq, math.sqrt)
+        _rotate(a, v, p, q, c, s)
+
+
+def _sweep_stack(a, v, pairs, skip):
+    """One cyclic sweep over a (m, n, n) stack. A matrix whose pivot is
+    below its own skip bound is left untouched at that pair."""
+    for p, q in pairs:
+        apq = a[:, p, q]
+        hit = ~(np.abs(apq) <= skip)
+        if hit.all():
+            c, s = _rotation(a[:, p, p], a[:, q, q], apq, np.sqrt)
+            _rotate_stack(a, v, p, q, c, s)
+        elif hit.any():
+            idx = np.flatnonzero(hit)
+            sub_a = a[idx]
+            sub_v = v[idx]
+            c, s = _rotation(sub_a[:, p, p], sub_a[:, q, q], apq[idx], np.sqrt)
+            _rotate_stack(sub_a, sub_v, p, q, c, s)
+            a[idx] = sub_a
+            v[idx] = sub_v
+
+
+def _order_degenerate_groups(w, v):
+    # Lexicographic order inside degenerate groups of one matrix. Eigenvalues
+    # travel with their columns so eigenpairs stay intact.
+    n = w.size
     start = 0
     for stop in range(1, n + 1):
         if stop == n or w[stop] - w[stop - 1] > DEGENERACY_TOL:
@@ -103,7 +118,91 @@ def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
                 v[:, start:stop] = v[:, cols]
                 w[start:stop] = w[cols]
             start = stop
+
+
+def _canonicalise(w, v):
+    """Ascending eigenvalues, sign rule and degenerate order for a (B, n)
+    stack of eigenvalues and its (B, n, n) eigenvectors."""
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    lead = np.argmax(np.abs(v), axis=1)
+    flip = np.take_along_axis(v, lead[:, None, :], axis=1) < 0.0
+    v = np.where(flip, -v, v)
+    tied = ~(np.diff(w, axis=1) > DEGENERACY_TOL)
+    for b in np.flatnonzero(tied.any(axis=1)):
+        _order_degenerate_groups(w[b], v[b])
     return w, v
+
+
+def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
+    """Eigendecomposition of real symmetric matrices by cyclic Jacobi sweeps.
+
+    ``matrix`` is one (n, n) matrix or a (B, n, n) stack. Returns
+    (eigenvalues, eigenvectors): (n,) and (n, n) for one matrix, (B, n)
+    and (B, n, n) for a stack, with eigenvalues ascending and eigenvectors
+    as columns. Each matrix of a stack gets its own convergence threshold
+    and skip rule and is frozen once it converges, so its result is bit
+    for bit the one-matrix solve. Convergence is declared once every
+    off-diagonal entry falls below tol relative to the Frobenius norm of
+    the input.
+
+    The result is bit-reproducible on one machine: every eigenvector is
+    flipped so its largest-magnitude entry is positive (ties broken by
+    lowest index), and columns inside a degenerate eigenvalue group are
+    ordered lexicographically. This sign rule is ill-posed when the two
+    largest-magnitude entries tie, as in every odd mode of a path graph,
+    so a perturbation of the input at rounding level can flip such an
+    eigenvector.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    stack = a[None] if a.ndim == 2 else a
+    n = stack.shape[-1]
+    if n == 1:
+        w, v = stack[:, 0].copy(), np.ones(stack.shape)
+    else:
+        if np.max(np.abs(stack - stack.transpose(0, 2, 1)), initial=0.0) > 1e-9:
+            raise ValueError("matrix is not symmetric")
+        stack = (stack + stack.transpose(0, 2, 1)) / 2.0
+        w, v = _jacobi(stack, tol, max_sweeps)
+    if a.ndim == 2:
+        return w[0], v[0]
+    return w, v
+
+
+def _jacobi(a, tol, max_sweeps):
+    """Diagonalise a symmetric (B, n, n) stack in place; returns the
+    canonical eigenvalues and eigenvectors."""
+    b, n = a.shape[:2]
+    v = np.zeros_like(a)
+    v[:, np.arange(n), np.arange(n)] = 1.0
+    # One norm call per matrix: a batched norm sums in another order, and the
+    # threshold must have the one-matrix solve's bits.
+    thresh = np.array([tol * max(1.0, float(np.linalg.norm(m))) for m in a])
+    skip = 0.1 * thresh
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    active = np.arange(b)
+    for _ in range(max_sweeps):
+        off = np.max(np.abs(np.triu(a[active], k=1)), axis=(1, 2), initial=0.0)
+        active = active[~(off <= thresh[active])]
+        if active.size == 1:
+            i = active[0]
+            _sweep(a[i], v[i], pairs, float(skip[i]))
+        elif active.size:
+            sub_a = a[active]
+            sub_v = v[active]
+            _sweep_stack(sub_a, sub_v, pairs, skip[active])
+            a[active] = sub_a
+            v[active] = sub_v
+        else:
+            break
+    else:
+        raise RuntimeError(
+            f"jacobi rotations did not converge within {max_sweeps} sweeps"
+        )
+    return _canonicalise(np.diagonal(a, axis1=1, axis2=2).copy(), v)
 
 
 @dataclass(frozen=True)
@@ -173,13 +272,30 @@ def gft_2d(signal, basis: ProductBasis) -> np.ndarray:
     return basis.temporal.eigenvectors.T @ f @ basis.spatial.eigenvectors
 
 
-def gft_extended(features, basis: ProductBasis) -> np.ndarray:
-    """Channel-wise transform of a (channels, time, vehicle) tensor."""
+def gft_extended(features, basis: ProductBasis, spatial=None) -> np.ndarray:
+    """Channel-wise transform of a (channels, time, vehicle) tensor, or of
+    a (batch, channels, time, vehicle) stack.
+
+    ``spatial``, given only with a stack, is a (batch, vehicle, vehicle)
+    array of per-item spatial eigenvectors that replaces
+    ``basis.spatial``.
+    """
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 3:
-        raise ValueError(f"expected a 3-d feature tensor, got shape {f.shape}")
-    _check_grid(f.shape[1:], basis)
-    return basis.temporal.eigenvectors.T @ f @ basis.spatial.eigenvectors
+    if f.ndim not in (3, 4):
+        raise ValueError(
+            f"expected a 3-d feature tensor or a 4-d stack, got shape {f.shape}"
+        )
+    _check_grid(f.shape[-2:], basis)
+    u2 = basis.spatial.eigenvectors
+    if spatial is not None:
+        want = (f.shape[0],) + u2.shape
+        if f.ndim != 4 or spatial.shape != want:
+            raise ValueError(
+                f"per-item spatial bases need a 4-d stack and shape {want}, "
+                f"got {spatial.shape} for features {f.shape}"
+            )
+        u2 = spatial[:, None]
+    return basis.temporal.eigenvectors.T @ f @ u2
 
 
 def inverse_gft(coefficients, basis: ProductBasis, p: int | None = None) -> np.ndarray:
@@ -202,13 +318,18 @@ def inverse_gft(coefficients, basis: ProductBasis, p: int | None = None) -> np.n
 
 
 def truncate_spectrum(coefficients, p: int) -> np.ndarray:
-    """Keep the p lowest temporal modes and flatten (k, l1, l2) row-major."""
+    """Keep the p lowest temporal modes and flatten (k, l1, l2) row-major.
+
+    A (batch, k, l1, l2) stack gives one flattened row per item.
+    """
     fhat = np.asarray(coefficients, dtype=np.float64)
-    if fhat.ndim != 3:
-        raise ValueError(f"expected a 3-d coefficient tensor, got shape {fhat.shape}")
-    if not 1 <= p <= fhat.shape[1]:
-        raise ValueError(f"p must be in [1, {fhat.shape[1]}], got {p}")
-    return fhat[:, :p, :].reshape(-1).copy()
+    if fhat.ndim not in (3, 4):
+        raise ValueError(
+            f"expected a 3-d coefficient tensor or a 4-d stack, got shape {fhat.shape}"
+        )
+    if not 1 <= p <= fhat.shape[-2]:
+        raise ValueError(f"p must be in [1, {fhat.shape[-2]}], got {p}")
+    return fhat[..., :p, :].reshape(fhat.shape[:-3] + (-1,)).copy()
 
 
 def write_spectrum_csv(basis: ProductBasis, path):

@@ -18,7 +18,7 @@ from scipy.special import expit
 from . import metrics
 from .model import (LN_EPS, ModelConfig, ModelParams, build_basis,
                     decode_partials, gelu, gelu_grad, init_params,
-                    save_checkpoint, scenario_spectrum)
+                    save_checkpoint, scenario_spectra, scenario_spectrum)
 
 
 class NumericError(RuntimeError):
@@ -236,7 +236,7 @@ class TrainResult:
 
 def _prepare(scenarios, basis, config):
     """Precompute spectra once; the transform never changes during training."""
-    s = np.stack([scenario_spectrum(sc, basis, config) for sc in scenarios])
+    s = scenario_spectra(scenarios, basis, config)
     futures = np.stack([sc.future for sc in scenarios])
     v0 = np.array([sc.v0 for sc in scenarios])
     return s, futures, v0

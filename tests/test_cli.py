@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gftnn.cli import main
-from gftnn.model import load_checkpoint
+from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
+from gftnn.model import load_checkpoint, predict, truth_trajectory
 from gftnn.scenario import load_archive
 from helpers import three_class_tracks, write_tracks_csv
 
@@ -237,6 +238,29 @@ def test_eval_subset_uses_the_split(tmp_path, capsys):
                           "--checkpoint", str(ckpt), "--subset", "test",
                           "--seed", "0", "--out", str(tmp_path / "eval")])
     assert "n=4" in out
+
+
+def test_eval_weighted_matches_per_scenario_predict(tmp_path, capsys):
+    archive = synth_archive(tmp_path)
+    run = tmp_path / "run"
+    run_ok(capsys, ["train", "--archive", str(archive), "--preset", "gftnn-w",
+                    "--hidden", "8", "--epochs", "1", "--batch-size", "4",
+                    "--out", str(run), "--seed", "0"])
+    run_ok(capsys, ["eval", "--archive", str(archive),
+                    "--checkpoint", str(run / "checkpoint.json"),
+                    "--out", str(tmp_path / "eval")])
+    # oracle: one predict call per scenario
+    scenarios, _ = load_archive(archive)
+    ckpt = load_checkpoint(run / "checkpoint.json")
+    predictions = [predict(s, ckpt.basis, ckpt.params, ckpt.config)
+                   for s in scenarios]
+    report = evaluate(predictions, [truth_trajectory(s) for s in scenarios], 0.1)
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    write_report_json(report, oracle / "eval_report.json")
+    write_histogram_csv(report, oracle / "histogram.csv")
+    for name in ("eval_report.json", "histogram.csv"):
+        assert (tmp_path / "eval" / name).read_bytes() == (oracle / name).read_bytes()
 
 
 def test_eval_rejects_rate_mismatch(tmp_path, capsys):

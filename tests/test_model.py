@@ -6,11 +6,12 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from gftnn.model import (ModelConfig, ModelParams, Trajectory, build_basis,
+from gftnn import spectral
+from gftnn.model import (PRESETS, ModelConfig, ModelParams, Trajectory, build_basis,
                          decode, decode_partials, encode, gelu, gelu_grad,
                          init_params, layer_norm, load_checkpoint, mlp_block,
                          param_shapes, predict, preset_config, save_checkpoint,
-                         scenario_basis, scenario_spectrum, select_channels,
+                         scenario_spectra, scenario_spectrum, select_channels,
                          spectral_gate, truth_trajectory)
 from gftnn.scenario import Scenario, synthesize
 from gftnn.spectral import gft_extended, truncate_spectrum
@@ -442,11 +443,32 @@ def test_scenario_spectrum_rejects_wrong_grid(basis_30x9):
         scenario_spectrum(scen, basis_30x9, cfg)
 
 
-def test_scenario_basis_unweighted_is_reference():
+def test_scenario_spectra_unweighted_uses_reference_basis(monkeypatch):
     cfg = tiny_config()
     basis = build_basis(cfg)
-    scen = manual_scenario()
-    assert scenario_basis(scen, basis, cfg) is basis
+    scenarios = [manual_scenario(), manual_scenario(offsets=((4.0, 0.0), (0.0, -1.0)))]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("unweighted spectra must not solve an eigenproblem")
+
+    monkeypatch.setattr(spectral, "symmetric_eigh", no_solve)
+    rows = scenario_spectra(scenarios, basis, cfg)
+    for row, scen in zip(rows, scenarios):
+        fhat = gft_extended(select_channels(scen.features, cfg.k), basis)
+        assert np.array_equal(row, truncate_spectrum(fhat, cfg.p))
+
+
+@pytest.mark.parametrize("fps", [10, 25])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_scenario_spectra_rows_match_scenario_spectrum(preset, fps, basis_30x9,
+                                                       basis_75x9):
+    cfg = preset_config(preset, fps)
+    basis = basis_30x9 if fps == 10 else basis_75x9
+    scenarios = synthesize(8, fps, seed=23, noise_std=0.05)
+    rows = scenario_spectra(scenarios, basis, cfg)
+    assert rows.shape == (len(scenarios), cfg.z)
+    for row, scen in zip(rows, scenarios):
+        assert np.array_equal(row, scenario_spectrum(scen, basis, cfg))
 
 
 def test_weighted_basis_matches_unweighted_at_unit_distance():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,15 @@ def test_archive_rejects_unknown_version(tmp_path):
     path = tmp_path / "arch.json"
     path.write_text('{"version": 99, "fps": 10, "scenarios": []}')
     with pytest.raises(ValueError, match="version"):
+        load_archive(path)
+
+
+def test_archive_rejects_mixed_shapes(tmp_path):
+    scen = synthesize(2, 10, seed=19)
+    short = replace(synthesize(1, 10, seed=19, t_pred=4.0)[0], scenario_id="short-0")
+    path = tmp_path / "arch.json"
+    save_archive(path, scen + [short], 10)
+    with pytest.raises(ValueError, match="'short-0'.*mixes scenario shapes"):
         load_archive(path)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gftnn.graph import (Laplacian, build_line_graph, build_spider_graph,
-                         laplacian)
+from gftnn.graph import (D_FLOOR, Laplacian, apply_inverse_distance_weights,
+                         build_line_graph, build_spider_graph, laplacian)
 from gftnn.spectral import (ProductBasis, Spectrum, eigendecompose, gft_2d,
                             gft_extended, inverse_gft, symmetric_eigh,
                             truncate_spectrum, write_spectrum_csv,
@@ -39,10 +39,14 @@ def test_single_node_laplacian():
 
 
 def test_rejects_asymmetric_input():
-    with pytest.raises(ValueError):
-        symmetric_eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        symmetric_eigh(np.zeros((2, 3)))
+    asym = np.array([[0.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        symmetric_eigh(asym)
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        symmetric_eigh(np.stack([np.eye(2), asym]))
+    for shape in ((2, 3), (4, 2, 3), (2, 2, 2, 2), (3,)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            symmetric_eigh(np.zeros(shape))
 
 
 def test_random_laplacians_residual_and_orthonormality():
@@ -91,6 +95,68 @@ def test_degenerate_group_is_lexicographically_ordered():
     cols = [tuple(v[:, j]) for j in group]
     assert cols == sorted(cols)
     assert np.max(np.abs(v.T @ v - np.eye(6))) < 1e-9
+
+
+def _assert_stack_matches_single_solves(stack):
+    w, v = symmetric_eigh(stack)
+    assert w.shape == stack.shape[:2] and v.shape == stack.shape
+    for i, a in enumerate(stack):
+        w1, v1 = symmetric_eigh(a)
+        assert np.array_equal(w[i], w1)
+        assert np.array_equal(v[i], v1)
+
+
+def test_stacked_inverse_distance_stars_match_single_solves():
+    rng = np.random.default_rng(21)
+    star = build_spider_graph(9)
+    laps = []
+    for i in range(200):
+        positions = np.vstack([[0.0, 0.0],
+                               rng.uniform([-40.0, -7.0], [40.0, 7.0], (8, 2))])
+        # ghost vehicles sit on or next to the target, closer than D_FLOOR,
+        # so their weights are clamped to 1 / D_FLOOR and tie
+        n_ghosts = i % 4
+        if n_ghosts:
+            positions[9 - n_ghosts:] = rng.uniform(-0.5, 0.5, 2) * D_FLOOR * (i % 8 > 3)
+        laps.append(laplacian(apply_inverse_distance_weights(star, positions)).matrix)
+    assert sum(np.sum(lap[0] == -1.0 / D_FLOOR) >= 2 for lap in laps) >= 90
+    _assert_stack_matches_single_solves(np.stack(laps))
+
+
+def _sweeps_needed(a):
+    for sweeps in range(1, 20):
+        try:
+            symmetric_eigh(a, max_sweeps=sweeps)
+        except RuntimeError:
+            continue
+        return sweeps
+    raise AssertionError("no convergence within 20 sweeps")
+
+
+def test_stacked_spd_members_converge_independently():
+    rng = np.random.default_rng(22)
+    members = []
+    for spread in (0.0, 1e-9, 1e-3, 1.0, 10.0):
+        x = rng.normal(size=(7, 7))
+        members.append(np.diag(rng.uniform(1.0, 50.0, 7)) + spread * (x @ x.T))
+    stack = np.stack(members)
+    sweeps = [_sweeps_needed(a) for a in stack]
+    assert sweeps[0] == 1  # already diagonal: converged before any sweep
+    assert len(set(sweeps)) >= 3
+    _assert_stack_matches_single_solves(stack)
+    # the stack fails exactly when its slowest member does
+    symmetric_eigh(stack, max_sweeps=max(sweeps))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        symmetric_eigh(stack, max_sweeps=max(sweeps) - 1)
+
+
+def test_stacked_degenerate_stars_and_single_nodes():
+    for n in (2, 6, 9):
+        star = laplacian(build_spider_graph(n)).matrix
+        _assert_stack_matches_single_solves(np.stack([star, 2.0 * star, star]))
+    _assert_stack_matches_single_solves(np.array([[[0.0]], [[3.5]]]))
+    w, v = symmetric_eigh(np.zeros((0, 4, 4)))
+    assert w.shape == (0, 4) and v.shape == (0, 4, 4)
 
 
 def test_spectrum_validation():
