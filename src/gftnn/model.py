@@ -8,6 +8,8 @@ whole network stays small.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 from dataclasses import dataclass, asdict
 
@@ -22,7 +24,8 @@ from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
 
 OUT = 3
 LN_EPS = 1e-5
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+ORTHONORMAL_TOL = 1e-9          # max |V^T V - I| of a stored basis factor
 GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
 
@@ -389,17 +392,64 @@ def predict(scenario, basis: ProductBasis, params: ModelParams,
     return predict_batch([scenario], basis, params, config)[0]
 
 
+def _encode_array(arr) -> str:
+    """Base64 of the array's little-endian float64 bytes in C order."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_array(table: dict, key: str, shape, name: str, version: int) -> np.ndarray:
+    """The float array stored under table[key], as a fresh writable float64
+    array of `shape`; `name` labels it in errors.
+
+    Version 1 stores a list of repr() strings; version 2 one base64 string
+    of little-endian float64 bytes.
+    """
+    if key not in table:
+        raise ValueError(f"checkpoint is missing {name}")
+    value = table[key]
+    size = int(np.prod(shape))
+    if version == 1:
+        arr = np.array([float(s) for s in value], dtype=np.float64)
+        if arr.size != size:
+            raise ValueError(f"{name} has wrong size: {arr.size} values, "
+                             f"expected {size} for shape {shape}")
+        return arr.reshape(shape)
+    if not isinstance(value, str):
+        raise ValueError(f"{name} is not a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{name} is not valid base64: {exc}") from None
+    if len(raw) != 8 * size:
+        raise ValueError(f"{name} has wrong size: {len(raw)} bytes, "
+                         f"expected {8 * size} for shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def _spectrum_doc(spec: Spectrum) -> dict:
     return {
         "source_graph_id": spec.source_graph_id,
-        "eigenvalues": [repr(float(v)) for v in spec.eigenvalues],
-        "eigenvectors": [repr(float(v)) for v in spec.eigenvectors.ravel()],
+        "eigenvalues": _encode_array(spec.eigenvalues),
+        "eigenvectors": _encode_array(spec.eigenvectors),
     }
 
 
-def _spectrum_from_doc(doc: dict, n: int) -> Spectrum:
-    w = np.array([float(s) for s in doc["eigenvalues"]])
-    v = np.array([float(s) for s in doc["eigenvectors"]]).reshape(n, n)
+def _spectrum_from_doc(doc: dict, n: int, factor: str, version: int) -> Spectrum:
+    """A stored basis factor, checked to be an ascending orthonormal n-node basis."""
+    name = f"basis {factor}"
+    w = _decode_array(doc, "eigenvalues", (n,), f"{name} eigenvalues", version)
+    v = _decode_array(doc, "eigenvectors", (n, n), f"{name} eigenvectors", version)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        raise ValueError(f"{name} is not finite")
+    # Inside a degenerate group the solver orders columns by eigenvector, so
+    # equal eigenvalues may step down by float noise.
+    if np.any(np.diff(w) < -spectral.DEGENERACY_TOL):
+        raise ValueError(f"{name} eigenvalues are not ascending")
+    drift = np.max(np.abs(v.T @ v - np.eye(n)))
+    if drift > ORTHONORMAL_TOL:
+        raise ValueError(f"{name} eigenvectors are not orthonormal: "
+                         f"max |V^T V - I| = {drift:.3g}")
     return Spectrum(w, v, doc.get("source_graph_id", ""))
 
 
@@ -415,11 +465,14 @@ class Checkpoint:
 def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
                     params: ModelParams, epochs_trained: int = 0,
                     optimizer: dict | None = None):
-    """Serialise model state to JSON.
+    """Serialise model state to one JSON file (format version 2).
 
-    Floats are written as repr() strings so values survive the round trip
-    bit for bit. The stored basis is the unweighted reference basis;
-    distance-weighted spatial bases are always derived per scenario.
+    Config, epoch count and optimizer step are plain JSON. Every float
+    array (parameters, Adam's m and v, basis eigenvalues and eigenvectors)
+    is one base64 string of its little-endian float64 bytes in C order, so
+    values survive the round trip bit for bit. The stored basis is the
+    unweighted reference basis; distance-weighted spatial bases are always
+    derived per scenario.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -430,53 +483,62 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
             "temporal": _spectrum_doc(basis.temporal),
             "spatial": _spectrum_doc(basis.spatial),
         },
-        "params": {name: [repr(float(v)) for v in arr.ravel()]
-                   for name, arr in params.items()},
+        "params": {name: _encode_array(arr) for name, arr in params.items()},
     }
     if optimizer is not None:
         doc["optimizer"] = {
             "step": int(optimizer["step"]),
-            "m": {name: [repr(float(v)) for v in arr.ravel()]
-                  for name, arr in optimizer["m"].items()},
-            "v": {name: [repr(float(v)) for v in arr.ravel()]
-                  for name, arr in optimizer["v"].items()},
+            "m": {name: _encode_array(arr) for name, arr in optimizer["m"].items()},
+            "v": {name: _encode_array(arr) for name, arr in optimizer["v"].items()},
         }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint of format version 2, or of version 1 (repr() strings).
+
+    Raises ValueError naming the array when a stored array is missing, is
+    not decodable, has the wrong size, or is not finite (parameters), and
+    when a basis factor is not an ascending orthonormal basis.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    try:
+        return _checkpoint_from_doc(doc, version)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _checkpoint_from_doc(doc: dict, version: int) -> Checkpoint:
     cfg = ModelConfig(**doc["config"])
     shapes = param_shapes(cfg)
     named = {}
     for name, shape in shapes.items():
-        flat = doc["params"].get(name)
-        if flat is None:
-            raise ValueError(f"{path}: checkpoint is missing parameter {name}")
-        arr = np.array([float(s) for s in flat])
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(f"{path}: parameter {name} has wrong size")
-        named[name] = arr.reshape(shape)
+        arr = _decode_array(doc["params"], name, shape, f"parameter {name}", version)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"parameter {name} is not finite")
+        named[name] = arr
     params = ModelParams.from_named(named, cfg.k)
     basis = ProductBasis(
-        temporal=_spectrum_from_doc(doc["basis"]["temporal"], cfg.t_obs),
-        spatial=_spectrum_from_doc(doc["basis"]["spatial"], cfg.n_v),
+        temporal=_spectrum_from_doc(doc["basis"]["temporal"], cfg.t_obs,
+                                    "temporal", version),
+        spatial=_spectrum_from_doc(doc["basis"]["spatial"], cfg.n_v,
+                                   "spatial", version),
     )
     optimizer = None
     if "optimizer" in doc:
         opt = doc["optimizer"]
-        optimizer = {
-            "step": int(opt["step"]),
-            "m": {name: np.array([float(s) for s in opt["m"][name]]).reshape(shapes[name])
-                  for name in shapes},
-            "v": {name: np.array([float(s) for s in opt["v"][name]]).reshape(shapes[name])
-                  for name in shapes},
-        }
+        optimizer = {"step": int(opt["step"])}
+        for moment in ("m", "v"):
+            optimizer[moment] = {
+                name: _decode_array(opt[moment], name, shape,
+                                    f"optimizer {moment} {name}", version)
+                for name, shape in shapes.items()
+            }
     return Checkpoint(config=cfg, basis=basis, params=params,
                       epochs_trained=int(doc.get("epochs_trained", 0)),
                       optimizer=optimizer)

@@ -479,20 +479,29 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
 
 
 def save_archive(path, scenarios, fps):
-    """Write scenarios to a JSON archive (features flattened row-major)."""
+    """Write scenarios to a JSON archive (features flattened row-major).
+
+    The file is json.dumps(doc, separators=(",", ":")) of the whole
+    document, written one scenario at a time through the C encoder, so
+    only one scenario's text is in memory at once.
+    """
     fps = float(fps)
     for s in scenarios:
         if s.fps != fps:
             raise ValueError(
                 f"scenario {s.scenario_id} has fps {s.fps}, archive wants {fps}"
             )
-    doc = {
+    head = json.dumps({
         "version": ARCHIVE_VERSION,
         "fps": fps,
         "feature_order": "(channel, time, vehicle) row-major",
         "channels": list(CHANNELS),
-        "scenarios": [
-            {
+        "scenarios": [],
+    }, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(head[:-2])  # up to and including the "[" of "scenarios":[]}
+        for i, s in enumerate(scenarios):
+            item = {
                 "id": s.scenario_id,
                 "maneuver": s.maneuver,
                 "v0": s.v0,
@@ -502,11 +511,8 @@ def save_archive(path, scenarios, fps):
                 "features": s.features.ravel().tolist(),
                 "future": s.future.ravel().tolist(),
             }
-            for s in scenarios
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+            fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
+        fh.write("]}")
 
 
 def load_archive(path):

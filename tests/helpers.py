@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 import csv
+import json
+from dataclasses import asdict
 
 import numpy as np
 from scipy.special import expit
@@ -14,6 +16,37 @@ def tiny_config(**overrides):
     base = dict(k=2, t_obs=6, t_pred=10, n_v=3, p=6, hidden=4, fps=2.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
+                        optimizer=None):
+    """Write model state as the format-version-1 writer did: every float a
+    repr() string, the document streamed by json.dump."""
+    def floats(arr):
+        return [repr(float(v)) for v in np.asarray(arr).ravel()]
+
+    def spectrum(spec):
+        return {"source_graph_id": spec.source_graph_id,
+                "eigenvalues": floats(spec.eigenvalues),
+                "eigenvectors": floats(spec.eigenvectors)}
+
+    doc = {
+        "format_version": 1,
+        "config": asdict(config),
+        "param_count": params.n_params,
+        "epochs_trained": int(epochs_trained),
+        "basis": {"temporal": spectrum(basis.temporal),
+                  "spatial": spectrum(basis.spatial)},
+        "params": {name: floats(arr) for name, arr in params.items()},
+    }
+    if optimizer is not None:
+        doc["optimizer"] = {
+            "step": int(optimizer["step"]),
+            "m": {name: floats(arr) for name, arr in optimizer["m"].items()},
+            "v": {name: floats(arr) for name, arr in optimizer["v"].items()},
+        }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
 
 def random_graph(rng, n, weighted=True):

@@ -10,7 +10,7 @@ from gftnn.cli import main
 from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
 from gftnn.model import load_checkpoint, predict, truth_trajectory
 from gftnn.scenario import load_archive
-from helpers import three_class_tracks, write_tracks_csv
+from helpers import three_class_tracks, write_tracks_csv, write_v1_checkpoint
 
 
 def run_ok(capsys, argv):
@@ -261,6 +261,23 @@ def test_eval_weighted_matches_per_scenario_predict(tmp_path, capsys):
     write_histogram_csv(report, oracle / "histogram.csv")
     for name in ("eval_report.json", "histogram.csv"):
         assert (tmp_path / "eval" / name).read_bytes() == (oracle / name).read_bytes()
+
+
+def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
+    archive, ckpt_v2 = trained_checkpoint(tmp_path, capsys)
+    ckpt = load_checkpoint(ckpt_v2)
+    ckpt_v1 = tmp_path / "checkpoint_v1.json"
+    write_v1_checkpoint(ckpt_v1, ckpt.config, ckpt.basis, ckpt.params,
+                        ckpt.epochs_trained, ckpt.optimizer)
+    for tag, path in (("v1", ckpt_v1), ("v2", ckpt_v2)):
+        run_ok(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(path),
+                        "--out", str(tmp_path / tag)])
+        run_ok(capsys, ["predict", "--archive", str(archive),
+                        "--checkpoint", str(path), "--scenario-id", "synth-00005",
+                        "--out", str(tmp_path / tag)])
+    for name in ("eval_report.json", "histogram.csv", "trajectory_synth-00005.csv"):
+        assert (tmp_path / "v1" / name).read_bytes() == \
+            (tmp_path / "v2" / name).read_bytes(), name
 
 
 def test_eval_rejects_rate_mismatch(tmp_path, capsys):

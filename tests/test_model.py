@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 
@@ -14,8 +15,8 @@ from gftnn.model import (PRESETS, ModelConfig, ModelParams, Trajectory, build_ba
                          scenario_spectra, scenario_spectrum, select_channels,
                          spectral_gate, truth_trajectory)
 from gftnn.scenario import Scenario, synthesize
-from gftnn.spectral import gft_extended, truncate_spectrum
-from helpers import tiny_config
+from gftnn.spectral import ProductBasis, Spectrum, gft_extended, truncate_spectrum
+from helpers import tiny_config, write_v1_checkpoint
 
 
 def manual_scenario(n_v=3, t_obs=6, t_pred=10, fps=2.0, offsets=((1.0, 0.0), (0.0, -1.0))):
@@ -520,6 +521,42 @@ def test_predict_rejects_horizon_mismatch(basis_30x9):
 
 # ----------------------------------------------------------------- checkpoint
 
+def checkpoint_arrays(ckpt):
+    """Every float array a checkpoint holds, by a readable label."""
+    out = {f"param {name}": arr for name, arr in ckpt.params.items()}
+    for factor in ("temporal", "spatial"):
+        spec = getattr(ckpt.basis, factor)
+        out[f"{factor} eigenvalues"] = spec.eigenvalues
+        out[f"{factor} eigenvectors"] = spec.eigenvectors
+    if ckpt.optimizer is not None:
+        for moment in ("m", "v"):
+            for name, arr in ckpt.optimizer[moment].items():
+                out[f"{moment} {name}"] = arr
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.keys() == b.keys()
+    for label in a:
+        assert a[label].shape == b[label].shape, label
+        assert np.array_equal(np.asarray(a[label]).view(np.uint64),
+                              np.asarray(b[label]).view(np.uint64)), label
+
+
+def awkward_state(cfg, seed):
+    """Parameters and Adam state holding floats that a lossy codec would
+    change: signed zero, the smallest subnormal, NaN with a payload."""
+    params = init_params(cfg, seed)
+    params.w_s[:5] = [1.0 / 3.0, np.nextafter(1.0, 2.0), 1e-308, -0.0, 5e-324]
+    m = {name: np.full_like(arr, 0.125) for name, arr in params.items()}
+    v = {name: np.full_like(arr, 0.5) for name, arr in params.items()}
+    m["w_h"].flat[:3] = [-0.0, 5e-324, np.nan]
+    v["b_h"][:] = [np.nan, -np.nan, -0.0]
+    v["w_s"][:2] = np.array([0x7FF8000000000001, 0xFFF0000000000DEF],
+                            dtype=np.uint64).view(np.float64)
+    return params, {"step": 17, "m": m, "v": v}
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = tiny_config()
     params = init_params(cfg, 3)
@@ -531,11 +568,15 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     }
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, basis, params, epochs_trained=5, optimizer=opt)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    assert base64.b64decode(doc["params"]["b_h"]) == params.b_h.astype("<f8").tobytes()
     ckpt = load_checkpoint(path)
     assert ckpt.config == cfg
     assert ckpt.epochs_trained == 5
     for (name, a), (_, b) in zip(params.items(), ckpt.params.items()):
         assert np.array_equal(a, b), name
+        assert b.flags.writeable, name
     assert np.array_equal(ckpt.basis.temporal.eigenvalues,
                           basis.temporal.eigenvalues)
     assert np.array_equal(ckpt.basis.spatial.eigenvectors,
@@ -547,14 +588,36 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 def test_checkpoint_roundtrip_awkward_floats(tmp_path):
     cfg = tiny_config()
-    params = init_params(cfg, 4)
-    params.w_s[:3] = [1.0 / 3.0, np.nextafter(1.0, 2.0), 1e-308]
+    params, opt = awkward_state(cfg, 4)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, build_basis(cfg), params)
     back = load_checkpoint(path)
-    assert np.array_equal(back.params.w_s, params.w_s)
+    assert np.array_equal(back.params.w_s.view(np.uint64), params.w_s.view(np.uint64))
     assert back.epochs_trained == 0
     assert back.optimizer is None
+    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    back = load_checkpoint(path)
+    for moment in ("m", "v"):
+        for name, arr in opt[moment].items():
+            assert np.array_equal(back.optimizer[moment][name].view(np.uint64),
+                                  arr.view(np.uint64)), (moment, name)
+
+
+def test_checkpoint_reads_version_1(tmp_path):
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 5)
+    # repr() strings keep every value except a NaN's sign and payload.
+    opt["v"]["b_h"][:] = [np.nan, 0.25, -0.0]
+    opt["v"]["w_s"][:2] = [np.nan, 1.5]
+    basis = build_basis(cfg)
+    save_checkpoint(tmp_path / "v2.json", cfg, basis, params, 7, opt)
+    write_v1_checkpoint(tmp_path / "v1.json", cfg, basis, params, 7, opt)
+    v1 = load_checkpoint(tmp_path / "v1.json")
+    v2 = load_checkpoint(tmp_path / "v2.json")
+    assert (v1.config, v1.epochs_trained, v1.optimizer["step"]) == \
+        (v2.config, v2.epochs_trained, v2.optimizer["step"]) == (cfg, 7, 17)
+    assert_same_bits(checkpoint_arrays(v1), checkpoint_arrays(v2))
+    assert (tmp_path / "v2.json").stat().st_size < (tmp_path / "v1.json").stat().st_size
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
@@ -578,7 +641,113 @@ def test_checkpoint_rejects_missing_or_short_params(tmp_path):
     with pytest.raises(ValueError, match="missing parameter w_h"):
         load_checkpoint(path)
     doc = json.loads(path.read_text())
-    doc["params"]["w_h"] = doc["params"]["b_h"][:2]
+    raw = base64.b64decode(doc["params"]["b_h"])
+    doc["params"]["w_h"] = base64.b64encode(raw[:16]).decode("ascii")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="wrong size"):
+    with pytest.raises(ValueError, match="parameter w_h has wrong size"):
         load_checkpoint(path)
+
+
+def _corrupt(section, name, edit):
+    def apply(doc):
+        table = doc
+        for key in section:
+            table = table[key]
+        table[name] = edit(table[name])
+    return apply
+
+
+def _truncate(nbytes):
+    def edit(text):
+        return base64.b64encode(base64.b64decode(text)[:-nbytes]).decode("ascii")
+    return edit
+
+
+def _non_finite(text):
+    arr = np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+    arr[-1] = np.inf
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_corrupt(["params"], "w_s", lambda t: t[:-4] + "!!!!"),
+     "parameter w_s is not valid base64"),
+    (_corrupt(["params"], "w_s", lambda t: "A" + t),
+     "parameter w_s is not valid base64"),
+    (_corrupt(["params"], "b_n_1", lambda t: [0.0] * 4),
+     "parameter b_n_1 is not a base64 string"),
+    (_corrupt(["params"], "b_l_0", _truncate(3)),
+     r"parameter b_l_0 has wrong size: 21 bytes, expected 24 for shape \(3,\)"),
+    (_corrupt(["params"], "w_h", _non_finite), "parameter w_h is not finite"),
+    (_corrupt(["basis", "temporal"], "eigenvectors", _truncate(8)),
+     r"basis temporal eigenvectors has wrong size: 280 bytes, expected 288"),
+    (_corrupt(["basis", "spatial"], "eigenvalues", _non_finite),
+     "basis spatial is not finite"),
+    (_corrupt(["optimizer", "m"], "w_n_0", _truncate(1)),
+     "optimizer m w_n_0 has wrong size"),
+    (_corrupt(["optimizer", "v"], "b_h", lambda t: t.replace(t[0], "*")),
+     "optimizer v b_h is not valid base64"),
+    (lambda doc: doc["optimizer"]["m"].pop("w_l_1"),
+     "checkpoint is missing optimizer m w_l_1"),
+    (lambda doc: doc["basis"]["spatial"].pop("eigenvectors"),
+     "checkpoint is missing basis spatial eigenvectors"),
+])
+def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
+    cfg = tiny_config()
+    params = init_params(cfg, 0)
+    opt = {"step": 1,
+           "m": {name: np.zeros_like(arr) for name, arr in params.items()},
+           "v": {name: np.zeros_like(arr) for name, arr in params.items()}}
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+def _descending(spec):
+    return Spectrum(spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1])
+
+
+def _stretched(spec):
+    v = spec.eigenvectors.copy()
+    v[:, 1] *= 1.0 + 1e-8
+    return Spectrum(spec.eigenvalues, v)
+
+
+@pytest.mark.parametrize("writer", [save_checkpoint, write_v1_checkpoint])
+@pytest.mark.parametrize("factor, bad_basis, message", [
+    ("temporal", lambda b: build_basis(tiny_config(t_obs=7, p=6)).temporal,
+     r"basis temporal eigenvalues has wrong size: .* for shape \(6,\)"),
+    ("spatial", lambda b: build_basis(tiny_config(n_v=4)).spatial,
+     r"basis spatial eigenvalues has wrong size: .* for shape \(3,\)"),
+    ("temporal", lambda b: _descending(b.temporal),
+     "basis temporal eigenvalues are not ascending"),
+    ("spatial", lambda b: _descending(b.spatial),
+     "basis spatial eigenvalues are not ascending"),
+    ("temporal", lambda b: _stretched(b.temporal),
+     "basis temporal eigenvectors are not orthonormal"),
+    ("spatial", lambda b: _stretched(b.spatial),
+     "basis spatial eigenvectors are not orthonormal"),
+])
+def test_checkpoint_rejects_bad_basis(tmp_path, writer, factor, bad_basis, message):
+    cfg = tiny_config()
+    basis = build_basis(cfg)
+    basis = dataclasses.replace(basis, **{factor: bad_basis(basis)})
+    path = tmp_path / "ckpt.json"
+    writer(path, cfg, basis, init_params(cfg, 0))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_accepts_basis_within_orthonormal_tolerance(tmp_path):
+    cfg = tiny_config()
+    basis = build_basis(cfg)
+    v = basis.spatial.eigenvectors.copy()
+    v[:, 1] *= 1.0 + 1e-12
+    basis = dataclasses.replace(basis, spatial=Spectrum(basis.spatial.eigenvalues, v))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, basis, init_params(cfg, 0))
+    assert np.array_equal(load_checkpoint(path).basis.spatial.eigenvectors, v)

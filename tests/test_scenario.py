@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -369,6 +370,28 @@ def test_archive_roundtrip(tmp_path):
         assert a.v0 == b.v0
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.future, b.future)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_archive_bytes_are_compact_json_of_the_document(tmp_path, n):
+    # Pins the archive format: key order, compact separators, float repr.
+    scen = synthesize(3, 10, seed=18, noise_std=0.05)[:n]
+    path = tmp_path / "arch.json"
+    save_archive(path, scen, 10)
+    doc = {
+        "version": 1,
+        "fps": 10.0,
+        "feature_order": "(channel, time, vehicle) row-major",
+        "channels": ["x_rel", "y_rel", "vx_rel", "vy_rel"],
+        "scenarios": [
+            {"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0,
+             "t_obs": s.t_obs, "t_pred": s.t_pred, "n_vehicles": s.n_vehicles,
+             "features": s.features.ravel().tolist(),
+             "future": s.future.ravel().tolist()}
+            for s in scen
+        ],
+    }
+    assert path.read_text() == json.dumps(doc, separators=(",", ":"))
 
 
 def test_archive_rejects_unknown_version(tmp_path):
