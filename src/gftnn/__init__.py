@@ -10,15 +10,14 @@ from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        RawTrack, Scenario, SchemaError, SplitError, balance,
                        extract_scenarios, ingest_tracks, label_maneuver,
                        load_archive, save_archive, split, synthesize)
-from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, Trajectory,
-                    build_basis, decode, decode_partials, encode, gelu,
-                    gelu_grad, init_params, layer_norm, load_checkpoint,
-                    mlp_block, predict, predict_batch, preset_config,
-                    save_checkpoint, scenario_spectra, scenario_spectrum,
-                    select_channels, spectral_gate, truth_trajectory)
-from .training import (AdamState, DivergenceError, NumericError, TrainConfig,
-                       TrainResult, adam_step, gradients, train,
-                       trajectory_loss)
+from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
+                    Trajectory, build_basis, decode, decode_batch,
+                    decode_partials, forward, gelu, gelu_grad, init_params,
+                    load_checkpoint, loss_batch, predict, predict_batch,
+                    preset_config, save_checkpoint, scenario_spectra,
+                    scenario_spectrum, select_channels, truth_trajectory)
+from .training import (AdamState, DivergenceError, TrainConfig, TrainResult,
+                       adam_step, gradients, train, trajectory_loss)
 from .metrics import (EvalReport, ade, ade_euclid_mean, evaluate, fde,
                       histogram, histogram_mode, per_scenario_ade)
 

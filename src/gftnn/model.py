@@ -4,13 +4,15 @@ The model maps the truncated graph-spectral coefficients of a scenario to
 three latent quantities: a longitudinal acceleration and the amplitude and
 rate of a logistic lateral profile. Decoding is an explicit formula rather
 than a learned layer, so predictions are smooth by construction and the
-whole network stays small.
+whole network stays small. The forward pass, decoder and loss work on
+batches; one scenario is a batch of one.
 """
 from __future__ import annotations
 
 import base64
 import binascii
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -33,6 +35,10 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+class NumericError(RuntimeError):
+    """A forward or backward intermediate stopped being finite."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     k: int                      # feature channels fed to the encoder (2 or 4)
@@ -41,7 +47,6 @@ class ModelConfig:
     n_v: int                    # vehicle slots (spatial graph size)
     p: int                      # temporal modes kept after truncation
     hidden: int = 50
-    n_blocks: int = 1
     graph_kind: str = "spider"
     weighted: bool = False
     fps: float = 25.0
@@ -59,13 +64,6 @@ class ModelConfig:
             raise ValueError(f"p must be in [1, {self.t_obs}], got {self.p}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be positive, got {self.hidden}")
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be positive, got {self.n_blocks}")
-        if self.n_blocks > 1 and self.zk != OUT:
-            raise ValueError(
-                "stacked blocks reuse one weight shape, which needs "
-                f"p * n_v == {OUT}; got {self.zk}"
-            )
         if self.graph_kind not in GRAPH_KINDS:
             raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
         if self.weighted and self.graph_kind != "spider":
@@ -108,49 +106,53 @@ def preset_config(preset: str, fps, n_vehicles: int = 9, t_obs_s: float = 3.0,
 
 
 class ModelParams:
-    """Named float64 parameter arrays in a fixed iteration order."""
+    """Named float64 parameter arrays, all views into one flat vector.
 
-    def __init__(self, w_s, w_n, b_n, w_l, b_l, w_h, b_h):
-        self.w_s = np.asarray(w_s, dtype=np.float64)
-        self.w_n = [np.asarray(a, dtype=np.float64) for a in w_n]
-        self.b_n = [np.asarray(a, dtype=np.float64) for a in b_n]
-        self.w_l = [np.asarray(a, dtype=np.float64) for a in w_l]
-        self.b_l = [np.asarray(a, dtype=np.float64) for a in b_l]
-        self.w_h = np.asarray(w_h, dtype=np.float64)
-        self.b_h = np.asarray(b_h, dtype=np.float64)
+    ``shapes`` maps each name to its shape in iteration order (see
+    ``param_shapes``); ``flat`` holds the values of every array in that
+    order, each in C order. Writing through a view writes ``flat``.
+    """
+
+    def __init__(self, shapes: dict, flat=None):
+        self.shapes = dict(shapes)
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self._views = {}
+        offset = 0
+        for (name, shape), size in zip(self.shapes.items(), sizes):
+            self._views[name] = self.flat[offset:offset + size].reshape(shape)
+            offset += size
+        k = (len(self.shapes) - 3) // 4
+        self.w_s = self._views["w_s"]
+        self.w_n = [self._views[f"w_n_{i}"] for i in range(k)]
+        self.b_n = [self._views[f"b_n_{i}"] for i in range(k)]
+        self.w_l = [self._views[f"w_l_{i}"] for i in range(k)]
+        self.b_l = [self._views[f"b_l_{i}"] for i in range(k)]
+        self.w_h = self._views["w_h"]
+        self.b_h = self._views["b_h"]
 
     def items(self):
-        yield "w_s", self.w_s
-        for k in range(len(self.w_n)):
-            yield f"w_n_{k}", self.w_n[k]
-            yield f"b_n_{k}", self.b_n[k]
-            yield f"w_l_{k}", self.w_l[k]
-            yield f"b_l_{k}", self.b_l[k]
-        yield "w_h", self.w_h
-        yield "b_h", self.b_h
+        return self._views.items()
 
     @property
     def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.items())
+        return self.flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.w_s.copy(),
-            [a.copy() for a in self.w_n], [a.copy() for a in self.b_n],
-            [a.copy() for a in self.w_l], [a.copy() for a in self.b_l],
-            self.w_h.copy(), self.b_h.copy(),
-        )
+        return ModelParams(self.shapes, self.flat.copy())
 
     @classmethod
     def from_named(cls, named: dict, k: int) -> "ModelParams":
-        return cls(
-            named["w_s"],
-            [named[f"w_n_{i}"] for i in range(k)],
-            [named[f"b_n_{i}"] for i in range(k)],
-            [named[f"w_l_{i}"] for i in range(k)],
-            [named[f"b_l_{i}"] for i in range(k)],
-            named["w_h"], named["b_h"],
-        )
+        arrays = {name: np.asarray(named[name], dtype=np.float64)
+                  for name in _param_names(k)}
+        return cls({name: arr.shape for name, arr in arrays.items()},
+                   np.concatenate([arr.ravel() for arr in arrays.values()]))
+
+
+def _param_names(k: int) -> list:
+    per_channel = [f"{kind}_{i}" for i in range(k)
+                   for kind in ("w_n", "b_n", "w_l", "b_l")]
+    return ["w_s", *per_channel, "w_h", "b_h"]
 
 
 def param_shapes(config: ModelConfig) -> dict:
@@ -173,14 +175,13 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    w_n, b_n, w_l, b_l = [], [], [], []
-    for _ in range(config.k):
-        w_n.append(uniform((config.hidden, config.zk), config.zk))
-        b_n.append(np.zeros(config.hidden))
-        w_l.append(uniform((OUT, config.hidden), config.hidden))
-        b_l.append(np.zeros(OUT))
-    w_h = uniform((OUT, OUT * config.k), OUT * config.k)
-    return ModelParams(np.ones(config.z), w_n, b_n, w_l, b_l, w_h, np.zeros(OUT))
+    params = ModelParams(param_shapes(config))
+    params.w_s[:] = 1.0
+    for k in range(config.k):
+        params.w_n[k][:] = uniform((config.hidden, config.zk), config.zk)
+        params.w_l[k][:] = uniform((OUT, config.hidden), config.hidden)
+    params.w_h[:] = uniform((OUT, OUT * config.k), OUT * config.k)
+    return params
 
 
 def gelu(x):
@@ -195,44 +196,43 @@ def gelu_grad(x):
     return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def layer_norm(v):
-    """Zero-mean unit-variance normalisation without learned scale/shift."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("layer norm needs a 1-d vector of length >= 2")
-    return (v - v.mean()) / np.sqrt(v.var() + LN_EPS)
+def _ensure_finite(arr, layer: str):
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"non-finite values in {layer}")
 
 
-def spectral_gate(s, w_s):
-    """Elementwise learned gate on the spectral coefficients."""
+def forward(s, params: ModelParams, config: ModelConfig):
+    """Encoder on a (B, z) batch of truncated spectra.
+
+    Per row: an elementwise spectral gate, then per feature channel a
+    block of layer norm (no learned scale or shift), linear, GELU and
+    linear down to 3, and a head that maps the sigmoids of all blocks to
+    the latent triple. Returns the (B, 3) latents and the intermediates
+    the backward pass needs.
+    """
     s = np.asarray(s, dtype=np.float64)
-    w_s = np.asarray(w_s, dtype=np.float64)
-    if s.shape != w_s.shape:
-        raise ValueError(f"gate shape {w_s.shape} does not match input {s.shape}")
-    return s * w_s
-
-
-def mlp_block(h, w_n, b_n, w_l, b_l, n_blocks: int = 1):
-    """Per-channel block: layer norm, linear, GELU, linear down to 3."""
-    out = np.asarray(h, dtype=np.float64)
-    for _ in range(n_blocks):
-        out = w_l @ gelu(w_n @ layer_norm(out) + b_n) + b_l
-    return out
-
-
-def encode(s, params: ModelParams, config: ModelConfig) -> np.ndarray:
-    """Map a truncated spectrum of length config.z to the latent triple."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (config.z,):
-        raise ValueError(f"spectrum shape {s.shape} does not match z={config.z}")
-    h_s = spectral_gate(s, params.w_s)
+    if s.ndim != 2 or s.shape[1] != config.z:
+        raise ValueError(f"spectra shape {s.shape} does not match (B, {config.z})")
+    h_s = s * params.w_s
+    _ensure_finite(h_s, "spectral_gate")
+    zk = config.zk
     parts = []
+    blocks = []
     for k in range(config.k):
-        h_k = h_s[k * config.zk:(k + 1) * config.zk]
-        parts.append(mlp_block(h_k, params.w_n[k], params.b_n[k],
-                               params.w_l[k], params.b_l[k], config.n_blocks))
-    h_c = np.concatenate(parts)
-    return params.w_h @ expit(h_c) + params.b_h
+        x = h_s[:, k * zk:(k + 1) * zk]
+        mu = x.mean(axis=1, keepdims=True)
+        sig = np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
+        normed = (x - mu) / sig
+        z_lin = normed @ params.w_n[k].T + params.b_n[k]
+        act = gelu(z_lin)
+        out = act @ params.w_l[k].T + params.b_l[k]
+        _ensure_finite(out, f"mlp_block_{k}")
+        parts.append(out)
+        blocks.append((sig, normed, z_lin, act))
+    sg = expit(np.concatenate(parts, axis=1))
+    h_z = sg @ params.w_h.T + params.b_h
+    _ensure_finite(h_z, "head")
+    return h_z, {"h_s": h_s, "blocks": blocks, "sg": sg}
 
 
 @dataclass(frozen=True)
@@ -260,23 +260,44 @@ class Trajectory:
         return self.x.size
 
 
-def decode(h_z, v0: float, t_pred: int, fps) -> Trajectory:
-    """Roll the latent triple out into a trajectory.
+def _horizon(t_pred: int, fps):
+    # Sample times 0 .. T_pred and their offsets from the horizon midpoint.
+    t = np.arange(t_pred + 1) / fps
+    return t, t - 0.5 * (t_pred / fps)
 
-    Longitudinal: constant acceleration h_z[0] on top of the observed speed
-    v0. Lateral: logistic profile with amplitude h_z[1] and rate h_z[2],
-    centred on the horizon midpoint and shifted so y(0) = 0. Both
-    components are exactly zero at step 0.
+
+def decode_batch(h_z, v0, t_pred: int, fps):
+    """Roll (B, 3) latents out into trajectories: (x, y), each (B, T_pred + 1).
+
+    Longitudinal: constant acceleration h_z[:, 0] on top of the observed
+    speed v0 (B,). Lateral: logistic profile with amplitude h_z[:, 1] and
+    rate h_z[:, 2], centred on the horizon midpoint and shifted so
+    y(0) = 0. Both components are exactly zero at step 0.
     """
+    t, tau = _horizon(t_pred, fps)
+    x = v0[:, None] * t + 0.5 * h_z[:, 0:1] * (t * t)
+    g = expit(-h_z[:, 2:3] * tau)
+    y = h_z[:, 1:2] * (g - g[:, :1])
+    return x, y
+
+
+def decode(h_z, v0: float, t_pred: int, fps) -> Trajectory:
+    """Roll one latent triple out into a trajectory (see ``decode_batch``)."""
     h = np.asarray(h_z, dtype=np.float64)
     if h.shape != (OUT,):
         raise ValueError(f"latent state must have shape ({OUT},), got {h.shape}")
-    t = np.arange(t_pred + 1) / fps
-    tau = t - 0.5 * (t_pred / fps)
-    x = v0 * t + 0.5 * h[0] * t * t
-    g = expit(-h[2] * tau)
-    y = h[1] * (g - g[0])
-    return Trajectory(x=x, y=y)
+    x, y = decode_batch(h[None, :], np.array([v0], dtype=np.float64), t_pred, fps)
+    return Trajectory(x=x[0], y=y[0])
+
+
+def loss_batch(x, y, futures):
+    """Mean squared displacement per scenario over steps 1 .. T_pred, x and
+    y summed, for decoded (B, T_pred + 1) trajectories against (B, T_pred, 2)
+    recorded futures. Step 0 is pinned to the origin on both sides and
+    carries no signal. Returns the (B,) losses and the displacements."""
+    dx = x[:, 1:] - futures[:, :, 0]
+    dy = y[:, 1:] - futures[:, :, 1]
+    return np.mean(dx * dx + dy * dy, axis=1), dx, dy
 
 
 def decode_partials(h_z, t_pred: int, fps):
@@ -290,8 +311,7 @@ def decode_partials(h_z, t_pred: int, fps):
     h = np.atleast_2d(h)
     if h.shape[1] != OUT:
         raise ValueError(f"latent state must have {OUT} entries, got {h.shape}")
-    t = np.arange(t_pred + 1) / fps
-    tau = t - 0.5 * (t_pred / fps)
+    t, tau = _horizon(t_pred, fps)
     g = expit(-h[:, 2:3] * tau)
     g0 = g[:, :1]
     dx_dh1 = np.broadcast_to(0.5 * t * t, g.shape).copy()
@@ -370,7 +390,7 @@ def scenario_spectrum(scenario, basis: ProductBasis, config: ModelConfig) -> np.
 def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
                   config: ModelConfig) -> list[Trajectory]:
     """Full inference path for many scenarios: one stacked spectral pass,
-    then encode and decode per scenario."""
+    one forward pass and one decode over the whole batch."""
     for scenario in scenarios:
         if scenario.fps != config.fps:
             raise ValueError(
@@ -381,14 +401,15 @@ def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
                 f"scenario horizon {scenario.t_pred} does not match config "
                 f"{config.t_pred}"
             )
-    spectra = scenario_spectra(scenarios, basis, config)
-    return [decode(encode(s, params, config), scenario.v0, config.t_pred, config.fps)
-            for s, scenario in zip(spectra, scenarios)]
+    h_z, _ = forward(scenario_spectra(scenarios, basis, config), params, config)
+    v0 = np.array([scenario.v0 for scenario in scenarios])
+    x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
+    return [Trajectory(x=xi, y=yi) for xi, yi in zip(x, y)]
 
 
 def predict(scenario, basis: ProductBasis, params: ModelParams,
             config: ModelConfig) -> Trajectory:
-    """Full inference path for one scenario."""
+    """Full inference path for one scenario (a batch of one)."""
     return predict_batch([scenario], basis, params, config)[0]
 
 
@@ -514,7 +535,14 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _checkpoint_from_doc(doc: dict, version: int) -> Checkpoint:
-    cfg = ModelConfig(**doc["config"])
+    cfg_doc = dict(doc["config"])
+    # Files written while the config had a block count store n_blocks; no
+    # entry point could write any value but 1.
+    n_blocks = cfg_doc.pop("n_blocks", 1)
+    if n_blocks != 1:
+        raise ValueError(f"n_blocks {n_blocks!r} is not supported: the model "
+                         f"has exactly one block per channel")
+    cfg = ModelConfig(**cfg_doc)
     shapes = param_shapes(cfg)
     named = {}
     for name, shape in shapes.items():

@@ -140,8 +140,8 @@ def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
 
     ``matrix`` is one (n, n) matrix or a (B, n, n) stack. Returns
     (eigenvalues, eigenvectors): (n,) and (n, n) for one matrix, (B, n)
-    and (B, n, n) for a stack, with eigenvalues ascending and eigenvectors
-    as columns. Each matrix of a stack gets its own convergence threshold
+    and (B, n, n) for a stack, with eigenvalues ascending up to
+    ``DEGENERACY_TOL`` and eigenvectors as columns. Each matrix of a stack gets its own convergence threshold
     and skip rule and is frozen once it converges, so its result is bit
     for bit the one-matrix solve. Convergence is declared once every
     off-diagonal entry falls below tol relative to the Frobenius norm of
@@ -150,7 +150,10 @@ def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
     The result is bit-reproducible on one machine: every eigenvector is
     flipped so its largest-magnitude entry is positive (ties broken by
     lowest index), and columns inside a degenerate eigenvalue group are
-    ordered lexicographically. This sign rule is ill-posed when the two
+    ordered lexicographically. Each eigenvalue moves with its column, so
+    inside a group the eigenvalues may step down by up to
+    ``DEGENERACY_TOL`` (the 9-node star steps down by about 1e-15). This
+    sign rule is ill-posed when the two
     largest-magnitude entries tie, as in every odd mode of a path graph,
     so a perturbation of the input at rounding level can flip such an
     eigenvector.
@@ -207,7 +210,12 @@ def _jacobi(a, tol, max_sweeps):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues and orthonormal eigenvector columns.
+
+    Eigenvalues ascend, except that inside a group of eigenvalues closer
+    than ``DEGENERACY_TOL`` they may step down by up to that tolerance:
+    such a group is ordered by its eigenvectors (see ``symmetric_eigh``).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

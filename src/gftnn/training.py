@@ -13,16 +13,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import metrics
-from .model import (LN_EPS, ModelConfig, ModelParams, build_basis,
-                    decode_partials, gelu, gelu_grad, init_params,
-                    save_checkpoint, scenario_spectra, scenario_spectrum)
-
-
-class NumericError(RuntimeError):
-    """A forward or backward intermediate stopped being finite."""
+from .model import (ModelConfig, ModelParams, NumericError, _ensure_finite,
+                    build_basis, decode_batch, decode_partials, forward,
+                    gelu_grad, init_params, loss_batch, save_checkpoint,
+                    scenario_spectra, scenario_spectrum)
 
 
 class DivergenceError(RuntimeError):
@@ -57,68 +53,13 @@ class TrainConfig:
 
 
 def trajectory_loss(pred, truth) -> float:
-    """Mean squared displacement over steps 1 .. T_pred, x and y summed.
-
-    Step 0 is pinned to the origin on both sides and carries no signal, so
-    it is excluded from the average.
-    """
+    """Mean squared displacement of one trajectory over steps 1 .. T_pred,
+    x and y summed (``model.loss_batch`` on a batch of one)."""
     if len(pred) != len(truth):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(truth)}")
-    dx = pred.x[1:] - truth.x[1:]
-    dy = pred.y[1:] - truth.y[1:]
-    return float(np.mean(dx * dx) + np.mean(dy * dy))
-
-
-def _ensure_finite(arr, layer: str):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {layer}")
-
-
-def _forward_batch(s, params: ModelParams, config: ModelConfig):
-    """Encoder forward pass on a (B, Z) batch; returns latents and cache."""
-    h_s = s * params.w_s
-    _ensure_finite(h_s, "spectral_gate")
-    zk = config.zk
-    parts = []
-    cache = {"h_s": h_s, "blocks": []}
-    for k in range(config.k):
-        x = h_s[:, k * zk:(k + 1) * zk]
-        reps = []
-        for _ in range(config.n_blocks):
-            mu = x.mean(axis=1, keepdims=True)
-            sig = np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
-            normed = (x - mu) / sig
-            z_lin = normed @ params.w_n[k].T + params.b_n[k]
-            act = gelu(z_lin)
-            out = act @ params.w_l[k].T + params.b_l[k]
-            reps.append((sig, normed, z_lin, act))
-            x = out
-        _ensure_finite(x, f"mlp_block_{k}")
-        parts.append(x)
-        cache["blocks"].append(reps)
-    h_c = np.concatenate(parts, axis=1)
-    sg = expit(h_c)
-    h_z = sg @ params.w_h.T + params.b_h
-    _ensure_finite(h_z, "head")
-    cache["sg"] = sg
-    return h_z, cache
-
-
-def _decode_batch(h_z, v0, t_pred: int, fps):
-    """Vectorised decoder; returns (x, y) of shape (B, T_pred + 1)."""
-    t = np.arange(t_pred + 1) / fps
-    tau = t - 0.5 * (t_pred / fps)
-    x = v0[:, None] * t + 0.5 * h_z[:, 0:1] * (t * t)
-    g = expit(-h_z[:, 2:3] * tau)
-    y = h_z[:, 1:2] * (g - g[:, :1])
-    return x, y
-
-
-def _loss_batch(x, y, futures):
-    dx = x[:, 1:] - futures[:, :, 0]
-    dy = y[:, 1:] - futures[:, :, 1]
-    per_scenario = np.mean(dx * dx + dy * dy, axis=1)
-    return per_scenario, dx, dy
+    future = np.stack([truth.x[1:], truth.y[1:]], axis=1)
+    per_scenario, _, _ = loss_batch(pred.x[None], pred.y[None], future[None])
+    return float(per_scenario[0])
 
 
 def _backward_batch(s, dx, dy, h_z, cache, params: ModelParams,
@@ -135,42 +76,33 @@ def _backward_batch(s, dx, dy, h_z, cache, params: ModelParams,
     d_hz = np.stack([d_h1, d_h2, d_h3], axis=1)
     _ensure_finite(d_hz, "decoder")
     sg = cache["sg"]
-    g_wh = d_hz.T @ sg
-    g_bh = d_hz.sum(axis=0)
+    grads = ModelParams(params.shapes)
+    grads.w_h[:] = d_hz.T @ sg
+    grads.b_h[:] = d_hz.sum(axis=0)
     d_hc = (d_hz @ params.w_h) * sg * (1.0 - sg)
     h_s = cache["h_s"]
     d_hs = np.empty_like(h_s)
     zk = config.zk
-    g_wn, g_bn, g_wl, g_bl = [], [], [], []
-    for k in range(config.k):
+    for k, (sig, normed, z_lin, act) in enumerate(cache["blocks"]):
         d_out = d_hc[:, 3 * k:3 * k + 3]
-        gw_n = np.zeros_like(params.w_n[k])
-        gb_n = np.zeros_like(params.b_n[k])
-        gw_l = np.zeros_like(params.w_l[k])
-        gb_l = np.zeros_like(params.b_l[k])
-        for sig, normed, z_lin, act in reversed(cache["blocks"][k]):
-            gw_l += d_out.T @ act
-            gb_l += d_out.sum(axis=0)
-            d_z = (d_out @ params.w_l[k]) * gelu_grad(z_lin)
-            gw_n += d_z.T @ normed
-            gb_n += d_z.sum(axis=0)
-            d_norm = d_z @ params.w_n[k]
-            d_out = (d_norm - d_norm.mean(axis=1, keepdims=True)
-                     - normed * np.mean(d_norm * normed, axis=1, keepdims=True)) / sig
-        d_hs[:, k * zk:(k + 1) * zk] = d_out
-        g_wn.append(gw_n)
-        g_bn.append(gb_n)
-        g_wl.append(gw_l)
-        g_bl.append(gb_l)
+        grads.w_l[k][:] = d_out.T @ act
+        grads.b_l[k][:] = d_out.sum(axis=0)
+        d_z = (d_out @ params.w_l[k]) * gelu_grad(z_lin)
+        grads.w_n[k][:] = d_z.T @ normed
+        grads.b_n[k][:] = d_z.sum(axis=0)
+        d_norm = d_z @ params.w_n[k]
+        d_hs[:, k * zk:(k + 1) * zk] = (
+            d_norm - d_norm.mean(axis=1, keepdims=True)
+            - normed * np.mean(d_norm * normed, axis=1, keepdims=True)) / sig
     _ensure_finite(d_hs, "spectral_gate")
-    g_ws = np.sum(d_hs * s, axis=0)
-    return ModelParams(g_ws, g_wn, g_bn, g_wl, g_bl, g_wh, g_bh)
+    grads.w_s[:] = np.sum(d_hs * s, axis=0)
+    return grads
 
 
 def _batch_loss_and_grads(s, futures, v0, params, config):
-    h_z, cache = _forward_batch(s, params, config)
-    x, y = _decode_batch(h_z, v0, config.t_pred, config.fps)
-    per_scenario, dx, dy = _loss_batch(x, y, futures)
+    h_z, cache = forward(s, params, config)
+    x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
+    per_scenario, dx, dy = loss_batch(x, y, futures)
     loss = float(per_scenario.mean())
     grads = _backward_batch(s, dx, dy, h_z, cache, params, config)
     return loss, grads
@@ -187,42 +119,41 @@ def gradients(scenario, params: ModelParams, config: ModelConfig,
 
 
 class AdamState:
-    """First/second moment estimates per parameter array, plus step count."""
+    """First and second moment estimates as flat vectors laid out like
+    ``ModelParams.flat`` (``shapes`` names the layout), plus the step count."""
 
-    def __init__(self, m: dict, v: dict, step: int = 0):
+    def __init__(self, m, v, step: int, shapes: dict):
         self.m = m
         self.v = v
         self.step = step
+        self.shapes = shapes
 
     @classmethod
     def initial(cls, params: ModelParams) -> "AdamState":
-        return cls(m={name: np.zeros_like(arr) for name, arr in params.items()},
-                   v={name: np.zeros_like(arr) for name, arr in params.items()},
-                   step=0)
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0,
+                   params.shapes)
 
     def as_dict(self) -> dict:
-        return {"step": self.step, "m": self.m, "v": self.v}
+        """Step count and the moments as named arrays, as checkpoints store them."""
+        return {"step": self.step,
+                "m": dict(ModelParams(self.shapes, self.m).items()),
+                "v": dict(ModelParams(self.shapes, self.v).items())}
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               config: TrainConfig):
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update over the flat parameter vector;
+    returns fresh params and state."""
     t = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    new_m, new_v, new_p = {}, {}, {}
-    grad_map = dict(grads.items())
-    for name, p_arr in params.items():
-        g = grad_map[name]
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
-        new_m[name] = m
-        new_v[name] = v
-        new_p[name] = p_arr - update
-    k = len(params.w_n)
-    return ModelParams.from_named(new_p, k), AdamState(new_m, new_v, t)
+    g = grads.flat
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+    return (ModelParams(params.shapes, params.flat - update),
+            AdamState(m, v, t, params.shapes))
 
 
 @dataclass
@@ -243,9 +174,9 @@ def _prepare(scenarios, basis, config):
 
 
 def _test_metrics(s, futures, v0, params, config):
-    h_z, _ = _forward_batch(s, params, config)
-    x, y = _decode_batch(h_z, v0, config.t_pred, config.fps)
-    per_scenario, dx, dy = _loss_batch(x, y, futures)
+    h_z, _ = forward(s, params, config)
+    x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
+    per_scenario, dx, dy = loss_batch(x, y, futures)
     return (float(per_scenario.mean()),
             metrics.ade_from_displacements(dx, dy),
             metrics.fde_from_displacements(dx, dy))
@@ -263,20 +194,22 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     """
     if not split.train:
         raise ValueError("training split is empty")
-    basis = build_basis(config)
+    if resume is not None and resume.config != config:
+        raise ValueError("checkpoint config does not match the requested config")
+    # A checkpoint stores the reference basis it was trained with.
+    basis = build_basis(config) if resume is None else resume.basis
     s_train, fut_train, v0_train = _prepare(split.train, basis, config)
     have_test = bool(split.test)
     if have_test:
         s_test, fut_test, v0_test = _prepare(split.test, basis, config)
     if resume is not None:
-        if resume.config != config:
-            raise ValueError("checkpoint config does not match the requested config")
         params = resume.params.copy()
         epoch0 = resume.epochs_trained
         if resume.optimizer is not None:
-            state = AdamState(m=dict(resume.optimizer["m"]),
-                              v=dict(resume.optimizer["v"]),
-                              step=resume.optimizer["step"])
+            opt = resume.optimizer
+            state = AdamState(ModelParams.from_named(opt["m"], config.k).flat,
+                              ModelParams.from_named(opt["v"], config.k).flat,
+                              opt["step"], params.shapes)
         else:
             state = AdamState.initial(params)
     else:

@@ -21,7 +21,8 @@ def tiny_config(**overrides):
 def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
                         optimizer=None):
     """Write model state as the format-version-1 writer did: every float a
-    repr() string, the document streamed by json.dump."""
+    repr() string, the document streamed by json.dump, and the config with
+    the block count it carried then."""
     def floats(arr):
         return [repr(float(v)) for v in np.asarray(arr).ravel()]
 
@@ -32,7 +33,7 @@ def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
 
     doc = {
         "format_version": 1,
-        "config": asdict(config),
+        "config": {**asdict(config), "n_blocks": 1},
         "param_count": params.n_params,
         "epochs_trained": int(epochs_trained),
         "basis": {"temporal": spectrum(basis.temporal),
@@ -47,6 +48,29 @@ def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
         }
     with open(path, "w") as fh:
         json.dump(doc, fh)
+
+
+def adam_step_per_array(params, grads, state, config):
+    """Reference Adam update, one loop iteration per named parameter array.
+
+    ``state`` is a dict of step count and named moments, as
+    ``AdamState.as_dict`` gives; returns the new named parameters and state.
+    """
+    t = state["step"] + 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    new_m, new_v, new_p = {}, {}, {}
+    grad_map = dict(grads.items())
+    for name, p_arr in params.items():
+        g = grad_map[name]
+        m = b1 * state["m"][name] + (1.0 - b1) * g
+        v = b2 * state["v"][name] + (1.0 - b2) * g * g
+        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        new_m[name] = m
+        new_v[name] = v
+        new_p[name] = p_arr - update
+    return new_p, {"step": t, "m": new_m, "v": new_v}
 
 
 def random_graph(rng, n, weighted=True):

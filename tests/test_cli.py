@@ -8,7 +8,7 @@ import pytest
 
 from gftnn.cli import main
 from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
-from gftnn.model import load_checkpoint, predict, truth_trajectory
+from gftnn.model import load_checkpoint, predict, predict_batch, truth_trajectory
 from gftnn.scenario import load_archive
 from helpers import three_class_tracks, write_tracks_csv, write_v1_checkpoint
 
@@ -240,7 +240,7 @@ def test_eval_subset_uses_the_split(tmp_path, capsys):
     assert "n=4" in out
 
 
-def test_eval_weighted_matches_per_scenario_predict(tmp_path, capsys):
+def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
     archive = synth_archive(tmp_path)
     run = tmp_path / "run"
     run_ok(capsys, ["train", "--archive", str(archive), "--preset", "gftnn-w",
@@ -249,18 +249,22 @@ def test_eval_weighted_matches_per_scenario_predict(tmp_path, capsys):
     run_ok(capsys, ["eval", "--archive", str(archive),
                     "--checkpoint", str(run / "checkpoint.json"),
                     "--out", str(tmp_path / "eval")])
-    # oracle: one predict call per scenario
+    # oracle: one predict_batch call over the whole archive
     scenarios, _ = load_archive(archive)
     ckpt = load_checkpoint(run / "checkpoint.json")
-    predictions = [predict(s, ckpt.basis, ckpt.params, ckpt.config)
-                   for s in scenarios]
-    report = evaluate(predictions, [truth_trajectory(s) for s in scenarios], 0.1)
+    batched = predict_batch(scenarios, ckpt.basis, ckpt.params, ckpt.config)
+    report = evaluate(batched, [truth_trajectory(s) for s in scenarios], 0.1)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
     write_report_json(report, oracle / "eval_report.json")
     write_histogram_csv(report, oracle / "histogram.csv")
     for name in ("eval_report.json", "histogram.csv"):
         assert (tmp_path / "eval" / name).read_bytes() == (oracle / name).read_bytes()
+    # a batch of one may round differently from a row of a larger batch
+    for scenario, row in zip(scenarios, batched):
+        single = predict(scenario, ckpt.basis, ckpt.params, ckpt.config)
+        assert np.max(np.abs(single.x - row.x)) <= 1e-12
+        assert np.max(np.abs(single.y - row.y)) <= 1e-12
 
 
 def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):

@@ -9,11 +9,10 @@ from scipy.stats import norm
 
 from gftnn import spectral
 from gftnn.model import (PRESETS, ModelConfig, ModelParams, Trajectory, build_basis,
-                         decode, decode_partials, encode, gelu, gelu_grad,
-                         init_params, layer_norm, load_checkpoint, mlp_block,
-                         param_shapes, predict, preset_config, save_checkpoint,
-                         scenario_spectra, scenario_spectrum, select_channels,
-                         spectral_gate, truth_trajectory)
+                         decode, decode_partials, forward, gelu, gelu_grad,
+                         init_params, load_checkpoint, param_shapes, predict,
+                         preset_config, save_checkpoint, scenario_spectra,
+                         scenario_spectrum, select_channels, truth_trajectory)
 from gftnn.scenario import Scenario, synthesize
 from gftnn.spectral import ProductBasis, Spectrum, gft_extended, truncate_spectrum
 from helpers import tiny_config, write_v1_checkpoint
@@ -51,15 +50,10 @@ def test_config_validation():
         tiny_config(fps=0.0)
     with pytest.raises(ValueError):
         tiny_config(hidden=0)
-
-
-def test_config_stacked_blocks_need_three_inputs():
-    # reusing one weight shape across blocks only works when p * n_v == 3
-    cfg = ModelConfig(k=2, t_obs=4, t_pred=5, n_v=3, p=1, hidden=4,
-                      n_blocks=3, fps=1.0)
-    assert cfg.zk == 3
-    with pytest.raises(ValueError, match="p \\* n_v"):
-        tiny_config(n_blocks=2)
+    # every channel holds at least two coefficients for its layer norm
+    with pytest.raises(ValueError, match="n_v"):
+        tiny_config(n_v=1)
+    assert "n_blocks" not in {f.name for f in dataclasses.fields(ModelConfig)}
 
 
 def test_config_sizes():
@@ -147,39 +141,156 @@ def test_params_copy_and_named_roundtrip():
         assert np.array_equal(a, b), name
 
 
-# --------------------------------------------------------------- layer pieces
+def test_params_are_views_of_one_buffer():
+    cfg = tiny_config()
+    p = init_params(cfg, 2)
+    assert [name for name, _ in p.items()] == list(param_shapes(cfg))
+    assert p.flat.shape == (p.n_params,)
+    offset = 0
+    for name, arr in p.items():
+        assert arr.flags.c_contiguous and arr.flags.writeable, name
+        assert np.shares_memory(arr, p.flat), name
+        # a write through the flat vector shows in the named view
+        p.flat[offset:offset + arr.size] = np.arange(arr.size) + offset
+        assert np.array_equal(arr.ravel(), np.arange(arr.size) + offset), name
+        offset += arr.size
+    assert p.w_n[1] is dict(p.items())["w_n_1"]
+    q = p.copy()
+    assert not np.shares_memory(q.flat, p.flat)
+    q.flat[:] = -1.0
+    q.w_h[:] = 7.0
+    assert np.array_equal(p.flat, np.arange(p.n_params))
+    assert np.all(dict(q.items())["w_h"] == 7.0)
 
-def test_spectral_gate_example():
-    out = spectral_gate(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(out, [3.0, 8.0])
-    with pytest.raises(ValueError, match="shape"):
-        spectral_gate(np.zeros(3), np.zeros(4))
+
+# --------------------------------------------------------------- forward pass
+
+def block_config(zk, k=2, hidden=4):
+    """A config whose channels hold zk = p * n_v coefficients, with p = 1."""
+    return ModelConfig(k=k, t_obs=2, t_pred=3, n_v=zk, p=1, hidden=hidden, fps=1.0)
 
 
-def test_layer_norm_constant_input():
-    assert np.array_equal(layer_norm(np.full(7, 3.25)), np.zeros(7))
+def test_forward_gate_scales_spectrum():
+    cfg = block_config(2)
+    params = init_params(cfg, 0)
+    params.w_s[:] = [3.0, 4.0, -1.0, 0.5]
+    _, cache = forward(np.array([[1.0, 2.0, 8.0, 6.0]]), params, cfg)
+    assert np.array_equal(cache["h_s"], [[3.0, 8.0, -8.0, 3.0]])
 
 
-def test_layer_norm_two_points():
-    got = layer_norm(np.array([1.0, -1.0]))
+def test_forward_layer_norm_constant_channel():
+    cfg = block_config(7)
+    _, cache = forward(np.full((3, cfg.z), 3.25), init_params(cfg, 0), cfg)
+    for _, normed, _, _ in cache["blocks"]:
+        assert np.array_equal(normed, np.zeros((3, 7)))
+
+
+def test_forward_layer_norm_two_points():
+    cfg = block_config(2, k=2)
+    _, cache = forward(np.array([[1.0, -1.0, -1.0, 1.0]]), init_params(cfg, 0), cfg)
     want = 1.0 / np.sqrt(1.0 + 1e-5)
-    assert np.allclose(got, [want, -want], rtol=0, atol=1e-15)
+    assert np.allclose(cache["blocks"][0][1], [[want, -want]], rtol=0, atol=1e-15)
+    assert np.allclose(cache["blocks"][1][1], [[-want, want]], rtol=0, atol=1e-15)
 
 
-def test_layer_norm_statistics():
+def test_forward_layer_norm_statistics():
+    cfg = block_config(101)
     rng = np.random.default_rng(0)
-    v = rng.normal(3.0, 10.0, size=101)
-    out = layer_norm(v)
-    assert abs(out.mean()) < 1e-12
-    # variance is slightly below 1 because of the epsilon in the denominator
-    assert abs(out.var() - 1.0) < 1e-4
+    _, cache = forward(rng.normal(3.0, 10.0, size=(4, cfg.z)), init_params(cfg, 0), cfg)
+    for _, normed, _, _ in cache["blocks"]:
+        assert np.max(np.abs(normed.mean(axis=1))) < 1e-12
+        # variance is slightly below 1 because of the epsilon in the denominator
+        assert np.max(np.abs(normed.var(axis=1) - 1.0)) < 1e-4
 
 
-def test_layer_norm_rejects_short_or_2d():
-    with pytest.raises(ValueError):
-        layer_norm(np.array([1.0]))
-    with pytest.raises(ValueError):
-        layer_norm(np.zeros((3, 3)))
+def test_forward_zero_block_weights_pass_bias():
+    cfg = block_config(10, hidden=4)
+    params = init_params(cfg, 1)
+    rng = np.random.default_rng(1)
+    for k in range(cfg.k):
+        params.w_n[k][:] = 0.0
+        params.b_n[k][:] = rng.normal(size=4)
+        params.w_l[k][:] = 0.0
+    params.b_l[0][:] = [1.5, -2.0, 0.25]
+    params.b_l[1][:] = [0.0, 3.0, -0.5]
+    _, cache = forward(rng.normal(size=(2, cfg.z)), params, cfg)
+    want = expit(np.array([1.5, -2.0, 0.25, 0.0, 3.0, -0.5]))
+    assert np.array_equal(cache["sg"], np.stack([want, want]))
+
+
+def test_forward_blocks_match_straight_line_math():
+    cfg = block_config(12, hidden=5)
+    rng = np.random.default_rng(2)
+    params = init_params(cfg, 2)
+    params.flat[:] = rng.normal(size=params.n_params)
+    s = rng.normal(size=(3, cfg.z))
+    _, cache = forward(s, params, cfg)
+    for row in range(3):
+        for k in range(cfg.k):
+            h = s[row, 12 * k:12 * (k + 1)] * params.w_s[12 * k:12 * (k + 1)]
+            normed = (h - h.mean()) / np.sqrt(h.var() + 1e-5)
+            want = (params.w_l[k] @ gelu(params.w_n[k] @ normed + params.b_n[k])
+                    + params.b_l[k])
+            assert np.allclose(cache["sg"][row, 3 * k:3 * k + 3], expit(want),
+                               rtol=0, atol=1e-12)
+
+
+def test_forward_zero_head_returns_head_bias():
+    cfg = tiny_config()
+    params = init_params(cfg, 4)
+    params.w_h[:] = 0.0
+    params.b_h[:] = [1.0, 2.0, 3.0]
+    rng = np.random.default_rng(5)
+    out, _ = forward(rng.normal(size=(2, cfg.z)), params, cfg)
+    assert np.array_equal(out, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+
+
+def test_forward_rejects_wrong_shape():
+    cfg = tiny_config()
+    params = init_params(cfg, 0)
+    for bad in (np.zeros((1, cfg.z + 1)), np.zeros(cfg.z), np.zeros((1, 1, cfg.z))):
+        with pytest.raises(ValueError, match="shape"):
+            forward(bad, params, cfg)
+
+
+def test_forward_channel_permutation_symmetry():
+    # swapping whole channels together with their weights leaves the output
+    # unchanged, i.e. channels interact only through the head
+    cfg = ModelConfig(k=4, t_obs=5, t_pred=4, n_v=2, p=5, hidden=6, fps=1.0)
+    params = init_params(cfg, 8)
+    rng = np.random.default_rng(9)
+    params.w_s[:] = rng.normal(size=cfg.z)
+    s = rng.normal(size=(3, cfg.z))
+    perm = [2, 0, 3, 1]
+    zk = cfg.zk
+    s_p = np.concatenate([s[:, k * zk:(k + 1) * zk] for k in perm], axis=1)
+    named = {"w_s": np.concatenate([params.w_s[k * zk:(k + 1) * zk] for k in perm]),
+             "w_h": np.concatenate([params.w_h[:, 3 * k:3 * k + 3] for k in perm],
+                                   axis=1),
+             "b_h": params.b_h}
+    for i, k in enumerate(perm):
+        for kind in ("w_n", "b_n", "w_l", "b_l"):
+            named[f"{kind}_{i}"] = getattr(params, kind)[k]
+    params_p = ModelParams.from_named(named, cfg.k)
+    assert np.allclose(forward(s_p, params_p, cfg)[0], forward(s, params, cfg)[0],
+                       rtol=0, atol=1e-12)
+
+
+def test_forward_head_sees_sigmoid_of_blocks():
+    cfg = tiny_config()
+    params = init_params(cfg, 10)
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=(2, cfg.z))
+    zk = cfg.zk
+    for row in range(2):
+        parts = []
+        for k in range(cfg.k):
+            h = s[row, k * zk:(k + 1) * zk] * params.w_s[k * zk:(k + 1) * zk]
+            normed = (h - h.mean()) / np.sqrt(h.var() + 1e-5)
+            parts.append(params.w_l[k] @ gelu(params.w_n[k] @ normed + params.b_n[k])
+                         + params.b_l[k])
+        want = params.w_h @ expit(np.concatenate(parts)) + params.b_h
+        assert np.allclose(forward(s, params, cfg)[0][row], want, rtol=0, atol=1e-12)
 
 
 def test_gelu_matches_gaussian_cdf():
@@ -201,92 +312,6 @@ def test_gelu_grad_matches_finite_difference():
     h = 1e-6
     fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
     assert np.max(np.abs(fd - gelu_grad(x))) < 1e-8
-
-
-def test_mlp_block_zero_weights_returns_bias():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=10)
-    b_l = np.array([1.5, -2.0, 0.25])
-    out = mlp_block(h, np.zeros((4, 10)), rng.normal(size=4),
-                    np.zeros((3, 4)), b_l)
-    assert np.array_equal(out, b_l)
-
-
-def test_mlp_block_matches_straight_line_math():
-    rng = np.random.default_rng(2)
-    h = rng.normal(size=12)
-    w_n = rng.normal(size=(5, 12))
-    b_n = rng.normal(size=5)
-    w_l = rng.normal(size=(3, 5))
-    b_l = rng.normal(size=3)
-    normed = (h - h.mean()) / np.sqrt(h.var() + 1e-5)
-    want = w_l @ gelu(w_n @ normed + b_n) + b_l
-    assert np.allclose(mlp_block(h, w_n, b_n, w_l, b_l), want,
-                       rtol=0, atol=1e-12)
-
-
-def test_mlp_block_stacking_is_repeated_application():
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=3)
-    w_n = rng.normal(size=(6, 3))
-    b_n = rng.normal(size=6)
-    w_l = rng.normal(size=(3, 6))
-    b_l = rng.normal(size=3)
-    once = mlp_block(h, w_n, b_n, w_l, b_l, n_blocks=1)
-    twice = mlp_block(once, w_n, b_n, w_l, b_l, n_blocks=1)
-    assert np.array_equal(mlp_block(h, w_n, b_n, w_l, b_l, n_blocks=2), twice)
-
-
-# --------------------------------------------------------------------- encode
-
-def test_encode_zero_head_returns_head_bias():
-    cfg = tiny_config()
-    params = init_params(cfg, 4)
-    params.w_h[:] = 0.0
-    params.b_h[:] = [1.0, 2.0, 3.0]
-    rng = np.random.default_rng(5)
-    out = encode(rng.normal(size=cfg.z), params, cfg)
-    assert np.array_equal(out, [1.0, 2.0, 3.0])
-
-
-def test_encode_rejects_wrong_length():
-    cfg = tiny_config()
-    with pytest.raises(ValueError, match="shape"):
-        encode(np.zeros(cfg.z + 1), init_params(cfg, 0), cfg)
-
-
-def test_encode_channel_permutation_symmetry():
-    # swapping whole channels together with their weights leaves the output
-    # unchanged, i.e. channels interact only through the head
-    cfg = ModelConfig(k=4, t_obs=5, t_pred=4, n_v=2, p=5, hidden=6, fps=1.0)
-    params = init_params(cfg, 8)
-    rng = np.random.default_rng(9)
-    params.w_s[:] = rng.normal(size=cfg.z)
-    s = rng.normal(size=cfg.z)
-    perm = [2, 0, 3, 1]
-    zk = cfg.zk
-    s_p = np.concatenate([s[k * zk:(k + 1) * zk] for k in perm])
-    w_s_p = np.concatenate([params.w_s[k * zk:(k + 1) * zk] for k in perm])
-    w_h_p = np.concatenate([params.w_h[:, 3 * k:3 * k + 3] for k in perm], axis=1)
-    params_p = ModelParams(
-        w_s_p,
-        [params.w_n[k] for k in perm], [params.b_n[k] for k in perm],
-        [params.w_l[k] for k in perm], [params.b_l[k] for k in perm],
-        w_h_p, params.b_h)
-    assert np.allclose(encode(s_p, params_p, cfg), encode(s, params, cfg),
-                       rtol=0, atol=1e-12)
-
-
-def test_encode_head_sees_sigmoid_of_blocks():
-    cfg = tiny_config()
-    params = init_params(cfg, 10)
-    rng = np.random.default_rng(11)
-    s = rng.normal(size=cfg.z)
-    parts = [mlp_block(s[k * cfg.zk:(k + 1) * cfg.zk] * params.w_s[k * cfg.zk:(k + 1) * cfg.zk],
-                       params.w_n[k], params.b_n[k], params.w_l[k], params.b_l[k])
-             for k in range(cfg.k)]
-    want = params.w_h @ expit(np.concatenate(parts)) + params.b_h
-    assert np.allclose(encode(s, params, cfg), want, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------- decode
@@ -618,6 +643,31 @@ def test_checkpoint_reads_version_1(tmp_path):
         (v2.config, v2.epochs_trained, v2.optimizer["step"]) == (cfg, 7, 17)
     assert_same_bits(checkpoint_arrays(v1), checkpoint_arrays(v2))
     assert (tmp_path / "v2.json").stat().st_size < (tmp_path / "v1.json").stat().st_size
+
+
+@pytest.mark.parametrize("writer", ["v1", "v2"])
+def test_checkpoint_config_with_n_blocks(tmp_path, writer):
+    # Files written while the config had a block count carry "n_blocks": 1.
+    cfg = tiny_config()
+    params = init_params(cfg, 6)
+    path = tmp_path / "ckpt.json"
+    if writer == "v1":
+        write_v1_checkpoint(path, cfg, build_basis(cfg), params)
+    else:
+        save_checkpoint(path, cfg, build_basis(cfg), params)
+        doc = json.loads(path.read_text())
+        doc["config"]["n_blocks"] = 1
+        path.write_text(json.dumps(doc))
+    doc = json.loads(path.read_text())
+    assert doc["config"]["n_blocks"] == 1
+    ckpt = load_checkpoint(path)
+    assert ckpt.config == cfg
+    assert np.array_equal(ckpt.params.flat, params.flat)
+    for bad in (2, 0):
+        doc["config"]["n_blocks"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"n_blocks {bad} is not supported"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):

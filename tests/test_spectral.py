@@ -3,7 +3,8 @@ import pytest
 
 from gftnn.graph import (D_FLOOR, Laplacian, apply_inverse_distance_weights,
                          build_line_graph, build_spider_graph, laplacian)
-from gftnn.spectral import (ProductBasis, Spectrum, eigendecompose, gft_2d,
+from gftnn.spectral import (DEGENERACY_TOL, ProductBasis, Spectrum,
+                            eigendecompose, gft_2d,
                             gft_extended, inverse_gft, symmetric_eigh,
                             truncate_spectrum, write_spectrum_csv,
                             write_tensor_csv)
@@ -30,6 +31,17 @@ def test_star9_spectrum_analytic():
     spec = eigendecompose(laplacian(build_spider_graph(9)))
     want = np.array([0.0] + [1.0] * 7 + [9.0])
     assert np.max(np.abs(spec.eigenvalues - want)) < 1e-8
+
+
+def test_star9_eigenvalues_ascend_up_to_degeneracy_tolerance():
+    # Columns of the eigenvalue-1 group are ordered by eigenvector and carry
+    # their eigenvalues along, so the group may step down by float noise.
+    lap = laplacian(build_spider_graph(9)).matrix
+    for w, v in (symmetric_eigh(lap), symmetric_eigh(np.stack([lap, lap]))):
+        w, v = np.atleast_2d(w), v.reshape(-1, 9, 9)
+        for w_b, v_b in zip(w, v):
+            assert np.min(np.diff(w_b)) >= -DEGENERACY_TOL
+            assert np.max(np.abs(lap @ v_b - v_b * w_b)) <= 1e-12
 
 
 def test_single_node_laplacian():

@@ -1,18 +1,19 @@
 import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from gftnn.model import (Checkpoint, ModelParams, build_basis, init_params,
-                         load_checkpoint, param_shapes, predict,
-                         truth_trajectory)
+from gftnn import training
+from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
+                         forward, init_params, load_checkpoint, param_shapes,
+                         predict, truth_trajectory)
 from gftnn.scenario import DatasetSplit, synthesize
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
-                            _batch_loss_and_grads, _decode_batch,
-                            _forward_batch, _prepare, adam_step, gradients,
-                            train, trajectory_loss)
-from helpers import tiny_config
+                            _batch_loss_and_grads, _prepare, adam_step,
+                            gradients, train, trajectory_loss)
+from helpers import adam_step_per_array, tiny_config
 
 
 def tiny_scenarios(n, seed, noise_std=0.05):
@@ -86,8 +87,8 @@ def test_gradients_vanish_at_zero_residual():
     scen = tiny_scenarios(1, seed=1)[0]
     params = init_params(cfg, 2)
     s, _, v0 = _prepare([scen], basis, cfg)
-    h_z, _ = _forward_batch(s, params, cfg)
-    x, y = _decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
+    h_z, _ = forward(s, params, cfg)
+    x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
     perfect = dataclasses.replace(
         scen, future=np.stack([x[0, 1:], y[0, 1:]], axis=1))
     grads = gradients(perfect, params, cfg, basis)
@@ -177,7 +178,32 @@ def test_adam_zero_learning_rate_keeps_params_bitwise():
         assert np.array_equal(a, b), name
     # moments still advance, so a later nonzero-lr step has history
     assert state.step == 1
-    assert state.m["w_h"].max() > 0
+    assert state.as_dict()["m"]["w_h"].max() > 0
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_adam_flat_update_matches_per_array_reference():
+    cfg = tiny_config()
+    params = init_params(cfg, 20)
+    rng = np.random.default_rng(21)
+    tc = TrainConfig(learning_rate=1e-2)
+    state = AdamState.initial(params)
+    ref_params, ref_state = dict(params.copy().items()), state.as_dict()
+    for _ in range(5):
+        grads = ModelParams(params.shapes, rng.normal(size=params.n_params)
+                            * rng.choice([0.0, 1e-6, 1.0, 1e3], size=params.n_params))
+        params, state = adam_step(params, grads, state, tc)
+        ref_params, ref_state = adam_step_per_array(ref_params, grads, ref_state, tc)
+        flat_state = state.as_dict()
+        assert flat_state["step"] == ref_state["step"]
+        for name, arr in params.items():
+            assert same_bits(arr, ref_params[name]), name
+            assert same_bits(flat_state["m"][name], ref_state["m"][name]), name
+            assert same_bits(flat_state["v"][name], ref_state["v"][name]), name
+    assert state.step == 5
 
 
 def test_adam_steps_accumulate():
@@ -273,6 +299,44 @@ def test_train_resume_continues_epoch_count(tmp_path):
     lines = log.read_text().strip().splitlines()
     assert len(lines) == 5  # one header, four epochs
     assert lines.count("epoch,train_loss,test_loss,ade,fde") == 1
+
+
+def test_train_resume_reuses_stored_basis(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    scens = tiny_scenarios(6, seed=22)
+    ds = DatasetSplit(train=scens[:4], test=scens[4:], seed=0)
+    tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2, seed=6)
+    train(ds, cfg, tc, log_path=tmp_path / "first.csv",
+          checkpoint_path=tmp_path / "first.json")
+    ckpt = load_checkpoint(tmp_path / "first.json")
+    # The oracle resumes with a freshly built basis, as resume used to do.
+    rebuilt = dataclasses.replace(ckpt, basis=build_basis(cfg))
+
+    def no_basis(config):
+        raise AssertionError("resume must reuse the checkpoint's basis")
+
+    out = {}
+    for tag, resume in (("rebuilt", rebuilt), ("stored", ckpt)):
+        if tag == "stored":
+            monkeypatch.setattr(training, "build_basis", no_basis)
+        log = tmp_path / f"{tag}.csv"
+        shutil.copy(tmp_path / "first.csv", log)
+        train(ds, cfg, tc, log_path=log, checkpoint_path=tmp_path / f"{tag}.json",
+              resume=resume)
+        out[tag] = (log.read_text(), load_checkpoint(tmp_path / f"{tag}.json"))
+    (log_a, a), (log_b, b) = out["rebuilt"], out["stored"]
+    assert log_a == log_b
+    assert len(log_b.splitlines()) == 5  # one header, four epochs
+    assert (a.epochs_trained, a.optimizer["step"]) == (b.epochs_trained,
+                                                        b.optimizer["step"]) == (4, 8)
+    assert same_bits(a.params.flat, b.params.flat)
+    for moment in ("m", "v"):
+        for name, arr in a.optimizer[moment].items():
+            assert same_bits(arr, b.optimizer[moment][name]), (moment, name)
+    for factor in ("temporal", "spatial"):
+        for field in ("eigenvalues", "eigenvectors"):
+            assert same_bits(getattr(getattr(a.basis, factor), field),
+                             getattr(getattr(b.basis, factor), field))
 
 
 def test_train_resume_rejects_other_config(tmp_path):
