@@ -2,10 +2,9 @@
 
 from .graph import (D_FLOOR, Graph, Laplacian, apply_inverse_distance_weights,
                     build_line_graph, build_mesh_graph, build_spider_graph,
-                    cartesian_product, from_adjacency, laplacian)
-from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_2d,
-                       gft_extended, inverse_gft, symmetric_eigh,
-                       truncate_spectrum)
+                    cartesian_product, laplacian)
+from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
+                       inverse_gft, symmetric_eigh, truncate_spectrum)
 from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        RawTrack, Scenario, SchemaError, SplitError, balance,
                        extract_scenarios, ingest_tracks, label_maneuver,

@@ -210,8 +210,6 @@ def cmd_train(args):
     resume = None
     if opts["resume"] is not None:
         resume = load_checkpoint(opts["resume"])
-        if resume.config != config:
-            raise ValueError("resume checkpoint does not match the requested model")
     dataset = split(scenarios, opts["split_ratio"], opts["seed"])
     train_config = TrainConfig(
         learning_rate=opts["learning_rate"], epochs=opts["epochs"],

@@ -9,7 +9,6 @@ factorization checkable.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,55 +26,45 @@ def _frozen(values, dtype=np.float64):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph.
+    """Undirected weighted graph, given by its symmetric weight matrix.
 
-    ``weight_matrix`` entries are meaningful only where ``adjacency`` is 1;
-    unweighted graphs carry weight 1 on every edge.
+    Nodes i and j share an edge wherever ``weights[i, j] > 0``; unweighted
+    graphs carry weight 1 on every edge.
     """
 
-    n_nodes: int
-    weight_matrix: np.ndarray
-    adjacency: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        n = self.n_nodes
-        if n < 1:
-            raise ValueError(f"graph needs at least one node, got {n}")
-        adj = np.asarray(self.adjacency, dtype=np.float64)
-        w = np.asarray(self.weight_matrix, dtype=np.float64)
-        if adj.shape != (n, n):
-            raise ValueError(f"adjacency shape {adj.shape} does not match n_nodes={n}")
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix shape {w.shape} does not match n_nodes={n}")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
-        if not np.all((adj == 0.0) | (adj == 1.0)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        if np.any(np.diagonal(adj) != 0.0):
-            raise ValueError("self loops are not allowed")
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
+            raise ValueError(
+                f"weight matrix must be square with at least one node, got shape {w.shape}"
+            )
         if not np.all(np.isfinite(w)):
             raise ValueError("edge weights must be finite")
-        if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
+        if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
-        if np.any(w[adj == 1.0] <= 0.0):
-            raise ValueError("edges must carry positive weights")
-        object.__setattr__(self, "adjacency", _frozen(adj))
-        object.__setattr__(self, "weight_matrix", _frozen(w))
+        if np.any(w < 0.0):
+            raise ValueError("edge weights must be non-negative")
+        if np.any(np.diagonal(w) != 0.0):
+            raise ValueError("self loops are not allowed")
+        object.__setattr__(self, "weights", _frozen(w))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """1 on every edge, 0 elsewhere."""
+        return _frozen(self.weights > 0.0)
 
     @property
     def n_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return np.count_nonzero(self.weights) // 2
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
-
-    def graph_id(self) -> str:
-        """Short content hash, stable across processes."""
-        h = hashlib.sha1()
-        h.update(np.int64(self.n_nodes).tobytes())
-        h.update(self.adjacency.tobytes())
-        h.update(self.weight_matrix.tobytes())
-        return h.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -83,7 +72,6 @@ class Laplacian:
     """Combinatorial Laplacian D - W of an undirected weighted graph."""
 
     matrix: np.ndarray
-    source_graph_id: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -106,46 +94,32 @@ def build_line_graph(n_nodes: int) -> Graph:
     """Path over ``n_nodes`` consecutive time steps, unit weights."""
     if n_nodes < 2:
         raise ValueError(f"line graph needs at least 2 nodes, got {n_nodes}")
-    adj = np.zeros((n_nodes, n_nodes))
+    w = np.zeros((n_nodes, n_nodes))
     idx = np.arange(n_nodes - 1)
-    adj[idx, idx + 1] = 1.0
-    adj[idx + 1, idx] = 1.0
-    return Graph(n_nodes, adj.copy(), adj)
+    w[idx, idx + 1] = 1.0
+    w[idx + 1, idx] = 1.0
+    return Graph(w)
 
 
-def build_spider_graph(n_nodes: int, hub_index: int = 0) -> Graph:
-    """Star: every node connects to the hub (the target vehicle) only."""
+def build_spider_graph(n_nodes: int) -> Graph:
+    """Star: every node connects to the hub, node 0 (the target vehicle), only."""
     if n_nodes < 2:
         raise ValueError(f"spider graph needs at least 2 nodes, got {n_nodes}")
-    if not 0 <= hub_index < n_nodes:
-        raise IndexError(f"hub index {hub_index} out of range for {n_nodes} nodes")
-    adj = np.zeros((n_nodes, n_nodes))
-    adj[hub_index, :] = 1.0
-    adj[:, hub_index] = 1.0
-    adj[hub_index, hub_index] = 0.0
-    return Graph(n_nodes, adj.copy(), adj)
+    w = np.zeros((n_nodes, n_nodes))
+    w[0, 1:] = 1.0
+    w[1:, 0] = 1.0
+    return Graph(w)
 
 
 def build_mesh_graph(n_nodes: int) -> Graph:
     """Complete graph: every vehicle pair interacts, unit weights."""
     if n_nodes < 2:
         raise ValueError(f"mesh graph needs at least 2 nodes, got {n_nodes}")
-    adj = np.ones((n_nodes, n_nodes)) - np.eye(n_nodes)
-    return Graph(n_nodes, adj.copy(), adj)
+    return Graph(np.ones((n_nodes, n_nodes)) - np.eye(n_nodes))
 
 
-def from_adjacency(adjacency, weight_matrix=None) -> Graph:
-    """Scene-specific graph from an explicit adjacency matrix."""
-    adj = np.asarray(adjacency, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if weight_matrix is None:
-        weight_matrix = adj.copy()
-    return Graph(adj.shape[0], weight_matrix, adj)
-
-
-def apply_inverse_distance_weights(graph: Graph, positions, hub_index: int = 0) -> Graph:
-    """Reweight a spider graph by inverse hub distance.
+def apply_inverse_distance_weights(graph: Graph, positions) -> Graph:
+    """Reweight a spider graph around node 0 by inverse hub distance.
 
     positions: (n_nodes, 2) planar coordinates. Distances below D_FLOOR are
     clamped so co-located ghost vehicles get weight 1/D_FLOOR instead of a
@@ -156,24 +130,20 @@ def apply_inverse_distance_weights(graph: Graph, positions, hub_index: int = 0) 
         raise ValueError(f"positions shape {pos.shape} does not match {graph.n_nodes} nodes")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
-    off_hub = graph.adjacency.copy()
-    off_hub[hub_index, :] = 0.0
-    off_hub[:, hub_index] = 0.0
-    if off_hub.any():
+    if graph.weights[1:, 1:].any():
         raise ValueError("inverse-distance weighting expects a hub-and-spokes graph")
-    d = np.hypot(pos[:, 0] - pos[hub_index, 0], pos[:, 1] - pos[hub_index, 1])
+    d = np.hypot(pos[:, 0] - pos[0, 0], pos[:, 1] - pos[0, 1])
     w_edge = 1.0 / np.maximum(d, D_FLOOR)
-    w = np.zeros_like(graph.weight_matrix)
-    spokes = graph.adjacency[hub_index] == 1.0
-    w[hub_index, spokes] = w_edge[spokes]
-    w[spokes, hub_index] = w_edge[spokes]
-    return Graph(graph.n_nodes, w, graph.adjacency)
+    w = np.zeros_like(graph.weights)
+    spokes = graph.weights[0] > 0.0
+    w[0, spokes] = w_edge[spokes]
+    w[spokes, 0] = w_edge[spokes]
+    return Graph(w)
 
 
 def laplacian(graph: Graph) -> Laplacian:
-    eff = graph.weight_matrix * graph.adjacency
-    mat = np.diag(eff.sum(axis=1)) - eff
-    return Laplacian(mat, graph.graph_id())
+    w = graph.weights
+    return Laplacian(np.diag(w.sum(axis=1)) - w)
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -182,10 +152,5 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     Edges connect (i1, i2)-(j1, i2) for i1~j1 and (i1, i2)-(i1, j2) for
     i2~j2, so the product Laplacian is L1 (x) I + I (x) L2.
     """
-    i1 = np.eye(g1.n_nodes)
-    i2 = np.eye(g2.n_nodes)
-    adj = np.kron(g1.adjacency, i2) + np.kron(i1, g2.adjacency)
-    eff1 = g1.weight_matrix * g1.adjacency
-    eff2 = g2.weight_matrix * g2.adjacency
-    w = np.kron(eff1, i2) + np.kron(i1, eff2)
-    return Graph(g1.n_nodes * g2.n_nodes, w, adj)
+    return Graph(np.kron(g1.weights, np.eye(g2.n_nodes))
+                 + np.kron(np.eye(g1.n_nodes), g2.weights))

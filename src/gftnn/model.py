@@ -13,7 +13,7 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import erf, expit
@@ -30,6 +30,8 @@ CHECKPOINT_VERSION = 2
 ORTHONORMAL_TOL = 1e-9          # max |V^T V - I| of a stored basis factor
 GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
+PRESET_T_OBS_S = 3.0            # observed window of every preset, seconds
+PRESET_T_PRED_S = 5.0           # predicted window of every preset, seconds
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -82,15 +84,16 @@ class ModelConfig:
         return self.k * self.p * self.n_v
 
 
-def preset_config(preset: str, fps, n_vehicles: int = 9, t_obs_s: float = 3.0,
-                  t_pred_s: float = 5.0, hidden: int = 50) -> ModelConfig:
-    """Named configurations; fps must be one of the supported camera rates."""
+def preset_config(preset: str, fps, n_vehicles: int = 9,
+                  hidden: int = 50) -> ModelConfig:
+    """Named configurations over PRESET_T_OBS_S observed and PRESET_T_PRED_S
+    predicted seconds; fps must be one of the supported camera rates."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {PRESETS}")
     if fps not in (10, 25):
         raise ValueError(f"preset {preset!r} expects fps 10 or 25, got {fps}")
-    t_obs = round(fps * t_obs_s)
-    t_pred = round(fps * t_pred_s)
+    t_obs = round(fps * PRESET_T_OBS_S)
+    t_pred = round(fps * PRESET_T_PRED_S)
     k = 4
     weighted = False
     p = t_obs
@@ -334,7 +337,7 @@ def build_basis(config: ModelConfig) -> ProductBasis:
     """Reference eigenbases: unit-weight temporal line and spatial graph."""
     temporal = eigendecompose(laplacian(build_line_graph(config.t_obs)))
     if config.graph_kind == "spider":
-        spatial_graph = build_spider_graph(config.n_v, hub_index=0)
+        spatial_graph = build_spider_graph(config.n_v)
     else:
         spatial_graph = build_mesh_graph(config.n_v)
     return ProductBasis(temporal, eigendecompose(laplacian(spatial_graph)))
@@ -354,7 +357,7 @@ def _weighted_laplacian(scenario, star) -> np.ndarray:
     t0 = scenario.t_obs - 1
     positions = np.stack([scenario.features[0, t0, :],
                           scenario.features[1, t0, :]], axis=1)
-    g = apply_inverse_distance_weights(star, positions, hub_index=0)
+    g = apply_inverse_distance_weights(star, positions)
     return laplacian(g).matrix
 
 
@@ -375,10 +378,11 @@ def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.
     feats = np.stack([select_channels(s.features, config.k) for s in scenarios])
     spatial = None
     if config.weighted:
-        star = build_spider_graph(config.n_v, hub_index=0)
+        star = build_spider_graph(config.n_v)
         laps = np.stack([_weighted_laplacian(s, star) for s in scenarios])
         # Looked up on the module, so every solve goes through one name.
-        spatial = spectral.symmetric_eigh(laps)[1]
+        # One (V, V) basis per scenario, shared by its channels.
+        spatial = spectral.symmetric_eigh(laps)[1][:, None]
     return truncate_spectrum(gft_extended(feats, basis, spatial), config.p)
 
 
@@ -450,7 +454,6 @@ def _decode_array(table: dict, key: str, shape, name: str, version: int) -> np.n
 
 def _spectrum_doc(spec: Spectrum) -> dict:
     return {
-        "source_graph_id": spec.source_graph_id,
         "eigenvalues": _encode_array(spec.eigenvalues),
         "eigenvectors": _encode_array(spec.eigenvectors),
     }
@@ -471,7 +474,7 @@ def _spectrum_from_doc(doc: dict, n: int, factor: str, version: int) -> Spectrum
     if drift > ORTHONORMAL_TOL:
         raise ValueError(f"{name} eigenvectors are not orthonormal: "
                          f"max |V^T V - I| = {drift:.3g}")
-    return Spectrum(w, v, doc.get("source_graph_id", ""))
+    return Spectrum(w, v)
 
 
 @dataclass(frozen=True)
@@ -519,9 +522,11 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint of format version 2, or of version 1 (repr() strings).
 
-    Raises ValueError naming the array when a stored array is missing, is
-    not decodable, has the wrong size, or is not finite (parameters), and
-    when a basis factor is not an ascending orthonormal basis.
+    Raises ValueError naming the path and the key when a section, config
+    field or stored array is missing or a config field is unknown, and
+    naming the array when it is not decodable, has the wrong size, or is
+    not finite (parameters), or when a basis factor is not an ascending
+    orthonormal basis.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -530,6 +535,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         return _checkpoint_from_doc(doc, version)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint is missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -542,6 +549,13 @@ def _checkpoint_from_doc(doc: dict, version: int) -> Checkpoint:
     if n_blocks != 1:
         raise ValueError(f"n_blocks {n_blocks!r} is not supported: the model "
                          f"has exactly one block per channel")
+    known = fields(ModelConfig)
+    unknown = sorted(set(cfg_doc) - {f.name for f in known})
+    if unknown:
+        raise ValueError(f"config has unknown keys: {', '.join(unknown)}")
+    for f in known:
+        if f.default is MISSING and f.name not in cfg_doc:
+            raise ValueError(f"config is missing key {f.name!r}")
     cfg = ModelConfig(**cfg_doc)
     shapes = param_shapes(cfg)
     named = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -516,25 +517,32 @@ def save_archive(path, scenarios, fps):
 
 
 def load_archive(path):
-    """Read a scenario archive; returns (scenarios, fps)."""
+    """Read a scenario archive; returns (scenarios, fps).
+
+    A corrupt document raises ValueError naming the path and, for a bad
+    scenario, its index and id with the missing key or the expected size.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("version")
     if version != ARCHIVE_VERSION:
         raise ValueError(f"{path}: unsupported archive version {version!r}")
-    fps = float(doc["fps"])
+    try:
+        fps = float(doc["fps"])
+        items = doc["scenarios"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: archive is missing key {exc}") from None
     scenarios = []
-    for item in doc["scenarios"]:
-        t_obs = item["t_obs"]
-        n_veh = item["n_vehicles"]
-        feats = np.asarray(item["features"], dtype=np.float64)
-        feats = feats.reshape(len(CHANNELS), t_obs, n_veh)
-        future = np.asarray(item["future"], dtype=np.float64)
-        future = future.reshape(item["t_pred"], 2)
-        scenario = Scenario(
-            scenario_id=item["id"], features=feats, future=future,
-            v0=float(item["v0"]), fps=fps, maneuver=item["maneuver"],
-        )
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}: scenario {index} is not a JSON object")
+        where = f"{path}: scenario {index} ({item.get('id')!r})"
+        try:
+            scenario = _scenario_from_item(item, fps)
+        except KeyError as exc:
+            raise ValueError(f"{where} is missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         # Models, training and eval stack scenarios, so they share one grid.
         if scenarios and _grid(scenario) != _grid(scenarios[0]):
             raise ValueError(
@@ -545,6 +553,24 @@ def load_archive(path):
             )
         scenarios.append(scenario)
     return scenarios, fps
+
+
+def _stored_array(item, key, shape):
+    arr = np.asarray(item[key], dtype=np.float64)
+    if arr.size != math.prod(shape):
+        raise ValueError(f"{key} has {arr.size} values, expected "
+                         f"{math.prod(shape)} for shape {shape}")
+    return arr.reshape(shape)
+
+
+def _scenario_from_item(item, fps) -> Scenario:
+    feats = _stored_array(item, "features",
+                          (len(CHANNELS), item["t_obs"], item["n_vehicles"]))
+    future = _stored_array(item, "future", (item["t_pred"], 2))
+    return Scenario(
+        scenario_id=item["id"], features=feats, future=future,
+        v0=float(item["v0"]), fps=fps, maneuver=item["maneuver"],
+    )
 
 
 def _grid(scenario):

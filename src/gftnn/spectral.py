@@ -1,4 +1,4 @@
-"""Factor eigenbases and the two-dimensional graph Fourier transform.
+"""Factor eigenbases and the graph Fourier transform of a product graph.
 
 Signals live on the Cartesian product of a temporal and a spatial graph.
 Because the product Laplacian is the Kronecker sum of the factor
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Laplacian
+from .graph import Laplacian, _frozen
 
 JACOBI_TOL = 1e-12
 JACOBI_SWEEP_LIMIT = 100
@@ -219,7 +219,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_graph_id: str = ""
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -231,12 +230,8 @@ class Spectrum:
         for arr, name in ((w, "eigenvalues"), (v, "eigenvectors")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        w = np.ascontiguousarray(w)
-        v = np.ascontiguousarray(v)
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "eigenvalues", _frozen(w))
+        object.__setattr__(self, "eigenvectors", _frozen(v))
 
     @property
     def n_nodes(self) -> int:
@@ -244,8 +239,7 @@ class Spectrum:
 
 
 def eigendecompose(lap: Laplacian) -> Spectrum:
-    w, v = symmetric_eigh(lap.matrix)
-    return Spectrum(w, v, lap.source_graph_id)
+    return Spectrum(*symmetric_eigh(lap.matrix))
 
 
 @dataclass(frozen=True)
@@ -260,62 +254,51 @@ class ProductBasis:
         return self.temporal.n_nodes, self.spatial.n_nodes
 
 
-def _check_grid(shape, basis: ProductBasis):
-    if shape != basis.shape:
-        raise ValueError(
-            f"signal shape {shape} does not match basis grid {basis.shape}"
-        )
+def _on_grid(arr, basis: ProductBasis) -> np.ndarray:
+    """arr as float64, checked to be a (..., time, vehicle) array on the
+    basis grid."""
+    a = np.asarray(arr, dtype=np.float64)
+    if a.shape[-2:] != basis.shape:
+        raise ValueError(f"signal shape {a.shape} does not end in the basis "
+                         f"grid {basis.shape}")
+    return a
 
 
-def gft_2d(signal, basis: ProductBasis) -> np.ndarray:
-    """Transform one (time, vehicle) signal into the product eigenbasis.
+def gft_extended(signal, basis: ProductBasis, spatial=None) -> np.ndarray:
+    """Transform a (..., time, vehicle) signal into the product eigenbasis,
+    U1^T F U2 over the last two axes.
 
-    Entry (l1, l2) of the result is the projection onto the Kronecker
+    Entry (..., l1, l2) of the result is the projection onto the Kronecker
     product of temporal eigenvector l1 and spatial eigenvector l2.
+    ``spatial``, if given, is a (..., vehicle, vehicle) stack of spatial
+    eigenvectors that replaces ``basis.spatial`` and broadcasts against
+    the leading axes of the signal.
     """
-    f = np.asarray(signal, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError(f"expected a 2-d signal, got shape {f.shape}")
-    _check_grid(f.shape, basis)
-    return basis.temporal.eigenvectors.T @ f @ basis.spatial.eigenvectors
-
-
-def gft_extended(features, basis: ProductBasis, spatial=None) -> np.ndarray:
-    """Channel-wise transform of a (channels, time, vehicle) tensor, or of
-    a (batch, channels, time, vehicle) stack.
-
-    ``spatial``, given only with a stack, is a (batch, vehicle, vehicle)
-    array of per-item spatial eigenvectors that replaces
-    ``basis.spatial``.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim not in (3, 4):
-        raise ValueError(
-            f"expected a 3-d feature tensor or a 4-d stack, got shape {f.shape}"
-        )
-    _check_grid(f.shape[-2:], basis)
+    f = _on_grid(signal, basis)
     u2 = basis.spatial.eigenvectors
     if spatial is not None:
-        want = (f.shape[0],) + u2.shape
-        if f.ndim != 4 or spatial.shape != want:
+        spatial = np.asarray(spatial, dtype=np.float64)
+        if spatial.shape[-2:] != u2.shape:
             raise ValueError(
-                f"per-item spatial bases need a 4-d stack and shape {want}, "
-                f"got {spatial.shape} for features {f.shape}"
+                f"spatial bases must be (..., {u2.shape[0]}, {u2.shape[1]}), "
+                f"got {spatial.shape}"
             )
-        u2 = spatial[:, None]
+        u2 = spatial
     return basis.temporal.eigenvectors.T @ f @ u2
 
 
+# The transform of one (time, vehicle) signal, under its earlier name.
+gft_2d = gft_extended
+
+
 def inverse_gft(coefficients, basis: ProductBasis, p: int | None = None) -> np.ndarray:
-    """Back-transform, optionally keeping only the p lowest temporal modes.
+    """Back-transform (..., time, vehicle) coefficients, optionally keeping
+    only the p lowest temporal modes.
 
     Truncation acts on the temporal axis only (a low-pass in graph
     frequency); the spatial axis is always fully resolved.
     """
-    fhat = np.asarray(coefficients, dtype=np.float64)
-    if fhat.ndim not in (2, 3):
-        raise ValueError(f"expected 2-d or 3-d coefficients, got shape {fhat.shape}")
-    _check_grid(fhat.shape[-2:], basis)
+    fhat = _on_grid(coefficients, basis)
     n1 = basis.temporal.n_nodes
     if p is None:
         p = n1
@@ -326,14 +309,13 @@ def inverse_gft(coefficients, basis: ProductBasis, p: int | None = None) -> np.n
 
 
 def truncate_spectrum(coefficients, p: int) -> np.ndarray:
-    """Keep the p lowest temporal modes and flatten (k, l1, l2) row-major.
-
-    A (batch, k, l1, l2) stack gives one flattened row per item.
+    """Keep the p lowest temporal modes and flatten each (k, l1, l2) block of
+    a (..., k, l1, l2) array row-major: one row per leading index.
     """
     fhat = np.asarray(coefficients, dtype=np.float64)
-    if fhat.ndim not in (3, 4):
+    if fhat.ndim < 3:
         raise ValueError(
-            f"expected a 3-d coefficient tensor or a 4-d stack, got shape {fhat.shape}"
+            f"expected (..., channel, time, vehicle) coefficients, got shape {fhat.shape}"
         )
     if not 1 <= p <= fhat.shape[-2]:
         raise ValueError(f"p must be in [1, {fhat.shape[-2]}], got {p}")

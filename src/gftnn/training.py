@@ -21,6 +21,12 @@ from .model import (ModelConfig, ModelParams, NumericError, _ensure_finite,
                     scenario_spectra, scenario_spectrum)
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
@@ -31,9 +37,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         # A zero learning rate is allowed: it turns training into a pure
@@ -44,12 +47,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 < beta < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {beta}")
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 def trajectory_loss(pred, truth) -> float:
@@ -145,13 +142,13 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     """One bias-corrected Adam update over the flat parameter vector;
     returns fresh params and state."""
     t = state.step + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     g = grads.flat
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g
-    update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+    update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return (ModelParams(params.shapes, params.flat - update),
             AdamState(m, v, t, params.shapes))
 

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from gftnn.graph import Graph
 from gftnn.model import ModelConfig
+from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import LANE_WIDTH, SCHEMAS, RawTrack
 
 
@@ -22,12 +23,12 @@ def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
                         optimizer=None):
     """Write model state as the format-version-1 writer did: every float a
     repr() string, the document streamed by json.dump, and the config with
-    the block count it carried then."""
+    the block count and the graph hash it carried then."""
     def floats(arr):
         return [repr(float(v)) for v in np.asarray(arr).ravel()]
 
     def spectrum(spec):
-        return {"source_graph_id": spec.source_graph_id,
+        return {"source_graph_id": "0123456789ab",
                 "eigenvalues": floats(spec.eigenvalues),
                 "eigenvectors": floats(spec.eigenvectors)}
 
@@ -57,7 +58,7 @@ def adam_step_per_array(params, grads, state, config):
     ``AdamState.as_dict`` gives; returns the new named parameters and state.
     """
     t = state["step"] + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     new_m, new_v, new_p = {}, {}, {}
@@ -66,7 +67,7 @@ def adam_step_per_array(params, grads, state, config):
         g = grad_map[name]
         m = b1 * state["m"][name] + (1.0 - b1) * g
         v = b2 * state["v"][name] + (1.0 - b2) * g * g
-        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
         new_p[name] = p_arr - update
@@ -89,7 +90,7 @@ def random_graph(rng, n, weighted=True):
         w = (raw + raw.T) / 2.0
     else:
         w = np.ones((n, n))
-    return Graph(n, w, adj)
+    return Graph(w * adj)
 
 
 def _logistic_track(vehicle_id, fps, n_frames, t0_index, x0, v, lane0,

@@ -4,7 +4,7 @@ import pytest
 from gftnn.graph import (D_FLOOR, Graph, Laplacian,
                          apply_inverse_distance_weights, build_line_graph,
                          build_mesh_graph, build_spider_graph,
-                         cartesian_product, from_adjacency, laplacian)
+                         cartesian_product, laplacian)
 from helpers import random_graph
 
 
@@ -34,16 +34,7 @@ def test_spider_graph_layout():
     assert g.n_edges == 8
 
 
-def test_spider_graph_custom_hub():
-    g = build_spider_graph(4, hub_index=2)
-    edges = {(i, j) for i in range(4) for j in range(4)
-             if i < j and g.adjacency[i, j] == 1}
-    assert edges == {(0, 2), (1, 2), (2, 3)}
-
-
-def test_spider_graph_hub_out_of_range():
-    with pytest.raises(IndexError):
-        build_spider_graph(5, hub_index=5)
+def test_spider_graph_needs_two_nodes():
     with pytest.raises(ValueError):
         build_spider_graph(1)
 
@@ -56,44 +47,56 @@ def test_mesh_graph_edge_counts():
                           build_spider_graph(2).adjacency)
 
 
-def test_from_adjacency_custom_scene():
+def test_graph_from_weight_matrix_custom_scene():
     adj = np.array([[0, 1, 1, 0],
                     [1, 0, 0, 0],
                     [1, 0, 0, 1],
                     [0, 0, 1, 0]], dtype=float)
-    g = from_adjacency(adj)
-    assert g.n_edges == 3
-    assert np.array_equal(g.weight_matrix[adj == 1], np.ones(6))
-    w = adj * 2.5
-    assert from_adjacency(adj, w).weight_matrix[0, 1] == 2.5
+    g = Graph(adj)
+    assert (g.n_nodes, g.n_edges) == (4, 3)
+    assert np.array_equal(g.adjacency, adj)
+    assert np.array_equal(g.degrees(), [2.0, 1.0, 2.0, 1.0])
+    gw = Graph(adj * 2.5)
+    assert gw.weights[0, 1] == 2.5
+    # edges are where the weight is positive, whatever its size
+    assert np.array_equal(gw.adjacency, adj)
+    assert gw.n_edges == 3
 
 
-def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, np.ones((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, np.ones((2, 2)), np.array([[1.0, 1.0], [1.0, 0.0]]))  # self loop
-    with pytest.raises(ValueError):
-        Graph(2, np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))  # w <= 0 on edge
-    with pytest.raises(ValueError):
-        Graph(3, np.ones((2, 2)), np.zeros((2, 2)))  # shape mismatch
-    with pytest.raises(ValueError):
-        from_adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]))  # non-binary
+@pytest.mark.parametrize("weights, message", [
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), "symmetric"),
+    (np.array([[1.0, 1.0], [1.0, 0.0]]), "self loops"),
+    (np.array([[0.0, -1.0], [-1.0, 0.0]]), "non-negative"),
+    (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+    (np.zeros((2, 3)), "square"),
+    (np.zeros((0, 0)), "at least one node"),
+    (np.zeros(3), "square"),
+])
+def test_graph_validation(weights, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(weights)
 
 
 def test_frozen_arrays():
     g = build_line_graph(4)
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        g.weights[0, 1] = 0.0
+    # the graph keeps its own copy of the caller's matrix
+    w = np.array([[0.0, 2.0], [2.0, 0.0]])
+    g = Graph(w)
+    w[0, 1] = w[1, 0] = 5.0
+    assert g.weights[0, 1] == 2.0
 
 
 def test_inverse_distance_weights():
     g = build_spider_graph(3)
     pos = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
     gw = apply_inverse_distance_weights(g, pos)
-    assert gw.weight_matrix[0, 1] == 0.5
+    assert gw.weights[0, 1] == 0.5
     # co-located ghost is clamped at d_floor
-    assert gw.weight_matrix[0, 2] == 1.0 / D_FLOOR == 10.0
+    assert gw.weights[0, 2] == 1.0 / D_FLOOR == 10.0
     assert np.array_equal(gw.adjacency, g.adjacency)
 
 
@@ -101,7 +104,7 @@ def test_inverse_distance_unit_distances_match_unweighted():
     g = build_spider_graph(4)
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     gw = apply_inverse_distance_weights(g, pos)
-    assert np.array_equal(gw.weight_matrix, g.weight_matrix)
+    assert np.array_equal(gw.weights, g.weights)
 
 
 def test_inverse_distance_rejects_non_spider():
@@ -154,9 +157,9 @@ def test_laplacian_row_sums_symmetry_psd():
 
 def test_laplacian_validation():
     with pytest.raises(ValueError):
-        Laplacian(np.array([[1.0, 0.0], [0.0, 1.0]]), "x")  # rows don't sum to 0
+        Laplacian(np.array([[1.0, 0.0], [0.0, 1.0]]))  # rows don't sum to 0
     with pytest.raises(ValueError):
-        Laplacian(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]), "x")  # not square
+        Laplacian(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]))  # not square
 
 
 def test_cartesian_product_p2_p2_is_square_cycle():
@@ -208,11 +211,3 @@ def test_cartesian_product_spectrum_pairwise_sums_numpy_oracle():
         sums = np.sort((w1[:, None] + w2[None, :]).ravel())
         assert np.max(np.abs(wp - sums)) < 1e-8
 
-
-def test_graph_id_content_hash():
-    assert build_line_graph(5).graph_id() == build_line_graph(5).graph_id()
-    assert build_line_graph(5).graph_id() != build_line_graph(6).graph_id()
-    g = build_spider_graph(3)
-    gw = apply_inverse_distance_weights(
-        g, np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))
-    assert g.graph_id() != gw.graph_id()

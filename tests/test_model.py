@@ -645,6 +645,53 @@ def test_checkpoint_reads_version_1(tmp_path):
     assert (tmp_path / "v2.json").stat().st_size < (tmp_path / "v1.json").stat().st_size
 
 
+def test_checkpoint_ignores_stored_graph_hash(tmp_path):
+    # Earlier writers stored a content hash of each basis factor's graph
+    # as "source_graph_id"; nothing reads it.
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 8)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, 3, opt)
+    doc = json.loads(path.read_text())
+    assert all("source_graph_id" not in doc["basis"][f] for f in ("temporal", "spatial"))
+    plain = load_checkpoint(path)
+    for factor in ("temporal", "spatial"):
+        doc["basis"][factor] = {"source_graph_id": "0123456789ab", **doc["basis"][factor]}
+    path.write_text(json.dumps(doc))
+    assert_same_bits(checkpoint_arrays(load_checkpoint(path)), checkpoint_arrays(plain))
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("params"), "checkpoint is missing key 'params'"),
+    (_drop("basis"), "checkpoint is missing key 'basis'"),
+    (_drop("basis", "spatial"), "checkpoint is missing key 'spatial'"),
+    (_drop("config"), "checkpoint is missing key 'config'"),
+    (_drop("optimizer", "step"), "checkpoint is missing key 'step'"),
+    (_drop("config", "p"), "config is missing key 'p'"),
+    (lambda doc: doc["config"].update(depth=3, colour=1),
+     "config has unknown keys: colour, depth"),
+])
+def test_checkpoint_corrupt_document_names_path_and_key(tmp_path, edit, message):
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 9)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("writer", ["v1", "v2"])
 def test_checkpoint_config_with_n_blocks(tmp_path, writer):
     # Files written while the config had a block count carry "n_blocks": 1.

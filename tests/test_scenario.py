@@ -410,6 +410,39 @@ def test_archive_rejects_mixed_shapes(tmp_path):
         load_archive(path)
 
 
+def _set(key, value):
+    def edit(doc):
+        doc["scenarios"][1][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["scenarios"][1].pop("features"),
+     "scenario 1 ('synth-00001') is missing key 'features'"),
+    (lambda doc: doc["scenarios"][1].pop("t_pred"),
+     "scenario 1 ('synth-00001') is missing key 't_pred'"),
+    (lambda doc: doc["scenarios"][1]["features"].pop(),
+     "scenario 1 ('synth-00001'): features has 1079 values, expected 1080 "
+     "for shape (4, 30, 9)"),
+    (_set("future", [0.0] * 101),
+     "scenario 1 ('synth-00001'): future has 101 values, expected 100 "
+     "for shape (50, 2)"),
+    (_set("maneuver", "jump"), "scenario 1 ('synth-00001'): unknown maneuver 'jump'"),
+    (lambda doc: doc["scenarios"].insert(1, [0.0]), "scenario 1 is not a JSON object"),
+    (lambda doc: doc.pop("fps"), "archive is missing key 'fps'"),
+    (lambda doc: doc.pop("scenarios"), "archive is missing key 'scenarios'"),
+])
+def test_archive_corrupt_document_names_path_and_scenario(tmp_path, edit, message):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(3, 10, seed=21), 10)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_archive(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_archive_rejects_fps_mismatch(tmp_path):
     scen = synthesize(2, 10, seed=19)
     with pytest.raises(ValueError, match="fps"):

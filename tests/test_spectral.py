@@ -45,7 +45,7 @@ def test_star9_eigenvalues_ascend_up_to_degeneracy_tolerance():
 
 
 def test_single_node_laplacian():
-    spec = eigendecompose(Laplacian(np.zeros((1, 1)), "unit"))
+    spec = eigendecompose(Laplacian(np.zeros((1, 1))))
     assert np.array_equal(spec.eigenvalues, [0.0])
     assert np.array_equal(spec.eigenvectors, [[1.0]])
 
@@ -247,15 +247,52 @@ def test_gft_extended_is_channelwise(basis_75x9):
         assert np.array_equal(fhat[k], gft_2d(f[k], basis_75x9))
 
 
+def test_gft_2d_is_the_one_transform():
+    assert gft_2d is gft_extended
+
+
+def test_gft_leading_axes_match_per_signal_transforms():
+    rng = np.random.default_rng(18)
+    basis = _basis(rng, 6, 4)
+    f = rng.normal(size=(3, 2, 6, 4))
+    fhat = gft_extended(f, basis)
+    assert fhat.shape == f.shape
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(fhat[idx], gft_extended(f[idx], basis))
+    assert np.max(np.abs(inverse_gft(fhat, basis) - f)) < 1e-9
+    assert np.array_equal(inverse_gft(fhat, basis, 2)[1, 0],
+                          inverse_gft(fhat[1, 0], basis, 2))
+    s = truncate_spectrum(fhat, 2)
+    assert s.shape == (3, 16)
+    assert np.array_equal(s[2], truncate_spectrum(fhat[2], 2))
+
+
+def test_gft_per_item_spatial_bases_broadcast():
+    rng = np.random.default_rng(19)
+    basis = _basis(rng, 6, 4)
+    f = rng.normal(size=(3, 2, 6, 4))
+    spatial = np.stack([_basis(rng, 2, 4).spatial.eigenvectors for _ in range(3)])
+    fhat = gft_extended(f, basis, spatial[:, None])
+    for b in range(3):
+        item = ProductBasis(basis.temporal, Spectrum(np.zeros(4), spatial[b]))
+        assert np.array_equal(fhat[b], gft_extended(f[b], item))
+    with pytest.raises(ValueError, match="spatial bases"):
+        gft_extended(f, basis, spatial[:, None, :3])
+
+
 def test_gft_shape_mismatch():
     rng = np.random.default_rng(8)
     basis = _basis(rng, 5, 4)
     with pytest.raises(ValueError):
         gft_2d(np.zeros((4, 5)), basis)
     with pytest.raises(ValueError):
-        gft_extended(np.zeros((5, 4)), basis)
+        gft_extended(np.zeros((2, 4, 5)), basis)
+    with pytest.raises(ValueError):
+        gft_extended(np.zeros(4), basis)
     with pytest.raises(ValueError):
         inverse_gft(np.zeros((2, 5, 5)), basis)
+    with pytest.raises(ValueError):
+        truncate_spectrum(np.zeros((5, 4)), 1)
 
 
 def test_inverse_roundtrip_full_p():

@@ -37,12 +37,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(adam_beta1=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(adam_beta2=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(adam_eps=0.0)
 
 
 # ----------------------------------------------------------------------- loss
