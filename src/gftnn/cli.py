@@ -4,13 +4,13 @@ Subcommands cover the whole pipeline: prep (CSV to scenario archive),
 synth (parametric scenario generator), spectrum (transform inspection),
 train, eval and predict. Every subcommand accepts --config with a JSON
 file of defaults; explicit flags win over the file, the file wins over
-built-ins. Errors come back as a single "error: ..." line on stderr and a
-nonzero exit code.
+built-ins. Bad input, a missing file and a diverging run come back as a
+single "error: ..." line on stderr and a nonzero exit code; any other
+exception propagates with its traceback.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -18,12 +18,14 @@ from collections import Counter
 import numpy as np
 
 from .metrics import evaluate, write_histogram_csv, write_report_json
-from .model import (PRESETS, ModelConfig, build_basis, load_checkpoint,
-                    predict, predict_batch, preset_config, truth_trajectory)
+from .model import (PRESETS, ModelConfig, NumericError, build_basis,
+                    load_checkpoint, predict, predict_batch, preset_config,
+                    truth_trajectory)
 from .scenario import (MANEUVERS, balance, extract_scenarios, ingest_tracks,
                        load_archive, save_archive, split, synthesize, SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
-from .training import TrainConfig, train
+from .store import read_document
+from .training import DivergenceError, TrainConfig, train
 
 PREP_DEFAULTS = {
     "input": None, "schema": "normalized", "fps": None,
@@ -54,13 +56,7 @@ def _resolve(args, defaults):
     """Merge CLI flags, config file values and built-in defaults."""
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must contain a JSON object")
+        file_cfg = read_document(args.config, "config file").obj
         unknown = set(file_cfg) - set(defaults) - {"seed", "out"}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -137,8 +133,6 @@ def cmd_spectrum(args):
     opts = _resolve(args, SPECTRUM_DEFAULTS)
     _require(opts, "archive")
     scenarios, fps = load_archive(opts["archive"])
-    if not scenarios:
-        raise ValueError("archive contains no scenarios")
     scenario = _find_scenario(scenarios, opts["scenario_id"])
     config = ModelConfig(k=4, t_obs=scenario.t_obs, t_pred=scenario.t_pred,
                          n_v=scenario.n_vehicles, p=scenario.t_obs,
@@ -167,7 +161,7 @@ def cmd_spectrum(args):
 
 
 def _model_config(opts, scenarios, fps) -> ModelConfig:
-    # load_archive guarantees that every scenario shares the first's grid.
+    # load_archive guarantees one scenario or more, all on the first's grid.
     t_obs = scenarios[0].t_obs
     t_pred = scenarios[0].t_pred
     n_v = scenarios[0].n_vehicles
@@ -204,8 +198,6 @@ def cmd_train(args):
     opts = _resolve(args, TRAIN_DEFAULTS)
     _require(opts, "archive")
     scenarios, fps = load_archive(opts["archive"])
-    if not scenarios:
-        raise ValueError("archive contains no scenarios")
     config = _model_config(opts, scenarios, fps)
     resume = None
     if opts["resume"] is not None:
@@ -235,17 +227,21 @@ def _subset(scenarios, opts):
     return dataset.train if opts["subset"] == "train" else dataset.test
 
 
-def cmd_eval(args):
-    opts = _resolve(args, EVAL_DEFAULTS)
-    _require(opts, "archive", "checkpoint")
+def _load_archive_and_checkpoint(opts):
+    """The archive's scenarios and the checkpoint that scores them."""
     scenarios, fps = load_archive(opts["archive"])
-    if not scenarios:
-        raise ValueError("archive contains no scenarios")
     ckpt = load_checkpoint(opts["checkpoint"])
     if fps != ckpt.config.fps:
         raise ValueError(
             f"archive fps {fps} does not match checkpoint fps {ckpt.config.fps}"
         )
+    return scenarios, ckpt
+
+
+def cmd_eval(args):
+    opts = _resolve(args, EVAL_DEFAULTS)
+    _require(opts, "archive", "checkpoint")
+    scenarios, ckpt = _load_archive_and_checkpoint(opts)
     chosen = _subset(scenarios, opts)
     if not chosen:
         raise ValueError(f"subset {opts['subset']!r} is empty")
@@ -268,12 +264,7 @@ def cmd_eval(args):
 def cmd_predict(args):
     opts = _resolve(args, PREDICT_DEFAULTS)
     _require(opts, "archive", "checkpoint", "scenario_id")
-    scenarios, fps = load_archive(opts["archive"])
-    ckpt = load_checkpoint(opts["checkpoint"])
-    if fps != ckpt.config.fps:
-        raise ValueError(
-            f"archive fps {fps} does not match checkpoint fps {ckpt.config.fps}"
-        )
+    scenarios, ckpt = _load_archive_and_checkpoint(opts)
     scenario = _find_scenario(scenarios, opts["scenario_id"])
     trajectory = predict(scenario, ckpt.basis, ckpt.params, ckpt.config)
     path = _out_path(opts, f"trajectory_{scenario.scenario_id}.csv")
@@ -364,9 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Bad input and failed runs print one line; any other exception is a
+    # defect and keeps its traceback.
     try:
         args.func(args)
-    except Exception as exc:
+    except (ValueError, OSError, DivergenceError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -40,6 +40,14 @@ def fde_from_displacements(dx, dy) -> float:
     return float(np.mean(np.hypot(dx[:, -1], dy[:, -1])))
 
 
+def ade_euclid_mean_from_displacements(dx, dy) -> float:
+    return float(np.mean(np.hypot(dx, dy)))
+
+
+def per_scenario_ade_from_displacements(dx, dy) -> np.ndarray:
+    return np.sqrt(np.mean(dx * dx + dy * dy, axis=1))
+
+
 def ade(predictions, truths) -> float:
     """RMS average displacement error over steps 1 .. T_pred."""
     dx, dy = _displacements(predictions, truths)
@@ -55,13 +63,13 @@ def fde(predictions, truths) -> float:
 def ade_euclid_mean(predictions, truths) -> float:
     """Mean Euclidean displacement over all steps (not the headline ADE)."""
     dx, dy = _displacements(predictions, truths)
-    return float(np.mean(np.hypot(dx, dy)))
+    return ade_euclid_mean_from_displacements(dx, dy)
 
 
 def per_scenario_ade(predictions, truths) -> np.ndarray:
     """Per-scenario RMS displacement, used for error histograms."""
     dx, dy = _displacements(predictions, truths)
-    return np.sqrt(np.mean(dx * dx + dy * dy, axis=1))
+    return per_scenario_ade_from_displacements(dx, dy)
 
 
 def histogram(values, bin_width: float = 0.1):
@@ -105,13 +113,13 @@ class EvalReport:
 
 def evaluate(predictions, truths, bin_width: float = 0.1) -> EvalReport:
     dx, dy = _displacements(predictions, truths)
-    per = np.sqrt(np.mean(dx * dx + dy * dy, axis=1))
+    per = per_scenario_ade_from_displacements(dx, dy)
     edges, counts = histogram(per, bin_width)
     return EvalReport(
         n_scenarios=len(predictions),
         ade=ade_from_displacements(dx, dy),
         fde=fde_from_displacements(dx, dy),
-        ade_euclid_mean=float(np.mean(np.hypot(dx, dy))),
+        ade_euclid_mean=ade_euclid_mean_from_displacements(dx, dy),
         per_scenario_ade=per,
         bin_width=bin_width,
         bin_edges=edges,

@@ -9,11 +9,10 @@ batches; one scenario is a batch of one.
 """
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import erf, expit
@@ -23,6 +22,7 @@ from .graph import (apply_inverse_distance_weights, build_line_graph,
 from . import spectral
 from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
                        truncate_spectrum)
+from .store import Table, encode_array, read_document
 
 OUT = 3
 LN_EPS = 1e-5
@@ -417,64 +417,27 @@ def predict(scenario, basis: ProductBasis, params: ModelParams,
     return predict_batch([scenario], basis, params, config)[0]
 
 
-def _encode_array(arr) -> str:
-    """Base64 of the array's little-endian float64 bytes in C order."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _decode_array(table: dict, key: str, shape, name: str, version: int) -> np.ndarray:
-    """The float array stored under table[key], as a fresh writable float64
-    array of `shape`; `name` labels it in errors.
-
-    Version 1 stores a list of repr() strings; version 2 one base64 string
-    of little-endian float64 bytes.
-    """
-    if key not in table:
-        raise ValueError(f"checkpoint is missing {name}")
-    value = table[key]
-    size = int(np.prod(shape))
-    if version == 1:
-        arr = np.array([float(s) for s in value], dtype=np.float64)
-        if arr.size != size:
-            raise ValueError(f"{name} has wrong size: {arr.size} values, "
-                             f"expected {size} for shape {shape}")
-        return arr.reshape(shape)
-    if not isinstance(value, str):
-        raise ValueError(f"{name} is not a base64 string")
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"{name} is not valid base64: {exc}") from None
-    if len(raw) != 8 * size:
-        raise ValueError(f"{name} has wrong size: {len(raw)} bytes, "
-                         f"expected {8 * size} for shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 def _spectrum_doc(spec: Spectrum) -> dict:
     return {
-        "eigenvalues": _encode_array(spec.eigenvalues),
-        "eigenvectors": _encode_array(spec.eigenvectors),
+        "eigenvalues": encode_array(spec.eigenvalues),
+        "eigenvectors": encode_array(spec.eigenvectors),
     }
 
 
-def _spectrum_from_doc(doc: dict, n: int, factor: str, version: int) -> Spectrum:
+def _spectrum_from_doc(table: Table, n: int) -> Spectrum:
     """A stored basis factor, checked to be an ascending orthonormal n-node basis."""
-    name = f"basis {factor}"
-    w = _decode_array(doc, "eigenvalues", (n,), f"{name} eigenvalues", version)
-    v = _decode_array(doc, "eigenvectors", (n, n), f"{name} eigenvectors", version)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
-        raise ValueError(f"{name} is not finite")
+    spec = table.build(Spectrum, eigenvalues=table.array("eigenvalues", (n,)),
+                       eigenvectors=table.array("eigenvectors", (n, n)))
+    w, v = spec.eigenvalues, spec.eigenvectors
     # Inside a degenerate group the solver orders columns by eigenvector, so
     # equal eigenvalues may step down by float noise.
     if np.any(np.diff(w) < -spectral.DEGENERACY_TOL):
-        raise ValueError(f"{name} eigenvalues are not ascending")
+        raise table.error("eigenvalues are not ascending")
     drift = np.max(np.abs(v.T @ v - np.eye(n)))
     if drift > ORTHONORMAL_TOL:
-        raise ValueError(f"{name} eigenvectors are not orthonormal: "
-                         f"max |V^T V - I| = {drift:.3g}")
-    return Spectrum(w, v)
+        raise table.error(f"eigenvectors are not orthonormal: "
+                          f"max |V^T V - I| = {drift:.3g}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -493,8 +456,8 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
 
     Config, epoch count and optimizer step are plain JSON. Every float
     array (parameters, Adam's m and v, basis eigenvalues and eigenvectors)
-    is one base64 string of its little-endian float64 bytes in C order, so
-    values survive the round trip bit for bit. The stored basis is the
+    is one ``encode_array`` string, so values survive the round trip bit
+    for bit. The stored basis is the
     unweighted reference basis; distance-weighted spatial bases are always
     derived per scenario.
     """
@@ -507,13 +470,13 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
             "temporal": _spectrum_doc(basis.temporal),
             "spatial": _spectrum_doc(basis.spatial),
         },
-        "params": {name: _encode_array(arr) for name, arr in params.items()},
+        "params": {name: encode_array(arr) for name, arr in params.items()},
     }
     if optimizer is not None:
         doc["optimizer"] = {
             "step": int(optimizer["step"]),
-            "m": {name: _encode_array(arr) for name, arr in optimizer["m"].items()},
-            "v": {name: _encode_array(arr) for name, arr in optimizer["v"].items()},
+            "m": {name: encode_array(arr) for name, arr in optimizer["m"].items()},
+            "v": {name: encode_array(arr) for name, arr in optimizer["v"].items()},
         }
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))
@@ -522,65 +485,49 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint of format version 2, or of version 1 (repr() strings).
 
-    Raises ValueError naming the path and the key when a section, config
-    field or stored array is missing or a config field is unknown, and
-    naming the array when it is not decodable, has the wrong size, or is
-    not finite (parameters), or when a basis factor is not an ascending
-    orthonormal basis.
+    A corrupt file, an unknown config key, a non-finite parameter or a
+    basis factor that is not an ascending orthonormal basis raises a
+    ValueError naming the path and the key.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
-    try:
-        return _checkpoint_from_doc(doc, version)
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint is missing key {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _checkpoint_from_doc(doc: dict, version: int) -> Checkpoint:
-    cfg_doc = dict(doc["config"])
-    # Files written while the config had a block count store n_blocks; no
-    # entry point could write any value but 1.
-    n_blocks = cfg_doc.pop("n_blocks", 1)
-    if n_blocks != 1:
-        raise ValueError(f"n_blocks {n_blocks!r} is not supported: the model "
-                         f"has exactly one block per channel")
-    known = fields(ModelConfig)
-    unknown = sorted(set(cfg_doc) - {f.name for f in known})
-    if unknown:
-        raise ValueError(f"config has unknown keys: {', '.join(unknown)}")
-    for f in known:
-        if f.default is MISSING and f.name not in cfg_doc:
-            raise ValueError(f"config is missing key {f.name!r}")
-    cfg = ModelConfig(**cfg_doc)
+    doc = read_document(path, "checkpoint", "format_version",
+                        (1, CHECKPOINT_VERSION))
+    cfg = _config_from_doc(doc.table("config"))
     shapes = param_shapes(cfg)
-    named = {}
-    for name, shape in shapes.items():
-        arr = _decode_array(doc["params"], name, shape, f"parameter {name}", version)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"parameter {name} is not finite")
-        named[name] = arr
-    params = ModelParams.from_named(named, cfg.k)
+    params = ModelParams(shapes)
+    stored = doc.table("params")
+    for name, view in params.items():
+        view[...] = stored.array(name, view.shape)
+        if not np.all(np.isfinite(view)):
+            raise stored.error(f"{name} is not finite")
+    stored = doc.table("basis")
     basis = ProductBasis(
-        temporal=_spectrum_from_doc(doc["basis"]["temporal"], cfg.t_obs,
-                                    "temporal", version),
-        spatial=_spectrum_from_doc(doc["basis"]["spatial"], cfg.n_v,
-                                   "spatial", version),
+        temporal=_spectrum_from_doc(stored.table("temporal"), cfg.t_obs),
+        spatial=_spectrum_from_doc(stored.table("spatial"), cfg.n_v),
     )
     optimizer = None
-    if "optimizer" in doc:
-        opt = doc["optimizer"]
-        optimizer = {"step": int(opt["step"])}
+    if "optimizer" in doc.obj:
+        stored = doc.table("optimizer")
+        optimizer = {"step": stored.value("step", int)}
         for moment in ("m", "v"):
-            optimizer[moment] = {
-                name: _decode_array(opt[moment], name, shape,
-                                    f"optimizer {moment} {name}", version)
-                for name, shape in shapes.items()
-            }
+            moments = stored.table(moment)
+            optimizer[moment] = {name: moments.array(name, shape)
+                                 for name, shape in shapes.items()}
     return Checkpoint(config=cfg, basis=basis, params=params,
-                      epochs_trained=int(doc.get("epochs_trained", 0)),
+                      epochs_trained=doc.value("epochs_trained", int, 0),
                       optimizer=optimizer)
+
+
+def _config_from_doc(table: Table) -> ModelConfig:
+    # Files written while the config had a block count store n_blocks; no
+    # entry point could write any value but 1.
+    n_blocks = table.value("n_blocks", int, 1)
+    if n_blocks != 1:
+        raise table.error(f"n_blocks {n_blocks!r} is not supported: the model "
+                          f"has exactly one block per channel")
+    known = fields(ModelConfig)
+    unknown = sorted(set(table.obj) - {f.name for f in known} - {"n_blocks"})
+    if unknown:
+        raise table.error(f"has unknown keys: {', '.join(unknown)}")
+    types = typing.get_type_hints(ModelConfig)
+    return table.build(ModelConfig, **{
+        f.name: table.value(f.name, types[f.name], f.default) for f in known})

@@ -13,19 +13,20 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
+from .store import Table, encode_array, read_document
+
 log = logging.getLogger(__name__)
 
 MANEUVERS = ("keep_lane", "lane_change_left", "lane_change_right")
 CHANNELS = ("x_rel", "y_rel", "vx_rel", "vy_rel")
 LANE_WIDTH = 3.5
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 # column mapping: canonical name -> file column per input schema
 SCHEMAS = {
@@ -480,11 +481,13 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
 
 
 def save_archive(path, scenarios, fps):
-    """Write scenarios to a JSON archive (features flattened row-major).
+    """Write scenarios to a JSON archive (format version 2).
 
-    The file is json.dumps(doc, separators=(",", ":")) of the whole
-    document, written one scenario at a time through the C encoder, so
-    only one scenario's text is in memory at once.
+    Each scenario's features (flattened row-major) and future are one
+    ``encode_array`` string each. The file is json.dumps(doc,
+    separators=(",", ":")) of the whole document, written one scenario at
+    a time through the C encoder, so only one scenario's text is in memory
+    at once.
     """
     fps = float(fps)
     for s in scenarios:
@@ -509,40 +512,37 @@ def save_archive(path, scenarios, fps):
                 "t_obs": s.t_obs,
                 "t_pred": s.t_pred,
                 "n_vehicles": s.n_vehicles,
-                "features": s.features.ravel().tolist(),
-                "future": s.future.ravel().tolist(),
+                "features": encode_array(s.features),
+                "future": encode_array(s.future),
             }
             fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
         fh.write("]}")
 
 
 def load_archive(path):
-    """Read a scenario archive; returns (scenarios, fps).
+    """Read a scenario archive of format version 2, or of version 1 (arrays
+    as JSON lists of numbers); returns (scenarios, fps).
 
-    A corrupt document raises ValueError naming the path and, for a bad
-    scenario, its index and id with the missing key or the expected size.
+    A corrupt or empty document raises ValueError naming the path and,
+    for a bad scenario, its index and id, with the key at fault.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("version")
-    if version != ARCHIVE_VERSION:
-        raise ValueError(f"{path}: unsupported archive version {version!r}")
-    try:
-        fps = float(doc["fps"])
-        items = doc["scenarios"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: archive is missing key {exc}") from None
+    doc = read_document(path, "archive", "version", (1, ARCHIVE_VERSION))
+    fps = doc.value("fps", float)
     scenarios = []
-    for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ValueError(f"{path}: scenario {index} is not a JSON object")
-        where = f"{path}: scenario {index} ({item.get('id')!r})"
-        try:
-            scenario = _scenario_from_item(item, fps)
-        except KeyError as exc:
-            raise ValueError(f"{where} is missing key {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+    for index, obj in enumerate(doc.value("scenarios", list)):
+        where = f"{path}: scenario {index}"
+        if isinstance(obj, dict):
+            where += f" ({obj.get('id')!r})"
+        item = Table(obj, where, doc.version)
+        scenario = item.build(
+            Scenario,
+            scenario_id=item.value("id", str),
+            features=item.array("features", (len(CHANNELS), item.value("t_obs", int),
+                                             item.value("n_vehicles", int))),
+            future=item.array("future", (item.value("t_pred", int), 2)),
+            v0=item.value("v0", float), fps=fps,
+            maneuver=item.value("maneuver", str),
+        )
         # Models, training and eval stack scenarios, so they share one grid.
         if scenarios and _grid(scenario) != _grid(scenarios[0]):
             raise ValueError(
@@ -552,25 +552,9 @@ def load_archive(path):
                 f"the archive mixes scenario shapes"
             )
         scenarios.append(scenario)
+    if not scenarios:
+        raise ValueError(f"{path}: archive contains no scenarios")
     return scenarios, fps
-
-
-def _stored_array(item, key, shape):
-    arr = np.asarray(item[key], dtype=np.float64)
-    if arr.size != math.prod(shape):
-        raise ValueError(f"{key} has {arr.size} values, expected "
-                         f"{math.prod(shape)} for shape {shape}")
-    return arr.reshape(shape)
-
-
-def _scenario_from_item(item, fps) -> Scenario:
-    feats = _stored_array(item, "features",
-                          (len(CHANNELS), item["t_obs"], item["n_vehicles"]))
-    future = _stored_array(item, "future", (item["t_pred"], 2))
-    return Scenario(
-        scenario_id=item["id"], features=feats, future=future,
-        v0=float(item["v0"]), fps=fps, maneuver=item["maneuver"],
-    )
 
 
 def _grid(scenario):

@@ -9,7 +9,7 @@ from scipy.special import expit
 from gftnn.graph import Graph
 from gftnn.model import ModelConfig
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from gftnn.scenario import LANE_WIDTH, SCHEMAS, RawTrack
+from gftnn.scenario import CHANNELS, LANE_WIDTH, SCHEMAS, RawTrack
 
 
 def tiny_config(**overrides):
@@ -49,6 +49,34 @@ def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
         }
     with open(path, "w") as fh:
         json.dump(doc, fh)
+
+
+def write_v1_archive(path, scenarios, fps):
+    """Write scenarios as the format-version-1 archive writer did: features
+    and future as JSON lists of floats, the compact document streamed one
+    scenario at a time."""
+    head = json.dumps({
+        "version": 1,
+        "fps": float(fps),
+        "feature_order": "(channel, time, vehicle) row-major",
+        "channels": list(CHANNELS),
+        "scenarios": [],
+    }, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(head[:-2])
+        for i, s in enumerate(scenarios):
+            item = {
+                "id": s.scenario_id,
+                "maneuver": s.maneuver,
+                "v0": s.v0,
+                "t_obs": s.t_obs,
+                "t_pred": s.t_pred,
+                "n_vehicles": s.n_vehicles,
+                "features": s.features.ravel().tolist(),
+                "future": s.future.ravel().tolist(),
+            }
+            fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
+        fh.write("]}")
 
 
 def adam_step_per_array(params, grads, state, config):

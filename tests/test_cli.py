@@ -10,7 +10,8 @@ from gftnn.cli import main
 from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
 from gftnn.model import load_checkpoint, predict, predict_batch, truth_trajectory
 from gftnn.scenario import load_archive
-from helpers import three_class_tracks, write_tracks_csv, write_v1_checkpoint
+from helpers import (three_class_tracks, write_tracks_csv, write_v1_archive,
+                     write_v1_checkpoint)
 
 
 def run_ok(capsys, argv):
@@ -282,6 +283,51 @@ def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
     for name in ("eval_report.json", "histogram.csv", "trajectory_synth-00005.csv"):
         assert (tmp_path / "v1" / name).read_bytes() == \
             (tmp_path / "v2" / name).read_bytes(), name
+
+
+def test_train_eval_predict_identical_from_version_1_archive(tmp_path, capsys):
+    archive_v2 = synth_archive(tmp_path)
+    scenarios, fps = load_archive(archive_v2)
+    archive_v1 = tmp_path / "archive_v1.json"
+    write_v1_archive(archive_v1, scenarios, fps)
+    for tag, archive in (("v1", archive_v1), ("v2", archive_v2)):
+        out = str(tmp_path / tag)
+        run_ok(capsys, ["train", "--archive", str(archive), "--preset", "gftnn-w",
+                        "--hidden", "8", "--epochs", "2", "--batch-size", "4",
+                        "--out", out, "--seed", "0"])
+        ckpt = str(tmp_path / tag / "checkpoint.json")
+        run_ok(capsys, ["eval", "--archive", str(archive), "--checkpoint", ckpt,
+                        "--out", out])
+        run_ok(capsys, ["predict", "--archive", str(archive), "--checkpoint", ckpt,
+                        "--scenario-id", "synth-00005", "--out", out])
+    for name in ("training_log.csv", "checkpoint.json", "eval_report.json",
+                 "histogram.csv", "trajectory_synth-00005.csv"):
+        assert (tmp_path / "v1" / name).read_bytes() == \
+            (tmp_path / "v2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("document, edit", [
+    ("archive", lambda text: text[:len(text) // 2]),
+    ("checkpoint", lambda text: text.replace('"t_obs": 30', '"t_obs": "30"')),
+])
+def test_eval_reports_corrupt_document_on_one_line(tmp_path, capsys, document, edit):
+    archive, ckpt = trained_checkpoint(tmp_path, capsys)
+    path = {"archive": archive, "checkpoint": ckpt}[document]
+    path.write_text(edit(path.read_text()))
+    err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
+                            "--out", str(tmp_path / "eval")])
+    assert err.startswith(f"error: {path}: {document} ")
+    assert err.count("\n") == 1
+
+
+def test_internal_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # Only bad input and failed runs become one "error:" line.
+    def broken(path):
+        raise KeyError("internal")
+    monkeypatch.setattr("gftnn.cli.load_archive", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["eval", "--archive", str(tmp_path / "a.json"),
+              "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path)])
 
 
 def test_eval_rejects_rate_mismatch(tmp_path, capsys):

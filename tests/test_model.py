@@ -661,32 +661,60 @@ def test_checkpoint_ignores_stored_graph_hash(tmp_path):
     assert_same_bits(checkpoint_arrays(load_checkpoint(path)), checkpoint_arrays(plain))
 
 
+def _edit(change):
+    """A text edit that applies change to the parsed document."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
+
+
 def _drop(*keys):
-    def edit(doc):
+    def change(doc):
         for key in keys[:-1]:
             doc = doc[key]
         del doc[keys[-1]]
-    return edit
+    return _edit(change)
+
+
+def _set(*keys, value):
+    def change(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return _edit(change)
 
 
 @pytest.mark.parametrize("edit, message", [
     (_drop("params"), "checkpoint is missing key 'params'"),
     (_drop("basis"), "checkpoint is missing key 'basis'"),
-    (_drop("basis", "spatial"), "checkpoint is missing key 'spatial'"),
+    (_drop("basis", "spatial"), "checkpoint basis is missing key 'spatial'"),
     (_drop("config"), "checkpoint is missing key 'config'"),
-    (_drop("optimizer", "step"), "checkpoint is missing key 'step'"),
-    (_drop("config", "p"), "config is missing key 'p'"),
-    (lambda doc: doc["config"].update(depth=3, colour=1),
-     "config has unknown keys: colour, depth"),
+    (_drop("optimizer", "step"), "checkpoint optimizer is missing key 'step'"),
+    (_drop("config", "p"), "checkpoint config is missing key 'p'"),
+    (_edit(lambda doc: doc["config"].update(depth=3, colour=1)),
+     "checkpoint config has unknown keys: colour, depth"),
+    (lambda text: text[:text.index('"w_n_0"') + 30],
+     "checkpoint is not valid JSON at params.w_n_0: Unterminated string "
+     "starting at: line 1 column 1303 (char 1302)"),
+    (lambda text: f"[{text}]", "checkpoint is not a JSON object"),
+    (_set("config", "t_obs", value="30"),
+     "checkpoint config t_obs is a string, expected an integer"),
+    (_set("config", "hidden", value=True),
+     "checkpoint config hidden is a boolean, expected an integer"),
+    (_set("config", "fps", value="2"), "checkpoint config fps is a string, expected a number"),
+    (_set("optimizer", "step", value=17.0),
+     "checkpoint optimizer step is a number, expected an integer"),
+    (_set("params", value=[]), "checkpoint params is a list, expected an object"),
+    (_set("config", "p", value=7), "checkpoint config: p must be in [1, 6], got 7"),
 ])
 def test_checkpoint_corrupt_document_names_path_and_key(tmp_path, edit, message):
     cfg = tiny_config()
     params, opt = awkward_state(cfg, 9)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: {message}"
@@ -735,13 +763,13 @@ def test_checkpoint_rejects_missing_or_short_params(tmp_path):
     doc = json.loads(path.read_text())
     del doc["params"]["w_h"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="missing parameter w_h"):
+    with pytest.raises(ValueError, match="checkpoint params is missing key 'w_h'"):
         load_checkpoint(path)
     doc = json.loads(path.read_text())
     raw = base64.b64decode(doc["params"]["b_h"])
     doc["params"]["w_h"] = base64.b64encode(raw[:16]).decode("ascii")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="parameter w_h has wrong size"):
+    with pytest.raises(ValueError, match="checkpoint params w_h has wrong size"):
         load_checkpoint(path)
 
 
@@ -768,26 +796,26 @@ def _non_finite(text):
 
 @pytest.mark.parametrize("edit, message", [
     (_corrupt(["params"], "w_s", lambda t: t[:-4] + "!!!!"),
-     "parameter w_s is not valid base64"),
+     "params w_s is not valid base64"),
     (_corrupt(["params"], "w_s", lambda t: "A" + t),
-     "parameter w_s is not valid base64"),
+     "params w_s is not valid base64"),
     (_corrupt(["params"], "b_n_1", lambda t: [0.0] * 4),
-     "parameter b_n_1 is not a base64 string"),
+     "params b_n_1 is a list, expected a string"),
     (_corrupt(["params"], "b_l_0", _truncate(3)),
-     r"parameter b_l_0 has wrong size: 21 bytes, expected 24 for shape \(3,\)"),
-    (_corrupt(["params"], "w_h", _non_finite), "parameter w_h is not finite"),
+     r"params b_l_0 has wrong size: 21 bytes, expected 24 for shape \(3,\)"),
+    (_corrupt(["params"], "w_h", _non_finite), "params w_h is not finite"),
     (_corrupt(["basis", "temporal"], "eigenvectors", _truncate(8)),
      r"basis temporal eigenvectors has wrong size: 280 bytes, expected 288"),
     (_corrupt(["basis", "spatial"], "eigenvalues", _non_finite),
-     "basis spatial is not finite"),
+     "basis spatial: eigenvalues must be finite"),
     (_corrupt(["optimizer", "m"], "w_n_0", _truncate(1)),
      "optimizer m w_n_0 has wrong size"),
     (_corrupt(["optimizer", "v"], "b_h", lambda t: t.replace(t[0], "*")),
      "optimizer v b_h is not valid base64"),
     (lambda doc: doc["optimizer"]["m"].pop("w_l_1"),
-     "checkpoint is missing optimizer m w_l_1"),
+     "checkpoint optimizer m is missing key 'w_l_1'"),
     (lambda doc: doc["basis"]["spatial"].pop("eigenvectors"),
-     "checkpoint is missing basis spatial eigenvectors"),
+     "checkpoint basis spatial is missing key 'eigenvectors'"),
 ])
 def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
     cfg = tiny_config()

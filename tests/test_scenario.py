@@ -1,3 +1,4 @@
+import base64
 import json
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
                             Scenario, SchemaError, SplitError, balance,
                             extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
-from helpers import three_class_tracks, write_tracks_csv
+from helpers import three_class_tracks, write_tracks_csv, write_v1_archive
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -378,20 +379,48 @@ def test_archive_bytes_are_compact_json_of_the_document(tmp_path, n):
     scen = synthesize(3, 10, seed=18, noise_std=0.05)[:n]
     path = tmp_path / "arch.json"
     save_archive(path, scen, 10)
+    def stored(arr):
+        return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+
     doc = {
-        "version": 1,
+        "version": 2,
         "fps": 10.0,
         "feature_order": "(channel, time, vehicle) row-major",
         "channels": ["x_rel", "y_rel", "vx_rel", "vy_rel"],
         "scenarios": [
             {"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0,
              "t_obs": s.t_obs, "t_pred": s.t_pred, "n_vehicles": s.n_vehicles,
-             "features": s.features.ravel().tolist(),
-             "future": s.future.ravel().tolist()}
+             "features": stored(s.features), "future": stored(s.future)}
             for s in scen
         ],
     }
     assert path.read_text() == json.dumps(doc, separators=(",", ":"))
+
+
+def test_archive_reads_version_1(tmp_path):
+    # JSON float lists keep every finite value, signed zeros and the
+    # smallest subnormal included, so both formats load the same bits.
+    scen = []
+    for s in synthesize(4, 10, seed=22, noise_std=0.05):
+        features, future = s.features.copy(), s.future.copy()
+        features[0, 0, 0] = -0.0
+        features[2, 1, 3] = 5e-324
+        features[3, 2, 4] = -0.0
+        future[0] = [5e-324, -0.0]
+        scen.append(replace(s, features=features, future=future))
+    write_v1_archive(tmp_path / "v1.json", scen, 10)
+    save_archive(tmp_path / "v2.json", scen, 10)
+    v1, fps_v1 = load_archive(tmp_path / "v1.json")
+    v2, fps_v2 = load_archive(tmp_path / "v2.json")
+    assert fps_v1 == fps_v2 == 10.0
+    for a, b, c in zip(scen, v1, v2, strict=True):
+        assert (a.scenario_id, a.maneuver, a.v0) == (b.scenario_id, b.maneuver, b.v0) \
+            == (c.scenario_id, c.maneuver, c.v0)
+        for name in ("features", "future"):
+            bits = getattr(a, name).view(np.uint64)
+            assert np.array_equal(getattr(b, name).view(np.uint64), bits), name
+            assert np.array_equal(getattr(c, name).view(np.uint64), bits), name
+    assert (tmp_path / "v2.json").stat().st_size < (tmp_path / "v1.json").stat().st_size
 
 
 def test_archive_rejects_unknown_version(tmp_path):
@@ -410,37 +439,83 @@ def test_archive_rejects_mixed_shapes(tmp_path):
         load_archive(path)
 
 
-def _set(key, value):
-    def edit(doc):
-        doc["scenarios"][1][key] = value
+def _edit(change):
+    """A text edit that applies change to the parsed document."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
     return edit
 
 
+def _set(key, value):
+    def change(doc):
+        doc["scenarios"][1][key] = value
+    return _edit(change)
+
+
+def _resized(key, resize):
+    def change(doc):
+        item = doc["scenarios"][1]
+        raw = resize(base64.b64decode(item[key]))
+        item[key] = base64.b64encode(raw).decode("ascii")
+    return _edit(change)
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["scenarios"][1].pop("features"),
+    (_edit(lambda doc: doc["scenarios"][1].pop("features")),
      "scenario 1 ('synth-00001') is missing key 'features'"),
-    (lambda doc: doc["scenarios"][1].pop("t_pred"),
+    (_edit(lambda doc: doc["scenarios"][1].pop("t_pred")),
      "scenario 1 ('synth-00001') is missing key 't_pred'"),
-    (lambda doc: doc["scenarios"][1]["features"].pop(),
-     "scenario 1 ('synth-00001'): features has 1079 values, expected 1080 "
-     "for shape (4, 30, 9)"),
-    (_set("future", [0.0] * 101),
-     "scenario 1 ('synth-00001'): future has 101 values, expected 100 "
-     "for shape (50, 2)"),
+    (_resized("features", lambda raw: raw[:-8]),
+     "scenario 1 ('synth-00001') features has wrong size: 8632 bytes, "
+     "expected 8640 for shape (4, 30, 9)"),
+    (_resized("future", lambda raw: raw + raw[:8]),
+     "scenario 1 ('synth-00001') future has wrong size: 808 bytes, "
+     "expected 800 for shape (50, 2)"),
     (_set("maneuver", "jump"), "scenario 1 ('synth-00001'): unknown maneuver 'jump'"),
-    (lambda doc: doc["scenarios"].insert(1, [0.0]), "scenario 1 is not a JSON object"),
-    (lambda doc: doc.pop("fps"), "archive is missing key 'fps'"),
-    (lambda doc: doc.pop("scenarios"), "archive is missing key 'scenarios'"),
+    (_edit(lambda doc: doc["scenarios"].insert(1, [0.0])),
+     "scenario 1 is not a JSON object"),
+    (_edit(lambda doc: doc.pop("fps")), "archive is missing key 'fps'"),
+    (_edit(lambda doc: doc.pop("scenarios")), "archive is missing key 'scenarios'"),
+    (lambda text: text[:text.index("synth-00001") + 200],
+     "archive is not valid JSON at scenarios[1].features: Unterminated string "
+     "starting at: line 1 column 12980 (char 12979)"),
+    (lambda text: "", "archive is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (_edit(lambda doc: doc.update(scenarios=[])), "archive contains no scenarios"),
+    (_edit(lambda doc: doc.update(scenarios=5)),
+     "archive scenarios is an integer, expected a list"),
+    (_set("t_obs", "30"), "scenario 1 ('synth-00001') t_obs is a string, expected an integer"),
+    (_set("features", None), "scenario 1 ('synth-00001') features is null, expected a string"),
+    (lambda text: f"[{text}]", "archive is not a JSON object"),
+    (_edit(lambda doc: doc["scenarios"][1].update(t_obs=0, features="")),
+     "scenario 1 ('synth-00001') features has shape (4, 0, 9), with a dimension below 1"),
+    (_set("n_vehicles", True),
+     "scenario 1 ('synth-00001') n_vehicles is a boolean, expected an integer"),
 ])
 def test_archive_corrupt_document_names_path_and_scenario(tmp_path, edit, message):
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(3, 10, seed=21), 10)
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit(lambda doc: doc["scenarios"][1]["features"].pop()),
+     "features has wrong size: 8632 bytes, expected 8640 for shape (4, 30, 9)"),
+    (_edit(lambda doc: doc["scenarios"][1]["future"].insert(3, "x")),
+     "future holds a value that is not a number"),
+    (_set("future", "AAAA"), "future is a string, expected a list"),
+])
+def test_archive_version_1_corrupt_arrays(tmp_path, edit, message):
+    path = tmp_path / "arch.json"
+    write_v1_archive(path, synthesize(3, 10, seed=21), 10)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError) as info:
+        load_archive(path)
+    assert str(info.value) == f"{path}: scenario 1 ('synth-00001') {message}"
 
 
 def test_archive_rejects_fps_mismatch(tmp_path):
