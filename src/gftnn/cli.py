@@ -53,25 +53,26 @@ PREDICT_DEFAULTS = {
 
 
 def _resolve(args, defaults):
-    """Merge CLI flags, config file values and built-in defaults."""
+    """Merge CLI flags, config file values and built-in defaults. A config
+    file value must have the JSON type of its option: a number for a float,
+    an integer for an int, a boolean for a switch and a string otherwise."""
     file_cfg = {}
     if getattr(args, "config", None):
-        file_cfg = read_document(args.config, "config file").obj
-        unknown = set(file_cfg) - set(defaults) - {"seed", "out"}
+        doc = read_document(args.config, "config file")
+        unknown = set(doc.obj) - set(defaults) - {"seed", "out"}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        file_cfg = {key: doc.value(key, args.value_types[key]) for key in doc.obj}
     opts = {}
     for key, built_in in defaults.items():
         flag = getattr(args, key, None)
         if isinstance(built_in, bool):
-            opts[key] = bool(flag) or bool(file_cfg.get(key, built_in))
+            opts[key] = flag or file_cfg.get(key, built_in)
         elif flag is not None:
             opts[key] = flag
-        elif key in file_cfg:
-            opts[key] = file_cfg[key]
         else:
-            opts[key] = built_in
-    opts["seed"] = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+            opts[key] = file_cfg.get(key, built_in)
+    opts["seed"] = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     opts["out"] = args.out if args.out is not None else file_cfg.get("out", ".")
     return opts
 
@@ -350,6 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--scenario-id")
     p.set_defaults(func=cmd_predict)
+
+    # The type _resolve reads each option's config file value as.
+    for command in sub.choices.values():
+        command.set_defaults(value_types={
+            action.dest: bool if action.nargs == 0 else action.type or str
+            for action in command._actions})
     return parser
 
 

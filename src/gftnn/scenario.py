@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit
@@ -155,43 +157,53 @@ class DatasetSplit:
 
 
 def ingest_tracks(path, schema: str = "normalized") -> list[RawTrack]:
-    """Read per-frame vehicle samples from CSV and group them into tracks."""
+    """Read per-frame vehicle samples from CSV and group them into tracks.
+
+    Blank lines are skipped. A row that is too short for a needed column,
+    or that does not parse, raises ParseError naming its line.
+    """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
     mapping = SCHEMAS[schema]
     columns = defaultdict(list)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file")
-        for canonical, col in mapping.items():
-            if col not in reader.fieldnames:
+        # A repeated name means its last column, as csv.DictReader read it.
+        index = {name: i for i, name in enumerate(header)}
+        for col in mapping.values():
+            if col not in index:
                 raise SchemaError(f"{path}: missing column '{col}'")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                vid = int(row[mapping["vehicle_id"]])
-                sample = (
-                    int(row[mapping["frame"]]),
-                    float(row[mapping["x"]]),
-                    float(row[mapping["y"]]),
-                    float(row[mapping["vx"]]),
-                    float(row[mapping["vy"]]),
-                    int(row[mapping["lane_id"]]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: row {row_no}: {exc}") from None
-            columns[vid].append(sample)
+        vid, frame, x, y, vx, vy, lane = (index[mapping[name]] for name in (
+            "vehicle_id", "frame", "x", "y", "vx", "vy", "lane_id"))
+        try:
+            for row in reader:
+                if row:
+                    columns[int(row[vid])].append((
+                        int(row[frame]), float(row[x]), float(row[y]),
+                        float(row[vx]), float(row[vy]), int(row[lane]),
+                    ))
+        except IndexError:
+            raise ParseError(f"{path}: row {reader.line_num} has {len(row)} "
+                             f"columns, the header has {len(header)}") from None
+        except (ValueError, csv.Error) as exc:
+            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
     tracks = []
-    for vid in sorted(columns):
-        rows = sorted(columns[vid])
+    for vehicle in sorted(columns):
+        rows = sorted(columns[vehicle])
         frames = [r[0] for r in rows]
         if len(set(frames)) != len(frames):
-            raise ParseError(f"{path}: vehicle {vid} has duplicate frames")
+            raise ParseError(f"{path}: vehicle {vehicle} has duplicate frames")
         arr = np.asarray(rows, dtype=np.float64)
-        tracks.append(RawTrack(
-            vehicle_id=vid, frame=arr[:, 0], x=arr[:, 1], y=arr[:, 2],
-            vx=arr[:, 3], vy=arr[:, 4], lane_id=arr[:, 5],
-        ))
+        try:
+            tracks.append(RawTrack(
+                vehicle_id=vehicle, frame=arr[:, 0], x=arr[:, 1], y=arr[:, 2],
+                vx=arr[:, 3], vy=arr[:, 4], lane_id=arr[:, 5],
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     return tracks
 
 
@@ -223,15 +235,6 @@ def label_maneuver(lane_ids, lateral, t0_index: int) -> str:
     return "keep_lane"
 
 
-def _window_rows(track: RawTrack, first_frame: int, n_frames: int):
-    """Row indices covering [first_frame, first_frame + n_frames), or None."""
-    needed = np.arange(first_frame, first_frame + n_frames)
-    pos = np.searchsorted(track.frame, needed)
-    if np.any(pos >= track.frame.size) or np.any(track.frame[pos] != needed):
-        return None
-    return pos
-
-
 def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
                       n_vehicles: int = 9, stride: int | None = None,
                       target_ids=None) -> list[Scenario]:
@@ -241,8 +244,13 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     so consecutive futures of one target do not overlap). A window needs
     the target fully covered over observation and prediction; neighbours
     only need the observation part and are ranked by distance to the
-    target at the last observed step. Free slots are filled with ghost
-    copies of the target.
+    target at the last observed step, then by vehicle id, then by their
+    order in ``tracks``. Free slots are filled with ghost copies of the
+    target.
+
+    The work is linear in tracks times windows: every track's rows go into
+    one table, and a window looks up its neighbours among the contiguous
+    frame runs that start at most one longest run before it.
     """
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
@@ -256,65 +264,88 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
         stride = t_pred_steps
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
+    tracks = list(tracks)
+    if not tracks:
+        return []
     window = t_obs_steps + t_pred_steps
+    # All rows, track after track: data holds x, y, vx, vy, and track i
+    # owns rows track_row[i] up to track_row[i + 1].
+    frame = np.concatenate([tr.frame for tr in tracks])
+    data = np.concatenate([getattr(tr, name) for name in ("x", "y", "vx", "vy")
+                           for tr in tracks]).reshape(4, frame.size)
+    track_row = list(accumulate((len(tr) for tr in tracks), initial=0))
+    # Runs of consecutive frames, in row order: run r covers frames
+    # run_start[r]..run_end[r], frame f of it is row run_off[r] + f, and
+    # track i owns runs track_run[i] up to track_run[i + 1]. opens marks
+    # the first row of every run and, past the last row, the end.
+    opens = np.empty(frame.size + 1, dtype=bool)
+    np.not_equal(frame[1:] - frame[:-1], 1, out=opens[1:-1])
+    opens[track_row] = True
+    run_row = opens.nonzero()[0]
+    run_start = frame[run_row[:-1]]
+    run_end = frame[run_row[1:] - 1]
+    run_off = run_row[:-1] - run_start
+    track_run = run_row.searchsorted(track_row)
+    run_track = np.arange(len(tracks)).repeat(track_run[1:] - track_run[:-1])
+    longest = int((run_end - run_start).max()) + 1
+    # Targets go in vehicle-id order, ties in input order. A track's id rank
+    # is the place of the first track with its id in that order.
+    order = sorted(range(len(tracks)), key=lambda i: tracks[i].vehicle_id)
+    ids = [tracks[i].vehicle_id for i in order]
+    id_rank = np.array([bisect_left(ids, tr.vehicle_id) for tr in tracks])
+    # Neighbour candidates: the runs sorted by start frame.
+    by_start = run_start.argsort(kind="stable")
+    cand_start = run_start[by_start]
+    cand_end = run_end[by_start]
+    cand_off = run_off[by_start]
+    cand_track = run_track[by_start]
+    cand_id_rank = id_rank[cand_track]
+    back = np.arange(1 - t_obs_steps, 1)[:, None]
     scenarios = []
     skipped = 0
-    for target in sorted(tracks, key=lambda tr: tr.vehicle_id):
+    for i in order:
+        target = tracks[i]
         if target_ids is not None and target.vehicle_id not in target_ids:
             continue
-        start = int(target.frame[0])
-        last = int(target.frame[-1])
-        while start + window - 1 <= last:
-            rows = _window_rows(target, start, window)
-            if rows is None:
-                skipped += 1
-                start += stride
-                continue
-            obs = rows[:t_obs_steps]
-            pred = rows[t_obs_steps:]
-            i0 = obs[-1]
-            origin_x = target.x[obs[0]]
-            origin_y = target.y[obs[0]]
-            feats = np.empty((len(CHANNELS), t_obs_steps, n_vehicles))
-            feats[0, :, 0] = target.x[obs] - origin_x
-            feats[1, :, 0] = target.y[obs] - origin_y
-            feats[2, :, 0] = target.vx[obs]
-            feats[3, :, 0] = target.vy[obs]
-            neighbours = []
-            for other in tracks:
-                if other.vehicle_id == target.vehicle_id:
-                    continue
-                orows = _window_rows(other, start, t_obs_steps)
-                if orows is None:
-                    continue
-                o0 = orows[-1]
-                d = float(np.hypot(other.x[o0] - target.x[i0],
-                                   other.y[o0] - target.y[i0]))
-                neighbours.append((d, other.vehicle_id, other, orows))
-            neighbours.sort(key=lambda item: (item[0], item[1]))
-            for slot, (_, _, other, orows) in enumerate(
-                    neighbours[:n_vehicles - 1], start=1):
-                feats[0, :, slot] = other.x[orows] - origin_x
-                feats[1, :, slot] = other.y[orows] - origin_y
-                feats[2, :, slot] = other.vx[orows]
-                feats[3, :, slot] = other.vy[orows]
-            for slot in range(1 + len(neighbours[:n_vehicles - 1]), n_vehicles):
-                feats[:, :, slot] = feats[:, :, 0]
-            future = np.stack([
-                target.x[pred] - target.x[i0],
-                target.y[pred] - target.y[i0],
-            ], axis=1)
-            maneuver = label_maneuver(target.lane_id[rows], target.y[rows],
-                                      t_obs_steps - 1)
+        # Windows whose frames one run of the target covers, and their
+        # first rows.
+        starts = np.arange(target.frame[0], target.frame[-1] - window + 2, stride)
+        runs = slice(track_run[i], track_run[i + 1])
+        run = run_start[runs].searchsorted(starts, side="right") + (runs.start - 1)
+        covered = run_end[run] >= starts + (window - 1)
+        skipped += starts.size - int(np.count_nonzero(covered))
+        starts = starts[covered]
+        firsts = run_off[run[covered]] + starts
+        # A run that covers a window's observation starts at most one
+        # longest run before its last observed frame, and not after its first.
+        lows = cand_start.searchsorted(starts + (t_obs_steps - longest))
+        highs = cand_start.searchsorted(starts, side="right")
+        for start, first, lo, hi in zip(starts.tolist(), firsts.tolist(),
+                                        lows.tolist(), highs.tolist()):
+            last = start + t_obs_steps - 1
+            i0 = first + t_obs_steps - 1
+            cand = lo + ((cand_end[lo:hi] >= last)
+                         & (cand_id_rank[lo:hi] != id_rank[i])).nonzero()[0]
+            at = cand_off[cand] + last
+            dist = np.hypot(*(data[:2].take(at, axis=1) - data[:2, i0, None]))
+            nearest = np.lexsort((cand_track[cand], cand_id_rank[cand],
+                                  dist))[:n_vehicles - 1]
+            # The row of every slot at the last observed frame: the target,
+            # its nearest neighbours, then ghost copies of the target.
+            slot_at = np.full(n_vehicles, i0)
+            slot_at[1:1 + nearest.size] = at[nearest]
+            feats = data.take(back + slot_at, axis=1)
+            feats[:2] -= data[:2, first, None, None]
+            j = first - track_row[i]
             scenarios.append(Scenario(
                 scenario_id=f"v{target.vehicle_id}-f{start}",
                 features=feats,
-                future=future,
-                v0=float(target.vx[i0]),
+                future=(data[:2, i0 + 1:first + window] - data[:2, i0, None]).T,
+                v0=float(data[2, i0]),
                 fps=float(fps),
-                maneuver=maneuver,
+                maneuver=label_maneuver(target.lane_id[j:j + window],
+                                        target.y[j:j + window], t_obs_steps - 1),
             ))
-            start += stride
     if skipped:
         log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
     return scenarios

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 import csv
 import json
+import logging
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.special import expit
 from gftnn.graph import Graph
 from gftnn.model import ModelConfig
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from gftnn.scenario import CHANNELS, LANE_WIDTH, SCHEMAS, RawTrack
+from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, RawTrack, Scenario,
+                            label_maneuver)
 
 
 def tiny_config(**overrides):
@@ -164,3 +166,157 @@ def write_tracks_csv(path, tracks, schema="normalized"):
         writer = csv.writer(fh)
         writer.writerow([cols[name] for name in order])
         writer.writerows(rows)
+
+
+def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
+    """Seeded four-lane recording for extraction checks, in shuffled order.
+
+    Vehicles enter at staggered frames and stay for half a window to two
+    and a half windows (3 s observed plus 5 s predicted), so some give no
+    window and some several. Every third one changes lane at a random
+    frame, every third one loses a few frames (a coverage gap). Positions
+    lie on a 1/16 m grid, so differences of positions are exact. Three
+    twins of vehicle 1 share its frames and lane at one gap from it: two
+    ahead, in the same place, and one behind, so that their distances
+    tie exactly. With ``duplicate_id`` a fourth twin sits in the place of
+    the one behind and carries its vehicle id. The last vehicle, the
+    longest track, drives in the next lane close to vehicle 1 and leaves
+    at the last observed frame of vehicle 1's second window.
+    """
+    rng = np.random.default_rng(seed)
+    window = round(3.0 * fps) + round(5.0 * fps)
+    tracks = []
+    for vid in range(1, n_tracks + 1):
+        n = 2 * window if vid == 1 else int(rng.integers(window // 2, 5 * window // 2))
+        v = rng.uniform(20.0, 35.0)
+        x = np.round((rng.uniform(0.0, 150.0) + v * np.arange(n) / fps) * 16.0) / 16.0
+        lane = np.full(n, int(rng.integers(1, 5)))
+        keep = np.ones(n, dtype=bool)
+        if vid % 3 == 1:
+            lane[int(rng.integers(n)):] += 1 if lane[0] < 4 else -1
+        elif vid % 3 == 2:
+            gap = int(rng.integers(1, n - 5))
+            keep[gap:gap + int(rng.integers(1, 5))] = False
+        frame = int(rng.integers(0, window)) + np.arange(n)
+        tracks.append(RawTrack(vid, frame[keep], x[keep], (lane[keep] + 0.5) * LANE_WIDTH,
+                               np.full(n, v)[keep], np.zeros(n)[keep], lane[keep]))
+    lead = tracks[0]
+    gap = 12.5
+    twins = [(n_tracks + 1, gap), (n_tracks + 2, gap), (n_tracks + 3, -gap)]
+    if duplicate_id:
+        twins.append((n_tracks + 3, -gap))
+    for k, (vid, dx) in enumerate(twins, start=1):
+        tracks.append(RawTrack(vid, lead.frame, lead.x + dx, lead.y,
+                               lead.vx + k, lead.vy, lead.lane_id))
+    leave = int(lead.frame[0]) + window - 1
+    frame = np.arange(leave - 3 * window, leave) + 1
+    v = lead.vx[0]
+    x = np.round((lead.x[0] + 3.0 + v * (frame - lead.frame[0]) / fps) * 16.0) / 16.0
+    lane = int(lead.lane_id[0]) + (1 if lead.lane_id[0] < 4 else -1)
+    n = frame.size
+    tracks.append(RawTrack(n_tracks + 5, frame, x, np.full(n, (lane + 0.5) * LANE_WIDTH),
+                           np.full(n, v), np.zeros(n), np.full(n, lane)))
+    return [tracks[i] for i in rng.permutation(len(tracks))]
+
+
+def _window_rows_reference(track: RawTrack, first_frame: int, n_frames: int):
+    """Row indices covering [first_frame, first_frame + n_frames), or None."""
+    needed = np.arange(first_frame, first_frame + n_frames)
+    pos = np.searchsorted(track.frame, needed)
+    if np.any(pos >= track.frame.size) or np.any(track.frame[pos] != needed):
+        return None
+    return pos
+
+
+def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
+                                t_pred: float = 5.0, n_vehicles: int = 9,
+                                stride: int | None = None,
+                                target_ids=None) -> list[Scenario]:
+    """The quadratic extractor ``extract_scenarios`` replaced, kept verbatim
+    as the oracle its output must match bit for bit: every window scans
+    every other track for coverage.
+
+    Slide fixed windows over every track and cut model-ready scenarios.
+
+    Windows advance by ``stride`` frames (default: the prediction length,
+    so consecutive futures of one target do not overlap). A window needs
+    the target fully covered over observation and prediction; neighbours
+    only need the observation part and are ranked by distance to the
+    target at the last observed step. Free slots are filled with ghost
+    copies of the target.
+    """
+    if fps <= 0:
+        raise ValueError(f"fps must be positive, got {fps}")
+    t_obs_steps = round(fps * t_obs)
+    t_pred_steps = round(fps * t_pred)
+    if t_obs_steps < 2 or t_pred_steps < 1:
+        raise ValueError(f"window too short at fps={fps}")
+    if n_vehicles < 2:
+        raise ValueError(f"need at least 2 vehicle slots, got {n_vehicles}")
+    if stride is None:
+        stride = t_pred_steps
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    window = t_obs_steps + t_pred_steps
+    scenarios = []
+    skipped = 0
+    for target in sorted(tracks, key=lambda tr: tr.vehicle_id):
+        if target_ids is not None and target.vehicle_id not in target_ids:
+            continue
+        start = int(target.frame[0])
+        last = int(target.frame[-1])
+        while start + window - 1 <= last:
+            rows = _window_rows_reference(target, start, window)
+            if rows is None:
+                skipped += 1
+                start += stride
+                continue
+            obs = rows[:t_obs_steps]
+            pred = rows[t_obs_steps:]
+            i0 = obs[-1]
+            origin_x = target.x[obs[0]]
+            origin_y = target.y[obs[0]]
+            feats = np.empty((len(CHANNELS), t_obs_steps, n_vehicles))
+            feats[0, :, 0] = target.x[obs] - origin_x
+            feats[1, :, 0] = target.y[obs] - origin_y
+            feats[2, :, 0] = target.vx[obs]
+            feats[3, :, 0] = target.vy[obs]
+            neighbours = []
+            for other in tracks:
+                if other.vehicle_id == target.vehicle_id:
+                    continue
+                orows = _window_rows_reference(other, start, t_obs_steps)
+                if orows is None:
+                    continue
+                o0 = orows[-1]
+                d = float(np.hypot(other.x[o0] - target.x[i0],
+                                   other.y[o0] - target.y[i0]))
+                neighbours.append((d, other.vehicle_id, other, orows))
+            neighbours.sort(key=lambda item: (item[0], item[1]))
+            for slot, (_, _, other, orows) in enumerate(
+                    neighbours[:n_vehicles - 1], start=1):
+                feats[0, :, slot] = other.x[orows] - origin_x
+                feats[1, :, slot] = other.y[orows] - origin_y
+                feats[2, :, slot] = other.vx[orows]
+                feats[3, :, slot] = other.vy[orows]
+            for slot in range(1 + len(neighbours[:n_vehicles - 1]), n_vehicles):
+                feats[:, :, slot] = feats[:, :, 0]
+            future = np.stack([
+                target.x[pred] - target.x[i0],
+                target.y[pred] - target.y[i0],
+            ], axis=1)
+            maneuver = label_maneuver(target.lane_id[rows], target.y[rows],
+                                      t_obs_steps - 1)
+            scenarios.append(Scenario(
+                scenario_id=f"v{target.vehicle_id}-f{start}",
+                features=feats,
+                future=future,
+                v0=float(target.vx[i0]),
+                fps=float(fps),
+                maneuver=maneuver,
+            ))
+            start += stride
+    if skipped:
+        logging.getLogger("gftnn.scenario").info(
+            "extract_scenarios: skipped %d windows with coverage gaps", skipped)
+    return scenarios

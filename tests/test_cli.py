@@ -81,6 +81,14 @@ def test_prep_reports_schema_problem(tmp_path, capsys):
     assert "lane_id" in err
 
 
+def test_prep_reports_short_row_on_one_line(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("frame,vehicle_id,x,y,vx,vy,lane_id\n0,1,0.0,0.0,1.0,0.0,2\n\n1,1\n")
+    err = run_fail(capsys, ["prep", "--input", str(path), "--fps", "5",
+                            "--out", str(tmp_path)])
+    assert err == f"error: {path}: row 4 has 2 columns, the header has 7\n"
+
+
 # ------------------------------------------------------------------- spectrum
 
 def test_spectrum_writes_tables(tmp_path, capsys):
@@ -396,6 +404,31 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     err = run_fail(capsys, ["synth", "--config", str(cfg),
                             "--out", str(tmp_path)])
     assert "unknown config keys: frobnicate" in err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("synth", {"n": "6", "fps": 10}, "n is a string, expected an integer"),
+    ("synth", {"n": 6, "fps": 10, "seed": 1.5}, "seed is a number, expected an integer"),
+    ("prep", {"input": "tracks.csv", "fps": "25"}, "fps is a string, expected a number"),
+    ("eval", {"archive": "a.json", "checkpoint": "c.json", "self_test": 1},
+     "self_test is an integer, expected a boolean"),
+])
+def test_config_file_values_have_their_option_type(tmp_path, capsys, command,
+                                                   config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = run_fail(capsys, [command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert err == f"error: {cfg}: config file {message}\n"
+
+
+def test_config_file_integer_reads_as_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "fps": 10, "noise_std": 0, "seed": 3}))
+    run_ok(capsys, ["synth", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    run_ok(capsys, ["synth", "--n", "6", "--fps", "10", "--noise-std", "0.0",
+                    "--seed", "3", "--out", str(tmp_path / "b")])
+    assert (tmp_path / "a" / "archive.json").read_bytes() == \
+        (tmp_path / "b" / "archive.json").read_bytes()
 
 
 def test_config_file_must_be_json(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import base64
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
                             Scenario, SchemaError, SplitError, balance,
                             extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
-from helpers import three_class_tracks, write_tracks_csv, write_v1_archive
+from helpers import (extract_scenarios_reference, multilane_scene,
+                     three_class_tracks, write_tracks_csv, write_v1_archive)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -81,6 +83,88 @@ def test_track_gaps_are_preserved(tmp_path):
                     "1,7,0,0,1,0,2\n3,7,2,0,1,0,2\n")
     (track,) = ingest_tracks(path)
     assert np.array_equal(track.frame, [1, 3])
+
+
+HEADER = "frame,vehicle_id,x,y,vx,vy,lane_id\n"
+
+
+def test_ingest_unsorted_rows(tmp_path):
+    tracks = three_class_tracks(fps=5)
+    write_tracks_csv(tmp_path / "sorted.csv", tracks)
+    head, *rows = (tmp_path / "sorted.csv").read_text().splitlines(keepends=True)
+    rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    (tmp_path / "shuffled.csv").write_text(head + "".join(rows))
+    want = ingest_tracks(tmp_path / "sorted.csv")
+    got = ingest_tracks(tmp_path / "shuffled.csv")
+    assert [tr.vehicle_id for tr in got] == [1, 2, 3]
+    for a, b in zip(want, got):
+        for name in ("frame", "x", "y", "vx", "vy", "lane_id"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_ingest_duplicate_frame_names_the_vehicle(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text(HEADER + "1,1,0,0,1,0,2\n2,4,0,0,1,0,2\n"
+                    "1,4,0,0,1,0,2\n2,1,0,0,1,0,2\n2,4,5,0,1,0,2\n")
+    with pytest.raises(ParseError, match="vehicle 4 has duplicate frames"):
+        ingest_tracks(path)
+
+
+@pytest.mark.parametrize("column, value", [("x", "nan"), ("vy", "inf"), ("y", "-Infinity")])
+def test_ingest_non_finite_value_names_the_vehicle(tmp_path, column, value):
+    row = dict(frame="2", vehicle_id="7", x="1.0", y="0.0", vx="1.0", vy="0.0", lane_id="2")
+    row[column] = value
+    path = tmp_path / "nan.csv"
+    path.write_text(HEADER + "1,7,0.0,0.0,1.0,0.0,2\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(ValueError, match=f"nan.csv: vehicle 7: non-finite {column}$"):
+        ingest_tracks(path)
+
+
+def test_ingest_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(HEADER + "1,1,0.0,0.0,1.0,0.0,2\n\n2,1,0.1,0.0,1.0,0.0,2\n\n")
+    (track,) = ingest_tracks(path)
+    assert track.frame.tolist() == [1, 2]
+    path.write_text(HEADER + "1,1,0.0,0.0,1.0,0.0,2\n\n\n2,1,oops,0.0,1.0,0.0,2\n")
+    with pytest.raises(ParseError, match="row 5: could not convert string to float: 'oops'"):
+        ingest_tracks(path)
+
+
+def test_ingest_short_row_names_line_and_width(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(HEADER + "1,1,0.0,0.0,1.0,0.0,2\n\n2,1,0.1\n")
+    with pytest.raises(ParseError, match=r"short.csv: row 4 has 3 columns, the header has 7$"):
+        ingest_tracks(path)
+
+
+def test_ingest_malformed_csv_names_the_row(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(HEADER + "1,1,0.0,0.0,1.0,0.0,2\n2,1," + "9" * 200_000 + ",0,1,0,2\n")
+    with pytest.raises(ParseError, match="huge.csv: row 3: field larger than field limit"):
+        ingest_tracks(path)
+
+
+def test_ingest_reads_rows_short_of_unused_columns(tmp_path):
+    # As csv.DictReader did: only the columns the schema names must be there.
+    path = tmp_path / "extra.csv"
+    path.write_text("frame,vehicle_id,x,y,vx,vy,lane_id,width,height\n"
+                    "1,1,0.0,0.0,1.0,0.0,2,4.5,1.8\n2,1,0.1,0.0,1.0,0.0,2\n")
+    (track,) = ingest_tracks(path)
+    assert track.x.tolist() == [0.0, 0.1]
+
+
+def test_ingest_highd_like_columns_in_any_order(tmp_path):
+    path = tmp_path / "highd.csv"
+    path.write_text("id,frame,laneId,width,xVelocity,yVelocity,x,y\n"
+                    "3,2,4,1.8,30.0,0.5,10.0,5.0\n3,1,4,1.8,29.0,0.25,7.0,4.5\n")
+    (track,) = ingest_tracks(path, schema="highd_like")
+    assert track.vehicle_id == 3
+    assert track.frame.tolist() == [1, 2]
+    assert track.x.tolist() == [7.0, 10.0]
+    assert track.vy.tolist() == [0.25, 0.5]
+    assert track.lane_id.tolist() == [4, 4]
+    with pytest.raises(SchemaError, match="missing column 'vehicle_id'"):
+        ingest_tracks(path)
 
 
 def test_raw_track_validation():
@@ -187,6 +271,36 @@ def test_extract_rejects_bad_args():
         extract_scenarios([track], 10, stride=0)
     with pytest.raises(ValueError):
         extract_scenarios([track], 10, n_vehicles=1)
+
+
+def _scenario_bytes(scenarios):
+    return [(s.scenario_id, s.maneuver, s.features.shape, s.features.tobytes(),
+             s.future.tobytes(), np.float64(s.v0).tobytes()) for s in scenarios]
+
+
+@pytest.mark.parametrize("fps, n_vehicles, stride, target_ids, duplicate_id", [
+    (10, 9, None, None, False),
+    (25, 9, None, None, True),
+    (10, 2, None, None, True),
+    (25, 2, None, {1, 13, 15}, False),
+    (10, 9, 1, None, True),
+    (25, 9, 1, {1, 4, 14}, False),
+    (25, 2, 7, None, True),
+])
+def test_extract_matches_quadratic_reference(caplog, fps, n_vehicles, stride,
+                                             target_ids, duplicate_id):
+    caplog.set_level(logging.INFO, logger="gftnn.scenario")
+    tracks = multilane_scene(fps, fps, duplicate_id=duplicate_id)
+    kwargs = dict(n_vehicles=n_vehicles, stride=stride, target_ids=target_ids)
+    got = extract_scenarios(tracks, fps, **kwargs)
+    logged = list(caplog.messages)
+    caplog.clear()
+    want = extract_scenarios_reference(tracks, fps, **kwargs)
+    assert len(got) > 1
+    assert _scenario_bytes(got) == _scenario_bytes(want)
+    assert logged == caplog.messages
+    if target_ids is None:
+        assert "skipped" in logged[0]
 
 
 # ------------------------------------------------------------------ labelling
