@@ -2,9 +2,10 @@
 
 from .graph import (D_FLOOR, Graph, Laplacian, apply_inverse_distance_weights,
                     build_line_graph, build_mesh_graph, build_spider_graph,
-                    cartesian_product, laplacian)
-from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
-                       inverse_gft, symmetric_eigh, truncate_spectrum)
+                    cartesian_product, inverse_distance_weights, laplacian)
+from .spectral import (ProductBasis, Spectrum, complete_spectrum, eigendecompose,
+                       gft_extended, inverse_gft, path_spectrum, star_spectra,
+                       symmetric_eigh, truncate_spectrum)
 from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        RawTrack, Scenario, SchemaError, SplitError, balance,
                        extract_scenarios, ingest_tracks, label_maneuver,

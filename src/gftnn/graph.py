@@ -118,12 +118,26 @@ def build_mesh_graph(n_nodes: int) -> Graph:
     return Graph(np.ones((n_nodes, n_nodes)) - np.eye(n_nodes))
 
 
-def apply_inverse_distance_weights(graph: Graph, positions) -> Graph:
-    """Reweight a spider graph around node 0 by inverse hub distance.
+def inverse_distance_weights(positions) -> np.ndarray:
+    """Spoke weights of a star around node 0 from planar positions.
 
-    positions: (n_nodes, 2) planar coordinates. Distances below D_FLOOR are
-    clamped so co-located ghost vehicles get weight 1/D_FLOOR instead of a
-    singularity.
+    positions: (..., n_nodes, 2) coordinates; returns (..., n_nodes - 1)
+    weights 1 / |p_i - p_0| of nodes 1 .. n_nodes - 1. Distances below
+    D_FLOOR are clamped so co-located ghost vehicles get weight 1/D_FLOOR
+    instead of a singularity.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim < 2 or pos.shape[-1] != 2:
+        raise ValueError(f"positions must be (..., n_nodes, 2), got {pos.shape}")
+    d = np.hypot(pos[..., 1:, 0] - pos[..., :1, 0], pos[..., 1:, 1] - pos[..., :1, 1])
+    return 1.0 / np.maximum(d, D_FLOOR)
+
+
+def apply_inverse_distance_weights(graph: Graph, positions) -> Graph:
+    """Reweight a spider graph around node 0 by inverse hub distance
+    (see ``inverse_distance_weights``).
+
+    positions: (n_nodes, 2) planar coordinates.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (graph.n_nodes, 2):
@@ -132,12 +146,9 @@ def apply_inverse_distance_weights(graph: Graph, positions) -> Graph:
         raise ValueError("positions must be finite")
     if graph.weights[1:, 1:].any():
         raise ValueError("inverse-distance weighting expects a hub-and-spokes graph")
-    d = np.hypot(pos[:, 0] - pos[0, 0], pos[:, 1] - pos[0, 1])
-    w_edge = 1.0 / np.maximum(d, D_FLOOR)
     w = np.zeros_like(graph.weights)
-    spokes = graph.weights[0] > 0.0
-    w[0, spokes] = w_edge[spokes]
-    w[spokes, 0] = w_edge[spokes]
+    w[0, 1:] = np.where(graph.weights[0, 1:] > 0.0, inverse_distance_weights(pos), 0.0)
+    w[1:, 0] = w[0, 1:]
     return Graph(w)
 
 

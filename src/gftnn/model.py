@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import erf, expit
 
-from .graph import (apply_inverse_distance_weights, build_line_graph,
-                    build_mesh_graph, build_spider_graph, laplacian)
-from . import spectral
-from .spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
+from .graph import inverse_distance_weights
+from .spectral import (DEGENERACY_TOL, ProductBasis, Spectrum, complete_spectrum,
+                       gft_extended, path_spectrum, star_spectra,
                        truncate_spectrum)
 from .store import Table, encode_array, read_document
 
@@ -334,13 +333,14 @@ def truth_trajectory(scenario) -> Trajectory:
 
 
 def build_basis(config: ModelConfig) -> ProductBasis:
-    """Reference eigenbases: unit-weight temporal line and spatial graph."""
-    temporal = eigendecompose(laplacian(build_line_graph(config.t_obs)))
+    """Reference eigenbases in closed form: the unit-weight temporal path
+    and the unit-weight spatial star or complete graph."""
     if config.graph_kind == "spider":
-        spatial_graph = build_spider_graph(config.n_v)
+        w, v = star_spectra(np.ones((1, config.n_v - 1)))
+        spatial = Spectrum(w[0], v[0])
     else:
-        spatial_graph = build_mesh_graph(config.n_v)
-    return ProductBasis(temporal, eigendecompose(laplacian(spatial_graph)))
+        spatial = complete_spectrum(config.n_v)
+    return ProductBasis(path_spectrum(config.t_obs), spatial)
 
 
 def select_channels(features, k: int):
@@ -352,22 +352,13 @@ def select_channels(features, k: int):
     raise ValueError(f"k must be 2 or 4, got {k}")
 
 
-def _weighted_laplacian(scenario, star) -> np.ndarray:
-    # The star reweighted by inverse hub distance at the last observed step.
-    t0 = scenario.t_obs - 1
-    positions = np.stack([scenario.features[0, t0, :],
-                          scenario.features[1, t0, :]], axis=1)
-    g = apply_inverse_distance_weights(star, positions)
-    return laplacian(g).matrix
-
-
 def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
     """Truncated spectral coefficients of many scenarios, one row each: (B, z).
 
-    With weighting enabled, each scenario's spatial factor is rebuilt from
-    inverse hub distances at its last observed step, and all of them are
-    solved in one stacked Jacobi call; otherwise every scenario uses the
-    reference basis.
+    With weighting enabled, each scenario's spatial factor is the star
+    reweighted by inverse hub distance at its last observed step, and all
+    of them come from one closed-form ``star_spectra`` call; otherwise
+    every scenario uses the reference basis.
     """
     for scenario in scenarios:
         if scenario.t_obs != config.t_obs or scenario.n_vehicles != config.n_v:
@@ -378,11 +369,10 @@ def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.
     feats = np.stack([select_channels(s.features, config.k) for s in scenarios])
     spatial = None
     if config.weighted:
-        star = build_spider_graph(config.n_v)
-        laps = np.stack([_weighted_laplacian(s, star) for s in scenarios])
-        # Looked up on the module, so every solve goes through one name.
+        t0 = config.t_obs - 1
+        positions = np.stack([s.features[:2, t0, :].T for s in scenarios])
         # One (V, V) basis per scenario, shared by its channels.
-        spatial = spectral.symmetric_eigh(laps)[1][:, None]
+        spatial = star_spectra(inverse_distance_weights(positions))[1][:, None]
     return truncate_spectrum(gft_extended(feats, basis, spatial), config.p)
 
 
@@ -429,9 +419,10 @@ def _spectrum_from_doc(table: Table, n: int) -> Spectrum:
     spec = table.build(Spectrum, eigenvalues=table.array("eigenvalues", (n,)),
                        eigenvectors=table.array("eigenvectors", (n, n)))
     w, v = spec.eigenvalues, spec.eigenvectors
-    # Inside a degenerate group the solver orders columns by eigenvector, so
-    # equal eigenvalues may step down by float noise.
-    if np.any(np.diff(w) < -spectral.DEGENERACY_TOL):
+    # Closed-form bases ascend exactly. A basis stored from the Jacobi
+    # solver orders a degenerate group by eigenvector, so its equal
+    # eigenvalues may step down by float noise.
+    if np.any(np.diff(w) < -DEGENERACY_TOL):
         raise table.error("eigenvalues are not ascending")
     drift = np.max(np.abs(v.T @ v - np.eye(n)))
     if drift > ORTHONORMAL_TOL:

@@ -196,13 +196,15 @@ def ingest_tracks(path, schema: str = "normalized") -> list[RawTrack]:
         frames = [r[0] for r in rows]
         if len(set(frames)) != len(frames):
             raise ParseError(f"{path}: vehicle {vehicle} has duplicate frames")
-        arr = np.asarray(rows, dtype=np.float64)
         try:
+            arr = np.asarray(rows, dtype=np.float64)
+            # Ids stay integers: float64 would round those above 2**53.
             tracks.append(RawTrack(
-                vehicle_id=vehicle, frame=arr[:, 0], x=arr[:, 1], y=arr[:, 2],
-                vx=arr[:, 3], vy=arr[:, 4], lane_id=arr[:, 5],
+                vehicle_id=vehicle, frame=np.array(frames, dtype=np.int64),
+                x=arr[:, 1], y=arr[:, 2], vx=arr[:, 3], vy=arr[:, 4],
+                lane_id=np.array([r[5] for r in rows], dtype=np.int64),
             ))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     return tracks
 

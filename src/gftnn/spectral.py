@@ -6,6 +6,14 @@ Laplacians, its eigenbasis is the Kronecker product of the factor bases,
 so the transform is computed factor-wise: F_hat = U1^T F U2. The factor
 Laplacians are real symmetric, hence the bases are real and orthonormal
 and no conjugation is needed anywhere.
+
+Every factor graph the pipeline builds has a closed-form spectrum: the
+temporal path (``path_spectrum``), the complete graph
+(``complete_spectrum``) and the unit or inverse-distance weighted star
+(``star_spectra``). Each fixes one sign and one basis of every degenerate
+eigenspace, so rounding noise in the input cannot flip or rotate them.
+``symmetric_eigh`` is a cyclic Jacobi solver for any other symmetric
+matrix and the reference the closed forms are tested against.
 """
 from __future__ import annotations
 
@@ -24,16 +32,15 @@ JACOBI_SWEEP_LIMIT = 100
 DEGENERACY_TOL = 1e-8
 
 
-def _rotation(app, aqq, apq, sqrt):
+def _rotation(app, aqq, apq):
     # Cosine and sine of the rotation that zeroes a[p, q] (Golub & Van Loan,
     # Matrix Computations, section 8.5), taking the smaller of the two
-    # angles. Written once for Python floats (sqrt=math.sqrt) and for
-    # arrays of pivots (sqrt=np.sqrt): the sign flip multiplies by exactly
-    # -1.0 or 1.0, so both give the same bits.
+    # angles.
     theta = (aqq - app) / (2.0 * apq)
-    t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-    t = t * (1.0 - 2.0 * (theta < 0.0))
-    c = 1.0 / sqrt(t * t + 1.0)
+    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+    if theta < 0.0:
+        t = -t
+    c = 1.0 / math.sqrt(t * t + 1.0)
     return c, t * c
 
 
@@ -56,26 +63,6 @@ def _rotate(a, v, p, q, c, s):
     v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
 
 
-def _rotate_stack(a, v, p, q, c, s):
-    # _rotate for every matrix of a (m, n, n) stack, one angle each.
-    cc = c[:, None]
-    ss = s[:, None]
-    col_p = cc * a[:, :, p] - ss * a[:, :, q]
-    col_q = ss * a[:, :, p] + cc * a[:, :, q]
-    a_pp = c * col_p[:, p] - s * col_p[:, q]
-    a_qq = s * col_q[:, p] + c * col_q[:, q]
-    a[:, :, p] = col_p
-    a[:, :, q] = col_q
-    a[:, p, :] = col_p
-    a[:, q, :] = col_q
-    a[:, p, p] = a_pp
-    a[:, q, q] = a_qq
-    a[:, p, q] = 0.0
-    a[:, q, p] = 0.0
-    v[:, :, p], v[:, :, q] = (cc * v[:, :, p] - ss * v[:, :, q],
-                              ss * v[:, :, p] + cc * v[:, :, q])
-
-
 def _sweep(a, v, pairs, skip):
     """One cyclic sweep over a single (n, n) matrix."""
     item = a.item  # Python floats: scalar arithmetic is faster on them
@@ -83,27 +70,8 @@ def _sweep(a, v, pairs, skip):
         apq = item(p, q)
         if abs(apq) <= skip:
             continue
-        c, s = _rotation(item(p, p), item(q, q), apq, math.sqrt)
+        c, s = _rotation(item(p, p), item(q, q), apq)
         _rotate(a, v, p, q, c, s)
-
-
-def _sweep_stack(a, v, pairs, skip):
-    """One cyclic sweep over a (m, n, n) stack. A matrix whose pivot is
-    below its own skip bound is left untouched at that pair."""
-    for p, q in pairs:
-        apq = a[:, p, q]
-        hit = ~(np.abs(apq) <= skip)
-        if hit.all():
-            c, s = _rotation(a[:, p, p], a[:, q, q], apq, np.sqrt)
-            _rotate_stack(a, v, p, q, c, s)
-        elif hit.any():
-            idx = np.flatnonzero(hit)
-            sub_a = a[idx]
-            sub_v = v[idx]
-            c, s = _rotation(sub_a[:, p, p], sub_a[:, q, q], apq[idx], np.sqrt)
-            _rotate_stack(sub_a, sub_v, p, q, c, s)
-            a[idx] = sub_a
-            v[idx] = sub_v
 
 
 def _order_degenerate_groups(w, v):
@@ -120,32 +88,24 @@ def _order_degenerate_groups(w, v):
             start = stop
 
 
-def _canonicalise(w, v):
-    """Ascending eigenvalues, sign rule and degenerate order for a (B, n)
-    stack of eigenvalues and its (B, n, n) eigenvectors."""
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    lead = np.argmax(np.abs(v), axis=1)
-    flip = np.take_along_axis(v, lead[:, None, :], axis=1) < 0.0
-    v = np.where(flip, -v, v)
-    tied = ~(np.diff(w, axis=1) > DEGENERACY_TOL)
-    for b in np.flatnonzero(tied.any(axis=1)):
-        _order_degenerate_groups(w[b], v[b])
-    return w, v
+def _largest_entry_positive(v):
+    # Flip every column of a (..., n, k) stack so that its largest-magnitude
+    # entry (the first one on a tie) is positive.
+    lead = np.argmax(np.abs(v), axis=-2)
+    flip = np.take_along_axis(v, lead[..., None, :], axis=-2) < 0.0
+    return np.where(flip, -v, v)
 
 
 def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
-    """Eigendecomposition of real symmetric matrices by cyclic Jacobi sweeps.
+    """Eigendecomposition of one real symmetric matrix by cyclic Jacobi sweeps.
 
-    ``matrix`` is one (n, n) matrix or a (B, n, n) stack. Returns
-    (eigenvalues, eigenvectors): (n,) and (n, n) for one matrix, (B, n)
-    and (B, n, n) for a stack, with eigenvalues ascending up to
-    ``DEGENERACY_TOL`` and eigenvectors as columns. Each matrix of a stack gets its own convergence threshold
-    and skip rule and is frozen once it converges, so its result is bit
-    for bit the one-matrix solve. Convergence is declared once every
-    off-diagonal entry falls below tol relative to the Frobenius norm of
-    the input.
+    Returns (eigenvalues, eigenvectors), (n,) and (n, n), with eigenvalues
+    ascending up to ``DEGENERACY_TOL`` and eigenvectors as columns.
+    Convergence is declared once every off-diagonal entry falls below tol
+    relative to the Frobenius norm of the input. This is the general
+    solver behind ``eigendecompose``; the graphs the pipeline builds have
+    closed forms (``path_spectrum``, ``complete_spectrum``,
+    ``star_spectra``), and this solver is their reference.
 
     The result is bit-reproducible on one machine: every eigenvector is
     flipped so its largest-magnitude entry is positive (ties broken by
@@ -153,68 +113,172 @@ def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
     ordered lexicographically. Each eigenvalue moves with its column, so
     inside a group the eigenvalues may step down by up to
     ``DEGENERACY_TOL`` (the 9-node star steps down by about 1e-15). This
-    sign rule is ill-posed when the two
-    largest-magnitude entries tie, as in every odd mode of a path graph,
-    so a perturbation of the input at rounding level can flip such an
-    eigenvector.
+    sign rule is ill-posed when the two largest-magnitude entries tie, as
+    in every odd mode of a path graph, so a perturbation of the input at
+    rounding level can flip such an eigenvector.
     """
     a = np.array(matrix, dtype=np.float64)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    stack = a[None] if a.ndim == 2 else a
-    n = stack.shape[-1]
+    n = a.shape[0]
     if n == 1:
-        w, v = stack[:, 0].copy(), np.ones(stack.shape)
-    else:
-        if np.max(np.abs(stack - stack.transpose(0, 2, 1)), initial=0.0) > 1e-9:
-            raise ValueError("matrix is not symmetric")
-        stack = (stack + stack.transpose(0, 2, 1)) / 2.0
-        w, v = _jacobi(stack, tol, max_sweeps)
-    if a.ndim == 2:
-        return w[0], v[0]
-    return w, v
-
-
-def _jacobi(a, tol, max_sweeps):
-    """Diagonalise a symmetric (B, n, n) stack in place; returns the
-    canonical eigenvalues and eigenvectors."""
-    b, n = a.shape[:2]
-    v = np.zeros_like(a)
-    v[:, np.arange(n), np.arange(n)] = 1.0
-    # One norm call per matrix: a batched norm sums in another order, and the
-    # threshold must have the one-matrix solve's bits.
-    thresh = np.array([tol * max(1.0, float(np.linalg.norm(m))) for m in a])
-    skip = 0.1 * thresh
+        return a[0].copy(), np.ones((1, 1))
+    if np.max(np.abs(a - a.T)) > 1e-9:
+        raise ValueError("matrix is not symmetric")
+    a = (a + a.T) / 2.0
+    v = np.eye(n)
+    thresh = tol * max(1.0, float(np.linalg.norm(a)))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    active = np.arange(b)
     for _ in range(max_sweeps):
-        off = np.max(np.abs(np.triu(a[active], k=1)), axis=(1, 2), initial=0.0)
-        active = active[~(off <= thresh[active])]
-        if active.size == 1:
-            i = active[0]
-            _sweep(a[i], v[i], pairs, float(skip[i]))
-        elif active.size:
-            sub_a = a[active]
-            sub_v = v[active]
-            _sweep_stack(sub_a, sub_v, pairs, skip[active])
-            a[active] = sub_a
-            v[active] = sub_v
-        else:
+        if np.max(np.abs(np.triu(a, k=1))) <= thresh:
             break
+        _sweep(a, v, pairs, 0.1 * thresh)
     else:
         raise RuntimeError(
             f"jacobi rotations did not converge within {max_sweeps} sweeps"
         )
-    return _canonicalise(np.diagonal(a, axis1=1, axis2=2).copy(), v)
+    w = np.diagonal(a).copy()
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    v = _largest_entry_positive(v[:, order])
+    _order_degenerate_groups(w, v)
+    return w, v
+
+
+def _helmert(first, n):
+    # Helmert contrasts over n members: row i is -1 on members first[i] .. i
+    # and c = i - first[i] + 1 on member i + 1, normalised, so the newest
+    # member is positive.
+    i = np.arange(first.shape[-1])[:, None]
+    j = np.arange(n)
+    c = i - first[..., None] + 1.0
+    h = np.where((j >= first[..., None]) & (j <= i), -1.0, np.where(j == i + 1, c, 0.0))
+    return h / np.sqrt(c * (c + 1.0))
+
+
+def path_spectrum(n: int) -> Spectrum:
+    """Closed-form spectrum of the unit-weight path over n nodes (DCT-II;
+    Strang, SIAM Review 1999).
+
+    Eigenvalue k is 4 sin^2(pi k / 2n) and its eigenvector is
+    cos(pi k (j + 1/2) / n) with j counted from the last node, so every
+    eigenvector's last entry is positive.
+    """
+    if n < 2:
+        raise ValueError(f"path needs at least 2 nodes, got {n}")
+    k = np.arange(n)
+    # Angles reduced mod 2 pi in integers, so the cosine sees at most 2 pi.
+    phase = np.outer(2 * k[::-1] + 1, k) % (4 * n)
+    v = np.cos(np.pi * phase / (2 * n)) * np.where(k == 0, np.sqrt(1.0 / n),
+                                                   np.sqrt(2.0 / n))
+    return Spectrum(4.0 * np.sin(np.pi * k / (2 * n)) ** 2, v)
+
+
+def complete_spectrum(n: int) -> Spectrum:
+    """Closed-form spectrum of the unit-weight complete graph over n nodes:
+    0 on the constant vector, then n on the Helmert contrasts of all nodes
+    in index order."""
+    if n < 2:
+        raise ValueError(f"complete graph needs at least 2 nodes, got {n}")
+    w = np.full(n, float(n))
+    w[0] = 0.0
+    contrasts = _helmert(np.zeros(n - 1, np.int64), n).T
+    return Spectrum(w, np.hstack([np.full((n, 1), np.sqrt(1.0 / n)), contrasts]))
+
+
+def star_spectra(leaf_weights):
+    """Closed-form spectra of weighted stars, one per row of a (B, m) stack
+    of positive leaf weights.
+
+    Node 0 is the hub and node i the leaf of weight ``leaf_weights[:, i-1]``;
+    the Laplacian is the arrowhead [[s, -w^T], [-w, diag(w)]] with s the sum
+    of the weights. Returns (B, m + 1) ascending eigenvalues and
+    (B, m + 1, m + 1) eigenvector columns:
+
+    - 0, and one root of the secular equation
+      s - lam - sum_i w_i^2 / (w_i - lam) = 0 between each pair of
+      consecutive distinct weights and above the largest (Golub, SIAM
+      Review 1973). Each root is bisected in tau = lam - d from its lower
+      pole d, and the eigenvectors (1, z_i / (w_i - lam)) use the border z
+      recomputed from the roots (Gu & Eisenstat, SIMAX 1995), so they are
+      orthogonal to working precision even for weights 1e-13 apart. Each
+      is flipped so its largest-magnitude entry (the first on a tie) is
+      positive, the rule of ``symmetric_eigh``; tied leaves hold equal
+      entries, so the rule is well-posed on them.
+    - A weight shared by r leaves, r - 1 more times: the Helmert contrasts
+      of those leaves in index order (see ``complete_spectrum``).
+    """
+    w = np.asarray(leaf_weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise ValueError(f"expected a (B, m) stack of leaf weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("leaf weights must be finite and positive")
+    b, m = w.shape
+    order = np.argsort(w, axis=1, kind="stable")
+    d = np.take_along_axis(w, order, axis=1)
+    idx = np.arange(m)
+    # Sorted leaf i is a pole of the secular equation if it is the last of
+    # its tie group; the root above it has lower pole d[i]. Tie groups span
+    # sorted leaves first[i] .. last[i].
+    pole = np.append(d[:, :-1] < d[:, 1:], np.ones((b, 1), bool), axis=1)
+    first = np.maximum.accumulate(np.where(np.roll(pole, 1, axis=1), idx, 0), axis=1)
+    last = np.minimum.accumulate(np.where(pole, idx, m)[:, ::-1], axis=1)[:, ::-1]
+    s = w.sum(axis=1, keepdims=True)
+    gap = np.where(pole, np.append(np.diff(d, axis=1), 2.0 * s - d[:, -1:], axis=1), 0.0)
+    delta = d[:, None, :] - d[:, :, None]   # [b, i, j] = d_j - d_i
+    d2 = d * d
+
+    def secular(tau):
+        return (s - d) - tau - np.sum(d2[:, None, :] / (delta - tau[..., None]), axis=2)
+
+    # Bisection on the bit patterns of positive floats, which order like
+    # the floats: at most 64 halvings reach adjacent floats.
+    lo = np.zeros((b, m), np.int64)
+    hi = gap.view(np.int64).copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while np.any(open_ := hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = secular(mid.view(np.float64)) > 0.0
+            lo = np.where(open_ & up, mid, lo)
+            hi = np.where(open_ & ~up, mid, hi)
+        # The endpoint with the smaller residual; a pole has an infinite one.
+        tau_lo, tau_hi = lo.view(np.float64), hi.view(np.float64)
+        tau = np.where(np.abs(secular(tau_hi)) <= np.abs(secular(tau_lo)),
+                       tau_hi, tau_lo)
+    tau = np.where(pole, tau, 0.0)
+    # Loewner: the border whose arrowhead has exactly these roots, from
+    # differences d_j - lam_i = (d_j - d_i) - tau_i that keep their digits.
+    diff = delta - tau[..., None]
+    ratio = np.divide(diff, delta, out=np.ones_like(diff),
+                      where=pole[..., None] & (delta != 0.0))
+    z2 = d * np.take_along_axis(tau, last, axis=1) * np.prod(ratio, axis=1)
+    z = np.sqrt(z2 / (last - first + 1))
+    # Rows are eigenvectors, columns the hub then the sorted leaves: the
+    # zero mode, then per sorted leaf i the root above it if it is a pole
+    # and otherwise the contrast of leaves first[i] .. i against leaf i + 1.
+    secular_col = np.append(np.ones((b, 1), bool), pole, axis=1)
+    vec = np.ones((b, m + 1, m + 1))
+    np.divide(z[:, None, :], np.append(d[:, None, :], diff, axis=1),
+              out=vec[..., 1:], where=secular_col[..., None])
+    vec /= np.sqrt(np.sum(vec * vec, axis=2, keepdims=True))
+    vec[:, 1:] = np.where(pole[..., None], vec[:, 1:],
+                          np.append(np.zeros((b, m, 1)), _helmert(first, m), axis=2))
+    # Eigenvectors as columns, leaf rows back in input order.
+    nodes = np.append(np.zeros((b, 1), np.int64), 1 + np.argsort(order, axis=1), axis=1)
+    vec = np.take_along_axis(vec, nodes[:, None, :], axis=2).transpose(0, 2, 1)
+    lam = np.append(np.zeros((b, 1)), d + tau, axis=1)
+    return lam, np.where(secular_col[:, None, :], _largest_entry_positive(vec), vec)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues and orthonormal eigenvector columns.
 
-    Eigenvalues ascend, except that inside a group of eigenvalues closer
-    than ``DEGENERACY_TOL`` they may step down by up to that tolerance:
-    such a group is ordered by its eigenvectors (see ``symmetric_eigh``).
+    Eigenvalues ascend. The closed forms ascend exactly; a spectrum from
+    ``symmetric_eigh`` orders a group of eigenvalues closer than
+    ``DEGENERACY_TOL`` by its eigenvectors, so inside such a group they may
+    step down by up to that tolerance. Checkpoints that store a Jacobi
+    basis are the only reason loading still allows that step.
     """
 
     eigenvalues: np.ndarray

@@ -4,7 +4,7 @@ import pytest
 from gftnn.graph import (D_FLOOR, Graph, Laplacian,
                          apply_inverse_distance_weights, build_line_graph,
                          build_mesh_graph, build_spider_graph,
-                         cartesian_product, laplacian)
+                         cartesian_product, inverse_distance_weights, laplacian)
 from helpers import random_graph
 
 
@@ -105,6 +105,21 @@ def test_inverse_distance_unit_distances_match_unweighted():
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     gw = apply_inverse_distance_weights(g, pos)
     assert np.array_equal(gw.weights, g.weights)
+
+
+def test_inverse_distance_weights_stack_matches_graph_weights():
+    rng = np.random.default_rng(11)
+    pos = rng.uniform(-30.0, 30.0, (4, 3, 6, 2))
+    pos[0, 0, 2] = pos[0, 0, 0] + [0.03, -0.04]   # closer than D_FLOOR
+    w = inverse_distance_weights(pos)
+    assert w.shape == (4, 3, 5)
+    assert w[0, 0, 1] == 1.0 / D_FLOOR
+    star = build_spider_graph(6)
+    for idx in np.ndindex(4, 3):
+        gw = apply_inverse_distance_weights(star, pos[idx])
+        assert np.array_equal(gw.weights[0, 1:], w[idx])
+    with pytest.raises(ValueError, match="positions must be"):
+        inverse_distance_weights(np.zeros((4, 3)))
 
 
 def test_inverse_distance_rejects_non_spider():

@@ -8,7 +8,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from gftnn import spectral
-from gftnn.model import (PRESETS, ModelConfig, ModelParams, Trajectory, build_basis,
+from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory, build_basis,
                          decode, decode_partials, forward, gelu, gelu_grad,
                          init_params, load_checkpoint, param_shapes, predict,
                          preset_config, save_checkpoint, scenario_spectra,
@@ -482,6 +482,21 @@ def test_scenario_spectra_unweighted_uses_reference_basis(monkeypatch):
     for row, scen in zip(rows, scenarios):
         fhat = gft_extended(select_channels(scen.features, cfg.k), basis)
         assert np.array_equal(row, truncate_spectrum(fhat, cfg.p))
+
+
+def test_runtime_bases_never_call_the_jacobi_solver(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("runtime graphs have closed-form spectra")
+
+    monkeypatch.setattr(spectral, "symmetric_eigh", no_solve)
+    for fps in (10, 25):
+        for kind in GRAPH_KINDS:
+            cfg = dataclasses.replace(preset_config("gftnn", fps), graph_kind=kind)
+            assert build_basis(cfg).shape == (cfg.t_obs, cfg.n_v)
+        cfg = preset_config("gftnn-w", fps)
+        scenarios = synthesize(6, fps, seed=29, noise_std=0.05)
+        rows = scenario_spectra(scenarios, build_basis(cfg), cfg)
+        assert rows.shape == (6, cfg.z) and np.all(np.isfinite(rows))
 
 
 @pytest.mark.parametrize("fps", [10, 25])

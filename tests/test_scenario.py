@@ -102,6 +102,19 @@ def test_ingest_unsorted_rows(tmp_path):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def test_ingest_keeps_integer_ids_above_float_precision(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + "9007199254740993,1,0.0,0.0,1.0,0.0,9007199254740993\n"
+                    "9007199254740995,1,0.1,0.0,1.0,0.0,2\n")
+    (track,) = ingest_tracks(path)
+    assert track.frame.dtype == np.int64 and track.lane_id.dtype == np.int64
+    assert track.frame.tolist() == [9007199254740993, 9007199254740995]
+    assert track.lane_id.tolist() == [9007199254740993, 2]
+    path.write_text(HEADER + "9223372036854775808,1,0.0,0.0,1.0,0.0,2\n")
+    with pytest.raises(ParseError, match="big.csv: "):
+        ingest_tracks(path)
+
+
 def test_ingest_duplicate_frame_names_the_vehicle(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(HEADER + "1,1,0,0,1,0,2\n2,4,0,0,1,0,2\n"

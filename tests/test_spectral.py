@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from gftnn.graph import (D_FLOOR, Laplacian, apply_inverse_distance_weights,
-                         build_line_graph, build_spider_graph, laplacian)
+from gftnn.graph import (D_FLOOR, Graph, Laplacian, apply_inverse_distance_weights,
+                         build_line_graph, build_mesh_graph, build_spider_graph,
+                         inverse_distance_weights, laplacian)
+from gftnn.model import build_basis, preset_config, scenario_spectra
+from gftnn.scenario import synthesize
 from gftnn.spectral import (DEGENERACY_TOL, ProductBasis, Spectrum,
-                            eigendecompose, gft_2d,
-                            gft_extended, inverse_gft, symmetric_eigh,
-                            truncate_spectrum, write_spectrum_csv,
-                            write_tensor_csv)
+                            complete_spectrum, eigendecompose, gft_2d,
+                            gft_extended, inverse_gft, path_spectrum,
+                            star_spectra, symmetric_eigh, truncate_spectrum,
+                            write_spectrum_csv, write_tensor_csv)
 from helpers import random_graph
 
 
@@ -37,11 +40,9 @@ def test_star9_eigenvalues_ascend_up_to_degeneracy_tolerance():
     # Columns of the eigenvalue-1 group are ordered by eigenvector and carry
     # their eigenvalues along, so the group may step down by float noise.
     lap = laplacian(build_spider_graph(9)).matrix
-    for w, v in (symmetric_eigh(lap), symmetric_eigh(np.stack([lap, lap]))):
-        w, v = np.atleast_2d(w), v.reshape(-1, 9, 9)
-        for w_b, v_b in zip(w, v):
-            assert np.min(np.diff(w_b)) >= -DEGENERACY_TOL
-            assert np.max(np.abs(lap @ v_b - v_b * w_b)) <= 1e-12
+    w, v = symmetric_eigh(lap)
+    assert np.min(np.diff(w)) >= -DEGENERACY_TOL
+    assert np.max(np.abs(lap @ v - v * w)) <= 1e-12
 
 
 def test_single_node_laplacian():
@@ -54,9 +55,7 @@ def test_rejects_asymmetric_input():
     asym = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError, match="matrix is not symmetric"):
         symmetric_eigh(asym)
-    with pytest.raises(ValueError, match="matrix is not symmetric"):
-        symmetric_eigh(np.stack([np.eye(2), asym]))
-    for shape in ((2, 3), (4, 2, 3), (2, 2, 2, 2), (3,)):
+    for shape in ((2, 3), (4, 2, 3), (2, 2, 2), (2, 2, 2, 2), (3,)):
         with pytest.raises(ValueError, match="expected a square matrix"):
             symmetric_eigh(np.zeros(shape))
 
@@ -109,66 +108,183 @@ def test_degenerate_group_is_lexicographically_ordered():
     assert np.max(np.abs(v.T @ v - np.eye(6))) < 1e-9
 
 
-def _assert_stack_matches_single_solves(stack):
-    w, v = symmetric_eigh(stack)
-    assert w.shape == stack.shape[:2] and v.shape == stack.shape
-    for i, a in enumerate(stack):
-        w1, v1 = symmetric_eigh(a)
-        assert np.array_equal(w[i], w1)
-        assert np.array_equal(v[i], v1)
+# --------------------------------------------------------------- closed forms
+
+def _star_laplacian(leaf_weights):
+    n = len(leaf_weights) + 1
+    w = np.zeros((n, n))
+    w[0, 1:] = w[1:, 0] = leaf_weights
+    return laplacian(Graph(w)).matrix
 
 
-def test_stacked_inverse_distance_stars_match_single_solves():
-    rng = np.random.default_rng(21)
-    star = build_spider_graph(9)
-    laps = []
-    for i in range(200):
-        positions = np.vstack([[0.0, 0.0],
-                               rng.uniform([-40.0, -7.0], [40.0, 7.0], (8, 2))])
-        # ghost vehicles sit on or next to the target, closer than D_FLOOR,
-        # so their weights are clamped to 1 / D_FLOOR and tie
-        n_ghosts = i % 4
-        if n_ghosts:
-            positions[9 - n_ghosts:] = rng.uniform(-0.5, 0.5, 2) * D_FLOOR * (i % 8 > 3)
-        laps.append(laplacian(apply_inverse_distance_weights(star, positions)).matrix)
-    assert sum(np.sum(lap[0] == -1.0 / D_FLOOR) >= 2 for lap in laps) >= 90
-    _assert_stack_matches_single_solves(np.stack(laps))
+def _assert_is_spectrum_of(lap, w, v):
+    # residual and orthonormality against the matrix, values against numpy,
+    # and eigenvalues that never step down
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.max(np.abs(lap @ v - v * w)) <= 1e-12 * scale
+    assert np.max(np.abs(v.T @ v - np.eye(w.size))) <= 1e-12
+    assert np.max(np.abs(w - np.linalg.eigvalsh(lap))) <= 1e-12 * scale
+    assert np.all(np.diff(w) >= 0.0)
 
 
-def _sweeps_needed(a):
-    for sweeps in range(1, 20):
-        try:
-            symmetric_eigh(a, max_sweeps=sweeps)
-        except RuntimeError:
-            continue
-        return sweeps
-    raise AssertionError("no convergence within 20 sweeps")
+def _helmert_columns(n_members):
+    # column c - 1 weighs members 0 .. c - 1 by -1 and member c by c
+    rows, c = np.arange(n_members)[:, None], np.arange(1, n_members)
+    h = np.where(rows < c, -1.0, np.where(rows == c, c, 0.0))
+    return h / np.sqrt(c * (c + 1.0))
 
 
-def test_stacked_spd_members_converge_independently():
-    rng = np.random.default_rng(22)
-    members = []
-    for spread in (0.0, 1e-9, 1e-3, 1.0, 10.0):
-        x = rng.normal(size=(7, 7))
-        members.append(np.diag(rng.uniform(1.0, 50.0, 7)) + spread * (x @ x.T))
-    stack = np.stack(members)
-    sweeps = [_sweeps_needed(a) for a in stack]
-    assert sweeps[0] == 1  # already diagonal: converged before any sweep
-    assert len(set(sweeps)) >= 3
-    _assert_stack_matches_single_solves(stack)
-    # the stack fails exactly when its slowest member does
-    symmetric_eigh(stack, max_sweeps=max(sweeps))
-    with pytest.raises(RuntimeError, match="did not converge"):
-        symmetric_eigh(stack, max_sweeps=max(sweeps) - 1)
+def _assert_star_sign_rules(leaf_weights, v):
+    # Contrast columns have a zero hub entry; every other column follows
+    # symmetric_eigh's rule, and the contrasts of each tie group are the
+    # Helmert contrasts of its leaves in index order.
+    secular = v[0] != 0.0
+    lead = np.argmax(np.abs(v[:, secular]), axis=0)
+    assert np.all(v[:, secular][lead, np.arange(lead.size)] > 0.0)
+    contrasts = v[1:, ~secular]
+    n_contrasts = 0
+    for weight in np.unique(leaf_weights):
+        members = np.flatnonzero(leaf_weights == weight)
+        cols = np.flatnonzero(np.any(contrasts[members] != 0.0, axis=0))
+        assert cols.size == members.size - 1
+        want = np.zeros((leaf_weights.size, cols.size))
+        want[members] = _helmert_columns(members.size)
+        assert np.max(np.abs(contrasts[:, cols] - want), initial=0.0) <= 1e-15
+        n_contrasts += cols.size
+    assert n_contrasts == contrasts.shape[1]
 
 
-def test_stacked_degenerate_stars_and_single_nodes():
-    for n in (2, 6, 9):
-        star = laplacian(build_spider_graph(n)).matrix
-        _assert_stack_matches_single_solves(np.stack([star, 2.0 * star, star]))
-    _assert_stack_matches_single_solves(np.array([[[0.0]], [[3.5]]]))
-    w, v = symmetric_eigh(np.zeros((0, 4, 4)))
-    assert w.shape == (0, 4) and v.shape == (0, 4, 4)
+@pytest.mark.parametrize("n", [2, 3, 6, 30, 75])
+def test_path_spectrum_closed_form(n):
+    lap = laplacian(build_line_graph(n)).matrix
+    spec = path_spectrum(n)
+    _assert_is_spectrum_of(lap, spec.eigenvalues, spec.eigenvectors)
+    assert spec.eigenvalues[0] == 0.0
+    assert np.all(spec.eigenvectors[-1] > 0.0)
+    # Jacobi agrees on the values and, up to sign, on the vectors
+    w, v = symmetric_eigh(lap)
+    assert np.max(np.abs(w - spec.eigenvalues)) <= 1e-12 * 4.0
+    assert np.max(np.abs(np.abs(v) - np.abs(spec.eigenvectors))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_complete_and_unit_star_spectra_closed_form(n):
+    mesh = complete_spectrum(n)
+    _assert_is_spectrum_of(laplacian(build_mesh_graph(n)).matrix,
+                           mesh.eigenvalues, mesh.eigenvectors)
+    assert np.array_equal(mesh.eigenvalues, [0.0] + [float(n)] * (n - 1))
+    assert np.all(mesh.eigenvectors[:, 0] == mesh.eigenvectors[0, 0])
+    assert np.array_equal(mesh.eigenvectors[:, 1:], _helmert_columns(n))
+
+    w, v = star_spectra(np.ones((1, n - 1)))
+    assert w.shape == (1, n) and v.shape == (1, n, n)
+    _assert_is_spectrum_of(laplacian(build_spider_graph(n)).matrix, w[0], v[0])
+    assert np.allclose(w[0], [0.0] + [1.0] * (n - 2) + [float(n)], rtol=0.0,
+                       atol=1e-15)
+    _assert_star_sign_rules(np.ones(n - 1), v[0])
+
+
+def _weighted_star_cases():
+    rng = np.random.default_rng(31)
+    untied = rng.uniform(0.02, 2.0, (6, 8))
+    ghosts = untied.copy()
+    ghosts[:, 5:] = 1.0 / D_FLOOR        # three ghost slots on the target
+    near = untied.copy()
+    near[:, 3] = near[:, 1] * (1.0 + 1e-13)
+    near[:, 6] = near[:, 1] * (1.0 - 1e-13)
+    mixed = untied.copy()
+    mixed[:, [0, 4, 7]] = mixed[:, [2]]  # a tie group away from the ends
+    return {
+        "untied": untied,
+        "ghost ties": ghosts,
+        "tied to 1e-13": near,
+        "mixed ties": mixed,
+        "all equal": np.full((3, 8), 0.37),
+        "one leaf": rng.uniform(0.02, 10.0, (4, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_weighted_star_cases()))
+def test_weighted_star_spectra_closed_form(case):
+    weights = _weighted_star_cases()[case]
+    w, v = star_spectra(weights)
+    for leaves, w_b, v_b in zip(weights, w, v):
+        _assert_is_spectrum_of(_star_laplacian(leaves), w_b, v_b)
+        _assert_star_sign_rules(leaves, v_b)
+
+
+def test_weighted_star_near_ties_keep_orthogonality_at_rounding_level():
+    # Roots squeezed between weights 1e-13 apart: the border recomputed from
+    # the roots keeps the eigenvectors orthogonal to a few ulps.
+    rng = np.random.default_rng(35)
+    weights = rng.uniform(0.02, 2.0, (200, 8))
+    weights[:, 3] = weights[:, 1] * (1.0 + 1e-13)
+    weights[:, 6] = weights[:, 1] * (1.0 - 1e-13)
+    weights[1::2, 5:] = 1.0 / D_FLOOR
+    weights[1::2, 4] = (1.0 + 1e-13) / D_FLOOR
+    _, v = star_spectra(weights)
+    gram = np.einsum("bij,bik->bjk", v, v)
+    assert np.max(np.abs(gram - np.eye(9))) <= 2e-15
+
+
+def test_weighted_star_signs_survive_rounding_noise():
+    rng = np.random.default_rng(32)
+    weights = rng.uniform(0.02, 2.0, (50, 8))
+    weights[:, 6:] = 1.0 / D_FLOOR
+    noisy = weights.copy()
+    noisy[:, :6] *= 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, (50, 6))
+    _, v = star_spectra(weights)
+    _, v_noisy = star_spectra(noisy)
+    assert np.max(np.abs(v - v_noisy)) <= 1e-9
+
+
+def test_untied_weighted_stars_match_jacobi():
+    rng = np.random.default_rng(33)
+    weights = rng.uniform(0.02, 2.0, (20, 8))
+    w, v = star_spectra(weights)
+    for leaves, w_b, v_b in zip(weights, w, v):
+        w_j, v_j = symmetric_eigh(_star_laplacian(leaves))
+        assert np.max(np.abs(w_b - w_j)) <= 1e-12 * w_b[-1]
+        assert np.max(np.abs(v_b - v_j)) <= 1e-9
+
+
+def test_star_spectra_rejects_bad_weights():
+    for bad in (np.ones(3), np.ones((2, 0)), np.ones((1, 2, 2))):
+        with pytest.raises(ValueError, match="stack of leaf weights"):
+            star_spectra(bad)
+    for bad in ([[1.0, 0.0]], [[1.0, -2.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            star_spectra(np.array(bad))
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            path_spectrum(n)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            complete_spectrum(n)
+
+
+def test_weighted_scene_coefficients_match_jacobi():
+    # Untied columns carry the same coefficients as the Jacobi basis; the
+    # contrasts of tied ghost slots, exact copies of the target, carry none.
+    cfg = preset_config("gftnn-w", 25)
+    basis = build_basis(cfg)
+    scenarios = synthesize(40, 25, seed=34, noise_std=0.05)
+    rows = scenario_spectra(scenarios, basis, cfg).reshape(len(scenarios), cfg.k,
+                                                           cfg.p, cfg.n_v)
+    star = build_spider_graph(cfg.n_v)
+    n_ghost_groups = 0
+    for scen, row in zip(scenarios, rows):
+        positions = scen.features[:2, -1].T
+        lap = laplacian(apply_inverse_distance_weights(star, positions)).matrix
+        _, v_jacobi = symmetric_eigh(lap)
+        want = gft_extended(scen.features[2:4], ProductBasis(
+            basis.temporal, Spectrum(np.zeros(cfg.n_v), v_jacobi)))
+        _, (v_closed,) = star_spectra(inverse_distance_weights(positions)[None])
+        secular = v_closed[0] != 0.0
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(row[..., secular] - want[..., secular])) <= 1e-9 * scale
+        assert np.max(np.abs(row[..., ~secular]), initial=0.0) <= 1e-12
+        n_ghost_groups += np.any(~secular)
+    assert n_ghost_groups >= 10
 
 
 def test_spectrum_validation():
