@@ -31,6 +31,7 @@ GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
 PRESET_T_OBS_S = 3.0            # observed window of every preset, seconds
 PRESET_T_PRED_S = 5.0           # predicted window of every preset, seconds
+CHANNEL_KINDS = ("w_n", "b_n", "w_l", "b_l")    # per-channel block arrays
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -112,7 +113,10 @@ class ModelParams:
 
     ``shapes`` maps each name to its shape in iteration order (see
     ``param_shapes``); ``flat`` holds the values of every array in that
-    order, each in C order. Writing through a view writes ``flat``.
+    order, each in C order. The channel arrays of one kind lie next to each
+    other, so ``w_n``, ``b_n``, ``w_l`` and ``b_l`` are ``(k, ...)`` views
+    and ``w_n[i]`` is the array named ``w_n_i``. Writing through a view
+    writes ``flat``.
     """
 
     def __init__(self, shapes: dict, flat=None):
@@ -120,16 +124,19 @@ class ModelParams:
         sizes = [math.prod(shape) for shape in self.shapes.values()]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
         self._views = {}
+        starts = {}
         offset = 0
         for (name, shape), size in zip(self.shapes.items(), sizes):
             self._views[name] = self.flat[offset:offset + size].reshape(shape)
+            starts[name] = offset
             offset += size
         k = (len(self.shapes) - 3) // 4
         self.w_s = self._views["w_s"]
-        self.w_n = [self._views[f"w_n_{i}"] for i in range(k)]
-        self.b_n = [self._views[f"b_n_{i}"] for i in range(k)]
-        self.w_l = [self._views[f"w_l_{i}"] for i in range(k)]
-        self.b_l = [self._views[f"b_l_{i}"] for i in range(k)]
+        for kind in CHANNEL_KINDS:
+            shape = self.shapes[f"{kind}_0"]
+            start = starts[f"{kind}_0"]
+            setattr(self, kind, self.flat[start:start + k * math.prod(shape)]
+                    .reshape(k, *shape))
         self.w_h = self._views["w_h"]
         self.b_h = self._views["b_h"]
 
@@ -152,18 +159,17 @@ class ModelParams:
 
 
 def _param_names(k: int) -> list:
-    per_channel = [f"{kind}_{i}" for i in range(k)
-                   for kind in ("w_n", "b_n", "w_l", "b_l")]
+    per_channel = [f"{kind}_{i}" for kind in CHANNEL_KINDS for i in range(k)]
     return ["w_s", *per_channel, "w_h", "b_h"]
 
 
 def param_shapes(config: ModelConfig) -> dict:
+    per_kind = {"w_n": (config.hidden, config.zk), "b_n": (config.hidden,),
+                "w_l": (OUT, config.hidden), "b_l": (OUT,)}
     shapes = {"w_s": (config.z,)}
-    for k in range(config.k):
-        shapes[f"w_n_{k}"] = (config.hidden, config.zk)
-        shapes[f"b_n_{k}"] = (config.hidden,)
-        shapes[f"w_l_{k}"] = (OUT, config.hidden)
-        shapes[f"b_l_{k}"] = (OUT,)
+    for kind in CHANNEL_KINDS:
+        for k in range(config.k):
+            shapes[f"{kind}_{k}"] = per_kind[kind]
     shapes["w_h"] = (OUT, OUT * config.k)
     shapes["b_h"] = (OUT,)
     return shapes
@@ -209,32 +215,36 @@ def forward(s, params: ModelParams, config: ModelConfig):
     Per row: an elementwise spectral gate, then per feature channel a
     block of layer norm (no learned scale or shift), linear, GELU and
     linear down to 3, and a head that maps the sigmoids of all blocks to
-    the latent triple. Returns the (B, 3) latents and the intermediates
-    the backward pass needs.
+    the latent triple. The k channel blocks run as one stacked pass over
+    (k, B, zk). Returns the (B, 3) latents and the intermediates the
+    backward pass needs, the block ones stacked as (k, B, ...).
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] != config.z:
         raise ValueError(f"spectra shape {s.shape} does not match (B, {config.z})")
+    b = s.shape[0]
     h_s = s * params.w_s
     _ensure_finite(h_s, "spectral_gate")
-    zk = config.zk
-    parts = []
-    blocks = []
-    for k in range(config.k):
-        x = h_s[:, k * zk:(k + 1) * zk]
-        mu = x.mean(axis=1, keepdims=True)
-        sig = np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
-        normed = (x - mu) / sig
-        z_lin = normed @ params.w_n[k].T + params.b_n[k]
-        act = gelu(z_lin)
-        out = act @ params.w_l[k].T + params.b_l[k]
-        _ensure_finite(out, f"mlp_block_{k}")
-        parts.append(out)
-        blocks.append((sig, normed, z_lin, act))
-    sg = expit(np.concatenate(parts, axis=1))
+    x = h_s.reshape(b, config.k, config.zk).transpose(1, 0, 2)
+    normed = np.subtract(x, x.mean(axis=2, keepdims=True), order="C")
+    # The gate output is spent: its buffer takes the squares for the variance.
+    sq = np.multiply(normed, normed, out=x)
+    sig = np.sqrt(sq.mean(axis=2, keepdims=True) + LN_EPS)
+    del h_s, x, sq
+    np.divide(normed, sig, out=normed)
+    z_lin = np.matmul(normed, params.w_n.transpose(0, 2, 1))
+    z_lin += params.b_n[:, None, :]
+    act = gelu(z_lin)
+    out = np.matmul(act, params.w_l.transpose(0, 2, 1))
+    out += params.b_l[:, None, :]
+    if not np.all(np.isfinite(out)):
+        k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
+        raise NumericError(f"non-finite values in mlp_block_{k}")
+    sg = expit(out.transpose(1, 0, 2).reshape(b, OUT * config.k))
     h_z = sg @ params.w_h.T + params.b_h
     _ensure_finite(h_z, "head")
-    return h_z, {"h_s": h_s, "blocks": blocks, "sg": sg}
+    return h_z, {"sig": sig, "normed": normed, "z_lin": z_lin, "act": act,
+                 "sg": sg}
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ autograd framework anywhere.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .model import (ModelConfig, ModelParams, NumericError, _ensure_finite,
+from .model import (OUT, ModelConfig, ModelParams, NumericError, _ensure_finite,
                     build_basis, decode_batch, decode_partials, forward,
                     gelu_grad, init_params, loss_batch, save_checkpoint,
                     scenario_spectra, scenario_spectrum)
@@ -41,8 +42,9 @@ class TrainConfig:
     def __post_init__(self):
         # A zero learning rate is allowed: it turns training into a pure
         # evaluation loop, which is occasionally useful as a control run.
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
@@ -60,8 +62,9 @@ def trajectory_loss(pred, truth) -> float:
 
 
 def _backward_batch(s, dx, dy, h_z, cache, params: ModelParams,
-                    config: ModelConfig) -> ModelParams:
-    """Gradients of the batch-mean loss for every parameter array."""
+                    config: ModelConfig, grads: ModelParams):
+    """Gradients of the batch-mean loss for every parameter array, written
+    into ``grads`` (every entry is overwritten)."""
     b, t_pred = dx.shape
     scale = 2.0 / (b * t_pred)
     d_xhat = scale * dx
@@ -73,35 +76,39 @@ def _backward_batch(s, dx, dy, h_z, cache, params: ModelParams,
     d_hz = np.stack([d_h1, d_h2, d_h3], axis=1)
     _ensure_finite(d_hz, "decoder")
     sg = cache["sg"]
-    grads = ModelParams(params.shapes)
-    grads.w_h[:] = d_hz.T @ sg
-    grads.b_h[:] = d_hz.sum(axis=0)
+    np.matmul(d_hz.T, sg, out=grads.w_h)
+    np.sum(d_hz, axis=0, out=grads.b_h)
     d_hc = (d_hz @ params.w_h) * sg * (1.0 - sg)
-    h_s = cache["h_s"]
-    d_hs = np.empty_like(h_s)
-    zk = config.zk
-    for k, (sig, normed, z_lin, act) in enumerate(cache["blocks"]):
-        d_out = d_hc[:, 3 * k:3 * k + 3]
-        grads.w_l[k][:] = d_out.T @ act
-        grads.b_l[k][:] = d_out.sum(axis=0)
-        d_z = (d_out @ params.w_l[k]) * gelu_grad(z_lin)
-        grads.w_n[k][:] = d_z.T @ normed
-        grads.b_n[k][:] = d_z.sum(axis=0)
-        d_norm = d_z @ params.w_n[k]
-        d_hs[:, k * zk:(k + 1) * zk] = (
-            d_norm - d_norm.mean(axis=1, keepdims=True)
-            - normed * np.mean(d_norm * normed, axis=1, keepdims=True)) / sig
+    # The channel blocks, stacked as (k, B, ...) like the forward pass.
+    d_out = d_hc.reshape(b, config.k, OUT).transpose(1, 0, 2)
+    normed, sig = cache["normed"], cache["sig"]
+    np.matmul(d_out.transpose(0, 2, 1), cache["act"], out=grads.w_l)
+    np.sum(d_out, axis=1, out=grads.b_l)
+    d_z = np.matmul(d_out, params.w_l)
+    d_z *= gelu_grad(cache["z_lin"])
+    np.matmul(d_z.transpose(0, 2, 1), normed, out=grads.w_n)
+    np.sum(d_z, axis=1, out=grads.b_n)
+    d_norm = np.matmul(d_z, params.w_n)
+    proj = np.mean(d_norm * normed, axis=2, keepdims=True)
+    d_norm -= d_norm.mean(axis=2, keepdims=True)
+    d_norm -= normed * proj
+    d_hs = np.empty((b, config.z))
+    np.divide(d_norm, sig, out=d_hs.reshape(b, config.k, config.zk).transpose(1, 0, 2))
     _ensure_finite(d_hs, "spectral_gate")
-    grads.w_s[:] = np.sum(d_hs * s, axis=0)
-    return grads
+    d_hs *= s
+    np.sum(d_hs, axis=0, out=grads.w_s)
 
 
-def _batch_loss_and_grads(s, futures, v0, params, config):
+def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
+    """Batch-mean loss and its gradients, written into ``grads`` when given
+    and into fresh arrays otherwise."""
     h_z, cache = forward(s, params, config)
     x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
     per_scenario, dx, dy = loss_batch(x, y, futures)
     loss = float(per_scenario.mean())
-    grads = _backward_batch(s, dx, dy, h_z, cache, params, config)
+    if grads is None:
+        grads = ModelParams(params.shapes)
+    _backward_batch(s, dx, dy, h_z, cache, params, config, grads)
     return loss, grads
 
 
@@ -117,13 +124,15 @@ def gradients(scenario, params: ModelParams, config: ModelConfig,
 
 class AdamState:
     """First and second moment estimates as flat vectors laid out like
-    ``ModelParams.flat`` (``shapes`` names the layout), plus the step count."""
+    ``ModelParams.flat`` (``shapes`` names the layout), the step count, and
+    one work vector that ``adam_step`` reuses."""
 
     def __init__(self, m, v, step: int, shapes: dict):
         self.m = m
         self.v = v
         self.step = step
         self.shapes = shapes
+        self.work = np.empty_like(m)
 
     @classmethod
     def initial(cls, params: ModelParams) -> "AdamState":
@@ -139,18 +148,35 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               config: TrainConfig):
-    """One bias-corrected Adam update over the flat parameter vector;
-    returns fresh params and state."""
+    """One bias-corrected Adam update over the flat parameter vector, in place.
+
+    ``params.flat``, ``state.m`` and ``state.v`` take their new values and
+    ``state.step`` advances. The operations are those of Kingma & Ba,
+    Algorithm 1, in the same order, written into existing buffers:
+    ``state.work`` and ``grads.flat``, which holds no gradient afterwards.
+    """
     t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    g = grads.flat
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
-    update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return (ModelParams(params.shapes, params.flat - update),
-            AdamState(m, v, t, params.shapes))
+    g, m, v, work = grads.flat, state.m, state.v, state.work
+    # v = b2 v + ((1 - b2) g) g, then m = b1 m + (1 - b1) g; g is free after.
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1.0 - b2, out=work)
+    np.multiply(work, g, out=work)
+    np.add(v, work, out=v)
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=g)
+    np.add(m, g, out=m)
+    # params -= lr (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=g)
+    np.multiply(g, config.learning_rate, out=g)
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    np.add(work, ADAM_EPS, out=work)
+    np.divide(g, work, out=g)
+    np.subtract(params.flat, g, out=params.flat)
+    state.step = t
 
 
 @dataclass
@@ -187,7 +213,10 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     logged train loss is the batch-size-weighted mean of the batch losses
     (each measured before its update step); test loss and displacement
     metrics are computed after the epoch. ``resume`` accepts a loaded
-    checkpoint and continues its epoch count and optimizer state.
+    checkpoint and continues its epoch count, optimizer state and shuffle
+    sequence, so N epochs and M resumed ones give the bits of N + M epochs.
+    The run updates its own copy of the parameters and the moments in
+    place; ``resume`` is left as it was.
     """
     if not split.train:
         raise ValueError("training split is empty")
@@ -196,9 +225,7 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     # A checkpoint stores the reference basis it was trained with.
     basis = build_basis(config) if resume is None else resume.basis
     s_train, fut_train, v0_train = _prepare(split.train, basis, config)
-    have_test = bool(split.test)
-    if have_test:
-        s_test, fut_test, v0_test = _prepare(split.test, basis, config)
+    test_data = _prepare(split.test, basis, config) if split.test else None
     if resume is not None:
         params = resume.params.copy()
         epoch0 = resume.epochs_trained
@@ -213,8 +240,12 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
         params = init_params(config, train_config.seed)
         state = AdamState.initial(params)
         epoch0 = 0
+    grads = ModelParams(params.shapes)
     rng = np.random.default_rng(train_config.seed)
     n = len(split.train)
+    # Each trained epoch drew one permutation; a resumed run draws on.
+    for _ in range(epoch0):
+        rng.permutation(n)
     history = []
     log_fh = writer = None
     if log_path is not None:
@@ -231,8 +262,9 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
             for b0 in range(0, n, train_config.batch_size):
                 idx = perm[b0:b0 + train_config.batch_size]
                 try:
-                    loss, grads = _batch_loss_and_grads(
-                        s_train[idx], fut_train[idx], v0_train[idx], params, config)
+                    loss = _batch_loss_and_grads(
+                        s_train[idx], fut_train[idx], v0_train[idx], params,
+                        config, grads)[0]
                 except NumericError as exc:
                     raise DivergenceError(
                         f"epoch {epoch}, batch {b0 // train_config.batch_size}: {exc}"
@@ -242,12 +274,11 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
                         f"epoch {epoch}, batch {b0 // train_config.batch_size}: "
                         f"loss is not finite"
                     )
-                params, state = adam_step(params, grads, state, train_config)
+                adam_step(params, grads, state, train_config)
                 total += loss * idx.size
             train_loss = total / n
-            if have_test:
-                test_loss, ade, fde = _test_metrics(
-                    s_test, fut_test, v0_test, params, config)
+            if test_data is not None:
+                test_loss, ade, fde = _test_metrics(*test_data, params, config)
             else:
                 test_loss = ade = fde = float("nan")
             row = {"epoch": epoch, "train_loss": train_loss,
@@ -261,6 +292,9 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
         if log_fh is not None:
             log_fh.close()
     epochs_trained = epoch0 + train_config.epochs
+    # The spectra and the gradient buffer are spent; free them before
+    # encoding the checkpoint, the largest allocation of a run.
+    del s_train, fut_train, v0_train, test_data, grads
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, config, basis, params,
                         epochs_trained=epochs_trained,

@@ -8,7 +8,8 @@ import numpy as np
 from scipy.special import expit
 
 from gftnn.graph import Graph
-from gftnn.model import ModelConfig
+from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
+                         decode_partials, gelu, gelu_grad)
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, RawTrack, Scenario,
                             label_maneuver)
@@ -102,6 +103,82 @@ def adam_step_per_array(params, grads, state, config):
         new_v[name] = v
         new_p[name] = p_arr - update
     return new_p, {"step": t, "m": new_m, "v": new_v}
+
+
+def forward_per_channel(s, params, config):
+    """The encoder as one Python loop over channel blocks, kept as the
+    oracle the stacked ``model.forward`` must match bit for bit. Returns
+    the (B, 3) latents and a cache of the gated spectra, one
+    (sig, normed, z_lin, act) tuple per block, and the sigmoids."""
+    h_s = s * params.w_s
+    _ensure_finite(h_s, "spectral_gate")
+    zk = config.zk
+    parts = []
+    blocks = []
+    for k in range(config.k):
+        x = h_s[:, k * zk:(k + 1) * zk]
+        mu = x.mean(axis=1, keepdims=True)
+        sig = np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
+        normed = (x - mu) / sig
+        z_lin = normed @ params.w_n[k].T + params.b_n[k]
+        act = gelu(z_lin)
+        out = act @ params.w_l[k].T + params.b_l[k]
+        _ensure_finite(out, f"mlp_block_{k}")
+        parts.append(out)
+        blocks.append((sig, normed, z_lin, act))
+    sg = expit(np.concatenate(parts, axis=1))
+    h_z = sg @ params.w_h.T + params.b_h
+    _ensure_finite(h_z, "head")
+    return h_z, {"h_s": h_s, "blocks": blocks, "sg": sg}
+
+
+def backward_per_channel(s, dx, dy, h_z, cache, params, config):
+    """Gradients of the batch-mean loss from a ``forward_per_channel``
+    cache, one loop iteration per channel block, into fresh arrays: the
+    oracle of ``training._backward_batch``."""
+    b, t_pred = dx.shape
+    scale = 2.0 / (b * t_pred)
+    d_xhat = scale * dx
+    d_yhat = scale * dy
+    dx_dh1, dy_dh2, dy_dh3 = decode_partials(h_z, t_pred, config.fps)
+    d_h1 = np.sum(d_xhat * dx_dh1[:, 1:], axis=1)
+    d_h2 = np.sum(d_yhat * dy_dh2[:, 1:], axis=1)
+    d_h3 = np.sum(d_yhat * dy_dh3[:, 1:], axis=1)
+    d_hz = np.stack([d_h1, d_h2, d_h3], axis=1)
+    sg = cache["sg"]
+    grads = ModelParams(params.shapes)
+    grads.w_h[:] = d_hz.T @ sg
+    grads.b_h[:] = d_hz.sum(axis=0)
+    d_hc = (d_hz @ params.w_h) * sg * (1.0 - sg)
+    h_s = cache["h_s"]
+    d_hs = np.empty_like(h_s)
+    zk = config.zk
+    for k, (sig, normed, z_lin, act) in enumerate(cache["blocks"]):
+        d_out = d_hc[:, 3 * k:3 * k + 3]
+        grads.w_l[k][:] = d_out.T @ act
+        grads.b_l[k][:] = d_out.sum(axis=0)
+        d_z = (d_out @ params.w_l[k]) * gelu_grad(z_lin)
+        grads.w_n[k][:] = d_z.T @ normed
+        grads.b_n[k][:] = d_z.sum(axis=0)
+        d_norm = d_z @ params.w_n[k]
+        d_hs[:, k * zk:(k + 1) * zk] = (
+            d_norm - d_norm.mean(axis=1, keepdims=True)
+            - normed * np.mean(d_norm * normed, axis=1, keepdims=True)) / sig
+    grads.w_s[:] = np.sum(d_hs * s, axis=0)
+    return grads
+
+
+def adam_step_fresh(flat, g, m, v, step, learning_rate):
+    """One flat-vector Adam update into fresh arrays, the oracle of the
+    in-place ``training.adam_step``; returns the new params, m and v."""
+    t = step + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    update = learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    return flat - update, m, v
 
 
 def random_graph(rng, n, weighted=True):

@@ -173,6 +173,15 @@ def test_train_resume_mismatch(tmp_path, capsys):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_learning_rate(tmp_path, capsys, lr):
+    archive = synth_archive(tmp_path)
+    err = run_fail(capsys, ["train", "--archive", str(archive), "--lr", lr,
+                            "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert err == f"error: learning rate must be finite and >= 0, got {lr}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_named_preset_rejects_overrides(tmp_path, capsys):
     archive = synth_archive(tmp_path)
     base = ["train", "--archive", str(archive), "--out", str(tmp_path)]

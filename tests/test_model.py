@@ -154,7 +154,16 @@ def test_params_are_views_of_one_buffer():
         p.flat[offset:offset + arr.size] = np.arange(arr.size) + offset
         assert np.array_equal(arr.ravel(), np.arange(arr.size) + offset), name
         offset += arr.size
-    assert p.w_n[1] is dict(p.items())["w_n_1"]
+    # each kind's channel arrays are one (k, ...) view, in the order of names
+    named = dict(p.items())
+    for kind in ("w_n", "b_n", "w_l", "b_l"):
+        stacked = getattr(p, kind)
+        assert stacked.shape == (cfg.k, *named[f"{kind}_0"].shape), kind
+        assert stacked.flags.c_contiguous and np.shares_memory(stacked, p.flat), kind
+        for i in range(cfg.k):
+            assert (stacked[i].__array_interface__["data"]
+                    == named[f"{kind}_{i}"].__array_interface__["data"]), (kind, i)
+            assert stacked[i].shape == named[f"{kind}_{i}"].shape, (kind, i)
     q = p.copy()
     assert not np.shares_memory(q.flat, p.flat)
     q.flat[:] = -1.0
@@ -175,13 +184,17 @@ def test_forward_gate_scales_spectrum():
     params = init_params(cfg, 0)
     params.w_s[:] = [3.0, 4.0, -1.0, 0.5]
     _, cache = forward(np.array([[1.0, 2.0, 8.0, 6.0]]), params, cfg)
-    assert np.array_equal(cache["h_s"], [[3.0, 8.0, -8.0, 3.0]])
+    # the gated channels are [3, 8] and [-8, 3]; layer norm sees those
+    want = [[[-2.5 / np.sqrt(6.25 + 1e-5), 2.5 / np.sqrt(6.25 + 1e-5)]],
+            [[-5.5 / np.sqrt(30.25 + 1e-5), 5.5 / np.sqrt(30.25 + 1e-5)]]]
+    assert np.allclose(cache["normed"], want, rtol=0, atol=1e-15)
 
 
 def test_forward_layer_norm_constant_channel():
     cfg = block_config(7)
     _, cache = forward(np.full((3, cfg.z), 3.25), init_params(cfg, 0), cfg)
-    for _, normed, _, _ in cache["blocks"]:
+    assert cache["normed"].shape == (cfg.k, 3, 7)
+    for normed in cache["normed"]:
         assert np.array_equal(normed, np.zeros((3, 7)))
 
 
@@ -189,15 +202,15 @@ def test_forward_layer_norm_two_points():
     cfg = block_config(2, k=2)
     _, cache = forward(np.array([[1.0, -1.0, -1.0, 1.0]]), init_params(cfg, 0), cfg)
     want = 1.0 / np.sqrt(1.0 + 1e-5)
-    assert np.allclose(cache["blocks"][0][1], [[want, -want]], rtol=0, atol=1e-15)
-    assert np.allclose(cache["blocks"][1][1], [[-want, want]], rtol=0, atol=1e-15)
+    assert np.allclose(cache["normed"][0], [[want, -want]], rtol=0, atol=1e-15)
+    assert np.allclose(cache["normed"][1], [[-want, want]], rtol=0, atol=1e-15)
 
 
 def test_forward_layer_norm_statistics():
     cfg = block_config(101)
     rng = np.random.default_rng(0)
     _, cache = forward(rng.normal(3.0, 10.0, size=(4, cfg.z)), init_params(cfg, 0), cfg)
-    for _, normed, _, _ in cache["blocks"]:
+    for normed in cache["normed"]:
         assert np.max(np.abs(normed.mean(axis=1))) < 1e-12
         # variance is slightly below 1 because of the epsilon in the denominator
         assert np.max(np.abs(normed.var(axis=1) - 1.0)) < 1e-4

@@ -7,13 +7,14 @@ import pytest
 
 from gftnn import training
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
-                         forward, init_params, load_checkpoint, param_shapes,
-                         predict, truth_trajectory)
+                         forward, init_params, load_checkpoint, loss_batch,
+                         param_shapes, predict, truth_trajectory)
 from gftnn.scenario import DatasetSplit, synthesize
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
                             gradients, train, trajectory_loss)
-from helpers import adam_step_per_array, tiny_config
+from helpers import (adam_step_fresh, adam_step_per_array, backward_per_channel,
+                     forward_per_channel, tiny_config)
 
 
 def tiny_scenarios(n, seed, noise_std=0.05):
@@ -37,6 +38,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=bad)
 
 
 # ----------------------------------------------------------------------- loss
@@ -142,11 +146,12 @@ def test_batched_gradients_average_per_scenario():
 def test_adam_zero_gradient_keeps_params():
     cfg = tiny_config()
     params = init_params(cfg, 8)
+    before = params.copy()
     zeros = ModelParams.from_named(
         {name: np.zeros_like(arr) for name, arr in params.items()}, cfg.k)
-    new, state = adam_step(params, zeros, AdamState.initial(params),
-                           TrainConfig(learning_rate=0.01))
-    for (name, a), (_, b) in zip(params.items(), new.items()):
+    state = AdamState.initial(params)
+    adam_step(params, zeros, state, TrainConfig(learning_rate=0.01))
+    for (name, a), (_, b) in zip(before.items(), params.items()):
         assert np.array_equal(a, b), name
     assert state.step == 1
 
@@ -154,21 +159,21 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_first_step_is_signed_learning_rate():
     cfg = tiny_config()
     params = init_params(cfg, 9)
-    grads = ones_like_params(params)
+    before = params.copy()
     lr = 0.01
-    new, _ = adam_step(params, grads, AdamState.initial(params),
-                       TrainConfig(learning_rate=lr))
-    for (name, a), (_, b) in zip(params.items(), new.items()):
+    adam_step(params, ones_like_params(params), AdamState.initial(params),
+              TrainConfig(learning_rate=lr))
+    for (name, a), (_, b) in zip(before.items(), params.items()):
         assert np.allclose(b, a - lr, rtol=0, atol=lr * 1e-6), name
 
 
 def test_adam_zero_learning_rate_keeps_params_bitwise():
     cfg = tiny_config()
     params = init_params(cfg, 10)
-    grads = ones_like_params(params)
-    new, state = adam_step(params, grads, AdamState.initial(params),
-                           TrainConfig(learning_rate=0.0))
-    for (name, a), (_, b) in zip(params.items(), new.items()):
+    before = params.copy()
+    state = AdamState.initial(params)
+    adam_step(params, ones_like_params(params), state, TrainConfig(learning_rate=0.0))
+    for (name, a), (_, b) in zip(before.items(), params.items()):
         assert np.array_equal(a, b), name
     # moments still advance, so a later nonzero-lr step has history
     assert state.step == 1
@@ -189,8 +194,9 @@ def test_adam_flat_update_matches_per_array_reference():
     for _ in range(5):
         grads = ModelParams(params.shapes, rng.normal(size=params.n_params)
                             * rng.choice([0.0, 1e-6, 1.0, 1e3], size=params.n_params))
-        params, state = adam_step(params, grads, state, tc)
+        # adam_step spends the gradient buffer, so the reference goes first
         ref_params, ref_state = adam_step_per_array(ref_params, grads, ref_state, tc)
+        adam_step(params, grads, state, tc)
         flat_state = state.as_dict()
         assert flat_state["step"] == ref_state["step"]
         for name, arr in params.items():
@@ -200,15 +206,76 @@ def test_adam_flat_update_matches_per_array_reference():
     assert state.step == 5
 
 
+def test_adam_updates_in_place():
+    cfg = tiny_config()
+    params = init_params(cfg, 12)
+    state = AdamState.initial(params)
+    buffers = (params.flat, state.m, state.v, state.work)
+    w_n = params.w_n
+    grads = ones_like_params(params)
+    assert adam_step(params, grads, state, TrainConfig(learning_rate=1e-3)) is None
+    assert all(a is b for a, b in zip(buffers, (params.flat, state.m, state.v,
+                                                state.work)))
+    # the named views still read the updated vector
+    assert np.shares_memory(w_n, params.flat)
+    assert not np.array_equal(params.flat, init_params(cfg, 12).flat)
+    assert np.all(state.m > 0) and np.all(state.v > 0)
+
+
 def test_adam_steps_accumulate():
     cfg = tiny_config()
     params = init_params(cfg, 11)
-    grads = ones_like_params(params)
     tc = TrainConfig(learning_rate=1e-3)
     state = AdamState.initial(params)
     for want_step in (1, 2, 3):
-        params, state = adam_step(params, grads, state, tc)
+        adam_step(params, ones_like_params(params), state, tc)
         assert state.step == want_step
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("b", [1, 3, 64])
+def test_step_matches_per_channel_oracle(b, k):
+    # The stacked forward and backward, the reused gradient buffer and the
+    # in-place Adam give the bits of the per-channel loop and fresh arrays.
+    cfg = tiny_config(k=k, t_obs=10, n_v=5, p=8, hidden=16)
+    rng = np.random.default_rng(30 + b + k)
+    s = rng.normal(0.0, 3.0, size=(b, cfg.z))
+    futures = rng.normal(0.0, 2.0, size=(b, cfg.t_pred, 2))
+    v0 = rng.uniform(20.0, 30.0, size=b)
+    tc = TrainConfig(learning_rate=1e-2)
+    params = init_params(cfg, b + k)
+    state = AdamState.initial(params)
+    grads = ModelParams(params.shapes)
+    flat, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
+    for step in range(20):
+        ref = ModelParams(params.shapes, flat)
+        h_z, cache = forward_per_channel(s, ref, cfg)
+        x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
+        per_scenario, dx, dy = loss_batch(x, y, futures)
+        ref_grads = backward_per_channel(s, dx, dy, h_z, cache, ref, cfg)
+        loss, out = _batch_loss_and_grads(s, futures, v0, params, cfg, grads)
+        assert out is grads
+        assert loss == float(per_scenario.mean()), step
+        assert same_bits(forward(s, params, cfg)[0], h_z), step
+        for (name, got), (_, want) in zip(grads.items(), ref_grads.items()):
+            assert same_bits(got, want), (step, name)
+        flat, m, v = adam_step_fresh(flat, ref_grads.flat, m, v, step,
+                                     tc.learning_rate)
+        adam_step(params, grads, state, tc)
+        assert same_bits(params.flat, flat), step
+        assert same_bits(state.m, m) and same_bits(state.v, v), step
+
+
+def test_gradients_are_fresh_arrays():
+    cfg = tiny_config()
+    basis = build_basis(cfg)
+    scen = tiny_scenarios(1, seed=23)[0]
+    params = init_params(cfg, 24)
+    a = gradients(scen, params, cfg, basis)
+    b = gradients(scen, params, cfg, basis)
+    assert not np.shares_memory(a.flat, b.flat)
+    assert not np.shares_memory(a.flat, params.flat)
+    assert same_bits(a.flat, b.flat)
 
 
 # ---------------------------------------------------------------------- train
@@ -331,6 +398,52 @@ def test_train_resume_reuses_stored_basis(tmp_path, monkeypatch):
         for field in ("eigenvalues", "eigenvectors"):
             assert same_bits(getattr(getattr(a.basis, factor), field),
                              getattr(getattr(b.basis, factor), field))
+
+
+def test_train_resume_continues_the_run_bitwise(tmp_path):
+    # N epochs, a checkpoint file, then M resumed epochs equal N + M epochs.
+    cfg = tiny_config()
+    scens = tiny_scenarios(9, seed=25)
+    ds = DatasetSplit(train=scens[:7], test=scens[7:], seed=0)
+    tc = TrainConfig(learning_rate=1e-2, batch_size=2, seed=7)
+    whole = train(ds, cfg, dataclasses.replace(tc, epochs=5),
+                  log_path=tmp_path / "whole.csv",
+                  checkpoint_path=tmp_path / "whole.json")
+    train(ds, cfg, dataclasses.replace(tc, epochs=2), log_path=tmp_path / "part.csv",
+          checkpoint_path=tmp_path / "part.json")
+    resumed = train(ds, cfg, dataclasses.replace(tc, epochs=3),
+                    log_path=tmp_path / "part.csv",
+                    checkpoint_path=tmp_path / "part.json",
+                    resume=load_checkpoint(tmp_path / "part.json"))
+    assert resumed.history == whole.history[2:]
+    assert (tmp_path / "part.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    a, b = load_checkpoint(tmp_path / "whole.json"), load_checkpoint(tmp_path / "part.json")
+    assert (a.epochs_trained, a.optimizer["step"]) == (b.epochs_trained,
+                                                        b.optimizer["step"]) == (5, 20)
+    assert same_bits(a.params.flat, b.params.flat)
+    assert same_bits(resumed.params.flat, whole.params.flat)
+    for moment in ("m", "v"):
+        for name, arr in a.optimizer[moment].items():
+            assert same_bits(arr, b.optimizer[moment][name]), (moment, name)
+
+
+def test_train_resume_leaves_checkpoint_unchanged(tmp_path):
+    cfg = tiny_config()
+    scens = tiny_scenarios(5, seed=26)
+    ds = DatasetSplit(train=scens[:4], test=scens[4:], seed=0)
+    tc = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=2, seed=8)
+    train(ds, cfg, tc, checkpoint_path=tmp_path / "ckpt.json")
+    ckpt = load_checkpoint(tmp_path / "ckpt.json")
+    params = ckpt.params.flat.copy()
+    moments = {moment: {name: arr.copy() for name, arr in ckpt.optimizer[moment].items()}
+               for moment in ("m", "v")}
+    result = train(ds, cfg, tc, resume=ckpt)
+    assert not np.shares_memory(result.params.flat, ckpt.params.flat)
+    assert same_bits(ckpt.params.flat, params)
+    assert ckpt.optimizer["step"] == 4
+    for moment, named in moments.items():
+        for name, arr in named.items():
+            assert same_bits(ckpt.optimizer[moment][name], arr), (moment, name)
 
 
 def test_train_resume_rejects_other_config(tmp_path):
