@@ -106,6 +106,8 @@ def cmd_prep(args):
     opts = _resolve(args, PREP_DEFAULTS)
     _require(opts, "input", "fps")
     tracks = ingest_tracks(opts["input"], opts["schema"])
+    print(f"read {sum(map(len, tracks))} rows of {len(tracks)} vehicles "
+          f"from {opts['input']}")
     scenarios = extract_scenarios(tracks, opts["fps"], opts["t_obs"],
                                   opts["t_pred"], opts["n_vehicles"])
     if not scenarios:

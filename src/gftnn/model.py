@@ -461,8 +461,12 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
     for bit. The stored basis is the
     unweighted reference basis; distance-weighted spatial bases are always
     derived per scenario.
+
+    The file is json.dumps(doc) of the whole document, written one array
+    of params, m and v at a time, so only one array's text is in memory at
+    once.
     """
-    doc = {
+    head = json.dumps({
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "param_count": params.n_params,
@@ -471,16 +475,27 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
             "temporal": _spectrum_doc(basis.temporal),
             "spatial": _spectrum_doc(basis.spatial),
         },
-        "params": {name: encode_array(arr) for name, arr in params.items()},
-    }
-    if optimizer is not None:
-        doc["optimizer"] = {
-            "step": int(optimizer["step"]),
-            "m": {name: encode_array(arr) for name, arr in optimizer["m"].items()},
-            "v": {name: encode_array(arr) for name, arr in optimizer["v"].items()},
-        }
+    })
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(head[:-1])  # all but the closing "}"
+        _write_arrays(fh, "params", params.items())
+        if optimizer is not None:
+            fh.write(f', "optimizer": {{"step": {int(optimizer["step"])}')
+            for moment in ("m", "v"):
+                _write_arrays(fh, moment, optimizer[moment].items())
+            fh.write("}")
+        fh.write("}")
+
+
+def _write_arrays(fh, key: str, arrays):
+    """Write ``, "key": {"name": "<encode_array>", ...}`` as json.dumps
+    would, one array at a time."""
+    fh.write(f", {json.dumps(key)}: {{")
+    for i, (name, arr) in enumerate(arrays):
+        fh.write(f'{", " if i else ""}{json.dumps(name)}: "')
+        fh.write(encode_array(arr))
+        fh.write('"')
+    fh.write("}")
 
 
 def load_checkpoint(path) -> Checkpoint:

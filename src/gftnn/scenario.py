@@ -11,8 +11,10 @@ so a positive lateral displacement is a left lane change.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import warnings
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -41,6 +43,13 @@ SCHEMAS = {
         "vx": "xVelocity", "vy": "yVelocity", "lane_id": "laneId",
     },
 }
+
+
+# One data row of a track CSV as ingest_tracks reads it: the vehicle id,
+# then RawTrack's arrays.
+_ROW = np.dtype([("vehicle_id", np.int64), ("frame", np.int64), ("x", np.float64),
+                 ("y", np.float64), ("vx", np.float64), ("vy", np.float64),
+                 ("lane_id", np.int64)])
 
 
 class SchemaError(ValueError):
@@ -81,7 +90,7 @@ class RawTrack:
         frame = np.ascontiguousarray(self.frame, dtype=np.int64)
         if frame.ndim != 1 or frame.size == 0:
             raise ValueError("track must contain at least one sample")
-        if np.any(np.diff(frame) <= 0):
+        if np.any(frame[1:] <= frame[:-1]):     # np.diff could overflow
             raise ValueError(
                 f"vehicle {self.vehicle_id}: frames must be strictly increasing"
             )
@@ -159,14 +168,20 @@ class DatasetSplit:
 def ingest_tracks(path, schema: str = "normalized") -> list[RawTrack]:
     """Read per-frame vehicle samples from CSV and group them into tracks.
 
-    Blank lines are skipped. A row that is too short for a needed column,
+    The header is read with csv.reader. numpy's C reader (``np.loadtxt``)
+    then parses the data rows in one pass, converting only the columns the
+    schema names, and one lexsort on (vehicle id, frame) groups them. Blank
+    lines are skipped. Where the C reader fails or warns, or a field might
+    be longer than csv's field size limit, a csv.reader loop reads the rows
+    again, to the same values: a row that is too short for a needed column,
     or that does not parse, raises ParseError naming its line.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
     mapping = SCHEMAS[schema]
-    columns = defaultdict(list)
-    with open(path, newline="") as fh:
+    with open(path, newline="") as src:
+        # A pipe cannot seek back for the row loop, so it is read to memory.
+        fh = src if src.seekable() else io.StringIO(src.read(), newline="")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -176,37 +191,86 @@ def ingest_tracks(path, schema: str = "normalized") -> list[RawTrack]:
         for col in mapping.values():
             if col not in index:
                 raise SchemaError(f"{path}: missing column '{col}'")
-        vid, frame, x, y, vx, vy, lane = (index[mapping[name]] for name in (
-            "vehicle_id", "frame", "x", "y", "vx", "vy", "lane_id"))
-        try:
-            for row in reader:
-                if row:
-                    columns[int(row[vid])].append((
-                        int(row[frame]), float(row[x]), float(row[y]),
-                        float(row[vx]), float(row[vy]), int(row[lane]),
-                    ))
-        except IndexError:
-            raise ParseError(f"{path}: row {reader.line_num} has {len(row)} "
-                             f"columns, the header has {len(header)}") from None
-        except (ValueError, csv.Error) as exc:
-            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+        columns = [index[mapping[name]] for name in _ROW.names]
+        rows = _load_rows(fh, columns)
+        if rows is None:
+            fh.seek(0)
+            rows = _read_rows(fh, path, columns)
+    if not rows.size:
+        return []
+    rows = rows[np.lexsort((rows["frame"], rows["vehicle_id"]))]
+    vehicle = rows["vehicle_id"]
+    cuts = ((vehicle[1:] != vehicle[:-1]).nonzero()[0] + 1).tolist()
     tracks = []
-    for vehicle in sorted(columns):
-        rows = sorted(columns[vehicle])
-        frames = [r[0] for r in rows]
-        if len(set(frames)) != len(frames):
-            raise ParseError(f"{path}: vehicle {vehicle} has duplicate frames")
+    for lo, hi in zip([0, *cuts], [*cuts, rows.size]):
+        track = rows[lo:hi]
+        if np.any(track["frame"][1:] == track["frame"][:-1]):
+            raise ParseError(f"{path}: vehicle {vehicle[lo]} has duplicate frames")
         try:
-            arr = np.asarray(rows, dtype=np.float64)
-            # Ids stay integers: float64 would round those above 2**53.
-            tracks.append(RawTrack(
-                vehicle_id=vehicle, frame=np.array(frames, dtype=np.int64),
-                x=arr[:, 1], y=arr[:, 2], vx=arr[:, 3], vy=arr[:, 4],
-                lane_id=np.array([r[5] for r in rows], dtype=np.int64),
-            ))
+            tracks.append(RawTrack(vehicle_id=int(vehicle[lo]),
+                                   **{name: track[name] for name in _ROW.names[1:]}))
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     return tracks
+
+
+def _load_rows(fh, columns):
+    """The rest of ``fh`` parsed by np.loadtxt into ``_ROW`` records, or
+    None where its reading might differ from csv.reader's: it fails or
+    warns, or a field might exceed csv's field size limit, which only
+    csv.reader enforces."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(_within_field_limit(fh), dtype=_ROW, comments=None,
+                              delimiter=",", quotechar='"', usecols=columns, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+def _within_field_limit(lines):
+    """The lines, up to one that might hold a field longer than csv's field
+    size limit, where it raises ValueError. An unquoted field lies within
+    one line; a quoted one may span lines, so once the text holds a quote
+    and more characters than the limit, it stops."""
+    limit = csv.field_size_limit()
+    size = 0
+    quoted = False
+    for line in lines:
+        size += len(line)
+        quoted = quoted or '"' in line
+        if len(line) > limit or (quoted and size > limit):
+            raise ValueError("a field may exceed the field size limit")
+        yield line
+
+
+def _read_rows(fh, path, columns):
+    """The data rows of CSV file ``fh`` read with csv.reader, int() and
+    float(), as ``_ROW`` records. Integers beyond int64 make the integer
+    columns Python ints, which RawTrack rejects for a frame or lane id.
+    A row that is short or does not parse raises ParseError naming its
+    line."""
+    values = []
+    vid, frame, x, y, vx, vy, lane = columns
+    reader = csv.reader(fh)
+    header = next(reader)
+    try:
+        for row in reader:
+            if row:
+                values.append((
+                    int(row[vid]), int(row[frame]), float(row[x]), float(row[y]),
+                    float(row[vx]), float(row[vy]), int(row[lane]),
+                ))
+    except IndexError:
+        raise ParseError(f"{path}: row {reader.line_num} has {len(row)} "
+                         f"columns, the header has {len(header)}") from None
+    except (ValueError, csv.Error) as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+    try:
+        return np.array(values, dtype=_ROW)
+    except OverflowError:
+        return np.array(values, dtype=[(name, object if _ROW[name].kind == "i" else float)
+                                       for name in _ROW.names])
 
 
 def label_maneuver(lane_ids, lateral, t0_index: int) -> str:

@@ -2,6 +2,7 @@
 import csv
 import json
 import logging
+from collections import defaultdict
 from dataclasses import asdict
 
 import numpy as np
@@ -11,8 +12,8 @@ from gftnn.graph import Graph
 from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
                          decode_partials, gelu, gelu_grad)
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, RawTrack, Scenario,
-                            label_maneuver)
+from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, ParseError, RawTrack,
+                            Scenario, SchemaError, label_maneuver)
 
 
 def tiny_config(**overrides):
@@ -243,6 +244,61 @@ def write_tracks_csv(path, tracks, schema="normalized"):
         writer = csv.writer(fh)
         writer.writerow([cols[name] for name in order])
         writer.writerows(rows)
+
+
+def ingest_tracks_reference(path, schema: str = "normalized") -> list[RawTrack]:
+    """Read per-frame vehicle samples from CSV and group them into tracks,
+    one csv.reader row and one int()/float() per value at a time: the row
+    loop ``ingest_tracks`` had before it parsed with np.loadtxt.
+
+    Blank lines are skipped. A row that is too short for a needed column,
+    or that does not parse, raises ParseError naming its line.
+    """
+    if schema not in SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
+    mapping = SCHEMAS[schema]
+    columns = defaultdict(list)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        # A repeated name means its last column, as csv.DictReader read it.
+        index = {name: i for i, name in enumerate(header)}
+        for col in mapping.values():
+            if col not in index:
+                raise SchemaError(f"{path}: missing column '{col}'")
+        vid, frame, x, y, vx, vy, lane = (index[mapping[name]] for name in (
+            "vehicle_id", "frame", "x", "y", "vx", "vy", "lane_id"))
+        try:
+            for row in reader:
+                if row:
+                    columns[int(row[vid])].append((
+                        int(row[frame]), float(row[x]), float(row[y]),
+                        float(row[vx]), float(row[vy]), int(row[lane]),
+                    ))
+        except IndexError:
+            raise ParseError(f"{path}: row {reader.line_num} has {len(row)} "
+                             f"columns, the header has {len(header)}") from None
+        except (ValueError, csv.Error) as exc:
+            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+    tracks = []
+    for vehicle in sorted(columns):
+        rows = sorted(columns[vehicle])
+        frames = [r[0] for r in rows]
+        if len(set(frames)) != len(frames):
+            raise ParseError(f"{path}: vehicle {vehicle} has duplicate frames")
+        try:
+            arr = np.asarray(rows, dtype=np.float64)
+            # Ids stay integers: float64 would round those above 2**53.
+            tracks.append(RawTrack(
+                vehicle_id=vehicle, frame=np.array(frames, dtype=np.int64),
+                x=arr[:, 1], y=arr[:, 2], vx=arr[:, 3], vy=arr[:, 4],
+                lane_id=np.array([r[5] for r in rows], dtype=np.int64),
+            ))
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    return tracks
 
 
 def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):

@@ -64,11 +64,13 @@ def test_prep_schemas_agree(tmp_path, capsys):
     out = run_ok(capsys, ["prep", "--input", str(tmp_path / "n.csv"),
                           "--fps", "5", "--out", str(tmp_path / "n"),
                           "--seed", "0"])
-    assert "extracted 3 scenarios" in out
+    assert out.startswith(f"read 120 rows of 3 vehicles from {tmp_path / 'n.csv'}\n"
+                          "extracted 3 scenarios")
     assert "kept 3 after balancing" in out
-    run_ok(capsys, ["prep", "--input", str(tmp_path / "h.csv"),
-                    "--schema", "highd_like", "--fps", "5",
-                    "--out", str(tmp_path / "h"), "--seed", "0"])
+    out = run_ok(capsys, ["prep", "--input", str(tmp_path / "h.csv"),
+                          "--schema", "highd_like", "--fps", "5",
+                          "--out", str(tmp_path / "h"), "--seed", "0"])
+    assert out.startswith(f"read 120 rows of 3 vehicles from {tmp_path / 'h.csv'}\n")
     assert (tmp_path / "n" / "archive.json").read_bytes() == \
         (tmp_path / "h" / "archive.json").read_bytes()
 

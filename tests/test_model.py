@@ -15,6 +15,7 @@ from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Traject
                          scenario_spectrum, select_channels, truth_trajectory)
 from gftnn.scenario import Scenario, synthesize
 from gftnn.spectral import ProductBasis, Spectrum, gft_extended, truncate_spectrum
+from gftnn.store import encode_array
 from helpers import tiny_config, write_v1_checkpoint
 
 
@@ -637,6 +638,31 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert ckpt.optimizer["step"] == 17
     assert np.array_equal(ckpt.optimizer["m"]["w_h"], opt["m"]["w_h"])
     assert np.array_equal(ckpt.optimizer["v"]["w_s"], opt["v"]["w_s"])
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+def test_checkpoint_file_is_json_dumps_of_the_document(tmp_path, with_optimizer):
+    # save_checkpoint streams the arrays; the text is that of the whole document.
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 6)
+    basis = build_basis(cfg)
+    doc = {
+        "format_version": 2,
+        "config": dataclasses.asdict(cfg),
+        "param_count": params.n_params,
+        "epochs_trained": 4,
+        "basis": {factor: {"eigenvalues": encode_array(getattr(basis, factor).eigenvalues),
+                           "eigenvectors": encode_array(getattr(basis, factor).eigenvectors)}
+                  for factor in ("temporal", "spatial")},
+        "params": {name: encode_array(arr) for name, arr in params.items()},
+    }
+    if with_optimizer:
+        doc["optimizer"] = {"step": 17, **{
+            moment: {name: encode_array(arr) for name, arr in opt[moment].items()}
+            for moment in ("m", "v")}}
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, basis, params, 4, opt if with_optimizer else None)
+    assert path.read_text() == json.dumps(doc)
 
 
 def test_checkpoint_roundtrip_awkward_floats(tmp_path):

@@ -1,16 +1,20 @@
 import base64
+import csv
 import json
 import logging
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gftnn import scenario
 from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
                             Scenario, SchemaError, SplitError, balance,
                             extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
-from helpers import (extract_scenarios_reference, multilane_scene,
+from helpers import (extract_scenarios_reference, ingest_tracks_reference, multilane_scene,
                      three_class_tracks, write_tracks_csv, write_v1_archive)
 
 
@@ -178,6 +182,141 @@ def test_ingest_highd_like_columns_in_any_order(tmp_path):
     assert track.lane_id.tolist() == [4, 4]
     with pytest.raises(SchemaError, match="missing column 'vehicle_id'"):
         ingest_tracks(path)
+
+
+def _ingest_outcome(ingest, path, schema):
+    """The tracks read, with each id's type and every array's dtype and
+    bytes, or the error raised."""
+    try:
+        tracks = ingest(path, schema)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(type(tr.vehicle_id), tr.vehicle_id,
+             [(getattr(tr, name).dtype.str, getattr(tr, name).tobytes())
+              for name in ("frame", "x", "y", "vx", "vy", "lane_id")]) for tr in tracks]
+
+
+def _write_highd_with_extras(path, tracks, seed):
+    """The tracks in the highd_like schema plus three unused columns, all
+    columns in shuffled order."""
+    write_tracks_csv(path, tracks, schema="highd_like")
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    header += ["width", "height", "precedingId"]
+    rows = [row + ["4.5", "1.8", str(i % 7)] for i, row in enumerate(rows)]
+    order = np.random.default_rng(seed).permutation(len(header))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(",".join(row[j] for j in order) for row in [header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("seed, fps, duplicate_id", [(0, 10, False), (1, 25, False),
+                                                     (2, 10, True)])
+def test_ingest_matches_row_loop_reference_on_recordings(tmp_path, monkeypatch, seed, fps,
+                                                         duplicate_id):
+    # numpy's C reader parses these files alone: the row loop is not called.
+    monkeypatch.setattr(scenario, "_read_rows", None)
+    tracks = multilane_scene(seed, fps, n_tracks=20, duplicate_id=duplicate_id)
+    write_tracks_csv(tmp_path / "n.csv", tracks)
+    _write_highd_with_extras(tmp_path / "h.csv", tracks, seed)
+    for path, schema in ((tmp_path / "n.csv", "normalized"), (tmp_path / "h.csv", "highd_like")):
+        want = _ingest_outcome(ingest_tracks_reference, path, schema)
+        assert _ingest_outcome(ingest_tracks, path, schema) == want
+        assert isinstance(want, tuple) == duplicate_id
+
+
+LONG = 200_000
+# Data rows after HEADER, one file each; ingest_tracks must read every one
+# as the row loop does: the same tracks, or the same error message.
+INGEST_CASES = {
+    "bad value": "1,1,0.0,0.0,1.0,0.0,2\n2,1,oops,0.0,1.0,0.0,2\n",
+    "duplicate frame": "1,1,0,0,1,0,2\n1,1,0,0,1,0,2\n",
+    "duplicate frame, later vehicle": "1,1,0,0,1,0,2\n2,4,0,0,1,0,2\n1,4,0,0,1,0,2\n"
+                                      "2,1,0,0,1,0,2\n2,4,5,0,1,0,2\n",
+    "gap": "1,7,0,0,1,0,2\n3,7,2,0,1,0,2\n",
+    "ints above float precision": "9007199254740993,1,0.0,0.0,1.0,0.0,9007199254740993\n"
+                                  "9007199254740995,1,0.1,0.0,1.0,0.0,2\n",
+    "frame 2**63": "9223372036854775808,1,0.0,0.0,1.0,0.0,2\n",
+    "lane 2**63 after a duplicate": "1,1,0,0,1,0,2\n1,1,0,0,1,0,2\n1,2,0,0,1,0,9223372036854775808\n",
+    "id 2**63": "1,9223372036854775808,0.0,0.0,1.0,0.0,2\n2,9223372036854775808,0.5,0.0,1.0,0.0,2\n"
+                "1,-9223372036854775809,0.0,0.0,1.0,0.0,2\n1,3,0.0,0.0,1.0,0.0,2\n",
+    "frames -2**63 and 0": "-9223372036854775808,1,0.0,0.0,1.0,0.0,2\n0,1,0.0,0.0,1.0,0.0,2\n",
+    "frames -2**63 and 0, lane 2**63": "-9223372036854775808,1,0.0,0.0,1.0,0.0,2\n"
+                                       "0,1,0.0,0.0,1.0,0.0,9223372036854775808\n",
+    "nan in x": "1,7,0.0,0.0,1.0,0.0,2\n2,7,nan,0.0,1.0,0.0,2\n",
+    "inf in vy, nan in a later vehicle": "1,7,0.0,0.0,1.0,inf,2\n1,8,nan,0.0,1.0,0.0,2\n",
+    "-Infinity in y": "1,7,0.0,-Infinity,1.0,0.0,2\n",
+    "blank lines": "1,1,0.0,0.0,1.0,0.0,2\n\n2,1,0.1,0.0,1.0,0.0,2\n\n",
+    "blank lines before a bad value": "1,1,0.0,0.0,1.0,0.0,2\n\n\n2,1,oops,0.0,1.0,0.0,2\n",
+    "short row": "1,1,0.0,0.0,1.0,0.0,2\n\n2,1,0.1\n",
+    "# line": "1,1,0.0,0.0,1.0,0.0,2\n# a comment\n",
+    "whitespace-only line": "1,1,0.0,0.0,1.0,0.0,2\n  \t\n2,1,0.1,0.0,1.0,0.0,2\n",
+    "1.0 in an int column": "1.0,1,0.0,0.0,1.0,0.0,2\n",
+    "1_000": "1_000,1,0.0,0.0,1.0,0.0,2\n1,1,1_0.5,0.0,1.0,0.0,2\n",
+    "header only": "",
+    "quoted numbers": '"1","1","0.5",0.0,1.0,0.0,"2"\n"2",1,"0""",0.0,1.0,0.0,2\n',
+    "quoted then more": '2,1,"0"5,0.0,1.0,0.0,2\n1,1,0.5,0.0,1.0,0.0,2\n',
+    "CRLF line ends": "1,1,0.0,0.0,1.0,0.0,2\r\n2,1,0.1,0.0,1.0,0.0,2\r\n",
+    "CR line ends": "1,1,0.0,0.0,1.0,0.0,2\r2,1,0.1,0.0,1.0,0.0,2\r",
+    "surrounding spaces": " 1 ,1, 0.5 ,+0.0,1e0,-0.0,\t2\n",
+    "unicode digits": "١,1,٠.5,0.0,1.0,0.0,2\n",
+    "200 000-digit field": "1,1,0.0,0.0,1.0,0.0,2\n2,1," + "9" * LONG + ",0,1,0,2\n",
+    "long finite field": "1,1,0.0,0.0,1.0,0.0,2\n2,1,0." + "0" * LONG + "1,0,1,0,2\n",
+    "trailing empty column": "1,1,0.0,0.0,1.0,0.0,2,\n2,1,0.1,0.0,1.0,0.0,2,\n",
+    "short of a trailing empty column": "1,1,0.0,0.0,1.0,0.0,2,\n2,1,0.1,0.0,1.0,0.0\n",
+}
+
+
+@pytest.mark.parametrize("case", INGEST_CASES)
+def test_ingest_matches_row_loop_reference(tmp_path, case):
+    path = tmp_path / "tracks.csv"
+    path.write_bytes((HEADER + INGEST_CASES[case]).encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _ingest_outcome(ingest_tracks, path, "normalized")
+    assert got == _ingest_outcome(ingest_tracks_reference, path, "normalized")
+    assert not caught      # e.g. loadtxt's warning on a file without data rows
+
+
+LONG_FILE = "".join(f"{f},1,{f / 8},0.0,1.0,0.0,2,x\n" for f in range(7000))
+
+
+@pytest.mark.parametrize("text", [
+    "", "1,1,0.0,0.0,1.0,0.0,2,x\n",
+    "1,1,0.0,0.0,1.0,0.0,2," + "a" * LONG + "\n",
+    "a,b\n" * 3 + '1,1,0.0,0.0,1.0,0.0,2,"' + "b,\n" * LONG + '"\n',
+    '1,1,0.0,0.0,1.0,0.0,2,"' + "b,\n" * LONG,
+    "1,1,0.0,0.0,1.0,0.0,2,a\x00b\n",
+], ids=["none", "plain", "long unused field", "long quoted field", "unclosed quote", "NUL"])
+def test_ingest_unused_columns_match_row_loop_reference(tmp_path, text):
+    # A field in a column the schema does not name still has to pass csv.reader.
+    path = tmp_path / "tracks.csv"
+    path.write_bytes((HEADER.rstrip("\n") + ",note\n" + LONG_FILE + text).encode())
+    want = _ingest_outcome(ingest_tracks_reference, path, "normalized")
+    assert _ingest_outcome(ingest_tracks, path, "normalized") == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("body, want", [
+    ("1,1,0.0,0.0,1.0,0.0,2\n2,1,0.5,0.0,1.0,0.0,2\n", None),
+    ("1,1,0.0,0.0,1.0,0.0,2\n2,1,oops,0.0,1.0,0.0,2\n",
+     "row 3: could not convert string to float: 'oops'"),
+])
+def test_ingest_reads_a_pipe(tmp_path, body, want):
+    # A pipe cannot seek back, yet a bad row is still named by its line.
+    path = tmp_path / "tracks.csv"
+    path.write_text(HEADER + body)
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, path.read_bytes())
+    os.close(write_fd)
+    try:
+        if want is None:
+            (track,) = ingest_tracks(f"/dev/fd/{read_fd}")
+            assert track.x.tolist() == [0.0, 0.5]
+        else:
+            with pytest.raises(ParseError, match=f"^/dev/fd/{read_fd}: {want}$"):
+                ingest_tracks(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
 
 
 def test_raw_track_validation():
