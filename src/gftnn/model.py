@@ -15,9 +15,9 @@ import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .graph import inverse_distance_weights
+from .special import erf, expit
 from .spectral import (DEGENERACY_TOL, ProductBasis, Spectrum, complete_spectrum,
                        gft_extended, path_spectrum, star_spectra,
                        truncate_spectrum)
@@ -192,16 +192,25 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
+def gaussian_cdf(x):
+    """Phi(x), the standard normal CDF."""
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * (1.0 + erf(x * _SQRT1_2))
+
+
 def gelu(x):
     """Exact Gaussian error linear unit, x * Phi(x)."""
     x = np.asarray(x, dtype=np.float64)
-    return x * 0.5 * (1.0 + erf(x * _SQRT1_2))
+    return x * gaussian_cdf(x)
 
 
-def gelu_grad(x):
-    """d/dx of exact GELU: Phi(x) + x * phi(x)."""
+def gelu_grad(x, cdf=None):
+    """d/dx of exact GELU: Phi(x) + x * phi(x). ``cdf`` is Phi(x) when the
+    caller already has it (the forward pass keeps it)."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    if cdf is None:
+        cdf = gaussian_cdf(x)
+    return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def _ensure_finite(arr, layer: str):
@@ -217,7 +226,8 @@ def forward(s, params: ModelParams, config: ModelConfig):
     linear down to 3, and a head that maps the sigmoids of all blocks to
     the latent triple. The k channel blocks run as one stacked pass over
     (k, B, zk). Returns the (B, 3) latents and the intermediates the
-    backward pass needs, the block ones stacked as (k, B, ...).
+    backward pass needs, the block ones stacked as (k, B, ...); ``cdf``
+    is Phi(z_lin), so the GELU derivative needs no second erf.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] != config.z:
@@ -234,7 +244,8 @@ def forward(s, params: ModelParams, config: ModelConfig):
     np.divide(normed, sig, out=normed)
     z_lin = np.matmul(normed, params.w_n.transpose(0, 2, 1))
     z_lin += params.b_n[:, None, :]
-    act = gelu(z_lin)
+    cdf = gaussian_cdf(z_lin)
+    act = z_lin * cdf
     out = np.matmul(act, params.w_l.transpose(0, 2, 1))
     out += params.b_l[:, None, :]
     if not np.all(np.isfinite(out)):
@@ -243,8 +254,8 @@ def forward(s, params: ModelParams, config: ModelConfig):
     sg = expit(out.transpose(1, 0, 2).reshape(b, OUT * config.k))
     h_z = sg @ params.w_h.T + params.b_h
     _ensure_finite(h_z, "head")
-    return h_z, {"sig": sig, "normed": normed, "z_lin": z_lin, "act": act,
-                 "sg": sg}
+    return h_z, {"sig": sig, "normed": normed, "z_lin": z_lin, "cdf": cdf,
+                 "act": act, "sg": sg}
 
 
 @dataclass(frozen=True)
@@ -272,10 +283,21 @@ class Trajectory:
         return self.x.size
 
 
-def _horizon(t_pred: int, fps):
-    # Sample times 0 .. T_pred and their offsets from the horizon midpoint.
+def _decode_terms(h_z, t_pred: int, fps):
+    """The sample times t = 0 .. T_pred over fps, their offsets tau from
+    the horizon midpoint, and the (B, T_pred + 1) logistic g = expit(-h3 tau)
+    of (B, 3) latents."""
     t = np.arange(t_pred + 1) / fps
-    return t, t - 0.5 * (t_pred / fps)
+    tau = t - 0.5 * (t_pred / fps)
+    return t, tau, expit(-h_z[:, 2:3] * tau)
+
+
+def _decode(h_z, v0, t_pred: int, fps):
+    """``decode_batch`` plus the ``_decode_terms`` it used."""
+    terms = t, _, g = _decode_terms(h_z, t_pred, fps)
+    x = v0[:, None] * t + 0.5 * h_z[:, 0:1] * (t * t)
+    y = h_z[:, 1:2] * (g - g[:, :1])
+    return x, y, terms
 
 
 def decode_batch(h_z, v0, t_pred: int, fps):
@@ -286,11 +308,7 @@ def decode_batch(h_z, v0, t_pred: int, fps):
     rate h_z[:, 2], centred on the horizon midpoint and shifted so
     y(0) = 0. Both components are exactly zero at step 0.
     """
-    t, tau = _horizon(t_pred, fps)
-    x = v0[:, None] * t + 0.5 * h_z[:, 0:1] * (t * t)
-    g = expit(-h_z[:, 2:3] * tau)
-    y = h_z[:, 1:2] * (g - g[:, :1])
-    return x, y
+    return _decode(h_z, v0, t_pred, fps)[:2]
 
 
 def decode(h_z, v0: float, t_pred: int, fps) -> Trajectory:
@@ -312,6 +330,16 @@ def loss_batch(x, y, futures):
     return np.mean(dx * dx + dy * dy, axis=1), dx, dy
 
 
+def _partials(h_z, terms):
+    """(dx/dh1, dy/dh2, dy/dh3) of (B, 3) latents from their ``_decode_terms``.
+    dx/dh1 = t^2 / 2 is the same for every row and comes back as one
+    (T_pred + 1,) row; the other two are (B, T_pred + 1)."""
+    t, tau, g = terms
+    g0 = g[:, :1]
+    dy_dh3 = h_z[:, 1:2] * (-tau * g * (1.0 - g) + tau[0] * g0 * (1.0 - g0))
+    return 0.5 * t * t, g - g0, dy_dh3
+
+
 def decode_partials(h_z, t_pred: int, fps):
     """Analytic derivatives of the decoded trajectory w.r.t. the latents.
 
@@ -323,12 +351,8 @@ def decode_partials(h_z, t_pred: int, fps):
     h = np.atleast_2d(h)
     if h.shape[1] != OUT:
         raise ValueError(f"latent state must have {OUT} entries, got {h.shape}")
-    t, tau = _horizon(t_pred, fps)
-    g = expit(-h[:, 2:3] * tau)
-    g0 = g[:, :1]
-    dx_dh1 = np.broadcast_to(0.5 * t * t, g.shape).copy()
-    dy_dh2 = g - g0
-    dy_dh3 = h[:, 1:2] * (-tau * g * (1.0 - g) + tau[0] * g0 * (1.0 - g0))
+    dx_dh1, dy_dh2, dy_dh3 = _partials(h, _decode_terms(h, t_pred, fps))
+    dx_dh1 = np.broadcast_to(dx_dh1, dy_dh2.shape).copy()
     if single:
         return dx_dh1[0], dy_dh2[0], dy_dh3[0]
     return dx_dh1, dy_dh2, dy_dh3

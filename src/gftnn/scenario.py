@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import expit
 
+from .special import expit
 from .store import Table, encode_array, read_document
 
 log = logging.getLogger(__name__)

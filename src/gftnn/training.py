@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .model import (OUT, ModelConfig, ModelParams, NumericError, _ensure_finite,
-                    build_basis, decode_batch, decode_partials, forward,
-                    gelu_grad, init_params, loss_batch, save_checkpoint,
-                    scenario_spectra, scenario_spectrum)
+from .model import (OUT, ModelConfig, ModelParams, NumericError, _decode,
+                    _ensure_finite, _partials, build_basis, decode_batch,
+                    forward, gelu_grad, init_params, loss_batch,
+                    save_checkpoint, scenario_spectra, scenario_spectrum)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -61,16 +61,17 @@ def trajectory_loss(pred, truth) -> float:
     return float(per_scenario[0])
 
 
-def _backward_batch(s, dx, dy, h_z, cache, params: ModelParams,
+def _backward_batch(s, dx, dy, h_z, terms, cache, params: ModelParams,
                     config: ModelConfig, grads: ModelParams):
     """Gradients of the batch-mean loss for every parameter array, written
-    into ``grads`` (every entry is overwritten)."""
+    into ``grads`` (every entry is overwritten). ``terms`` are the
+    ``model._decode_terms`` the trajectories were decoded with."""
     b, t_pred = dx.shape
     scale = 2.0 / (b * t_pred)
     d_xhat = scale * dx
     d_yhat = scale * dy
-    dx_dh1, dy_dh2, dy_dh3 = decode_partials(h_z, t_pred, config.fps)
-    d_h1 = np.sum(d_xhat * dx_dh1[:, 1:], axis=1)
+    dx_dh1, dy_dh2, dy_dh3 = _partials(h_z, terms)
+    d_h1 = np.sum(d_xhat * dx_dh1[1:], axis=1)
     d_h2 = np.sum(d_yhat * dy_dh2[:, 1:], axis=1)
     d_h3 = np.sum(d_yhat * dy_dh3[:, 1:], axis=1)
     d_hz = np.stack([d_h1, d_h2, d_h3], axis=1)
@@ -85,8 +86,13 @@ def _backward_batch(s, dx, dy, h_z, cache, params: ModelParams,
     np.matmul(d_out.transpose(0, 2, 1), cache["act"], out=grads.w_l)
     np.sum(d_out, axis=1, out=grads.b_l)
     d_z = np.matmul(d_out, params.w_l)
-    d_z *= gelu_grad(cache["z_lin"])
-    np.matmul(d_z.transpose(0, 2, 1), normed, out=grads.w_n)
+    d_z *= gelu_grad(cache["z_lin"], cache["cdf"])
+    if b == 1:
+        # matmul's one-term products are slow; einsum forms the same outer
+        # products, zero signs included.
+        np.einsum("kbh,kbz->khz", d_z, normed, out=grads.w_n)
+    else:
+        np.matmul(d_z.transpose(0, 2, 1), normed, out=grads.w_n)
     np.sum(d_z, axis=1, out=grads.b_n)
     d_norm = np.matmul(d_z, params.w_n)
     proj = np.mean(d_norm * normed, axis=2, keepdims=True)
@@ -103,12 +109,12 @@ def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
     """Batch-mean loss and its gradients, written into ``grads`` when given
     and into fresh arrays otherwise."""
     h_z, cache = forward(s, params, config)
-    x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
+    x, y, terms = _decode(h_z, v0, config.t_pred, config.fps)
     per_scenario, dx, dy = loss_batch(x, y, futures)
     loss = float(per_scenario.mean())
     if grads is None:
         grads = ModelParams(params.shapes)
-    _backward_batch(s, dx, dy, h_z, cache, params, config, grads)
+    _backward_batch(s, dx, dy, h_z, terms, cache, params, config, grads)
     return loss, grads
 
 

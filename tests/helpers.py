@@ -8,9 +8,10 @@ from dataclasses import asdict
 import numpy as np
 from scipy.special import expit
 
+from gftnn import special
 from gftnn.graph import Graph
 from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
-                         decode_partials, gelu, gelu_grad)
+                         gelu, gelu_grad)
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, ParseError, RawTrack,
                             Scenario, SchemaError, label_maneuver)
@@ -108,9 +109,11 @@ def adam_step_per_array(params, grads, state, config):
 
 def forward_per_channel(s, params, config):
     """The encoder as one Python loop over channel blocks, kept as the
-    oracle the stacked ``model.forward`` must match bit for bit. Returns
-    the (B, 3) latents and a cache of the gated spectra, one
-    (sig, normed, z_lin, act) tuple per block, and the sigmoids."""
+    oracle the stacked ``model.forward`` must match bit for bit, with the
+    runtime's own ``expit`` so that it tests the stacking and not the
+    sigmoid's rounding. Returns the (B, 3) latents and a cache of the
+    gated spectra, one (sig, normed, z_lin, act) tuple per block, and the
+    sigmoids."""
     h_s = s * params.w_s
     _ensure_finite(h_s, "spectral_gate")
     zk = config.zk
@@ -127,7 +130,7 @@ def forward_per_channel(s, params, config):
         _ensure_finite(out, f"mlp_block_{k}")
         parts.append(out)
         blocks.append((sig, normed, z_lin, act))
-    sg = expit(np.concatenate(parts, axis=1))
+    sg = special.expit(np.concatenate(parts, axis=1))
     h_z = sg @ params.w_h.T + params.b_h
     _ensure_finite(h_z, "head")
     return h_z, {"h_s": h_s, "blocks": blocks, "sg": sg}
@@ -136,12 +139,20 @@ def forward_per_channel(s, params, config):
 def backward_per_channel(s, dx, dy, h_z, cache, params, config):
     """Gradients of the batch-mean loss from a ``forward_per_channel``
     cache, one loop iteration per channel block, into fresh arrays: the
-    oracle of ``training._backward_batch``."""
+    oracle of ``training._backward_batch``. The decoder partials are
+    written out as their own formulas, each (B, T_pred + 1), and the GELU
+    derivative computes its own Phi."""
     b, t_pred = dx.shape
     scale = 2.0 / (b * t_pred)
     d_xhat = scale * dx
     d_yhat = scale * dy
-    dx_dh1, dy_dh2, dy_dh3 = decode_partials(h_z, t_pred, config.fps)
+    t = np.arange(t_pred + 1) / config.fps
+    tau = t - 0.5 * (t_pred / config.fps)
+    g = special.expit(-h_z[:, 2:3] * tau)
+    g0 = g[:, :1]
+    dx_dh1 = np.broadcast_to(0.5 * t * t, g.shape).copy()
+    dy_dh2 = g - g0
+    dy_dh3 = h_z[:, 1:2] * (-tau * g * (1.0 - g) + tau[0] * g0 * (1.0 - g0))
     d_h1 = np.sum(d_xhat * dx_dh1[:, 1:], axis=1)
     d_h2 = np.sum(d_yhat * dy_dh2[:, 1:], axis=1)
     d_h3 = np.sum(d_yhat * dy_dh3[:, 1:], axis=1)

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gftnn
 from gftnn.cli import main
 from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
 from gftnn.model import load_checkpoint, predict, predict_batch, truth_trajectory
@@ -463,3 +466,49 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "archive.json").exists()
+
+
+# ------------------------------------------------------ runtime dependencies
+
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports gftnn from this checkout."""
+    src = str(Path(gftnn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_runtime_imports_no_scipy():
+    proc = _run_python(
+        "import sys; import gftnn; import gftnn.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+PIPELINE_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None     # any import of scipy now raises ImportError
+from gftnn.cli import main
+from gftnn.scenario import load_archive
+out = sys.argv[1]
+archive = out + "/data/archive.json"
+ckpt = out + "/run/checkpoint.json"
+assert main(["synth", "--n", "12", "--fps", "10", "--out", out + "/data",
+             "--seed", "0"]) == 0
+assert main(["train", "--archive", archive, "--preset", "gftnn-w",
+             "--hidden", "8", "--epochs", "2", "--batch-size", "4",
+             "--out", out + "/run", "--seed", "0"]) == 0
+assert main(["eval", "--archive", archive, "--checkpoint", ckpt,
+             "--out", out + "/eval"]) == 0
+scenario_id = load_archive(archive)[0][0].scenario_id
+assert main(["predict", "--archive", archive, "--checkpoint", ckpt,
+             "--scenario-id", scenario_id, "--out", out + "/predict"]) == 0
+"""
+
+
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    proc = _run_python(PIPELINE_WITHOUT_SCIPY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eval" / "eval_report.json").exists()
+    assert len(list((tmp_path / "predict").glob("trajectory_*.csv"))) == 1

@@ -4,16 +4,17 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import expit
 from scipy.stats import norm
 
 from gftnn import spectral
 from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory, build_basis,
-                         decode, decode_partials, forward, gelu, gelu_grad,
+                         decode, decode_batch, decode_partials, forward,
+                         gaussian_cdf, gelu, gelu_grad,
                          init_params, load_checkpoint, param_shapes, predict,
                          preset_config, save_checkpoint, scenario_spectra,
                          scenario_spectrum, select_channels, truth_trajectory)
 from gftnn.scenario import Scenario, synthesize
+from gftnn.special import expit
 from gftnn.spectral import ProductBasis, Spectrum, gft_extended, truncate_spectrum
 from gftnn.store import encode_array
 from helpers import tiny_config, write_v1_checkpoint
@@ -321,6 +322,16 @@ def test_gelu_saturation():
     assert abs(gelu_grad(0.0) - 0.5) < 1e-15
 
 
+def test_forward_caches_gaussian_cdf_of_block_inputs():
+    cfg = block_config(10, hidden=4)
+    params = init_params(cfg, 3)
+    _, cache = forward(np.random.default_rng(3).normal(size=(2, cfg.z)), params, cfg)
+    z = cache["z_lin"]
+    assert np.array_equal(cache["cdf"], gaussian_cdf(z))
+    assert np.array_equal(cache["act"], gelu(z))
+    assert np.array_equal(gelu_grad(z, cache["cdf"]), gelu_grad(z))
+
+
 def test_gelu_grad_matches_finite_difference():
     x = np.linspace(-4, 4, 81)
     h = 1e-6
@@ -414,6 +425,25 @@ def test_decode_partials_match_finite_differences():
     fd3 = (y_of(h + [0, 0, eps]) - y_of(h - [0, 0, eps])) / (2 * eps)
     assert np.max(np.abs(fd2 - dy2)) < 1e-7
     assert np.max(np.abs(fd3 - dy3)) < 1e-7
+
+
+def test_decode_partials_match_their_formulas_bit_for_bit():
+    # The backward pass shares decode_partials' helper; both must give the
+    # bits of the formulas written out, for the same logistic g.
+    rng = np.random.default_rng(16)
+    h = rng.normal(size=(4, 3)) * [1.0, 3.0, 2.0]
+    t = np.arange(51) / 10.0
+    tau = t - 0.5 * (50 / 10.0)
+    g = expit(-h[:, 2:3] * tau)
+    g0 = g[:, :1]
+    want = (np.broadcast_to(0.5 * t * t, g.shape),
+            g - g0,
+            h[:, 1:2] * (-tau * g * (1.0 - g) + tau[0] * g0 * (1.0 - g0)))
+    for got, ref in zip(decode_partials(h, 50, 10.0), want):
+        assert got.shape == (4, 51)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    _, y = decode_batch(h, np.zeros(4), 50, 10.0)
+    assert np.array_equal(y, h[:, 1:2] * (g - g0))
 
 
 def test_decode_partials_batched_matches_single():
