@@ -231,20 +231,21 @@ def _subset(scenarios, opts):
 
 
 def _load_archive_and_checkpoint(opts):
-    """The archive's scenarios and the checkpoint that scores them."""
+    """The archive's scenarios, the checkpoint that scores them and its
+    reference basis."""
     scenarios, fps = load_archive(opts["archive"])
     ckpt = load_checkpoint(opts["checkpoint"])
     if fps != ckpt.config.fps:
         raise ValueError(
             f"archive fps {fps} does not match checkpoint fps {ckpt.config.fps}"
         )
-    return scenarios, ckpt
+    return scenarios, ckpt, build_basis(ckpt.config)
 
 
 def cmd_eval(args):
     opts = _resolve(args, EVAL_DEFAULTS)
     _require(opts, "archive", "checkpoint")
-    scenarios, ckpt = _load_archive_and_checkpoint(opts)
+    scenarios, ckpt, basis = _load_archive_and_checkpoint(opts)
     chosen = _subset(scenarios, opts)
     if not chosen:
         raise ValueError(f"subset {opts['subset']!r} is empty")
@@ -252,7 +253,7 @@ def cmd_eval(args):
     if opts["self_test"]:
         predictions = truths
     else:
-        predictions = predict_batch(chosen, ckpt.basis, ckpt.params, ckpt.config)
+        predictions = predict_batch(chosen, basis, ckpt.params, ckpt.config)
     report = evaluate(predictions, truths, opts["bin_width"])
     report_path = _out_path(opts, "eval_report.json")
     hist_path = _out_path(opts, "histogram.csv")
@@ -267,9 +268,9 @@ def cmd_eval(args):
 def cmd_predict(args):
     opts = _resolve(args, PREDICT_DEFAULTS)
     _require(opts, "archive", "checkpoint", "scenario_id")
-    scenarios, ckpt = _load_archive_and_checkpoint(opts)
+    scenarios, ckpt, basis = _load_archive_and_checkpoint(opts)
     scenario = _find_scenario(scenarios, opts["scenario_id"])
-    trajectory = predict(scenario, ckpt.basis, ckpt.params, ckpt.config)
+    trajectory = predict(scenario, basis, ckpt.params, ckpt.config)
     path = _out_path(opts, f"trajectory_{scenario.scenario_id}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("step,t,x,y\n")

@@ -16,17 +16,15 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .graph import inverse_distance_weights
+from .graph import _frozen, inverse_distance_weights
 from .special import erf, expit
-from .spectral import (DEGENERACY_TOL, ProductBasis, Spectrum, complete_spectrum,
-                       gft_extended, path_spectrum, star_spectra,
-                       truncate_spectrum)
+from .spectral import (ProductBasis, Spectrum, complete_spectrum, gft_extended,
+                       path_spectrum, star_spectra, truncate_spectrum)
 from .store import Table, encode_array, read_document
 
 OUT = 3
 LN_EPS = 1e-5
-CHECKPOINT_VERSION = 2
-ORTHONORMAL_TOL = 1e-9          # max |V^T V - I| of a stored basis factor
+CHECKPOINT_VERSION = 3
 GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
 PRESET_T_OBS_S = 3.0            # observed window of every preset, seconds
@@ -272,12 +270,8 @@ class Trajectory:
             raise ValueError(f"bad trajectory shapes {x.shape}, {y.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("trajectory must be finite")
-        x = np.ascontiguousarray(x)
-        y = np.ascontiguousarray(y)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "y", _frozen(y))
 
     def __len__(self):
         return self.x.size
@@ -441,64 +435,42 @@ def predict(scenario, basis: ProductBasis, params: ModelParams,
     return predict_batch([scenario], basis, params, config)[0]
 
 
-def _spectrum_doc(spec: Spectrum) -> dict:
-    return {
-        "eigenvalues": encode_array(spec.eigenvalues),
-        "eigenvectors": encode_array(spec.eigenvectors),
-    }
-
-
-def _spectrum_from_doc(table: Table, n: int) -> Spectrum:
-    """A stored basis factor, checked to be an ascending orthonormal n-node basis."""
-    spec = table.build(Spectrum, eigenvalues=table.array("eigenvalues", (n,)),
-                       eigenvectors=table.array("eigenvectors", (n, n)))
-    w, v = spec.eigenvalues, spec.eigenvectors
-    # Closed-form bases ascend exactly. A basis stored from the Jacobi
-    # solver orders a degenerate group by eigenvector, so its equal
-    # eigenvalues may step down by float noise.
-    if np.any(np.diff(w) < -DEGENERACY_TOL):
-        raise table.error("eigenvalues are not ascending")
-    drift = np.max(np.abs(v.T @ v - np.eye(n)))
-    if drift > ORTHONORMAL_TOL:
-        raise table.error(f"eigenvectors are not orthonormal: "
-                          f"max |V^T V - I| = {drift:.3g}")
-    return spec
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     config: ModelConfig
-    basis: ProductBasis
     params: ModelParams
     epochs_trained: int
     optimizer: dict | None
 
 
+def _basis_bits(basis: ProductBasis) -> list:
+    return [arr.tobytes() for spec in (basis.temporal, basis.spatial)
+            for arr in (spec.eigenvalues, spec.eigenvectors)]
+
+
 def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
                     params: ModelParams, epochs_trained: int = 0,
                     optimizer: dict | None = None):
-    """Serialise model state to one JSON file (format version 2).
+    """Serialise model state to one JSON file (format version 3).
 
     Config, epoch count and optimizer step are plain JSON. Every float
-    array (parameters, Adam's m and v, basis eigenvalues and eigenvectors)
-    is one ``encode_array`` string, so values survive the round trip bit
-    for bit. The stored basis is the
-    unweighted reference basis; distance-weighted spatial bases are always
-    derived per scenario.
+    array (parameters, Adam's m and v) is one ``encode_array`` string, so
+    values survive the round trip bit for bit. The file stores no basis:
+    loading rebuilds it from the config, so ``basis`` must be
+    ``build_basis(config)`` bit for bit, and any other basis raises a
+    ValueError before the file is opened.
 
     The file is json.dumps(doc) of the whole document, written one array
     of params, m and v at a time, so only one array's text is in memory at
     once.
     """
+    if _basis_bits(basis) != _basis_bits(build_basis(config)):
+        raise ValueError("basis is not build_basis(config): a checkpoint stores "
+                         "no basis, so loading could not reproduce it")
     head = json.dumps({
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
-        "param_count": params.n_params,
         "epochs_trained": int(epochs_trained),
-        "basis": {
-            "temporal": _spectrum_doc(basis.temporal),
-            "spatial": _spectrum_doc(basis.spatial),
-        },
     })
     with open(path, "w") as fh:
         fh.write(head[:-1])  # all but the closing "}"
@@ -523,14 +495,16 @@ def _write_arrays(fh, key: str, arrays):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint of format version 2, or of version 1 (repr() strings).
+    """Read a checkpoint of format version 3, 2 or 1 (repr() strings).
 
-    A corrupt file, an unknown config key, a non-finite parameter or a
-    basis factor that is not an ascending orthonormal basis raises a
-    ValueError naming the path and the key.
+    Versions 1 and 2 also store the reference basis, which is not read:
+    callers use ``build_basis(config)``, the basis that every file written
+    since the closed-form spectra stored. A corrupt file, an unknown config
+    key, a non-finite parameter or a negative epoch count or optimizer
+    step raises a ValueError naming the path and the key.
     """
     doc = read_document(path, "checkpoint", "format_version",
-                        (1, CHECKPOINT_VERSION))
+                        (1, 2, CHECKPOINT_VERSION))
     cfg = _config_from_doc(doc.table("config"))
     shapes = param_shapes(cfg)
     params = ModelParams(shapes)
@@ -539,21 +513,22 @@ def load_checkpoint(path) -> Checkpoint:
         view[...] = stored.array(name, view.shape)
         if not np.all(np.isfinite(view)):
             raise stored.error(f"{name} is not finite")
-    stored = doc.table("basis")
-    basis = ProductBasis(
-        temporal=_spectrum_from_doc(stored.table("temporal"), cfg.t_obs),
-        spatial=_spectrum_from_doc(stored.table("spatial"), cfg.n_v),
-    )
     optimizer = None
     if "optimizer" in doc.obj:
         stored = doc.table("optimizer")
         optimizer = {"step": stored.value("step", int)}
+        if optimizer["step"] < 0:
+            raise stored.error(f"step is {optimizer['step']}, expected a "
+                               f"non-negative integer")
         for moment in ("m", "v"):
             moments = stored.table(moment)
             optimizer[moment] = {name: moments.array(name, shape)
                                  for name, shape in shapes.items()}
-    return Checkpoint(config=cfg, basis=basis, params=params,
-                      epochs_trained=doc.value("epochs_trained", int, 0),
+    epochs_trained = doc.value("epochs_trained", int, 0)
+    if epochs_trained < 0:
+        raise doc.error(f"epochs_trained is {epochs_trained}, expected a "
+                        f"non-negative integer")
+    return Checkpoint(config=cfg, params=params, epochs_trained=epochs_trained,
                       optimizer=optimizer)
 
 

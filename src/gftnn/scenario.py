@@ -22,6 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .graph import _frozen
 from .special import expit
 from .store import Table, encode_array, read_document
 
@@ -66,12 +67,6 @@ class BalanceError(ValueError):
 
 class SplitError(ValueError):
     """Dataset too small to split."""
-
-
-def _frozen(values, dtype=np.float64):
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)

@@ -277,8 +277,7 @@ class Spectrum:
     Eigenvalues ascend. The closed forms ascend exactly; a spectrum from
     ``symmetric_eigh`` orders a group of eigenvalues closer than
     ``DEGENERACY_TOL`` by its eigenvectors, so inside such a group they may
-    step down by up to that tolerance. Checkpoints that store a Jacobi
-    basis are the only reason loading still allows that step.
+    step down by up to that tolerance.
     """
 
     eigenvalues: np.ndarray

@@ -67,7 +67,7 @@ def _json_path(text: str, pos: int) -> str:
 class Table:
     """One JSON object of a stored document, named ``where`` in errors.
     Version 1 of archives and checkpoints stores a float array as a JSON
-    list of numbers or of repr() strings, version 2 as one string."""
+    list of numbers or of repr() strings, later versions as one string."""
 
     def __init__(self, obj, where: str, version: int | None = None):
         if not isinstance(obj, dict):

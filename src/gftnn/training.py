@@ -228,8 +228,7 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
         raise ValueError("training split is empty")
     if resume is not None and resume.config != config:
         raise ValueError("checkpoint config does not match the requested config")
-    # A checkpoint stores the reference basis it was trained with.
-    basis = build_basis(config) if resume is None else resume.basis
+    basis = build_basis(config)
     s_train, fut_train, v0_train = _prepare(split.train, basis, config)
     test_data = _prepare(split.test, basis, config) if split.test else None
     if resume is not None:

@@ -15,6 +15,7 @@ from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, ParseError, RawTrack,
                             Scenario, SchemaError, label_maneuver)
+from gftnn.store import encode_array
 
 
 def tiny_config(**overrides):
@@ -54,6 +55,32 @@ def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
         }
     with open(path, "w") as fh:
         json.dump(doc, fh)
+
+
+def write_v2_checkpoint(path, config, basis, params, epochs_trained=0,
+                        optimizer=None):
+    """Write model state as the format-version-2 writer did: the version-3
+    document plus the parameter count and the reference basis, every float
+    array one base64 string."""
+    def spectrum(spec):
+        return {"eigenvalues": encode_array(spec.eigenvalues),
+                "eigenvectors": encode_array(spec.eigenvectors)}
+
+    doc = {
+        "format_version": 2,
+        "config": asdict(config),
+        "param_count": params.n_params,
+        "epochs_trained": int(epochs_trained),
+        "basis": {"temporal": spectrum(basis.temporal),
+                  "spatial": spectrum(basis.spatial)},
+        "params": {name: encode_array(arr) for name, arr in params.items()},
+    }
+    if optimizer is not None:
+        doc["optimizer"] = {"step": int(optimizer["step"]), **{
+            moment: {name: encode_array(arr) for name, arr in optimizer[moment].items()}
+            for moment in ("m", "v")}}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))
 
 
 def write_v1_archive(path, scenarios, fps):

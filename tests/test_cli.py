@@ -11,10 +11,11 @@ import pytest
 import gftnn
 from gftnn.cli import main
 from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
-from gftnn.model import load_checkpoint, predict, predict_batch, truth_trajectory
+from gftnn.model import (build_basis, load_checkpoint, predict, predict_batch,
+                         truth_trajectory)
 from gftnn.scenario import load_archive
 from helpers import (three_class_tracks, write_tracks_csv, write_v1_archive,
-                     write_v1_checkpoint)
+                     write_v1_checkpoint, write_v2_checkpoint)
 
 
 def run_ok(capsys, argv):
@@ -275,7 +276,8 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
     # oracle: one predict_batch call over the whole archive
     scenarios, _ = load_archive(archive)
     ckpt = load_checkpoint(run / "checkpoint.json")
-    batched = predict_batch(scenarios, ckpt.basis, ckpt.params, ckpt.config)
+    basis = build_basis(ckpt.config)
+    batched = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
     report = evaluate(batched, [truth_trajectory(s) for s in scenarios], 0.1)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
@@ -285,26 +287,30 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
         assert (tmp_path / "eval" / name).read_bytes() == (oracle / name).read_bytes()
     # a batch of one may round differently from a row of a larger batch
     for scenario, row in zip(scenarios, batched):
-        single = predict(scenario, ckpt.basis, ckpt.params, ckpt.config)
+        single = predict(scenario, basis, ckpt.params, ckpt.config)
         assert np.max(np.abs(single.x - row.x)) <= 1e-12
         assert np.max(np.abs(single.y - row.y)) <= 1e-12
 
 
 def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
-    archive, ckpt_v2 = trained_checkpoint(tmp_path, capsys)
-    ckpt = load_checkpoint(ckpt_v2)
-    ckpt_v1 = tmp_path / "checkpoint_v1.json"
-    write_v1_checkpoint(ckpt_v1, ckpt.config, ckpt.basis, ckpt.params,
-                        ckpt.epochs_trained, ckpt.optimizer)
-    for tag, path in (("v1", ckpt_v1), ("v2", ckpt_v2)):
+    # Versions 1 and 2 store the basis that version 3 rebuilds from the config.
+    archive, ckpt_v3 = trained_checkpoint(tmp_path, capsys)
+    ckpt = load_checkpoint(ckpt_v3)
+    paths = {"v3": ckpt_v3}
+    for tag, writer in (("v1", write_v1_checkpoint), ("v2", write_v2_checkpoint)):
+        paths[tag] = tmp_path / f"checkpoint_{tag}.json"
+        writer(paths[tag], ckpt.config, build_basis(ckpt.config), ckpt.params,
+               ckpt.epochs_trained, ckpt.optimizer)
+    for tag, path in paths.items():
         run_ok(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(path),
                         "--out", str(tmp_path / tag)])
         run_ok(capsys, ["predict", "--archive", str(archive),
                         "--checkpoint", str(path), "--scenario-id", "synth-00005",
                         "--out", str(tmp_path / tag)])
     for name in ("eval_report.json", "histogram.csv", "trajectory_synth-00005.csv"):
-        assert (tmp_path / "v1" / name).read_bytes() == \
-            (tmp_path / "v2" / name).read_bytes(), name
+        for tag in ("v1", "v2"):
+            assert (tmp_path / tag / name).read_bytes() == \
+                (tmp_path / "v3" / name).read_bytes(), (tag, name)
 
 
 def test_train_eval_predict_identical_from_version_1_archive(tmp_path, capsys):

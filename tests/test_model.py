@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -13,11 +14,13 @@ from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Traject
                          init_params, load_checkpoint, param_shapes, predict,
                          preset_config, save_checkpoint, scenario_spectra,
                          scenario_spectrum, select_channels, truth_trajectory)
+from gftnn.graph import build_line_graph, build_spider_graph, laplacian
 from gftnn.scenario import Scenario, synthesize
 from gftnn.special import expit
-from gftnn.spectral import ProductBasis, Spectrum, gft_extended, truncate_spectrum
+from gftnn.spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
+                            truncate_spectrum)
 from gftnn.store import encode_array
-from helpers import tiny_config, write_v1_checkpoint
+from helpers import tiny_config, write_v1_checkpoint, write_v2_checkpoint
 
 
 def manual_scenario(n_v=3, t_obs=6, t_pred=10, fps=2.0, offsets=((1.0, 0.0), (0.0, -1.0))):
@@ -496,6 +499,35 @@ def test_build_basis_dimensions(basis_30x9):
     assert abs(w[8] - 9.0) < 1e-9
 
 
+# SHA-256 of the reference basis that version-2 checkpoints written since
+# the closed-form spectra store, per config (temporal then spatial;
+# eigenvalues then eigenvectors; '<f8' bytes). Loading never reads it but
+# rebuilds it, so such files keep their eval and predict bits only while
+# build_basis keeps these.
+STORED_V2_BASIS_SHA256 = {
+    ("gftnn", 10): "32e36170dec38cb18e0261e6a48010708bc089d571166891a0fe4df7eee59641",
+    ("gftnn", 25): "6879e1d2f00abb03a73d5ae65ed294e9a96e21322a5f78d898b8ce582aaababb",
+    ("gftnn-w", 10): "32e36170dec38cb18e0261e6a48010708bc089d571166891a0fe4df7eee59641",
+    ("gftnn-w", 25): "6879e1d2f00abb03a73d5ae65ed294e9a96e21322a5f78d898b8ce582aaababb",
+    ("mesh", 10): "b229eda39effe10cb34fa6b82d3836b73a2a0e8e2e1759a974b601cff464edfa",
+    ("mesh", 25): "0be1c944271a17532897047c1f7cff39c75b9d87c35a5f045a49372a481a485e",
+}
+
+
+@pytest.mark.parametrize("name, fps", sorted(STORED_V2_BASIS_SHA256))
+def test_build_basis_gives_the_bits_version_2_files_store(name, fps):
+    if name == "mesh":
+        cfg = dataclasses.replace(preset_config("gftnn", fps), graph_kind="mesh")
+    else:
+        cfg = preset_config(name, fps)
+    basis = build_basis(cfg)
+    digest = hashlib.sha256()
+    for spec in (basis.temporal, basis.spatial):
+        for arr in (spec.eigenvalues, spec.eigenvectors):
+            digest.update(arr.astype("<f8").tobytes())
+    assert digest.hexdigest() == STORED_V2_BASIS_SHA256[name, fps]
+
+
 def test_scenario_spectrum_k2_uses_velocity_channels(basis_30x9):
     scen = synthesize(1, 10, seed=17, noise_std=0.05)[0]
     cfg = preset_config("gftnn", 10)
@@ -608,10 +640,6 @@ def test_predict_rejects_horizon_mismatch(basis_30x9):
 def checkpoint_arrays(ckpt):
     """Every float array a checkpoint holds, by a readable label."""
     out = {f"param {name}": arr for name, arr in ckpt.params.items()}
-    for factor in ("temporal", "spatial"):
-        spec = getattr(ckpt.basis, factor)
-        out[f"{factor} eigenvalues"] = spec.eigenvalues
-        out[f"{factor} eigenvectors"] = spec.eigenvectors
     if ckpt.optimizer is not None:
         for moment in ("m", "v"):
             for name, arr in ckpt.optimizer[moment].items():
@@ -653,7 +681,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, basis, params, epochs_trained=5, optimizer=opt)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert list(doc) == ["format_version", "config", "epochs_trained", "params",
+                         "optimizer"]
+    assert doc["format_version"] == 3
     assert base64.b64decode(doc["params"]["b_h"]) == params.b_h.astype("<f8").tobytes()
     ckpt = load_checkpoint(path)
     assert ckpt.config == cfg
@@ -661,10 +691,6 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     for (name, a), (_, b) in zip(params.items(), ckpt.params.items()):
         assert np.array_equal(a, b), name
         assert b.flags.writeable, name
-    assert np.array_equal(ckpt.basis.temporal.eigenvalues,
-                          basis.temporal.eigenvalues)
-    assert np.array_equal(ckpt.basis.spatial.eigenvectors,
-                          basis.spatial.eigenvectors)
     assert ckpt.optimizer["step"] == 17
     assert np.array_equal(ckpt.optimizer["m"]["w_h"], opt["m"]["w_h"])
     assert np.array_equal(ckpt.optimizer["v"]["w_s"], opt["v"]["w_s"])
@@ -677,13 +703,9 @@ def test_checkpoint_file_is_json_dumps_of_the_document(tmp_path, with_optimizer)
     params, opt = awkward_state(cfg, 6)
     basis = build_basis(cfg)
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "config": dataclasses.asdict(cfg),
-        "param_count": params.n_params,
         "epochs_trained": 4,
-        "basis": {factor: {"eigenvalues": encode_array(getattr(basis, factor).eigenvalues),
-                           "eigenvectors": encode_array(getattr(basis, factor).eigenvectors)}
-                  for factor in ("temporal", "spatial")},
         "params": {name: encode_array(arr) for name, arr in params.items()},
     }
     if with_optimizer:
@@ -719,30 +741,56 @@ def test_checkpoint_reads_version_1(tmp_path):
     opt["v"]["b_h"][:] = [np.nan, 0.25, -0.0]
     opt["v"]["w_s"][:2] = [np.nan, 1.5]
     basis = build_basis(cfg)
-    save_checkpoint(tmp_path / "v2.json", cfg, basis, params, 7, opt)
+    save_checkpoint(tmp_path / "v3.json", cfg, basis, params, 7, opt)
+    write_v2_checkpoint(tmp_path / "v2.json", cfg, basis, params, 7, opt)
     write_v1_checkpoint(tmp_path / "v1.json", cfg, basis, params, 7, opt)
-    v1 = load_checkpoint(tmp_path / "v1.json")
-    v2 = load_checkpoint(tmp_path / "v2.json")
-    assert (v1.config, v1.epochs_trained, v1.optimizer["step"]) == \
-        (v2.config, v2.epochs_trained, v2.optimizer["step"]) == (cfg, 7, 17)
-    assert_same_bits(checkpoint_arrays(v1), checkpoint_arrays(v2))
-    assert (tmp_path / "v2.json").stat().st_size < (tmp_path / "v1.json").stat().st_size
+    v3 = load_checkpoint(tmp_path / "v3.json")
+    for version in ("v1", "v2"):
+        old = load_checkpoint(tmp_path / f"{version}.json")
+        assert (old.config, old.epochs_trained, old.optimizer["step"]) == \
+            (v3.config, v3.epochs_trained, v3.optimizer["step"]) == (cfg, 7, 17)
+        assert_same_bits(checkpoint_arrays(old), checkpoint_arrays(v3))
+    sizes = [(tmp_path / f"v{i}.json").stat().st_size for i in (3, 2, 1)]
+    assert sizes == sorted(sizes)
 
 
-def test_checkpoint_ignores_stored_graph_hash(tmp_path):
-    # Earlier writers stored a content hash of each basis factor's graph
-    # as "source_graph_id"; nothing reads it.
+def _jacobi_basis(cfg):
+    """The reference basis as the Jacobi solver gave it before the closed forms."""
+    return ProductBasis(eigendecompose(laplacian(build_line_graph(cfg.t_obs))),
+                        eigendecompose(laplacian(build_spider_graph(cfg.n_v))))
+
+
+def _descending(basis):
+    spec = basis.temporal
+    return dataclasses.replace(basis, temporal=Spectrum(spec.eigenvalues[::-1],
+                                                        spec.eigenvectors[:, ::-1]))
+
+
+def _nudged(basis):
+    v = basis.spatial.eigenvectors.copy()
+    v[0, 1] = np.nextafter(v[0, 1], np.inf)
+    return dataclasses.replace(basis, spatial=Spectrum(basis.spatial.eigenvalues, v))
+
+
+@pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint])
+@pytest.mark.parametrize("stored", [
+    _jacobi_basis,
+    lambda cfg: _descending(build_basis(cfg)),
+    lambda cfg: build_basis(dataclasses.replace(cfg, t_obs=7)),
+], ids=["jacobi", "descending", "other-grid"])
+def test_checkpoint_never_reads_a_stored_basis(tmp_path, writer, stored):
+    # Versions 1 and 2 stored the reference basis; a Jacobi-era, descending
+    # or wrongly sized one loads the same state as the version-3 file.
     cfg = tiny_config()
-    params, opt = awkward_state(cfg, 8)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, build_basis(cfg), params, 3, opt)
-    doc = json.loads(path.read_text())
-    assert all("source_graph_id" not in doc["basis"][f] for f in ("temporal", "spatial"))
-    plain = load_checkpoint(path)
-    for factor in ("temporal", "spatial"):
-        doc["basis"][factor] = {"source_graph_id": "0123456789ab", **doc["basis"][factor]}
-    path.write_text(json.dumps(doc))
-    assert_same_bits(checkpoint_arrays(load_checkpoint(path)), checkpoint_arrays(plain))
+    params = init_params(cfg, 8)
+    opt = {"step": 3,
+           "m": {name: np.full_like(arr, 0.125) for name, arr in params.items()},
+           "v": {name: np.full_like(arr, 0.5) for name, arr in params.items()}}
+    save_checkpoint(tmp_path / "v3.json", cfg, build_basis(cfg), params, 3, opt)
+    writer(tmp_path / "old.json", cfg, stored(cfg), params, 3, opt)
+    old, v3 = load_checkpoint(tmp_path / "old.json"), load_checkpoint(tmp_path / "v3.json")
+    assert (old.config, old.epochs_trained) == (v3.config, v3.epochs_trained)
+    assert_same_bits(checkpoint_arrays(old), checkpoint_arrays(v3))
 
 
 def _edit(change):
@@ -772,8 +820,6 @@ def _set(*keys, value):
 
 @pytest.mark.parametrize("edit, message", [
     (_drop("params"), "checkpoint is missing key 'params'"),
-    (_drop("basis"), "checkpoint is missing key 'basis'"),
-    (_drop("basis", "spatial"), "checkpoint basis is missing key 'spatial'"),
     (_drop("config"), "checkpoint is missing key 'config'"),
     (_drop("optimizer", "step"), "checkpoint optimizer is missing key 'step'"),
     (_drop("config", "p"), "checkpoint config is missing key 'p'"),
@@ -781,7 +827,7 @@ def _set(*keys, value):
      "checkpoint config has unknown keys: colour, depth"),
     (lambda text: text[:text.index('"w_n_0"') + 30],
      "checkpoint is not valid JSON at params.w_n_0: Unterminated string "
-     "starting at: line 1 column 1303 (char 1302)"),
+     "starting at: line 1 column 591 (char 590)"),
     (lambda text: f"[{text}]", "checkpoint is not a JSON object"),
     (_set("config", "t_obs", value="30"),
      "checkpoint config t_obs is a string, expected an integer"),
@@ -790,6 +836,10 @@ def _set(*keys, value):
     (_set("config", "fps", value="2"), "checkpoint config fps is a string, expected a number"),
     (_set("optimizer", "step", value=17.0),
      "checkpoint optimizer step is a number, expected an integer"),
+    (_set("optimizer", "step", value=-1),
+     "checkpoint optimizer step is -1, expected a non-negative integer"),
+    (_set("epochs_trained", value=-5),
+     "checkpoint epochs_trained is -5, expected a non-negative integer"),
     (_set("params", value=[]), "checkpoint params is a list, expected an object"),
     (_set("config", "p", value=7), "checkpoint config: p must be in [1, 6], got 7"),
 ])
@@ -804,7 +854,7 @@ def test_checkpoint_corrupt_document_names_path_and_key(tmp_path, edit, message)
     assert str(info.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("writer", ["v1", "v2"])
+@pytest.mark.parametrize("writer", ["v1", "v2", "v3"])
 def test_checkpoint_config_with_n_blocks(tmp_path, writer):
     # Files written while the config had a block count carry "n_blocks": 1.
     cfg = tiny_config()
@@ -813,7 +863,8 @@ def test_checkpoint_config_with_n_blocks(tmp_path, writer):
     if writer == "v1":
         write_v1_checkpoint(path, cfg, build_basis(cfg), params)
     else:
-        save_checkpoint(path, cfg, build_basis(cfg), params)
+        write = write_v2_checkpoint if writer == "v2" else save_checkpoint
+        write(path, cfg, build_basis(cfg), params)
         doc = json.loads(path.read_text())
         doc["config"]["n_blocks"] = 1
         path.write_text(json.dumps(doc))
@@ -888,18 +939,12 @@ def _non_finite(text):
     (_corrupt(["params"], "b_l_0", _truncate(3)),
      r"params b_l_0 has wrong size: 21 bytes, expected 24 for shape \(3,\)"),
     (_corrupt(["params"], "w_h", _non_finite), "params w_h is not finite"),
-    (_corrupt(["basis", "temporal"], "eigenvectors", _truncate(8)),
-     r"basis temporal eigenvectors has wrong size: 280 bytes, expected 288"),
-    (_corrupt(["basis", "spatial"], "eigenvalues", _non_finite),
-     "basis spatial: eigenvalues must be finite"),
     (_corrupt(["optimizer", "m"], "w_n_0", _truncate(1)),
      "optimizer m w_n_0 has wrong size"),
     (_corrupt(["optimizer", "v"], "b_h", lambda t: t.replace(t[0], "*")),
      "optimizer v b_h is not valid base64"),
     (lambda doc: doc["optimizer"]["m"].pop("w_l_1"),
      "checkpoint optimizer m is missing key 'w_l_1'"),
-    (lambda doc: doc["basis"]["spatial"].pop("eigenvectors"),
-     "checkpoint basis spatial is missing key 'eigenvectors'"),
 ])
 def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
     cfg = tiny_config()
@@ -916,47 +961,15 @@ def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
         load_checkpoint(path)
 
 
-def _descending(spec):
-    return Spectrum(spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1])
-
-
-def _stretched(spec):
-    v = spec.eigenvectors.copy()
-    v[:, 1] *= 1.0 + 1e-8
-    return Spectrum(spec.eigenvalues, v)
-
-
-@pytest.mark.parametrize("writer", [save_checkpoint, write_v1_checkpoint])
-@pytest.mark.parametrize("factor, bad_basis, message", [
-    ("temporal", lambda b: build_basis(tiny_config(t_obs=7, p=6)).temporal,
-     r"basis temporal eigenvalues has wrong size: .* for shape \(6,\)"),
-    ("spatial", lambda b: build_basis(tiny_config(n_v=4)).spatial,
-     r"basis spatial eigenvalues has wrong size: .* for shape \(3,\)"),
-    ("temporal", lambda b: _descending(b.temporal),
-     "basis temporal eigenvalues are not ascending"),
-    ("spatial", lambda b: _descending(b.spatial),
-     "basis spatial eigenvalues are not ascending"),
-    ("temporal", lambda b: _stretched(b.temporal),
-     "basis temporal eigenvectors are not orthonormal"),
-    ("spatial", lambda b: _stretched(b.spatial),
-     "basis spatial eigenvectors are not orthonormal"),
-])
-def test_checkpoint_rejects_bad_basis(tmp_path, writer, factor, bad_basis, message):
+@pytest.mark.parametrize("other", [
+    _jacobi_basis,
+    lambda cfg: _descending(build_basis(cfg)),
+    lambda cfg: _nudged(build_basis(cfg)),
+    lambda cfg: build_basis(dataclasses.replace(cfg, n_v=4)),
+], ids=["jacobi", "descending", "one-ulp", "other-grid"])
+def test_save_checkpoint_rejects_a_basis_loading_cannot_rebuild(tmp_path, other):
     cfg = tiny_config()
-    basis = build_basis(cfg)
-    basis = dataclasses.replace(basis, **{factor: bad_basis(basis)})
     path = tmp_path / "ckpt.json"
-    writer(path, cfg, basis, init_params(cfg, 0))
-    with pytest.raises(ValueError, match=message):
-        load_checkpoint(path)
-
-
-def test_checkpoint_accepts_basis_within_orthonormal_tolerance(tmp_path):
-    cfg = tiny_config()
-    basis = build_basis(cfg)
-    v = basis.spatial.eigenvectors.copy()
-    v[:, 1] *= 1.0 + 1e-12
-    basis = dataclasses.replace(basis, spatial=Spectrum(basis.spatial.eigenvalues, v))
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, basis, init_params(cfg, 0))
-    assert np.array_equal(load_checkpoint(path).basis.spatial.eigenvectors, v)
+    with pytest.raises(ValueError, match=r"basis is not build_basis\(config\)"):
+        save_checkpoint(path, cfg, other(cfg), init_params(cfg, 0))
+    assert not path.exists()

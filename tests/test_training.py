@@ -5,16 +5,16 @@ import shutil
 import numpy as np
 import pytest
 
-from gftnn import training
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
                          param_shapes, predict, truth_trajectory)
 from gftnn.scenario import DatasetSplit, synthesize
+from gftnn.spectral import Spectrum
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
                             gradients, train, trajectory_loss)
 from helpers import (adam_step_fresh, adam_step_per_array, backward_per_channel,
-                     forward_per_channel, tiny_config)
+                     forward_per_channel, tiny_config, write_v2_checkpoint)
 
 
 def tiny_scenarios(n, seed, noise_std=0.05):
@@ -362,30 +362,31 @@ def test_train_resume_continues_epoch_count(tmp_path):
     assert lines.count("epoch,train_loss,test_loss,ade,fde") == 1
 
 
-def test_train_resume_reuses_stored_basis(tmp_path, monkeypatch):
+def test_train_resume_from_version_2_ignores_its_stored_basis(tmp_path):
+    # A version-2 file stores a basis; resume rebuilds it from the config,
+    # so a non-orthonormal stored one continues the run as the version-3
+    # file of the same state does.
     cfg = tiny_config()
     scens = tiny_scenarios(6, seed=22)
     ds = DatasetSplit(train=scens[:4], test=scens[4:], seed=0)
     tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2, seed=6)
     train(ds, cfg, tc, log_path=tmp_path / "first.csv",
-          checkpoint_path=tmp_path / "first.json")
-    ckpt = load_checkpoint(tmp_path / "first.json")
-    # The oracle resumes with a freshly built basis, as resume used to do.
-    rebuilt = dataclasses.replace(ckpt, basis=build_basis(cfg))
-
-    def no_basis(config):
-        raise AssertionError("resume must reuse the checkpoint's basis")
-
+          checkpoint_path=tmp_path / "v3.json")
+    ckpt = load_checkpoint(tmp_path / "v3.json")
+    basis = build_basis(cfg)
+    v = basis.spatial.eigenvectors.copy()
+    v[:, 1] *= 2.0
+    bad = dataclasses.replace(basis, spatial=Spectrum(basis.spatial.eigenvalues, v))
+    write_v2_checkpoint(tmp_path / "v2.json", cfg, bad, ckpt.params,
+                        ckpt.epochs_trained, ckpt.optimizer)
     out = {}
-    for tag, resume in (("rebuilt", rebuilt), ("stored", ckpt)):
-        if tag == "stored":
-            monkeypatch.setattr(training, "build_basis", no_basis)
+    for tag in ("v2", "v3"):
         log = tmp_path / f"{tag}.csv"
         shutil.copy(tmp_path / "first.csv", log)
-        train(ds, cfg, tc, log_path=log, checkpoint_path=tmp_path / f"{tag}.json",
-              resume=resume)
-        out[tag] = (log.read_text(), load_checkpoint(tmp_path / f"{tag}.json"))
-    (log_a, a), (log_b, b) = out["rebuilt"], out["stored"]
+        train(ds, cfg, tc, log_path=log, checkpoint_path=tmp_path / f"{tag}-resumed.json",
+              resume=load_checkpoint(tmp_path / f"{tag}.json"))
+        out[tag] = (log.read_bytes(), load_checkpoint(tmp_path / f"{tag}-resumed.json"))
+    (log_a, a), (log_b, b) = out["v2"], out["v3"]
     assert log_a == log_b
     assert len(log_b.splitlines()) == 5  # one header, four epochs
     assert (a.epochs_trained, a.optimizer["step"]) == (b.epochs_trained,
@@ -394,10 +395,6 @@ def test_train_resume_reuses_stored_basis(tmp_path, monkeypatch):
     for moment in ("m", "v"):
         for name, arr in a.optimizer[moment].items():
             assert same_bits(arr, b.optimizer[moment][name]), (moment, name)
-    for factor in ("temporal", "spatial"):
-        for field in ("eigenvalues", "eigenvectors"):
-            assert same_bits(getattr(getattr(a.basis, factor), field),
-                             getattr(getattr(b.basis, factor), field))
 
 
 def test_train_resume_continues_the_run_bitwise(tmp_path):
@@ -466,8 +463,7 @@ def test_train_reports_divergence():
     params = init_params(cfg, 0)
     params.w_s[0] = np.inf
     # load_checkpoint rejects non-finite parameters, so resume from memory.
-    ckpt = Checkpoint(config=cfg, basis=build_basis(cfg), params=params,
-                      epochs_trained=0, optimizer=None)
+    ckpt = Checkpoint(config=cfg, params=params, epochs_trained=0, optimizer=None)
     tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=5)
     with pytest.raises(DivergenceError, match="epoch 1"):
         train(ds, cfg, tc, resume=ckpt)
