@@ -443,11 +443,6 @@ class Checkpoint:
     optimizer: dict | None
 
 
-def _basis_bits(basis: ProductBasis) -> list:
-    return [arr.tobytes() for spec in (basis.temporal, basis.spatial)
-            for arr in (spec.eigenvalues, spec.eigenvectors)]
-
-
 def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
                     params: ModelParams, epochs_trained: int = 0,
                     optimizer: dict | None = None):
@@ -455,18 +450,14 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
 
     Config, epoch count and optimizer step are plain JSON. Every float
     array (parameters, Adam's m and v) is one ``encode_array`` string, so
-    values survive the round trip bit for bit. The file stores no basis:
-    loading rebuilds it from the config, so ``basis`` must be
-    ``build_basis(config)`` bit for bit, and any other basis raises a
-    ValueError before the file is opened.
+    values survive the round trip bit for bit. The file stores no basis,
+    and ``basis`` is not read: loading rebuilds ``build_basis(config)``.
+    The argument stays for callers that pass the later ones by position.
 
     The file is json.dumps(doc) of the whole document, written one array
     of params, m and v at a time, so only one array's text is in memory at
     once.
     """
-    if _basis_bits(basis) != _basis_bits(build_basis(config)):
-        raise ValueError("basis is not build_basis(config): a checkpoint stores "
-                         "no basis, so loading could not reproduce it")
     head = json.dumps({
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
@@ -497,15 +488,18 @@ def _write_arrays(fh, key: str, arrays):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint of format version 3, 2 or 1 (repr() strings).
 
-    Versions 1 and 2 also store the reference basis, which is not read:
-    callers use ``build_basis(config)``, the basis that every file written
-    since the closed-form spectra stored. A corrupt file, an unknown config
-    key, a non-finite parameter or a negative epoch count or optimizer
-    step raises a ValueError naming the path and the key.
+    Callers score a checkpoint with ``build_basis(config)``. Versions 1
+    and 2 also store the reference basis; one that is not that basis bit
+    for bit (a file written with the Jacobi solver, before the closed-form
+    spectra) was trained on other spectra and is refused. A corrupt file,
+    an unknown config key, a non-finite parameter or a negative epoch
+    count or optimizer step raises a ValueError naming the path and the key.
     """
     doc = read_document(path, "checkpoint", "format_version",
                         (1, 2, CHECKPOINT_VERSION))
     cfg = _config_from_doc(doc.table("config"))
+    if doc.version < CHECKPOINT_VERSION:
+        _check_stored_basis(doc.table("basis"), build_basis(cfg))
     shapes = param_shapes(cfg)
     params = ModelParams(shapes)
     stored = doc.table("params")
@@ -530,6 +524,17 @@ def load_checkpoint(path) -> Checkpoint:
                         f"non-negative integer")
     return Checkpoint(config=cfg, params=params, epochs_trained=epochs_trained,
                       optimizer=optimizer)
+
+
+def _check_stored_basis(table: Table, basis: ProductBasis):
+    for factor in ("temporal", "spatial"):
+        stored = table.table(factor)
+        spec = getattr(basis, factor)
+        for key in ("eigenvalues", "eigenvectors"):
+            arr = getattr(spec, key)
+            if stored.array(key, arr.shape).tobytes() != arr.tobytes():
+                raise stored.error(f"{key} are not the config's closed-form "
+                                   f"basis, which scoring uses: retrain this model")
 
 
 def _config_from_doc(table: Table) -> ModelConfig:

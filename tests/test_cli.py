@@ -14,6 +14,7 @@ from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
 from gftnn.model import (build_basis, load_checkpoint, predict, predict_batch,
                          truth_trajectory)
 from gftnn.scenario import load_archive
+from gftnn.spectral import ProductBasis, Spectrum
 from helpers import (three_class_tracks, write_tracks_csv, write_v1_archive,
                      write_v1_checkpoint, write_v2_checkpoint)
 
@@ -293,7 +294,8 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
 
 
 def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
-    # Versions 1 and 2 store the basis that version 3 rebuilds from the config.
+    # Versions 1 and 2 store the basis that version 3 rebuilds from the
+    # config; one that stores another basis is refused.
     archive, ckpt_v3 = trained_checkpoint(tmp_path, capsys)
     ckpt = load_checkpoint(ckpt_v3)
     paths = {"v3": ckpt_v3}
@@ -311,6 +313,16 @@ def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
         for tag in ("v1", "v2"):
             assert (tmp_path / tag / name).read_bytes() == \
                 (tmp_path / "v3" / name).read_bytes(), (tag, name)
+    basis = build_basis(ckpt.config)
+    flipped = basis.temporal.eigenvectors.copy()
+    flipped[:, 1] *= -1.0       # the other sign, as the Jacobi solver may give
+    bad = tmp_path / "checkpoint_sign.json"
+    write_v2_checkpoint(bad, ckpt.config, ProductBasis(
+        Spectrum(basis.temporal.eigenvalues, flipped), basis.spatial), ckpt.params)
+    for extra in (["eval"], ["predict", "--scenario-id", "synth-00005"]):
+        err = run_fail(capsys, extra + ["--archive", str(archive), "--checkpoint", str(bad),
+                                        "--out", str(tmp_path / "sign")])
+        assert f"{bad}: checkpoint basis temporal eigenvectors are not" in err
 
 
 def test_train_eval_predict_identical_from_version_1_archive(tmp_path, capsys):
@@ -497,6 +509,7 @@ import sys
 sys.modules["scipy"] = None     # any import of scipy now raises ImportError
 from gftnn.cli import main
 from gftnn.scenario import load_archive
+from gftnn.spectral import ProductBasis, Spectrum
 out = sys.argv[1]
 archive = out + "/data/archive.json"
 ckpt = out + "/run/checkpoint.json"

@@ -773,24 +773,33 @@ def _nudged(basis):
 
 
 @pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint])
-@pytest.mark.parametrize("stored", [
-    _jacobi_basis,
-    lambda cfg: _descending(build_basis(cfg)),
-    lambda cfg: build_basis(dataclasses.replace(cfg, t_obs=7)),
-], ids=["jacobi", "descending", "other-grid"])
-def test_checkpoint_never_reads_a_stored_basis(tmp_path, writer, stored):
-    # Versions 1 and 2 stored the reference basis; a Jacobi-era, descending
-    # or wrongly sized one loads the same state as the version-3 file.
+@pytest.mark.parametrize("stored, message", [
+    (_jacobi_basis, "basis temporal eigenvalues are not the config's closed-form "
+                    "basis, which scoring uses: retrain this model"),
+    (lambda cfg: _descending(build_basis(cfg)),
+     "basis temporal eigenvalues are not the config's closed-form basis"),
+    (lambda cfg: _nudged(build_basis(cfg)),
+     "basis spatial eigenvectors are not the config's closed-form basis"),
+    (lambda cfg: build_basis(dataclasses.replace(cfg, t_obs=7)),
+     "basis temporal eigenvalues has wrong size: 56 bytes, expected 48 for shape (6,)"),
+    (None, "is missing key 'basis'"),
+], ids=["jacobi", "descending", "one-ulp", "other-grid", "missing"])
+def test_checkpoint_refuses_a_stored_basis_scoring_cannot_rebuild(tmp_path, writer,
+                                                                    stored, message):
+    # Versions 1 and 2 stored the reference basis. Scoring rebuilds it from
+    # the config, so a file that stores any other basis (a Jacobi-era one,
+    # before the closed forms) was trained on other spectra: it is refused.
     cfg = tiny_config()
-    params = init_params(cfg, 8)
-    opt = {"step": 3,
-           "m": {name: np.full_like(arr, 0.125) for name, arr in params.items()},
-           "v": {name: np.full_like(arr, 0.5) for name, arr in params.items()}}
-    save_checkpoint(tmp_path / "v3.json", cfg, build_basis(cfg), params, 3, opt)
-    writer(tmp_path / "old.json", cfg, stored(cfg), params, 3, opt)
-    old, v3 = load_checkpoint(tmp_path / "old.json"), load_checkpoint(tmp_path / "v3.json")
-    assert (old.config, old.epochs_trained) == (v3.config, v3.epochs_trained)
-    assert_same_bits(checkpoint_arrays(old), checkpoint_arrays(v3))
+    path = tmp_path / "old.json"
+    writer(path, cfg, build_basis(cfg) if stored is None else stored(cfg),
+           init_params(cfg, 8), 3)
+    if stored is None:
+        doc = json.loads(path.read_text())
+        del doc["basis"]
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: checkpoint {message}")
 
 
 def _edit(change):
@@ -959,17 +968,3 @@ def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
-
-
-@pytest.mark.parametrize("other", [
-    _jacobi_basis,
-    lambda cfg: _descending(build_basis(cfg)),
-    lambda cfg: _nudged(build_basis(cfg)),
-    lambda cfg: build_basis(dataclasses.replace(cfg, n_v=4)),
-], ids=["jacobi", "descending", "one-ulp", "other-grid"])
-def test_save_checkpoint_rejects_a_basis_loading_cannot_rebuild(tmp_path, other):
-    cfg = tiny_config()
-    path = tmp_path / "ckpt.json"
-    with pytest.raises(ValueError, match=r"basis is not build_basis\(config\)"):
-        save_checkpoint(path, cfg, other(cfg), init_params(cfg, 0))
-    assert not path.exists()

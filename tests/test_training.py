@@ -362,10 +362,10 @@ def test_train_resume_continues_epoch_count(tmp_path):
     assert lines.count("epoch,train_loss,test_loss,ade,fde") == 1
 
 
-def test_train_resume_from_version_2_ignores_its_stored_basis(tmp_path):
-    # A version-2 file stores a basis; resume rebuilds it from the config,
-    # so a non-orthonormal stored one continues the run as the version-3
-    # file of the same state does.
+def test_train_resume_from_version_2_matches_version_3(tmp_path):
+    # A version-2 file stores the basis that resume rebuilds from the
+    # config, so it continues the run as the version-3 file of the same
+    # state does. One whose stored basis is not that basis is refused.
     cfg = tiny_config()
     scens = tiny_scenarios(6, seed=22)
     ds = DatasetSplit(train=scens[:4], test=scens[4:], seed=0)
@@ -374,11 +374,15 @@ def test_train_resume_from_version_2_ignores_its_stored_basis(tmp_path):
           checkpoint_path=tmp_path / "v3.json")
     ckpt = load_checkpoint(tmp_path / "v3.json")
     basis = build_basis(cfg)
+    write_v2_checkpoint(tmp_path / "v2.json", cfg, basis, ckpt.params,
+                        ckpt.epochs_trained, ckpt.optimizer)
     v = basis.spatial.eigenvectors.copy()
     v[:, 1] *= 2.0
     bad = dataclasses.replace(basis, spatial=Spectrum(basis.spatial.eigenvalues, v))
-    write_v2_checkpoint(tmp_path / "v2.json", cfg, bad, ckpt.params,
+    write_v2_checkpoint(tmp_path / "bad.json", cfg, bad, ckpt.params,
                         ckpt.epochs_trained, ckpt.optimizer)
+    with pytest.raises(ValueError, match="basis spatial eigenvectors are not"):
+        load_checkpoint(tmp_path / "bad.json")
     out = {}
     for tag in ("v2", "v3"):
         log = tmp_path / f"{tag}.csv"
