@@ -5,7 +5,7 @@ from .graph import (D_FLOOR, Graph, Laplacian, apply_inverse_distance_weights,
                     cartesian_product, inverse_distance_weights, laplacian)
 from .spectral import (ProductBasis, Spectrum, complete_spectrum, eigendecompose,
                        gft_extended, inverse_gft, path_spectrum, star_spectra,
-                       symmetric_eigh, truncate_spectrum)
+                       symmetric_eigh, truncate_spectrum, unit_star_spectrum)
 from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        RawTrack, Scenario, SchemaError, SplitError, balance,
                        extract_scenarios, ingest_tracks, label_maneuver,

@@ -231,10 +231,10 @@ def _subset(scenarios, opts):
 
 
 def _load_archive_and_checkpoint(opts):
-    """The archive's scenarios, the checkpoint that scores them and its
-    reference basis."""
+    """The archive's scenarios, the checkpoint that scores them (its Adam
+    moments checked but not decoded) and its reference basis."""
     scenarios, fps = load_archive(opts["archive"])
-    ckpt = load_checkpoint(opts["checkpoint"])
+    ckpt = load_checkpoint(opts["checkpoint"], optimizer=False)
     if fps != ckpt.config.fps:
         raise ValueError(
             f"archive fps {fps} does not match checkpoint fps {ckpt.config.fps}"

@@ -18,8 +18,9 @@ import numpy as np
 
 from .graph import _frozen, inverse_distance_weights
 from .special import erf, expit
-from .spectral import (ProductBasis, Spectrum, complete_spectrum, gft_extended,
-                       path_spectrum, star_spectra, truncate_spectrum)
+from .spectral import (ProductBasis, complete_spectrum, gft_extended,
+                       path_spectrum, star_spectra, truncate_spectrum,
+                       unit_star_spectrum)
 from .store import Table, encode_array, read_document
 
 OUT = 3
@@ -277,6 +278,25 @@ class Trajectory:
         return self.x.size
 
 
+def _trajectories(x, y) -> list[Trajectory]:
+    """One ``Trajectory`` per row of fresh (B, T + 1) float64 arrays, which
+    are checked by its rule and frozen once for the whole batch: each row is
+    a read-only view. A batch that breaks the rule is built row by row, so
+    the error is the failing row's."""
+    if (x.shape != y.shape or x.shape[1] < 2
+            or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)))):
+        return [Trajectory(x=xi, y=yi) for xi, yi in zip(x, y)]
+    x.flags.writeable = False
+    y.flags.writeable = False
+    out = []
+    for xi, yi in zip(x, y):
+        trajectory = object.__new__(Trajectory)
+        object.__setattr__(trajectory, "x", xi)
+        object.__setattr__(trajectory, "y", yi)
+        out.append(trajectory)
+    return out
+
+
 def _decode_terms(h_z, t_pred: int, fps):
     """The sample times t = 0 .. T_pred over fps, their offsets tau from
     the horizon midpoint, and the (B, T_pred + 1) logistic g = expit(-h3 tau)
@@ -364,8 +384,7 @@ def build_basis(config: ModelConfig) -> ProductBasis:
     """Reference eigenbases in closed form: the unit-weight temporal path
     and the unit-weight spatial star or complete graph."""
     if config.graph_kind == "spider":
-        w, v = star_spectra(np.ones((1, config.n_v - 1)))
-        spatial = Spectrum(w[0], v[0])
+        spatial = unit_star_spectrum(config.n_v)
     else:
         spatial = complete_spectrum(config.n_v)
     return ProductBasis(path_spectrum(config.t_obs), spatial)
@@ -425,8 +444,7 @@ def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
             )
     h_z, _ = forward(scenario_spectra(scenarios, basis, config), params, config)
     v0 = np.array([scenario.v0 for scenario in scenarios])
-    x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
-    return [Trajectory(x=xi, y=yi) for xi, yi in zip(x, y)]
+    return _trajectories(*decode_batch(h_z, v0, config.t_pred, config.fps))
 
 
 def predict(scenario, basis: ProductBasis, params: ModelParams,
@@ -485,7 +503,7 @@ def _write_arrays(fh, key: str, arrays):
     fh.write("}")
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint of format version 3, 2 or 1 (repr() strings).
 
     Callers score a checkpoint with ``build_basis(config)``. Versions 1
@@ -494,6 +512,11 @@ def load_checkpoint(path) -> Checkpoint:
     spectra) was trained on other spectra and is refused. A corrupt file,
     an unknown config key, a non-finite parameter or a negative epoch
     count or optimizer step raises a ValueError naming the path and the key.
+
+    With ``optimizer=False``, for scoring, Adam's moments are checked as
+    strictly but not decoded (``Table.check_array``), and the result's
+    ``optimizer`` is None. A file that would fail a full load fails this
+    one with the same message.
     """
     doc = read_document(path, "checkpoint", "format_version",
                         (1, 2, CHECKPOINT_VERSION))
@@ -507,23 +530,27 @@ def load_checkpoint(path) -> Checkpoint:
         view[...] = stored.array(name, view.shape)
         if not np.all(np.isfinite(view)):
             raise stored.error(f"{name} is not finite")
-    optimizer = None
+    state = None
     if "optimizer" in doc.obj:
         stored = doc.table("optimizer")
-        optimizer = {"step": stored.value("step", int)}
-        if optimizer["step"] < 0:
-            raise stored.error(f"step is {optimizer['step']}, expected a "
-                               f"non-negative integer")
+        step = stored.value("step", int)
+        if step < 0:
+            raise stored.error(f"step is {step}, expected a non-negative integer")
+        state = {"step": step}
         for moment in ("m", "v"):
             moments = stored.table(moment)
-            optimizer[moment] = {name: moments.array(name, shape)
+            if optimizer:
+                state[moment] = {name: moments.array(name, shape)
                                  for name, shape in shapes.items()}
+            else:
+                for name, shape in shapes.items():
+                    moments.check_array(name, shape)
     epochs_trained = doc.value("epochs_trained", int, 0)
     if epochs_trained < 0:
         raise doc.error(f"epochs_trained is {epochs_trained}, expected a "
                         f"non-negative integer")
     return Checkpoint(config=cfg, params=params, epochs_trained=epochs_trained,
-                      optimizer=optimizer)
+                      optimizer=state if optimizer else None)
 
 
 def _check_stored_basis(table: Table, basis: ProductBasis):

@@ -9,9 +9,10 @@ and no conjugation is needed anywhere.
 
 Every factor graph the pipeline builds has a closed-form spectrum: the
 temporal path (``path_spectrum``), the complete graph
-(``complete_spectrum``) and the unit or inverse-distance weighted star
-(``star_spectra``). Each fixes one sign and one basis of every degenerate
-eigenspace, so rounding noise in the input cannot flip or rotate them.
+(``complete_spectrum``), the unit star (``unit_star_spectrum``) and the
+inverse-distance weighted star (``star_spectra``). Each fixes one sign
+and one basis of every degenerate eigenspace, so rounding noise in the
+input cannot flip or rotate them.
 ``symmetric_eigh`` is a cyclic Jacobi solver for any other symmetric
 matrix and the reference the closed forms are tested against.
 """
@@ -105,7 +106,8 @@ def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
     relative to the Frobenius norm of the input. This is the general
     solver behind ``eigendecompose``; the graphs the pipeline builds have
     closed forms (``path_spectrum``, ``complete_spectrum``,
-    ``star_spectra``), and this solver is their reference.
+    ``unit_star_spectrum``, ``star_spectra``), and this solver is their
+    reference.
 
     The result is bit-reproducible on one machine: every eigenvector is
     flipped so its largest-magnitude entry is positive (ties broken by
@@ -268,6 +270,33 @@ def star_spectra(leaf_weights):
     vec = np.take_along_axis(vec, nodes[:, None, :], axis=2).transpose(0, 2, 1)
     lam = np.append(np.zeros((b, 1)), d + tau, axis=1)
     return lam, np.where(secular_col[:, None, :], _largest_entry_positive(vec), vec)
+
+
+def unit_star_spectrum(n: int) -> Spectrum:
+    """Closed-form spectrum of the unit-weight star over n nodes, hub first:
+    ``star_spectra`` of n - 1 unit leaves bit for bit, without bisecting
+    its one secular root, which is exactly n.
+
+    Eigenvalues 0, 1 (n - 2 times) and n. The secular columns are the
+    constant vector and (1, -1/m, ..., -1/m) with m = n - 1, normalised;
+    the eigenspace of 1 holds the Helmert contrasts of the leaves.
+    """
+    if n < 2:
+        raise ValueError(f"star needs at least 2 nodes, got {n}")
+    m = n - 1
+    # As star_spectra forms them: rows (1, z / (d - lam)) with z = d = 1.
+    secular = np.ones((2, n))
+    secular[1, 1:] = 1.0 / (0.0 - m)
+    secular /= np.sqrt(np.sum(secular * secular, axis=1, keepdims=True))
+    secular = _largest_entry_positive(secular.T)
+    v = np.zeros((n, n))
+    v[:, 0] = secular[:, 0]
+    v[1:, 1:m] = _helmert(np.zeros(m - 1, np.int64), m).T
+    v[:, m] = secular[:, 1]
+    w = np.ones(n)
+    w[0] = 0.0
+    w[m] = float(n)
+    return Spectrum(w, v)
 
 
 @dataclass(frozen=True)

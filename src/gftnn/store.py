@@ -18,6 +18,8 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an inte
                float: "a number", bool: "a boolean", type(None): "null"}
 # A string, with its colon when it is a key, or a bracket or a comma.
 _TOKENS = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"(\s*:)?|[][{},]')
+_BASE64_ALPHABET = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                    b"0123456789+/")
 
 
 def encode_array(arr) -> str:
@@ -119,6 +121,22 @@ class Table:
             raise self.error(f"{key} has wrong size: {len(raw)} bytes, "
                              f"expected {8 * size} for shape {shape}")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+    def check_array(self, key: str, shape: tuple):
+        """Check the array under ``key`` as ``array`` would, without decoding
+        it when it is well-formed base64 of exactly the values of ``shape``.
+        Anything else goes through ``array``, so each error is its error."""
+        stored = self.obj.get(key)
+        if (self.version != 1 and type(stored) is str and stored.isascii()
+                and min(shape) >= 1):
+            text = stored.encode("ascii")
+            # Outside the alphabet, well-formed base64 holds only its padding.
+            pad = text.translate(None, _BASE64_ALPHABET)
+            if (pad in (b"", b"=", b"==") and text.endswith(pad)
+                    and len(text) % 4 == 0
+                    and 3 * len(text) // 4 - len(pad) == 8 * math.prod(shape)):
+                return
+        self.array(key, shape)
 
     def build(self, cls, **kwargs):
         """``cls(**kwargs)``; a ValueError from its validation names this object."""

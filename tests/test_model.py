@@ -8,14 +8,17 @@ import pytest
 from scipy.stats import norm
 
 from gftnn import spectral
-from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory, build_basis,
-                         decode, decode_batch, decode_partials, forward,
-                         gaussian_cdf, gelu, gelu_grad,
+from gftnn import store
+from gftnn.cli import main
+from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory,
+                         _trajectories, build_basis, decode, decode_batch,
+                         decode_partials, forward, gaussian_cdf, gelu, gelu_grad,
                          init_params, load_checkpoint, param_shapes, predict,
-                         preset_config, save_checkpoint, scenario_spectra,
-                         scenario_spectrum, select_channels, truth_trajectory)
+                         predict_batch, preset_config, save_checkpoint,
+                         scenario_spectra, scenario_spectrum, select_channels,
+                         truth_trajectory)
 from gftnn.graph import build_line_graph, build_spider_graph, laplacian
-from gftnn.scenario import Scenario, synthesize
+from gftnn.scenario import Scenario, save_archive, synthesize
 from gftnn.special import expit
 from gftnn.spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
                             truncate_spectrum)
@@ -471,6 +474,37 @@ def test_trajectory_validation():
         tr.x[0] = 1.0
 
 
+def test_predict_batch_rows_are_the_decoded_rows_read_only(basis_30x9):
+    # The batch is checked and frozen once; each row is what Trajectory(...)
+    # builds from it, and as read-only.
+    cfg = preset_config("gftnn", 10)
+    params = init_params(cfg, 2)
+    scenarios = synthesize(5, 10, seed=31, noise_std=0.05)
+    h_z, _ = forward(scenario_spectra(scenarios, basis_30x9, cfg), params, cfg)
+    x, y = decode_batch(h_z, np.array([s.v0 for s in scenarios]), cfg.t_pred, cfg.fps)
+    rows = predict_batch(scenarios, basis_30x9, params, cfg)
+    for row, xi, yi in zip(rows, x, y):
+        assert isinstance(row, Trajectory) and len(row) == cfg.t_pred + 1
+        assert row.x.dtype == np.float64
+        assert np.array_equal(row.x.view(np.uint64), xi.view(np.uint64))
+        assert np.array_equal(row.y.view(np.uint64), yi.view(np.uint64))
+        for arr in (row.x, row.y):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (np.array([[0.0, 1.0], [0.0, np.inf]]), np.zeros((2, 2)), "trajectory must be finite"),
+    (np.zeros((2, 2)), np.array([[0.0, 1.0], [np.nan, 0.0]]), "trajectory must be finite"),
+    (np.zeros((2, 1)), np.zeros((2, 1)), r"bad trajectory shapes \(1,\), \(1,\)"),
+    (np.zeros((2, 3)), np.zeros((2, 4)), r"bad trajectory shapes \(3,\), \(4,\)"),
+])
+def test_batch_trajectories_refuse_what_trajectory_refuses(x, y, message):
+    # The message is that of the first row that breaks the rule.
+    with pytest.raises(ValueError, match=message):
+        _trajectories(x, y)
+
+
 def test_truth_trajectory_prepends_origin():
     scen = synthesize(1, 10, seed=16)[0]
     tr = truth_trajectory(scen)
@@ -772,8 +806,7 @@ def _nudged(basis):
     return dataclasses.replace(basis, spatial=Spectrum(basis.spatial.eigenvalues, v))
 
 
-@pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint])
-@pytest.mark.parametrize("stored, message", [
+STORED_BASES = [
     (_jacobi_basis, "basis temporal eigenvalues are not the config's closed-form "
                     "basis, which scoring uses: retrain this model"),
     (lambda cfg: _descending(build_basis(cfg)),
@@ -783,12 +816,13 @@ def _nudged(basis):
     (lambda cfg: build_basis(dataclasses.replace(cfg, t_obs=7)),
      "basis temporal eigenvalues has wrong size: 56 bytes, expected 48 for shape (6,)"),
     (None, "is missing key 'basis'"),
-], ids=["jacobi", "descending", "one-ulp", "other-grid", "missing"])
-def test_checkpoint_refuses_a_stored_basis_scoring_cannot_rebuild(tmp_path, writer,
-                                                                    stored, message):
-    # Versions 1 and 2 stored the reference basis. Scoring rebuilds it from
-    # the config, so a file that stores any other basis (a Jacobi-era one,
-    # before the closed forms) was trained on other spectra: it is refused.
+]
+STORED_BASIS_IDS = ["jacobi", "descending", "one-ulp", "other-grid", "missing"]
+
+
+def old_checkpoint(tmp_path, writer, stored):
+    """A version 1 or 2 file that stores ``stored(cfg)`` as its basis, or
+    no basis when ``stored`` is None."""
     cfg = tiny_config()
     path = tmp_path / "old.json"
     writer(path, cfg, build_basis(cfg) if stored is None else stored(cfg),
@@ -797,6 +831,17 @@ def test_checkpoint_refuses_a_stored_basis_scoring_cannot_rebuild(tmp_path, writ
         doc = json.loads(path.read_text())
         del doc["basis"]
         path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint])
+@pytest.mark.parametrize("stored, message", STORED_BASES, ids=STORED_BASIS_IDS)
+def test_checkpoint_refuses_a_stored_basis_scoring_cannot_rebuild(tmp_path, writer,
+                                                                    stored, message):
+    # Versions 1 and 2 stored the reference basis. Scoring rebuilds it from
+    # the config, so a file that stores any other basis (a Jacobi-era one,
+    # before the closed forms) was trained on other spectra: it is refused.
+    path = old_checkpoint(tmp_path, writer, stored)
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: checkpoint {message}")
@@ -827,7 +872,7 @@ def _set(*keys, value):
     return _edit(change)
 
 
-@pytest.mark.parametrize("edit, message", [
+CORRUPT_DOCUMENTS = [
     (_drop("params"), "checkpoint is missing key 'params'"),
     (_drop("config"), "checkpoint is missing key 'config'"),
     (_drop("optimizer", "step"), "checkpoint optimizer is missing key 'step'"),
@@ -851,13 +896,22 @@ def _set(*keys, value):
      "checkpoint epochs_trained is -5, expected a non-negative integer"),
     (_set("params", value=[]), "checkpoint params is a list, expected an object"),
     (_set("config", "p", value=7), "checkpoint config: p must be in [1, 6], got 7"),
-])
-def test_checkpoint_corrupt_document_names_path_and_key(tmp_path, edit, message):
+]
+
+
+def corrupt_document(tmp_path, edit):
+    """A checkpoint with Adam state whose text ``edit`` has changed."""
     cfg = tiny_config()
     params, opt = awkward_state(cfg, 9)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
     path.write_text(edit(path.read_text()))
+    return path
+
+
+@pytest.mark.parametrize("edit, message", CORRUPT_DOCUMENTS)
+def test_checkpoint_corrupt_document_names_path_and_key(tmp_path, edit, message):
+    path = corrupt_document(tmp_path, edit)
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: {message}"
@@ -938,7 +992,7 @@ def _non_finite(text):
     return base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-@pytest.mark.parametrize("edit, message", [
+CORRUPT_ARRAYS = [
     (_corrupt(["params"], "w_s", lambda t: t[:-4] + "!!!!"),
      "params w_s is not valid base64"),
     (_corrupt(["params"], "w_s", lambda t: "A" + t),
@@ -954,8 +1008,11 @@ def _non_finite(text):
      "optimizer v b_h is not valid base64"),
     (lambda doc: doc["optimizer"]["m"].pop("w_l_1"),
      "checkpoint optimizer m is missing key 'w_l_1'"),
-])
-def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
+]
+
+
+def corrupt_arrays(tmp_path, edit):
+    """A checkpoint with Adam state whose document ``edit`` has changed."""
     cfg = tiny_config()
     params = init_params(cfg, 0)
     opt = {"step": 1,
@@ -966,5 +1023,86 @@ def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit, message", CORRUPT_ARRAYS)
+def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
+    path = corrupt_arrays(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
+
+
+# --------------------------------------------------------------- scoring load
+
+def refusal(path, **kwargs):
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("write, edit", [
+    *(pytest.param(corrupt_document, edit, id=f"document-{i}")
+      for i, (edit, _) in enumerate(CORRUPT_DOCUMENTS)),
+    *(pytest.param(corrupt_arrays, edit, id=f"arrays-{i}")
+      for i, (edit, _) in enumerate(CORRUPT_ARRAYS)),
+])
+def test_scoring_load_refuses_what_a_full_load_refuses(tmp_path, capsys, write, edit):
+    # Scoring checks Adam's moments without decoding them: each corrupt file
+    # fails the scoring load, eval and predict with the full load's message.
+    path = write(tmp_path, edit)
+    message = refusal(path)
+    assert refusal(path, optimizer=False) == message
+    archive = tmp_path / "archive.json"
+    save_archive(archive, synthesize(2, 10, seed=0), 10)
+    for command in (["eval"], ["predict", "--scenario-id", "synth-00000"]):
+        assert main([*command, "--archive", str(archive), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+@pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint,
+                                    save_checkpoint], ids=["v1", "v2", "v3"])
+def test_scoring_load_matches_a_full_load(tmp_path, writer, with_optimizer):
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 10)
+    path = tmp_path / "ckpt.json"
+    writer(path, cfg, build_basis(cfg), params, 7, opt if with_optimizer else None)
+    full = load_checkpoint(path)
+    scoring = load_checkpoint(path, optimizer=False)
+    assert (scoring.config, scoring.epochs_trained) == \
+        (full.config, full.epochs_trained) == (cfg, 7)
+    assert scoring.params.shapes == full.params.shapes
+    assert np.array_equal(scoring.params.flat.view(np.uint64),
+                          full.params.flat.view(np.uint64))
+    assert (full.optimizer is not None) == with_optimizer
+    assert scoring.optimizer is None
+
+
+def test_scoring_load_decodes_only_the_params(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 11)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    decoded = []
+    b64decode = store.base64.b64decode
+
+    def counting(text, **kwargs):
+        decoded.append(text)
+        return b64decode(text, **kwargs)
+
+    monkeypatch.setattr(store.base64, "b64decode", counting)
+    load_checkpoint(path, optimizer=False)
+    assert len(decoded) == len(params.shapes)
+    decoded.clear()
+    load_checkpoint(path)
+    assert len(decoded) == 3 * len(params.shapes)
+
+
+@pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint])
+@pytest.mark.parametrize("stored, message", STORED_BASES, ids=STORED_BASIS_IDS)
+def test_scoring_load_refuses_the_same_stored_bases(tmp_path, writer, stored, message):
+    path = old_checkpoint(tmp_path, writer, stored)
+    assert refusal(path, optimizer=False) == refusal(path)
+    assert refusal(path).startswith(f"{path}: checkpoint {message}")

@@ -10,7 +10,7 @@ from gftnn.spectral import (DEGENERACY_TOL, ProductBasis, Spectrum,
                             complete_spectrum, eigendecompose, gft_2d,
                             gft_extended, inverse_gft, path_spectrum,
                             star_spectra, symmetric_eigh, truncate_spectrum,
-                            write_spectrum_csv, write_tensor_csv)
+                            unit_star_spectrum, write_spectrum_csv, write_tensor_csv)
 from helpers import random_graph
 
 
@@ -182,6 +182,20 @@ def test_complete_and_unit_star_spectra_closed_form(n):
     assert np.allclose(w[0], [0.0] + [1.0] * (n - 2) + [float(n)], rtol=0.0,
                        atol=1e-15)
     _assert_star_sign_rules(np.ones(n - 1), v[0])
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_unit_star_spectrum_is_star_spectra_bit_for_bit(n):
+    w, v = star_spectra(np.ones((1, n - 1)))
+    spec = unit_star_spectrum(n)
+    assert spec.eigenvalues.tobytes() == w[0].tobytes()
+    assert spec.eigenvectors.tobytes() == v[0].tobytes()
+    assert np.array_equal(spec.eigenvalues, [0.0] + [1.0] * (n - 2) + [float(n)])
+
+
+def test_unit_star_spectrum_needs_two_nodes():
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        unit_star_spectrum(1)
 
 
 def _weighted_star_cases():
