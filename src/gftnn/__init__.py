@@ -15,7 +15,8 @@ from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
                     decode_partials, forward, gelu, gelu_grad, init_params,
                     load_checkpoint, loss_batch, predict, predict_batch,
                     preset_config, save_checkpoint, scenario_spectra,
-                    scenario_spectrum, select_channels, truth_trajectory)
+                    scenario_spectrum, select_channels, truth_trajectories,
+                    truth_trajectory)
 from .training import (AdamState, DivergenceError, TrainConfig, TrainResult,
                        adam_step, gradients, train, trajectory_loss)
 from .metrics import (EvalReport, ade, ade_euclid_mean, evaluate, fde,

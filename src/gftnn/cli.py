@@ -20,7 +20,7 @@ import numpy as np
 from .metrics import evaluate, write_histogram_csv, write_report_json
 from .model import (PRESETS, ModelConfig, NumericError, build_basis,
                     load_checkpoint, predict, predict_batch, preset_config,
-                    truth_trajectory)
+                    truth_trajectories)
 from .scenario import (MANEUVERS, balance, extract_scenarios, ingest_tracks,
                        load_archive, save_archive, split, synthesize, SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
@@ -231,8 +231,8 @@ def _subset(scenarios, opts):
 
 
 def _load_archive_and_checkpoint(opts):
-    """The archive's scenarios, the checkpoint that scores them (its Adam
-    moments checked but not decoded) and its reference basis."""
+    """The archive's scenarios, the checkpoint that scores them (without
+    its Adam moments) and its reference basis."""
     scenarios, fps = load_archive(opts["archive"])
     ckpt = load_checkpoint(opts["checkpoint"], optimizer=False)
     if fps != ckpt.config.fps:
@@ -249,7 +249,7 @@ def cmd_eval(args):
     chosen = _subset(scenarios, opts)
     if not chosen:
         raise ValueError(f"subset {opts['subset']!r} is empty")
-    truths = [truth_trajectory(s) for s in chosen]
+    truths = truth_trajectories(chosen)
     if opts["self_test"]:
         predictions = truths
     else:

@@ -9,7 +9,6 @@ batches; one scenario is a batch of one.
 """
 from __future__ import annotations
 
-import json
 import math
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -21,11 +20,11 @@ from .special import erf, expit
 from .spectral import (ProductBasis, complete_spectrum, gft_extended,
                        path_spectrum, star_spectra, truncate_spectrum,
                        unit_star_spectrum)
-from .store import Table, encode_array, read_document
+from .store import Table, open_document, write_document
 
 OUT = 3
 LN_EPS = 1e-5
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
 PRESET_T_OBS_S = 3.0            # observed window of every preset, seconds
@@ -380,6 +379,17 @@ def truth_trajectory(scenario) -> Trajectory:
     )
 
 
+def truth_trajectories(scenarios) -> list[Trajectory]:
+    """``truth_trajectory`` of each scenario, built from the stacked
+    futures of a batch that shares one horizon, with one check."""
+    futures = np.stack([scenario.future for scenario in scenarios])
+    x = np.zeros((futures.shape[0], futures.shape[1] + 1))
+    y = np.zeros_like(x)
+    x[:, 1:] = futures[:, :, 0]
+    y[:, 1:] = futures[:, :, 1]
+    return _trajectories(x, y)
+
+
 def build_basis(config: ModelConfig) -> ProductBasis:
     """Reference eigenbases in closed form: the unit-weight temporal path
     and the unit-weight spatial star or complete graph."""
@@ -464,47 +474,29 @@ class Checkpoint:
 def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
                     params: ModelParams, epochs_trained: int = 0,
                     optimizer: dict | None = None):
-    """Serialise model state to one JSON file (format version 3).
+    """Serialise model state to one file (format version 4).
 
-    Config, epoch count and optimizer step are plain JSON. Every float
-    array (parameters, Adam's m and v) is one ``encode_array`` string, so
-    values survive the round trip bit for bit. The file stores no basis,
-    and ``basis`` is not read: loading rebuilds ``build_basis(config)``.
+    The head holds the config, the epoch count and the optimizer step; the
+    payload is ``params.flat`` and, with optimizer state, Adam's ``m`` and
+    ``v`` in the same layout, as raw float64 (see ``store.write_document``),
+    so values survive the round trip bit for bit. The file stores no
+    basis, and ``basis`` is not read: loading rebuilds ``build_basis(config)``.
     The argument stays for callers that pass the later ones by position.
-
-    The file is json.dumps(doc) of the whole document, written one array
-    of params, m and v at a time, so only one array's text is in memory at
-    once.
     """
-    head = json.dumps({
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(config),
-        "epochs_trained": int(epochs_trained),
-    })
-    with open(path, "w") as fh:
-        fh.write(head[:-1])  # all but the closing "}"
-        _write_arrays(fh, "params", params.items())
-        if optimizer is not None:
-            fh.write(f', "optimizer": {{"step": {int(optimizer["step"])}')
-            for moment in ("m", "v"):
-                _write_arrays(fh, moment, optimizer[moment].items())
-            fh.write("}")
-        fh.write("}")
-
-
-def _write_arrays(fh, key: str, arrays):
-    """Write ``, "key": {"name": "<encode_array>", ...}`` as json.dumps
-    would, one array at a time."""
-    fh.write(f", {json.dumps(key)}: {{")
-    for i, (name, arr) in enumerate(arrays):
-        fh.write(f'{", " if i else ""}{json.dumps(name)}: "')
-        fh.write(encode_array(arr))
-        fh.write('"')
-    fh.write("}")
+    head = {"format_version": CHECKPOINT_VERSION, "config": asdict(config),
+            "epochs_trained": int(epochs_trained)}
+    flat = (params.n_params,)
+    arrays = {"params": (flat, [params.flat])}
+    if optimizer is not None:
+        head["optimizer"] = {"step": int(optimizer["step"])}
+        for moment in ("m", "v"):
+            arrays[moment] = (flat, [optimizer[moment][name] for name in params.shapes])
+    write_document(path, head, arrays)
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
-    """Read a checkpoint of format version 3, 2 or 1 (repr() strings).
+    """Read a checkpoint of format version 4, or of the JSON versions 3, 2
+    or 1 (repr() strings).
 
     Callers score a checkpoint with ``build_basis(config)``. Versions 1
     and 2 also store the reference basis; one that is not that basis bit
@@ -513,30 +505,60 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     an unknown config key, a non-finite parameter or a negative epoch
     count or optimizer step raises a ValueError naming the path and the key.
 
-    With ``optimizer=False``, for scoring, Adam's moments are checked as
-    strictly but not decoded (``Table.check_array``), and the result's
-    ``optimizer`` is None. A file that would fail a full load fails this
-    one with the same message.
+    With ``optimizer=False``, for scoring, Adam's moments are not read
+    (version 4) or checked as strictly but not decoded (version 3, by
+    ``Table.check_array``), and the result's ``optimizer`` is None. A file
+    that would fail a full load fails this one with the same message.
     """
-    doc = read_document(path, "checkpoint", "format_version",
-                        (1, 2, CHECKPOINT_VERSION))
-    cfg = _config_from_doc(doc.table("config"))
-    if doc.version < CHECKPOINT_VERSION:
-        _check_stored_basis(doc.table("basis"), build_basis(cfg))
-    shapes = param_shapes(cfg)
+    with open_document(path, "checkpoint", "format_version", (1, 2, 3),
+                       CHECKPOINT_VERSION) as doc:
+        cfg = _config_from_doc(doc.table("config"))
+        if doc.version < 3:
+            _check_stored_basis(doc.table("basis"), build_basis(cfg))
+        shapes = param_shapes(cfg)
+        if doc.version == CHECKPOINT_VERSION:
+            params, state = _read_payload(doc, shapes, optimizer)
+        else:
+            params, state = _read_tables(doc, shapes, optimizer)
+    epochs_trained = doc.value("epochs_trained", int, 0)
+    if epochs_trained < 0:
+        raise doc.error(f"epochs_trained is {epochs_trained}, expected a "
+                        f"non-negative integer")
+    return Checkpoint(config=cfg, params=params, epochs_trained=epochs_trained,
+                      optimizer=state if optimizer else None)
+
+
+def _read_payload(doc: Table, shapes: dict, optimizer: bool):
+    """Params and optimizer state of a version-4 checkpoint; the moments
+    are read only when ``optimizer`` is set."""
+    state = _optimizer_step(doc)
+    flat = (sum(math.prod(shape) for shape in shapes.values()),)
+    declared = {"params": flat}
+    if state is not None:
+        declared.update(m=flat, v=flat)
+    doc.payload.expect(declared, "its config")
+    params = ModelParams(shapes, doc.payload.read("params"))
+    for name, view in params.items():
+        if not np.all(np.isfinite(view)):
+            raise doc.error(f"params {name} is not finite")
+    if state is not None and optimizer:
+        for moment in ("m", "v"):
+            state[moment] = dict(ModelParams(shapes, doc.payload.read(moment)).items())
+    return params, state
+
+
+def _read_tables(doc: Table, shapes: dict, optimizer: bool):
+    """Params and optimizer state of a JSON checkpoint (versions 1 to 3);
+    without ``optimizer`` the moments are checked but not decoded."""
     params = ModelParams(shapes)
     stored = doc.table("params")
     for name, view in params.items():
         view[...] = stored.array(name, view.shape)
         if not np.all(np.isfinite(view)):
             raise stored.error(f"{name} is not finite")
-    state = None
-    if "optimizer" in doc.obj:
+    state = _optimizer_step(doc)
+    if state is not None:
         stored = doc.table("optimizer")
-        step = stored.value("step", int)
-        if step < 0:
-            raise stored.error(f"step is {step}, expected a non-negative integer")
-        state = {"step": step}
         for moment in ("m", "v"):
             moments = stored.table(moment)
             if optimizer:
@@ -545,12 +567,17 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             else:
                 for name, shape in shapes.items():
                     moments.check_array(name, shape)
-    epochs_trained = doc.value("epochs_trained", int, 0)
-    if epochs_trained < 0:
-        raise doc.error(f"epochs_trained is {epochs_trained}, expected a "
-                        f"non-negative integer")
-    return Checkpoint(config=cfg, params=params, epochs_trained=epochs_trained,
-                      optimizer=state if optimizer else None)
+    return params, state
+
+
+def _optimizer_step(doc: Table) -> dict | None:
+    if "optimizer" not in doc.obj:
+        return None
+    stored = doc.table("optimizer")
+    step = stored.value("step", int)
+    if step < 0:
+        raise stored.error(f"step is {step}, expected a non-negative integer")
+    return {"step": step}
 
 
 def _check_stored_basis(table: Table, basis: ProductBasis):

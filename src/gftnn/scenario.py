@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import warnings
 from bisect import bisect_left
@@ -24,14 +23,14 @@ import numpy as np
 
 from .graph import _frozen
 from .special import expit
-from .store import Table, encode_array, read_document
+from .store import Table, open_document, write_document
 
 log = logging.getLogger(__name__)
 
 MANEUVERS = ("keep_lane", "lane_change_left", "lane_change_right")
 CHANNELS = ("x_rel", "y_rel", "vx_rel", "vy_rel")
 LANE_WIDTH = 3.5
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 
 # column mapping: canonical name -> file column per input schema
 SCHEMAS = {
@@ -573,59 +572,57 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
 
 
 def save_archive(path, scenarios, fps):
-    """Write scenarios to a JSON archive (format version 2).
+    """Write scenarios to an archive (format version 3).
 
-    Each scenario's features (flattened row-major) and future are one
-    ``encode_array`` string each. The file is json.dumps(doc,
-    separators=(",", ":")) of the whole document, written one scenario at
-    a time through the C encoder, so only one scenario's text is in memory
-    at once.
+    The head holds the fps, the grid (t_obs, t_pred, n_vehicles) every
+    scenario shares and each scenario's id, maneuver and v0; the payload
+    is the stacked (n, 4, T_obs, N_V) features and then the stacked
+    (n, T_pred, 2) futures, as raw float64 (see ``store.write_document``).
     """
     fps = float(fps)
+    if not scenarios:
+        raise ValueError("an archive needs at least one scenario")
     for s in scenarios:
         if s.fps != fps:
             raise ValueError(
                 f"scenario {s.scenario_id} has fps {s.fps}, archive wants {fps}"
             )
-    head = json.dumps({
+        _check_grid(s, scenarios[0], "an archive holds one grid")
+    n = len(scenarios)
+    t_obs, t_pred, n_vehicles = _grid(scenarios[0])
+    head = {
         "version": ARCHIVE_VERSION,
         "fps": fps,
         "feature_order": "(channel, time, vehicle) row-major",
         "channels": list(CHANNELS),
-        "scenarios": [],
-    }, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(head[:-2])  # up to and including the "[" of "scenarios":[]}
-        for i, s in enumerate(scenarios):
-            item = {
-                "id": s.scenario_id,
-                "maneuver": s.maneuver,
-                "v0": s.v0,
-                "t_obs": s.t_obs,
-                "t_pred": s.t_pred,
-                "n_vehicles": s.n_vehicles,
-                "features": encode_array(s.features),
-                "future": encode_array(s.future),
-            }
-            fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
-        fh.write("]}")
+        "t_obs": t_obs,
+        "t_pred": t_pred,
+        "n_vehicles": n_vehicles,
+        "scenarios": [{"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0}
+                      for s in scenarios],
+    }
+    write_document(path, head, {
+        "features": ((n, len(CHANNELS), t_obs, n_vehicles),
+                     [s.features for s in scenarios]),
+        "future": ((n, t_pred, 2), [s.future for s in scenarios]),
+    })
 
 
 def load_archive(path):
-    """Read a scenario archive of format version 2, or of version 1 (arrays
-    as JSON lists of numbers); returns (scenarios, fps).
+    """Read a scenario archive of format version 3, or of the JSON versions
+    2 (base64 arrays) or 1 (arrays as JSON lists of numbers); returns
+    (scenarios, fps).
 
     A corrupt or empty document raises ValueError naming the path and,
     for a bad scenario, its index and id, with the key at fault.
     """
-    doc = read_document(path, "archive", "version", (1, ARCHIVE_VERSION))
+    with open_document(path, "archive", "version", (1, 2), ARCHIVE_VERSION) as doc:
+        if doc.version == ARCHIVE_VERSION:
+            return _scenarios_from_payload(path, doc)
     fps = doc.value("fps", float)
     scenarios = []
     for index, obj in enumerate(doc.value("scenarios", list)):
-        where = f"{path}: scenario {index}"
-        if isinstance(obj, dict):
-            where += f" ({obj.get('id')!r})"
-        item = Table(obj, where, doc.version)
+        item = _item(path, index, obj, doc.version)
         scenario = item.build(
             Scenario,
             scenario_id=item.value("id", str),
@@ -636,17 +633,70 @@ def load_archive(path):
             maneuver=item.value("maneuver", str),
         )
         # Models, training and eval stack scenarios, so they share one grid.
-        if scenarios and _grid(scenario) != _grid(scenarios[0]):
-            raise ValueError(
-                f"{path}: scenario {scenario.scenario_id!r} has grid "
-                f"(t_obs, t_pred, n_vehicles) = {_grid(scenario)}, but "
-                f"{scenarios[0].scenario_id!r} has {_grid(scenarios[0])}; "
-                f"the archive mixes scenario shapes"
-            )
+        if scenarios:
+            _check_grid(scenario, scenarios[0], "the archive mixes scenario shapes",
+                        path)
         scenarios.append(scenario)
     if not scenarios:
         raise ValueError(f"{path}: archive contains no scenarios")
     return scenarios, fps
+
+
+def _scenarios_from_payload(path, doc: Table):
+    """The scenarios of a version-3 archive, each holding read-only views of
+    the payload's two blocks. They are checked by ``Scenario``'s rule once
+    for the whole archive; an archive that breaks it is built scenario by
+    scenario, so the error is the failing scenario's."""
+    fps = doc.value("fps", float)
+    grid = tuple(doc.value(key, int) for key in ("t_obs", "t_pred", "n_vehicles"))
+    items = [_item(path, index, obj, doc.version)
+             for index, obj in enumerate(doc.value("scenarios", list))]
+    if not items:
+        raise ValueError(f"{path}: archive contains no scenarios")
+    n = len(items)
+    t_obs, t_pred, n_vehicles = grid
+    doc.payload.expect({"features": (n, len(CHANNELS), t_obs, n_vehicles),
+                        "future": (n, t_pred, 2)},
+                       f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
+    features = doc.payload.read("features")
+    future = doc.payload.read("future")
+    features.flags.writeable = False
+    future.flags.writeable = False
+    fields = [(item.value("id", str), item.value("maneuver", str),
+               item.value("v0", float)) for item in items]
+    if (fps > 0 and np.all(np.isfinite(features)) and np.all(np.isfinite(future))
+            and not np.any(features[:, :2, 0, 0])
+            and all(m in MANEUVERS and np.isfinite(v0) for _, m, v0 in fields)):
+        scenarios = []
+        for (scenario_id, maneuver, v0), f, fut in zip(fields, features, future):
+            scenario = object.__new__(Scenario)
+            for name, value in (("scenario_id", scenario_id), ("features", f),
+                                ("future", fut), ("v0", v0), ("fps", fps),
+                                ("maneuver", maneuver)):
+                object.__setattr__(scenario, name, value)
+            scenarios.append(scenario)
+        return scenarios, fps
+    return [item.build(Scenario, scenario_id=scenario_id, features=f, future=fut,
+                       v0=v0, fps=fps, maneuver=maneuver)
+            for item, (scenario_id, maneuver, v0), f, fut
+            in zip(items, fields, features, future)], fps
+
+
+def _item(path, index: int, obj, version: int) -> Table:
+    """Scenario ``index`` of an archive as a Table named by index and id."""
+    where = f"{path}: scenario {index}"
+    if isinstance(obj, dict):
+        where += f" ({obj.get('id')!r})"
+    return Table(obj, where, version)
+
+
+def _check_grid(scenario, first, rule: str, path=None):
+    if _grid(scenario) != _grid(first):
+        raise ValueError(
+            f"{f'{path}: ' if path else ''}scenario {scenario.scenario_id!r} has grid "
+            f"(t_obs, t_pred, n_vehicles) = {_grid(scenario)}, but "
+            f"{first.scenario_id!r} has {_grid(first)}; {rule}"
+        )
 
 
 def _grid(scenario):

@@ -1,14 +1,22 @@
 """Stored documents: scenario archives, checkpoints and config files.
 
-Each is one JSON object, read through a ``Table`` that checks every
-value's JSON type, so a corrupt file raises one ValueError naming the
-path, the object and the key. Float arrays are ``encode_array`` strings.
+Archives and checkpoints are written in one binary layout: a single line
+of ``json.dumps(head)``, a newline, then each array the head's ``arrays``
+object declares (name -> shape, in file order) as little-endian float64
+bytes in C order. ``write_document`` writes it and ``open_document``
+reads it. Earlier versions of both, and config files, are one JSON object
+whose float arrays are base64 strings (or, in version 1, JSON lists).
+Every value is read through a ``Table`` that checks its JSON type, so a
+corrupt file raises one ValueError naming the path, the object and the
+key.
 """
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
+import os
 import re
 from dataclasses import MISSING
 
@@ -20,12 +28,144 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an inte
 _TOKENS = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"(\s*:)?|[][{},]')
 _BASE64_ALPHABET = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                     b"0123456789+/")
+# Writers put the version key first, so its value tells the layouts apart
+# before anything else is parsed.
+_SNIFF_BYTES = 64
 
 
-def encode_array(arr) -> str:
-    """Base64 of the array's little-endian float64 bytes in C order."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
+def write_document(path, head: dict, arrays: dict):
+    """Write ``head`` and ``arrays`` to ``path`` in the binary layout.
+
+    ``arrays`` maps each name to its shape and the arrays whose values
+    fill that shape in order; the head gains an ``arrays`` key declaring
+    every name and shape. The file is written beside ``path`` and then
+    moved onto it, so a write that fails leaves the old file as it was.
+    """
+    blocks = []
+    for name, (shape, parts) in arrays.items():
+        parts = [np.ascontiguousarray(part, dtype="<f8") for part in parts]
+        if sum(part.size for part in parts) != math.prod(shape):
+            raise ValueError(f"{name}: {sum(part.size for part in parts)} values "
+                             f"do not fill shape {tuple(shape)}")
+        blocks.append(parts)
+    line = json.dumps({**head, "arrays": {name: list(shape) for name, (shape, _)
+                                          in arrays.items()}}) + "\n"
+    with _replacing(path) as fh:
+        fh.write(line.encode("ascii"))
+        for parts in blocks:
+            for part in parts:
+                fh.write(part)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file to write in place of ``path``: a temporary file in the
+    same directory, moved onto ``path`` when the block ends and removed if
+    it raises."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def open_document(path, kind: str, version_key: str, versions, binary: int):
+    """The stored document at ``path`` as a ``Table`` named ``kind`` in
+    errors, its format version in ``Table.version``.
+
+    A file whose version key holds ``binary`` is read in the binary
+    layout: the table is its head, and its ``payload`` reads the arrays
+    from the file, which stays open until the block ends. Any other file
+    is read by ``read_document``, which allows ``versions``, and has no
+    payload; one whose version key holds another integer is refused
+    before it is parsed.
+    """
+    with open(path, "rb") as fh:
+        version = _version_of(fh.read(_SNIFF_BYTES), version_key)
+        if version != binary:
+            if version is not None and version not in versions:
+                raise ValueError(f"{path}: {kind} has unsupported version {version!r}")
+            yield read_document(path, kind, version_key, versions)
+            return
+        fh.seek(0)
+        line = fh.readline()
+        # The head is ASCII; undecodable bytes can only follow it.
+        text = line.decode("utf-8", "surrogateescape")
+        try:
+            obj, end = json.JSONDecoder().raw_decode(text)
+        except json.JSONDecodeError as exc:
+            raise _not_json(path, f"{kind} head", exc) from None
+        doc = Table(obj, f"{path}: {kind}", binary)
+        if text[end:] != "\n":
+            raise doc.error("has no newline after its head")
+        doc.payload = Payload(fh, doc, len(line))
+        yield doc
+
+
+def _version_of(start: bytes, key: str):
+    """The integer under ``key`` if a JSON object starts with it, else None."""
+    match = re.match(rb'\s*\{\s*"%s"\s*:\s*(\d+)\s*[,}]' % re.escape(key.encode()),
+                     start)
+    return int(match.group(1)) if match else None
+
+
+class Payload:
+    """The arrays after the head line of a binary-layout document, read from
+    its open file by name. Opening checks that the file holds exactly the
+    bytes the head declares."""
+
+    def __init__(self, fh, head: "Table", start: int):
+        declared = head.table("arrays")
+        self.shapes, self._offsets = {}, {}
+        end = start
+        for name in declared.obj:
+            shape = declared.value(name, list)
+            if not shape or any(type(n) is not int or n < 1 for n in shape):
+                raise declared.error(f"{name} has shape {shape}, expected a list "
+                                     f"of positive integers")
+            self.shapes[name] = tuple(shape)
+            self._offsets[name] = end
+            end += 8 * math.prod(shape)
+        size = os.fstat(fh.fileno()).st_size
+        if size != end:
+            raise head.error(f"payload is {size - start} bytes, expected {end - start} "
+                             f"for the arrays its head declares")
+        self._fh = fh
+        self._head = head
+
+    def expect(self, shapes: dict, owner: str):
+        """Check that the head declares exactly ``shapes`` (name -> shape),
+        which ``owner`` names in errors."""
+        declared = self._head.table("arrays")
+        for name, shape in shapes.items():
+            if name not in self.shapes:
+                raise declared.error(f"is missing key {name!r}")
+            if self.shapes[name] != shape:
+                raise declared.error(f"{name} has shape {self.shapes[name]}, "
+                                     f"expected {shape} for {owner}")
+        unknown = sorted(set(self.shapes) - set(shapes))
+        if unknown:
+            raise declared.error(f"has unknown keys: {', '.join(unknown)}")
+
+    def read(self, name: str) -> np.ndarray:
+        """The array ``name`` as a fresh writable float64 array of its shape."""
+        arr = np.empty(self.shapes[name], dtype="<f8")
+        self._fh.seek(self._offsets[name])
+        if self._fh.readinto(arr) != arr.nbytes:
+            raise self._head.error(f"ends inside array {name}")
+        return arr.astype(np.float64, copy=False)
+
+
+def _not_json(path, kind: str, exc: json.JSONDecodeError) -> ValueError:
+    at = _json_path(exc.doc, exc.pos)
+    return ValueError(f"{path}: {kind} is not valid JSON"
+                      f"{f' at {at}' if at else ''}: {exc}")
 
 
 def read_document(path, kind: str, version_key=None, versions=()) -> "Table":
@@ -36,9 +176,7 @@ def read_document(path, kind: str, version_key=None, versions=()) -> "Table":
         try:
             doc = Table(json.load(fh), f"{path}: {kind}")
         except json.JSONDecodeError as exc:
-            at = _json_path(exc.doc, exc.pos)
-            raise ValueError(f"{path}: {kind} is not valid JSON"
-                             f"{f' at {at}' if at else ''}: {exc}") from None
+            raise _not_json(path, kind, exc) from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {kind} is not text: {exc}") from None
     if version_key is not None:
@@ -77,6 +215,7 @@ class Table:
         self.obj = obj
         self.where = where
         self.version = version
+        self.payload = None     # a binary-layout head's arrays (open_document)
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.where} {message}")

@@ -1,4 +1,5 @@
 """Shared builders for the test suite."""
+import base64
 import csv
 import json
 import logging
@@ -15,7 +16,6 @@ from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, ParseError, RawTrack,
                             Scenario, SchemaError, label_maneuver)
-from gftnn.store import encode_array
 
 
 def tiny_config(**overrides):
@@ -23,6 +23,69 @@ def tiny_config(**overrides):
     base = dict(k=2, t_obs=6, t_pred=10, n_v=3, p=6, hidden=4, fps=2.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def encode_array(arr) -> str:
+    """Base64 of the array's little-endian float64 bytes in C order: the
+    array codec of the JSON formats (archive v2, checkpoints v2 and v3)."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def write_v3_checkpoint(path, config, basis, params, epochs_trained=0,
+                        optimizer=None):
+    """Write model state as the format-version-3 writer did: json.dumps of
+    the whole document, with every parameter, m and v array one
+    ``encode_array`` string, streamed one array at a time."""
+    head = json.dumps({
+        "format_version": 3,
+        "config": asdict(config),
+        "epochs_trained": int(epochs_trained),
+    })
+    with open(path, "w") as fh:
+        fh.write(head[:-1])  # all but the closing "}"
+        _write_arrays(fh, "params", params.items())
+        if optimizer is not None:
+            fh.write(f', "optimizer": {{"step": {int(optimizer["step"])}')
+            for moment in ("m", "v"):
+                _write_arrays(fh, moment, optimizer[moment].items())
+            fh.write("}")
+        fh.write("}")
+
+
+def _write_arrays(fh, key: str, arrays):
+    """Write ``, "key": {"name": "<encode_array>", ...}`` as json.dumps
+    would, one array at a time."""
+    fh.write(f", {json.dumps(key)}: {{")
+    for i, (name, arr) in enumerate(arrays):
+        fh.write(f'{", " if i else ""}{json.dumps(name)}: "')
+        fh.write(encode_array(arr))
+        fh.write('"')
+    fh.write("}")
+
+
+def split_head(path):
+    """The parsed head line of a binary-layout document and the bytes after
+    its newline."""
+    line, rest = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), rest
+
+
+def edited_head(change):
+    """A byte edit of a binary-layout document that applies ``change`` to
+    its parsed head and writes the head back as json.dumps would, keeping
+    the arrays after it."""
+    def edit(data):
+        line, rest = data.split(b"\n", 1)
+        head = json.loads(line)
+        change(head)
+        return json.dumps(head).encode() + b"\n" + rest
+    return edit
+
+
+def rewrite_head(path, change):
+    """Apply ``edited_head(change)`` to the file at ``path``."""
+    path.write_bytes(edited_head(change)(path.read_bytes()))
 
 
 def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
@@ -106,6 +169,41 @@ def write_v1_archive(path, scenarios, fps):
                 "n_vehicles": s.n_vehicles,
                 "features": s.features.ravel().tolist(),
                 "future": s.future.ravel().tolist(),
+            }
+            fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
+        fh.write("]}")
+
+
+def write_v2_archive(path, scenarios, fps):
+    """Write scenarios as the format-version-2 archive writer did:
+    json.dumps(doc, separators=(",", ":")) of the whole document, each
+    scenario's features (flattened row-major) and future one
+    ``encode_array`` string, streamed one scenario at a time."""
+    fps = float(fps)
+    for s in scenarios:
+        if s.fps != fps:
+            raise ValueError(
+                f"scenario {s.scenario_id} has fps {s.fps}, archive wants {fps}"
+            )
+    head = json.dumps({
+        "version": 2,
+        "fps": fps,
+        "feature_order": "(channel, time, vehicle) row-major",
+        "channels": list(CHANNELS),
+        "scenarios": [],
+    }, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(head[:-2])  # up to and including the "[" of "scenarios":[]}
+        for i, s in enumerate(scenarios):
+            item = {
+                "id": s.scenario_id,
+                "maneuver": s.maneuver,
+                "v0": s.v0,
+                "t_obs": s.t_obs,
+                "t_pred": s.t_pred,
+                "n_vehicles": s.n_vehicles,
+                "features": encode_array(s.features),
+                "future": encode_array(s.future),
             }
             fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
         fh.write("]}")

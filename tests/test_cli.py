@@ -16,7 +16,8 @@ from gftnn.model import (build_basis, load_checkpoint, predict, predict_batch,
 from gftnn.scenario import load_archive
 from gftnn.spectral import ProductBasis, Spectrum
 from helpers import (three_class_tracks, write_tracks_csv, write_v1_archive,
-                     write_v1_checkpoint, write_v2_checkpoint)
+                     write_v1_checkpoint, write_v2_archive, write_v2_checkpoint,
+                     write_v3_checkpoint)
 
 
 def run_ok(capsys, argv):
@@ -294,12 +295,13 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
 
 
 def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
-    # Versions 1 and 2 store the basis that version 3 rebuilds from the
+    # Versions 1 and 2 store the basis that later versions rebuild from the
     # config; one that stores another basis is refused.
-    archive, ckpt_v3 = trained_checkpoint(tmp_path, capsys)
-    ckpt = load_checkpoint(ckpt_v3)
-    paths = {"v3": ckpt_v3}
-    for tag, writer in (("v1", write_v1_checkpoint), ("v2", write_v2_checkpoint)):
+    archive, ckpt_v4 = trained_checkpoint(tmp_path, capsys)
+    ckpt = load_checkpoint(ckpt_v4)
+    paths = {"v4": ckpt_v4}
+    for tag, writer in (("v1", write_v1_checkpoint), ("v2", write_v2_checkpoint),
+                        ("v3", write_v3_checkpoint)):
         paths[tag] = tmp_path / f"checkpoint_{tag}.json"
         writer(paths[tag], ckpt.config, build_basis(ckpt.config), ckpt.params,
                ckpt.epochs_trained, ckpt.optimizer)
@@ -310,9 +312,9 @@ def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
                         "--checkpoint", str(path), "--scenario-id", "synth-00005",
                         "--out", str(tmp_path / tag)])
     for name in ("eval_report.json", "histogram.csv", "trajectory_synth-00005.csv"):
-        for tag in ("v1", "v2"):
+        for tag in ("v1", "v2", "v3"):
             assert (tmp_path / tag / name).read_bytes() == \
-                (tmp_path / "v3" / name).read_bytes(), (tag, name)
+                (tmp_path / "v4" / name).read_bytes(), (tag, name)
     basis = build_basis(ckpt.config)
     flipped = basis.temporal.eigenvectors.copy()
     flipped[:, 1] *= -1.0       # the other sign, as the Jacobi solver may give
@@ -326,11 +328,13 @@ def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
 
 
 def test_train_eval_predict_identical_from_version_1_archive(tmp_path, capsys):
-    archive_v2 = synth_archive(tmp_path)
-    scenarios, fps = load_archive(archive_v2)
+    archive_v3 = synth_archive(tmp_path)
+    scenarios, fps = load_archive(archive_v3)
     archive_v1 = tmp_path / "archive_v1.json"
     write_v1_archive(archive_v1, scenarios, fps)
-    for tag, archive in (("v1", archive_v1), ("v2", archive_v2)):
+    archive_v2 = tmp_path / "archive_v2.json"
+    write_v2_archive(archive_v2, scenarios, fps)
+    for tag, archive in (("v1", archive_v1), ("v2", archive_v2), ("v3", archive_v3)):
         out = str(tmp_path / tag)
         run_ok(capsys, ["train", "--archive", str(archive), "--preset", "gftnn-w",
                         "--hidden", "8", "--epochs", "2", "--batch-size", "4",
@@ -342,18 +346,19 @@ def test_train_eval_predict_identical_from_version_1_archive(tmp_path, capsys):
                         "--scenario-id", "synth-00005", "--out", out])
     for name in ("training_log.csv", "checkpoint.json", "eval_report.json",
                  "histogram.csv", "trajectory_synth-00005.csv"):
-        assert (tmp_path / "v1" / name).read_bytes() == \
-            (tmp_path / "v2" / name).read_bytes(), name
+        for tag in ("v1", "v2"):
+            assert (tmp_path / tag / name).read_bytes() == \
+                (tmp_path / "v3" / name).read_bytes(), (tag, name)
 
 
 @pytest.mark.parametrize("document, edit", [
-    ("archive", lambda text: text[:len(text) // 2]),
-    ("checkpoint", lambda text: text.replace('"t_obs": 30', '"t_obs": "30"')),
+    ("archive", lambda data: data[:len(data) // 2]),
+    ("checkpoint", lambda data: data.replace(b'"t_obs": 30', b'"t_obs": "30"')),
 ])
 def test_eval_reports_corrupt_document_on_one_line(tmp_path, capsys, document, edit):
     archive, ckpt = trained_checkpoint(tmp_path, capsys)
     path = {"archive": archive, "checkpoint": ckpt}[document]
-    path.write_text(edit(path.read_text()))
+    path.write_bytes(edit(path.read_bytes()))
     err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
                             "--out", str(tmp_path / "eval")])
     assert err.startswith(f"error: {path}: {document} ")

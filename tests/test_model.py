@@ -16,14 +16,14 @@ from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Traject
                          init_params, load_checkpoint, param_shapes, predict,
                          predict_batch, preset_config, save_checkpoint,
                          scenario_spectra, scenario_spectrum, select_channels,
-                         truth_trajectory)
+                         truth_trajectories, truth_trajectory)
 from gftnn.graph import build_line_graph, build_spider_graph, laplacian
 from gftnn.scenario import Scenario, save_archive, synthesize
 from gftnn.special import expit
 from gftnn.spectral import (ProductBasis, Spectrum, eigendecompose, gft_extended,
                             truncate_spectrum)
-from gftnn.store import encode_array
-from helpers import tiny_config, write_v1_checkpoint, write_v2_checkpoint
+from helpers import (edited_head, encode_array, rewrite_head, split_head, tiny_config,
+                     write_v1_checkpoint, write_v2_checkpoint, write_v3_checkpoint)
 
 
 def manual_scenario(n_v=3, t_obs=6, t_pred=10, fps=2.0, offsets=((1.0, 0.0), (0.0, -1.0))):
@@ -513,6 +513,24 @@ def test_truth_trajectory_prepends_origin():
     assert np.array_equal(tr.y[1:], scen.future[:, 1])
 
 
+def test_truth_trajectories_are_the_per_scenario_truths_read_only():
+    # Futures holding a signed zero and a subnormal keep their bits.
+    scenarios = synthesize(4, 10, seed=17, noise_std=0.05)
+    future = scenarios[2].future.copy()
+    future[3] = [-0.0, 5e-324]
+    scenarios[2] = dataclasses.replace(scenarios[2], future=future)
+    rows = truth_trajectories(scenarios)
+    assert len(rows) == len(scenarios)
+    for row, scenario in zip(rows, scenarios):
+        single = truth_trajectory(scenario)
+        assert isinstance(row, Trajectory)
+        for got, want in ((row.x, single.x), (row.y, single.y)):
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+
+
 # ------------------------------------------------------------ end-to-end path
 
 def test_select_channels():
@@ -714,11 +732,11 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     }
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, basis, params, epochs_trained=5, optimizer=opt)
-    doc = json.loads(path.read_text())
-    assert list(doc) == ["format_version", "config", "epochs_trained", "params",
-                         "optimizer"]
-    assert doc["format_version"] == 3
-    assert base64.b64decode(doc["params"]["b_h"]) == params.b_h.astype("<f8").tobytes()
+    head, payload = split_head(path)
+    assert list(head) == ["format_version", "config", "epochs_trained", "optimizer",
+                          "arrays"]
+    assert head["format_version"] == 4
+    assert payload[:8 * params.n_params] == params.flat.astype("<f8").tobytes()
     ckpt = load_checkpoint(path)
     assert ckpt.config == cfg
     assert ckpt.epochs_trained == 5
@@ -731,8 +749,30 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 
 @pytest.mark.parametrize("with_optimizer", [False, True])
+def test_checkpoint_file_is_the_head_line_then_raw_arrays(tmp_path, with_optimizer):
+    # Pins format version 4: one line of json.dumps(head), then params, m and
+    # v as little-endian float64 in the order of param_shapes.
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 6)
+    n = params.n_params
+    head = {"format_version": 4, "config": dataclasses.asdict(cfg), "epochs_trained": 4}
+    raw = params.flat.astype("<f8").tobytes()
+    if with_optimizer:
+        head["optimizer"] = {"step": 17}
+        for moment in ("m", "v"):
+            raw += b"".join(opt[moment][name].astype("<f8").tobytes()
+                            for name in params.shapes)
+    head["arrays"] = {name: [n] for name in ("params", "m", "v")[:3 if with_optimizer else 1]}
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, 4,
+                    opt if with_optimizer else None)
+    assert path.read_bytes() == json.dumps(head).encode() + b"\n" + raw
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
 def test_checkpoint_file_is_json_dumps_of_the_document(tmp_path, with_optimizer):
-    # save_checkpoint streams the arrays; the text is that of the whole document.
+    # The version-3 writer streams the arrays; the text is that of the whole
+    # document. The version-3 suites below run on files it writes.
     cfg = tiny_config()
     params, opt = awkward_state(cfg, 6)
     basis = build_basis(cfg)
@@ -747,7 +787,7 @@ def test_checkpoint_file_is_json_dumps_of_the_document(tmp_path, with_optimizer)
             moment: {name: encode_array(arr) for name, arr in opt[moment].items()}
             for moment in ("m", "v")}}
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, basis, params, 4, opt if with_optimizer else None)
+    write_v3_checkpoint(path, cfg, basis, params, 4, opt if with_optimizer else None)
     assert path.read_text() == json.dumps(doc)
 
 
@@ -775,16 +815,17 @@ def test_checkpoint_reads_version_1(tmp_path):
     opt["v"]["b_h"][:] = [np.nan, 0.25, -0.0]
     opt["v"]["w_s"][:2] = [np.nan, 1.5]
     basis = build_basis(cfg)
-    save_checkpoint(tmp_path / "v3.json", cfg, basis, params, 7, opt)
+    save_checkpoint(tmp_path / "v4.json", cfg, basis, params, 7, opt)
+    write_v3_checkpoint(tmp_path / "v3.json", cfg, basis, params, 7, opt)
     write_v2_checkpoint(tmp_path / "v2.json", cfg, basis, params, 7, opt)
     write_v1_checkpoint(tmp_path / "v1.json", cfg, basis, params, 7, opt)
-    v3 = load_checkpoint(tmp_path / "v3.json")
-    for version in ("v1", "v2"):
+    v4 = load_checkpoint(tmp_path / "v4.json")
+    for version in ("v1", "v2", "v3"):
         old = load_checkpoint(tmp_path / f"{version}.json")
         assert (old.config, old.epochs_trained, old.optimizer["step"]) == \
-            (v3.config, v3.epochs_trained, v3.optimizer["step"]) == (cfg, 7, 17)
-        assert_same_bits(checkpoint_arrays(old), checkpoint_arrays(v3))
-    sizes = [(tmp_path / f"v{i}.json").stat().st_size for i in (3, 2, 1)]
+            (v4.config, v4.epochs_trained, v4.optimizer["step"]) == (cfg, 7, 17)
+        assert_same_bits(checkpoint_arrays(old), checkpoint_arrays(v4))
+    sizes = [(tmp_path / f"v{i}.json").stat().st_size for i in (4, 3, 2, 1)]
     assert sizes == sorted(sizes)
 
 
@@ -900,11 +941,11 @@ CORRUPT_DOCUMENTS = [
 
 
 def corrupt_document(tmp_path, edit):
-    """A checkpoint with Adam state whose text ``edit`` has changed."""
+    """A version-3 checkpoint with Adam state whose text ``edit`` has changed."""
     cfg = tiny_config()
     params, opt = awkward_state(cfg, 9)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    write_v3_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
     path.write_text(edit(path.read_text()))
     return path
 
@@ -917,47 +958,62 @@ def test_checkpoint_corrupt_document_names_path_and_key(tmp_path, edit, message)
     assert str(info.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("writer", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("writer", ["v1", "v2", "v3", "v4"])
 def test_checkpoint_config_with_n_blocks(tmp_path, writer):
     # Files written while the config had a block count carry "n_blocks": 1.
     cfg = tiny_config()
     params = init_params(cfg, 6)
     path = tmp_path / "ckpt.json"
+
+    def set_n_blocks(value):
+        def change(doc):
+            doc["config"]["n_blocks"] = value
+        if writer == "v4":
+            rewrite_head(path, change)
+        else:
+            doc = json.loads(path.read_text())
+            change(doc)
+            path.write_text(json.dumps(doc))
+
     if writer == "v1":
         write_v1_checkpoint(path, cfg, build_basis(cfg), params)
     else:
-        write = write_v2_checkpoint if writer == "v2" else save_checkpoint
+        write = {"v2": write_v2_checkpoint, "v3": write_v3_checkpoint,
+                 "v4": save_checkpoint}[writer]
         write(path, cfg, build_basis(cfg), params)
-        doc = json.loads(path.read_text())
-        doc["config"]["n_blocks"] = 1
-        path.write_text(json.dumps(doc))
-    doc = json.loads(path.read_text())
-    assert doc["config"]["n_blocks"] == 1
+        set_n_blocks(1)
+    head = split_head(path)[0] if writer == "v4" else json.loads(path.read_text())
+    assert head["config"]["n_blocks"] == 1
     ckpt = load_checkpoint(path)
     assert ckpt.config == cfg
     assert np.array_equal(ckpt.params.flat, params.flat)
     for bad in (2, 0):
-        doc["config"]["n_blocks"] = bad
-        path.write_text(json.dumps(doc))
+        set_n_blocks(bad)
         with pytest.raises(ValueError, match=f"n_blocks {bad} is not supported"):
             load_checkpoint(path)
 
 
-def test_checkpoint_rejects_wrong_version(tmp_path):
+@pytest.mark.parametrize("writer", [write_v3_checkpoint, save_checkpoint],
+                         ids=["v3", "v4"])
+def test_checkpoint_rejects_wrong_version(tmp_path, writer):
     cfg = tiny_config()
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, build_basis(cfg), init_params(cfg, 0))
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version"):
+    writer(path, cfg, build_basis(cfg), init_params(cfg, 0))
+    if writer is save_checkpoint:
+        rewrite_head(path, lambda head: head.update(format_version=99))
+    else:
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 99
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
         load_checkpoint(path)
+    assert str(info.value) == f"{path}: checkpoint has unsupported version 99"
 
 
 def test_checkpoint_rejects_missing_or_short_params(tmp_path):
     cfg = tiny_config()
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, build_basis(cfg), init_params(cfg, 0))
+    write_v3_checkpoint(path, cfg, build_basis(cfg), init_params(cfg, 0))
     doc = json.loads(path.read_text())
     del doc["params"]["w_h"]
     path.write_text(json.dumps(doc))
@@ -1012,14 +1068,14 @@ CORRUPT_ARRAYS = [
 
 
 def corrupt_arrays(tmp_path, edit):
-    """A checkpoint with Adam state whose document ``edit`` has changed."""
+    """A version-3 checkpoint with Adam state whose document ``edit`` has changed."""
     cfg = tiny_config()
     params = init_params(cfg, 0)
     opt = {"step": 1,
            "m": {name: np.zeros_like(arr) for name, arr in params.items()},
            "v": {name: np.zeros_like(arr) for name, arr in params.items()}}
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    write_v3_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
@@ -1031,6 +1087,82 @@ def test_checkpoint_rejects_corrupt_arrays(tmp_path, edit, message):
     path = corrupt_arrays(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
+
+
+def _arrays(**shapes):
+    def change(head):
+        head["arrays"].update(shapes)
+    return change
+
+
+def _infinite_first_param(data):
+    start = data.index(b"\n") + 1
+    return data[:start] + np.array([np.inf], "<f8").tobytes() + data[start + 8:]
+
+
+N_PARAMS = ModelParams(param_shapes(tiny_config())).n_params
+
+CORRUPT_PAYLOADS = [
+    (lambda data: data.replace(b'"config": {', b'"config": {,', 1),
+     "checkpoint head is not valid JSON at config: Expecting property name "
+     "enclosed in double quotes: line 1 column 34 (char 33)"),
+    (lambda data: data[:40] + b"\n" + data[40:],
+     "checkpoint head is not valid JSON at config.k: Expecting property name "
+     "enclosed in double quotes: line 2 column 1 (char 41)"),
+    (lambda data: data.replace(b"\n", b"", 1), "checkpoint has no newline after its head"),
+    (lambda data: data.replace(b"}\n", b"} \n", 1),
+     "checkpoint has no newline after its head"),
+    (lambda data: data[:-1], f"checkpoint payload is {24 * N_PARAMS - 1} bytes, "
+                             f"expected {24 * N_PARAMS} for the arrays its head declares"),
+    (lambda data: data + b"\0", f"checkpoint payload is {24 * N_PARAMS + 1} bytes, "
+                                f"expected {24 * N_PARAMS} for the arrays its head declares"),
+    (edited_head(_arrays(params=[N_PARAMS + 1], m=[N_PARAMS - 1])),
+     f"checkpoint arrays params has shape ({N_PARAMS + 1},), expected "
+     f"({N_PARAMS},) for its config"),
+    (edited_head(_arrays(params=[1, N_PARAMS])),
+     f"checkpoint arrays params has shape (1, {N_PARAMS}), expected "
+     f"({N_PARAMS},) for its config"),
+    (edited_head(lambda head: head["config"].update(hidden=5)),
+     f"checkpoint arrays params has shape ({N_PARAMS},), expected "
+     f"({N_PARAMS + 2 * (6 * 3 + 1 + 3)},) for its config"),
+    (edited_head(lambda head: head.pop("optimizer")), "checkpoint arrays has unknown keys: m, v"),
+    (lambda data: edited_head(lambda head: head["arrays"].pop("v"))(data)[:-8 * N_PARAMS],
+     "checkpoint arrays is missing key 'v'"),
+    (edited_head(_arrays(params=[0])),
+     "checkpoint arrays params has shape [0], expected a list of positive integers"),
+    (edited_head(_arrays(params=[1.5])),
+     "checkpoint arrays params has shape [1.5], expected a list of positive integers"),
+    (edited_head(_arrays(m=N_PARAMS)), "checkpoint arrays m is an integer, expected a list"),
+    (edited_head(lambda head: head.update(arrays=[])),
+     "checkpoint arrays is a list, expected an object"),
+    (edited_head(lambda head: head.pop("arrays")), "checkpoint is missing key 'arrays'"),
+    (_infinite_first_param, "checkpoint params w_s is not finite"),
+    (edited_head(lambda head: head["optimizer"].update(step=-1)),
+     "checkpoint optimizer step is -1, expected a non-negative integer"),
+    (edited_head(lambda head: head.update(epochs_trained=-5)),
+     "checkpoint epochs_trained is -5, expected a non-negative integer"),
+    (edited_head(lambda head: head["config"].update(colour=1)),
+     "checkpoint config has unknown keys: colour"),
+    (edited_head(lambda head: head.pop("config")), "checkpoint is missing key 'config'"),
+]
+
+
+def corrupt_payload(tmp_path, edit):
+    """A version-4 checkpoint with Adam state whose bytes ``edit`` has changed."""
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 9)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+@pytest.mark.parametrize("edit, message", CORRUPT_PAYLOADS)
+def test_checkpoint_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
+    path = corrupt_payload(tmp_path, edit)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 # --------------------------------------------------------------- scoring load
@@ -1046,10 +1178,13 @@ def refusal(path, **kwargs):
       for i, (edit, _) in enumerate(CORRUPT_DOCUMENTS)),
     *(pytest.param(corrupt_arrays, edit, id=f"arrays-{i}")
       for i, (edit, _) in enumerate(CORRUPT_ARRAYS)),
+    *(pytest.param(corrupt_payload, edit, id=f"payload-{i}")
+      for i, (edit, _) in enumerate(CORRUPT_PAYLOADS)),
 ])
 def test_scoring_load_refuses_what_a_full_load_refuses(tmp_path, capsys, write, edit):
-    # Scoring checks Adam's moments without decoding them: each corrupt file
-    # fails the scoring load, eval and predict with the full load's message.
+    # Scoring does not decode (version 3) or read (version 4) Adam's moments:
+    # each corrupt file fails the scoring load, eval and predict with the
+    # full load's message.
     path = write(tmp_path, edit)
     message = refusal(path)
     assert refusal(path, optimizer=False) == message
@@ -1063,7 +1198,8 @@ def test_scoring_load_refuses_what_a_full_load_refuses(tmp_path, capsys, write, 
 
 @pytest.mark.parametrize("with_optimizer", [False, True])
 @pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint,
-                                    save_checkpoint], ids=["v1", "v2", "v3"])
+                                    write_v3_checkpoint, save_checkpoint],
+                         ids=["v1", "v2", "v3", "v4"])
 def test_scoring_load_matches_a_full_load(tmp_path, writer, with_optimizer):
     cfg = tiny_config()
     params, opt = awkward_state(cfg, 10)
@@ -1084,7 +1220,7 @@ def test_scoring_load_decodes_only_the_params(tmp_path, monkeypatch):
     cfg = tiny_config()
     params, opt = awkward_state(cfg, 11)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    write_v3_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
     decoded = []
     b64decode = store.base64.b64decode
 
@@ -1098,6 +1234,26 @@ def test_scoring_load_decodes_only_the_params(tmp_path, monkeypatch):
     decoded.clear()
     load_checkpoint(path)
     assert len(decoded) == 3 * len(params.shapes)
+
+
+def test_scoring_load_reads_only_the_params(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    params, opt = awkward_state(cfg, 11)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, build_basis(cfg), params, optimizer=opt)
+    read = []
+    payload_read = store.Payload.read
+
+    def recording(self, name):
+        read.append(name)
+        return payload_read(self, name)
+
+    monkeypatch.setattr(store.Payload, "read", recording)
+    load_checkpoint(path, optimizer=False)
+    assert read == ["params"]
+    read.clear()
+    load_checkpoint(path)
+    assert read == ["params", "m", "v"]
 
 
 @pytest.mark.parametrize("writer", [write_v1_checkpoint, write_v2_checkpoint])

@@ -14,8 +14,9 @@ from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
                             Scenario, SchemaError, SplitError, balance,
                             extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
-from helpers import (extract_scenarios_reference, ingest_tracks_reference, multilane_scene,
-                     three_class_tracks, write_tracks_csv, write_v1_archive)
+from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
+                     multilane_scene, split_head, three_class_tracks, write_tracks_csv,
+                     write_v1_archive, write_v2_archive)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -639,12 +640,37 @@ def test_archive_roundtrip(tmp_path):
         assert np.array_equal(a.future, b.future)
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_archive_bytes_are_compact_json_of_the_document(tmp_path, n):
-    # Pins the archive format: key order, compact separators, float repr.
+@pytest.mark.parametrize("n", [1, 3])
+def test_archive_bytes_are_the_head_line_then_raw_arrays(tmp_path, n):
+    # Pins format version 3: one line of json.dumps(head), then every
+    # scenario's features and then every future, as little-endian float64.
     scen = synthesize(3, 10, seed=18, noise_std=0.05)[:n]
     path = tmp_path / "arch.json"
     save_archive(path, scen, 10)
+    head = {
+        "version": 3,
+        "fps": 10.0,
+        "feature_order": "(channel, time, vehicle) row-major",
+        "channels": ["x_rel", "y_rel", "vx_rel", "vy_rel"],
+        "t_obs": 30,
+        "t_pred": 50,
+        "n_vehicles": 9,
+        "scenarios": [{"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0}
+                      for s in scen],
+        "arrays": {"features": [n, 4, 30, 9], "future": [n, 50, 2]},
+    }
+    raw = b"".join(s.features.astype("<f8").tobytes() for s in scen)
+    raw += b"".join(s.future.astype("<f8").tobytes() for s in scen)
+    assert path.read_bytes() == json.dumps(head).encode() + b"\n" + raw
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_archive_bytes_are_compact_json_of_the_document(tmp_path, n):
+    # Pins the version-2 format: key order, compact separators, float repr.
+    # The version-2 suites below run on files this writer writes.
+    scen = synthesize(3, 10, seed=18, noise_std=0.05)[:n]
+    path = tmp_path / "arch.json"
+    write_v2_archive(path, scen, 10)
     def stored(arr):
         return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
@@ -675,18 +701,20 @@ def test_archive_reads_version_1(tmp_path):
         future[0] = [5e-324, -0.0]
         scen.append(replace(s, features=features, future=future))
     write_v1_archive(tmp_path / "v1.json", scen, 10)
-    save_archive(tmp_path / "v2.json", scen, 10)
-    v1, fps_v1 = load_archive(tmp_path / "v1.json")
-    v2, fps_v2 = load_archive(tmp_path / "v2.json")
-    assert fps_v1 == fps_v2 == 10.0
-    for a, b, c in zip(scen, v1, v2, strict=True):
-        assert (a.scenario_id, a.maneuver, a.v0) == (b.scenario_id, b.maneuver, b.v0) \
-            == (c.scenario_id, c.maneuver, c.v0)
-        for name in ("features", "future"):
-            bits = getattr(a, name).view(np.uint64)
-            assert np.array_equal(getattr(b, name).view(np.uint64), bits), name
-            assert np.array_equal(getattr(c, name).view(np.uint64), bits), name
-    assert (tmp_path / "v2.json").stat().st_size < (tmp_path / "v1.json").stat().st_size
+    write_v2_archive(tmp_path / "v2.json", scen, 10)
+    save_archive(tmp_path / "v3.json", scen, 10)
+    for version in ("v1", "v2", "v3"):
+        back, fps = load_archive(tmp_path / f"{version}.json")
+        assert fps == 10.0
+        for a, b in zip(scen, back, strict=True):
+            assert (a.scenario_id, a.maneuver, a.v0) == (b.scenario_id, b.maneuver, b.v0)
+            for name in ("features", "future"):
+                got = getattr(b, name)
+                assert got.dtype == np.float64 and not got.flags.writeable
+                assert np.array_equal(got.view(np.uint64),
+                                      getattr(a, name).view(np.uint64)), (version, name)
+    sizes = [(tmp_path / f"v{i}.json").stat().st_size for i in (3, 2, 1)]
+    assert sizes == sorted(sizes)
 
 
 def test_archive_rejects_unknown_version(tmp_path):
@@ -700,9 +728,22 @@ def test_archive_rejects_mixed_shapes(tmp_path):
     scen = synthesize(2, 10, seed=19)
     short = replace(synthesize(1, 10, seed=19, t_pred=4.0)[0], scenario_id="short-0")
     path = tmp_path / "arch.json"
-    save_archive(path, scen + [short], 10)
+    with pytest.raises(ValueError) as info:
+        save_archive(path, scen + [short], 10)
+    assert str(info.value) == (
+        "scenario 'short-0' has grid (t_obs, t_pred, n_vehicles) = (30, 40, 9), but "
+        "'synth-00000' has (30, 50, 9); an archive holds one grid")
+    assert not path.exists()
+    write_v2_archive(path, scen + [short], 10)
     with pytest.raises(ValueError, match="'short-0'.*mixes scenario shapes"):
         load_archive(path)
+
+
+def test_save_archive_refuses_no_scenarios(tmp_path):
+    path = tmp_path / "arch.json"
+    with pytest.raises(ValueError, match="an archive needs at least one scenario"):
+        save_archive(path, [], 10)
+    assert not path.exists()
 
 
 def _edit(change):
@@ -761,7 +802,7 @@ def _resized(key, resize):
 ])
 def test_archive_corrupt_document_names_path_and_scenario(tmp_path, edit, message):
     path = tmp_path / "arch.json"
-    save_archive(path, synthesize(3, 10, seed=21), 10)
+    write_v2_archive(path, synthesize(3, 10, seed=21), 10)
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError) as info:
         load_archive(path)
@@ -782,6 +823,93 @@ def test_archive_version_1_corrupt_arrays(tmp_path, edit, message):
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == f"{path}: scenario 1 ('synth-00001') {message}"
+
+
+def _scenario_value(index, key, value):
+    def change(head):
+        head["scenarios"][index][key] = value
+    return edited_head(change)
+
+
+def _patched(array, index, at, value):
+    """A byte edit that writes ``value`` at flat position ``at`` of
+    scenario ``index``'s features or future."""
+    def edit(data):
+        start = data.index(b"\n") + 1
+        if array == "future":
+            start += 3 * 4 * 30 * 9 * 8
+            offset = start + 8 * (index * 50 * 2 + at)
+        else:
+            offset = start + 8 * (index * 4 * 30 * 9 + at)
+        return data[:offset] + np.array([value], "<f8").tobytes() + data[offset + 8:]
+    return edit
+
+
+# 3 scenarios at 10 fps: 3 x 4 x 30 x 9 features and 3 x 50 x 2 future values.
+ARCHIVE_PAYLOAD = 8 * (3 * 4 * 30 * 9 + 3 * 50 * 2)
+GRID = "on grid (t_obs, t_pred, n_vehicles)"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.replace(b'"fps": 10.0', b'"fps": 10.0.', 1),
+     "archive head is not valid JSON at fps: Expecting ',' delimiter: "
+     "line 1 column 27 (char 26)"),
+    (lambda data: data.replace(b"\n", b"", 1), "archive has no newline after its head"),
+    (lambda data: data[:-1], f"archive payload is {ARCHIVE_PAYLOAD - 1} bytes, expected "
+                             f"{ARCHIVE_PAYLOAD} for the arrays its head declares"),
+    (lambda data: data + b"\0", f"archive payload is {ARCHIVE_PAYLOAD + 1} bytes, expected "
+                                f"{ARCHIVE_PAYLOAD} for the arrays its head declares"),
+    (edited_head(lambda head: head.update(t_obs=29)),
+     f"archive arrays features has shape (3, 4, 30, 9), expected (3, 4, 29, 9) "
+     f"for 3 scenarios {GRID} = (29, 50, 9)"),
+    (edited_head(lambda head: head["scenarios"].pop()),
+     f"archive arrays features has shape (3, 4, 30, 9), expected (2, 4, 30, 9) "
+     f"for 2 scenarios {GRID} = (30, 50, 9)"),
+    (edited_head(lambda head: head["arrays"].update(future=[3, 100, 1])),
+     f"archive arrays future has shape (3, 100, 1), expected (3, 50, 2) "
+     f"for 3 scenarios {GRID} = (30, 50, 9)"),
+    (lambda data: edited_head(lambda head: head["arrays"].update(labels=[1]))(data) + bytes(8),
+     "archive arrays has unknown keys: labels"),
+    (edited_head(lambda head: head.update(scenarios=[])), "archive contains no scenarios"),
+    (edited_head(lambda head: head.update(t_obs="30")),
+     "archive t_obs is a string, expected an integer"),
+    (edited_head(lambda head: head.pop("n_vehicles")), "archive is missing key 'n_vehicles'"),
+    (edited_head(lambda head: head["scenarios"].insert(1, [0.0])),
+     "scenario 1 is not a JSON object"),
+    (_patched("features", 1, 5, np.nan),
+     "scenario 1 ('synth-00001'): scenario synth-00001: non-finite data"),
+    (_patched("future", 2, 99, -np.inf),
+     "scenario 2 ('synth-00002'): scenario synth-00002: non-finite data"),
+    (_patched("features", 1, 30 * 9, 1.0),
+     "scenario 1 ('synth-00001'): scenario synth-00001: target must start at the origin"),
+    (_scenario_value(1, "maneuver", "jump"),
+     "scenario 1 ('synth-00001'): unknown maneuver 'jump'"),
+    (_scenario_value(2, "v0", float("nan")),
+     "scenario 2 ('synth-00002'): scenario synth-00002: bad v0/fps"),
+    (_scenario_value(1, "v0", "25"),
+     "scenario 1 ('synth-00001') v0 is a string, expected a number"),
+    (edited_head(lambda head: head["scenarios"][1].pop("id")),
+     "scenario 1 (None) is missing key 'id'"),
+])
+def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(3, 10, seed=21), 10)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError) as info:
+        load_archive(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_archive_scenarios_are_read_only_views_of_the_payload(tmp_path):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(3, 10, seed=21), 10)
+    scenarios, _ = load_archive(path)
+    for name in ("features", "future"):
+        base = getattr(scenarios[0], name).base
+        assert base is not None and not base.flags.writeable
+        for s in scenarios:
+            assert getattr(s, name).base is base
+            assert getattr(s, name).flags.c_contiguous
 
 
 def test_archive_rejects_fps_mismatch(tmp_path):

@@ -1,10 +1,15 @@
 import base64
+import errno
 
 import numpy as np
 import pytest
 
 from gftnn import store
-from gftnn.store import Table, encode_array
+from gftnn.model import build_basis, init_params, save_checkpoint
+from gftnn.scenario import save_archive, synthesize
+from gftnn.store import Table
+from gftnn.training import AdamState
+from helpers import encode_array, tiny_config
 
 
 def outcome(call, *args):
@@ -123,3 +128,74 @@ def test_check_array_does_not_decode_well_formed_arrays(monkeypatch):
     monkeypatch.setattr(store.base64, "b64decode", no_decode)
     for size in VALUES:
         assert table.check_array(str(size), (size,)) is None
+
+
+class _FullDisk:
+    """Opens files as ``open`` does, but each one written fails with ENOSPC
+    once ``room`` bytes are in it."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def __call__(self, path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        room = self.room
+
+        class Limited:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                nonlocal room
+                size = memoryview(data).nbytes
+                if size > room:
+                    fh.write(bytes(memoryview(data).cast("B")[:room]))
+                    room = 0
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                room -= size
+                return fh.write(data)
+
+        return Limited()
+
+
+def _save_checkpoint(path, seed):
+    cfg = tiny_config()
+    params = init_params(cfg, seed)
+    save_checkpoint(path, cfg, build_basis(cfg), params, 3,
+                    AdamState.initial(params).as_dict())
+
+
+def _save_archive(path, seed):
+    save_archive(path, synthesize(3, 10, seed=seed), 10)
+
+
+@pytest.mark.parametrize("save", [_save_checkpoint, _save_archive])
+@pytest.mark.parametrize("room", [0, 100, 5000])
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, save, room):
+    # A write that fails partway (here a full disk after ``room`` bytes)
+    # leaves the file it replaces byte for byte and no temporary file.
+    path = tmp_path / "doc.json"
+    save(path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(store, "open", _FullDisk(room), raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        save(path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    save(path, 2)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_write_document_refuses_arrays_that_do_not_fill_their_shape(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match=r"^a: 5 values do not fill shape \(2, 3\)$"):
+        store.write_document(path, {"version": 1},
+                             {"a": ((2, 3), [np.zeros(3), np.zeros(2)])})
+    assert not path.exists()

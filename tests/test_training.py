@@ -14,7 +14,8 @@ from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
                             gradients, train, trajectory_loss)
 from helpers import (adam_step_fresh, adam_step_per_array, backward_per_channel,
-                     forward_per_channel, tiny_config, write_v2_checkpoint)
+                     forward_per_channel, tiny_config, write_v2_checkpoint,
+                     write_v3_checkpoint)
 
 
 def tiny_scenarios(n, seed, noise_std=0.05):
@@ -362,19 +363,22 @@ def test_train_resume_continues_epoch_count(tmp_path):
     assert lines.count("epoch,train_loss,test_loss,ade,fde") == 1
 
 
-def test_train_resume_from_version_2_matches_version_3(tmp_path):
+def test_train_resume_from_versions_2_and_3_matches_version_4(tmp_path):
     # A version-2 file stores the basis that resume rebuilds from the
-    # config, so it continues the run as the version-3 file of the same
-    # state does. One whose stored basis is not that basis is refused.
+    # config, so it continues the run as the version-4 file of the same
+    # state does, and so does a version-3 file. One whose stored basis is
+    # not that basis is refused.
     cfg = tiny_config()
     scens = tiny_scenarios(6, seed=22)
     ds = DatasetSplit(train=scens[:4], test=scens[4:], seed=0)
     tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2, seed=6)
     train(ds, cfg, tc, log_path=tmp_path / "first.csv",
-          checkpoint_path=tmp_path / "v3.json")
-    ckpt = load_checkpoint(tmp_path / "v3.json")
+          checkpoint_path=tmp_path / "v4.json")
+    ckpt = load_checkpoint(tmp_path / "v4.json")
     basis = build_basis(cfg)
     write_v2_checkpoint(tmp_path / "v2.json", cfg, basis, ckpt.params,
+                        ckpt.epochs_trained, ckpt.optimizer)
+    write_v3_checkpoint(tmp_path / "v3.json", cfg, basis, ckpt.params,
                         ckpt.epochs_trained, ckpt.optimizer)
     v = basis.spatial.eigenvectors.copy()
     v[:, 1] *= 2.0
@@ -384,21 +388,23 @@ def test_train_resume_from_version_2_matches_version_3(tmp_path):
     with pytest.raises(ValueError, match="basis spatial eigenvectors are not"):
         load_checkpoint(tmp_path / "bad.json")
     out = {}
-    for tag in ("v2", "v3"):
+    for tag in ("v2", "v3", "v4"):
         log = tmp_path / f"{tag}.csv"
         shutil.copy(tmp_path / "first.csv", log)
         train(ds, cfg, tc, log_path=log, checkpoint_path=tmp_path / f"{tag}-resumed.json",
               resume=load_checkpoint(tmp_path / f"{tag}.json"))
         out[tag] = (log.read_bytes(), load_checkpoint(tmp_path / f"{tag}-resumed.json"))
-    (log_a, a), (log_b, b) = out["v2"], out["v3"]
-    assert log_a == log_b
+    log_b, b = out["v4"]
     assert len(log_b.splitlines()) == 5  # one header, four epochs
-    assert (a.epochs_trained, a.optimizer["step"]) == (b.epochs_trained,
-                                                        b.optimizer["step"]) == (4, 8)
-    assert same_bits(a.params.flat, b.params.flat)
-    for moment in ("m", "v"):
-        for name, arr in a.optimizer[moment].items():
-            assert same_bits(arr, b.optimizer[moment][name]), (moment, name)
+    for tag in ("v2", "v3"):
+        log_a, a = out[tag]
+        assert log_a == log_b
+        assert (a.epochs_trained, a.optimizer["step"]) == (b.epochs_trained,
+                                                            b.optimizer["step"]) == (4, 8)
+        assert same_bits(a.params.flat, b.params.flat)
+        for moment in ("m", "v"):
+            for name, arr in a.optimizer[moment].items():
+                assert same_bits(arr, b.optimizer[moment][name]), (moment, name)
 
 
 def test_train_resume_continues_the_run_bitwise(tmp_path):
