@@ -138,11 +138,12 @@ class Payload:
                              f"for the arrays its head declares")
         self._fh = fh
         self._head = head
+        self._declared = declared
 
     def expect(self, shapes: dict, owner: str):
         """Check that the head declares exactly ``shapes`` (name -> shape),
         which ``owner`` names in errors."""
-        declared = self._head.table("arrays")
+        declared = self._declared
         for name, shape in shapes.items():
             if name not in self.shapes:
                 raise declared.error(f"is missing key {name!r}")
