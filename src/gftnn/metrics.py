@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,8 @@ def histogram(values, bin_width: float = 0.1):
     A value lands in bin floor(v / bin_width); edges has one more entry
     than counts. Empty input gives empty arrays.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return np.zeros(0), np.zeros(0, dtype=np.int64)

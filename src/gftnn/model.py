@@ -68,8 +68,8 @@ class ModelConfig:
             raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
         if self.weighted and self.graph_kind != "spider":
             raise ValueError("inverse-distance weighting needs a spider graph")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
 
     @property
     def zk(self) -> int:
@@ -147,18 +147,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.shapes, self.flat.copy())
-
-    @classmethod
-    def from_named(cls, named: dict, k: int) -> "ModelParams":
-        arrays = {name: np.asarray(named[name], dtype=np.float64)
-                  for name in _param_names(k)}
-        return cls({name: arr.shape for name, arr in arrays.items()},
-                   np.concatenate([arr.ravel() for arr in arrays.values()]))
-
-
-def _param_names(k: int) -> list:
-    per_channel = [f"{kind}_{i}" for kind in CHANNEL_KINDS for i in range(k)]
-    return ["w_s", *per_channel, "w_h", "b_h"]
 
 
 def param_shapes(config: ModelConfig) -> dict:
@@ -468,7 +456,7 @@ class Checkpoint:
     config: ModelConfig
     params: ModelParams
     epochs_trained: int
-    optimizer: dict | None
+    optimizer: dict | None      # {"step", "m", "v"}, m and v laid out like params.flat
 
 
 def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
@@ -477,11 +465,12 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
     """Serialise model state to one file (format version 4).
 
     The head holds the config, the epoch count and the optimizer step; the
-    payload is ``params.flat`` and, with optimizer state, Adam's ``m`` and
-    ``v`` in the same layout, as raw float64 (see ``store.write_document``),
-    so values survive the round trip bit for bit. The file stores no
-    basis, and ``basis`` is not read: loading rebuilds ``build_basis(config)``.
-    The argument stays for callers that pass the later ones by position.
+    payload is ``params.flat`` and, with optimizer state, Adam's flat ``m``
+    and ``v`` (as ``AdamState.as_dict`` gives them), as raw float64 (see
+    ``store.write_document``), so values survive the round trip bit for
+    bit. The file stores no basis, and ``basis`` is not read: loading
+    rebuilds ``build_basis(config)``. The argument stays for callers that
+    pass the later ones by position.
     """
     head = {"format_version": CHECKPOINT_VERSION, "config": asdict(config),
             "epochs_trained": int(epochs_trained)}
@@ -490,84 +479,45 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
     if optimizer is not None:
         head["optimizer"] = {"step": int(optimizer["step"])}
         for moment in ("m", "v"):
-            arrays[moment] = (flat, [optimizer[moment][name] for name in params.shapes])
+            arrays[moment] = (flat, [optimizer[moment]])
     write_document(path, head, arrays)
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
-    """Read a checkpoint of format version 4, or of the JSON versions 3, 2
-    or 1 (repr() strings).
+    """Read a checkpoint of format version 4; any other version is refused.
 
-    Callers score a checkpoint with ``build_basis(config)``. Versions 1
-    and 2 also store the reference basis; one that is not that basis bit
-    for bit (a file written with the Jacobi solver, before the closed-form
-    spectra) was trained on other spectra and is refused. A corrupt file,
-    an unknown config key, a non-finite parameter or a negative epoch
-    count or optimizer step raises a ValueError naming the path and the key.
+    Callers score a checkpoint with ``build_basis(config)``. A corrupt
+    file, an unknown config key, a non-finite parameter or a negative
+    epoch count or optimizer step raises a ValueError naming the path and
+    the key.
 
-    With ``optimizer=False``, for scoring, Adam's moments are not read
-    (version 4) or checked as strictly but not decoded (version 3, by
-    ``Table.check_array``), and the result's ``optimizer`` is None. A file
-    that would fail a full load fails this one with the same message.
+    With ``optimizer=False``, for scoring, Adam's moments are not read and
+    the result's ``optimizer`` is None. The head and the file length are
+    checked as in a full load, so a file that would fail a full load fails
+    this one with the same message.
     """
-    with open_document(path, "checkpoint", "format_version", (1, 2, 3),
+    with open_document(path, "checkpoint", "format_version",
                        CHECKPOINT_VERSION) as doc:
         cfg = _config_from_doc(doc.table("config"))
-        if doc.version < 3:
-            _check_stored_basis(doc.table("basis"), build_basis(cfg))
         shapes = param_shapes(cfg)
-        if doc.version == CHECKPOINT_VERSION:
-            params, state = _read_payload(doc, shapes, optimizer)
-        else:
-            params, state = _read_tables(doc, shapes, optimizer)
+        state = _optimizer_step(doc)
+        flat = (sum(math.prod(shape) for shape in shapes.values()),)
+        declared = {"params": flat}
+        if state is not None:
+            declared.update(m=flat, v=flat)
+        doc.payload.expect(declared, "its config")
+        params = ModelParams(shapes, doc.payload.read("params"))
+        for name, view in params.items():
+            if not np.all(np.isfinite(view)):
+                raise doc.error(f"params {name} is not finite")
+        if state is not None and optimizer:
+            state.update(m=doc.payload.read("m"), v=doc.payload.read("v"))
     epochs_trained = doc.value("epochs_trained", int, 0)
     if epochs_trained < 0:
         raise doc.error(f"epochs_trained is {epochs_trained}, expected a "
                         f"non-negative integer")
     return Checkpoint(config=cfg, params=params, epochs_trained=epochs_trained,
                       optimizer=state if optimizer else None)
-
-
-def _read_payload(doc: Table, shapes: dict, optimizer: bool):
-    """Params and optimizer state of a version-4 checkpoint; the moments
-    are read only when ``optimizer`` is set."""
-    state = _optimizer_step(doc)
-    flat = (sum(math.prod(shape) for shape in shapes.values()),)
-    declared = {"params": flat}
-    if state is not None:
-        declared.update(m=flat, v=flat)
-    doc.payload.expect(declared, "its config")
-    params = ModelParams(shapes, doc.payload.read("params"))
-    for name, view in params.items():
-        if not np.all(np.isfinite(view)):
-            raise doc.error(f"params {name} is not finite")
-    if state is not None and optimizer:
-        for moment in ("m", "v"):
-            state[moment] = dict(ModelParams(shapes, doc.payload.read(moment)).items())
-    return params, state
-
-
-def _read_tables(doc: Table, shapes: dict, optimizer: bool):
-    """Params and optimizer state of a JSON checkpoint (versions 1 to 3);
-    without ``optimizer`` the moments are checked but not decoded."""
-    params = ModelParams(shapes)
-    stored = doc.table("params")
-    for name, view in params.items():
-        view[...] = stored.array(name, view.shape)
-        if not np.all(np.isfinite(view)):
-            raise stored.error(f"{name} is not finite")
-    state = _optimizer_step(doc)
-    if state is not None:
-        stored = doc.table("optimizer")
-        for moment in ("m", "v"):
-            moments = stored.table(moment)
-            if optimizer:
-                state[moment] = {name: moments.array(name, shape)
-                                 for name, shape in shapes.items()}
-            else:
-                for name, shape in shapes.items():
-                    moments.check_array(name, shape)
-    return params, state
 
 
 def _optimizer_step(doc: Table) -> dict | None:
@@ -580,26 +530,9 @@ def _optimizer_step(doc: Table) -> dict | None:
     return {"step": step}
 
 
-def _check_stored_basis(table: Table, basis: ProductBasis):
-    for factor in ("temporal", "spatial"):
-        stored = table.table(factor)
-        spec = getattr(basis, factor)
-        for key in ("eigenvalues", "eigenvectors"):
-            arr = getattr(spec, key)
-            if stored.array(key, arr.shape).tobytes() != arr.tobytes():
-                raise stored.error(f"{key} are not the config's closed-form "
-                                   f"basis, which scoring uses: retrain this model")
-
-
 def _config_from_doc(table: Table) -> ModelConfig:
-    # Files written while the config had a block count store n_blocks; no
-    # entry point could write any value but 1.
-    n_blocks = table.value("n_blocks", int, 1)
-    if n_blocks != 1:
-        raise table.error(f"n_blocks {n_blocks!r} is not supported: the model "
-                          f"has exactly one block per channel")
     known = fields(ModelConfig)
-    unknown = sorted(set(table.obj) - {f.name for f in known} - {"n_blocks"})
+    unknown = sorted(set(table.obj) - {f.name for f in known})
     if unknown:
         raise table.error(f"has unknown keys: {', '.join(unknown)}")
     types = typing.get_type_hints(ModelConfig)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import warnings
 from bisect import bisect_left
 from collections import defaultdict
@@ -134,8 +135,12 @@ class Scenario:
             )
         if self.maneuver not in MANEUVERS:
             raise ValueError(f"unknown maneuver {self.maneuver!r}")
-        if not (np.isfinite(self.v0) and self.fps > 0):
-            raise ValueError(f"scenario {self.scenario_id}: bad v0/fps")
+        if not np.isfinite(self.v0):
+            raise ValueError(f"scenario {self.scenario_id}: v0 must be finite, "
+                             f"got {self.v0}")
+        if not _valid_fps(self.fps):
+            raise ValueError(f"scenario {self.scenario_id}: fps must be positive "
+                             f"and finite, got {self.fps}")
         object.__setattr__(self, "features", _frozen(f))
         object.__setattr__(self, "future", _frozen(fut))
 
@@ -267,6 +272,26 @@ def _read_rows(fh, path, columns):
                                        for name in _ROW.names])
 
 
+def _valid_fps(fps) -> bool:
+    return math.isfinite(fps) and fps > 0
+
+
+def _window_steps(fps, t_obs, t_pred):
+    """The observed and predicted steps of windows of ``t_obs`` and
+    ``t_pred`` seconds at ``fps``, each rounded to the nearest integer."""
+    if not _valid_fps(fps):
+        raise ValueError(f"fps must be positive and finite, got {fps}")
+    steps = []
+    for name, seconds in (("t_obs", t_obs), ("t_pred", t_pred)):
+        if not math.isfinite(fps * seconds):
+            raise ValueError(f"{name} must give a finite number of steps, "
+                             f"got {seconds} s at fps={fps}")
+        steps.append(round(fps * seconds))
+    if steps[0] < 2 or steps[1] < 1:
+        raise ValueError(f"window too short at fps={fps}")
+    return steps
+
+
 def label_maneuver(lane_ids, lateral, t0_index: int) -> str:
     """Label from the lane sequence at and after the last observed step.
 
@@ -312,12 +337,7 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     one table, and a window looks up its neighbours among the contiguous
     frame runs that start at most one longest run before it.
     """
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    t_obs_steps = round(fps * t_obs)
-    t_pred_steps = round(fps * t_pred)
-    if t_obs_steps < 2 or t_pred_steps < 1:
-        raise ValueError(f"window too short at fps={fps}")
+    t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     if n_vehicles < 2:
         raise ValueError(f"need at least 2 vehicle slots, got {n_vehicles}")
     if stride is None:
@@ -547,11 +567,10 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if noise_std < 0.0:
-        raise ValueError(f"noise_std must be non-negative, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
+    t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     rng = np.random.default_rng(seed)
-    t_obs_steps = round(fps * t_obs)
-    t_pred_steps = round(fps * t_pred)
     n_frames = t_obs_steps + t_pred_steps
     out = []
     for i in range(n):
@@ -587,7 +606,7 @@ def save_archive(path, scenarios, fps):
             raise ValueError(
                 f"scenario {s.scenario_id} has fps {s.fps}, archive wants {fps}"
             )
-        _check_grid(s, scenarios[0], "an archive holds one grid")
+        _check_grid(s, scenarios[0])
     n = len(scenarios)
     t_obs, t_pred, n_vehicles = _grid(scenarios[0])
     head = {
@@ -609,62 +628,35 @@ def save_archive(path, scenarios, fps):
 
 
 def load_archive(path):
-    """Read a scenario archive of format version 3, or of the JSON versions
-    2 (base64 arrays) or 1 (arrays as JSON lists of numbers); returns
-    (scenarios, fps).
+    """Read a scenario archive of format version 3; returns (scenarios, fps).
+    Any other version is refused.
 
-    A corrupt or empty document raises ValueError naming the path and,
-    for a bad scenario, its index and id, with the key at fault.
+    Each scenario holds read-only views of the payload's two blocks. They
+    are checked by ``Scenario``'s rule once for the whole archive; an
+    archive that breaks it is built scenario by scenario, so the error is
+    the failing scenario's. A corrupt or empty document raises ValueError
+    naming the path and, for a bad scenario, its index and id, with the
+    key at fault.
     """
-    with open_document(path, "archive", "version", (1, 2), ARCHIVE_VERSION) as doc:
-        if doc.version == ARCHIVE_VERSION:
-            return _scenarios_from_payload(path, doc)
-    fps = doc.value("fps", float)
-    scenarios = []
-    for index, obj in enumerate(doc.value("scenarios", list)):
-        item = _item(path, index, obj, doc.version)
-        scenario = item.build(
-            Scenario,
-            scenario_id=item.value("id", str),
-            features=item.array("features", (len(CHANNELS), item.value("t_obs", int),
-                                             item.value("n_vehicles", int))),
-            future=item.array("future", (item.value("t_pred", int), 2)),
-            v0=item.value("v0", float), fps=fps,
-            maneuver=item.value("maneuver", str),
-        )
-        # Models, training and eval stack scenarios, so they share one grid.
-        if scenarios:
-            _check_grid(scenario, scenarios[0], "the archive mixes scenario shapes",
-                        path)
-        scenarios.append(scenario)
-    if not scenarios:
-        raise ValueError(f"{path}: archive contains no scenarios")
-    return scenarios, fps
-
-
-def _scenarios_from_payload(path, doc: Table):
-    """The scenarios of a version-3 archive, each holding read-only views of
-    the payload's two blocks. They are checked by ``Scenario``'s rule once
-    for the whole archive; an archive that breaks it is built scenario by
-    scenario, so the error is the failing scenario's."""
-    fps = doc.value("fps", float)
-    grid = tuple(doc.value(key, int) for key in ("t_obs", "t_pred", "n_vehicles"))
-    items = [_item(path, index, obj, doc.version)
-             for index, obj in enumerate(doc.value("scenarios", list))]
-    if not items:
-        raise ValueError(f"{path}: archive contains no scenarios")
-    n = len(items)
-    t_obs, t_pred, n_vehicles = grid
-    doc.payload.expect({"features": (n, len(CHANNELS), t_obs, n_vehicles),
-                        "future": (n, t_pred, 2)},
-                       f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
-    features = doc.payload.read("features")
-    future = doc.payload.read("future")
+    with open_document(path, "archive", "version", ARCHIVE_VERSION) as doc:
+        fps = doc.value("fps", float)
+        grid = tuple(doc.value(key, int) for key in ("t_obs", "t_pred", "n_vehicles"))
+        items = [_item(path, index, obj)
+                 for index, obj in enumerate(doc.value("scenarios", list))]
+        if not items:
+            raise ValueError(f"{path}: archive contains no scenarios")
+        n = len(items)
+        t_obs, t_pred, n_vehicles = grid
+        doc.payload.expect({"features": (n, len(CHANNELS), t_obs, n_vehicles),
+                            "future": (n, t_pred, 2)},
+                           f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
+        features = doc.payload.read("features")
+        future = doc.payload.read("future")
     features.flags.writeable = False
     future.flags.writeable = False
     fields = [(item.value("id", str), item.value("maneuver", str),
                item.value("v0", float)) for item in items]
-    if (fps > 0 and np.all(np.isfinite(features)) and np.all(np.isfinite(future))
+    if (_valid_fps(fps) and np.all(np.isfinite(features)) and np.all(np.isfinite(future))
             and not np.any(features[:, :2, 0, 0])
             and all(m in MANEUVERS and np.isfinite(v0) for _, m, v0 in fields)):
         scenarios = []
@@ -682,20 +674,20 @@ def _scenarios_from_payload(path, doc: Table):
             in zip(items, fields, features, future)], fps
 
 
-def _item(path, index: int, obj, version: int) -> Table:
+def _item(path, index: int, obj) -> Table:
     """Scenario ``index`` of an archive as a Table named by index and id."""
     where = f"{path}: scenario {index}"
     if isinstance(obj, dict):
         where += f" ({obj.get('id')!r})"
-    return Table(obj, where, version)
+    return Table(obj, where)
 
 
-def _check_grid(scenario, first, rule: str, path=None):
+def _check_grid(scenario, first):
     if _grid(scenario) != _grid(first):
         raise ValueError(
-            f"{f'{path}: ' if path else ''}scenario {scenario.scenario_id!r} has grid "
+            f"scenario {scenario.scenario_id!r} has grid "
             f"(t_obs, t_pred, n_vehicles) = {_grid(scenario)}, but "
-            f"{first.scenario_id!r} has {_grid(first)}; {rule}"
+            f"{first.scenario_id!r} has {_grid(first)}; an archive holds one grid"
         )
 
 

@@ -4,15 +4,13 @@ Archives and checkpoints are written in one binary layout: a single line
 of ``json.dumps(head)``, a newline, then each array the head's ``arrays``
 object declares (name -> shape, in file order) as little-endian float64
 bytes in C order. ``write_document`` writes it and ``open_document``
-reads it. Earlier versions of both, and config files, are one JSON object
-whose float arrays are base64 strings (or, in version 1, JSON lists).
+reads it. Config files are one JSON object, read by ``read_document``.
 Every value is read through a ``Table`` that checks its JSON type, so a
 corrupt file raises one ValueError naming the path, the object and the
 key.
 """
 from __future__ import annotations
 
-import base64
 import contextlib
 import json
 import math
@@ -26,11 +24,6 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an inte
                float: "a number", bool: "a boolean", type(None): "null"}
 # A string, with its colon when it is a key, or a bracket or a comma.
 _TOKENS = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"(\s*:)?|[][{},]')
-_BASE64_ALPHABET = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                    b"0123456789+/")
-# Writers put the version key first, so its value tells the layouts apart
-# before anything else is parsed.
-_SNIFF_BYTES = 64
 
 
 def write_document(path, head: dict, arrays: dict):
@@ -75,25 +68,15 @@ def _replacing(path):
 
 
 @contextlib.contextmanager
-def open_document(path, kind: str, version_key: str, versions, binary: int):
-    """The stored document at ``path`` as a ``Table`` named ``kind`` in
-    errors, its format version in ``Table.version``.
+def open_document(path, kind: str, version_key: str, version: int):
+    """The stored document at ``path`` as a ``Table`` of its head, named
+    ``kind`` in errors, whose ``payload`` reads the arrays from the file;
+    the file stays open until the block ends.
 
-    A file whose version key holds ``binary`` is read in the binary
-    layout: the table is its head, and its ``payload`` reads the arrays
-    from the file, which stays open until the block ends. Any other file
-    is read by ``read_document``, which allows ``versions``, and has no
-    payload; one whose version key holds another integer is refused
-    before it is parsed.
+    A head whose version key does not hold ``version`` is refused before
+    anything else in it is checked.
     """
     with open(path, "rb") as fh:
-        version = _version_of(fh.read(_SNIFF_BYTES), version_key)
-        if version != binary:
-            if version is not None and version not in versions:
-                raise ValueError(f"{path}: {kind} has unsupported version {version!r}")
-            yield read_document(path, kind, version_key, versions)
-            return
-        fh.seek(0)
         line = fh.readline()
         # The head is ASCII; undecodable bytes can only follow it.
         text = line.decode("utf-8", "surrogateescape")
@@ -101,24 +84,20 @@ def open_document(path, kind: str, version_key: str, versions, binary: int):
             obj, end = json.JSONDecoder().raw_decode(text)
         except json.JSONDecodeError as exc:
             raise _not_json(path, f"{kind} head", exc) from None
-        doc = Table(obj, f"{path}: {kind}", binary)
+        doc = Table(obj, f"{path}: {kind}")
+        stored = doc.obj.get(version_key)
+        if type(stored) is not int or stored != version:
+            raise doc.error(f"has unsupported version {stored!r}")
         if text[end:] != "\n":
             raise doc.error("has no newline after its head")
         doc.payload = Payload(fh, doc, len(line))
         yield doc
 
 
-def _version_of(start: bytes, key: str):
-    """The integer under ``key`` if a JSON object starts with it, else None."""
-    match = re.match(rb'\s*\{\s*"%s"\s*:\s*(\d+)\s*[,}]' % re.escape(key.encode()),
-                     start)
-    return int(match.group(1)) if match else None
-
-
 class Payload:
-    """The arrays after the head line of a binary-layout document, read from
-    its open file by name. Opening checks that the file holds exactly the
-    bytes the head declares."""
+    """The arrays after the head line of an archive or checkpoint, read
+    from its open file by name. Opening checks that the file holds exactly
+    the bytes the head declares."""
 
     def __init__(self, fh, head: "Table", start: int):
         declared = head.table("arrays")
@@ -169,22 +148,15 @@ def _not_json(path, kind: str, exc: json.JSONDecodeError) -> ValueError:
                       f"{f' at {at}' if at else ''}: {exc}")
 
 
-def read_document(path, kind: str, version_key=None, versions=()) -> "Table":
-    """The JSON object in the file at ``path``, named ``kind`` in errors.
-    With ``version_key``, the format version stored there must be one of
-    ``versions``."""
+def read_document(path, kind: str) -> "Table":
+    """The JSON object in the file at ``path``, named ``kind`` in errors."""
     with open(path) as fh:
         try:
-            doc = Table(json.load(fh), f"{path}: {kind}")
+            return Table(json.load(fh), f"{path}: {kind}")
         except json.JSONDecodeError as exc:
             raise _not_json(path, kind, exc) from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {kind} is not text: {exc}") from None
-    if version_key is not None:
-        doc.version = doc.obj.get(version_key)
-        if type(doc.version) is not int or doc.version not in versions:
-            raise doc.error(f"has unsupported version {doc.version!r}")
-    return doc
 
 
 def _json_path(text: str, pos: int) -> str:
@@ -206,17 +178,14 @@ def _json_path(text: str, pos: int) -> str:
 
 
 class Table:
-    """One JSON object of a stored document, named ``where`` in errors.
-    Version 1 of archives and checkpoints stores a float array as a JSON
-    list of numbers or of repr() strings, later versions as one string."""
+    """One JSON object of a stored document, named ``where`` in errors."""
 
-    def __init__(self, obj, where: str, version: int | None = None):
+    def __init__(self, obj, where: str):
         if not isinstance(obj, dict):
             raise ValueError(f"{where} is not a JSON object")
         self.obj = obj
         self.where = where
-        self.version = version
-        self.payload = None     # a binary-layout head's arrays (open_document)
+        self.payload = None     # a document head's arrays (open_document)
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.where} {message}")
@@ -237,46 +206,7 @@ class Table:
         return value
 
     def table(self, key: str) -> "Table":
-        return Table(self.value(key, dict), f"{self.where} {key}", self.version)
-
-    def array(self, key: str, shape: tuple) -> np.ndarray:
-        """The float array under ``key``, checked to hold exactly the values
-        of ``shape``, as a fresh writable float64 array of that shape."""
-        if self.version == 1:
-            stored = self.value(key, list)
-            try:
-                raw = np.array([float(v) for v in stored], dtype="<f8").tobytes()
-            except (TypeError, ValueError):
-                raise self.error(f"{key} holds a value that is not a number") from None
-        else:
-            stored = self.value(key, str)
-            try:
-                raw = base64.b64decode(stored, validate=True)
-            except ValueError as exc:        # binascii.Error, or non-ASCII text
-                raise self.error(f"{key} is not valid base64: {exc}") from None
-        size = math.prod(shape)
-        if min(shape) < 1:
-            raise self.error(f"{key} has shape {shape}, with a dimension below 1")
-        if len(raw) != 8 * size:
-            raise self.error(f"{key} has wrong size: {len(raw)} bytes, "
-                             f"expected {8 * size} for shape {shape}")
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-    def check_array(self, key: str, shape: tuple):
-        """Check the array under ``key`` as ``array`` would, without decoding
-        it when it is well-formed base64 of exactly the values of ``shape``.
-        Anything else goes through ``array``, so each error is its error."""
-        stored = self.obj.get(key)
-        if (self.version != 1 and type(stored) is str and stored.isascii()
-                and min(shape) >= 1):
-            text = stored.encode("ascii")
-            # Outside the alphabet, well-formed base64 holds only its padding.
-            pad = text.translate(None, _BASE64_ALPHABET)
-            if (pad in (b"", b"=", b"==") and text.endswith(pad)
-                    and len(text) % 4 == 0
-                    and 3 * len(text) // 4 - len(pad) == 8 * math.prod(shape)):
-                return
-        self.array(key, shape)
+        return Table(self.value(key, dict), f"{self.where} {key}")
 
     def build(self, cls, **kwargs):
         """``cls(**kwargs)``; a ValueError from its validation names this object."""

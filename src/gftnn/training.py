@@ -130,26 +130,22 @@ def gradients(scenario, params: ModelParams, config: ModelConfig,
 
 class AdamState:
     """First and second moment estimates as flat vectors laid out like
-    ``ModelParams.flat`` (``shapes`` names the layout), the step count, and
-    one work vector that ``adam_step`` reuses."""
+    ``ModelParams.flat``, the step count, and one work vector that
+    ``adam_step`` reuses."""
 
-    def __init__(self, m, v, step: int, shapes: dict):
+    def __init__(self, m, v, step: int):
         self.m = m
         self.v = v
         self.step = step
-        self.shapes = shapes
         self.work = np.empty_like(m)
 
     @classmethod
     def initial(cls, params: ModelParams) -> "AdamState":
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0,
-                   params.shapes)
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0)
 
     def as_dict(self) -> dict:
-        """Step count and the moments as named arrays, as checkpoints store them."""
-        return {"step": self.step,
-                "m": dict(ModelParams(self.shapes, self.m).items()),
-                "v": dict(ModelParams(self.shapes, self.v).items())}
+        """Step count and the flat moments, as checkpoints store them."""
+        return {"step": self.step, "m": self.m, "v": self.v}
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
@@ -236,9 +232,7 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
         epoch0 = resume.epochs_trained
         if resume.optimizer is not None:
             opt = resume.optimizer
-            state = AdamState(ModelParams.from_named(opt["m"], config.k).flat,
-                              ModelParams.from_named(opt["v"], config.k).flat,
-                              opt["step"], params.shapes)
+            state = AdamState(opt["m"].copy(), opt["v"].copy(), opt["step"])
         else:
             state = AdamState.initial(params)
     else:

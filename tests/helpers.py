@@ -1,10 +1,8 @@
 """Shared builders for the test suite."""
-import base64
 import csv
 import json
 import logging
 from collections import defaultdict
-from dataclasses import asdict
 
 import numpy as np
 from scipy.special import expit
@@ -25,55 +23,16 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def encode_array(arr) -> str:
-    """Base64 of the array's little-endian float64 bytes in C order: the
-    array codec of the JSON formats (archive v2, checkpoints v2 and v3)."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def write_v3_checkpoint(path, config, basis, params, epochs_trained=0,
-                        optimizer=None):
-    """Write model state as the format-version-3 writer did: json.dumps of
-    the whole document, with every parameter, m and v array one
-    ``encode_array`` string, streamed one array at a time."""
-    head = json.dumps({
-        "format_version": 3,
-        "config": asdict(config),
-        "epochs_trained": int(epochs_trained),
-    })
-    with open(path, "w") as fh:
-        fh.write(head[:-1])  # all but the closing "}"
-        _write_arrays(fh, "params", params.items())
-        if optimizer is not None:
-            fh.write(f', "optimizer": {{"step": {int(optimizer["step"])}')
-            for moment in ("m", "v"):
-                _write_arrays(fh, moment, optimizer[moment].items())
-            fh.write("}")
-        fh.write("}")
-
-
-def _write_arrays(fh, key: str, arrays):
-    """Write ``, "key": {"name": "<encode_array>", ...}`` as json.dumps
-    would, one array at a time."""
-    fh.write(f", {json.dumps(key)}: {{")
-    for i, (name, arr) in enumerate(arrays):
-        fh.write(f'{", " if i else ""}{json.dumps(name)}: "')
-        fh.write(encode_array(arr))
-        fh.write('"')
-    fh.write("}")
-
-
 def split_head(path):
-    """The parsed head line of a binary-layout document and the bytes after
-    its newline."""
+    """The parsed head line of an archive or checkpoint file and the bytes
+    after its newline."""
     line, rest = path.read_bytes().split(b"\n", 1)
     return json.loads(line), rest
 
 
 def edited_head(change):
-    """A byte edit of a binary-layout document that applies ``change`` to
-    its parsed head and writes the head back as json.dumps would, keeping
+    """A byte edit of an archive or checkpoint file that applies ``change``
+    to its parsed head and writes the head back as json.dumps would, keeping
     the arrays after it."""
     def edit(data):
         line, rest = data.split(b"\n", 1)
@@ -88,132 +47,11 @@ def rewrite_head(path, change):
     path.write_bytes(edited_head(change)(path.read_bytes()))
 
 
-def write_v1_checkpoint(path, config, basis, params, epochs_trained=0,
-                        optimizer=None):
-    """Write model state as the format-version-1 writer did: every float a
-    repr() string, the document streamed by json.dump, and the config with
-    the block count and the graph hash it carried then."""
-    def floats(arr):
-        return [repr(float(v)) for v in np.asarray(arr).ravel()]
-
-    def spectrum(spec):
-        return {"source_graph_id": "0123456789ab",
-                "eigenvalues": floats(spec.eigenvalues),
-                "eigenvectors": floats(spec.eigenvectors)}
-
-    doc = {
-        "format_version": 1,
-        "config": {**asdict(config), "n_blocks": 1},
-        "param_count": params.n_params,
-        "epochs_trained": int(epochs_trained),
-        "basis": {"temporal": spectrum(basis.temporal),
-                  "spatial": spectrum(basis.spatial)},
-        "params": {name: floats(arr) for name, arr in params.items()},
-    }
-    if optimizer is not None:
-        doc["optimizer"] = {
-            "step": int(optimizer["step"]),
-            "m": {name: floats(arr) for name, arr in optimizer["m"].items()},
-            "v": {name: floats(arr) for name, arr in optimizer["v"].items()},
-        }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def write_v2_checkpoint(path, config, basis, params, epochs_trained=0,
-                        optimizer=None):
-    """Write model state as the format-version-2 writer did: the version-3
-    document plus the parameter count and the reference basis, every float
-    array one base64 string."""
-    def spectrum(spec):
-        return {"eigenvalues": encode_array(spec.eigenvalues),
-                "eigenvectors": encode_array(spec.eigenvectors)}
-
-    doc = {
-        "format_version": 2,
-        "config": asdict(config),
-        "param_count": params.n_params,
-        "epochs_trained": int(epochs_trained),
-        "basis": {"temporal": spectrum(basis.temporal),
-                  "spatial": spectrum(basis.spatial)},
-        "params": {name: encode_array(arr) for name, arr in params.items()},
-    }
-    if optimizer is not None:
-        doc["optimizer"] = {"step": int(optimizer["step"]), **{
-            moment: {name: encode_array(arr) for name, arr in optimizer[moment].items()}
-            for moment in ("m", "v")}}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
-
-
-def write_v1_archive(path, scenarios, fps):
-    """Write scenarios as the format-version-1 archive writer did: features
-    and future as JSON lists of floats, the compact document streamed one
-    scenario at a time."""
-    head = json.dumps({
-        "version": 1,
-        "fps": float(fps),
-        "feature_order": "(channel, time, vehicle) row-major",
-        "channels": list(CHANNELS),
-        "scenarios": [],
-    }, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(head[:-2])
-        for i, s in enumerate(scenarios):
-            item = {
-                "id": s.scenario_id,
-                "maneuver": s.maneuver,
-                "v0": s.v0,
-                "t_obs": s.t_obs,
-                "t_pred": s.t_pred,
-                "n_vehicles": s.n_vehicles,
-                "features": s.features.ravel().tolist(),
-                "future": s.future.ravel().tolist(),
-            }
-            fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
-        fh.write("]}")
-
-
-def write_v2_archive(path, scenarios, fps):
-    """Write scenarios as the format-version-2 archive writer did:
-    json.dumps(doc, separators=(",", ":")) of the whole document, each
-    scenario's features (flattened row-major) and future one
-    ``encode_array`` string, streamed one scenario at a time."""
-    fps = float(fps)
-    for s in scenarios:
-        if s.fps != fps:
-            raise ValueError(
-                f"scenario {s.scenario_id} has fps {s.fps}, archive wants {fps}"
-            )
-    head = json.dumps({
-        "version": 2,
-        "fps": fps,
-        "feature_order": "(channel, time, vehicle) row-major",
-        "channels": list(CHANNELS),
-        "scenarios": [],
-    }, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(head[:-2])  # up to and including the "[" of "scenarios":[]}
-        for i, s in enumerate(scenarios):
-            item = {
-                "id": s.scenario_id,
-                "maneuver": s.maneuver,
-                "v0": s.v0,
-                "t_obs": s.t_obs,
-                "t_pred": s.t_pred,
-                "n_vehicles": s.n_vehicles,
-                "features": encode_array(s.features),
-                "future": encode_array(s.future),
-            }
-            fh.write(("," if i else "") + json.dumps(item, separators=(",", ":")))
-        fh.write("]}")
-
-
 def adam_step_per_array(params, grads, state, config):
     """Reference Adam update, one loop iteration per named parameter array.
 
-    ``state`` is a dict of step count and named moments, as
-    ``AdamState.as_dict`` gives; returns the new named parameters and state.
+    ``state`` is a dict of step count and named moments; returns the new
+    named parameters and state.
     """
     t = state["step"] + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,13 +12,11 @@ import pytest
 import gftnn
 from gftnn.cli import main
 from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
-from gftnn.model import (build_basis, load_checkpoint, predict, predict_batch,
+from gftnn.model import (build_basis, init_params, load_checkpoint, predict,
+                         predict_batch, preset_config, save_checkpoint,
                          truth_trajectory)
 from gftnn.scenario import load_archive
-from gftnn.spectral import ProductBasis, Spectrum
-from helpers import (three_class_tracks, write_tracks_csv, write_v1_archive,
-                     write_v1_checkpoint, write_v2_archive, write_v2_checkpoint,
-                     write_v3_checkpoint)
+from helpers import three_class_tracks, write_tracks_csv
 
 
 def run_ok(capsys, argv):
@@ -95,6 +94,31 @@ def test_prep_reports_short_row_on_one_line(tmp_path, capsys):
     err = run_fail(capsys, ["prep", "--input", str(path), "--fps", "5",
                             "--out", str(tmp_path)])
     assert err == f"error: {path}: row 4 has 2 columns, the header has 7\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", "3", "--fps", "inf"], "fps must be positive and finite, got inf"),
+    (["synth", "--n", "3", "--fps", "nan"], "fps must be positive and finite, got nan"),
+    (["synth", "--n", "3", "--fps", "1e308"],
+     "t_obs must give a finite number of steps, got 3.0 s at fps=1e+308"),
+    (["synth", "--n", "3", "--fps", "10", "--t-obs", "inf"],
+     "t_obs must give a finite number of steps, got inf s at fps=10.0"),
+    (["synth", "--n", "3", "--fps", "10", "--noise-std", "nan"],
+     "noise_std must be finite and non-negative, got nan"),
+    (["prep", "--fps", "inf"], "fps must be positive and finite, got inf"),
+    (["prep", "--fps", "1e308"],
+     "t_obs must give a finite number of steps, got 3.0 s at fps=1e+308"),
+    (["prep", "--fps", "5", "--t-pred", "inf"],
+     "t_pred must give a finite number of steps, got inf s at fps=5.0"),
+])
+def test_non_finite_options_fail_on_one_line(tmp_path, capsys, argv, message):
+    # Each ends in one error line naming the value, with no archive written.
+    if argv[0] == "prep":
+        write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
+        argv = argv + ["--input", str(tmp_path / "tracks.csv")]
+    err = run_fail(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "archive.json").exists()
 
 
 # ------------------------------------------------------------------- spectrum
@@ -294,61 +318,58 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
         assert np.max(np.abs(single.y - row.y)) <= 1e-12
 
 
-def test_eval_and_predict_identical_from_version_1_checkpoint(tmp_path, capsys):
-    # Versions 1 and 2 store the basis that later versions rebuild from the
-    # config; one that stores another basis is refused.
-    archive, ckpt_v4 = trained_checkpoint(tmp_path, capsys)
-    ckpt = load_checkpoint(ckpt_v4)
-    paths = {"v4": ckpt_v4}
-    for tag, writer in (("v1", write_v1_checkpoint), ("v2", write_v2_checkpoint),
-                        ("v3", write_v3_checkpoint)):
-        paths[tag] = tmp_path / f"checkpoint_{tag}.json"
-        writer(paths[tag], ckpt.config, build_basis(ckpt.config), ckpt.params,
-               ckpt.epochs_trained, ckpt.optimizer)
-    for tag, path in paths.items():
-        run_ok(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(path),
-                        "--out", str(tmp_path / tag)])
-        run_ok(capsys, ["predict", "--archive", str(archive),
-                        "--checkpoint", str(path), "--scenario-id", "synth-00005",
-                        "--out", str(tmp_path / tag)])
-    for name in ("eval_report.json", "histogram.csv", "trajectory_synth-00005.csv"):
-        for tag in ("v1", "v2", "v3"):
-            assert (tmp_path / tag / name).read_bytes() == \
-                (tmp_path / "v4" / name).read_bytes(), (tag, name)
-    basis = build_basis(ckpt.config)
-    flipped = basis.temporal.eigenvectors.copy()
-    flipped[:, 1] *= -1.0       # the other sign, as the Jacobi solver may give
-    bad = tmp_path / "checkpoint_sign.json"
-    write_v2_checkpoint(bad, ckpt.config, ProductBasis(
-        Spectrum(basis.temporal.eigenvalues, flipped), basis.spatial), ckpt.params)
-    for extra in (["eval"], ["predict", "--scenario-id", "synth-00005"]):
-        err = run_fail(capsys, extra + ["--archive", str(archive), "--checkpoint", str(bad),
-                                        "--out", str(tmp_path / "sign")])
-        assert f"{bad}: checkpoint basis temporal eigenvectors are not" in err
+@pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
+def test_eval_refuses_bin_width_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                 width):
+    archive = synth_archive(tmp_path, n=6)
+    ckpt = tmp_path / "checkpoint.json"
+    config = preset_config("gftnn", 10)
+    save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
+                            f"--bin-width={width}", "--out", str(tmp_path / "eval")])
+    assert err == f"error: bin width must be positive and finite, got {float(width)}\n"
+    assert not (tmp_path / "eval").exists()
 
 
-def test_train_eval_predict_identical_from_version_1_archive(tmp_path, capsys):
-    archive_v3 = synth_archive(tmp_path)
-    scenarios, fps = load_archive(archive_v3)
-    archive_v1 = tmp_path / "archive_v1.json"
-    write_v1_archive(archive_v1, scenarios, fps)
-    archive_v2 = tmp_path / "archive_v2.json"
-    write_v2_archive(archive_v2, scenarios, fps)
-    for tag, archive in (("v1", archive_v1), ("v2", archive_v2), ("v3", archive_v3)):
-        out = str(tmp_path / tag)
-        run_ok(capsys, ["train", "--archive", str(archive), "--preset", "gftnn-w",
-                        "--hidden", "8", "--epochs", "2", "--batch-size", "4",
-                        "--out", out, "--seed", "0"])
-        ckpt = str(tmp_path / tag / "checkpoint.json")
-        run_ok(capsys, ["eval", "--archive", str(archive), "--checkpoint", ckpt,
-                        "--out", out])
-        run_ok(capsys, ["predict", "--archive", str(archive), "--checkpoint", ckpt,
-                        "--scenario-id", "synth-00005", "--out", out])
-    for name in ("training_log.csv", "checkpoint.json", "eval_report.json",
-                 "histogram.csv", "trajectory_synth-00005.csv"):
-        for tag in ("v1", "v2"):
-            assert (tmp_path / tag / name).read_bytes() == \
-                (tmp_path / "v3" / name).read_bytes(), (tag, name)
+@pytest.mark.parametrize("document, version", [
+    ("archive", 1), ("archive", 2),
+    ("checkpoint", 1), ("checkpoint", 2), ("checkpoint", 3),
+])
+def test_earlier_versions_are_refused_on_one_line(tmp_path, capsys, document, version):
+    # Versions before archive 3 and checkpoint 4 were one JSON object. A
+    # file that begins as they did is refused for its version, by the
+    # loaders and by every command that reads it.
+    archive = synth_archive(tmp_path, n=6)
+    ckpt = tmp_path / "checkpoint.json"
+    config = preset_config("gftnn", 10)
+    save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    old = tmp_path / f"{document}_v{version}.json"
+    if document == "archive":
+        old.write_text(json.dumps({"version": version, "fps": 10.0, "scenarios": []}))
+        archive, loads = old, [load_archive]
+    else:
+        old.write_text(json.dumps({"format_version": version,
+                                   "config": dataclasses.asdict(config),
+                                   "epochs_trained": 0, "params": {}}))
+        ckpt, loads = old, [load_checkpoint, lambda path: load_checkpoint(path, False)]
+    message = f"{old}: {document} has unsupported version {version}"
+    for load in loads:
+        with pytest.raises(ValueError) as info:
+            load(old)
+        assert str(info.value) == message
+    commands = [
+        ["eval", "--archive", str(archive), "--checkpoint", str(ckpt)],
+        ["predict", "--archive", str(archive), "--checkpoint", str(ckpt),
+         "--scenario-id", "synth-00000"],
+        ["train", "--archive", str(archive), "--preset", "gftnn", "--resume", str(ckpt)],
+    ]
+    if document == "archive":
+        commands += [["spectrum", "--archive", str(archive)],
+                     ["train", "--archive", str(archive), "--preset", "gftnn"]]
+    for argv in commands:
+        assert run_fail(capsys, argv + ["--out", str(tmp_path / "out")]) == \
+            f"error: {message}\n", argv
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("document, edit", [

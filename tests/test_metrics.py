@@ -122,8 +122,10 @@ def test_histogram_mode_tie_takes_lower_edge():
 def test_histogram_rejects_bad_input():
     with pytest.raises(ValueError, match="non-negative"):
         histogram([-0.1, 0.5])
-    with pytest.raises(ValueError, match="width"):
-        histogram([0.5], bin_width=0.0)
+    for width in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError) as info:
+            histogram([0.5], bin_width=width)
+        assert str(info.value) == f"bin width must be positive and finite, got {width}"
 
 
 def test_histogram_zero_values_land_in_first_bin():

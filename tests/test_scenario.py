@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 import logging
@@ -15,8 +14,7 @@ from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
                             extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
-                     multilane_scene, split_head, three_class_tracks, write_tracks_csv,
-                     write_v1_archive, write_v2_archive)
+                     multilane_scene, split_head, three_class_tracks, write_tracks_csv)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -426,6 +424,32 @@ def test_extract_rejects_bad_args():
         extract_scenarios([track], 10, n_vehicles=1)
 
 
+# Rates and windows whose step counts are not finite numbers, by the
+# message that names them.
+NON_FINITE_WINDOWS = [
+    (dict(fps=np.inf), "fps must be positive and finite, got inf"),
+    (dict(fps=np.nan), "fps must be positive and finite, got nan"),
+    (dict(fps=1e308), "t_obs must give a finite number of steps, got 3.0 s at fps=1e+308"),
+    (dict(fps=10.0, t_obs=np.inf),
+     "t_obs must give a finite number of steps, got inf s at fps=10.0"),
+    (dict(fps=10.0, t_pred=-np.inf),
+     "t_pred must give a finite number of steps, got -inf s at fps=10.0"),
+    (dict(fps=10.0, t_obs=np.nan),
+     "t_obs must give a finite number of steps, got nan s at fps=10.0"),
+]
+
+
+@pytest.mark.parametrize("window, message", NON_FINITE_WINDOWS)
+def test_extract_and_synthesize_refuse_non_finite_windows(window, message):
+    track = straight_track(1, 80)
+    with pytest.raises(ValueError) as info:
+        extract_scenarios([track], **window)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        synthesize(3, seed=0, **window)
+    assert str(info.value) == message
+
+
 def _scenario_bytes(scenarios):
     return [(s.scenario_id, s.maneuver, s.features.shape, s.features.tobytes(),
              s.future.tobytes(), np.float64(s.v0).tobytes()) for s in scenarios]
@@ -619,8 +643,11 @@ def test_synthesize_lane_change_direction_sign():
 def test_synthesize_validation():
     with pytest.raises(ValueError):
         synthesize(0, 10, seed=0)
-    with pytest.raises(ValueError):
-        synthesize(3, 10, seed=0, noise_std=-0.1)
+    for noise_std in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError) as info:
+            synthesize(3, 10, seed=0, noise_std=noise_std)
+        assert str(info.value) == \
+            f"noise_std must be finite and non-negative, got {noise_std}"
 
 
 # -------------------------------------------------------------------- archive
@@ -664,34 +691,9 @@ def test_archive_bytes_are_the_head_line_then_raw_arrays(tmp_path, n):
     assert path.read_bytes() == json.dumps(head).encode() + b"\n" + raw
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_archive_bytes_are_compact_json_of_the_document(tmp_path, n):
-    # Pins the version-2 format: key order, compact separators, float repr.
-    # The version-2 suites below run on files this writer writes.
-    scen = synthesize(3, 10, seed=18, noise_std=0.05)[:n]
-    path = tmp_path / "arch.json"
-    write_v2_archive(path, scen, 10)
-    def stored(arr):
-        return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
-
-    doc = {
-        "version": 2,
-        "fps": 10.0,
-        "feature_order": "(channel, time, vehicle) row-major",
-        "channels": ["x_rel", "y_rel", "vx_rel", "vy_rel"],
-        "scenarios": [
-            {"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0,
-             "t_obs": s.t_obs, "t_pred": s.t_pred, "n_vehicles": s.n_vehicles,
-             "features": stored(s.features), "future": stored(s.future)}
-            for s in scen
-        ],
-    }
-    assert path.read_text() == json.dumps(doc, separators=(",", ":"))
-
-
-def test_archive_reads_version_1(tmp_path):
-    # JSON float lists keep every finite value, signed zeros and the
-    # smallest subnormal included, so both formats load the same bits.
+def test_archive_roundtrip_keeps_every_bit(tmp_path):
+    # Raw float64 keeps every value, signed zeros and the smallest
+    # subnormal included.
     scen = []
     for s in synthesize(4, 10, seed=22, noise_std=0.05):
         features, future = s.features.copy(), s.future.copy()
@@ -700,21 +702,17 @@ def test_archive_reads_version_1(tmp_path):
         features[3, 2, 4] = -0.0
         future[0] = [5e-324, -0.0]
         scen.append(replace(s, features=features, future=future))
-    write_v1_archive(tmp_path / "v1.json", scen, 10)
-    write_v2_archive(tmp_path / "v2.json", scen, 10)
-    save_archive(tmp_path / "v3.json", scen, 10)
-    for version in ("v1", "v2", "v3"):
-        back, fps = load_archive(tmp_path / f"{version}.json")
-        assert fps == 10.0
-        for a, b in zip(scen, back, strict=True):
-            assert (a.scenario_id, a.maneuver, a.v0) == (b.scenario_id, b.maneuver, b.v0)
-            for name in ("features", "future"):
-                got = getattr(b, name)
-                assert got.dtype == np.float64 and not got.flags.writeable
-                assert np.array_equal(got.view(np.uint64),
-                                      getattr(a, name).view(np.uint64)), (version, name)
-    sizes = [(tmp_path / f"v{i}.json").stat().st_size for i in (3, 2, 1)]
-    assert sizes == sorted(sizes)
+    path = tmp_path / "arch.json"
+    save_archive(path, scen, 10)
+    back, fps = load_archive(path)
+    assert fps == 10.0
+    for a, b in zip(scen, back, strict=True):
+        assert (a.scenario_id, a.maneuver, a.v0) == (b.scenario_id, b.maneuver, b.v0)
+        for name in ("features", "future"):
+            got = getattr(b, name)
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert np.array_equal(got.view(np.uint64),
+                                  getattr(a, name).view(np.uint64)), name
 
 
 def test_archive_rejects_unknown_version(tmp_path):
@@ -734,9 +732,6 @@ def test_archive_rejects_mixed_shapes(tmp_path):
         "scenario 'short-0' has grid (t_obs, t_pred, n_vehicles) = (30, 40, 9), but "
         "'synth-00000' has (30, 50, 9); an archive holds one grid")
     assert not path.exists()
-    write_v2_archive(path, scen + [short], 10)
-    with pytest.raises(ValueError, match="'short-0'.*mixes scenario shapes"):
-        load_archive(path)
 
 
 def test_save_archive_refuses_no_scenarios(tmp_path):
@@ -744,85 +739,6 @@ def test_save_archive_refuses_no_scenarios(tmp_path):
     with pytest.raises(ValueError, match="an archive needs at least one scenario"):
         save_archive(path, [], 10)
     assert not path.exists()
-
-
-def _edit(change):
-    """A text edit that applies change to the parsed document."""
-    def edit(text):
-        doc = json.loads(text)
-        change(doc)
-        return json.dumps(doc)
-    return edit
-
-
-def _set(key, value):
-    def change(doc):
-        doc["scenarios"][1][key] = value
-    return _edit(change)
-
-
-def _resized(key, resize):
-    def change(doc):
-        item = doc["scenarios"][1]
-        raw = resize(base64.b64decode(item[key]))
-        item[key] = base64.b64encode(raw).decode("ascii")
-    return _edit(change)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_edit(lambda doc: doc["scenarios"][1].pop("features")),
-     "scenario 1 ('synth-00001') is missing key 'features'"),
-    (_edit(lambda doc: doc["scenarios"][1].pop("t_pred")),
-     "scenario 1 ('synth-00001') is missing key 't_pred'"),
-    (_resized("features", lambda raw: raw[:-8]),
-     "scenario 1 ('synth-00001') features has wrong size: 8632 bytes, "
-     "expected 8640 for shape (4, 30, 9)"),
-    (_resized("future", lambda raw: raw + raw[:8]),
-     "scenario 1 ('synth-00001') future has wrong size: 808 bytes, "
-     "expected 800 for shape (50, 2)"),
-    (_set("maneuver", "jump"), "scenario 1 ('synth-00001'): unknown maneuver 'jump'"),
-    (_edit(lambda doc: doc["scenarios"].insert(1, [0.0])),
-     "scenario 1 is not a JSON object"),
-    (_edit(lambda doc: doc.pop("fps")), "archive is missing key 'fps'"),
-    (_edit(lambda doc: doc.pop("scenarios")), "archive is missing key 'scenarios'"),
-    (lambda text: text[:text.index("synth-00001") + 200],
-     "archive is not valid JSON at scenarios[1].features: Unterminated string "
-     "starting at: line 1 column 12980 (char 12979)"),
-    (lambda text: "", "archive is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-    (_edit(lambda doc: doc.update(scenarios=[])), "archive contains no scenarios"),
-    (_edit(lambda doc: doc.update(scenarios=5)),
-     "archive scenarios is an integer, expected a list"),
-    (_set("t_obs", "30"), "scenario 1 ('synth-00001') t_obs is a string, expected an integer"),
-    (_set("features", None), "scenario 1 ('synth-00001') features is null, expected a string"),
-    (lambda text: f"[{text}]", "archive is not a JSON object"),
-    (_edit(lambda doc: doc["scenarios"][1].update(t_obs=0, features="")),
-     "scenario 1 ('synth-00001') features has shape (4, 0, 9), with a dimension below 1"),
-    (_set("n_vehicles", True),
-     "scenario 1 ('synth-00001') n_vehicles is a boolean, expected an integer"),
-])
-def test_archive_corrupt_document_names_path_and_scenario(tmp_path, edit, message):
-    path = tmp_path / "arch.json"
-    write_v2_archive(path, synthesize(3, 10, seed=21), 10)
-    path.write_text(edit(path.read_text()))
-    with pytest.raises(ValueError) as info:
-        load_archive(path)
-    assert str(info.value) == f"{path}: {message}"
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_edit(lambda doc: doc["scenarios"][1]["features"].pop()),
-     "features has wrong size: 8632 bytes, expected 8640 for shape (4, 30, 9)"),
-    (_edit(lambda doc: doc["scenarios"][1]["future"].insert(3, "x")),
-     "future holds a value that is not a number"),
-    (_set("future", "AAAA"), "future is a string, expected a list"),
-])
-def test_archive_version_1_corrupt_arrays(tmp_path, edit, message):
-    path = tmp_path / "arch.json"
-    write_v1_archive(path, synthesize(3, 10, seed=21), 10)
-    path.write_text(edit(path.read_text()))
-    with pytest.raises(ValueError) as info:
-        load_archive(path)
-    assert str(info.value) == f"{path}: scenario 1 ('synth-00001') {message}"
 
 
 def _scenario_value(index, key, value):
@@ -885,11 +801,33 @@ GRID = "on grid (t_obs, t_pred, n_vehicles)"
     (_scenario_value(1, "maneuver", "jump"),
      "scenario 1 ('synth-00001'): unknown maneuver 'jump'"),
     (_scenario_value(2, "v0", float("nan")),
-     "scenario 2 ('synth-00002'): scenario synth-00002: bad v0/fps"),
+     "scenario 2 ('synth-00002'): scenario synth-00002: v0 must be finite, got nan"),
     (_scenario_value(1, "v0", "25"),
      "scenario 1 ('synth-00001') v0 is a string, expected a number"),
     (edited_head(lambda head: head["scenarios"][1].pop("id")),
      "scenario 1 (None) is missing key 'id'"),
+    (edited_head(lambda head: head.pop("fps")), "archive is missing key 'fps'"),
+    (edited_head(lambda head: head.pop("scenarios")), "archive is missing key 'scenarios'"),
+    (edited_head(lambda head: head.update(scenarios=5)),
+     "archive scenarios is an integer, expected a list"),
+    (edited_head(lambda head: head.update(n_vehicles=True)),
+     "archive n_vehicles is a boolean, expected an integer"),
+    (lambda data: b"[" + data.replace(b"\n", b"]\n", 1), "archive is not a JSON object"),
+    (lambda data: b"", "archive head is not valid JSON: Expecting value: line 1 column 1 "
+                       "(char 0)"),
+    (lambda data: edited_head(lambda head: head["arrays"].pop("future"))(data)[:-8 * 300],
+     "archive arrays is missing key 'future'"),
+    (edited_head(lambda head: head["arrays"].update(features=None)),
+     "archive arrays features is null, expected a list"),
+    (edited_head(lambda head: head["arrays"].update(features=[3, 4, 0, 9])),
+     "archive arrays features has shape [3, 4, 0, 9], expected a list of positive "
+     "integers"),
+    (edited_head(lambda head: head.update(fps=float("inf"))),
+     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
+     "finite, got inf"),
+    (edited_head(lambda head: head.update(fps=0)),
+     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
+     "finite, got 0.0"),
 ])
 def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
     path = tmp_path / "arch.json"
@@ -928,3 +866,9 @@ def test_scenario_validation():
     shifted[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         Scenario("x", shifted, good.future, good.v0, 10.0, "keep_lane")
+    for fps in (0.0, -10.0, np.inf, np.nan):
+        with pytest.raises(ValueError) as info:
+            Scenario("x", good.features, good.future, good.v0, fps, "keep_lane")
+        assert str(info.value) == f"scenario x: fps must be positive and finite, got {fps}"
+    with pytest.raises(ValueError, match="^scenario x: v0 must be finite, got inf$"):
+        Scenario("x", good.features, good.future, np.inf, 10.0, "keep_lane")
