@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,9 +104,23 @@ def test_prep_reports_short_row_on_one_line(tmp_path, capsys):
      "t_obs must give a finite number of steps, got 3.0 s at fps=1e+308"),
     (["synth", "--n", "3", "--fps", "10", "--t-obs", "inf"],
      "t_obs must give a finite number of steps, got inf s at fps=10.0"),
+    (["synth", "--n", "3", "--fps=-inf"], "fps must be positive and finite, got -inf"),
+    (["synth", "--n", "3", "--fps", "0"], "fps must be positive and finite, got 0.0"),
+    (["synth", "--n", "3", "--fps", "10", "--t-obs=-inf"],
+     "t_obs must give a finite number of steps, got -inf s at fps=10.0"),
+    (["synth", "--n", "3", "--fps", "10", "--t-pred", "nan"],
+     "t_pred must give a finite number of steps, got nan s at fps=10.0"),
     (["synth", "--n", "3", "--fps", "10", "--noise-std", "nan"],
      "noise_std must be finite and non-negative, got nan"),
+    (["synth", "--n", "3", "--fps", "10", "--noise-std", "inf"],
+     "noise_std must be finite and non-negative, got inf"),
+    (["synth", "--n", "3", "--fps", "10", "--noise-std=-inf"],
+     "noise_std must be finite and non-negative, got -inf"),
     (["prep", "--fps", "inf"], "fps must be positive and finite, got inf"),
+    (["prep", "--fps", "nan"], "fps must be positive and finite, got nan"),
+    (["prep", "--fps=-inf"], "fps must be positive and finite, got -inf"),
+    (["prep", "--fps", "5", "--t-obs", "nan"],
+     "t_obs must give a finite number of steps, got nan s at fps=5.0"),
     (["prep", "--fps", "1e308"],
      "t_obs must give a finite number of steps, got 3.0 s at fps=1e+308"),
     (["prep", "--fps", "5", "--t-pred", "inf"],
@@ -117,6 +132,26 @@ def test_non_finite_options_fail_on_one_line(tmp_path, capsys, argv, message):
         write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
         argv = argv + ["--input", str(tmp_path / "tracks.csv")]
     err = run_fail(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "archive.json").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("synth", {"n": 3, "fps": math.inf}, "fps must be positive and finite, got inf"),
+    ("synth", {"n": 3, "fps": 10, "noise_std": math.nan},
+     "noise_std must be finite and non-negative, got nan"),
+    ("prep", {"input": "tracks.csv", "fps": 5, "t_pred": -math.inf},
+     "t_pred must give a finite number of steps, got -inf s at fps=5.0"),
+])
+def test_non_finite_config_values_fail_on_one_line(tmp_path, capsys, command, config,
+                                                   message):
+    # A config file may spell non-finite numbers as JSON's NaN and Infinity;
+    # they are refused as the same flags are.
+    write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: str(tmp_path / value) if key == "input" else value
+                               for key, value in config.items()}))
+    err = run_fail(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert err == f"error: {message}\n"
     assert not (tmp_path / "out" / "archive.json").exists()
 
@@ -318,7 +353,7 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
         assert np.max(np.abs(single.y - row.y)) <= 1e-12
 
 
-@pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0", "-1"])
 def test_eval_refuses_bin_width_that_is_not_positive_and_finite(tmp_path, capsys,
                                                                  width):
     archive = synth_archive(tmp_path, n=6)
@@ -331,14 +366,11 @@ def test_eval_refuses_bin_width_that_is_not_positive_and_finite(tmp_path, capsys
     assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize("document, version", [
-    ("archive", 1), ("archive", 2),
-    ("checkpoint", 1), ("checkpoint", 2), ("checkpoint", 3),
-])
-def test_earlier_versions_are_refused_on_one_line(tmp_path, capsys, document, version):
-    # Versions before archive 3 and checkpoint 4 were one JSON object. A
-    # file that begins as they did is refused for its version, by the
-    # loaders and by every command that reads it.
+def earlier_version(tmp_path, document, version):
+    """A head-only file of an earlier ``document`` version, beside a current
+    archive and checkpoint; returns (archive, checkpoint, old file, message).
+    Versions before archive 3 and checkpoint 4 were one JSON object, and the
+    returned archive or checkpoint is the old file."""
     archive = synth_archive(tmp_path, n=6)
     ckpt = tmp_path / "checkpoint.json"
     config = preset_config("gftnn", 10)
@@ -346,29 +378,53 @@ def test_earlier_versions_are_refused_on_one_line(tmp_path, capsys, document, ve
     old = tmp_path / f"{document}_v{version}.json"
     if document == "archive":
         old.write_text(json.dumps({"version": version, "fps": 10.0, "scenarios": []}))
-        archive, loads = old, [load_archive]
+        archive = old
     else:
         old.write_text(json.dumps({"format_version": version,
                                    "config": dataclasses.asdict(config),
                                    "epochs_trained": 0, "params": {}}))
-        ckpt, loads = old, [load_checkpoint, lambda path: load_checkpoint(path, False)]
-    message = f"{old}: {document} has unsupported version {version}"
-    for load in loads:
-        with pytest.raises(ValueError) as info:
-            load(old)
-        assert str(info.value) == message
-    commands = [
-        ["eval", "--archive", str(archive), "--checkpoint", str(ckpt)],
-        ["predict", "--archive", str(archive), "--checkpoint", str(ckpt),
-         "--scenario-id", "synth-00000"],
-        ["train", "--archive", str(archive), "--preset", "gftnn", "--resume", str(ckpt)],
-    ]
-    if document == "archive":
-        commands += [["spectrum", "--archive", str(archive)],
-                     ["train", "--archive", str(archive), "--preset", "gftnn"]]
-    for argv in commands:
-        assert run_fail(capsys, argv + ["--out", str(tmp_path / "out")]) == \
-            f"error: {message}\n", argv
+        ckpt = old
+    return archive, ckpt, old, f"{old}: {document} has unsupported version {version}"
+
+
+EARLIER_VERSIONS = [("archive", 1), ("archive", 2),
+                    ("checkpoint", 1), ("checkpoint", 2), ("checkpoint", 3)]
+LOADS = {"archive": load_archive, "checkpoint": load_checkpoint,
+         "scoring checkpoint": lambda path: load_checkpoint(path, optimizer=False)}
+
+
+@pytest.mark.parametrize("document, version, load", [
+    (document, version, load) for document, version in EARLIER_VERSIONS
+    for load in LOADS if load.endswith(document)])
+def test_earlier_versions_fail_to_load(tmp_path, document, version, load):
+    _, _, old, message = earlier_version(tmp_path, document, version)
+    with pytest.raises(ValueError) as info:
+        LOADS[load](old)
+    assert str(info.value) == message
+
+
+COMMANDS = {
+    "eval": lambda a, c: ["eval", "--archive", a, "--checkpoint", c],
+    "predict": lambda a, c: ["predict", "--archive", a, "--checkpoint", c,
+                             "--scenario-id", "synth-00000"],
+    "resume": lambda a, c: ["train", "--archive", a, "--preset", "gftnn", "--resume", c],
+    "spectrum": lambda a, c: ["spectrum", "--archive", a],
+    "train": lambda a, c: ["train", "--archive", a, "--preset", "gftnn"],
+}
+
+
+@pytest.mark.parametrize("document, version, command", [
+    (document, version, command) for document, version in EARLIER_VERSIONS
+    for command in COMMANDS
+    if document == "archive" or command in ("eval", "predict", "resume")])
+def test_earlier_versions_are_refused_on_one_line(tmp_path, capsys, document, version,
+                                                  command):
+    # Every command that reads the old file refuses it for its version,
+    # before it writes anything.
+    archive, ckpt, _, message = earlier_version(tmp_path, document, version)
+    argv = COMMANDS[command](str(archive), str(ckpt))
+    assert run_fail(capsys, argv + ["--out", str(tmp_path / "out")]) == \
+        f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -764,16 +764,17 @@ def test_checkpoint_roundtrip_awkward_floats(tmp_path):
         assert same_bits(back.optimizer[moment], opt[moment]), moment
 
 
-def test_checkpoint_rejects_wrong_version(tmp_path):
+@pytest.mark.parametrize("optimizer", [True, False], ids=["full", "scoring"])
+@pytest.mark.parametrize("stored", [99, 3, "4", True, 4.0, None])
+def test_checkpoint_rejects_wrong_version(tmp_path, stored, optimizer):
     # The version is checked before anything else in the head.
     cfg = tiny_config()
     path = tmp_path / "ckpt.json"
-    for stored in (99, 3, "4", True, 4.0, None):
-        save_checkpoint(path, cfg, build_basis(cfg), init_params(cfg, 0))
-        rewrite_head(path, lambda head: head.update(format_version=stored, config=[]))
-        with pytest.raises(ValueError) as info:
-            load_checkpoint(path)
-        assert str(info.value) == f"{path}: checkpoint has unsupported version {stored!r}"
+    save_checkpoint(path, cfg, build_basis(cfg), init_params(cfg, 0))
+    rewrite_head(path, lambda head: head.update(format_version=stored, config=[]))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path, optimizer=optimizer)
+    assert str(info.value) == f"{path}: checkpoint has unsupported version {stored!r}"
 
 
 def _arrays(**shapes):
@@ -794,6 +795,12 @@ def _infinite_first_param(data):
 
 
 N_PARAMS = ModelParams(param_shapes(tiny_config())).n_params
+
+
+def _nan_last_param(data):
+    start = data.index(b"\n") + 1 + 8 * (N_PARAMS - 1)
+    return data[:start] + np.array([np.nan], "<f8").tobytes() + data[start + 8:]
+
 
 CORRUPT_PAYLOADS = [
     (lambda data: data.replace(b'"config": {', b'"config": {,', 1),
@@ -850,6 +857,25 @@ CORRUPT_PAYLOADS = [
      "checkpoint optimizer step is a number, expected an integer"),
     (edited_head(lambda head: head["optimizer"].pop("step")),
      "checkpoint optimizer is missing key 'step'"),
+    (_nan_last_param, "checkpoint params b_h is not finite"),
+    (edited_head(lambda head: head.update(epochs_trained=2.0)),
+     "checkpoint epochs_trained is a number, expected an integer"),
+    (edited_head(lambda head: head.update(epochs_trained=True)),
+     "checkpoint epochs_trained is a boolean, expected an integer"),
+    (edited_head(lambda head: head.update(config=[])),
+     "checkpoint config is a list, expected an object"),
+    (edited_head(lambda head: head.update(optimizer=[])),
+     "checkpoint optimizer is a list, expected an object"),
+    (_config(fps=float("-inf")), "checkpoint config: fps must be positive and finite, got -inf"),
+    (_config(fps=float("nan")), "checkpoint config: fps must be positive and finite, got nan"),
+    (_config(fps=0), "checkpoint config: fps must be positive and finite, got 0.0"),
+    (_config(p=0), "checkpoint config: p must be in [1, 6], got 0"),
+    (_config(k=3), "checkpoint config: k must be 2 or 4, got 3"),
+    (_config(graph_kind="torus"),
+     "checkpoint config: graph_kind must be one of ('spider', 'mesh')"),
+    (_config(weighted=1), "checkpoint config weighted is an integer, expected a boolean"),
+    (edited_head(lambda head: head["optimizer"].update(step=True)),
+     "checkpoint optimizer step is a boolean, expected an integer"),
 ]
 
 

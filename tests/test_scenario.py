@@ -14,7 +14,8 @@ from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
                             extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
-                     multilane_scene, split_head, three_class_tracks, write_tracks_csv)
+                     multilane_scene, rewrite_head, split_head, three_class_tracks,
+                     write_tracks_csv)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -429,6 +430,7 @@ def test_extract_rejects_bad_args():
 NON_FINITE_WINDOWS = [
     (dict(fps=np.inf), "fps must be positive and finite, got inf"),
     (dict(fps=np.nan), "fps must be positive and finite, got nan"),
+    (dict(fps=-np.inf), "fps must be positive and finite, got -inf"),
     (dict(fps=1e308), "t_obs must give a finite number of steps, got 3.0 s at fps=1e+308"),
     (dict(fps=10.0, t_obs=np.inf),
      "t_obs must give a finite number of steps, got inf s at fps=10.0"),
@@ -436,6 +438,8 @@ NON_FINITE_WINDOWS = [
      "t_pred must give a finite number of steps, got -inf s at fps=10.0"),
     (dict(fps=10.0, t_obs=np.nan),
      "t_obs must give a finite number of steps, got nan s at fps=10.0"),
+    (dict(fps=10.0, t_pred=np.nan),
+     "t_pred must give a finite number of steps, got nan s at fps=10.0"),
 ]
 
 
@@ -715,11 +719,15 @@ def test_archive_roundtrip_keeps_every_bit(tmp_path):
                                   getattr(a, name).view(np.uint64)), name
 
 
-def test_archive_rejects_unknown_version(tmp_path):
+@pytest.mark.parametrize("stored", [99, 1, 2, "3", True, 3.0, None])
+def test_archive_rejects_unknown_version(tmp_path, stored):
+    # The version is checked before anything else in the head.
     path = tmp_path / "arch.json"
-    path.write_text('{"version": 99, "fps": 10, "scenarios": []}')
-    with pytest.raises(ValueError, match="version"):
+    save_archive(path, synthesize(2, 10, seed=21), 10)
+    rewrite_head(path, lambda head: head.update(version=stored, scenarios=5))
+    with pytest.raises(ValueError) as info:
         load_archive(path)
+    assert str(info.value) == f"{path}: archive has unsupported version {stored!r}"
 
 
 def test_archive_rejects_mixed_shapes(tmp_path):
@@ -804,12 +812,28 @@ GRID = "on grid (t_obs, t_pred, n_vehicles)"
      "scenario 2 ('synth-00002'): scenario synth-00002: v0 must be finite, got nan"),
     (_scenario_value(1, "v0", "25"),
      "scenario 1 ('synth-00001') v0 is a string, expected a number"),
+    (_scenario_value(1, "v0", True),
+     "scenario 1 ('synth-00001') v0 is a boolean, expected a number"),
+    (_scenario_value(1, "v0", float("inf")),
+     "scenario 1 ('synth-00001'): scenario synth-00001: v0 must be finite, got inf"),
+    (_scenario_value(0, "maneuver", None),
+     "scenario 0 ('synth-00000') maneuver is null, expected a string"),
+    (_scenario_value(1, "id", 5), "scenario 1 (5) id is an integer, expected a string"),
+    (edited_head(lambda head: head["scenarios"][1].pop("maneuver")),
+     "scenario 1 ('synth-00001') is missing key 'maneuver'"),
+    (edited_head(lambda head: head["scenarios"][2].pop("v0")),
+     "scenario 2 ('synth-00002') is missing key 'v0'"),
     (edited_head(lambda head: head["scenarios"][1].pop("id")),
      "scenario 1 (None) is missing key 'id'"),
     (edited_head(lambda head: head.pop("fps")), "archive is missing key 'fps'"),
     (edited_head(lambda head: head.pop("scenarios")), "archive is missing key 'scenarios'"),
     (edited_head(lambda head: head.update(scenarios=5)),
      "archive scenarios is an integer, expected a list"),
+    (edited_head(lambda head: head.update(scenarios={})),
+     "archive scenarios is an object, expected a list"),
+    (edited_head(lambda head: head.update(t_pred=True)),
+     "archive t_pred is a boolean, expected an integer"),
+    (edited_head(lambda head: head.update(fps="10")), "archive fps is a string, expected a number"),
     (edited_head(lambda head: head.update(n_vehicles=True)),
      "archive n_vehicles is a boolean, expected an integer"),
     (lambda data: b"[" + data.replace(b"\n", b"]\n", 1), "archive is not a JSON object"),
@@ -828,6 +852,15 @@ GRID = "on grid (t_obs, t_pred, n_vehicles)"
     (edited_head(lambda head: head.update(fps=0)),
      "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
      "finite, got 0.0"),
+    (edited_head(lambda head: head.update(fps=float("-inf"))),
+     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
+     "finite, got -inf"),
+    (edited_head(lambda head: head.update(fps=float("nan"))),
+     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
+     "finite, got nan"),
+    (edited_head(lambda head: head.update(fps=-10)),
+     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
+     "finite, got -10.0"),
 ])
 def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
     path = tmp_path / "arch.json"

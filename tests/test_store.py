@@ -79,3 +79,47 @@ def test_write_document_refuses_arrays_that_do_not_fill_their_shape(tmp_path):
         store.write_document(path, {"version": 1},
                              {"a": ((2, 3), [np.zeros(3), np.zeros(2)])})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("text, at", [
+    ('{"a": [1, {"b": "x", "c": [1, 2,', "a[1].c[2]"),
+    ('{"a": {"b": 1}, "c": ', "c"),
+    ('[1, 2, {"k": ', "[2].k"),
+    ('{"x\\"y": [', 'x\\"y[0]'),
+    ("", ""),
+])
+def test_json_path_names_the_value_a_text_breaks_off_in(text, at):
+    assert store._json_path(text, len(text)) == at
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"a": [1, {"b": "x", "c": [1, 2,',
+     "is not valid JSON at a[1].c[2]: Expecting value: line 1 column 33 (char 32)"),
+    (b"[1, 2]", "is not a JSON object"),
+    (b'\xff\xfe{}', "is not text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+])
+def test_read_document_names_the_path_and_the_fault(tmp_path, data, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        store.read_document(path, "config file")
+    assert str(info.value) == f"{path}: config file {message}"
+
+
+def test_payload_reads_each_array_as_a_fresh_writable_copy(tmp_path):
+    # An array given in parts is stored as one, in the order of its parts.
+    path = tmp_path / "doc.json"
+    store.write_document(path, {"version": 1},
+                         {"a": ((2, 3), [np.arange(3.0), np.arange(3.0, 6.0)]),
+                          "b": ((1,), [np.array([-0.0])])})
+    with store.open_document(path, "doc", "version", 1) as doc:
+        assert doc.obj == {"version": 1, "arrays": {"a": [2, 3], "b": [1]}}
+        assert doc.payload.shapes == {"a": (2, 3), "b": (1,)}
+        first = doc.payload.read("a")
+        second = doc.payload.read("a")
+        b = doc.payload.read("b")
+    assert np.array_equal(first, np.arange(6.0).reshape(2, 3))
+    assert first.dtype == np.float64 and first.flags.writeable
+    assert not np.shares_memory(first, second)
+    assert np.signbit(b[0])

@@ -6,7 +6,7 @@ import pytest
 
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
-                         param_shapes, predict, truth_trajectory)
+                         param_shapes, predict, save_checkpoint, truth_trajectory)
 from gftnn.scenario import DatasetSplit, synthesize
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
@@ -178,6 +178,24 @@ def test_adam_zero_learning_rate_keeps_params_bitwise():
     # moments still advance, so a later nonzero-lr step has history
     assert state.step == 1
     assert state.as_dict()["m"].max() > 0
+
+
+def test_adam_state_as_dict_is_what_a_checkpoint_stores(tmp_path):
+    # The flat moments and step of as_dict() load back bit for bit.
+    cfg = tiny_config()
+    params = init_params(cfg, 5)
+    state = AdamState.initial(params)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        adam_step(params, ModelParams(params.shapes, rng.normal(size=params.n_params)),
+                  state, TrainConfig(learning_rate=1e-2))
+    stored = state.as_dict()
+    assert list(stored) == ["step", "m", "v"] and stored["step"] == 3
+    save_checkpoint(tmp_path / "ckpt.json", cfg, build_basis(cfg), params, 1, stored)
+    back = load_checkpoint(tmp_path / "ckpt.json").optimizer
+    assert back["step"] == 3
+    for moment in ("m", "v"):
+        assert same_bits(back[moment], getattr(state, moment)), moment
 
 
 def same_bits(a, b):
