@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The most bins a histogram may have; a narrower bin width is refused.
+HISTOGRAM_MAX_BINS = 1_000_000
+
 
 def _displacements(predictions, truths):
     if len(predictions) != len(truths):
@@ -77,7 +80,8 @@ def histogram(values, bin_width: float = 0.1):
     """Fixed-width histogram anchored at zero; returns (edges, counts).
 
     A value lands in bin floor(v / bin_width); edges has one more entry
-    than counts. Empty input gives empty arrays.
+    than counts. Empty input gives empty arrays. A width that needs more
+    than ``HISTOGRAM_MAX_BINS`` bins for the largest value is refused.
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
@@ -86,6 +90,9 @@ def histogram(values, bin_width: float = 0.1):
         return np.zeros(0), np.zeros(0, dtype=np.int64)
     if np.any(values < 0):
         raise ValueError("histogram expects non-negative values")
+    if not values.max() / bin_width < HISTOGRAM_MAX_BINS:
+        raise ValueError(f"bin width {bin_width} needs more than {HISTOGRAM_MAX_BINS} "
+                         f"bins for values up to {values.max()}")
     idx = np.floor(values / bin_width).astype(np.int64)
     counts = np.bincount(idx)
     edges = np.arange(counts.size + 1) * bin_width

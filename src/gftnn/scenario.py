@@ -32,6 +32,9 @@ MANEUVERS = ("keep_lane", "lane_change_left", "lane_change_right")
 CHANNELS = ("x_rel", "y_rel", "vx_rel", "vy_rel")
 LANE_WIDTH = 3.5
 ARCHIVE_VERSION = 3
+# The most steps an observation or a prediction window may span, 100 s at
+# 100 fps; a longer window is refused before anything is allocated.
+MAX_WINDOW_STEPS = 10_000
 
 # column mapping: canonical name -> file column per input schema
 SCHEMAS = {
@@ -278,7 +281,8 @@ def _valid_fps(fps) -> bool:
 
 def _window_steps(fps, t_obs, t_pred):
     """The observed and predicted steps of windows of ``t_obs`` and
-    ``t_pred`` seconds at ``fps``, each rounded to the nearest integer."""
+    ``t_pred`` seconds at ``fps``, each rounded to the nearest integer and
+    at most ``MAX_WINDOW_STEPS``."""
     if not _valid_fps(fps):
         raise ValueError(f"fps must be positive and finite, got {fps}")
     steps = []
@@ -286,6 +290,9 @@ def _window_steps(fps, t_obs, t_pred):
         if not math.isfinite(fps * seconds):
             raise ValueError(f"{name} must give a finite number of steps, "
                              f"got {seconds} s at fps={fps}")
+        if round(fps * seconds) > MAX_WINDOW_STEPS:
+            raise ValueError(f"{name} of {seconds} s at fps={fps} gives more than "
+                             f"{MAX_WINDOW_STEPS} steps")
         steps.append(round(fps * seconds))
     if steps[0] < 2 or steps[1] < 1:
         raise ValueError(f"window too short at fps={fps}")

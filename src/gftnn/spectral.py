@@ -12,7 +12,9 @@ temporal path (``path_spectrum``), the complete graph
 (``complete_spectrum``), the unit star (``unit_star_spectrum``) and the
 inverse-distance weighted star (``star_spectra``). Each fixes one sign
 and one basis of every degenerate eigenspace, so rounding noise in the
-input cannot flip or rotate them.
+input cannot flip or rotate them. The weighted star's eigenvalues are
+the roots of a secular equation, each found by a few safeguarded
+rational steps and a finish on adjacent floats (``_secular_roots``).
 ``symmetric_eigh`` is a cyclic Jacobi solver for any other symmetric
 matrix and the reference the closed forms are tested against.
 """
@@ -188,6 +190,130 @@ def complete_spectrum(n: int) -> Spectrum:
     return Spectrum(w, np.hstack([np.full((n, 1), np.sqrt(1.0 / n)), contrasts]))
 
 
+# The secular root finder of ``star_spectra``: at most SECULAR_MODEL_STEPS
+# rational steps per root, then windows of SECULAR_PROBES evenly spaced
+# floats; the first window reaches SECULAR_NOISE_WIDTHS rounding widths of
+# the computed function past the last step.
+SECULAR_MODEL_STEPS = 12
+SECULAR_PROBES = 7
+SECULAR_NOISE_WIDTHS = 2.0
+_EPS = np.finfo(np.float64).eps
+
+
+def _secular_roots(c, d2, delta, gap):
+    """The root tau in (0, gap) of f(tau) = c - tau - sum_j d2_j / (delta_j - tau)
+    for each (B, m) entry with a positive gap, and 0 elsewhere.
+
+    c and gap are (B, m), d2 is (B, m) and delta (B, m, m), with the row's
+    poles delta_j <= 0 at and below the root and delta_j >= gap above it.
+    f falls from +inf at tau = 0 to -inf at the upper pole tau = gap (the
+    last root has none; its gap only bounds it). The computed f falls too:
+    each rounding in it is monotone, so its sign changes once and the
+    returned float does not depend on the search path. The search keeps a
+    bracket [lo, hi] of float bit patterns, which order like positive
+    floats: an evaluated point becomes lo where f > 0 and hi where f <= 0.
+
+    - Rational steps (Li's middle way, LAPACK Working Note 89, 1993): the
+      terms at and below the lower pole are modelled as a / tau + b and the
+      rest, with -tau, as e / (upper pole - tau), matching values and
+      slopes at the current point; the last root keeps -tau linear. A step
+      that leaves the bracket halves it instead. The first point, the root
+      of f with the terms off the lower pole frozen at tau = 0, bounds the
+      root from above.
+    - Once a step is within the rounding noise of f (LAPACK's erretm,
+      here eps (|c| + tau + sum_j |d2_j / (delta_j - tau)|) / |f'|), or after
+      SECULAR_MODEL_STEPS steps, windows of SECULAR_PROBES evenly spaced
+      floats cut the bracket: first around the last step's root, then
+      across the bracket, until lo and hi are adjacent floats.
+    - Of lo and hi the one with the smaller |f| is the root; a pole has an
+      infinite one.
+
+    A root's steps depend on its own row alone, so a row's roots do not
+    depend on the rows batched with it.
+    """
+    rows, slots = np.nonzero(gap > 0.0)
+    c, g, delta, d2 = c[rows, slots], gap[rows, slots], delta[rows, slots], d2[rows]
+    below = (delta <= 0.0).astype(np.float64)
+    # 1 / (upper - tau) is 0 for the last root, which has no upper pole.
+    upper = np.where(slots == gap.shape[1] - 1, np.inf, g)
+    lo = np.zeros(rows.size, np.int64)
+    hi = g.view(np.int64).copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tied = delta == 0.0
+        drift = c - np.sum(d2 / delta, axis=1, where=~tied)
+        lift = np.sum(d2, axis=1, where=tied)
+        disc = np.sqrt(drift * drift + 4.0 * lift)
+        start = np.where(drift > 0.0, (drift + disc) / 2.0, 2.0 * lift / (disc - drift))
+        x = np.where((start > 0.0) & (start < g), start, g / 2.0)
+        y, reach = x.copy(), np.zeros_like(x)
+        modelled = hi - lo > 1
+        for _ in range(SECULAR_MODEL_STEPS):
+            k = np.flatnonzero(modelled)
+            if k.size == 0:
+                break
+            xk, ck = x[k], c[k]
+            # f as _secular computes it, so that its sign at a point is the
+            # same whichever step evaluates it.
+            diff = delta[k] - xk[:, None]
+            q = d2[k] / diff
+            f = ck - xk - q.sum(1)
+            p = q / diff
+            low = (p * below[k]).sum(1)
+            slope = 1.0 + p.sum(1)                            # -f'
+            inv = 1.0 / (upper[k] - xk)
+            # eta, the model's root less xk, solves a eta^2 - b eta - xk f = 0.
+            a = (f - low * xk) * inv + (slope - low)
+            b = f - xk * (f * inv + slope)
+            xf = xk * f
+            root = np.sqrt(np.abs(b * b + 4.0 * a * xf))
+            eta = np.where(b > 0.0, (b + root) / (a + a), (xf + xf) / (root - b))
+            size = np.abs(eta)
+            noise = _EPS * (np.abs(ck) + xk + np.abs(q).sum(1)) / slope
+            up = f > 0.0
+            lo_k = np.where(up, xk.view(np.int64), lo[k])
+            hi_k = np.where(up, hi[k], xk.view(np.int64))
+            lo[k], hi[k] = lo_k, hi_k
+            y[k] = yk = xk + eta
+            reach[k] = size + SECULAR_NOISE_WIDTHS * noise
+            width = hi_k - lo_k
+            inside = (yk.view(np.int64) > lo_k) & (yk.view(np.int64) < hi_k)
+            x[k] = np.where(inside, yk, (lo_k + width // 2).view(np.float64))
+            modelled[k] = (size > noise) & (width > 1)
+        # The first window spans [y - reach, y + reach] within the bracket,
+        # or the whole bracket where the steps ran out.
+        centre = np.clip(y.view(np.int64), lo, hi)
+        ulps = np.fmin(reach / np.spacing(np.abs(y)), hi - lo).astype(np.int64) + 1
+        ulps = np.where(modelled, hi - lo, ulps)
+        first = np.maximum(centre - ulps, lo + 1)
+        last = centre + np.minimum(ulps, hi - 1 - centre)
+        step = np.maximum(1, (last - first) // (SECULAR_PROBES - 1))
+        probes = np.arange(SECULAR_PROBES)
+        while (k := np.flatnonzero(hi - lo > 1)).size:
+            lo_k, hi_k = lo[k, None], hi[k, None]
+            tau = np.minimum(first[k, None] + step[k, None] * probes, hi_k - 1)
+            up = _secular(c[k], d2[k], delta[k], tau.view(np.float64)) > 0.0
+            # The new bracket: the first probe with f <= 0 (or hi) and the
+            # point before it (or lo).
+            j = np.argmax(np.concatenate([~up, np.ones_like(lo_k, bool)], axis=1), axis=1)
+            tau = np.concatenate([lo_k, tau, hi_k], axis=1)
+            rows_k = np.arange(k.size)
+            lo_k, hi_k = tau[rows_k, j], tau[rows_k, j + 1]
+            lo[k], hi[k] = lo_k, hi_k
+            step[k] = step_k = -(-(hi_k - lo_k) // (SECULAR_PROBES + 1))
+            first[k] = lo_k + step_k
+        ends = np.stack([lo, hi], axis=1).view(np.float64)
+        residual = np.abs(_secular(c, d2, delta, ends))
+    tau = np.zeros(gap.shape)
+    tau[rows, slots] = np.where(residual[:, 1] <= residual[:, 0], ends[:, 1], ends[:, 0])
+    return tau
+
+
+def _secular(c, d2, delta, tau):
+    """f at a (k, P) stack of points, one row of c, d2 and delta per row of
+    tau. Each point sums its terms in the same order, whatever P."""
+    return c[:, None] - tau - np.sum(d2[:, None] / (delta[:, None] - tau[..., None]), axis=-1)
+
+
 def star_spectra(leaf_weights):
     """Closed-form spectra of weighted stars, one per row of a (B, m) stack
     of positive leaf weights.
@@ -200,8 +326,11 @@ def star_spectra(leaf_weights):
     - 0, and one root of the secular equation
       s - lam - sum_i w_i^2 / (w_i - lam) = 0 between each pair of
       consecutive distinct weights and above the largest (Golub, SIAM
-      Review 1973). Each root is bisected in tau = lam - d from its lower
-      pole d, and the eigenvectors (1, z_i / (w_i - lam)) use the border z
+      Review 1973). Each root is solved for in tau = lam - d from its
+      lower pole d by safeguarded rational steps (``_secular_roots``): the
+      same float a bisection of the computed equation ends on, since that
+      equation changes sign once. The eigenvectors
+      (1, z_i / (w_i - lam)) use the border z
       recomputed from the roots (Gu & Eisenstat, SIMAX 1995), so they are
       orthogonal to working precision even for weights 1e-13 apart. Each
       is flipped so its largest-magnitude entry (the first on a tie) is
@@ -228,26 +357,7 @@ def star_spectra(leaf_weights):
     s = w.sum(axis=1, keepdims=True)
     gap = np.where(pole, np.append(np.diff(d, axis=1), 2.0 * s - d[:, -1:], axis=1), 0.0)
     delta = d[:, None, :] - d[:, :, None]   # [b, i, j] = d_j - d_i
-    d2 = d * d
-
-    def secular(tau):
-        return (s - d) - tau - np.sum(d2[:, None, :] / (delta - tau[..., None]), axis=2)
-
-    # Bisection on the bit patterns of positive floats, which order like
-    # the floats: at most 64 halvings reach adjacent floats.
-    lo = np.zeros((b, m), np.int64)
-    hi = gap.view(np.int64).copy()
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while np.any(open_ := hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            up = secular(mid.view(np.float64)) > 0.0
-            lo = np.where(open_ & up, mid, lo)
-            hi = np.where(open_ & ~up, mid, hi)
-        # The endpoint with the smaller residual; a pole has an infinite one.
-        tau_lo, tau_hi = lo.view(np.float64), hi.view(np.float64)
-        tau = np.where(np.abs(secular(tau_hi)) <= np.abs(secular(tau_lo)),
-                       tau_hi, tau_lo)
-    tau = np.where(pole, tau, 0.0)
+    tau = _secular_roots(s - d, d * d, delta, gap)
     # Loewner: the border whose arrowhead has exactly these roots, from
     # differences d_j - lam_i = (d_j - d_i) - tau_i that keep their digits.
     diff = delta - tau[..., None]
@@ -274,7 +384,7 @@ def star_spectra(leaf_weights):
 
 def unit_star_spectrum(n: int) -> Spectrum:
     """Closed-form spectrum of the unit-weight star over n nodes, hub first:
-    ``star_spectra`` of n - 1 unit leaves bit for bit, without bisecting
+    ``star_spectra`` of n - 1 unit leaves bit for bit, without solving for
     its one secular root, which is exactly n.
 
     Eigenvalues 0, 1 (n - 2 times) and n. The secular columns are the

@@ -175,6 +175,44 @@ def random_graph(rng, n, weighted=True):
     return Graph(w * adj)
 
 
+def star_secular_equation(leaf_weights):
+    """The secular equation of ``spectral.star_spectra`` for a (B, m) stack of
+    leaf weights, set up as star_spectra sets it up: (c, d2, delta, gap) with
+    f(tau) = c - tau - sum_j d2_j / (delta_j - tau) for the root above each
+    sorted leaf, ``gap`` its bracket (0 where the leaf is not a pole)."""
+    w = np.asarray(leaf_weights, dtype=np.float64)
+    d = np.sort(w, axis=1, kind="stable")
+    pole = np.append(d[:, :-1] < d[:, 1:], np.ones((len(d), 1), bool), axis=1)
+    s = w.sum(axis=1, keepdims=True)
+    gap = np.where(pole, np.append(np.diff(d, axis=1), 2.0 * s - d[:, -1:], axis=1), 0.0)
+    return s - d, d * d, d[:, None, :] - d[:, :, None], gap
+
+
+def star_secular(c, d2, delta, tau):
+    """f at one tau per (B, m) entry, evaluated as star_spectra evaluates it."""
+    return c - tau - np.sum(d2[:, None, :] / (delta - tau[..., None]), axis=2)
+
+
+def bisect_star_secular(c, d2, delta, gap):
+    """Reference roots of ``star_secular_equation``: the bisection
+    star_spectra used before its rational steps. At most 64 halvings on the
+    bit patterns of positive floats reach adjacent floats lo < hi with
+    f(lo) > 0 >= f(hi); the root is the one with the smaller |f|, and 0 where the gap
+    is 0."""
+    lo = np.zeros(gap.shape, np.int64)
+    hi = gap.view(np.int64).copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while np.any(open_ := hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = star_secular(c, d2, delta, mid.view(np.float64)) > 0.0
+            lo = np.where(open_ & up, mid, lo)
+            hi = np.where(open_ & ~up, mid, hi)
+        tau_lo, tau_hi = lo.view(np.float64), hi.view(np.float64)
+        tau = np.where(np.abs(star_secular(c, d2, delta, tau_hi))
+                       <= np.abs(star_secular(c, d2, delta, tau_lo)), tau_hi, tau_lo)
+    return np.where(gap > 0.0, tau, 0.0)
+
+
 def _logistic_track(vehicle_id, fps, n_frames, t0_index, x0, v, lane0,
                     amplitude, rate=2.0):
     times = np.arange(n_frames) / fps

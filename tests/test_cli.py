@@ -12,11 +12,12 @@ import pytest
 
 import gftnn
 from gftnn.cli import main
-from gftnn.metrics import evaluate, write_histogram_csv, write_report_json
+from gftnn.metrics import (HISTOGRAM_MAX_BINS, evaluate, write_histogram_csv,
+                           write_report_json)
 from gftnn.model import (build_basis, init_params, load_checkpoint, predict,
                          predict_batch, preset_config, save_checkpoint,
                          truth_trajectory)
-from gftnn.scenario import load_archive
+from gftnn.scenario import MAX_WINDOW_STEPS, load_archive
 from helpers import three_class_tracks, write_tracks_csv
 
 
@@ -128,6 +129,22 @@ def test_prep_reports_short_row_on_one_line(tmp_path, capsys):
 ])
 def test_non_finite_options_fail_on_one_line(tmp_path, capsys, argv, message):
     # Each ends in one error line naming the value, with no archive written.
+    if argv[0] == "prep":
+        write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
+        argv = argv + ["--input", str(tmp_path / "tracks.csv")]
+    err = run_fail(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "archive.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", "3", "--fps", "10", "--t-obs", "1e9"],
+     f"t_obs of 1000000000.0 s at fps=10.0 gives more than {MAX_WINDOW_STEPS} steps"),
+    (["prep", "--fps", "5", "--t-pred", "1e9"],
+     f"t_pred of 1000000000.0 s at fps=5.0 gives more than {MAX_WINDOW_STEPS} steps"),
+])
+def test_windows_past_the_step_bound_fail_on_one_line(tmp_path, capsys, argv, message):
+    # Refused before any frame is allocated: 1e10 steps would take tens of GiB.
     if argv[0] == "prep":
         write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
         argv = argv + ["--input", str(tmp_path / "tracks.csv")]
@@ -363,6 +380,18 @@ def test_eval_refuses_bin_width_that_is_not_positive_and_finite(tmp_path, capsys
     err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
                             f"--bin-width={width}", "--out", str(tmp_path / "eval")])
     assert err == f"error: bin width must be positive and finite, got {float(width)}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_bin_width_with_too_many_bins(tmp_path, capsys):
+    archive = synth_archive(tmp_path, n=6)
+    ckpt = tmp_path / "checkpoint.json"
+    config = preset_config("gftnn", 10)
+    save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
+                            "--bin-width", "1e-300", "--out", str(tmp_path / "eval")])
+    assert err.startswith(f"error: bin width 1e-300 needs more than {HISTOGRAM_MAX_BINS} bins")
+    assert err.count("\n") == 1
     assert not (tmp_path / "eval").exists()
 
 

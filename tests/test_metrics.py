@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from gftnn.metrics import (ade, ade_euclid_mean, evaluate, fde, histogram,
+from gftnn.metrics import (HISTOGRAM_MAX_BINS, ade, ade_euclid_mean, evaluate, fde,
+                           histogram,
                            histogram_mode, per_scenario_ade,
                            write_histogram_csv, write_report_json)
 from gftnn.model import Trajectory
@@ -126,6 +127,18 @@ def test_histogram_rejects_bad_input():
         with pytest.raises(ValueError) as info:
             histogram([0.5], bin_width=width)
         assert str(info.value) == f"bin width must be positive and finite, got {width}"
+
+
+def test_histogram_refuses_more_bins_than_its_bound():
+    # 0.7 / 1e-300 overflows an int64 bin index; the width is refused first.
+    for width in (1e-300, 0.35 / HISTOGRAM_MAX_BINS):
+        with pytest.raises(ValueError) as info:
+            histogram([0.5, 0.7], bin_width=width)
+        assert str(info.value) == (f"bin width {width} needs more than "
+                                   f"{HISTOGRAM_MAX_BINS} bins for values up to 0.7")
+    edges, counts = histogram([0.5, 0.7], bin_width=1.4 / HISTOGRAM_MAX_BINS)
+    assert HISTOGRAM_MAX_BINS / 2 <= counts.size <= HISTOGRAM_MAX_BINS
+    assert counts.sum() == 2 and edges.size == counts.size + 1
 
 
 def test_histogram_zero_values_land_in_first_bin():

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from gftnn import scenario
-from gftnn.scenario import (MANEUVERS, BalanceError, ParseError, RawTrack,
-                            Scenario, SchemaError, SplitError, balance,
-                            extract_scenarios, ingest_tracks, label_maneuver,
+from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseError,
+                            RawTrack, Scenario, SchemaError, SplitError, _window_steps,
+                            balance, extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
                      multilane_scene, rewrite_head, split_head, three_class_tracks,
@@ -452,6 +452,28 @@ def test_extract_and_synthesize_refuse_non_finite_windows(window, message):
     with pytest.raises(ValueError) as info:
         synthesize(3, seed=0, **window)
     assert str(info.value) == message
+
+
+def test_window_steps_are_bounded():
+    assert _window_steps(10.0, MAX_WINDOW_STEPS / 10.0, 5.0) == [MAX_WINDOW_STEPS, 50]
+    for window, message in [
+        ((10.0, 1e9, 5.0), f"t_obs of 1000000000.0 s at fps=10.0 gives more than "
+                           f"{MAX_WINDOW_STEPS} steps"),
+        ((10.0, 3.0, (MAX_WINDOW_STEPS + 1) / 10.0),
+         f"t_pred of {(MAX_WINDOW_STEPS + 1) / 10.0} s at fps=10.0 gives more than "
+         f"{MAX_WINDOW_STEPS} steps"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            _window_steps(*window)
+        assert str(info.value) == message
+        fps, t_obs, t_pred = window
+        # synthesize and extract_scenarios refuse it before allocating frames
+        with pytest.raises(ValueError) as info:
+            synthesize(3, fps, seed=0, t_obs=t_obs, t_pred=t_pred)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            extract_scenarios([straight_track(1, 80)], fps, t_obs=t_obs, t_pred=t_pred)
+        assert str(info.value) == message
 
 
 def _scenario_bytes(scenarios):

@@ -8,10 +8,11 @@ from gftnn.model import build_basis, preset_config, scenario_spectra
 from gftnn.scenario import synthesize
 from gftnn.spectral import (DEGENERACY_TOL, ProductBasis, Spectrum,
                             complete_spectrum, eigendecompose, gft_2d,
-                            gft_extended, inverse_gft, path_spectrum,
+                            _secular_roots, gft_extended, inverse_gft, path_spectrum,
                             star_spectra, symmetric_eigh, truncate_spectrum,
                             unit_star_spectrum, write_spectrum_csv, write_tensor_csv)
-from helpers import random_graph
+from helpers import (bisect_star_secular, random_graph, star_secular,
+                     star_secular_equation)
 
 
 def _basis(rng, n1, n2, weighted=True):
@@ -260,6 +261,88 @@ def test_untied_weighted_stars_match_jacobi():
         w_j, v_j = symmetric_eigh(_star_laplacian(leaves))
         assert np.max(np.abs(w_b - w_j)) <= 1e-12 * w_b[-1]
         assert np.max(np.abs(v_b - v_j)) <= 1e-9
+
+
+def _secular_corpus():
+    rng = np.random.default_rng(41)
+    uniform = rng.uniform(0.02, 2.0, (60, 8))
+    near = uniform.copy()
+    near[:, 3] = near[:, 1] * (1.0 + 1e-13)
+    near[:, 6] = near[:, 1] * (1.0 - 1e-13)
+    tied = uniform.copy()
+    tied[:, [0, 4, 7]] = tied[:, [2]]
+    # What gftnn-w sends: inverse hub distances, ghost slots at 1/D_FLOOR.
+    scenarios = synthesize(60, 25, seed=42, noise_std=0.05)
+    ghosts = inverse_distance_weights(
+        np.stack([s.features[:2, s.t_obs - 1].T for s in scenarios]))
+    assert np.mean(ghosts == 1.0 / D_FLOOR) > 0.3
+    return {
+        "uniform": [uniform],
+        "near ties": [near],
+        "exact ties": [tied],
+        "ghost ties": [ghosts],
+        "span 1e-12 to 1e3": [10.0 ** rng.uniform(-12.0, 3.0, (60, 8))],
+        "unit stars": [np.ones((1, n - 1)) for n in range(2, 41)],
+    }
+
+
+def _next_float(tau, step):
+    return (tau.view(np.int64) + step).view(np.float64)
+
+
+@pytest.mark.parametrize("case", sorted(_secular_corpus()))
+def test_secular_roots_match_the_bisection(case):
+    # Every computed term of f, and the sum and difference of them, rounds
+    # monotonically, so the computed f falls across the bracket and changes
+    # sign once: the rational steps end on the bisection's pair of adjacent
+    # floats and pick the same one, bit for bit.
+    for weights in _secular_corpus()[case]:
+        c, d2, delta, gap = star_secular_equation(weights)
+        tau = _secular_roots(c, d2, delta, gap)
+        assert tau.tobytes() == bisect_star_secular(c, d2, delta, gap).tobytes()
+        # The property both share: tau and a neighbour bracket a sign change
+        # of the computed f, and tau has the smaller residual.
+        root = gap > 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f, f_up, f_down = (star_secular(c, d2, delta, _next_float(tau, step))
+                               for step in (0, 1, -1))
+        is_lo = f > 0.0
+        assert np.all((is_lo & (f_up <= 0.0) & (np.abs(f) < np.abs(f_up)))[root & is_lo])
+        assert np.all(((f_down > 0.0) & (np.abs(f) <= np.abs(f_down)))[root & ~is_lo])
+        assert np.all(tau[~root] == 0.0)
+
+
+def test_secular_roots_match_the_bisection_across_the_float_range():
+    # Squared weights that overflow or underflow, and roots closer to a pole
+    # than the smallest subnormal: still the bisection's float.
+    rng = np.random.default_rng(44)
+    for m in (1, 2, 5, 11):
+        c, d2, delta, gap = star_secular_equation(10.0 ** rng.uniform(-300.0, 150.0, (40, m)))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tau = _secular_roots(c, d2, delta, gap)
+            assert tau.tobytes() == bisect_star_secular(c, d2, delta, gap).tobytes()
+
+
+def test_star_spectra_rows_do_not_depend_on_their_batch():
+    # Rows that close in a few steps next to rows that need many: ghost
+    # ties, near ties, weights spanning 1e-12 to 1e3, all-equal rows.
+    rng = np.random.default_rng(43)
+    corpus = _secular_corpus()
+    rows = np.concatenate([
+        rng.uniform(0.02, 2.0, (4, 8)),
+        corpus["ghost ties"][0][:6],
+        corpus["near ties"][0][:3],
+        corpus["exact ties"][0][:3],
+        corpus["span 1e-12 to 1e3"][0][:4],
+        np.ones((1, 8)),
+        np.full((1, 8), 1.0 / D_FLOOR),
+    ])
+    rows = rows[rng.permutation(len(rows))]
+    w, v = star_spectra(rows)
+    for i in range(len(rows)):
+        w_i, v_i = star_spectra(rows[i:i + 1])
+        assert w_i.tobytes() == w[i:i + 1].tobytes()
+        assert v_i.tobytes() == v[i:i + 1].tobytes()
 
 
 def test_star_spectra_rejects_bad_weights():
