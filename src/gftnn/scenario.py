@@ -35,6 +35,11 @@ ARCHIVE_VERSION = 3
 # The most steps an observation or a prediction window may span, 100 s at
 # 100 fps; a longer window is refused before anything is allocated.
 MAX_WINDOW_STEPS = 10_000
+# Elements of the largest matrix extract_scenarios builds per block of
+# windows: candidate runs or gathered rows, times the block's windows.
+_GATHER_BLOCK = 1 << 14
+# The most vehicles in one synthesized scene: the target and 8 cruisers.
+_SCENE_VEHICLES = 9
 
 # column mapping: canonical name -> file column per input schema
 SCHEMAS = {
@@ -88,7 +93,7 @@ class RawTrack:
         frame = np.ascontiguousarray(self.frame, dtype=np.int64)
         if frame.ndim != 1 or frame.size == 0:
             raise ValueError("track must contain at least one sample")
-        if np.any(frame[1:] <= frame[:-1]):     # np.diff could overflow
+        if (frame[1:] <= frame[:-1]).any():     # np.diff could overflow
             raise ValueError(
                 f"vehicle {self.vehicle_id}: frames must be strictly increasing"
             )
@@ -103,7 +108,7 @@ class RawTrack:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.shape != frame.shape:
                 raise ValueError(f"vehicle {self.vehicle_id}: column length mismatch")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"vehicle {self.vehicle_id}: non-finite {name}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -130,7 +135,7 @@ class Scenario:
         fut = np.asarray(self.future, dtype=np.float64)
         if fut.ndim != 2 or fut.shape[1] != 2 or fut.shape[0] < 1:
             raise ValueError(f"future must be (T_pred, 2), got {fut.shape}")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fut))):
+        if not (np.isfinite(f).all() and np.isfinite(fut).all()):
             raise ValueError(f"scenario {self.scenario_id}: non-finite data")
         if f[0, 0, 0] != 0.0 or f[1, 0, 0] != 0.0:
             raise ValueError(
@@ -313,18 +318,21 @@ def label_maneuver(lane_ids, lateral, t0_index: int) -> str:
         raise ValueError("lane_ids and lateral must be 1-d and equally long")
     if not 0 <= t0_index < lane_ids.size:
         raise ValueError(f"t0_index {t0_index} out of range")
-    lane0 = lane_ids[t0_index]
-    for j in range(t0_index + 1, lane_ids.size):
-        if lane_ids[j] != lane0:
-            dy = lateral[j] - lateral[t0_index]
-            if dy == 0.0:
-                dy = lateral[-1] - lateral[t0_index]
-            if dy > 0.0:
-                return "lane_change_left"
-            if dy < 0.0:
-                return "lane_change_right"
-            return "keep_lane"
-    return "keep_lane"
+    code = _maneuver_codes(lane_ids[None, t0_index:], lateral[None, t0_index:])
+    return MANEUVERS[code[0]]
+
+
+def _maneuver_codes(lane_ids, lateral):
+    """The ``MANEUVERS`` index of each row of (W, T) lane ids and lateral
+    positions that start at the last observed step: ``label_maneuver``'s
+    rule, for every window at once."""
+    changed = lane_ids != lane_ids[:, :1]
+    changed[:, 0] = False
+    rows = np.arange(len(changed))
+    at = changed.argmax(axis=1)
+    dy = lateral[rows, at] - lateral[:, 0]
+    dy = np.where(dy == 0.0, lateral[:, -1] - lateral[:, 0], dy)
+    return np.where(changed[rows, at], (dy > 0.0) + 2 * (dy < 0.0), 0)
 
 
 def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
@@ -342,7 +350,14 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
 
     The work is linear in tracks times windows: every track's rows go into
     one table, and a window looks up its neighbours among the contiguous
-    frame runs that start at most one longest run before it.
+    frame runs that start at most one longest run before it. The windows
+    are then cut in blocks, as array code: one masked distance and one
+    sort per block pick the neighbours, one gather takes every slot's
+    observation and the target's future, and every window's label comes
+    from one pass. A block's padded candidate matrix and its gathered rows
+    stay within ``_GATHER_BLOCK`` elements. The tracks are let go once
+    their rows are in the table, so ``tracks`` may be a generator that
+    nothing else holds.
     """
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     if n_vehicles < 2:
@@ -355,11 +370,9 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     if not tracks:
         return []
     window = t_obs_steps + t_pred_steps
-    # All rows, track after track: data holds x, y, vx, vy, and track i
-    # owns rows track_row[i] up to track_row[i + 1].
+    # All rows, track after track: track i owns rows track_row[i] up to
+    # track_row[i + 1].
     frame = np.concatenate([tr.frame for tr in tracks])
-    data = np.concatenate([getattr(tr, name) for name in ("x", "y", "vx", "vy")
-                           for tr in tracks]).reshape(4, frame.size)
     track_row = list(accumulate((len(tr) for tr in tracks), initial=0))
     # Runs of consecutive frames, in row order: run r covers frames
     # run_start[r]..run_end[r], frame f of it is row run_off[r] + f, and
@@ -375,20 +388,26 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     track_run = run_row.searchsorted(track_row)
     run_track = np.arange(len(tracks)).repeat(track_run[1:] - track_run[:-1])
     longest = int((run_end - run_start).max()) + 1
+    del frame, opens
     # Targets go in vehicle-id order, ties in input order. A track's id rank
     # is the place of the first track with its id in that order.
-    order = sorted(range(len(tracks)), key=lambda i: tracks[i].vehicle_id)
-    ids = [tracks[i].vehicle_id for i in order]
-    id_rank = np.array([bisect_left(ids, tr.vehicle_id) for tr in tracks])
+    vehicle = [tr.vehicle_id for tr in tracks]
+    order = sorted(range(len(tracks)), key=vehicle.__getitem__)
+    ids = [vehicle[i] for i in order]
+    id_rank = np.array([bisect_left(ids, v) for v in vehicle])
     # Neighbour candidates: the runs sorted by start frame.
     by_start = run_start.argsort(kind="stable")
     cand_start = run_start[by_start]
-    cand_end = run_end[by_start]
-    cand_off = run_off[by_start]
-    cand_track = run_track[by_start]
-    cand_id_rank = id_rank[cand_track]
+    cands = (run_end[by_start], run_off[by_start], run_track[by_start],
+             id_rank[run_track[by_start]])
+    # Rows gathered per window: every slot over the observation, then the
+    # target from its last observed step to the window's end.
     back = np.arange(1 - t_obs_steps, 1)[:, None]
-    scenarios = []
+    ahead = np.arange(t_pred_steps + 1)
+    # Every covered window, target after target: its target track, start
+    # frame, first row, candidate runs lows..highs and the target's lane
+    # ids from its last observed step on.
+    windows = []
     skipped = 0
     for i in order:
         target = tracks[i]
@@ -407,35 +426,86 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
         # longest run before its last observed frame, and not after its first.
         lows = cand_start.searchsorted(starts + (t_obs_steps - longest))
         highs = cand_start.searchsorted(starts, side="right")
-        for start, first, lo, hi in zip(starts.tolist(), firsts.tolist(),
-                                        lows.tolist(), highs.tolist()):
-            last = start + t_obs_steps - 1
-            i0 = first + t_obs_steps - 1
-            cand = lo + ((cand_end[lo:hi] >= last)
-                         & (cand_id_rank[lo:hi] != id_rank[i])).nonzero()[0]
-            at = cand_off[cand] + last
-            dist = np.hypot(*(data[:2].take(at, axis=1) - data[:2, i0, None]))
-            nearest = np.lexsort((cand_track[cand], cand_id_rank[cand],
-                                  dist))[:n_vehicles - 1]
-            # The row of every slot at the last observed frame: the target,
-            # its nearest neighbours, then ghost copies of the target.
-            slot_at = np.full(n_vehicles, i0)
-            slot_at[1:1 + nearest.size] = at[nearest]
-            feats = data.take(back + slot_at, axis=1)
-            feats[:2] -= data[:2, first, None, None]
-            j = first - track_row[i]
-            scenarios.append(Scenario(
-                scenario_id=f"v{target.vehicle_id}-f{start}",
-                features=feats,
-                future=(data[:2, i0 + 1:first + window] - data[:2, i0, None]).T,
-                v0=float(data[2, i0]),
-                fps=float(fps),
-                maneuver=label_maneuver(target.lane_id[j:j + window],
-                                        target.y[j:j + window], t_obs_steps - 1),
-            ))
+        lanes = target.lane_id[(firsts - track_row[i] + (t_obs_steps - 1))[:, None] + ahead]
+        windows.append((np.full(starts.size, i), starts, firsts, lows, highs, lanes))
+    # data holds x, y, vx and vy of every row.
+    data = np.concatenate([getattr(tr, name) for name in ("x", "y", "vx", "vy")
+                           for tr in tracks]).reshape(4, track_row[-1])
+    del tracks, target      # the table holds their rows now
+    scenarios = []
+    if windows:
+        win_track, win_start, win_first, win_low, win_high, win_lanes = map(
+            np.concatenate, zip(*windows))
+        n_obs = t_obs_steps * n_vehicles
+        for w in _window_blocks(win_high - win_low, n_obs + ahead.size):
+            last = win_start[w] + (t_obs_steps - 1)
+            i0 = win_first[w] + (t_obs_steps - 1)
+            slot_at = np.empty((last.size, n_vehicles), dtype=np.int64)
+            slot_at[:, 0] = i0
+            slot_at[:, 1:] = _nearest(data, cands, win_low[w], win_high[w], last, i0,
+                                      id_rank[win_track[w]], len(vehicle), n_vehicles - 1)
+            rows = np.concatenate([(back + slot_at[:, None]).reshape(last.size, n_obs),
+                                   i0[:, None] + ahead], axis=1)
+            got = data.take(rows, axis=1)
+            feats = got[:, :, :n_obs].reshape(4, last.size, t_obs_steps, n_vehicles)
+            feats = np.ascontiguousarray(feats.transpose(1, 0, 2, 3))
+            # Positions relative to the target's first observed row.
+            feats[:, :2] -= got[:2, :, 0].T[:, :, None, None]
+            rest = got[:, :, n_obs:]
+            future = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
+            future = np.ascontiguousarray(future)
+            codes = _maneuver_codes(win_lanes[w], rest[1])
+            for k, (t, start, v0, code) in enumerate(zip(
+                    win_track[w].tolist(), win_start[w].tolist(), rest[2, :, 0].tolist(),
+                    codes.tolist())):
+                scenarios.append(Scenario(
+                    scenario_id=f"v{vehicle[t]}-f{start}",
+                    features=feats[k], future=future[k], v0=v0, fps=float(fps),
+                    maneuver=MANEUVERS[code]))
     if skipped:
         log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
     return scenarios
+
+
+def _window_blocks(widths, per_window):
+    """Consecutive slices of the windows, whose candidate ranges are
+    ``widths`` wide and which gather ``per_window`` rows each, such that a
+    block's window count times the larger of ``per_window`` and its widest
+    range stays within ``_GATHER_BLOCK`` elements; a window that alone
+    exceeds it is a block of its own."""
+    lo = 0
+    while lo < widths.size:
+        head = widths[lo:lo + max(1, _GATHER_BLOCK // per_window)]
+        widest = np.maximum.accumulate(np.maximum(head, per_window))
+        cost = widest * np.arange(1, head.size + 1)
+        hi = lo + max(1, int(np.count_nonzero(cost <= _GATHER_BLOCK)))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _nearest(data, cands, low, high, last, i0, rank, no_rank, k):
+    """The rows at frame ``last`` of each window's ``k`` nearest
+    neighbours, by distance to the target's row ``i0``, then id rank, then
+    track. A window's candidates are the runs ``low``..``high`` (in the
+    order of ``cands``: end frame, row offset, track and id rank) that
+    cover ``last`` and whose id rank is not the target's ``rank``. The
+    padding up to the block's widest range, and every candidate that
+    fails, ranks after all others, at distance inf and id rank
+    ``no_rank``, and falls back to the target's own row: a ghost slot."""
+    cand_end, cand_off, cand_track, cand_id_rank = cands
+    cand = low[:, None] + np.arange(max(int((high - low).max()), k))
+    real = cand < high[:, None]
+    cand = np.minimum(cand, cand_end.size - 1)
+    real &= cand_end[cand] >= last[:, None]
+    cand_rank = cand_id_rank[cand]
+    real &= cand_rank != rank[:, None]
+    at = np.where(real, cand_off[cand] + last[:, None], i0[:, None])
+    dist = np.hypot(data[0].take(at) - data[0].take(i0)[:, None],
+                    data[1].take(at) - data[1].take(i0)[:, None])
+    dist[~real] = np.inf
+    rank_key = np.where(real, cand_rank, no_rank)
+    order = np.lexsort((cand_track[cand], rank_key, dist), axis=-1)
+    return np.take_along_axis(at, order[:, :k], axis=1)
 
 
 def balance(scenarios, seed: int) -> list[Scenario]:
@@ -509,56 +579,63 @@ def split(scenarios, ratio: float, seed: int) -> DatasetSplit:
     )
 
 
-def _synthetic_tracks(rng, fps, maneuver, n_frames, t0_index, t_pred_s,
+def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
                       n_vehicles, noise_std, speed_range, accel_range,
                       rate_range):
-    """One scene: a target with the requested maneuver plus random cruisers.
+    """The tracks of one scene per maneuver, scene after scene: a target
+    with that maneuver plus random cruisers.
 
-    Longitudinal motion is uniformly accelerated; lane changes follow a
-    logistic lateral profile of one lane width, centred halfway into the
-    prediction window, which keeps the lane id at the last observed step
-    unchanged and flips it inside the window. Lane ids come from the
-    noise-free lateral position so labels stay exact under sensor noise.
+    Scene i covers frames i·n_frames onward; its target has vehicle id
+    1 + i·_SCENE_VEHICLES and its cruisers the ids after it, so no
+    vehicle is in view with another scene's. Longitudinal motion is
+    uniformly accelerated; lane changes follow a logistic lateral profile
+    of one lane width, centred halfway into the prediction window, which
+    keeps the lane id at the last observed step unchanged and flips it
+    inside the window. Lane ids come from the noise-free lateral position
+    so labels stay exact under sensor noise. The cruisers' constant
+    lateral speed and lane id columns are shared read-only arrays.
     """
     times = np.arange(n_frames) / fps
-    v0 = rng.uniform(*speed_range)
-    accel = rng.uniform(*accel_range)
-    x0 = rng.uniform(0.0, 200.0)
-    lane0 = int(rng.integers(1, 5))
-    y0 = (lane0 + 0.5) * LANE_WIDTH
-    rate = rng.uniform(*rate_range)
-    amplitude = {"keep_lane": 0.0,
-                 "lane_change_left": LANE_WIDTH,
-                 "lane_change_right": -LANE_WIDTH}[maneuver]
-    mid = times[t0_index] + 0.5 * t_pred_s
-    x = x0 + v0 * times + 0.5 * accel * times ** 2
-    vx = v0 + accel * times
-    g = expit(rate * (times - mid))
-    y = y0 + amplitude * g
-    vy = amplitude * rate * g * (1.0 - g)
-    lane = np.floor(y / LANE_WIDTH).astype(np.int64)
-    frames = np.arange(n_frames)
-    if noise_std > 0.0:
-        x = x + rng.normal(0.0, noise_std, n_frames)
-        y = y + rng.normal(0.0, noise_std, n_frames)
-    tracks = [RawTrack(1, frames, x, y, vx, vy, lane)]
-    n_neighbours = int(rng.integers(0, min(8, n_vehicles - 1) + 1))
-    for j in range(n_neighbours):
-        vn = rng.uniform(*speed_range)
-        dx0 = rng.uniform(-80.0, 80.0)
-        lane_n = int(rng.integers(1, 5))
-        yn0 = (lane_n + 0.5) * LANE_WIDTH
-        xn = x0 + dx0 + vn * times
-        yn = np.full(n_frames, yn0)
+    still = np.zeros(n_frames)
+    cruise_lanes = {}
+    for i, maneuver in enumerate(maneuvers):
+        v0 = rng.uniform(*speed_range)
+        accel = rng.uniform(*accel_range)
+        x0 = rng.uniform(0.0, 200.0)
+        lane0 = int(rng.integers(1, 5))
+        y0 = (lane0 + 0.5) * LANE_WIDTH
+        rate = rng.uniform(*rate_range)
+        amplitude = {"keep_lane": 0.0,
+                     "lane_change_left": LANE_WIDTH,
+                     "lane_change_right": -LANE_WIDTH}[maneuver]
+        mid = times[t0_index] + 0.5 * t_pred_s
+        x = x0 + v0 * times + 0.5 * accel * times ** 2
+        vx = v0 + accel * times
+        g = expit(rate * (times - mid))
+        y = y0 + amplitude * g
+        vy = amplitude * rate * g * (1.0 - g)
+        lane = np.floor(y / LANE_WIDTH).astype(np.int64)
+        frames = np.arange(i * n_frames, (i + 1) * n_frames)
+        first_id = 1 + i * _SCENE_VEHICLES
         if noise_std > 0.0:
-            xn = xn + rng.normal(0.0, noise_std, n_frames)
-            yn = yn + rng.normal(0.0, noise_std, n_frames)
-        tracks.append(RawTrack(
-            2 + j, frames, xn, yn,
-            np.full(n_frames, vn), np.zeros(n_frames),
-            np.full(n_frames, lane_n, dtype=np.int64),
-        ))
-    return tracks
+            x = x + rng.normal(0.0, noise_std, n_frames)
+            y = y + rng.normal(0.0, noise_std, n_frames)
+        yield RawTrack(first_id, frames, x, y, vx, vy, lane)
+        n_neighbours = int(rng.integers(0, min(_SCENE_VEHICLES - 1, n_vehicles - 1) + 1))
+        for j in range(n_neighbours):
+            vn = rng.uniform(*speed_range)
+            dx0 = rng.uniform(-80.0, 80.0)
+            lane_n = int(rng.integers(1, 5))
+            yn0 = (lane_n + 0.5) * LANE_WIDTH
+            xn = x0 + dx0 + vn * times
+            yn = np.full(n_frames, yn0)
+            if noise_std > 0.0:
+                xn = xn + rng.normal(0.0, noise_std, n_frames)
+                yn = yn + rng.normal(0.0, noise_std, n_frames)
+            if lane_n not in cruise_lanes:
+                cruise_lanes[lane_n] = np.full(n_frames, lane_n, dtype=np.int64)
+            yield RawTrack(first_id + 1 + j, frames, xn, yn,
+                           np.full(n_frames, vn), still, cruise_lanes[lane_n])
 
 
 def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
@@ -571,29 +648,34 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     scenarios go through the same extraction path as recorded data, and
     the constructed maneuver must survive labelling, which pins the label
     conventions to the generator.
+
+    Every scene gets frames and vehicle ids of its own (see
+    ``_synthetic_scenes``), so no scene's vehicle can be another's
+    neighbour, and one ``extract_scenarios`` call cuts the one window of
+    every scene's target. The scenes stream into it as a generator, so
+    their tracks are freed once extraction has copied their rows.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
-    rng = np.random.default_rng(seed)
-    n_frames = t_obs_steps + t_pred_steps
+    wanted = [MANEUVERS[i % 3] for i in range(n)]
+    tracks = _synthetic_scenes(
+        np.random.default_rng(seed), wanted, fps, t_obs_steps + t_pred_steps,
+        t_obs_steps - 1, t_pred_steps / fps, n_vehicles, noise_std,
+        speed_range, accel_range, rate_range)
+    scenarios = extract_scenarios(
+        tracks, fps, t_obs, t_pred, n_vehicles,
+        target_ids=range(1, 1 + n * _SCENE_VEHICLES, _SCENE_VEHICLES))
     out = []
-    for i in range(n):
-        maneuver = MANEUVERS[i % 3]
-        tracks = _synthetic_tracks(
-            rng, fps, maneuver, n_frames, t_obs_steps - 1,
-            t_pred_steps / fps, n_vehicles, noise_std,
-            speed_range, accel_range, rate_range)
-        scen = extract_scenarios(tracks, fps, t_obs, t_pred, n_vehicles,
-                                 target_ids={1})
-        if len(scen) != 1 or scen[0].maneuver != maneuver:
+    for i, (scen, maneuver) in enumerate(zip(scenarios, wanted)):
+        if scen.maneuver != maneuver:
             raise RuntimeError(
-                f"synthetic scene {i} produced {len(scen)} scenarios "
-                f"with labels {[s.maneuver for s in scen]}, wanted {maneuver}"
+                f"synthetic scene {i} produced 1 scenarios "
+                f"with labels {[scen.maneuver]}, wanted {maneuver}"
             )
-        out.append(replace(scen[0], scenario_id=f"synth-{i:05d}"))
+        out.append(replace(scen, scenario_id=f"synth-{i:05d}"))
     return out
 
 
@@ -639,20 +721,24 @@ def load_archive(path):
     Any other version is refused.
 
     Each scenario holds read-only views of the payload's two blocks. They
-    are checked by ``Scenario``'s rule once for the whole archive; an
-    archive that breaks it is built scenario by scenario, so the error is
-    the failing scenario's. A corrupt or empty document raises ValueError
+    are checked by ``Scenario``'s rule once for the whole archive, and the
+    head's scenario entries are type-checked in one pass; an archive that
+    breaks either is read entry by entry, so the error is the failing
+    scenario's. A corrupt or empty document raises ValueError
     naming the path and, for a bad scenario, its index and id, with the
     key at fault.
     """
     with open_document(path, "archive", "version", ARCHIVE_VERSION) as doc:
         fps = doc.value("fps", float)
         grid = tuple(doc.value(key, int) for key in ("t_obs", "t_pred", "n_vehicles"))
-        items = [_item(path, index, obj)
-                 for index, obj in enumerate(doc.value("scenarios", list))]
-        if not items:
+        entries = doc.value("scenarios", list)
+        fields = _entry_fields(entries)
+        if fields is None:
+            # An entry that is not an object is named before any array check.
+            items = [_item(path, index, obj) for index, obj in enumerate(entries)]
+        if not entries:
             raise ValueError(f"{path}: archive contains no scenarios")
-        n = len(items)
+        n = len(entries)
         t_obs, t_pred, n_vehicles = grid
         doc.payload.expect({"features": (n, len(CHANNELS), t_obs, n_vehicles),
                             "future": (n, t_pred, 2)},
@@ -661,8 +747,9 @@ def load_archive(path):
         future = doc.payload.read("future")
     features.flags.writeable = False
     future.flags.writeable = False
-    fields = [(item.value("id", str), item.value("maneuver", str),
-               item.value("v0", float)) for item in items]
+    if fields is None:
+        fields = [(item.value("id", str), item.value("maneuver", str),
+                   item.value("v0", float)) for item in items]
     if (_valid_fps(fps) and np.all(np.isfinite(features)) and np.all(np.isfinite(future))
             and not np.any(features[:, :2, 0, 0])
             and all(m in MANEUVERS and np.isfinite(v0) for _, m, v0 in fields)):
@@ -675,10 +762,23 @@ def load_archive(path):
                 object.__setattr__(scenario, name, value)
             scenarios.append(scenario)
         return scenarios, fps
-    return [item.build(Scenario, scenario_id=scenario_id, features=f, future=fut,
-                       v0=v0, fps=fps, maneuver=maneuver)
-            for item, (scenario_id, maneuver, v0), f, fut
-            in zip(items, fields, features, future)], fps
+    return [_item(path, index, obj).build(
+                Scenario, scenario_id=scenario_id, features=f, future=fut, v0=v0,
+                fps=fps, maneuver=maneuver)
+            for index, (obj, (scenario_id, maneuver, v0), f, fut)
+            in enumerate(zip(entries, fields, features, future))], fps
+
+
+def _entry_fields(entries):
+    """(id, maneuver, v0) of every scenario entry of an archive head, read
+    in one pass, or None unless every entry is an object whose id and
+    maneuver are strings and whose v0 is a number: the values ``_item``'s
+    Table would read."""
+    if all(type(obj) is dict and type(obj.get("id")) is str
+           and type(obj.get("maneuver")) is str and type(obj.get("v0")) in (float, int)
+           for obj in entries):
+        return [(obj["id"], obj["maneuver"], float(obj["v0"])) for obj in entries]
+    return None
 
 
 def _item(path, index: int, obj) -> Table:

@@ -3,6 +3,7 @@ import csv
 import json
 import logging
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit
@@ -12,8 +13,9 @@ from gftnn.graph import Graph
 from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
                          gelu, gelu_grad)
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from gftnn.scenario import (CHANNELS, LANE_WIDTH, SCHEMAS, ParseError, RawTrack,
-                            Scenario, SchemaError, label_maneuver)
+from gftnn.scenario import (CHANNELS, LANE_WIDTH, MANEUVERS, SCHEMAS, ParseError,
+                            RawTrack, Scenario, SchemaError, _synthetic_scenes,
+                            _window_steps)
 
 
 def tiny_config(**overrides):
@@ -373,6 +375,37 @@ def _window_rows_reference(track: RawTrack, first_frame: int, n_frames: int):
     return pos
 
 
+def label_maneuver_reference(lane_ids, lateral, t0_index: int) -> str:
+    """The scalar loop ``label_maneuver`` had before it wrapped the batched
+    rule, kept verbatim as the oracle of that rule.
+
+    Label from the lane sequence at and after the last observed step.
+
+    A change of lane id inside the prediction window marks a lane change;
+    the direction comes from the lateral displacement at the first frame
+    whose lane differs (falling back to the end of the window if that
+    displacement is exactly zero). y grows to the left.
+    """
+    lane_ids = np.asarray(lane_ids)
+    lateral = np.asarray(lateral, dtype=np.float64)
+    if lane_ids.shape != lateral.shape or lane_ids.ndim != 1:
+        raise ValueError("lane_ids and lateral must be 1-d and equally long")
+    if not 0 <= t0_index < lane_ids.size:
+        raise ValueError(f"t0_index {t0_index} out of range")
+    lane0 = lane_ids[t0_index]
+    for j in range(t0_index + 1, lane_ids.size):
+        if lane_ids[j] != lane0:
+            dy = lateral[j] - lateral[t0_index]
+            if dy == 0.0:
+                dy = lateral[-1] - lateral[t0_index]
+            if dy > 0.0:
+                return "lane_change_left"
+            if dy < 0.0:
+                return "lane_change_right"
+            return "keep_lane"
+    return "keep_lane"
+
+
 def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
                                 t_pred: float = 5.0, n_vehicles: int = 9,
                                 stride: int | None = None,
@@ -450,8 +483,8 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
                 target.x[pred] - target.x[i0],
                 target.y[pred] - target.y[i0],
             ], axis=1)
-            maneuver = label_maneuver(target.lane_id[rows], target.y[rows],
-                                      t_obs_steps - 1)
+            maneuver = label_maneuver_reference(target.lane_id[rows], target.y[rows],
+                                                t_obs_steps - 1)
             scenarios.append(Scenario(
                 scenario_id=f"v{target.vehicle_id}-f{start}",
                 features=feats,
@@ -465,3 +498,35 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
         logging.getLogger("gftnn.scenario").info(
             "extract_scenarios: skipped %d windows with coverage gaps", skipped)
     return scenarios
+
+
+def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
+                         t_obs: float = 3.0, t_pred: float = 5.0, n_vehicles: int = 9,
+                         speed_range=(20.0, 35.0), accel_range=(-2.0, 2.0),
+                         rate_range=(1.0, 2.5)) -> list[Scenario]:
+    """The per-scene ``synthesize`` the one-call version replaced, kept as
+    the oracle its output must match bit for bit: each scene is drawn on
+    its own (frames from 0, target id 1) and cut by the quadratic
+    ``extract_scenarios_reference``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
+    rng = np.random.default_rng(seed)
+    n_frames = t_obs_steps + t_pred_steps
+    out = []
+    for i in range(n):
+        maneuver = MANEUVERS[i % 3]
+        tracks = list(_synthetic_scenes(
+            rng, [maneuver], fps, n_frames, t_obs_steps - 1,
+            t_pred_steps / fps, n_vehicles, noise_std,
+            speed_range, accel_range, rate_range))
+        scen = extract_scenarios_reference(tracks, fps, t_obs, t_pred, n_vehicles,
+                                           target_ids={1})
+        if len(scen) != 1 or scen[0].maneuver != maneuver:
+            raise RuntimeError(
+                f"synthetic scene {i} produced {len(scen)} scenarios "
+                f"with labels {[s.maneuver for s in scen]}, wanted {maneuver}"
+            )
+        out.append(replace(scen[0], scenario_id=f"synth-{i:05d}"))
+    return out

@@ -14,8 +14,8 @@ from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseErro
                             balance, extract_scenarios, ingest_tracks, label_maneuver,
                             load_archive, save_archive, split, synthesize)
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
-                     multilane_scene, rewrite_head, split_head, three_class_tracks,
-                     write_tracks_csv)
+                     label_maneuver_reference, multilane_scene, rewrite_head, split_head,
+                     synthesize_reference, three_class_tracks, write_tracks_csv)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -481,19 +481,51 @@ def _scenario_bytes(scenarios):
              s.future.tobytes(), np.float64(s.v0).tobytes()) for s in scenarios]
 
 
-@pytest.mark.parametrize("fps, n_vehicles, stride, target_ids, duplicate_id", [
-    (10, 9, None, None, False),
-    (25, 9, None, None, True),
-    (10, 2, None, None, True),
-    (25, 2, None, {1, 13, 15}, False),
-    (10, 9, 1, None, True),
-    (25, 9, 1, {1, 4, 14}, False),
-    (25, 2, 7, None, True),
+LONE_ID = 99
+
+
+def lone_vehicle(tracks, fps):
+    """A keep-lane vehicle in view for three windows after every track in
+    ``tracks`` has left, so that no window of it has a neighbour."""
+    window = round(3.0 * fps) + round(5.0 * fps)
+    n = 3 * window
+    start = max(int(tr.frame[-1]) for tr in tracks) + 1
+    return RawTrack(LONE_ID, start + np.arange(n), 2.0 * np.arange(n), np.full(n, 8.75),
+                    np.full(n, 20.0), np.zeros(n), np.full(n, 2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("fps, n_vehicles, stride, target_ids, duplicate_id, block", [
+    (10, 9, None, None, False, None),
+    (25, 9, None, None, True, None),
+    (10, 2, None, None, True, None),
+    (25, 2, None, {1, 13, 15}, False, None),
+    (10, 9, 1, None, True, None),
+    (25, 9, 1, {1, 4, 14}, False, None),
+    (25, 2, 7, None, True, None),
+    # A block budget of a few elements puts every window in a block of its
+    # own; "pairs" fits two windows in a block.
+    (10, 9, None, None, True, 3),
+    (25, 2, 7, None, False, 3),
+    (10, 9, 1, None, False, "pairs"),
+    (25, 2, None, {1, 4, 15, LONE_ID}, True, "pairs"),
 ])
-def test_extract_matches_quadratic_reference(caplog, fps, n_vehicles, stride,
-                                             target_ids, duplicate_id):
+def test_extract_matches_quadratic_reference(caplog, monkeypatch, fps, n_vehicles, stride,
+                                             target_ids, duplicate_id, block):
     caplog.set_level(logging.INFO, logger="gftnn.scenario")
     tracks = multilane_scene(fps, fps, duplicate_id=duplicate_id)
+    blocks = []
+    if block is not None:
+        tracks.append(lone_vehicle(tracks, fps))
+        per_window = round(3.0 * fps) * n_vehicles + round(5.0 * fps) + 1
+        monkeypatch.setattr(scenario, "_GATHER_BLOCK",
+                            2 * per_window if block == "pairs" else block)
+        window_blocks = scenario._window_blocks
+
+        def spy(*args):
+            for cut in window_blocks(*args):
+                blocks.append(cut)
+                yield cut
+        monkeypatch.setattr(scenario, "_window_blocks", spy)
     kwargs = dict(n_vehicles=n_vehicles, stride=stride, target_ids=target_ids)
     got = extract_scenarios(tracks, fps, **kwargs)
     logged = list(caplog.messages)
@@ -504,6 +536,69 @@ def test_extract_matches_quadratic_reference(caplog, fps, n_vehicles, stride,
     assert logged == caplog.messages
     if target_ids is None:
         assert "skipped" in logged[0]
+    if block is not None:
+        targets = [{s.scenario_id.split("-")[0] for s in got[cut]} for cut in blocks]
+        assert sum(map(len, targets)) >= len({s.scenario_id.split("-")[0] for s in got}) > 1
+        assert max(cut.stop - cut.start for cut in blocks) == (2 if block == "pairs" else 1)
+        # Windows of different targets straddle a block boundary; a block
+        # of the lone vehicle's windows has no candidate, only ghost slots.
+        if block == "pairs":
+            assert any(len(names) > 1 for names in targets)
+        assert {f"v{LONE_ID}"} in targets
+        for s in got:
+            if s.scenario_id.startswith(f"v{LONE_ID}-"):
+                assert (s.features == s.features[:, :, :1]).all()
+
+
+def test_extract_ranks_an_overflowing_distance_before_ghosts():
+    # The neighbour's distance overflows to inf while its features stay
+    # finite; it still takes slot 1, ahead of the padding, even though a
+    # vehicle of lower id enters (and pads the candidate range) after the
+    # window starts.
+    target = straight_track(5, 80, y=0.0)
+    far = RawTrack(3, np.arange(80), np.full(80, 1.5e308), np.full(80, 1.5e308),
+                   np.zeros(80), np.zeros(80), np.full(80, 7, dtype=np.int64))
+    late = straight_track(1, 70, x0=5.0)
+    late = replace(late, frame=late.frame + 10)
+    tracks = [target, far, late]
+    with np.errstate(over="ignore"):
+        got = extract_scenarios(tracks, 10, target_ids={5})
+        want = extract_scenarios_reference(tracks, 10, target_ids={5})
+    assert _scenario_bytes(got) == _scenario_bytes(want)
+    assert got[0].features[0, 0, 1] == 1.5e308
+    assert np.array_equal(got[0].features[:, :, 2], got[0].features[:, :, 0])
+
+
+def test_synthesize_makes_one_extraction_call(monkeypatch):
+    calls = []
+    extract = scenario.extract_scenarios
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+    monkeypatch.setattr(scenario, "extract_scenarios", counting)
+    assert len(synthesize(30, 10, seed=5)) == 30
+    assert len(calls) == 1
+
+
+def test_synthesize_names_the_scene_whose_label_is_lost(monkeypatch):
+    monkeypatch.setattr(scenario, "_maneuver_codes",
+                        lambda lane_ids, lateral: np.zeros(len(lane_ids), dtype=int))
+    with pytest.raises(RuntimeError) as info:
+        synthesize(3, 10, seed=5)
+    assert str(info.value) == ("synthetic scene 1 produced 1 scenarios with labels "
+                               "['keep_lane'], wanted lane_change_left")
+
+
+@pytest.mark.parametrize("n", [1, 3, 300])
+@pytest.mark.parametrize("n_vehicles", [2, 9])
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+@pytest.mark.parametrize("fps", [2, 10, 25])
+def test_synthesize_matches_per_scene_reference(fps, noise_std, n_vehicles, n):
+    seed = 100 + n + fps
+    got = synthesize(n, fps, seed, noise_std=noise_std, n_vehicles=n_vehicles)
+    want = synthesize_reference(n, fps, seed, noise_std=noise_std, n_vehicles=n_vehicles)
+    assert _scenario_bytes(got) == _scenario_bytes(want)
 
 
 # ------------------------------------------------------------------ labelling
@@ -527,6 +622,52 @@ def test_label_ignores_changes_before_t0():
     lanes = np.array([1] * 5 + [2] * 15)
     y = np.concatenate([np.linspace(5.25, 8.75, 5), np.full(15, 8.75)])
     assert label_maneuver(lanes, y, 9) == "keep_lane"
+
+
+def _label_rows(length=20, t0=9):
+    """Lane ids and lateral positions of windows observed up to step t0,
+    one per case, by name."""
+    base = np.full(length, 8.75)
+    rows = {}
+    rows["keep"] = (np.full(length, 2), base)
+    rows["left"] = (np.array([2] * 12 + [3] * 8), np.linspace(8.75, 12.25, length))
+    rows["right"] = (np.array([2] * 14 + [1] * 6), np.linspace(8.75, 5.25, length))
+    rows["change before t0"] = (np.array([1] * 5 + [2] * 15),
+                                np.append(np.linspace(5.25, 8.75, 5), np.full(15, 8.75)))
+    # dy is exactly 0 at the first changed frame: the window's end decides.
+    for name, end in (("flat, ends left", 10.0), ("flat, ends right", 7.0),
+                      ("flat, ends level", 8.75)):
+        y = base.copy()
+        y[-1] = end
+        rows[name] = (np.array([2] * 13 + [3] * 7), y)
+    # The lane flips back and forth; the first change counts.
+    rows["first change right"] = (np.array([2] * 11 + [1, 2] * 4 + [2]),
+                                  np.linspace(8.75, 7.0, length))
+    # A NaN lane at t0 differs from every later lane, so the next step
+    # decides: up by 0.25 m, though the window ends below where it began.
+    lanes = np.full(length, 2.0)
+    lanes[t0] = np.nan
+    y = np.concatenate([base[:t0 + 1], [9.0], np.linspace(8.5, 7.0, length - t0 - 2)])
+    rows["nan lane at t0"] = (lanes, y)
+    return rows
+
+
+def test_label_batch_matches_scalar_reference():
+    t0 = 9
+    rows = _label_rows(t0=t0)
+    want = [label_maneuver_reference(lanes, y, t0) for lanes, y in rows.values()]
+    assert want[:3] == ["keep_lane", "lane_change_left", "lane_change_right"]
+    assert want[3:7] == ["keep_lane", "lane_change_left", "lane_change_right", "keep_lane"]
+    assert want[-1] == "lane_change_left"
+    lanes = np.stack([lanes[t0:] for lanes, _ in rows.values()])
+    lateral = np.stack([y[t0:] for _, y in rows.values()])
+    codes = scenario._maneuver_codes(lanes, lateral)
+    assert [MANEUVERS[c] for c in codes] == want
+    for k, (name, (lane_row, y_row)) in enumerate(rows.items()):
+        # A batch of one, and the public wrapper, agree with the row in the batch.
+        one = scenario._maneuver_codes(lanes[k:k + 1], lateral[k:k + 1])
+        assert one.tolist() == [codes[k]]
+        assert label_maneuver(lane_row, y_row, t0) == want[k], name
 
 
 def test_label_validation():
