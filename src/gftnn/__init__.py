@@ -7,16 +7,16 @@ from .spectral import (ProductBasis, Spectrum, complete_spectrum, eigendecompose
                        gft_extended, inverse_gft, path_spectrum, star_spectra,
                        symmetric_eigh, truncate_spectrum, unit_star_spectrum)
 from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
-                       RawTrack, Scenario, SchemaError, SplitError, balance,
-                       extract_scenarios, ingest_tracks, label_maneuver,
-                       load_archive, save_archive, split, synthesize)
+                       RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
+                       balance, extract_scenarios, ingest_tracks, label_maneuver,
+                       load_archive, save_archive, scenario_batch, split, synthesize)
 from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
-                    Trajectory, build_basis, decode, decode_batch,
+                    Trajectory, TrajectoryBatch, build_basis, decode, decode_batch,
                     decode_partials, forward, gelu, gelu_grad, init_params,
                     load_checkpoint, loss_batch, predict, predict_batch,
                     preset_config, save_checkpoint, scenario_spectra,
-                    scenario_spectrum, select_channels, truth_trajectories,
-                    truth_trajectory)
+                    scenario_spectrum, select_channels, trajectory_batch,
+                    truth_trajectories, truth_trajectory)
 from .training import (AdamState, DivergenceError, TrainConfig, TrainResult,
                        adam_step, gradients, train, trajectory_loss)
 from .metrics import (EvalReport, ade, ade_euclid_mean, evaluate, fde,

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
-
 import numpy as np
 
-from .metrics import evaluate, write_histogram_csv, write_report_json
+from .metrics import (check_bin_width, evaluate, write_histogram_csv,
+                      write_report_json)
 from .model import (PRESETS, ModelConfig, NumericError, build_basis,
                     load_checkpoint, predict, predict_batch, preset_config,
                     truth_trajectories)
@@ -88,18 +87,17 @@ def _out_path(opts, name):
     return os.path.join(opts["out"], name)
 
 
-def _class_counts(scenarios) -> str:
-    counts = Counter(s.maneuver for s in scenarios)
-    return ", ".join(f"{m}={counts.get(m, 0)}" for m in MANEUVERS)
+def _class_counts(batch) -> str:
+    counts = np.bincount(batch.codes, minlength=len(MANEUVERS))
+    return ", ".join(f"{m}={count}" for m, count in zip(MANEUVERS, counts))
 
 
-def _find_scenario(scenarios, scenario_id):
+def _find_scenario(batch, scenario_id):
     if scenario_id is None:
-        return scenarios[0]
-    for s in scenarios:
-        if s.scenario_id == scenario_id:
-            return s
-    raise ValueError(f"scenario {scenario_id!r} not found in archive")
+        return batch[0]
+    if scenario_id not in batch.ids:
+        raise ValueError(f"scenario {scenario_id!r} not found in archive")
+    return batch[batch.ids.index(scenario_id)]
 
 
 def cmd_prep(args):
@@ -163,11 +161,8 @@ def cmd_spectrum(args):
         print(f"wrote {recon_path} (p={opts['p']}, max reconstruction error {err:.6f})")
 
 
-def _model_config(opts, scenarios, fps) -> ModelConfig:
-    # load_archive guarantees one scenario or more, all on the first's grid.
-    t_obs = scenarios[0].t_obs
-    t_pred = scenarios[0].t_pred
-    n_v = scenarios[0].n_vehicles
+def _model_config(opts, batch, fps) -> ModelConfig:
+    t_obs, t_pred, n_v = batch.t_obs, batch.t_pred, batch.n_vehicles
     preset = opts["preset"]
     if preset != "custom":
         fixed = [name for name in ("p", "k", "graph_kind")
@@ -206,6 +201,7 @@ def cmd_train(args):
     if opts["resume"] is not None:
         resume = load_checkpoint(opts["resume"])
     dataset = split(scenarios, opts["split_ratio"], opts["seed"])
+    del scenarios           # the split copied its rows; the archive is not needed
     train_config = TrainConfig(
         learning_rate=opts["learning_rate"], epochs=opts["epochs"],
         batch_size=opts["batch_size"], seed=opts["seed"])
@@ -245,10 +241,10 @@ def _load_archive_and_checkpoint(opts):
 def cmd_eval(args):
     opts = _resolve(args, EVAL_DEFAULTS)
     _require(opts, "archive", "checkpoint")
+    check_bin_width(opts["bin_width"])
     scenarios, ckpt, basis = _load_archive_and_checkpoint(opts)
     chosen = _subset(scenarios, opts)
-    if not chosen:
-        raise ValueError(f"subset {opts['subset']!r} is empty")
+    del scenarios           # a split subset is a copy; the archive is not needed
     truths = truth_trajectories(chosen)
     if opts["self_test"]:
         predictions = truths

@@ -16,24 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import trajectory_batch
+
 # The most bins a histogram may have; a narrower bin width is refused.
 HISTOGRAM_MAX_BINS = 1_000_000
 
 
 def _displacements(predictions, truths):
+    """(B, T_pred) displacements of predicted from true trajectories, each
+    a batch or a sequence (see ``model.trajectory_batch``), at steps 1 on."""
     if len(predictions) != len(truths):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(truths)} truths"
         )
     if len(predictions) == 0:
         raise ValueError("cannot evaluate an empty set of trajectories")
-    dx, dy = [], []
-    for pred, truth in zip(predictions, truths):
-        if len(pred) != len(truth):
-            raise ValueError("prediction and truth lengths differ")
-        dx.append(pred.x[1:] - truth.x[1:])
-        dy.append(pred.y[1:] - truth.y[1:])
-    return np.stack(dx), np.stack(dy)
+    pred, truth = trajectory_batch(predictions), trajectory_batch(truths)
+    if pred.x.shape != truth.x.shape:
+        raise ValueError("prediction and truth lengths differ")
+    return pred.x[:, 1:] - truth.x[:, 1:], pred.y[:, 1:] - truth.y[:, 1:]
 
 
 def ade_from_displacements(dx, dy) -> float:
@@ -76,15 +77,21 @@ def per_scenario_ade(predictions, truths) -> np.ndarray:
     return per_scenario_ade_from_displacements(dx, dy)
 
 
+def check_bin_width(bin_width):
+    """Refuse a histogram bin width that is not positive and finite."""
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
+
+
 def histogram(values, bin_width: float = 0.1):
     """Fixed-width histogram anchored at zero; returns (edges, counts).
 
     A value lands in bin floor(v / bin_width); edges has one more entry
-    than counts. Empty input gives empty arrays. A width that needs more
-    than ``HISTOGRAM_MAX_BINS`` bins for the largest value is refused.
+    than counts. Empty input gives empty arrays. A width that is not
+    positive and finite (see ``check_bin_width``), or that needs more than
+    ``HISTOGRAM_MAX_BINS`` bins for the largest value, is refused.
     """
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
+    check_bin_width(bin_width)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return np.zeros(0), np.zeros(0, dtype=np.int64)

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .graph import _frozen, inverse_distance_weights
+from .scenario import scenario_batch
 from .special import erf, expit
 from .spectral import (ProductBasis, complete_spectrum, gft_extended,
                        path_spectrum, star_spectra, truncate_spectrum,
@@ -244,9 +245,12 @@ def forward(s, params: ModelParams, config: ModelConfig):
                  "act": act, "sg": sg}
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Planar trajectory sampled at step 0 .. T_pred, relative to step 0."""
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Planar trajectories sampled at step 0 .. T_pred, relative to step 0:
+    the rows of (B, T_pred + 1) arrays ``x`` and ``y``, which the
+    trajectory rule checks once and freezes. ``batch[i]`` is row i, a
+    ``Trajectory`` that reads views of them."""
 
     x: np.ndarray
     y: np.ndarray
@@ -254,34 +258,52 @@ class Trajectory:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise ValueError(f"bad trajectory shapes {x.shape}, {y.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if x.ndim != 2 or x.shape != y.shape or x.shape[1] < 2:
+            raise ValueError(f"bad trajectory shapes {x.shape[1:]}, {y.shape[1:]}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("trajectory must be finite")
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
 
     def __len__(self):
-        return self.x.size
+        return len(self.x)
+
+    def __getitem__(self, index: int) -> "Trajectory":
+        return _TrajectoryRow(self, range(len(self))[index])
 
 
-def _trajectories(x, y) -> list[Trajectory]:
-    """One ``Trajectory`` per row of fresh (B, T + 1) float64 arrays, which
-    are checked by its rule and frozen once for the whole batch: each row is
-    a read-only view. A batch that breaks the rule is built row by row, so
-    the error is the failing row's."""
-    if (x.shape != y.shape or x.shape[1] < 2
-            or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)))):
-        return [Trajectory(x=xi, y=yi) for xi, yi in zip(x, y)]
-    x.flags.writeable = False
-    y.flags.writeable = False
-    out = []
-    for xi, yi in zip(x, y):
-        trajectory = object.__new__(Trajectory)
-        object.__setattr__(trajectory, "x", xi)
-        object.__setattr__(trajectory, "y", yi)
-        out.append(trajectory)
-    return out
+class Trajectory:
+    """One trajectory: row ``index`` of ``batch``, a ``TrajectoryBatch``.
+    ``Trajectory(x, y)`` copies x and y into a batch of one."""
+
+    def __init__(self, x, y):
+        self.batch = TrajectoryBatch(np.array(x, dtype=np.float64)[None],
+                                     np.array(y, dtype=np.float64)[None])
+        self.index = 0
+
+    x = property(lambda self: self.batch.x[self.index])
+    y = property(lambda self: self.batch.y[self.index])
+
+    def __len__(self):
+        return self.batch.x.shape[1]
+
+
+class _TrajectoryRow(Trajectory):
+    """A row of a batch whose rule has passed: it is not checked again."""
+
+    def __init__(self, batch: TrajectoryBatch, index: int):
+        self.batch = batch
+        self.index = index
+
+
+def trajectory_batch(trajectories) -> TrajectoryBatch:
+    """``trajectories`` as one batch: a ``TrajectoryBatch`` as it is, and a
+    sequence of equally long trajectories stacked into a new batch, which
+    the trajectory rule checks."""
+    if isinstance(trajectories, TrajectoryBatch):
+        return trajectories
+    rows = list(trajectories)
+    return TrajectoryBatch(np.stack([t.x for t in rows]), np.stack([t.y for t in rows]))
 
 
 def _decode_terms(h_z, t_pred: int, fps):
@@ -318,7 +340,7 @@ def decode(h_z, v0: float, t_pred: int, fps) -> Trajectory:
     if h.shape != (OUT,):
         raise ValueError(f"latent state must have shape ({OUT},), got {h.shape}")
     x, y = decode_batch(h[None, :], np.array([v0], dtype=np.float64), t_pred, fps)
-    return Trajectory(x=x[0], y=y[0])
+    return TrajectoryBatch(x, y)[0]
 
 
 def loss_batch(x, y, futures):
@@ -361,21 +383,18 @@ def decode_partials(h_z, t_pred: int, fps):
 
 def truth_trajectory(scenario) -> Trajectory:
     """The recorded future as a trajectory anchored at (0, 0)."""
-    return Trajectory(
-        x=np.concatenate([[0.0], scenario.future[:, 0]]),
-        y=np.concatenate([[0.0], scenario.future[:, 1]]),
-    )
+    return truth_trajectories([scenario])[0]
 
 
-def truth_trajectories(scenarios) -> list[Trajectory]:
-    """``truth_trajectory`` of each scenario, built from the stacked
-    futures of a batch that shares one horizon, with one check."""
-    futures = np.stack([scenario.future for scenario in scenarios])
+def truth_trajectories(scenarios) -> TrajectoryBatch:
+    """The recorded futures of scenarios, a batch or a sequence (see
+    ``scenario.scenario_batch``), as trajectories anchored at (0, 0)."""
+    futures = scenario_batch(scenarios).futures
     x = np.zeros((futures.shape[0], futures.shape[1] + 1))
     y = np.zeros_like(x)
     x[:, 1:] = futures[:, :, 0]
     y[:, 1:] = futures[:, :, 1]
-    return _trajectories(x, y)
+    return TrajectoryBatch(x, y)
 
 
 def build_basis(config: ModelConfig) -> ProductBasis:
@@ -389,35 +408,36 @@ def build_basis(config: ModelConfig) -> ProductBasis:
 
 
 def select_channels(features, k: int):
-    """Pick the encoder's channels: all four, or the two velocities."""
+    """Pick the encoder's channels of (..., 4, T_obs, N_V) features: all
+    four, or the two velocities."""
     if k == 4:
         return features
     if k == 2:
-        return features[2:4]
+        return features[..., 2:4, :, :]
     raise ValueError(f"k must be 2 or 4, got {k}")
 
 
 def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
-    """Truncated spectral coefficients of many scenarios, one row each: (B, z).
+    """Truncated spectral coefficients of scenarios, a batch or a sequence
+    (see ``scenario.scenario_batch``), one row each: (B, z).
 
     With weighting enabled, each scenario's spatial factor is the star
     reweighted by inverse hub distance at its last observed step, and all
     of them come from one closed-form ``star_spectra`` call; otherwise
     every scenario uses the reference basis.
     """
-    for scenario in scenarios:
-        if scenario.t_obs != config.t_obs or scenario.n_vehicles != config.n_v:
-            raise ValueError(
-                f"scenario grid ({scenario.t_obs}, {scenario.n_vehicles}) does "
-                f"not match config ({config.t_obs}, {config.n_v})"
-            )
-    feats = np.stack([select_channels(s.features, config.k) for s in scenarios])
+    batch = scenario_batch(scenarios)
+    if (batch.t_obs, batch.n_vehicles) != (config.t_obs, config.n_v):
+        raise ValueError(
+            f"scenario grid ({batch.t_obs}, {batch.n_vehicles}) does "
+            f"not match config ({config.t_obs}, {config.n_v})"
+        )
     spatial = None
     if config.weighted:
-        t0 = config.t_obs - 1
-        positions = np.stack([s.features[:2, t0, :].T for s in scenarios])
+        positions = batch.features[:, :2, config.t_obs - 1, :].transpose(0, 2, 1)
         # One (V, V) basis per scenario, shared by its channels.
         spatial = star_spectra(inverse_distance_weights(positions))[1][:, None]
+    feats = select_channels(batch.features, config.k)
     return truncate_spectrum(gft_extended(feats, basis, spatial), config.p)
 
 
@@ -427,22 +447,22 @@ def scenario_spectrum(scenario, basis: ProductBasis, config: ModelConfig) -> np.
 
 
 def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
-                  config: ModelConfig) -> list[Trajectory]:
-    """Full inference path for many scenarios: one stacked spectral pass,
-    one forward pass and one decode over the whole batch."""
-    for scenario in scenarios:
-        if scenario.fps != config.fps:
-            raise ValueError(
-                f"scenario fps {scenario.fps} does not match model fps {config.fps}"
-            )
-        if scenario.t_pred != config.t_pred:
-            raise ValueError(
-                f"scenario horizon {scenario.t_pred} does not match config "
-                f"{config.t_pred}"
-            )
-    h_z, _ = forward(scenario_spectra(scenarios, basis, config), params, config)
-    v0 = np.array([scenario.v0 for scenario in scenarios])
-    return _trajectories(*decode_batch(h_z, v0, config.t_pred, config.fps))
+                  config: ModelConfig) -> TrajectoryBatch:
+    """Full inference path for scenarios, a batch or a sequence (see
+    ``scenario.scenario_batch``): one spectral pass, one forward pass and
+    one decode over the whole batch, whose fps and horizon are checked
+    against the config once."""
+    batch = scenario_batch(scenarios)
+    if batch.fps != config.fps:
+        raise ValueError(
+            f"scenario fps {batch.fps} does not match model fps {config.fps}"
+        )
+    if batch.t_pred != config.t_pred:
+        raise ValueError(
+            f"scenario horizon {batch.t_pred} does not match config {config.t_pred}"
+        )
+    h_z, _ = forward(scenario_spectra(batch, basis, config), params, config)
+    return TrajectoryBatch(*decode_batch(h_z, batch.v0, config.t_pred, config.fps))
 
 
 def predict(scenario, basis: ProductBasis, params: ModelParams,

@@ -16,7 +16,6 @@ import logging
 import math
 import warnings
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -117,58 +116,156 @@ class RawTrack:
         return self.frame.size
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Model-ready sample: observed features plus the target's future."""
+class _RowError(ValueError):
+    """A batch row breaks the scenario rule, whose message is ``reason``."""
 
-    scenario_id: str
-    features: np.ndarray        # (4, T_obs, N_V)
-    future: np.ndarray          # (T_pred, 2) displacement from the last observed position
-    v0: float                   # target longitudinal speed at the last observed step
+
+@dataclass(frozen=True, eq=False)
+class ScenarioBatch:
+    """Model-ready samples on one grid at one fps, one row each: observed
+    features plus the target's future.
+
+    The constructor, which also takes maneuver names for ``codes``, checks
+    the scenario rule once over the whole arrays and freezes them; a row
+    that breaks it raises ValueError naming its index and id. ``batch[i]``
+    is a ``Scenario`` row that reads views of the arrays; a slice or an
+    index array gives a batch.
+    """
+
+    ids: tuple
+    codes: np.ndarray           # (n,) indices into MANEUVERS
+    v0: np.ndarray              # (n,) target longitudinal speed at the last observed step
+    features: np.ndarray        # (n, 4, T_obs, N_V)
+    futures: np.ndarray         # (n, T_pred, 2) displacement from the last observed position
     fps: float
-    maneuver: str
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 3 or f.shape[0] != len(CHANNELS):
-            raise ValueError(f"features must be (4, T_obs, N_V), got {f.shape}")
-        fut = np.asarray(self.future, dtype=np.float64)
-        if fut.ndim != 2 or fut.shape[1] != 2 or fut.shape[0] < 1:
-            raise ValueError(f"future must be (T_pred, 2), got {fut.shape}")
-        if not (np.isfinite(f).all() and np.isfinite(fut).all()):
-            raise ValueError(f"scenario {self.scenario_id}: non-finite data")
-        if f[0, 0, 0] != 0.0 or f[1, 0, 0] != 0.0:
+        if f.ndim != 4 or f.shape[1] != len(CHANNELS):
+            raise ValueError(f"features must be (4, T_obs, N_V), got {f.shape[1:]}")
+        fut = np.asarray(self.futures, dtype=np.float64)
+        if fut.ndim != 3 or fut.shape[2] != 2 or fut.shape[1] < 1:
+            raise ValueError(f"future must be (T_pred, 2), got {fut.shape[1:]}")
+        ids = tuple(self.ids)
+        codes = np.asarray(self.codes)
+        names = codes.tolist()
+        if codes.dtype.kind not in "iu":
+            codes = np.array([MANEUVERS.index(m) if m in MANEUVERS else -1 for m in names],
+                             dtype=np.int64)
+        v0 = np.asarray(self.v0, dtype=np.float64)
+        n = len(ids)
+        if {codes.shape, v0.shape, f.shape[:1], fut.shape[:1]} != {(n,)}:
+            raise ValueError(f"a batch of {n} ids has maneuvers of shape {codes.shape}, "
+                             f"v0 {v0.shape}, features {f.shape} and futures {fut.shape}")
+        # The checks in the order the rule applies them: a row is named by
+        # the first check it fails.
+        checks = (
+            (~(np.isfinite(f).all(axis=(1, 2, 3)) & np.isfinite(fut).all(axis=(1, 2))),
+             lambda i: f"scenario {ids[i]}: non-finite data"),
+            ((f[:, 0, 0, 0] != 0.0) | (f[:, 1, 0, 0] != 0.0),
+             lambda i: f"scenario {ids[i]}: target must start at the origin"),
+            ((codes < 0) | (codes >= len(MANEUVERS)),
+             lambda i: f"unknown maneuver {names[i]!r}"),
+            (~np.isfinite(v0), lambda i: f"scenario {ids[i]}: v0 must be finite, got {v0[i]}"),
+            (np.full(n, not _valid_fps(self.fps)),
+             lambda i: f"scenario {ids[i]}: fps must be positive and finite, got {self.fps}"),
+        )
+        bad = np.logical_or.reduce([fails for fails, _ in checks], axis=0, initial=False)
+        if bad.any():
+            i = int(bad.argmax())
+            reason = next(say for fails, say in checks if fails[i])(i)
+            error = _RowError(f"scenario {i} ({ids[i]!r}): {reason}")
+            error.reason = reason
+            raise error
+        for name, value in (("ids", ids), ("codes", _frozen(codes, np.int64)),
+                            ("v0", _frozen(v0)), ("features", _frozen(f)),
+                            ("futures", _frozen(fut)), ("fps", float(self.fps))):
+            object.__setattr__(self, name, value)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return _ScenarioRow(self, range(len(self))[index])
+        rows = np.arange(len(self))[index].tolist()
+        return ScenarioBatch(tuple(self.ids[i] for i in rows), self.codes[index],
+                             self.v0[index], self.features[index], self.futures[index],
+                             self.fps)
+
+    t_obs = property(lambda self: self.features.shape[2])
+    t_pred = property(lambda self: self.futures.shape[1])
+    n_vehicles = property(lambda self: self.features.shape[3])
+
+
+class Scenario:
+    """One scenario: row ``index`` of ``batch``, a ``ScenarioBatch``.
+
+    ``Scenario(scenario_id, features, future, v0, fps, maneuver)`` copies
+    the (4, T_obs, N_V) features and (T_pred, 2) future into a batch of
+    one; a fault raises the scenario rule's message.
+    """
+
+    def __init__(self, scenario_id, features, future, v0, fps, maneuver):
+        try:
+            self.batch = ScenarioBatch(
+                (scenario_id,), (maneuver,), (v0,), np.array(features, dtype=np.float64)[None],
+                np.array(future, dtype=np.float64)[None], fps)
+        except _RowError as exc:
+            raise ValueError(exc.reason) from None
+        self.index = 0
+
+    scenario_id = property(lambda self: self.batch.ids[self.index])
+    features = property(lambda self: self.batch.features[self.index])
+    future = property(lambda self: self.batch.futures[self.index])
+    v0 = property(lambda self: float(self.batch.v0[self.index]))
+    fps = property(lambda self: self.batch.fps)
+    maneuver = property(lambda self: MANEUVERS[self.batch.codes[self.index]])
+    t_obs = property(lambda self: self.batch.t_obs)
+    t_pred = property(lambda self: self.batch.t_pred)
+    n_vehicles = property(lambda self: self.batch.n_vehicles)
+
+
+class _ScenarioRow(Scenario):
+    """A row of a batch whose rule has passed: it is not checked again."""
+
+    def __init__(self, batch: ScenarioBatch, index: int):
+        self.batch = batch
+        self.index = index
+
+
+def scenario_batch(scenarios) -> ScenarioBatch:
+    """``scenarios`` as one batch: a ``ScenarioBatch`` as it is, and a
+    sequence of scenarios on one grid at one fps stacked into a new batch,
+    which the scenario rule checks."""
+    if isinstance(scenarios, ScenarioBatch):
+        return scenarios
+    rows = list(scenarios)
+    if not rows:
+        raise ValueError("no scenarios to batch")
+    first = rows[0]
+    grid = (first.t_obs, first.t_pred, first.n_vehicles)
+    for s in rows:
+        if s.fps != first.fps:
+            raise ValueError(f"scenario {s.scenario_id!r} has fps {s.fps}, but "
+                             f"{first.scenario_id!r} has {first.fps}; a batch holds one fps")
+        if (s.t_obs, s.t_pred, s.n_vehicles) != grid:
             raise ValueError(
-                f"scenario {self.scenario_id}: target must start at the origin"
-            )
-        if self.maneuver not in MANEUVERS:
-            raise ValueError(f"unknown maneuver {self.maneuver!r}")
-        if not np.isfinite(self.v0):
-            raise ValueError(f"scenario {self.scenario_id}: v0 must be finite, "
-                             f"got {self.v0}")
-        if not _valid_fps(self.fps):
-            raise ValueError(f"scenario {self.scenario_id}: fps must be positive "
-                             f"and finite, got {self.fps}")
-        object.__setattr__(self, "features", _frozen(f))
-        object.__setattr__(self, "future", _frozen(fut))
-
-    @property
-    def t_obs(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def t_pred(self) -> int:
-        return self.future.shape[0]
-
-    @property
-    def n_vehicles(self) -> int:
-        return self.features.shape[2]
+                f"scenario {s.scenario_id!r} has grid (t_obs, t_pred, n_vehicles) = "
+                f"{(s.t_obs, s.t_pred, s.n_vehicles)}, but {first.scenario_id!r} has "
+                f"{grid}; an archive holds one grid")
+    return ScenarioBatch(tuple(s.scenario_id for s in rows), [s.maneuver for s in rows],
+                         [s.v0 for s in rows], np.stack([s.features for s in rows]),
+                         np.stack([s.future for s in rows]), first.fps)
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: list
-    test: list
+    """Train and test scenarios, each a ``ScenarioBatch`` as ``split``
+    makes them or a sequence of scenarios (see ``scenario_batch``)."""
+
+    train: ScenarioBatch | list
+    test: ScenarioBatch | list
     seed: int
 
 
@@ -337,8 +434,9 @@ def _maneuver_codes(lane_ids, lateral):
 
 def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
                       n_vehicles: int = 9, stride: int | None = None,
-                      target_ids=None) -> list[Scenario]:
-    """Slide fixed windows over every track and cut model-ready scenarios.
+                      target_ids=None) -> ScenarioBatch:
+    """Slide fixed windows over every track and cut model-ready scenarios,
+    returned as one ``ScenarioBatch`` in target-id order.
 
     Windows advance by ``stride`` frames (default: the prediction length,
     so consecutive futures of one target do not overlap). A window needs
@@ -353,8 +451,8 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     frame runs that start at most one longest run before it. The windows
     are then cut in blocks, as array code: one masked distance and one
     sort per block pick the neighbours, one gather takes every slot's
-    observation and the target's future, and every window's label comes
-    from one pass. A block's padded candidate matrix and its gathered rows
+    observation and the target's future into the batch's arrays, and every
+    window's label comes from one pass. A block's padded candidate matrix and its gathered rows
     stay within ``_GATHER_BLOCK`` elements. The tracks are let go once
     their rows are in the table, so ``tracks`` may be a generator that
     nothing else holds.
@@ -368,7 +466,8 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
         raise ValueError(f"stride must be positive, got {stride}")
     tracks = list(tracks)
     if not tracks:
-        return []
+        return ScenarioBatch((), (), (), np.empty((0, len(CHANNELS), t_obs_steps, n_vehicles)),
+                             np.empty((0, t_pred_steps, 2)), float(fps))
     window = t_obs_steps + t_pred_steps
     # All rows, track after track: track i owns rows track_row[i] up to
     # track_row[i + 1].
@@ -432,7 +531,12 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     data = np.concatenate([getattr(tr, name) for name in ("x", "y", "vx", "vy")
                            for tr in tracks]).reshape(4, track_row[-1])
     del tracks, target      # the table holds their rows now
-    scenarios = []
+    n = sum(win[1].size for win in windows)
+    features = np.empty((n, len(CHANNELS), t_obs_steps, n_vehicles))
+    futures = np.empty((n, t_pred_steps, 2))
+    v0 = np.empty(n)
+    codes = np.empty(n, dtype=np.int64)
+    ids = ()
     if windows:
         win_track, win_start, win_first, win_low, win_high, win_lanes = map(
             np.concatenate, zip(*windows))
@@ -447,24 +551,20 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
             rows = np.concatenate([(back + slot_at[:, None]).reshape(last.size, n_obs),
                                    i0[:, None] + ahead], axis=1)
             got = data.take(rows, axis=1)
-            feats = got[:, :, :n_obs].reshape(4, last.size, t_obs_steps, n_vehicles)
-            feats = np.ascontiguousarray(feats.transpose(1, 0, 2, 3))
+            feats = features[w]
+            feats[...] = got[:, :, :n_obs].reshape(
+                4, last.size, t_obs_steps, n_vehicles).transpose(1, 0, 2, 3)
             # Positions relative to the target's first observed row.
             feats[:, :2] -= got[:2, :, 0].T[:, :, None, None]
             rest = got[:, :, n_obs:]
-            future = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
-            future = np.ascontiguousarray(future)
-            codes = _maneuver_codes(win_lanes[w], rest[1])
-            for k, (t, start, v0, code) in enumerate(zip(
-                    win_track[w].tolist(), win_start[w].tolist(), rest[2, :, 0].tolist(),
-                    codes.tolist())):
-                scenarios.append(Scenario(
-                    scenario_id=f"v{vehicle[t]}-f{start}",
-                    features=feats[k], future=future[k], v0=v0, fps=float(fps),
-                    maneuver=MANEUVERS[code]))
+            futures[w] = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
+            v0[w] = rest[2, :, 0]
+            codes[w] = _maneuver_codes(win_lanes[w], rest[1])
+        ids = tuple(f"v{vehicle[t]}-f{start}"
+                    for t, start in zip(win_track.tolist(), win_start.tolist()))
     if skipped:
         log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
-    return scenarios
+    return ScenarioBatch(ids, codes, v0, features, futures, float(fps))
 
 
 def _window_blocks(widths, per_window):
@@ -508,28 +608,26 @@ def _nearest(data, cands, low, high, last, i0, rank, no_rank, k):
     return np.take_along_axis(at, order[:, :k], axis=1)
 
 
-def balance(scenarios, seed: int) -> list[Scenario]:
-    """Down-sample the majority classes to the size of the smallest one."""
-    groups = {m: [] for m in MANEUVERS}
-    for i, s in enumerate(scenarios):
-        groups[s.maneuver].append(i)
-    for m in MANEUVERS:
-        if not groups[m]:
+def balance(scenarios, seed: int) -> ScenarioBatch:
+    """Down-sample the majority classes to the size of the smallest one;
+    the kept scenarios stay in their order."""
+    batch = scenario_batch(scenarios)
+    groups = [np.flatnonzero(batch.codes == code) for code in range(len(MANEUVERS))]
+    for m, idx in zip(MANEUVERS, groups):
+        if not idx.size:
             raise BalanceError(f"no scenarios with maneuver '{m}'")
-    n_min = min(len(g) for g in groups.values())
+    n_min = min(idx.size for idx in groups)
     rng = np.random.default_rng(seed)
     keep = []
-    for m in MANEUVERS:
-        idx = groups[m]
-        if len(idx) > n_min:
-            chosen = rng.choice(len(idx), size=n_min, replace=False)
-            idx = [idx[i] for i in np.sort(chosen)]
-        keep.extend(idx)
-    return [scenarios[i] for i in sorted(keep)]
+    for idx in groups:
+        if idx.size > n_min:
+            idx = idx[np.sort(rng.choice(idx.size, size=n_min, replace=False))]
+        keep.append(idx)
+    return batch[np.sort(np.concatenate(keep))]
 
 
 def split(scenarios, ratio: float, seed: int) -> DatasetSplit:
-    """Deterministic stratified train/test split.
+    """Deterministic stratified train/test split into two batches.
 
     Per-class quotas use largest-remainder rounding so the overall train
     fraction matches ``ratio`` as closely as an integer count allows.
@@ -539,44 +637,26 @@ def split(scenarios, ratio: float, seed: int) -> DatasetSplit:
     n = len(scenarios)
     if n < 2:
         raise SplitError(f"need at least 2 scenarios to split, got {n}")
+    batch = scenario_batch(scenarios)
     target_train = min(max(int(round(ratio * n)), 1), n - 1)
+    groups = [np.flatnonzero(batch.codes == code) for code in range(len(MANEUVERS))]
+    quota = [int(ratio * idx.size) for idx in groups]
+    # Largest remainders first, ties in class order.
+    for code in sorted(range(len(groups)),
+                       key=lambda code: (quota[code] - ratio * groups[code].size, code)):
+        if sum(quota) < target_train and quota[code] < groups[code].size:
+            quota[code] += 1
     rng = np.random.default_rng(seed)
-    groups = defaultdict(list)
-    for i, s in enumerate(scenarios):
-        groups[s.maneuver].append(i)
-    class_order = [m for m in MANEUVERS if groups[m]]
-    class_order += sorted(set(groups) - set(MANEUVERS))
-    quota = {}
-    remainders = []
-    assigned = 0
-    for m in class_order:
-        exact = ratio * len(groups[m])
-        quota[m] = int(exact)
-        remainders.append((-(exact - quota[m]), m))
-        assigned += quota[m]
-    remainders.sort()
-    for _, m in remainders:
-        if assigned >= target_train:
-            break
-        if quota[m] < len(groups[m]):
-            quota[m] += 1
-            assigned += 1
     train_idx, test_idx = [], []
-    for m in class_order:
-        idx = np.asarray(groups[m])
+    for idx, take in zip(groups, quota):
         perm = rng.permutation(idx.size)
-        take = quota[m]
-        train_idx.extend(idx[perm[:take]])
-        test_idx.extend(idx[perm[take:]])
-    train_idx = [int(i) for i in rng.permutation(train_idx)]
-    test_idx = [int(i) for i in rng.permutation(test_idx)]
-    if not train_idx or not test_idx:
+        train_idx.append(idx[perm[:take]])
+        test_idx.append(idx[perm[take:]])
+    train_idx = rng.permutation(np.concatenate(train_idx))
+    test_idx = rng.permutation(np.concatenate(test_idx))
+    if not train_idx.size or not test_idx.size:
         raise SplitError("split produced an empty side; adjust ratio or data")
-    return DatasetSplit(
-        train=[scenarios[i] for i in train_idx],
-        test=[scenarios[i] for i in test_idx],
-        seed=seed,
-    )
+    return DatasetSplit(train=batch[train_idx], test=batch[test_idx], seed=seed)
 
 
 def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
@@ -641,7 +721,7 @@ def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
 def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
                t_obs: float = 3.0, t_pred: float = 5.0, n_vehicles: int = 9,
                speed_range=(20.0, 35.0), accel_range=(-2.0, 2.0),
-               rate_range=(1.0, 2.5)) -> list[Scenario]:
+               rate_range=(1.0, 2.5)) -> ScenarioBatch:
     """Generate labelled scenarios from a parametric motion family.
 
     Classes cycle keep/left/right so counts differ by at most one. The
@@ -653,89 +733,81 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     ``_synthetic_scenes``), so no scene's vehicle can be another's
     neighbour, and one ``extract_scenarios`` call cuts the one window of
     every scene's target. The scenes stream into it as a generator, so
-    their tracks are freed once extraction has copied their rows.
+    their tracks are freed once extraction has copied their rows. The
+    labels are checked with one compare, and the batch is renamed
+    ``synth-%05d`` as a whole.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
-    wanted = [MANEUVERS[i % 3] for i in range(n)]
+    wanted = np.arange(n) % len(MANEUVERS)
     tracks = _synthetic_scenes(
-        np.random.default_rng(seed), wanted, fps, t_obs_steps + t_pred_steps,
-        t_obs_steps - 1, t_pred_steps / fps, n_vehicles, noise_std,
-        speed_range, accel_range, rate_range)
-    scenarios = extract_scenarios(
+        np.random.default_rng(seed), [MANEUVERS[code] for code in wanted], fps,
+        t_obs_steps + t_pred_steps, t_obs_steps - 1, t_pred_steps / fps, n_vehicles,
+        noise_std, speed_range, accel_range, rate_range)
+    batch = extract_scenarios(
         tracks, fps, t_obs, t_pred, n_vehicles,
         target_ids=range(1, 1 + n * _SCENE_VEHICLES, _SCENE_VEHICLES))
-    out = []
-    for i, (scen, maneuver) in enumerate(zip(scenarios, wanted)):
-        if scen.maneuver != maneuver:
-            raise RuntimeError(
-                f"synthetic scene {i} produced 1 scenarios "
-                f"with labels {[scen.maneuver]}, wanted {maneuver}"
-            )
-        out.append(replace(scen, scenario_id=f"synth-{i:05d}"))
-    return out
+    lost = np.flatnonzero(batch.codes != wanted)
+    if lost.size:
+        i = int(lost[0])
+        raise RuntimeError(
+            f"synthetic scene {i} produced 1 scenarios with labels "
+            f"{[batch[i].maneuver]}, wanted {MANEUVERS[wanted[i]]}"
+        )
+    return replace(batch, ids=tuple(f"synth-{i:05d}" for i in range(n)))
 
 
 def save_archive(path, scenarios, fps):
-    """Write scenarios to an archive (format version 3).
+    """Write scenarios, a batch or a sequence (see ``scenario_batch``), to
+    an archive (format version 3).
 
     The head holds the fps, the grid (t_obs, t_pred, n_vehicles) every
     scenario shares and each scenario's id, maneuver and v0; the payload
-    is the stacked (n, 4, T_obs, N_V) features and then the stacked
-    (n, T_pred, 2) futures, as raw float64 (see ``store.write_document``).
+    is the batch's (n, 4, T_obs, N_V) features and then its (n, T_pred, 2)
+    futures, as raw float64 (see ``store.write_document``).
     """
     fps = float(fps)
-    if not scenarios:
+    if not len(scenarios):
         raise ValueError("an archive needs at least one scenario")
-    for s in scenarios:
-        if s.fps != fps:
-            raise ValueError(
-                f"scenario {s.scenario_id} has fps {s.fps}, archive wants {fps}"
-            )
-        _check_grid(s, scenarios[0])
-    n = len(scenarios)
-    t_obs, t_pred, n_vehicles = _grid(scenarios[0])
+    batch = scenario_batch(scenarios)
+    if batch.fps != fps:
+        raise ValueError(
+            f"scenario {batch.ids[0]} has fps {batch.fps}, archive wants {fps}"
+        )
     head = {
         "version": ARCHIVE_VERSION,
         "fps": fps,
         "feature_order": "(channel, time, vehicle) row-major",
         "channels": list(CHANNELS),
-        "t_obs": t_obs,
-        "t_pred": t_pred,
-        "n_vehicles": n_vehicles,
-        "scenarios": [{"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0}
-                      for s in scenarios],
+        "t_obs": batch.t_obs,
+        "t_pred": batch.t_pred,
+        "n_vehicles": batch.n_vehicles,
+        "scenarios": [{"id": scenario_id, "maneuver": MANEUVERS[code], "v0": v0}
+                      for scenario_id, code, v0
+                      in zip(batch.ids, batch.codes.tolist(), batch.v0.tolist())],
     }
-    write_document(path, head, {
-        "features": ((n, len(CHANNELS), t_obs, n_vehicles),
-                     [s.features for s in scenarios]),
-        "future": ((n, t_pred, 2), [s.future for s in scenarios]),
-    })
+    write_document(path, head, {"features": (batch.features.shape, [batch.features]),
+                                "future": (batch.futures.shape, [batch.futures])})
 
 
 def load_archive(path):
-    """Read a scenario archive of format version 3; returns (scenarios, fps).
-    Any other version is refused.
+    """Read a scenario archive of format version 3; returns (batch, fps),
+    where batch is a ``ScenarioBatch``. Any other version is refused.
 
-    Each scenario holds read-only views of the payload's two blocks. They
-    are checked by ``Scenario``'s rule once for the whole archive, and the
-    head's scenario entries are type-checked in one pass; an archive that
-    breaks either is read entry by entry, so the error is the failing
-    scenario's. A corrupt or empty document raises ValueError
-    naming the path and, for a bad scenario, its index and id, with the
-    key at fault.
+    The batch holds the payload's two blocks as read-only arrays, checked
+    by the scenario rule once. The head's scenario entries are read before
+    any array check. A corrupt or empty document raises ValueError naming
+    the path and, for a bad scenario, its index and id, with the key at
+    fault.
     """
     with open_document(path, "archive", "version", ARCHIVE_VERSION) as doc:
         fps = doc.value("fps", float)
         grid = tuple(doc.value(key, int) for key in ("t_obs", "t_pred", "n_vehicles"))
         entries = doc.value("scenarios", list)
-        fields = _entry_fields(entries)
-        if fields is None:
-            # An entry that is not an object is named before any array check.
-            items = [_item(path, index, obj) for index, obj in enumerate(entries)]
+        fields = [_entry(path, index, obj) for index, obj in enumerate(entries)]
         if not entries:
             raise ValueError(f"{path}: archive contains no scenarios")
         n = len(entries)
@@ -745,58 +817,23 @@ def load_archive(path):
                            f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
         features = doc.payload.read("features")
         future = doc.payload.read("future")
-    features.flags.writeable = False
-    future.flags.writeable = False
-    if fields is None:
-        fields = [(item.value("id", str), item.value("maneuver", str),
-                   item.value("v0", float)) for item in items]
-    if (_valid_fps(fps) and np.all(np.isfinite(features)) and np.all(np.isfinite(future))
-            and not np.any(features[:, :2, 0, 0])
-            and all(m in MANEUVERS and np.isfinite(v0) for _, m, v0 in fields)):
-        scenarios = []
-        for (scenario_id, maneuver, v0), f, fut in zip(fields, features, future):
-            scenario = object.__new__(Scenario)
-            for name, value in (("scenario_id", scenario_id), ("features", f),
-                                ("future", fut), ("v0", v0), ("fps", fps),
-                                ("maneuver", maneuver)):
-                object.__setattr__(scenario, name, value)
-            scenarios.append(scenario)
-        return scenarios, fps
-    return [_item(path, index, obj).build(
-                Scenario, scenario_id=scenario_id, features=f, future=fut, v0=v0,
-                fps=fps, maneuver=maneuver)
-            for index, (obj, (scenario_id, maneuver, v0), f, fut)
-            in enumerate(zip(entries, fields, features, future))], fps
+    ids, maneuvers, v0 = zip(*fields)
+    try:
+        return ScenarioBatch(ids, maneuvers, v0, features, future, fps), fps
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _entry_fields(entries):
-    """(id, maneuver, v0) of every scenario entry of an archive head, read
-    in one pass, or None unless every entry is an object whose id and
-    maneuver are strings and whose v0 is a number: the values ``_item``'s
-    Table would read."""
-    if all(type(obj) is dict and type(obj.get("id")) is str
-           and type(obj.get("maneuver")) is str and type(obj.get("v0")) in (float, int)
-           for obj in entries):
-        return [(obj["id"], obj["maneuver"], float(obj["v0"])) for obj in entries]
-    return None
-
-
-def _item(path, index: int, obj) -> Table:
-    """Scenario ``index`` of an archive as a Table named by index and id."""
+def _entry(path, index: int, obj):
+    """(id, maneuver, v0) of scenario entry ``index`` of an archive head.
+    An entry that is not an object whose id and maneuver are strings and
+    whose v0 is a number is read through a Table named by index and id,
+    which names the fault."""
+    if (type(obj) is dict and type(obj.get("id")) is str
+            and type(obj.get("maneuver")) is str and type(obj.get("v0")) in (float, int)):
+        return obj["id"], obj["maneuver"], float(obj["v0"])
     where = f"{path}: scenario {index}"
     if isinstance(obj, dict):
         where += f" ({obj.get('id')!r})"
-    return Table(obj, where)
-
-
-def _check_grid(scenario, first):
-    if _grid(scenario) != _grid(first):
-        raise ValueError(
-            f"scenario {scenario.scenario_id!r} has grid "
-            f"(t_obs, t_pred, n_vehicles) = {_grid(scenario)}, but "
-            f"{first.scenario_id!r} has {_grid(first)}; an archive holds one grid"
-        )
-
-
-def _grid(scenario):
-    return scenario.t_obs, scenario.t_pred, scenario.n_vehicles
+    item = Table(obj, where)
+    return item.value("id", str), item.value("maneuver", str), item.value("v0", float)

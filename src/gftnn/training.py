@@ -19,7 +19,8 @@ from . import metrics
 from .model import (OUT, ModelConfig, ModelParams, NumericError, _decode,
                     _ensure_finite, _partials, build_basis, decode_batch,
                     forward, gelu_grad, init_params, loss_batch,
-                    save_checkpoint, scenario_spectra, scenario_spectrum)
+                    save_checkpoint, scenario_spectra)
+from .scenario import scenario_batch
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -121,11 +122,7 @@ def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
 def gradients(scenario, params: ModelParams, config: ModelConfig,
               basis) -> ModelParams:
     """Loss gradients for a single scenario (a batch of one)."""
-    s = scenario_spectrum(scenario, basis, config)[None, :]
-    futures = scenario.future[None, :, :]
-    v0 = np.array([scenario.v0])
-    _, grads = _batch_loss_and_grads(s, futures, v0, params, config)
-    return grads
+    return _batch_loss_and_grads(*_prepare([scenario], basis, config), params, config)[1]
 
 
 class AdamState:
@@ -191,11 +188,10 @@ class TrainResult:
 
 
 def _prepare(scenarios, basis, config):
-    """Precompute spectra once; the transform never changes during training."""
-    s = scenario_spectra(scenarios, basis, config)
-    futures = np.stack([sc.future for sc in scenarios])
-    v0 = np.array([sc.v0 for sc in scenarios])
-    return s, futures, v0
+    """Spectra (computed once: the transform never changes during training),
+    futures and v0 of scenarios, a batch or a sequence (``scenario_batch``)."""
+    batch = scenario_batch(scenarios)
+    return scenario_spectra(batch, basis, config), batch.futures, batch.v0
 
 
 def _test_metrics(s, futures, v0, params, config):

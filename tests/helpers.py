@@ -3,7 +3,6 @@ import csv
 import json
 import logging
 from collections import defaultdict
-from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit
@@ -528,5 +527,6 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
                 f"synthetic scene {i} produced {len(scen)} scenarios "
                 f"with labels {[s.maneuver for s in scen]}, wanted {maneuver}"
             )
-        out.append(replace(scen[0], scenario_id=f"synth-{i:05d}"))
+        s = scen[0]
+        out.append(Scenario(f"synth-{i:05d}", s.features, s.future, s.v0, s.fps, s.maneuver))
     return out

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gftnn
+from gftnn import cli
 from gftnn.cli import main
 from gftnn.metrics import (HISTOGRAM_MAX_BINS, evaluate, write_histogram_csv,
                            write_report_json)
@@ -370,28 +371,47 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
         assert np.max(np.abs(single.y - row.y)) <= 1e-12
 
 
+def predict_batch_spy(monkeypatch):
+    """The batches ``cli`` passes to ``predict_batch``, which still runs."""
+    calls = []
+
+    def spy(scenarios, *args):
+        calls.append(scenarios)
+        return predict_batch(scenarios, *args)
+
+    monkeypatch.setattr(cli, "predict_batch", spy)
+    return calls
+
+
 @pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0", "-1"])
 def test_eval_refuses_bin_width_that_is_not_positive_and_finite(tmp_path, capsys,
-                                                                 width):
+                                                                 monkeypatch, width):
+    # The width is refused before the archive is loaded or scored.
     archive = synth_archive(tmp_path, n=6)
     ckpt = tmp_path / "checkpoint.json"
     config = preset_config("gftnn", 10)
     save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    calls = predict_batch_spy(monkeypatch)
     err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
                             f"--bin-width={width}", "--out", str(tmp_path / "eval")])
     assert err == f"error: bin width must be positive and finite, got {float(width)}\n"
+    assert calls == []
     assert not (tmp_path / "eval").exists()
 
 
-def test_eval_refuses_bin_width_with_too_many_bins(tmp_path, capsys):
+def test_eval_refuses_bin_width_with_too_many_bins(tmp_path, capsys, monkeypatch):
+    # The bound depends on the largest per-scenario error, so it is checked
+    # after scoring.
     archive = synth_archive(tmp_path, n=6)
     ckpt = tmp_path / "checkpoint.json"
     config = preset_config("gftnn", 10)
     save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    calls = predict_batch_spy(monkeypatch)
     err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
                             "--bin-width", "1e-300", "--out", str(tmp_path / "eval")])
     assert err.startswith(f"error: bin width 1e-300 needs more than {HISTOGRAM_MAX_BINS} bins")
     assert err.count("\n") == 1
+    assert len(calls) == 1
     assert not (tmp_path / "eval").exists()
 
 

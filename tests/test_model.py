@@ -10,12 +10,13 @@ from gftnn import spectral
 from gftnn import store
 from gftnn.cli import main
 from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory,
-                         _trajectories, build_basis, decode, decode_batch,
+                         TrajectoryBatch, build_basis, decode, decode_batch,
                          decode_partials, forward, gaussian_cdf, gelu, gelu_grad,
                          init_params, load_checkpoint, param_shapes, predict,
                          predict_batch, preset_config, save_checkpoint,
                          scenario_spectra, scenario_spectrum, select_channels,
                          truth_trajectories, truth_trajectory)
+from gftnn.metrics import evaluate
 from gftnn.scenario import Scenario, save_archive, synthesize
 from gftnn.special import expit
 from gftnn.spectral import gft_extended, truncate_spectrum
@@ -493,9 +494,43 @@ def test_predict_batch_rows_are_the_decoded_rows_read_only(basis_30x9):
     (np.zeros((2, 3)), np.zeros((2, 4)), r"bad trajectory shapes \(3,\), \(4,\)"),
 ])
 def test_batch_trajectories_refuse_what_trajectory_refuses(x, y, message):
-    # The message is that of the first row that breaks the rule.
-    with pytest.raises(ValueError, match=message):
-        _trajectories(x, y)
+    # The batch rule gives the message Trajectory(...) gives for the row
+    # that breaks it.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrajectoryBatch(x, y)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trajectory(x[1], y[1])
+
+
+def test_batch_trajectory_row_is_a_view_that_the_rule_does_not_check_again(monkeypatch):
+    batch = TrajectoryBatch(np.arange(12.0).reshape(3, 4), np.zeros((3, 4)))
+    checked = []
+    rule = TrajectoryBatch.__post_init__
+    monkeypatch.setattr(TrajectoryBatch, "__post_init__",
+                        lambda self: checked.append(self) or rule(self))
+    row = batch[1]
+    assert checked == []
+    assert isinstance(row, Trajectory) and row.batch is batch and len(row) == 4
+    assert np.shares_memory(row.x, batch.x) and np.shares_memory(row.y, batch.y)
+    assert not row.x.flags.writeable
+    assert row.x.tolist() == [4.0, 5.0, 6.0, 7.0]
+    with pytest.raises(IndexError):
+        batch[3]
+
+
+def test_predict_batch_and_evaluate_give_the_same_values_for_lists_and_batches(basis_30x9):
+    cfg = preset_config("gftnn", 10)
+    params = init_params(cfg, 3)
+    batch = synthesize(7, 10, seed=32, noise_std=0.05)
+    batched = predict_batch(batch, basis_30x9, params, cfg)
+    listed = predict_batch(list(batch), basis_30x9, params, cfg)
+    for name in ("x", "y"):
+        assert np.array_equal(getattr(batched, name).view(np.uint64),
+                              getattr(listed, name).view(np.uint64))
+    truths = truth_trajectories(batch)
+    a = evaluate(batched, truths, 0.1)
+    b = evaluate(list(listed), [truth_trajectory(s) for s in batch], 0.1)
+    assert repr(a) == repr(b)
 
 
 def test_truth_trajectory_prepends_origin():
@@ -508,10 +543,11 @@ def test_truth_trajectory_prepends_origin():
 
 def test_truth_trajectories_are_the_per_scenario_truths_read_only():
     # Futures holding a signed zero and a subnormal keep their bits.
-    scenarios = synthesize(4, 10, seed=17, noise_std=0.05)
-    future = scenarios[2].future.copy()
+    scenarios = list(synthesize(4, 10, seed=17, noise_std=0.05))
+    s = scenarios[2]
+    future = s.future.copy()
     future[3] = [-0.0, 5e-324]
-    scenarios[2] = dataclasses.replace(scenarios[2], future=future)
+    scenarios[2] = Scenario(s.scenario_id, s.features, future, s.v0, s.fps, s.maneuver)
     rows = truth_trajectories(scenarios)
     assert len(rows) == len(scenarios)
     for row, scenario in zip(rows, scenarios):

@@ -10,9 +10,10 @@ import pytest
 
 from gftnn import scenario
 from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseError,
-                            RawTrack, Scenario, SchemaError, SplitError, _window_steps,
-                            balance, extract_scenarios, ingest_tracks, label_maneuver,
-                            load_archive, save_archive, split, synthesize)
+                            RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
+                            _window_steps, balance, extract_scenarios, ingest_tracks,
+                            label_maneuver, load_archive, save_archive, split, synthesize)
+from gftnn.store import write_document
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
                      label_maneuver_reference, multilane_scene, rewrite_head, split_head,
                      synthesize_reference, three_class_tracks, write_tracks_csv)
@@ -397,7 +398,7 @@ def test_extract_skips_windows_with_gaps():
     n = frames.size
     track = RawTrack(1, frames, np.linspace(0, 80, n), np.full(n, 8.75),
                      np.full(n, 30.0), np.zeros(n), np.full(n, 2, dtype=np.int64))
-    assert extract_scenarios([track], 10) == []
+    assert len(extract_scenarios([track], 10)) == 0
 
 
 def test_extract_neighbour_needs_full_observation():
@@ -691,13 +692,13 @@ def test_balance_downsamples_to_minority():
 
 def test_balance_keeps_balanced_input():
     scen = synthesize(9, 10, seed=2)
-    assert balance(scen, seed=0) == scen
+    assert balance(scen, seed=0).ids == scen.ids
 
 
 def test_balance_deterministic():
     scen = synthesize(21, 10, seed=3)
     subset = scen[:13]  # 5 keep, 4 left, 4 right: forces a random down-sample
-    assert balance(subset, seed=7) == balance(subset, seed=7)
+    assert balance(subset, seed=7).ids == balance(subset, seed=7).ids
 
 
 def test_balance_empty_class_names_it():
@@ -868,7 +869,7 @@ def test_archive_roundtrip_keeps_every_bit(tmp_path):
         features[2, 1, 3] = 5e-324
         features[3, 2, 4] = -0.0
         future[0] = [5e-324, -0.0]
-        scen.append(replace(s, features=features, future=future))
+        scen.append(Scenario(s.scenario_id, features, future, s.v0, s.fps, s.maneuver))
     path = tmp_path / "arch.json"
     save_archive(path, scen, 10)
     back, fps = load_archive(path)
@@ -895,10 +896,11 @@ def test_archive_rejects_unknown_version(tmp_path, stored):
 
 def test_archive_rejects_mixed_shapes(tmp_path):
     scen = synthesize(2, 10, seed=19)
-    short = replace(synthesize(1, 10, seed=19, t_pred=4.0)[0], scenario_id="short-0")
+    s = synthesize(1, 10, seed=19, t_pred=4.0)[0]
+    short = Scenario("short-0", s.features, s.future, s.v0, s.fps, s.maneuver)
     path = tmp_path / "arch.json"
     with pytest.raises(ValueError) as info:
-        save_archive(path, scen + [short], 10)
+        save_archive(path, [*scen, short], 10)
     assert str(info.value) == (
         "scenario 'short-0' has grid (t_obs, t_pred, n_vehicles) = (30, 40, 9), but "
         "'synth-00000' has (30, 50, 9); an archive holds one grid")
@@ -916,20 +918,6 @@ def _scenario_value(index, key, value):
     def change(head):
         head["scenarios"][index][key] = value
     return edited_head(change)
-
-
-def _patched(array, index, at, value):
-    """A byte edit that writes ``value`` at flat position ``at`` of
-    scenario ``index``'s features or future."""
-    def edit(data):
-        start = data.index(b"\n") + 1
-        if array == "future":
-            start += 3 * 4 * 30 * 9 * 8
-            offset = start + 8 * (index * 50 * 2 + at)
-        else:
-            offset = start + 8 * (index * 4 * 30 * 9 + at)
-        return data[:offset] + np.array([value], "<f8").tobytes() + data[offset + 8:]
-    return edit
 
 
 # 3 scenarios at 10 fps: 3 x 4 x 30 x 9 features and 3 x 50 x 2 future values.
@@ -963,22 +951,10 @@ GRID = "on grid (t_obs, t_pred, n_vehicles)"
     (edited_head(lambda head: head.pop("n_vehicles")), "archive is missing key 'n_vehicles'"),
     (edited_head(lambda head: head["scenarios"].insert(1, [0.0])),
      "scenario 1 is not a JSON object"),
-    (_patched("features", 1, 5, np.nan),
-     "scenario 1 ('synth-00001'): scenario synth-00001: non-finite data"),
-    (_patched("future", 2, 99, -np.inf),
-     "scenario 2 ('synth-00002'): scenario synth-00002: non-finite data"),
-    (_patched("features", 1, 30 * 9, 1.0),
-     "scenario 1 ('synth-00001'): scenario synth-00001: target must start at the origin"),
-    (_scenario_value(1, "maneuver", "jump"),
-     "scenario 1 ('synth-00001'): unknown maneuver 'jump'"),
-    (_scenario_value(2, "v0", float("nan")),
-     "scenario 2 ('synth-00002'): scenario synth-00002: v0 must be finite, got nan"),
     (_scenario_value(1, "v0", "25"),
      "scenario 1 ('synth-00001') v0 is a string, expected a number"),
     (_scenario_value(1, "v0", True),
      "scenario 1 ('synth-00001') v0 is a boolean, expected a number"),
-    (_scenario_value(1, "v0", float("inf")),
-     "scenario 1 ('synth-00001'): scenario synth-00001: v0 must be finite, got inf"),
     (_scenario_value(0, "maneuver", None),
      "scenario 0 ('synth-00000') maneuver is null, expected a string"),
     (_scenario_value(1, "id", 5), "scenario 1 (5) id is an integer, expected a string"),
@@ -1009,21 +985,6 @@ GRID = "on grid (t_obs, t_pred, n_vehicles)"
     (edited_head(lambda head: head["arrays"].update(features=[3, 4, 0, 9])),
      "archive arrays features has shape [3, 4, 0, 9], expected a list of positive "
      "integers"),
-    (edited_head(lambda head: head.update(fps=float("inf"))),
-     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
-     "finite, got inf"),
-    (edited_head(lambda head: head.update(fps=0)),
-     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
-     "finite, got 0.0"),
-    (edited_head(lambda head: head.update(fps=float("-inf"))),
-     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
-     "finite, got -inf"),
-    (edited_head(lambda head: head.update(fps=float("nan"))),
-     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
-     "finite, got nan"),
-    (edited_head(lambda head: head.update(fps=-10)),
-     "scenario 0 ('synth-00000'): scenario synth-00000: fps must be positive and "
-     "finite, got -10.0"),
 ])
 def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
     path = tmp_path / "arch.json"
@@ -1046,25 +1007,136 @@ def test_archive_scenarios_are_read_only_views_of_the_payload(tmp_path):
             assert getattr(s, name).flags.c_contiguous
 
 
+def test_batch_row_is_a_view_that_the_rule_does_not_check_again(monkeypatch):
+    batch = synthesize(5, 10, seed=30, noise_std=0.05)
+    checked = []
+    rule = ScenarioBatch.__post_init__
+    monkeypatch.setattr(ScenarioBatch, "__post_init__",
+                        lambda self: checked.append(self) or rule(self))
+    row, last = batch[2], batch[-1]
+    assert checked == []
+    assert isinstance(row, Scenario) and row.batch is batch
+    assert row.features.base is batch.features and row.future.base is batch.futures
+    assert (row.scenario_id, row.maneuver, row.v0, row.fps) == (
+        "synth-00002", "lane_change_right", float(batch.v0[2]), 10.0)
+    assert (row.t_obs, row.t_pred, row.n_vehicles) == (30, 50, 9)
+    assert last.scenario_id == "synth-00004"
+    with pytest.raises(IndexError):
+        batch[5]
+    # A slice or an index array is a batch, which the rule checks.
+    assert batch[1:3].ids == ("synth-00001", "synth-00002")
+    assert batch[np.array([3, 0])].ids == ("synth-00003", "synth-00000")
+    assert len(checked) == 2
+
+
+def test_list_and_batch_give_the_same_split_balance_and_archive(tmp_path):
+    batch = synthesize(38, 10, seed=31, noise_std=0.05)    # 13, 13 and 12 per class
+    rows = list(batch)
+    assert balance(rows, seed=4).ids == balance(batch, seed=4).ids
+    listed, batched = split(rows, 0.7, seed=5), split(batch, 0.7, seed=5)
+    assert (listed.train.ids, listed.test.ids) == (batched.train.ids, batched.test.ids)
+    save_archive(tmp_path / "listed.json", rows, 10)
+    save_archive(tmp_path / "batched.json", batch, 10)
+    assert (tmp_path / "listed.json").read_bytes() == (tmp_path / "batched.json").read_bytes()
+
+
+def test_a_list_of_scenarios_at_two_rates_is_refused():
+    rows = [*synthesize(2, 10, seed=19), synthesize(1, 25, seed=19)[0]]
+    with pytest.raises(ValueError) as info:
+        split(rows, 0.5, seed=0)
+    assert str(info.value) == ("scenario 'synth-00000' has fps 25.0, but 'synth-00000' has "
+                               "10.0; a batch holds one fps")
+
+
 def test_archive_rejects_fps_mismatch(tmp_path):
     scen = synthesize(2, 10, seed=19)
     with pytest.raises(ValueError, match="fps"):
         save_archive(tmp_path / "arch.json", scen, 25)
 
 
-def test_scenario_validation():
-    good = synthesize(1, 10, seed=20)[0]
-    with pytest.raises(ValueError):
-        Scenario("x", good.features[:3], good.future, good.v0, 10.0, "keep_lane")
-    with pytest.raises(ValueError):
-        Scenario("x", good.features, good.future, good.v0, 10.0, "jump")
-    shifted = good.features.copy()
-    shifted[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        Scenario("x", shifted, good.future, good.v0, 10.0, "keep_lane")
-    for fps in (0.0, -10.0, np.inf, np.nan):
-        with pytest.raises(ValueError) as info:
-            Scenario("x", good.features, good.future, good.v0, fps, "keep_lane")
-        assert str(info.value) == f"scenario x: fps must be positive and finite, got {fps}"
-    with pytest.raises(ValueError, match="^scenario x: v0 must be finite, got inf$"):
-        Scenario("x", good.features, good.future, np.inf, 10.0, "keep_lane")
+def _set(name, at, value):
+    """A change that writes ``value`` at index ``at`` of a row's ``name``."""
+    def change(row):
+        row[name] = row[name].copy()
+        row[name][at] = value
+    return change
+
+
+def _put(name, value):
+    return lambda row: row.update({name: value})
+
+
+# The scenario rule, one fault per case: the change to one scenario's
+# fields and the rule's message, for a scenario of id {id}.
+RULE_FAULTS = [
+    (_set("features", (2, 5, 3), np.nan), "scenario {id}: non-finite data"),
+    (_set("features", (0, 7, 0), np.inf), "scenario {id}: non-finite data"),
+    (_set("future", (49, 1), -np.inf), "scenario {id}: non-finite data"),
+    (_set("features", (0, 0, 0), 1.0), "scenario {id}: target must start at the origin"),
+    (_set("features", (1, 0, 0), -0.5), "scenario {id}: target must start at the origin"),
+    (_put("maneuver", "jump"), "unknown maneuver 'jump'"),
+    (_put("v0", np.nan), "scenario {id}: v0 must be finite, got nan"),
+    (_put("v0", np.inf), "scenario {id}: v0 must be finite, got inf"),
+    (_put("v0", -np.inf), "scenario {id}: v0 must be finite, got -inf"),
+] + [(_put("fps", fps), f"scenario {{id}}: fps must be positive and finite, got {fps}")
+     for fps in (0.0, -10.0, np.inf, -np.inf, np.nan)]
+
+
+@pytest.mark.parametrize("change, reason", RULE_FAULTS)
+def test_scenario_rule_refuses_alike_one_scenario_a_batch_and_an_archive(tmp_path, change,
+                                                                          reason):
+    rows = [{"scenario_id": s.scenario_id, "features": s.features, "future": s.future,
+             "v0": s.v0, "fps": s.fps, "maneuver": s.maneuver}
+            for s in synthesize(3, 10, seed=21)]
+    change(rows[1])
+    with pytest.raises(ValueError) as info:
+        Scenario(**rows[1])
+    assert str(info.value) == reason.format(id="synth-00001")
+    # A batch holds one fps, so a bad fps is every row's fault, and the
+    # first row is named.
+    if "fps" in reason:
+        for row in rows:
+            row["fps"] = rows[1]["fps"]
+    bad = 0 if "fps" in reason else 1
+    named = f"scenario {bad} ('synth-0000{bad}'): " + reason.format(id=f"synth-0000{bad}")
+    fields = {name: [row[name] for row in rows] for name in rows[0]}
+    with pytest.raises(ValueError) as info:
+        ScenarioBatch(fields["scenario_id"], fields["maneuver"], fields["v0"],
+                      np.stack(fields["features"]), np.stack(fields["future"]), rows[1]["fps"])
+    assert str(info.value) == named
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(3, 10, seed=21), 10)
+    head, _ = split_head(path)
+    del head["arrays"]
+    head["fps"] = rows[1]["fps"]
+    for entry, row in zip(head["scenarios"], rows):
+        entry.update(maneuver=row["maneuver"], v0=row["v0"])
+    write_document(path, head, {"features": ((3, 4, 30, 9), fields["features"]),
+                                "future": ((3, 50, 2), fields["future"])})
+    with pytest.raises(ValueError) as info:
+        load_archive(path)
+    assert str(info.value) == f"{path}: {named}"
+
+
+@pytest.mark.parametrize("features, future, message", [
+    ((3, 30, 9), (50, 2), "features must be (4, T_obs, N_V), got (3, 30, 9)"),
+    ((4, 30), (50, 2), "features must be (4, T_obs, N_V), got (4, 30)"),
+    ((4, 30, 9), (50, 3), "future must be (T_pred, 2), got (50, 3)"),
+    ((4, 30, 9), (0, 2), "future must be (T_pred, 2), got (0, 2)"),
+])
+def test_scenario_and_batch_refuse_a_bad_grid(features, future, message):
+    # A grid is the whole batch's, so the message names no row.
+    features, future = np.zeros(features), np.zeros(future)
+    with pytest.raises(ValueError) as info:
+        Scenario("x", features, future, 20.0, 10.0, "keep_lane")
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ScenarioBatch(("x", "y"), ("keep_lane",) * 2, (20.0,) * 2,
+                      np.stack([features] * 2), np.stack([future] * 2), 10.0)
+    assert str(info.value) == message
+
+
+def test_batch_refuses_fields_of_different_lengths():
+    good = synthesize(3, 10, seed=20)
+    with pytest.raises(ValueError, match="^a batch of 2 ids has maneuvers of shape"):
+        ScenarioBatch(good.ids[:2], good.codes, good.v0, good.features, good.futures, 10.0)

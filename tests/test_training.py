@@ -7,7 +7,7 @@ import pytest
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
                          param_shapes, predict, save_checkpoint, truth_trajectory)
-from gftnn.scenario import DatasetSplit, synthesize
+from gftnn.scenario import DatasetSplit, Scenario, split, synthesize
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
                             gradients, train, trajectory_loss)
@@ -88,8 +88,8 @@ def test_gradients_vanish_at_zero_residual():
     s, _, v0 = _prepare([scen], basis, cfg)
     h_z, _ = forward(s, params, cfg)
     x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
-    perfect = dataclasses.replace(
-        scen, future=np.stack([x[0, 1:], y[0, 1:]], axis=1))
+    perfect = Scenario(scen.scenario_id, scen.features, np.stack([x[0, 1:], y[0, 1:]], axis=1),
+                       scen.v0, scen.fps, scen.maneuver)
     grads = gradients(perfect, params, cfg, basis)
     for name, arr in grads.items():
         assert np.array_equal(arr, np.zeros_like(arr)), name
@@ -344,6 +344,18 @@ def test_train_deterministic():
     assert r1.history == r2.history
     for (name, a), (_, b) in zip(r1.params.items(), r2.params.items()):
         assert np.array_equal(a, b), name
+
+
+def test_train_gives_the_same_bits_for_lists_and_batches():
+    cfg = tiny_config()
+    ds = split(tiny_scenarios(14, seed=16), 0.7, seed=2)
+    rows = DatasetSplit(train=list(ds.train), test=list(ds.test), seed=ds.seed)
+    tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=1)
+    batched, listed = train(ds, cfg, tc), train(rows, cfg, tc)
+    # repr compares every float bit for bit, NaN included
+    assert repr(batched.history) == repr(listed.history)
+    assert np.array_equal(batched.params.flat.view(np.uint64),
+                          listed.params.flat.view(np.uint64))
 
 
 def test_train_writes_log(tmp_path):
