@@ -21,70 +21,23 @@ from .model import (PRESETS, ModelConfig, NumericError, build_basis,
                     load_checkpoint, predict, predict_batch, preset_config,
                     truth_trajectories)
 from .scenario import (MANEUVERS, balance, extract_scenarios, ingest_tracks,
-                       load_archive, save_archive, split, synthesize, SCHEMAS)
+                       load_archive, save_archive, split, split_indices, synthesize,
+                       SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
 from .store import read_document
 from .training import DivergenceError, TrainConfig, train
 
-PREP_DEFAULTS = {
-    "input": None, "schema": "normalized", "fps": None,
-    "t_obs": 3.0, "t_pred": 5.0, "n_vehicles": 9,
-}
-SYNTH_DEFAULTS = {
-    "n": None, "fps": None, "noise_std": 0.05,
-    "t_obs": 3.0, "t_pred": 5.0, "n_vehicles": 9,
-}
-SPECTRUM_DEFAULTS = {
-    "archive": None, "scenario_id": None, "graph_kind": "spider", "p": None,
-}
-TRAIN_DEFAULTS = {
-    "archive": None, "preset": "gftnn", "epochs": 30, "learning_rate": 1e-4,
-    "batch_size": 64, "hidden": 50, "split_ratio": 0.7, "resume": None,
-    "p": None, "k": None, "weighted": False, "graph_kind": None,
-}
-EVAL_DEFAULTS = {
-    "archive": None, "checkpoint": None, "bin_width": 0.1,
-    "subset": "all", "split_ratio": 0.7, "self_test": False,
-}
-PREDICT_DEFAULTS = {
-    "archive": None, "checkpoint": None, "scenario_id": None,
-}
 
-
-def _resolve(args, defaults):
-    """Merge CLI flags, config file values and built-in defaults. A config
-    file value must have the JSON type of its option: a number for a float,
-    an integer for an int, a boolean for a switch and a string otherwise."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        doc = read_document(args.config, "config file")
-        unknown = set(doc.obj) - set(defaults) - {"seed", "out"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        file_cfg = {key: doc.value(key, args.value_types[key]) for key in doc.obj}
-    opts = {}
-    for key, built_in in defaults.items():
-        flag = getattr(args, key, None)
-        if isinstance(built_in, bool):
-            opts[key] = flag or file_cfg.get(key, built_in)
-        elif flag is not None:
-            opts[key] = flag
-        else:
-            opts[key] = file_cfg.get(key, built_in)
-    opts["seed"] = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    opts["out"] = args.out if args.out is not None else file_cfg.get("out", ".")
-    return opts
-
-
-def _require(opts, *keys):
+def _require(args, *keys):
+    # Not argparse's required=True: a config file may give the option.
     for key in keys:
-        if opts[key] is None:
+        if getattr(args, key) is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _out_path(opts, name):
-    os.makedirs(opts["out"], exist_ok=True)
-    return os.path.join(opts["out"], name)
+def _out_path(args, name):
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _class_counts(batch) -> str:
@@ -101,43 +54,37 @@ def _find_scenario(batch, scenario_id):
 
 
 def cmd_prep(args):
-    opts = _resolve(args, PREP_DEFAULTS)
-    _require(opts, "input", "fps")
-    tracks = ingest_tracks(opts["input"], opts["schema"])
-    print(f"read {sum(map(len, tracks))} rows of {len(tracks)} vehicles "
-          f"from {opts['input']}")
-    scenarios = extract_scenarios(tracks, opts["fps"], opts["t_obs"],
-                                  opts["t_pred"], opts["n_vehicles"])
+    _require(args, "input", "fps")
+    tracks = ingest_tracks(args.input, args.schema)
+    print(f"read {sum(map(len, tracks))} rows of {len(tracks)} vehicles from {args.input}")
+    scenarios = extract_scenarios(tracks, args.fps, args.t_obs, args.t_pred, args.n_vehicles)
     if not scenarios:
         raise ValueError("no scenarios could be extracted from the input")
-    balanced = balance(scenarios, opts["seed"])
-    path = _out_path(opts, "archive.json")
-    save_archive(path, balanced, opts["fps"])
+    balanced = balance(scenarios, args.seed)
+    path = _out_path(args, "archive.json")
+    save_archive(path, balanced, args.fps)
     print(f"extracted {len(scenarios)} scenarios ({_class_counts(scenarios)})")
     print(f"kept {len(balanced)} after balancing ({_class_counts(balanced)})")
     print(f"wrote {path}")
 
 
 def cmd_synth(args):
-    opts = _resolve(args, SYNTH_DEFAULTS)
-    _require(opts, "n", "fps")
-    scenarios = synthesize(opts["n"], opts["fps"], opts["seed"],
-                           noise_std=opts["noise_std"], t_obs=opts["t_obs"],
-                           t_pred=opts["t_pred"], n_vehicles=opts["n_vehicles"])
-    path = _out_path(opts, "archive.json")
-    save_archive(path, scenarios, opts["fps"])
+    _require(args, "n", "fps")
+    scenarios = synthesize(args.n, args.fps, args.seed, noise_std=args.noise_std,
+                           t_obs=args.t_obs, t_pred=args.t_pred, n_vehicles=args.n_vehicles)
+    path = _out_path(args, "archive.json")
+    save_archive(path, scenarios, args.fps)
     print(f"generated {len(scenarios)} scenarios ({_class_counts(scenarios)})")
     print(f"wrote {path}")
 
 
 def cmd_spectrum(args):
-    opts = _resolve(args, SPECTRUM_DEFAULTS)
-    _require(opts, "archive")
-    scenarios, fps = load_archive(opts["archive"])
-    scenario = _find_scenario(scenarios, opts["scenario_id"])
+    _require(args, "archive")
+    scenarios, fps = load_archive(args.archive)
+    scenario = _find_scenario(scenarios, args.scenario_id)
     config = ModelConfig(k=4, t_obs=scenario.t_obs, t_pred=scenario.t_pred,
                          n_v=scenario.n_vehicles, p=scenario.t_obs,
-                         graph_kind=opts["graph_kind"], fps=fps)
+                         graph_kind=args.graph_kind, fps=fps)
     basis = build_basis(config)
     fhat = gft_extended(scenario.features, basis)
     energy_signal = float(np.sum(scenario.features ** 2))
@@ -145,37 +92,35 @@ def cmd_spectrum(args):
     drift = abs(energy_signal - energy_coeffs) / max(energy_signal, 1.0)
     if drift > 1e-9:
         raise RuntimeError(f"energy not preserved: relative drift {drift:.3e}")
-    spectrum_path = _out_path(opts, "eigenvalues.csv")
-    coeff_path = _out_path(opts, "coefficients.csv")
+    spectrum_path = _out_path(args, "eigenvalues.csv")
+    coeff_path = _out_path(args, "coefficients.csv")
     write_spectrum_csv(basis, spectrum_path)
     write_tensor_csv(fhat, coeff_path)
     print(f"scenario {scenario.scenario_id}: energy {energy_signal:.6f}, "
           f"parseval drift {drift:.3e}")
     print(f"wrote {spectrum_path}")
     print(f"wrote {coeff_path}")
-    if opts["p"] is not None:
-        recon = inverse_gft(fhat, basis, opts["p"])
-        recon_path = _out_path(opts, "reconstruction.csv")
+    if args.p is not None:
+        recon = inverse_gft(fhat, basis, args.p)
+        recon_path = _out_path(args, "reconstruction.csv")
         write_tensor_csv(recon, recon_path, header=("k", "t", "v", "value"))
         err = float(np.max(np.abs(recon - scenario.features)))
-        print(f"wrote {recon_path} (p={opts['p']}, max reconstruction error {err:.6f})")
+        print(f"wrote {recon_path} (p={args.p}, max reconstruction error {err:.6f})")
 
 
-def _model_config(opts, batch, fps) -> ModelConfig:
+def _model_config(args, batch, fps) -> ModelConfig:
     t_obs, t_pred, n_v = batch.t_obs, batch.t_pred, batch.n_vehicles
-    preset = opts["preset"]
+    preset = args.preset
     if preset != "custom":
-        fixed = [name for name in ("p", "k", "graph_kind")
-                 if opts[name] is not None]
-        if opts["weighted"]:
+        fixed = [name for name in ("p", "k", "graph_kind") if getattr(args, name) is not None]
+        if args.weighted:
             fixed.append("weighted")
         if fixed:
             raise ValueError(
                 f"preset {preset!r} already fixes: {', '.join(fixed)}; "
                 f"use --preset custom to override"
             )
-        config = preset_config(preset, fps, n_vehicles=n_v,
-                               hidden=opts["hidden"])
+        config = preset_config(preset, fps, n_vehicles=n_v, hidden=args.hidden)
         if (config.t_obs, config.t_pred) != (t_obs, t_pred):
             raise ValueError(
                 f"archive windows ({t_obs}, {t_pred}) do not match preset "
@@ -183,34 +128,33 @@ def _model_config(opts, batch, fps) -> ModelConfig:
             )
         return config
     return ModelConfig(
-        k=opts["k"] if opts["k"] is not None else 4,
+        k=args.k if args.k is not None else 4,
         t_obs=t_obs, t_pred=t_pred, n_v=n_v,
-        p=opts["p"] if opts["p"] is not None else t_obs,
-        hidden=opts["hidden"],
-        graph_kind=opts["graph_kind"] if opts["graph_kind"] is not None else "spider",
-        weighted=opts["weighted"], fps=fps,
+        p=args.p if args.p is not None else t_obs,
+        hidden=args.hidden,
+        graph_kind=args.graph_kind if args.graph_kind is not None else "spider",
+        weighted=args.weighted, fps=fps,
     )
 
 
 def cmd_train(args):
-    opts = _resolve(args, TRAIN_DEFAULTS)
-    _require(opts, "archive")
-    scenarios, fps = load_archive(opts["archive"])
-    config = _model_config(opts, scenarios, fps)
+    _require(args, "archive")
+    scenarios, fps = load_archive(args.archive)
+    config = _model_config(args, scenarios, fps)
     resume = None
-    if opts["resume"] is not None:
-        resume = load_checkpoint(opts["resume"])
-    dataset = split(scenarios, opts["split_ratio"], opts["seed"])
+    if args.resume is not None:
+        resume = load_checkpoint(args.resume)
+    dataset = split(scenarios, args.split_ratio, args.seed)
     del scenarios           # the split copied its rows; the archive is not needed
     train_config = TrainConfig(
-        learning_rate=opts["learning_rate"], epochs=opts["epochs"],
-        batch_size=opts["batch_size"], seed=opts["seed"])
-    log_path = _out_path(opts, "training_log.csv")
-    ckpt_path = _out_path(opts, "checkpoint.json")
+        learning_rate=args.learning_rate, epochs=args.epochs,
+        batch_size=args.batch_size, seed=args.seed)
+    log_path = _out_path(args, "training_log.csv")
+    ckpt_path = _out_path(args, "checkpoint.json")
     result = train(dataset, config, train_config,
                    log_path=log_path, checkpoint_path=ckpt_path, resume=resume)
     last = result.history[-1]
-    print(f"model: preset={opts['preset']} parameters={result.params.n_params} "
+    print(f"model: preset={args.preset} parameters={result.params.n_params} "
           f"train={len(dataset.train)} test={len(dataset.test)}")
     print(f"epoch {last['epoch']}: train_loss={last['train_loss']:.6f} "
           f"test_loss={last['test_loss']:.6f} ade={last['ade']:.4f} "
@@ -219,18 +163,20 @@ def cmd_train(args):
     print(f"wrote {log_path}")
 
 
-def _subset(scenarios, opts):
-    if opts["subset"] == "all":
+def _subset(scenarios, args):
+    """The scenarios ``--subset`` scores: all of them, or the rows of one
+    side of ``split``, copied without the other side."""
+    if args.subset == "all":
         return scenarios
-    dataset = split(scenarios, opts["split_ratio"], opts["seed"])
-    return dataset.train if opts["subset"] == "train" else dataset.test
+    batch, train, test = split_indices(scenarios, args.split_ratio, args.seed)
+    return batch[train if args.subset == "train" else test]
 
 
-def _load_archive_and_checkpoint(opts):
+def _load_archive_and_checkpoint(args):
     """The archive's scenarios, the checkpoint that scores them (without
     its Adam moments) and its reference basis."""
-    scenarios, fps = load_archive(opts["archive"])
-    ckpt = load_checkpoint(opts["checkpoint"], optimizer=False)
+    scenarios, fps = load_archive(args.archive)
+    ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     if fps != ckpt.config.fps:
         raise ValueError(
             f"archive fps {fps} does not match checkpoint fps {ckpt.config.fps}"
@@ -239,20 +185,19 @@ def _load_archive_and_checkpoint(opts):
 
 
 def cmd_eval(args):
-    opts = _resolve(args, EVAL_DEFAULTS)
-    _require(opts, "archive", "checkpoint")
-    check_bin_width(opts["bin_width"])
-    scenarios, ckpt, basis = _load_archive_and_checkpoint(opts)
-    chosen = _subset(scenarios, opts)
+    _require(args, "archive", "checkpoint")
+    check_bin_width(args.bin_width)
+    scenarios, ckpt, basis = _load_archive_and_checkpoint(args)
+    chosen = _subset(scenarios, args)
     del scenarios           # a split subset is a copy; the archive is not needed
     truths = truth_trajectories(chosen)
-    if opts["self_test"]:
+    if args.self_test:
         predictions = truths
     else:
         predictions = predict_batch(chosen, basis, ckpt.params, ckpt.config)
-    report = evaluate(predictions, truths, opts["bin_width"])
-    report_path = _out_path(opts, "eval_report.json")
-    hist_path = _out_path(opts, "histogram.csv")
+    report = evaluate(predictions, truths, args.bin_width)
+    report_path = _out_path(args, "eval_report.json")
+    hist_path = _out_path(args, "histogram.csv")
     write_report_json(report, report_path)
     write_histogram_csv(report, hist_path)
     print(f"n={report.n_scenarios} ade={report.ade:.4f} fde={report.fde:.4f} "
@@ -262,12 +207,11 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    opts = _resolve(args, PREDICT_DEFAULTS)
-    _require(opts, "archive", "checkpoint", "scenario_id")
-    scenarios, ckpt, basis = _load_archive_and_checkpoint(opts)
-    scenario = _find_scenario(scenarios, opts["scenario_id"])
+    _require(args, "archive", "checkpoint", "scenario_id")
+    scenarios, ckpt, basis = _load_archive_and_checkpoint(args)
+    scenario = _find_scenario(scenarios, args.scenario_id)
     trajectory = predict(scenario, basis, ckpt.params, ckpt.config)
-    path = _out_path(opts, f"trajectory_{scenario.scenario_id}.csv")
+    path = _out_path(args, f"trajectory_{scenario.scenario_id}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("step,t,x,y\n")
         for i in range(len(trajectory)):
@@ -277,11 +221,13 @@ def cmd_predict(args):
     print(f"wrote {path}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The ``gftnn`` parser and its subcommand parsers by name. Each option
+    declares its built-in default here."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with default options")
-    common.add_argument("--seed", type=int, help="seed for every random choice")
-    common.add_argument("--out", help="output directory (default: .)")
+    common.add_argument("--seed", type=int, default=0, help="seed for every random choice")
+    common.add_argument("--out", default=".", help="output directory (default: .)")
 
     parser = argparse.ArgumentParser(
         prog="gftnn",
@@ -291,40 +237,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep", parents=[common],
                        help="convert recorded tracks to a scenario archive")
     p.add_argument("--input", help="CSV file with per-frame vehicle samples")
-    p.add_argument("--schema", choices=sorted(SCHEMAS))
+    p.add_argument("--schema", choices=sorted(SCHEMAS), default="normalized")
     p.add_argument("--fps", type=float, help="sampling rate of the recording")
-    p.add_argument("--t-obs", type=float, help="observation window in seconds")
-    p.add_argument("--t-pred", type=float, help="prediction window in seconds")
-    p.add_argument("--n-vehicles", type=int, help="vehicle slots per scenario")
+    p.add_argument("--t-obs", type=float, default=3.0, help="observation window in seconds")
+    p.add_argument("--t-pred", type=float, default=5.0, help="prediction window in seconds")
+    p.add_argument("--n-vehicles", type=int, default=9, help="vehicle slots per scenario")
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate labelled synthetic scenarios")
     p.add_argument("--n", type=int, help="number of scenarios")
     p.add_argument("--fps", type=float)
-    p.add_argument("--noise-std", type=float, help="position noise in metres")
-    p.add_argument("--t-obs", type=float)
-    p.add_argument("--t-pred", type=float)
-    p.add_argument("--n-vehicles", type=int)
+    p.add_argument("--noise-std", type=float, default=0.05, help="position noise in metres")
+    p.add_argument("--t-obs", type=float, default=3.0)
+    p.add_argument("--t-pred", type=float, default=5.0)
+    p.add_argument("--n-vehicles", type=int, default=9)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="write eigenvalues and coefficients of a scenario")
     p.add_argument("--archive")
     p.add_argument("--scenario-id", help="default: first scenario")
-    p.add_argument("--graph-kind", choices=("spider", "mesh"))
+    p.add_argument("--graph-kind", choices=("spider", "mesh"), default="spider")
     p.add_argument("--p", type=int,
                    help="also write the reconstruction from the p lowest modes")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("train", parents=[common], help="fit a model")
     p.add_argument("--archive")
-    p.add_argument("--preset", choices=PRESETS + ("custom",))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--hidden", type=int, help="width of the per-channel MLP")
-    p.add_argument("--split-ratio", type=float)
+    p.add_argument("--preset", choices=PRESETS + ("custom",), default="gftnn")
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float,
+                   default=1e-4)
+    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--hidden", type=int, default=50, help="width of the per-channel MLP")
+    p.add_argument("--split-ratio", type=float, default=0.7)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--p", type=int, help="custom preset: temporal modes kept")
     p.add_argument("--k", type=int, help="custom preset: feature channels")
@@ -337,9 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="displacement metrics of a checkpoint")
     p.add_argument("--archive")
     p.add_argument("--checkpoint")
-    p.add_argument("--bin-width", type=float)
-    p.add_argument("--subset", choices=("all", "train", "test"))
-    p.add_argument("--split-ratio", type=float)
+    p.add_argument("--bin-width", type=float, default=0.1)
+    p.add_argument("--subset", choices=("all", "train", "test"), default="all")
+    p.add_argument("--split-ratio", type=float, default=0.7)
     p.add_argument("--self-test", action="store_true",
                    help="score the ground truth against itself")
     p.set_defaults(func=cmd_eval)
@@ -350,20 +297,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--scenario-id")
     p.set_defaults(func=cmd_predict)
+    return parser, sub.choices
 
-    # The type _resolve reads each option's config file value as.
-    for command in sub.choices.values():
-        command.set_defaults(value_types={
-            action.dest: bool if action.nargs == 0 else action.type or str
-            for action in command._actions})
-    return parser
+
+def _config_defaults(command: argparse.ArgumentParser, path):
+    """Make the values of the config file at ``path`` the defaults of the
+    subcommand parser ``command``, so its flags still win over them.
+
+    Each key must name one of its options, and each value must have the
+    option's JSON type (a number for a float, an integer for an int, a
+    boolean for a switch and a string otherwise) and be one of its choices.
+    """
+    doc = read_document(path, "config file")
+    actions = {action.dest: action for action in command._actions
+               if action.dest not in ("help", "config")}
+    unknown = set(doc.obj) - set(actions)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    values = {}
+    for key in doc.obj:
+        action = actions[key]
+        value = doc.value(key, bool if action.nargs == 0 else action.type or str)
+        if action.choices is not None and value not in action.choices:
+            raise doc.error(f"{key} is {value!r}, expected one of "
+                            f"{', '.join(action.choices)}")
+        values[key] = value
+    # The --seed and --out actions come from the common parent and are
+    # shared by every subcommand; the parser is built anew for each main().
+    command.set_defaults(**values)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     # Bad input and failed runs print one line; any other exception is a
     # defect and keeps its traceback.
     try:
+        if args.config:
+            _config_defaults(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         args.func(args)
     except (ValueError, OSError, DivergenceError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
 PRESET_T_OBS_S = 3.0            # observed window of every preset, seconds
 PRESET_T_PRED_S = 5.0           # predicted window of every preset, seconds
-CHANNEL_KINDS = ("w_n", "b_n", "w_l", "b_l")    # per-channel block arrays
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -112,35 +111,21 @@ class ModelParams:
 
     ``shapes`` maps each name to its shape in iteration order (see
     ``param_shapes``); ``flat`` holds the values of every array in that
-    order, each in C order. The channel arrays of one kind lie next to each
-    other, so ``w_n``, ``b_n``, ``w_l`` and ``b_l`` are ``(k, ...)`` views
-    and ``w_n[i]`` is the array named ``w_n_i``. Writing through a view
-    writes ``flat``.
+    order, each in C order, and each name is an attribute holding its
+    view. Writing through a view writes ``flat``.
     """
 
     def __init__(self, shapes: dict, flat=None):
         self.shapes = dict(shapes)
         sizes = [math.prod(shape) for shape in self.shapes.values()]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
-        self._views = {}
-        starts = {}
         offset = 0
         for (name, shape), size in zip(self.shapes.items(), sizes):
-            self._views[name] = self.flat[offset:offset + size].reshape(shape)
-            starts[name] = offset
+            setattr(self, name, self.flat[offset:offset + size].reshape(shape))
             offset += size
-        k = (len(self.shapes) - 3) // 4
-        self.w_s = self._views["w_s"]
-        for kind in CHANNEL_KINDS:
-            shape = self.shapes[f"{kind}_0"]
-            start = starts[f"{kind}_0"]
-            setattr(self, kind, self.flat[start:start + k * math.prod(shape)]
-                    .reshape(k, *shape))
-        self.w_h = self._views["w_h"]
-        self.b_h = self._views["b_h"]
 
     def items(self):
-        return self._views.items()
+        return [(name, getattr(self, name)) for name in self.shapes]
 
     @property
     def n_params(self) -> int:
@@ -151,15 +136,13 @@ class ModelParams:
 
 
 def param_shapes(config: ModelConfig) -> dict:
-    per_kind = {"w_n": (config.hidden, config.zk), "b_n": (config.hidden,),
-                "w_l": (OUT, config.hidden), "b_l": (OUT,)}
-    shapes = {"w_s": (config.z,)}
-    for kind in CHANNEL_KINDS:
-        for k in range(config.k):
-            shapes[f"{kind}_{k}"] = per_kind[kind]
-    shapes["w_h"] = (OUT, OUT * config.k)
-    shapes["b_h"] = (OUT,)
-    return shapes
+    """The parameter arrays in ``ModelParams`` order: the spectral gate, the
+    k channel blocks' weights and biases stacked on a leading axis, and the
+    head."""
+    k, hidden = config.k, config.hidden
+    return {"w_s": (config.z,), "w_n": (k, hidden, config.zk), "b_n": (k, hidden),
+            "w_l": (k, OUT, hidden), "b_l": (k, OUT),
+            "w_h": (OUT, OUT * k), "b_h": (OUT,)}
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -303,6 +286,10 @@ def trajectory_batch(trajectories) -> TrajectoryBatch:
     if isinstance(trajectories, TrajectoryBatch):
         return trajectories
     rows = list(trajectories)
+    for i, t in enumerate(rows):
+        if len(t) != len(rows[0]):
+            raise ValueError(f"trajectory {i} has {len(t)} samples, but trajectory 0 "
+                             f"has {len(rows[0])}; a batch holds one length")
     return TrajectoryBatch(np.stack([t.x for t in rows]), np.stack([t.y for t in rows]))
 
 

@@ -39,6 +39,11 @@ MAX_WINDOW_STEPS = 10_000
 _GATHER_BLOCK = 1 << 14
 # The most vehicles in one synthesized scene: the target and 8 cruisers.
 _SCENE_VEHICLES = 9
+# Uniform ranges of the synthesized motion: speed (m/s, target and
+# cruisers), the target's acceleration (m/s^2) and its lane-change rate (1/s).
+SPEED_RANGE = (20.0, 35.0)
+ACCEL_RANGE = (-2.0, 2.0)
+RATE_RANGE = (1.0, 2.5)
 
 # column mapping: canonical name -> file column per input schema
 SCHEMAS = {
@@ -627,7 +632,15 @@ def balance(scenarios, seed: int) -> ScenarioBatch:
 
 
 def split(scenarios, ratio: float, seed: int) -> DatasetSplit:
-    """Deterministic stratified train/test split into two batches.
+    """Deterministic stratified train/test split into two batches, the
+    rows ``split_indices`` gives."""
+    batch, train_idx, test_idx = split_indices(scenarios, ratio, seed)
+    return DatasetSplit(train=batch[train_idx], test=batch[test_idx], seed=seed)
+
+
+def split_indices(scenarios, ratio: float, seed: int):
+    """``scenarios`` as one batch (see ``scenario_batch``) and the row
+    indices of its train and test sides.
 
     Per-class quotas use largest-remainder rounding so the overall train
     fraction matches ``ratio`` as closely as an integer count allows.
@@ -656,12 +669,11 @@ def split(scenarios, ratio: float, seed: int) -> DatasetSplit:
     test_idx = rng.permutation(np.concatenate(test_idx))
     if not train_idx.size or not test_idx.size:
         raise SplitError("split produced an empty side; adjust ratio or data")
-    return DatasetSplit(train=batch[train_idx], test=batch[test_idx], seed=seed)
+    return batch, train_idx, test_idx
 
 
 def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
-                      n_vehicles, noise_std, speed_range, accel_range,
-                      rate_range):
+                      n_vehicles, noise_std):
     """The tracks of one scene per maneuver, scene after scene: a target
     with that maneuver plus random cruisers.
 
@@ -679,12 +691,12 @@ def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
     still = np.zeros(n_frames)
     cruise_lanes = {}
     for i, maneuver in enumerate(maneuvers):
-        v0 = rng.uniform(*speed_range)
-        accel = rng.uniform(*accel_range)
+        v0 = rng.uniform(*SPEED_RANGE)
+        accel = rng.uniform(*ACCEL_RANGE)
         x0 = rng.uniform(0.0, 200.0)
         lane0 = int(rng.integers(1, 5))
         y0 = (lane0 + 0.5) * LANE_WIDTH
-        rate = rng.uniform(*rate_range)
+        rate = rng.uniform(*RATE_RANGE)
         amplitude = {"keep_lane": 0.0,
                      "lane_change_left": LANE_WIDTH,
                      "lane_change_right": -LANE_WIDTH}[maneuver]
@@ -703,7 +715,7 @@ def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
         yield RawTrack(first_id, frames, x, y, vx, vy, lane)
         n_neighbours = int(rng.integers(0, min(_SCENE_VEHICLES - 1, n_vehicles - 1) + 1))
         for j in range(n_neighbours):
-            vn = rng.uniform(*speed_range)
+            vn = rng.uniform(*SPEED_RANGE)
             dx0 = rng.uniform(-80.0, 80.0)
             lane_n = int(rng.integers(1, 5))
             yn0 = (lane_n + 0.5) * LANE_WIDTH
@@ -719,9 +731,8 @@ def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
 
 
 def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
-               t_obs: float = 3.0, t_pred: float = 5.0, n_vehicles: int = 9,
-               speed_range=(20.0, 35.0), accel_range=(-2.0, 2.0),
-               rate_range=(1.0, 2.5)) -> ScenarioBatch:
+               t_obs: float = 3.0, t_pred: float = 5.0,
+               n_vehicles: int = 9) -> ScenarioBatch:
     """Generate labelled scenarios from a parametric motion family.
 
     Classes cycle keep/left/right so counts differ by at most one. The
@@ -746,7 +757,7 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     tracks = _synthetic_scenes(
         np.random.default_rng(seed), [MANEUVERS[code] for code in wanted], fps,
         t_obs_steps + t_pred_steps, t_obs_steps - 1, t_pred_steps / fps, n_vehicles,
-        noise_std, speed_range, accel_range, rate_range)
+        noise_std)
     batch = extract_scenarios(
         tracks, fps, t_obs, t_pred, n_vehicles,
         target_ids=range(1, 1 + n * _SCENE_VEHICLES, _SCENE_VEHICLES))

@@ -99,17 +99,17 @@ def _largest_entry_positive(v):
     return np.where(flip, -v, v)
 
 
-def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
+def symmetric_eigh(matrix):
     """Eigendecomposition of one real symmetric matrix by cyclic Jacobi sweeps.
 
     Returns (eigenvalues, eigenvectors), (n,) and (n, n), with eigenvalues
     ascending up to ``DEGENERACY_TOL`` and eigenvectors as columns.
-    Convergence is declared once every off-diagonal entry falls below tol
-    relative to the Frobenius norm of the input. This is the general
-    solver behind ``eigendecompose``; the graphs the pipeline builds have
-    closed forms (``path_spectrum``, ``complete_spectrum``,
-    ``unit_star_spectrum``, ``star_spectra``), and this solver is their
-    reference.
+    Convergence is declared once every off-diagonal entry falls below
+    ``JACOBI_TOL`` relative to the Frobenius norm of the input, within
+    ``JACOBI_SWEEP_LIMIT`` sweeps. This is the general solver behind
+    ``eigendecompose``; the graphs the pipeline builds have closed forms
+    (``path_spectrum``, ``complete_spectrum``, ``unit_star_spectrum``,
+    ``star_spectra``), and this solver is their reference.
 
     The result is bit-reproducible on one machine: every eigenvector is
     flipped so its largest-magnitude entry is positive (ties broken by
@@ -131,15 +131,15 @@ def symmetric_eigh(matrix, tol=JACOBI_TOL, max_sweeps=JACOBI_SWEEP_LIMIT):
         raise ValueError("matrix is not symmetric")
     a = (a + a.T) / 2.0
     v = np.eye(n)
-    thresh = tol * max(1.0, float(np.linalg.norm(a)))
+    thresh = JACOBI_TOL * max(1.0, float(np.linalg.norm(a)))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_SWEEP_LIMIT):
         if np.max(np.abs(np.triu(a, k=1))) <= thresh:
             break
         _sweep(a, v, pairs, 0.1 * thresh)
     else:
         raise RuntimeError(
-            f"jacobi rotations did not converge within {max_sweeps} sweeps"
+            f"jacobi rotations did not converge within {JACOBI_SWEEP_LIMIT} sweeps"
         )
     w = np.diagonal(a).copy()
     order = np.argsort(w, kind="stable")

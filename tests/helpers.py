@@ -500,9 +500,8 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
 
 
 def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
-                         t_obs: float = 3.0, t_pred: float = 5.0, n_vehicles: int = 9,
-                         speed_range=(20.0, 35.0), accel_range=(-2.0, 2.0),
-                         rate_range=(1.0, 2.5)) -> list[Scenario]:
+                         t_obs: float = 3.0, t_pred: float = 5.0,
+                         n_vehicles: int = 9) -> list[Scenario]:
     """The per-scene ``synthesize`` the one-call version replaced, kept as
     the oracle its output must match bit for bit: each scene is drawn on
     its own (frames from 0, target id 1) and cut by the quadratic
@@ -518,8 +517,7 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
         maneuver = MANEUVERS[i % 3]
         tracks = list(_synthetic_scenes(
             rng, [maneuver], fps, n_frames, t_obs_steps - 1,
-            t_pred_steps / fps, n_vehicles, noise_std,
-            speed_range, accel_range, rate_range))
+            t_pred_steps / fps, n_vehicles, noise_std))
         scen = extract_scenarios_reference(tracks, fps, t_obs, t_pred, n_vehicles,
                                            target_ids={1})
         if len(scen) != 1 or scen[0].maneuver != maneuver:

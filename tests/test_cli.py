@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -18,7 +19,7 @@ from gftnn.metrics import (HISTOGRAM_MAX_BINS, evaluate, write_histogram_csv,
 from gftnn.model import (build_basis, init_params, load_checkpoint, predict,
                          predict_batch, preset_config, save_checkpoint,
                          truth_trajectory)
-from gftnn.scenario import MAX_WINDOW_STEPS, load_archive
+from gftnn.scenario import MAX_WINDOW_STEPS, load_archive, split, synthesize
 from helpers import three_class_tracks, write_tracks_csv
 
 
@@ -343,6 +344,20 @@ def test_eval_subset_uses_the_split(tmp_path, capsys):
     assert "n=4" in out
 
 
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_eval_subset_is_one_side_of_the_split_bit_for_bit(side):
+    scenarios = synthesize(23, 10, seed=7)
+    args = argparse.Namespace(subset=side, split_ratio=0.6, seed=4)
+    chosen = cli._subset(scenarios, args)
+    want = getattr(split(scenarios, 0.6, seed=4), side)
+    assert chosen.ids == want.ids
+    assert chosen.fps == want.fps
+    for name in ("codes", "v0", "features", "futures"):
+        got, ref = getattr(chosen, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
 def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
     archive = synth_archive(tmp_path)
     run = tmp_path / "run"
@@ -582,6 +597,46 @@ def test_config_file_values_have_their_option_type(tmp_path, capsys, command,
     cfg.write_text(json.dumps(config))
     err = run_fail(capsys, [command, "--config", str(cfg), "--out", str(tmp_path)])
     assert err == f"error: {cfg}: config file {message}\n"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("prep", {"input": "tracks.csv", "fps": 25, "schema": "ngsim"},
+     "schema is 'ngsim', expected one of highd_like, normalized"),
+    ("spectrum", {"archive": "a.json", "graph_kind": "ring"},
+     "graph_kind is 'ring', expected one of spider, mesh"),
+    ("train", {"archive": "a.json", "preset": "custom", "graph_kind": "ring"},
+     "graph_kind is 'ring', expected one of spider, mesh"),
+    ("train", {"archive": "a.json", "preset": "mlp"},
+     "preset is 'mlp', expected one of gftnn, gftnn-w, gftnn-rdcby5, gftnn-rdcby15, "
+     "custom"),
+    ("eval", {"archive": "a.json", "checkpoint": "c.json", "subset": "bogus"},
+     "subset is 'bogus', expected one of all, train, test"),
+])
+def test_config_file_values_are_one_of_their_option_choices(tmp_path, capsys, command,
+                                                            config, message):
+    # Refused as the same flag is, before any input is read.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = run_fail(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert err == f"error: {cfg}: config file {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_switch_and_flag_both_set_it(tmp_path, capsys):
+    archive, ckpt = trained_checkpoint(tmp_path, capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"archive": str(archive), "checkpoint": str(ckpt),
+                               "self_test": True}))
+    assert "ade=0.0000" in run_ok(capsys, ["eval", "--config", str(cfg),
+                                           "--out", str(tmp_path / "a")])
+    assert "ade=0.0000" in run_ok(capsys, ["eval", "--config", str(cfg), "--self-test",
+                                           "--out", str(tmp_path / "b")])
+    cfg.write_text(json.dumps({"archive": str(archive), "checkpoint": str(ckpt),
+                               "self_test": False}))
+    assert "ade=0.0000" in run_ok(capsys, ["eval", "--config", str(cfg), "--self-test",
+                                           "--out", str(tmp_path / "c")])
+    assert "ade=0.0000" not in run_ok(capsys, ["eval", "--config", str(cfg),
+                                               "--out", str(tmp_path / "d")])
 
 
 def test_config_file_integer_reads_as_float(tmp_path, capsys):

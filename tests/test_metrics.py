@@ -91,6 +91,17 @@ def test_input_validation():
         ade([traj(n=5)], [traj(n=6)])
 
 
+@pytest.mark.parametrize("predictions, truths", [
+    ([traj(n=5), traj(n=4)], [traj(n=5), traj(n=5)]),
+    ([traj(n=5), traj(n=5)], [traj(n=5), traj(n=4)]),
+])
+def test_mixed_lengths_name_the_first_odd_trajectory(predictions, truths):
+    with pytest.raises(ValueError) as exc:
+        ade(predictions, truths)
+    assert str(exc.value) == ("trajectory 1 has 5 samples, but trajectory 0 has 6; "
+                              "a batch holds one length")
+
+
 # ------------------------------------------------------------------ histogram
 
 def test_histogram_basic():

@@ -147,26 +147,22 @@ def test_params_copy_is_independent():
 def test_params_are_views_of_one_buffer():
     cfg = tiny_config()
     p = init_params(cfg, 2)
-    assert [name for name, _ in p.items()] == list(param_shapes(cfg))
+    assert [name for name, _ in p.items()] == list(param_shapes(cfg)) == [
+        "w_s", "w_n", "b_n", "w_l", "b_l", "w_h", "b_h"]
     assert p.flat.shape == (p.n_params,)
     offset = 0
     for name, arr in p.items():
+        assert arr is getattr(p, name), name
+        assert arr.shape == param_shapes(cfg)[name], name
         assert arr.flags.c_contiguous and arr.flags.writeable, name
         assert np.shares_memory(arr, p.flat), name
         # a write through the flat vector shows in the named view
         p.flat[offset:offset + arr.size] = np.arange(arr.size) + offset
         assert np.array_equal(arr.ravel(), np.arange(arr.size) + offset), name
         offset += arr.size
-    # each kind's channel arrays are one (k, ...) view, in the order of names
-    named = dict(p.items())
-    for kind in ("w_n", "b_n", "w_l", "b_l"):
-        stacked = getattr(p, kind)
-        assert stacked.shape == (cfg.k, *named[f"{kind}_0"].shape), kind
-        assert stacked.flags.c_contiguous and np.shares_memory(stacked, p.flat), kind
-        for i in range(cfg.k):
-            assert (stacked[i].__array_interface__["data"]
-                    == named[f"{kind}_{i}"].__array_interface__["data"]), (kind, i)
-            assert stacked[i].shape == named[f"{kind}_{i}"].shape, (kind, i)
+    # the channel blocks are (k, ...) stacks, channel i at index i
+    for name in ("w_n", "b_n", "w_l", "b_l"):
+        assert getattr(p, name).shape[0] == cfg.k, name
     q = p.copy()
     assert not np.shares_memory(q.flat, p.flat)
     q.flat[:] = -1.0

@@ -768,9 +768,10 @@ def test_synthesize_cycles_classes():
     assert counts == {m: 100 for m in MANEUVERS}
 
 
-def test_synthesize_constant_velocity_future():
+def test_synthesize_constant_velocity_future(monkeypatch):
     # a = 0 and no noise: the future x displacement is exactly linear in t
-    scen = synthesize(1, 10, seed=13, accel_range=(0.0, 0.0))[0]
+    monkeypatch.setattr(scenario, "ACCEL_RANGE", (0.0, 0.0))
+    scen = synthesize(1, 10, seed=13)[0]
     t = np.arange(1, 51) / 10.0
     assert np.max(np.abs(scen.future[:, 0] - scen.v0 * t)) < 1e-9
     assert np.max(np.abs(scen.future[:, 1])) < 1e-12  # keep_lane: no drift
