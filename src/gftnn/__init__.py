@@ -8,8 +8,9 @@ from .spectral import (ProductBasis, Spectrum, complete_spectrum, eigendecompose
                        symmetric_eigh, truncate_spectrum, unit_star_spectrum)
 from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
-                       balance, extract_scenarios, ingest_tracks, label_maneuver,
-                       load_archive, save_archive, scenario_batch, split, synthesize)
+                       TrackBatch, balance, extract_scenarios, ingest_tracks,
+                       label_maneuver, load_archive, save_archive, scenario_batch,
+                       split, synthesize, track_batch)
 from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
                     Trajectory, TrajectoryBatch, build_basis, decode, decode_batch,
                     decode_partials, forward, gelu, gelu_grad, init_params,

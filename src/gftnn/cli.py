@@ -56,7 +56,7 @@ def _find_scenario(batch, scenario_id):
 def cmd_prep(args):
     _require(args, "input", "fps")
     tracks = ingest_tracks(args.input, args.schema)
-    print(f"read {sum(map(len, tracks))} rows of {len(tracks)} vehicles from {args.input}")
+    print(f"read {tracks.frame.size} rows of {len(tracks)} vehicles from {args.input}")
     scenarios = extract_scenarios(tracks, args.fps, args.t_obs, args.t_pred, args.n_vehicles)
     if not scenarios:
         raise ValueError("no scenarios could be extracted from the input")

@@ -368,9 +368,16 @@ def decode_partials(h_z, t_pred: int, fps):
     return dx_dh1, dy_dh2, dy_dh3
 
 
+def _own_batch(scenario):
+    """A scenario row as a batch of one: its batch, or the slice of it
+    that holds the row."""
+    batch = scenario.batch
+    return batch if len(batch) == 1 else batch[scenario.index:scenario.index + 1]
+
+
 def truth_trajectory(scenario) -> Trajectory:
     """The recorded future as a trajectory anchored at (0, 0)."""
-    return truth_trajectories([scenario])[0]
+    return truth_trajectories(_own_batch(scenario))[0]
 
 
 def truth_trajectories(scenarios) -> TrajectoryBatch:
@@ -430,7 +437,7 @@ def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.
 
 def scenario_spectrum(scenario, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
     """Truncated spectral coefficients of one scenario, flattened to (z,)."""
-    return scenario_spectra([scenario], basis, config)[0]
+    return scenario_spectra(_own_batch(scenario), basis, config)[0]
 
 
 def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
@@ -455,7 +462,7 @@ def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
 def predict(scenario, basis: ProductBasis, params: ModelParams,
             config: ModelConfig) -> Trajectory:
     """Full inference path for one scenario (a batch of one)."""
-    return predict_batch([scenario], basis, params, config)[0]
+    return predict_batch(_own_batch(scenario), basis, params, config)[0]
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ import csv
 import io
 import logging
 import math
+import operator
+import re
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -58,8 +58,13 @@ SCHEMAS = {
 }
 
 
+# A track's float columns, as the rows of TrackBatch.motion.
+_MOTION = ("x", "y", "vx", "vy")
+# Characters ingest_tracks reads at a time while it looks for long fields.
+_SCAN_CHUNK = 1 << 20
+_LONE_CR = re.compile(r"\r(?!\n)")
 # One data row of a track CSV as ingest_tracks reads it: the vehicle id,
-# then RawTrack's arrays.
+# then a track's columns.
 _ROW = np.dtype([("vehicle_id", np.int64), ("frame", np.int64), ("x", np.float64),
                  ("y", np.float64), ("vx", np.float64), ("vy", np.float64),
                  ("lane_id", np.int64)])
@@ -81,48 +86,183 @@ class SplitError(ValueError):
     """Dataset too small to split."""
 
 
-@dataclass(frozen=True)
-class RawTrack:
-    """One vehicle's recorded samples, ordered by frame."""
+class _RowError(ValueError):
+    """Row ``index`` of a batch breaks the batch's rule, whose message is
+    ``reason``."""
 
-    vehicle_id: int
-    frame: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    lane_id: np.ndarray
+    def __init__(self, message, index, reason):
+        super().__init__(message)
+        self.index = index
+        self.reason = reason
+
+
+def _check_rule(checks, describe):
+    """Raise ``_RowError`` for the first row that fails one of ``checks``,
+    (fails, say) pairs in the order the rule applies them: ``fails`` marks
+    the rows that fail the check and ``say(i)`` is its message for row
+    ``i``, which ``describe(i)`` names."""
+    bad = np.logical_or.reduce([fails for fails, _ in checks], axis=0, initial=False)
+    if bad.any():
+        i = int(bad.argmax())
+        reason = next(say for fails, say in checks if fails[i])(i)
+        raise _RowError(f"{describe(i)}: {reason}", i, reason)
+
+
+def _vehicle_ids(values) -> np.ndarray:
+    """Vehicle ids as a read-only int64 array, or as Python ints where one
+    lies beyond int64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        ids = values.astype(np.int64)
+    else:
+        ids = np.array([operator.index(v) for v in values], dtype=object)
+        try:
+            ids = ids.astype(np.int64)
+        except OverflowError:
+            pass
+    ids.flags.writeable = False
+    return ids
+
+
+@dataclass(frozen=True, eq=False)
+class TrackBatch:
+    """Recorded vehicle tracks as columns of rows: track i is vehicle
+    ``vehicle_ids[i]`` and owns rows ``offsets[i]`` up to ``offsets[i + 1]``,
+    ordered by frame.
+
+    The constructor, which also takes ``motion`` as four columns, checks
+    the track rule once over the whole arrays and freezes them: every track
+    has a sample, its frames strictly increase, every column has a value
+    per row and every value is finite. A track that breaks it raises
+    ValueError naming its index, with ``RawTrack``'s message. ``batch[i]``
+    is a ``RawTrack`` row that reads views of the columns.
+    """
+
+    vehicle_ids: np.ndarray     # (n,) int64, or Python ints where one lies beyond int64
+    offsets: np.ndarray         # (n + 1,) each track's first row, then the row count
+    frame: np.ndarray           # (rows,) int64
+    lane_id: np.ndarray         # (rows,) int64
+    motion: np.ndarray          # (4, rows) x, y, vx and vy
 
     def __post_init__(self):
-        frame = np.ascontiguousarray(self.frame, dtype=np.int64)
-        if frame.ndim != 1 or frame.size == 0:
-            raise ValueError("track must contain at least one sample")
-        if (frame[1:] <= frame[:-1]).any():     # np.diff could overflow
-            raise ValueError(
-                f"vehicle {self.vehicle_id}: frames must be strictly increasing"
-            )
-        frame.flags.writeable = False
-        object.__setattr__(self, "frame", frame)
-        lane = np.ascontiguousarray(self.lane_id, dtype=np.int64)
-        if lane.shape != frame.shape:
-            raise ValueError(f"vehicle {self.vehicle_id}: column length mismatch")
-        lane.flags.writeable = False
-        object.__setattr__(self, "lane_id", lane)
-        for name in ("x", "y", "vx", "vy"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != frame.shape:
-                raise ValueError(f"vehicle {self.vehicle_id}: column length mismatch")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"vehicle {self.vehicle_id}: non-finite {name}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        ids = _vehicle_ids(self.vehicle_ids)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        frame = np.asarray(self.frame, dtype=np.int64)
+        n = ids.size
+        if (offsets.shape != (n + 1,) or offsets[0] != 0
+                or (offsets[1:] < offsets[:-1]).any() or frame.shape != (offsets[-1],)):
+            raise ValueError(f"{n} tracks need {n + 1} row offsets that rise from 0 to "
+                             f"the frame count, got {offsets.tolist()} for frames of "
+                             f"shape {frame.shape}")
+        rows = int(offsets[-1])
+        lane = np.asarray(self.lane_id, dtype=np.int64)
+        columns = [np.asarray(column, dtype=np.float64) for column in self.motion]
+        if len(columns) != len(_MOTION):
+            raise ValueError(f"motion must hold the columns {', '.join(_MOTION)}, "
+                             f"got {len(columns)}")
+        if not n and any(column.size for column in (lane, *columns)):
+            raise ValueError("a batch of no tracks has rows")
+
+        def owners(flagged):
+            # The tracks that own any of the flagged rows.
+            fails = np.zeros(n, dtype=bool)
+            fails[offsets.searchsorted(np.flatnonzero(flagged), side="right") - 1] = True
+            return fails
+
+        def short(column):
+            # The tracks whose rows the column lacks, and the last one if it
+            # is too long.
+            fails = np.full(n, column.ndim != 1)
+            if column.ndim == 1 and n:
+                fails |= offsets[1:] > column.size
+                fails[-1] |= column.size != rows
+            return fails
+
+        # A frame that does not rise past the one before it, other than a
+        # track's first.
+        steps = np.empty(rows, dtype=bool)
+        steps[:1] = False
+        np.less_equal(frame[1:], frame[:-1], out=steps[1:])     # np.diff could overflow
+        steps[offsets[:-1][offsets[:-1] < rows]] = False
+        mismatch = lambda i: f"vehicle {ids[i]}: column length mismatch"
+        # The checks in the order the rule applies them: a track is named
+        # by the first check it fails.
+        checks = [
+            (offsets[1:] == offsets[:-1], lambda i: "track must contain at least one sample"),
+            (owners(steps), lambda i: f"vehicle {ids[i]}: frames must be strictly increasing"),
+            (short(lane), mismatch),
+        ]
+        for name, column in zip(_MOTION, columns):
+            checks.append((short(column), mismatch))
+            if column.ndim == 1:
+                checks.append((owners(~np.isfinite(column[:rows])),
+                               lambda i, name=name: f"vehicle {ids[i]}: non-finite {name}"))
+        _check_rule(checks, lambda i: f"track {i}")
+        motion = self.motion
+        if not (isinstance(motion, np.ndarray) and motion.dtype == np.float64):
+            motion = np.stack(columns)
+        for name, value in (("vehicle_ids", ids), ("offsets", _frozen(offsets, np.int64)),
+                            ("frame", _frozen(frame, np.int64)),
+                            ("lane_id", _frozen(lane, np.int64)), ("motion", _frozen(motion))):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return self.frame.size
+        return self.vehicle_ids.size
+
+    def __getitem__(self, index):
+        return _TrackRow(self, range(len(self))[operator.index(index)])
 
 
-class _RowError(ValueError):
-    """A batch row breaks the scenario rule, whose message is ``reason``."""
+class RawTrack:
+    """One vehicle's recorded samples, ordered by frame: track ``index`` of
+    ``batch``, a ``TrackBatch``.
+
+    ``RawTrack(vehicle_id, frame, x, y, vx, vy, lane_id)`` copies the
+    columns into a batch of one; a fault raises the track rule's message.
+    """
+
+    def __init__(self, vehicle_id, frame, x, y, vx, vy, lane_id):
+        try:
+            self.batch = TrackBatch((vehicle_id,), (0, np.size(frame)), frame, lane_id,
+                                    (x, y, vx, vy))
+        except _RowError as exc:
+            raise ValueError(exc.reason) from None
+        self.index = 0
+
+    def _rows(self) -> slice:
+        return slice(*self.batch.offsets[self.index:self.index + 2].tolist())
+
+    vehicle_id = property(lambda self: int(self.batch.vehicle_ids[self.index]))
+    frame = property(lambda self: self.batch.frame[self._rows()])
+    lane_id = property(lambda self: self.batch.lane_id[self._rows()])
+    x = property(lambda self: self.batch.motion[0, self._rows()])
+    y = property(lambda self: self.batch.motion[1, self._rows()])
+    vx = property(lambda self: self.batch.motion[2, self._rows()])
+    vy = property(lambda self: self.batch.motion[3, self._rows()])
+
+    def __len__(self):
+        rows = self._rows()
+        return rows.stop - rows.start
+
+
+class _TrackRow(RawTrack):
+    """A track of a batch whose rule has passed: it is not checked again."""
+
+    def __init__(self, batch: TrackBatch, index: int):
+        self.batch = batch
+        self.index = index
+
+
+def track_batch(tracks) -> TrackBatch:
+    """``tracks`` as one batch: a ``TrackBatch`` as it is, and an iterable
+    of tracks, such as a list or a generator, joined in their order into a
+    new batch, which the track rule checks."""
+    if isinstance(tracks, TrackBatch):
+        return tracks
+    rows = list(tracks)
+    frame, lane, *motion = (np.concatenate([getattr(tr, name) for tr in rows] or [[]])
+                            for name in ("frame", "lane_id", *_MOTION))
+    return TrackBatch([tr.vehicle_id for tr in rows], np.cumsum([0, *map(len, rows)]),
+                      frame, lane, motion)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,13 +315,7 @@ class ScenarioBatch:
             (np.full(n, not _valid_fps(self.fps)),
              lambda i: f"scenario {ids[i]}: fps must be positive and finite, got {self.fps}"),
         )
-        bad = np.logical_or.reduce([fails for fails, _ in checks], axis=0, initial=False)
-        if bad.any():
-            i = int(bad.argmax())
-            reason = next(say for fails, say in checks if fails[i])(i)
-            error = _RowError(f"scenario {i} ({ids[i]!r}): {reason}")
-            error.reason = reason
-            raise error
+        _check_rule(checks, lambda i: f"scenario {i} ({ids[i]!r})")
         for name, value in (("ids", ids), ("codes", _frozen(codes, np.int64)),
                             ("v0", _frozen(v0)), ("features", _frozen(f)),
                             ("futures", _frozen(fut)), ("fps", float(self.fps))):
@@ -274,16 +408,20 @@ class DatasetSplit:
     seed: int
 
 
-def ingest_tracks(path, schema: str = "normalized") -> list[RawTrack]:
-    """Read per-frame vehicle samples from CSV and group them into tracks.
+def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
+    """Read per-frame vehicle samples from CSV into one batch of tracks, in
+    vehicle-id order.
 
     The header is read with csv.reader. numpy's C reader (``np.loadtxt``)
     then parses the data rows in one pass, converting only the columns the
-    schema names, and one lexsort on (vehicle id, frame) groups them. Blank
-    lines are skipped. Where the C reader fails or warns, or a field might
-    be longer than csv's field size limit, a csv.reader loop reads the rows
-    again, to the same values: a row that is too short for a needed column,
-    or that does not parse, raises ParseError naming its line.
+    schema names, and one lexsort on (vehicle id, frame) groups them into
+    the batch's columns. Blank lines are skipped. Where the C reader fails
+    or warns, or a field might be longer than csv's field size limit, a
+    csv.reader loop reads the rows again, to the same values: a row that is
+    too short for a needed column, or that does not parse, raises
+    ParseError naming its line. A track that breaks the track rule, repeats
+    a frame or holds a frame or lane id beyond int64 raises ParseError for
+    the first such vehicle.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
@@ -301,62 +439,115 @@ def ingest_tracks(path, schema: str = "normalized") -> list[RawTrack]:
             if col not in index:
                 raise SchemaError(f"{path}: missing column '{col}'")
         columns = [index[mapping[name]] for name in _ROW.names]
-        rows = _load_rows(fh, columns)
+        rows = None
+        if _within_field_limit(fh):
+            fh.seek(0)
+            next(csv.reader(fh))
+            rows = _load_rows(fh, columns)
         if rows is None:
             fh.seek(0)
             rows = _read_rows(fh, path, columns)
-    if not rows.size:
-        return []
     rows = rows[np.lexsort((rows["frame"], rows["vehicle_id"]))]
     vehicle = rows["vehicle_id"]
-    cuts = ((vehicle[1:] != vehicle[:-1]).nonzero()[0] + 1).tolist()
-    tracks = []
-    for lo, hi in zip([0, *cuts], [*cuts, rows.size]):
-        track = rows[lo:hi]
-        if np.any(track["frame"][1:] == track["frame"][:-1]):
-            raise ParseError(f"{path}: vehicle {vehicle[lo]} has duplicate frames")
-        try:
-            tracks.append(RawTrack(vehicle_id=int(vehicle[lo]),
-                                   **{name: track[name] for name in _ROW.names[1:]}))
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    first = np.ones(rows.size, dtype=bool)
+    np.not_equal(vehicle[1:], vehicle[:-1], out=first[1:])
+    offsets = np.append(np.flatnonzero(first), rows.size)
+    # The row loop converted a track's frames and lane ids after checking
+    # for repeated frames; the batch takes the tracks before the first one
+    # with a value beyond int64 (read as a Python int), and that one fails.
+    wide = offsets.size - 1
+    if rows.dtype["frame"] == object:
+        beyond = np.zeros(rows.size, dtype=bool)
+        for name in ("frame", "lane_id"):
+            beyond |= ((rows[name] < -2 ** 63) | (rows[name] >= 2 ** 63)).astype(bool)
+        if beyond.any():
+            wide = int(offsets.searchsorted(beyond.argmax(), side="right")) - 1
+    end = offsets[wide]
+    try:
+        tracks = TrackBatch(vehicle[offsets[:wide]], offsets[:wide + 1], rows["frame"][:end],
+                            rows["lane_id"][:end], [rows[name][:end] for name in _MOTION])
+    except _RowError as exc:
+        raise _track_fault(path, rows[offsets[exc.index]:offsets[exc.index + 1]],
+                           exc.reason) from None
+    if wide < offsets.size - 1:
+        raise _track_fault(path, rows[end:offsets[wide + 1]], None)
     return tracks
+
+
+def _track_fault(path, track, reason):
+    """The ParseError of a faulty track, ``track`` the records of its rows:
+    repeated frames, as the row loop checked them first, then ``reason``,
+    or, where that is None, the conversion of a frame or lane id beyond
+    int64."""
+    if (track["frame"][1:] == track["frame"][:-1]).any():
+        return ParseError(f"{path}: vehicle {track['vehicle_id'][0]} has duplicate frames")
+    if reason is None:
+        try:
+            for name in ("frame", "lane_id"):
+                np.asarray(track[name], dtype=np.int64)
+        except OverflowError as exc:
+            reason = str(exc)
+    return ParseError(f"{path}: {reason}")
 
 
 def _load_rows(fh, columns):
     """The rest of ``fh`` parsed by np.loadtxt into ``_ROW`` records, or
-    None where its reading might differ from csv.reader's: it fails or
-    warns, or a field might exceed csv's field size limit, which only
-    csv.reader enforces."""
+    None where the C reader fails or warns."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(_within_field_limit(fh), dtype=_ROW, comments=None,
-                              delimiter=",", quotechar='"', usecols=columns, ndmin=1)
+            return np.loadtxt(fh, dtype=_ROW, comments=None, delimiter=",",
+                              quotechar='"', usecols=columns, ndmin=1)
     except (ValueError, Warning):
         return None
 
 
-def _within_field_limit(lines):
-    """The lines, up to one that might hold a field longer than csv's field
-    size limit, where it raises ValueError. An unquoted field lies within
-    one line; a quoted one may span lines, so once the text holds a quote
-    and more characters than the limit, it stops."""
+def _within_field_limit(fh) -> bool:
+    """Whether no field in the rest of text file ``fh`` can be longer than
+    csv's field size limit, which only csv.reader enforces, reading it to
+    its end in chunks. An unquoted field lies within one line; a quoted one
+    may span lines, so no line may be longer than the limit and, if the
+    text is, it may hold no quote. A line ends at "\\n", "\\r\\n" or a lone
+    "\\r", which it includes, as ``fh``'s lines do."""
     limit = csv.field_size_limit()
+    # A line longer than the limit holds limit - 1 characters that end no
+    # line, so it holds a whole block of the probe's width; lines are only
+    # measured in a chunk where such a block holds no line end.
+    probe = (limit - 1) // 2
     size = 0
+    run = 0             # the characters after the last line end
     quoted = False
-    for line in lines:
-        size += len(line)
-        quoted = quoted or '"' in line
-        if len(line) > limit or (quoted and size > limit):
-            raise ValueError("a field may exceed the field size limit")
-        yield line
+    while chunk := fh.read(_SCAN_CHUNK):
+        if chunk.endswith("\r"):
+            chunk += fh.read(1)     # keeps a "\r\n" in one chunk
+        size += len(chunk)
+        quoted = quoted or '"' in chunk
+        # The last characters of the first and the last line end.
+        first, last, cr = chunk.find("\n"), chunk.rfind("\n"), chunk.find("\r")
+        if cr >= 0:
+            if first < 0 or cr < first - 1:
+                first = cr
+            last = max(last, chunk.rfind("\r"))
+        if first < 0:
+            run += len(chunk)
+        else:
+            if run + first >= limit or (
+                    (probe < 1 or any(chunk.find("\n", at, at + probe) < 0
+                                      and (cr < 0 or chunk.find("\r", at, at + probe) < 0)
+                                      for at in range(first + 1, last - probe + 1, probe)))
+                    and max(map(len, _LONE_CR.sub("\n", chunk[first + 1:last + 1])
+                                .split("\n"))) >= limit):
+                return False
+            run = len(chunk) - 1 - last
+        if run > limit or (quoted and size > limit):
+            return False
+    return True
 
 
 def _read_rows(fh, path, columns):
     """The data rows of CSV file ``fh`` read with csv.reader, int() and
     float(), as ``_ROW`` records. Integers beyond int64 make the integer
-    columns Python ints, which RawTrack rejects for a frame or lane id.
+    columns Python ints, which ingest_tracks refuses for a frame or lane id.
     A row that is short or does not parse raises ParseError naming its
     line."""
     values = []
@@ -443,24 +634,25 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     """Slide fixed windows over every track and cut model-ready scenarios,
     returned as one ``ScenarioBatch`` in target-id order.
 
-    Windows advance by ``stride`` frames (default: the prediction length,
-    so consecutive futures of one target do not overlap). A window needs
-    the target fully covered over observation and prediction; neighbours
-    only need the observation part and are ranked by distance to the
-    target at the last observed step, then by vehicle id, then by their
-    order in ``tracks``. Free slots are filled with ghost copies of the
-    target.
+    ``tracks`` is a ``TrackBatch`` or an iterable of tracks (see
+    ``track_batch``). Windows advance by ``stride`` frames (default: the
+    prediction length, so consecutive futures of one target do not
+    overlap). A window needs the target fully covered over observation and
+    prediction; neighbours only need the observation part and are ranked
+    by distance to the target at the last observed step, then by vehicle
+    id, then by their order in ``tracks``. Free slots are filled with ghost
+    copies of the target.
 
-    The work is linear in tracks times windows: every track's rows go into
-    one table, and a window looks up its neighbours among the contiguous
-    frame runs that start at most one longest run before it. The windows
-    are then cut in blocks, as array code: one masked distance and one
+    The work is linear in tracks times windows, all of it array code over
+    the batch's columns, which are read in place. Every track's contiguous
+    frame runs are found at once; each run yields the windows it covers,
+    which one ``repeat``/``cumsum`` enumerates, and a window looks up its
+    neighbours among the runs that start at most one longest run before
+    it. The windows are then cut in blocks: one masked distance and one
     sort per block pick the neighbours, one gather takes every slot's
     observation and the target's future into the batch's arrays, and every
-    window's label comes from one pass. A block's padded candidate matrix and its gathered rows
-    stay within ``_GATHER_BLOCK`` elements. The tracks are let go once
-    their rows are in the table, so ``tracks`` may be a generator that
-    nothing else holds.
+    window's label comes from one pass. A block's padded candidate matrix
+    and its gathered rows stay within ``_GATHER_BLOCK`` elements.
     """
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     if n_vehicles < 2:
@@ -469,15 +661,9 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
         stride = t_pred_steps
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    tracks = list(tracks)
-    if not tracks:
-        return ScenarioBatch((), (), (), np.empty((0, len(CHANNELS), t_obs_steps, n_vehicles)),
-                             np.empty((0, t_pred_steps, 2)), float(fps))
+    tracks = track_batch(tracks)
     window = t_obs_steps + t_pred_steps
-    # All rows, track after track: track i owns rows track_row[i] up to
-    # track_row[i + 1].
-    frame = np.concatenate([tr.frame for tr in tracks])
-    track_row = list(accumulate((len(tr) for tr in tracks), initial=0))
+    frame, track_row, vehicle = tracks.frame, tracks.offsets, tracks.vehicle_ids
     # Runs of consecutive frames, in row order: run r covers frames
     # run_start[r]..run_end[r], frame f of it is row run_off[r] + f, and
     # track i owns runs track_run[i] up to track_run[i + 1]. opens marks
@@ -490,86 +676,78 @@ def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
     run_end = frame[run_row[1:] - 1]
     run_off = run_row[:-1] - run_start
     track_run = run_row.searchsorted(track_row)
-    run_track = np.arange(len(tracks)).repeat(track_run[1:] - track_run[:-1])
-    longest = int((run_end - run_start).max()) + 1
-    del frame, opens
+    run_track = np.arange(len(tracks)).repeat(np.diff(track_run))
+    longest = int((run_end - run_start).max(initial=0)) + 1
+    first_frame = frame[track_row[:-1]]
+    # Only an overflow makes a track's span negative.
+    span = frame[track_row[1:] - 1] - first_frame
+    if (span < 0).any():
+        raise ValueError(f"vehicle {vehicle[(span < 0).argmax()]}: frames span more than int64")
     # Targets go in vehicle-id order, ties in input order. A track's id rank
     # is the place of the first track with its id in that order.
-    vehicle = [tr.vehicle_id for tr in tracks]
-    order = sorted(range(len(tracks)), key=vehicle.__getitem__)
-    ids = [vehicle[i] for i in order]
-    id_rank = np.array([bisect_left(ids, v) for v in vehicle])
-    # Neighbour candidates: the runs sorted by start frame.
+    order = vehicle.argsort(kind="stable")
+    id_rank = vehicle[order].searchsorted(vehicle)
+    targets = order if target_ids is None else order[np.isin(vehicle[order], list(target_ids))]
+    # Window k of a target starts k strides after its first frame; its runs,
+    # target after target, each cover the windows k_low up to k_low + count.
+    runs = _concat_ranges(track_run[targets], track_run[targets + 1] - track_run[targets])
+    base = first_frame[run_track[runs]]
+    k_low = -((base - run_start[runs]) // stride)
+    count = np.maximum((run_end[runs] - (window - 1) - base) // stride + 1 - k_low, 0)
+    win_run = runs.repeat(count)
+    win_track = run_track[win_run]
+    win_start = first_frame[win_track] + stride * _concat_ranges(k_low, count)
+    win_first = run_off[win_run] + win_start
+    skipped = int(np.maximum((span[targets] - (window - 1)) // stride + 1, 0).sum()) - win_run.size
+    # A run that covers a window's observation starts at most one longest
+    # run before its last observed frame, and not after its first.
     by_start = run_start.argsort(kind="stable")
     cand_start = run_start[by_start]
+    win_low = cand_start.searchsorted(win_start + (t_obs_steps - longest))
+    win_high = cand_start.searchsorted(win_start, side="right")
+    # Neighbour candidates: the runs sorted by start frame.
     cands = (run_end[by_start], run_off[by_start], run_track[by_start],
              id_rank[run_track[by_start]])
     # Rows gathered per window: every slot over the observation, then the
     # target from its last observed step to the window's end.
     back = np.arange(1 - t_obs_steps, 1)[:, None]
     ahead = np.arange(t_pred_steps + 1)
-    # Every covered window, target after target: its target track, start
-    # frame, first row, candidate runs lows..highs and the target's lane
-    # ids from its last observed step on.
-    windows = []
-    skipped = 0
-    for i in order:
-        target = tracks[i]
-        if target_ids is not None and target.vehicle_id not in target_ids:
-            continue
-        # Windows whose frames one run of the target covers, and their
-        # first rows.
-        starts = np.arange(target.frame[0], target.frame[-1] - window + 2, stride)
-        runs = slice(track_run[i], track_run[i + 1])
-        run = run_start[runs].searchsorted(starts, side="right") + (runs.start - 1)
-        covered = run_end[run] >= starts + (window - 1)
-        skipped += starts.size - int(np.count_nonzero(covered))
-        starts = starts[covered]
-        firsts = run_off[run[covered]] + starts
-        # A run that covers a window's observation starts at most one
-        # longest run before its last observed frame, and not after its first.
-        lows = cand_start.searchsorted(starts + (t_obs_steps - longest))
-        highs = cand_start.searchsorted(starts, side="right")
-        lanes = target.lane_id[(firsts - track_row[i] + (t_obs_steps - 1))[:, None] + ahead]
-        windows.append((np.full(starts.size, i), starts, firsts, lows, highs, lanes))
-    # data holds x, y, vx and vy of every row.
-    data = np.concatenate([getattr(tr, name) for name in ("x", "y", "vx", "vy")
-                           for tr in tracks]).reshape(4, track_row[-1])
-    del tracks, target      # the table holds their rows now
-    n = sum(win[1].size for win in windows)
+    data = tracks.motion
+    n = win_start.size
     features = np.empty((n, len(CHANNELS), t_obs_steps, n_vehicles))
     futures = np.empty((n, t_pred_steps, 2))
     v0 = np.empty(n)
     codes = np.empty(n, dtype=np.int64)
-    ids = ()
-    if windows:
-        win_track, win_start, win_first, win_low, win_high, win_lanes = map(
-            np.concatenate, zip(*windows))
-        n_obs = t_obs_steps * n_vehicles
-        for w in _window_blocks(win_high - win_low, n_obs + ahead.size):
-            last = win_start[w] + (t_obs_steps - 1)
-            i0 = win_first[w] + (t_obs_steps - 1)
-            slot_at = np.empty((last.size, n_vehicles), dtype=np.int64)
-            slot_at[:, 0] = i0
-            slot_at[:, 1:] = _nearest(data, cands, win_low[w], win_high[w], last, i0,
-                                      id_rank[win_track[w]], len(vehicle), n_vehicles - 1)
-            rows = np.concatenate([(back + slot_at[:, None]).reshape(last.size, n_obs),
-                                   i0[:, None] + ahead], axis=1)
-            got = data.take(rows, axis=1)
-            feats = features[w]
-            feats[...] = got[:, :, :n_obs].reshape(
-                4, last.size, t_obs_steps, n_vehicles).transpose(1, 0, 2, 3)
-            # Positions relative to the target's first observed row.
-            feats[:, :2] -= got[:2, :, 0].T[:, :, None, None]
-            rest = got[:, :, n_obs:]
-            futures[w] = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
-            v0[w] = rest[2, :, 0]
-            codes[w] = _maneuver_codes(win_lanes[w], rest[1])
-        ids = tuple(f"v{vehicle[t]}-f{start}"
-                    for t, start in zip(win_track.tolist(), win_start.tolist()))
+    n_obs = t_obs_steps * n_vehicles
+    for w in _window_blocks(win_high - win_low, n_obs + ahead.size):
+        last = win_start[w] + (t_obs_steps - 1)
+        i0 = win_first[w] + (t_obs_steps - 1)
+        slot_at = np.empty((last.size, n_vehicles), dtype=np.int64)
+        slot_at[:, 0] = i0
+        slot_at[:, 1:] = _nearest(data, cands, win_low[w], win_high[w], last, i0,
+                                  id_rank[win_track[w]], len(tracks), n_vehicles - 1)
+        rows = np.concatenate([(back + slot_at[:, None]).reshape(last.size, n_obs),
+                               i0[:, None] + ahead], axis=1)
+        got = data.take(rows, axis=1)
+        feats = features[w]
+        feats[...] = got[:, :, :n_obs].reshape(
+            4, last.size, t_obs_steps, n_vehicles).transpose(1, 0, 2, 3)
+        # Positions relative to the target's first observed row.
+        feats[:, :2] -= got[:2, :, 0].T[:, :, None, None]
+        rest = got[:, :, n_obs:]
+        futures[w] = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
+        v0[w] = rest[2, :, 0]
+        codes[w] = _maneuver_codes(tracks.lane_id[rows[:, n_obs:]], rest[1])
+    ids = tuple(f"v{v}-f{start}"
+                for v, start in zip(vehicle[win_track].tolist(), win_start.tolist()))
     if skipped:
         log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
     return ScenarioBatch(ids, codes, v0, features, futures, float(fps))
+
+
+def _concat_ranges(starts, counts):
+    """``arange(s, s + c)`` for every start s and count c, joined."""
+    return (starts - (counts.cumsum() - counts)).repeat(counts) + np.arange(counts.sum())
 
 
 def _window_blocks(widths, per_window):
@@ -672,10 +850,11 @@ def split_indices(scenarios, ratio: float, seed: int):
     return batch, train_idx, test_idx
 
 
-def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
-                      n_vehicles, noise_std):
-    """The tracks of one scene per maneuver, scene after scene: a target
-    with that maneuver plus random cruisers.
+def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
+                      n_vehicles, noise_std) -> TrackBatch:
+    """The tracks of one scene per maneuver code: a target with that
+    maneuver plus random cruisers, as one batch that holds every target
+    and then every cruiser.
 
     Scene i covers frames i·n_frames onward; its target has vehicle id
     1 + i·_SCENE_VEHICLES and its cruisers the ids after it, so no
@@ -684,50 +863,83 @@ def _synthetic_scenes(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
     of one lane width, centred halfway into the prediction window, which
     keeps the lane id at the last observed step unchanged and flips it
     inside the window. Lane ids come from the noise-free lateral position
-    so labels stay exact under sensor noise. The cruisers' constant
-    lateral speed and lane id columns are shared read-only arrays.
+    so labels stay exact under sensor noise. A cruiser's track ends at the
+    last observed step (step ``t0_index``), since extraction reads a
+    neighbour over the observation only.
+
+    The random draws, whose order fixes every scene, are made scene by
+    scene: the target's speed, acceleration, position, lane and
+    lane-change rate, its noise, the number of cruisers, then each
+    cruiser's speed, offset, lane and noise (of every frame). Every column
+    is then computed for all scenes at once and written into the batch.
     """
+    n_max = min(_SCENE_VEHICLES - 1, n_vehicles - 1)
+    n_obs = t0_index + 1
+    noisy = noise_std > 0.0
+    targets = []        # per scene: speed, acceleration, position, lane, rate
+    cruisers = []       # per cruiser: scene, speed, offset, lane
+    target_noise, cruiser_noise = [], []    # x noise, y noise per vehicle
+    for i in range(len(codes)):
+        targets.append((rng.uniform(*SPEED_RANGE), rng.uniform(*ACCEL_RANGE),
+                        rng.uniform(0.0, 200.0), int(rng.integers(1, 5)),
+                        rng.uniform(*RATE_RANGE)))
+        if noisy:
+            target_noise += [rng.normal(0.0, noise_std, n_frames),
+                             rng.normal(0.0, noise_std, n_frames)]
+        for _ in range(int(rng.integers(0, n_max + 1))):
+            cruisers.append((i, rng.uniform(*SPEED_RANGE), rng.uniform(-80.0, 80.0),
+                             int(rng.integers(1, 5))))
+            if noisy:
+                cruiser_noise += [rng.normal(0.0, noise_std, n_frames)[:n_obs].copy(),
+                                  rng.normal(0.0, noise_std, n_frames)[:n_obs].copy()]
+    v0, accel, x0, lane0, rate = np.array(targets).T
+    scene, vn, dx0, lane_n = np.array(cruisers).reshape(-1, 4).T
+    scene = scene.astype(np.int64)
+    n, n_cruisers = len(targets), scene.size
+    split = n * n_frames
+    motion = np.empty((4, split + n_cruisers * n_obs))
+    # The targets' and the cruisers' rows, one row of steps per vehicle.
+    target_motion = motion[:, :split].reshape(4, n, n_frames)
+    cruiser_motion = motion[:, split:].reshape(4, n_cruisers, n_obs)
+    for columns, noise in ((target_motion, target_noise), (cruiser_motion, cruiser_noise)):
+        if noise:
+            np.stack(noise[0::2], out=columns[0])
+            np.stack(noise[1::2], out=columns[1])
+    del target_noise, cruiser_noise
+
+    def put(columns, channel, values):
+        # Noise lies under x and y already; addition is commutative, so
+        # the sum is the noise-free value plus the noise, as drawn.
+        if noisy and channel < 2:
+            columns[channel] += values
+        else:
+            columns[channel] = values
+
     times = np.arange(n_frames) / fps
-    still = np.zeros(n_frames)
-    cruise_lanes = {}
-    for i, maneuver in enumerate(maneuvers):
-        v0 = rng.uniform(*SPEED_RANGE)
-        accel = rng.uniform(*ACCEL_RANGE)
-        x0 = rng.uniform(0.0, 200.0)
-        lane0 = int(rng.integers(1, 5))
-        y0 = (lane0 + 0.5) * LANE_WIDTH
-        rate = rng.uniform(*RATE_RANGE)
-        amplitude = {"keep_lane": 0.0,
-                     "lane_change_left": LANE_WIDTH,
-                     "lane_change_right": -LANE_WIDTH}[maneuver]
-        mid = times[t0_index] + 0.5 * t_pred_s
-        x = x0 + v0 * times + 0.5 * accel * times ** 2
-        vx = v0 + accel * times
-        g = expit(rate * (times - mid))
-        y = y0 + amplitude * g
-        vy = amplitude * rate * g * (1.0 - g)
-        lane = np.floor(y / LANE_WIDTH).astype(np.int64)
-        frames = np.arange(i * n_frames, (i + 1) * n_frames)
-        first_id = 1 + i * _SCENE_VEHICLES
-        if noise_std > 0.0:
-            x = x + rng.normal(0.0, noise_std, n_frames)
-            y = y + rng.normal(0.0, noise_std, n_frames)
-        yield RawTrack(first_id, frames, x, y, vx, vy, lane)
-        n_neighbours = int(rng.integers(0, min(_SCENE_VEHICLES - 1, n_vehicles - 1) + 1))
-        for j in range(n_neighbours):
-            vn = rng.uniform(*SPEED_RANGE)
-            dx0 = rng.uniform(-80.0, 80.0)
-            lane_n = int(rng.integers(1, 5))
-            yn0 = (lane_n + 0.5) * LANE_WIDTH
-            xn = x0 + dx0 + vn * times
-            yn = np.full(n_frames, yn0)
-            if noise_std > 0.0:
-                xn = xn + rng.normal(0.0, noise_std, n_frames)
-                yn = yn + rng.normal(0.0, noise_std, n_frames)
-            if lane_n not in cruise_lanes:
-                cruise_lanes[lane_n] = np.full(n_frames, lane_n, dtype=np.int64)
-            yield RawTrack(first_id + 1 + j, frames, xn, yn,
-                           np.full(n_frames, vn), still, cruise_lanes[lane_n])
+    mid = times[t0_index] + 0.5 * t_pred_s
+    amplitude = np.array((0.0, LANE_WIDTH, -LANE_WIDTH))[codes]
+    put(target_motion, 0,
+        x0[:, None] + v0[:, None] * times + (0.5 * accel)[:, None] * times ** 2)
+    put(target_motion, 2, v0[:, None] + accel[:, None] * times)
+    g = expit(rate[:, None] * (times - mid))
+    y = ((lane0 + 0.5) * LANE_WIDTH)[:, None] + amplitude[:, None] * g
+    lane = np.concatenate((np.floor(y / LANE_WIDTH).astype(np.int64).reshape(-1),
+                           lane_n.astype(np.int64).repeat(n_obs)))
+    put(target_motion, 1, y)
+    put(target_motion, 3, (amplitude * rate)[:, None] * g * (1.0 - g))
+    put(cruiser_motion, 0, (x0[scene] + dx0)[:, None] + vn[:, None] * times[:n_obs])
+    put(cruiser_motion, 1, ((lane_n + 0.5) * LANE_WIDTH)[:, None])
+    put(cruiser_motion, 2, vn[:, None])
+    put(cruiser_motion, 3, 0.0)
+    frame = np.concatenate((np.arange(split),
+                            ((scene * n_frames)[:, None] + np.arange(n_obs)).reshape(-1)))
+    # A cruiser's id follows its target's and the cruisers before it in its scene.
+    per_scene = np.bincount(scene, minlength=n)
+    place = np.arange(n_cruisers) - (per_scene.cumsum() - per_scene)[scene]
+    return TrackBatch(
+        np.concatenate((1 + np.arange(n) * _SCENE_VEHICLES, 2 + scene * _SCENE_VEHICLES + place)),
+        np.concatenate((np.arange(n) * n_frames, split + np.arange(n_cruisers + 1) * n_obs)),
+        frame, lane, motion)
 
 
 def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
@@ -742,11 +954,10 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
 
     Every scene gets frames and vehicle ids of its own (see
     ``_synthetic_scenes``), so no scene's vehicle can be another's
-    neighbour, and one ``extract_scenarios`` call cuts the one window of
-    every scene's target. The scenes stream into it as a generator, so
-    their tracks are freed once extraction has copied their rows. The
-    labels are checked with one compare, and the batch is renamed
-    ``synth-%05d`` as a whole.
+    neighbour. All scenes are drawn into one ``TrackBatch`` first, and one
+    ``extract_scenarios`` call then cuts the one window of every scene's
+    target from it. The labels are checked with one compare, and the batch
+    is renamed ``synth-%05d`` as a whole.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -755,9 +966,8 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     wanted = np.arange(n) % len(MANEUVERS)
     tracks = _synthetic_scenes(
-        np.random.default_rng(seed), [MANEUVERS[code] for code in wanted], fps,
-        t_obs_steps + t_pred_steps, t_obs_steps - 1, t_pred_steps / fps, n_vehicles,
-        noise_std)
+        np.random.default_rng(seed), wanted, fps, t_obs_steps + t_pred_steps,
+        t_obs_steps - 1, t_pred_steps / fps, n_vehicles, noise_std)
     batch = extract_scenarios(
         tracks, fps, t_obs, t_pred, n_vehicles,
         target_ids=range(1, 1 + n * _SCENE_VEHICLES, _SCENE_VEHICLES))

@@ -12,9 +12,9 @@ from gftnn.graph import Graph
 from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
                          gelu, gelu_grad)
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from gftnn.scenario import (CHANNELS, LANE_WIDTH, MANEUVERS, SCHEMAS, ParseError,
-                            RawTrack, Scenario, SchemaError, _synthetic_scenes,
-                            _window_steps)
+from gftnn.scenario import (ACCEL_RANGE, CHANNELS, LANE_WIDTH, MANEUVERS, RATE_RANGE,
+                            SCHEMAS, SPEED_RANGE, ParseError, RawTrack, Scenario,
+                            SchemaError, _SCENE_VEHICLES, _window_steps)
 
 
 def tiny_config(**overrides):
@@ -314,6 +314,22 @@ def ingest_tracks_reference(path, schema: str = "normalized") -> list[RawTrack]:
     return tracks
 
 
+def within_field_limit_reference(fh):
+    """Whether the rest of text file ``fh`` passes the line-by-line test
+    ``ingest_tracks`` made before it scanned in chunks: no line is longer
+    than csv's field size limit and, once the lines read hold a quote, they
+    are no longer than it together."""
+    limit = csv.field_size_limit()
+    size = 0
+    quoted = False
+    for line in fh:
+        size += len(line)
+        quoted = quoted or '"' in line
+        if len(line) > limit or (quoted and size > limit):
+            return False
+    return True
+
+
 def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
     """Seeded four-lane recording for extraction checks, in shuffled order.
 
@@ -499,6 +515,68 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
     return scenarios
 
 
+def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
+                                n_vehicles, noise_std):
+    """The tracks of one scene per maneuver, scene after scene: a target
+    with that maneuver plus random cruisers.
+
+    Scene i covers frames i·n_frames onward; its target has vehicle id
+    1 + i·_SCENE_VEHICLES and its cruisers the ids after it, so no
+    vehicle is in view with another scene's. Longitudinal motion is
+    uniformly accelerated; lane changes follow a logistic lateral profile
+    of one lane width, centred halfway into the prediction window, which
+    keeps the lane id at the last observed step unchanged and flips it
+    inside the window. Lane ids come from the noise-free lateral position
+    so labels stay exact under sensor noise. The cruisers' constant
+    lateral speed and lane id columns are shared read-only arrays.
+
+    The per-scene generator ``scenario._synthetic_scenes`` replaced, kept
+    verbatim (but for gftnn's own ``special.expit``) as the oracle of its
+    draws and columns.
+    """
+    times = np.arange(n_frames) / fps
+    still = np.zeros(n_frames)
+    cruise_lanes = {}
+    for i, maneuver in enumerate(maneuvers):
+        v0 = rng.uniform(*SPEED_RANGE)
+        accel = rng.uniform(*ACCEL_RANGE)
+        x0 = rng.uniform(0.0, 200.0)
+        lane0 = int(rng.integers(1, 5))
+        y0 = (lane0 + 0.5) * LANE_WIDTH
+        rate = rng.uniform(*RATE_RANGE)
+        amplitude = {"keep_lane": 0.0,
+                     "lane_change_left": LANE_WIDTH,
+                     "lane_change_right": -LANE_WIDTH}[maneuver]
+        mid = times[t0_index] + 0.5 * t_pred_s
+        x = x0 + v0 * times + 0.5 * accel * times ** 2
+        vx = v0 + accel * times
+        g = special.expit(rate * (times - mid))
+        y = y0 + amplitude * g
+        vy = amplitude * rate * g * (1.0 - g)
+        lane = np.floor(y / LANE_WIDTH).astype(np.int64)
+        frames = np.arange(i * n_frames, (i + 1) * n_frames)
+        first_id = 1 + i * _SCENE_VEHICLES
+        if noise_std > 0.0:
+            x = x + rng.normal(0.0, noise_std, n_frames)
+            y = y + rng.normal(0.0, noise_std, n_frames)
+        yield RawTrack(first_id, frames, x, y, vx, vy, lane)
+        n_neighbours = int(rng.integers(0, min(_SCENE_VEHICLES - 1, n_vehicles - 1) + 1))
+        for j in range(n_neighbours):
+            vn = rng.uniform(*SPEED_RANGE)
+            dx0 = rng.uniform(-80.0, 80.0)
+            lane_n = int(rng.integers(1, 5))
+            yn0 = (lane_n + 0.5) * LANE_WIDTH
+            xn = x0 + dx0 + vn * times
+            yn = np.full(n_frames, yn0)
+            if noise_std > 0.0:
+                xn = xn + rng.normal(0.0, noise_std, n_frames)
+                yn = yn + rng.normal(0.0, noise_std, n_frames)
+            if lane_n not in cruise_lanes:
+                cruise_lanes[lane_n] = np.full(n_frames, lane_n, dtype=np.int64)
+            yield RawTrack(first_id + 1 + j, frames, xn, yn,
+                           np.full(n_frames, vn), still, cruise_lanes[lane_n])
+
+
 def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
                          t_obs: float = 3.0, t_pred: float = 5.0,
                          n_vehicles: int = 9) -> list[Scenario]:
@@ -515,7 +593,7 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
     out = []
     for i in range(n):
         maneuver = MANEUVERS[i % 3]
-        tracks = list(_synthetic_scenes(
+        tracks = list(synthetic_scenes_reference(
             rng, [maneuver], fps, n_frames, t_obs_steps - 1,
             t_pred_steps / fps, n_vehicles, noise_std))
         scen = extract_scenarios_reference(tracks, fps, t_obs, t_pred, n_vehicles,

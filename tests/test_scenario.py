@@ -1,9 +1,9 @@
 import csv
+import io
 import json
 import logging
 import os
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +11,14 @@ import pytest
 from gftnn import scenario
 from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseError,
                             RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
-                            _window_steps, balance, extract_scenarios, ingest_tracks,
-                            label_maneuver, load_archive, save_archive, split, synthesize)
+                            TrackBatch, _window_steps, balance, extract_scenarios,
+                            ingest_tracks, label_maneuver, load_archive, save_archive,
+                            split, synthesize, track_batch)
 from gftnn.store import write_document
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
                      label_maneuver_reference, multilane_scene, rewrite_head, split_head,
-                     synthesize_reference, three_class_tracks, write_tracks_csv)
+                     synthesize_reference, three_class_tracks, within_field_limit_reference,
+                     write_tracks_csv)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -225,6 +227,30 @@ def test_ingest_matches_row_loop_reference_on_recordings(tmp_path, monkeypatch, 
         assert isinstance(want, tuple) == duplicate_id
 
 
+@pytest.mark.parametrize("seed, duplicate_id", [(4, False), (5, False), (6, True)])
+def test_ingest_of_shuffled_rows_matches_per_track_reference(tmp_path, seed, duplicate_id):
+    # The batch holds the reference's tracks one after another; the twin
+    # that repeats a vehicle id repeats its frames, which both refuse.
+    tracks = multilane_scene(seed, 25, n_tracks=16, duplicate_id=duplicate_id)
+    write_tracks_csv(tmp_path / "sorted.csv", tracks)
+    head, *rows = (tmp_path / "sorted.csv").read_text().splitlines(keepends=True)
+    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    path = tmp_path / "shuffled.csv"
+    path.write_text(head + "".join(rows))
+    want = _ingest_outcome(ingest_tracks_reference, path, "normalized")
+    assert _ingest_outcome(ingest_tracks, path, "normalized") == want
+    assert isinstance(want, tuple) == duplicate_id
+    if duplicate_id:
+        return
+    got, want = ingest_tracks(path), ingest_tracks_reference(path)
+    assert isinstance(got, TrackBatch)
+    assert got.vehicle_ids.tolist() == [tr.vehicle_id for tr in want]
+    assert got.offsets.tolist() == np.cumsum([0, *map(len, want)]).tolist()
+    for name, column in (("frame", got.frame), ("lane_id", got.lane_id),
+                         *zip(("x", "y", "vx", "vy"), got.motion)):
+        assert column.tobytes() == np.concatenate([getattr(tr, name) for tr in want]).tobytes()
+
+
 LONG = 200_000
 # Data rows after HEADER, one file each; ingest_tracks must read every one
 # as the row loop does: the same tracks, or the same error message.
@@ -327,6 +353,141 @@ def test_raw_track_validation():
     with pytest.raises(ValueError):
         RawTrack(1, np.array([1, 2]), np.array([0.0, np.nan]), np.zeros(2),
                  np.zeros(2), np.zeros(2), np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_field_limit_scan_matches_line_reference(monkeypatch, seed):
+    # Short texts of line ends, quotes and long runs against small limits
+    # and chunks, so lines and "\r\n" pairs straddle chunk boundaries.
+    rng = np.random.default_rng(seed)
+    pieces = np.array(["a", "bb", "é", "\n", "\r", "\r\n", '"'])
+    old_limit = csv.field_size_limit()
+    try:
+        for _ in range(500):
+            limit, chunk = rng.choice([1, 2, 3, 5, 8, 17]), rng.choice([1, 2, 3, 7, 64])
+            weights = rng.random(pieces.size)
+            text = "".join(rng.choice(pieces, rng.integers(0, 40), p=weights / weights.sum()))
+            csv.field_size_limit(int(limit))
+            monkeypatch.setattr(scenario, "_SCAN_CHUNK", int(chunk))
+            want = within_field_limit_reference(io.StringIO(text, newline=""))
+            assert scenario._within_field_limit(io.StringIO(text, newline="")) == want, \
+                (text, limit, chunk)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def _columns(n_rows, **bad):
+    """Columns of two tracks of vehicles 7 and 3, rows 0..2 and 3..n_rows-1,
+    with the named columns replaced."""
+    columns = dict(frame=np.array([1, 2, 3, 0, 1, 2, 3, 4][:n_rows]),
+                   lane_id=np.full(n_rows, 2), motion=np.ones((4, n_rows)))
+    columns.update(bad)
+    return columns
+
+
+def _with(array, index, value):
+    array = np.array(array)
+    array[index] = value
+    return array
+
+
+# Track columns that break the track rule, by the message that names the
+# first failing track; a track is named by the first check it fails.
+TRACK_FAULTS = [
+    (dict(offsets=[0, 0, 5]), 0, "track must contain at least one sample"),
+    (dict(offsets=[0, 5, 5], frame=[1, 2, 3, 4, 5]), 1,
+     "track must contain at least one sample"),
+    (dict(frame=[1, 2, 2, 0, 1]), 0, "vehicle 7: frames must be strictly increasing"),
+    (dict(frame=[1, 2, 3, 5, 4]), 1, "vehicle 3: frames must be strictly increasing"),
+    (dict(frame=[1, 2, 3, 5, 5], lane_id=[2] * 4), 1,
+     "vehicle 3: frames must be strictly increasing"),
+    (dict(lane_id=[2] * 4), 1, "vehicle 3: column length mismatch"),
+    (dict(lane_id=[2] * 2), 0, "vehicle 7: column length mismatch"),
+    (dict(lane_id=[2] * 6), 1, "vehicle 3: column length mismatch"),
+    (dict(motion=[np.ones(5), np.ones(5), np.ones(2), np.ones(5)]), 0,
+     "vehicle 7: column length mismatch"),
+    (dict(motion=[np.ones(5), np.ones(4), np.ones(5), np.ones(5)]), 1,
+     "vehicle 3: column length mismatch"),
+    (dict(motion=[_with(np.ones(5), 4, np.nan), np.ones(5), np.ones(5), np.ones(4)]), 1,
+     "vehicle 3: non-finite x"),
+    (dict(motion=_with(np.ones((4, 5)), (3, 1), np.inf)), 0, "vehicle 7: non-finite vy"),
+    (dict(motion=_with(_with(np.ones((4, 5)), (3, 1), np.inf), (0, 2), -np.inf)), 0,
+     "vehicle 7: non-finite x"),
+    (dict(motion=_with(np.ones((4, 5)), (1, 3), np.nan), frame=[1, 2, 1, 0, 1]), 0,
+     "vehicle 7: frames must be strictly increasing"),
+    (dict(motion=_with(np.ones((4, 5)), (2, 3), np.nan), frame=[1, 2, 3, 0, 0]), 1,
+     "vehicle 3: frames must be strictly increasing"),
+    (dict(motion=_with(np.ones((4, 5)), (2, 3), np.nan)), 1, "vehicle 3: non-finite vx"),
+]
+
+
+@pytest.mark.parametrize("change, index, reason", TRACK_FAULTS)
+def test_track_batch_names_the_first_failing_track(change, index, reason):
+    columns = dict(vehicle_ids=[7, 3], offsets=[0, 3, 5], **_columns(5))
+    columns.update(change)
+    with pytest.raises(ValueError) as info:
+        TrackBatch(**columns)
+    assert str(info.value) == f"track {index}: {reason}"
+    # The failing track alone, as a RawTrack, gives the reason itself.
+    offsets = columns["offsets"]
+    lo, hi = offsets[index], offsets[index + 1]
+    lanes = np.asarray(columns["lane_id"])
+    motion = [np.asarray(col) for col in columns["motion"]]
+    if not any(col.size != len(columns["frame"]) for col in [lanes, *motion]):
+        with pytest.raises(ValueError) as info:
+            RawTrack(columns["vehicle_ids"][index], np.asarray(columns["frame"])[lo:hi],
+                     *(col[lo:hi] for col in motion), lanes[lo:hi])
+        assert str(info.value) == reason
+
+
+def test_track_batch_rows_are_read_only_views():
+    batch = TrackBatch([7, 3], [0, 3, 5], **_columns(5, frame=[1, 2, 3, 0, 9]))
+    assert len(batch) == 2 and [len(tr) for tr in batch] == [3, 2]
+    track = batch[-1]
+    assert track.vehicle_id == 3 and type(track.vehicle_id) is int
+    assert track.frame.tolist() == [0, 9]
+    for name in ("frame", "lane_id", "x", "y", "vx", "vy"):
+        assert not getattr(track, name).flags.writeable
+    assert np.shares_memory(track.vy, batch.motion)
+    with pytest.raises(IndexError):
+        batch[2]
+    empty = track_batch([])
+    assert len(empty) == 0 and empty.motion.shape == (4, 0)
+    assert len(extract_scenarios(empty, 10)) == 0
+    with pytest.raises(ValueError, match="row offsets"):
+        TrackBatch([7, 3], [0, 4, 3], **_columns(5))
+    with pytest.raises(ValueError, match="a batch of no tracks has rows"):
+        TrackBatch([], [0], [], [2], np.empty((4, 0)))
+
+
+def test_raw_track_takes_integer_ids_only():
+    track = RawTrack(2 ** 70, [1, 2], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
+                     [1, 1])
+    assert track.vehicle_id == 2 ** 70
+    assert track.batch.vehicle_ids.dtype == object
+    assert RawTrack(np.int32(5), [1], [0.0], [0.0], [0.0], [0.0], [1]).vehicle_id == 5
+    with pytest.raises(TypeError):
+        RawTrack(1.5, [1, 2], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), [1, 1])
+
+
+@pytest.mark.parametrize("duplicate_id", [False, True])
+def test_extract_takes_a_list_a_generator_or_a_batch(duplicate_id):
+    tracks = multilane_scene(3, 10, duplicate_id=duplicate_id)
+    batch = track_batch(tracks)
+    assert [tr.vehicle_id for tr in batch] == [tr.vehicle_id for tr in tracks]
+    want = _scenario_bytes(extract_scenarios(tracks, 10))
+    assert len(want) > 1
+    assert _scenario_bytes(extract_scenarios(iter(tracks), 10)) == want
+    assert _scenario_bytes(extract_scenarios(batch, 10)) == want
+    assert _scenario_bytes(extract_scenarios((tr for tr in batch), 10)) == want
+    assert track_batch(batch) is batch
+
+
+def test_extract_refuses_a_track_whose_frames_span_more_than_int64():
+    track = RawTrack(4, [-2 ** 63, 0], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
+                     [1, 1])
+    with pytest.raises(ValueError, match="^vehicle 4: frames span more than int64$"):
+        extract_scenarios([track], 10)
 
 
 # ----------------------------------------------------------------- extraction
@@ -560,7 +721,7 @@ def test_extract_ranks_an_overflowing_distance_before_ghosts():
     far = RawTrack(3, np.arange(80), np.full(80, 1.5e308), np.full(80, 1.5e308),
                    np.zeros(80), np.zeros(80), np.full(80, 7, dtype=np.int64))
     late = straight_track(1, 70, x0=5.0)
-    late = replace(late, frame=late.frame + 10)
+    late = RawTrack(1, late.frame + 10, late.x, late.y, late.vx, late.vy, late.lane_id)
     tracks = [target, far, late]
     with np.errstate(over="ignore"):
         got = extract_scenarios(tracks, 10, target_ids={5})
@@ -591,15 +752,18 @@ def test_synthesize_names_the_scene_whose_label_is_lost(monkeypatch):
                                "['keep_lane'], wanted lane_change_left")
 
 
-@pytest.mark.parametrize("n", [1, 3, 300])
-@pytest.mark.parametrize("n_vehicles", [2, 9])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+@pytest.mark.parametrize("n_vehicles", [2, 5, 9])
 @pytest.mark.parametrize("noise_std", [0.0, 0.05])
 @pytest.mark.parametrize("fps", [2, 10, 25])
-def test_synthesize_matches_per_scene_reference(fps, noise_std, n_vehicles, n):
+def test_synthesize_matches_per_scene_reference(tmp_path, fps, noise_std, n_vehicles, n):
     seed = 100 + n + fps
     got = synthesize(n, fps, seed, noise_std=noise_std, n_vehicles=n_vehicles)
     want = synthesize_reference(n, fps, seed, noise_std=noise_std, n_vehicles=n_vehicles)
     assert _scenario_bytes(got) == _scenario_bytes(want)
+    save_archive(tmp_path / "got.json", got, fps)
+    save_archive(tmp_path / "want.json", want, fps)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 # ------------------------------------------------------------------ labelling
