@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
 import operator
@@ -60,9 +61,6 @@ SCHEMAS = {
 
 # A track's float columns, as the rows of TrackBatch.motion.
 _MOTION = ("x", "y", "vx", "vy")
-# Characters ingest_tracks reads at a time while it looks for long fields.
-_SCAN_CHUNK = 1 << 20
-_LONE_CR = re.compile(r"\r(?!\n)")
 # One data row of a track CSV as ingest_tracks reads it: the vehicle id,
 # then a track's columns.
 _ROW = np.dtype([("vehicle_id", np.int64), ("frame", np.int64), ("x", np.float64),
@@ -109,16 +107,17 @@ def _check_rule(checks, describe):
 
 
 def _vehicle_ids(values) -> np.ndarray:
-    """Vehicle ids as a read-only int64 array, or as Python ints where one
-    lies beyond int64."""
+    """Vehicle ids as a read-only int64 array; an id beyond int64 raises
+    ValueError naming it."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         ids = values.astype(np.int64)
     else:
-        ids = np.array([operator.index(v) for v in values], dtype=object)
+        values = [operator.index(v) for v in values]
         try:
-            ids = ids.astype(np.int64)
+            ids = np.array(values, dtype=np.int64)
         except OverflowError:
-            pass
+            wide = next(v for v in values if not -2 ** 63 <= v < 2 ** 63)
+            raise ValueError(f"vehicle id {wide} lies beyond int64") from None
     ids.flags.writeable = False
     return ids
 
@@ -137,7 +136,7 @@ class TrackBatch:
     is a ``RawTrack`` row that reads views of the columns.
     """
 
-    vehicle_ids: np.ndarray     # (n,) int64, or Python ints where one lies beyond int64
+    vehicle_ids: np.ndarray     # (n,) int64
     offsets: np.ndarray         # (n + 1,) each track's first row, then the row count
     frame: np.ndarray           # (rows,) int64
     lane_id: np.ndarray         # (rows,) int64
@@ -412,25 +411,23 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
     """Read per-frame vehicle samples from CSV into one batch of tracks, in
     vehicle-id order.
 
-    The header is read with csv.reader. numpy's C reader (``np.loadtxt``)
-    then parses the data rows in one pass, converting only the columns the
-    schema names, and one lexsort on (vehicle id, frame) groups them into
-    the batch's columns. Blank lines are skipped. Where the C reader fails
-    or warns, or a field might be longer than csv's field size limit, a
-    csv.reader loop reads the rows again, to the same values: a row that is
-    too short for a needed column, or that does not parse, raises
-    ParseError naming its line. A track that breaks the track rule, repeats
-    a frame or holds a frame or lane id beyond int64 raises ParseError for
-    the first such vehicle.
+    The header is read with csv.reader. numpy's C reader (``np.loadtxt``),
+    the only reader of the data rows, converts the columns the schema names
+    in one pass, skipping blank lines, and one lexsort on (vehicle id,
+    frame) groups them into the batch's columns. A row it refuses raises
+    ParseError naming the row's line (``_parse_error``); a track that breaks
+    the track rule or repeats a frame, for the first such vehicle.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
     mapping = SCHEMAS[schema]
     with open(path, newline="") as src:
-        # A pipe cannot seek back for the row loop, so it is read to memory.
+        # A pipe cannot seek back to name a bad row, so it is read to memory.
         fh = src if src.seekable() else io.StringIO(src.read(), newline="")
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: header: {exc}") from None
         if header is None:
             raise SchemaError(f"{path}: empty file")
         # A repeated name means its last column, as csv.DictReader read it.
@@ -439,138 +436,60 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
             if col not in index:
                 raise SchemaError(f"{path}: missing column '{col}'")
         columns = [index[mapping[name]] for name in _ROW.names]
-        rows = None
-        if _within_field_limit(fh):
-            fh.seek(0)
-            next(csv.reader(fh))
-            rows = _load_rows(fh, columns)
-        if rows is None:
-            fh.seek(0)
-            rows = _read_rows(fh, path, columns)
+        try:
+            with warnings.catch_warnings():
+                # A header alone is a file of no tracks.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=_ROW, comments=None, delimiter=",",
+                                  quotechar='"', usecols=columns, ndmin=1)
+        except ValueError as exc:
+            raise _parse_error(fh, path, columns, exc) from None
     rows = rows[np.lexsort((rows["frame"], rows["vehicle_id"]))]
     vehicle = rows["vehicle_id"]
     first = np.ones(rows.size, dtype=bool)
     np.not_equal(vehicle[1:], vehicle[:-1], out=first[1:])
     offsets = np.append(np.flatnonzero(first), rows.size)
-    # The row loop converted a track's frames and lane ids after checking
-    # for repeated frames; the batch takes the tracks before the first one
-    # with a value beyond int64 (read as a Python int), and that one fails.
-    wide = offsets.size - 1
-    if rows.dtype["frame"] == object:
-        beyond = np.zeros(rows.size, dtype=bool)
-        for name in ("frame", "lane_id"):
-            beyond |= ((rows[name] < -2 ** 63) | (rows[name] >= 2 ** 63)).astype(bool)
-        if beyond.any():
-            wide = int(offsets.searchsorted(beyond.argmax(), side="right")) - 1
-    end = offsets[wide]
     try:
-        tracks = TrackBatch(vehicle[offsets[:wide]], offsets[:wide + 1], rows["frame"][:end],
-                            rows["lane_id"][:end], [rows[name][:end] for name in _MOTION])
+        return TrackBatch(vehicle[offsets[:-1]], offsets, rows["frame"], rows["lane_id"],
+                          [rows[name] for name in _MOTION])
     except _RowError as exc:
-        raise _track_fault(path, rows[offsets[exc.index]:offsets[exc.index + 1]],
-                           exc.reason) from None
-    if wide < offsets.size - 1:
-        raise _track_fault(path, rows[end:offsets[wide + 1]], None)
-    return tracks
+        track, reason = rows[offsets[exc.index]:offsets[exc.index + 1]], exc.reason
+        if (track["frame"][1:] == track["frame"][:-1]).any():
+            reason = f"vehicle {track['vehicle_id'][0]} has duplicate frames"
+        raise ParseError(f"{path}: {reason}") from None
 
 
-def _track_fault(path, track, reason):
-    """The ParseError of a faulty track, ``track`` the records of its rows:
-    repeated frames, as the row loop checked them first, then ``reason``,
-    or, where that is None, the conversion of a frame or lane id beyond
-    int64."""
-    if (track["frame"][1:] == track["frame"][:-1]).any():
-        return ParseError(f"{path}: vehicle {track['vehicle_id'][0]} has duplicate frames")
-    if reason is None:
-        try:
-            for name in ("frame", "lane_id"):
-                np.asarray(track[name], dtype=np.int64)
-        except OverflowError as exc:
-            reason = str(exc)
-    return ParseError(f"{path}: {reason}")
+def _parse_error(fh, path, columns, exc) -> ParseError:
+    """The ParseError for np.loadtxt's refusal ``exc`` of a row of ``fh``.
 
-
-def _load_rows(fh, columns):
-    """The rest of ``fh`` parsed by np.loadtxt into ``_ROW`` records, or
-    None where the C reader fails or warns."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(fh, dtype=_ROW, comments=None, delimiter=",",
-                              quotechar='"', usecols=columns, ndmin=1)
-    except (ValueError, Warning):
-        return None
-
-
-def _within_field_limit(fh) -> bool:
-    """Whether no field in the rest of text file ``fh`` can be longer than
-    csv's field size limit, which only csv.reader enforces, reading it to
-    its end in chunks. An unquoted field lies within one line; a quoted one
-    may span lines, so no line may be longer than the limit and, if the
-    text is, it may hold no quote. A line ends at "\\n", "\\r\\n" or a lone
-    "\\r", which it includes, as ``fh``'s lines do."""
-    limit = csv.field_size_limit()
-    # A line longer than the limit holds limit - 1 characters that end no
-    # line, so it holds a whole block of the probe's width; lines are only
-    # measured in a chunk where such a block holds no line end.
-    probe = (limit - 1) // 2
-    size = 0
-    run = 0             # the characters after the last line end
-    quoted = False
-    while chunk := fh.read(_SCAN_CHUNK):
-        if chunk.endswith("\r"):
-            chunk += fh.read(1)     # keeps a "\r\n" in one chunk
-        size += len(chunk)
-        quoted = quoted or '"' in chunk
-        # The last characters of the first and the last line end.
-        first, last, cr = chunk.find("\n"), chunk.rfind("\n"), chunk.find("\r")
-        if cr >= 0:
-            if first < 0 or cr < first - 1:
-                first = cr
-            last = max(last, chunk.rfind("\r"))
-        if first < 0:
-            run += len(chunk)
-        else:
-            if run + first >= limit or (
-                    (probe < 1 or any(chunk.find("\n", at, at + probe) < 0
-                                      and (cr < 0 or chunk.find("\r", at, at + probe) < 0)
-                                      for at in range(first + 1, last - probe + 1, probe)))
-                    and max(map(len, _LONE_CR.sub("\n", chunk[first + 1:last + 1])
-                                .split("\n"))) >= limit):
-                return False
-            run = len(chunk) - 1 - last
-        if run > limit or (quoted and size > limit):
-            return False
-    return True
-
-
-def _read_rows(fh, path, columns):
-    """The data rows of CSV file ``fh`` read with csv.reader, int() and
-    float(), as ``_ROW`` records. Integers beyond int64 make the integer
-    columns Python ints, which ingest_tracks refuses for a frame or lane id.
-    A row that is short or does not parse raises ParseError naming its
-    line."""
-    values = []
-    vid, frame, x, y, vx, vy, lane = columns
+    numpy counts the non-blank records after the header, from 0 in "... at
+    row N, column C." and from 1 in "invalid column index I at row N with K
+    columns"; csv.reader walks to that record for its line. The reason is
+    the row's width where it lacks a column, else int()'s or float()'s
+    message where Python refuses a field too, else numpy's without its row.
+    Where no row is named or csv.reader cannot reach it, numpy's message
+    stands."""
+    message = str(exc)
+    found = re.search(r" at row (\d+)", message)
+    if found is None:
+        return ParseError(f"{path}: {message}")
+    record = int(found[1]) - message.startswith("invalid column index")
+    fh.seek(0)
     reader = csv.reader(fh)
-    header = next(reader)
     try:
-        for row in reader:
-            if row:
-                values.append((
-                    int(row[vid]), int(row[frame]), float(row[x]), float(row[y]),
-                    float(row[vx]), float(row[vy]), int(row[lane]),
-                ))
+        header = next(reader)
+        row = next(itertools.islice(filter(None, reader), record, None))
+    except (csv.Error, StopIteration):
+        return ParseError(f"{path}: {message}")
+    try:
+        for name, i in zip(_ROW.names, columns):
+            (int if _ROW[name].kind == "i" else float)(row[i])
     except IndexError:
-        raise ParseError(f"{path}: row {reader.line_num} has {len(row)} "
-                         f"columns, the header has {len(header)}") from None
-    except (ValueError, csv.Error) as exc:
-        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
-    try:
-        return np.array(values, dtype=_ROW)
-    except OverflowError:
-        return np.array(values, dtype=[(name, object if _ROW[name].kind == "i" else float)
-                                       for name in _ROW.names])
+        return ParseError(f"{path}: row {reader.line_num} has {len(row)} columns, "
+                          f"the header has {len(header)}")
+    except ValueError as bad:
+        return ParseError(f"{path}: row {reader.line_num}: {bad}")
+    return ParseError(f"{path}: row {reader.line_num}: {message[:found.start()]}")
 
 
 def _valid_fps(fps) -> bool:

@@ -314,22 +314,6 @@ def ingest_tracks_reference(path, schema: str = "normalized") -> list[RawTrack]:
     return tracks
 
 
-def within_field_limit_reference(fh):
-    """Whether the rest of text file ``fh`` passes the line-by-line test
-    ``ingest_tracks`` made before it scanned in chunks: no line is longer
-    than csv's field size limit and, once the lines read hold a quote, they
-    are no longer than it together."""
-    limit = csv.field_size_limit()
-    size = 0
-    quoted = False
-    for line in fh:
-        size += len(line)
-        quoted = quoted or '"' in line
-        if len(line) > limit or (quoted and size > limit):
-            return False
-    return True
-
-
 def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
     """Seeded four-lane recording for extraction checks, in shuffled order.
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,8 @@ from gftnn.metrics import (HISTOGRAM_MAX_BINS, evaluate, write_histogram_csv,
 from gftnn.model import (build_basis, init_params, load_checkpoint, predict,
                          predict_batch, preset_config, save_checkpoint,
                          truth_trajectory)
-from gftnn.scenario import MAX_WINDOW_STEPS, load_archive, split, synthesize
-from helpers import three_class_tracks, write_tracks_csv
+from gftnn.scenario import MAX_WINDOW_STEPS, RawTrack, load_archive, split, synthesize
+from helpers import multilane_scene, three_class_tracks, write_tracks_csv
 
 
 def run_ok(capsys, argv):
@@ -82,6 +83,33 @@ def test_prep_schemas_agree(tmp_path, capsys):
     assert out.startswith(f"read 120 rows of 3 vehicles from {tmp_path / 'h.csv'}\n")
     assert (tmp_path / "n" / "archive.json").read_bytes() == \
         (tmp_path / "h" / "archive.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed, fps", [(0, 10), (1, 25)])
+def test_prep_of_a_mirrored_recording_mirrors_the_archive(tmp_path, capsys, seed, fps):
+    # y grows to the left, so a recording mirrored across its centre line
+    # (y and vy negated, the lane order reversed) swaps left and right
+    # lane changes and negates every lateral channel, and nothing else.
+    tracks = multilane_scene(seed, fps, n_tracks=200)
+    mirrored = [RawTrack(tr.vehicle_id, tr.frame, tr.x, -tr.y, tr.vx, -tr.vy, 5 - tr.lane_id)
+                for tr in tracks]
+    out = {}
+    for name, recording in (("plain", tracks), ("mirrored", mirrored)):
+        write_tracks_csv(tmp_path / f"{name}.csv", recording)
+        out[name] = run_ok(capsys, ["prep", "--input", str(tmp_path / f"{name}.csv"),
+                                    "--fps", str(fps), "--out", str(tmp_path / name),
+                                    "--seed", "0"]).splitlines()
+    # The extracted and the kept counts, keep, left and right.
+    counts = {name: [re.findall(r"=(\d+)", line) for line in lines[1:3]]
+              for name, lines in out.items()}
+    assert counts["mirrored"] == [[keep, right, left] for keep, left, right in counts["plain"]]
+    (plain, _), (mirror, _) = (load_archive(tmp_path / name / "archive.json")
+                               for name in ("plain", "mirrored"))
+    assert len(plain) >= 12 and mirror.ids == plain.ids
+    assert mirror.codes.tolist() == np.array([0, 2, 1])[plain.codes].tolist()
+    assert mirror.v0.tobytes() == plain.v0.tobytes()
+    assert np.array_equal(mirror.features, plain.features * [[[1]], [[-1]], [[1]], [[-1]]])
+    assert np.array_equal(mirror.futures, plain.futures * [1, -1])
 
 
 def test_prep_reports_schema_problem(tmp_path, capsys):

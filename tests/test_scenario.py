@@ -17,8 +17,7 @@ from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseErro
 from gftnn.store import write_document
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
                      label_maneuver_reference, multilane_scene, rewrite_head, split_head,
-                     synthesize_reference, three_class_tracks, within_field_limit_reference,
-                     write_tracks_csv)
+                     synthesize_reference, three_class_tracks, write_tracks_csv)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -158,10 +157,64 @@ def test_ingest_short_row_names_line_and_width(tmp_path):
 
 
 def test_ingest_malformed_csv_names_the_row(tmp_path):
-    path = tmp_path / "huge.csv"
-    path.write_text(HEADER + "1,1,0.0,0.0,1.0,0.0,2\n2,1," + "9" * 200_000 + ",0,1,0,2\n")
-    with pytest.raises(ParseError, match="huge.csv: row 3: field larger than field limit"):
+    # A quote that never closes takes the rest of the file into x.
+    path = tmp_path / "quote.csv"
+    path.write_text(HEADER + '1,1,0.0,0.0,1.0,0.0,2\n2,1,"0,0.0,1.0,0.0,2\n')
+    with pytest.raises(ParseError) as info:
         ingest_tracks(path)
+    assert str(info.value) == f"{path}: row 3: could not convert string to float: " \
+                              "'0,0.0,1.0,0.0,2\\n'"
+
+
+def test_loadtxt_numbers_records_as_the_namer_reads_them():
+    # Both shapes count the non-blank records after the header: a bad
+    # value from 0, a short row from 1. The namer relies on both.
+    text = "a,b\n1,2\n\n3,x\n"
+    with pytest.raises(ValueError) as info:
+        np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, usecols=[0, 1])
+    assert str(info.value) == "could not convert string 'x' to float64 at row 1, column 2."
+    with pytest.raises(ValueError) as info:
+        np.loadtxt(io.StringIO(text.replace(",x", "")), delimiter=",", skiprows=1,
+                   usecols=[0, 1])
+    assert str(info.value) == "invalid column index 1 at row 2 with 1 columns"
+
+
+@pytest.mark.parametrize("long_row, want", [
+    # Where csv.reader refuses the long field at or before the bad row,
+    # numpy's own message, with its record number, stands.
+    (2, "could not convert string 'oops' to float64 at row 1, column 3."),
+    (3, "could not convert string 'oops' to float64 at row 1, column 3."),
+    (4, "row 3: could not convert string to float: 'oops'"),
+])
+def test_ingest_names_a_bad_row_past_a_field_csv_refuses(tmp_path, long_row, want):
+    rows = ["1,1,0.0,0.0,1.0,0.0,2,a", "2,1,oops,0.0,1.0,0.0,2,b", "3,1,0.5,0.0,1.0,0.0,2,c"]
+    rows[long_row - 2] += "n" * LONG
+    path = tmp_path / "tracks.csv"
+    path.write_text(HEADER.rstrip("\n") + ",note\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as info:
+        ingest_tracks(path)
+    assert str(info.value) == f"{path}: {want}"
+
+
+def test_ingest_header_past_csv_field_limit_raises_parse_error(tmp_path):
+    path = tmp_path / "tracks.csv"
+    path.write_text(HEADER.rstrip("\n") + "," + "n" * LONG + "\n1,1,0.0,0.0,1.0,0.0,2,a\n")
+    with pytest.raises(ParseError) as info:
+        ingest_tracks(path)
+    assert str(info.value) == (f"{path}: header: field larger than field limit "
+                               f"({csv.field_size_limit()})")
+
+
+def test_ingest_keeps_a_message_that_names_no_row(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("no row here")
+
+    path = tmp_path / "tracks.csv"
+    path.write_text(HEADER + "1,1,0.0,0.0,1.0,0.0,2\n")
+    monkeypatch.setattr(scenario.np, "loadtxt", refuse)
+    with pytest.raises(ParseError) as info:
+        ingest_tracks(path)
+    assert str(info.value) == f"{path}: no row here"
 
 
 def test_ingest_reads_rows_short_of_unused_columns(tmp_path):
@@ -214,10 +267,7 @@ def _write_highd_with_extras(path, tracks, seed):
 
 @pytest.mark.parametrize("seed, fps, duplicate_id", [(0, 10, False), (1, 25, False),
                                                      (2, 10, True)])
-def test_ingest_matches_row_loop_reference_on_recordings(tmp_path, monkeypatch, seed, fps,
-                                                         duplicate_id):
-    # numpy's C reader parses these files alone: the row loop is not called.
-    monkeypatch.setattr(scenario, "_read_rows", None)
+def test_ingest_matches_row_loop_reference_on_recordings(tmp_path, seed, fps, duplicate_id):
     tracks = multilane_scene(seed, fps, n_tracks=20, duplicate_id=duplicate_id)
     write_tracks_csv(tmp_path / "n.csv", tracks)
     _write_highd_with_extras(tmp_path / "h.csv", tracks, seed)
@@ -253,7 +303,8 @@ def test_ingest_of_shuffled_rows_matches_per_track_reference(tmp_path, seed, dup
 
 LONG = 200_000
 # Data rows after HEADER, one file each; ingest_tracks must read every one
-# as the row loop does: the same tracks, or the same error message.
+# as the row loop does, the same tracks or the same error message, unless
+# CHANGED gives its outcome.
 INGEST_CASES = {
     "bad value": "1,1,0.0,0.0,1.0,0.0,2\n2,1,oops,0.0,1.0,0.0,2\n",
     "duplicate frame": "1,1,0,0,1,0,2\n1,1,0,0,1,0,2\n",
@@ -292,6 +343,48 @@ INGEST_CASES = {
     "short of a trailing empty column": "1,1,0.0,0.0,1.0,0.0,2,\n2,1,0.1,0.0,1.0,0.0\n",
 }
 
+LONG_FILE = "".join(f"{f},1,{f / 8},0.0,1.0,0.0,2,x\n" for f in range(7000))
+# Data rows after HEADER with an unused note column and LONG_FILE, one
+# file each, read as INGEST_CASES are.
+UNUSED_COLUMN_CASES = {
+    "none": "",
+    "plain": "1,1,0.0,0.0,1.0,0.0,2,x\n",
+    "long unused field": "1,1,0.0,0.0,1.0,0.0,2," + "a" * LONG + "\n",
+    "long quoted field": "a,b\n" * 3 + '1,1,0.0,0.0,1.0,0.0,2,"' + "b,\n" * LONG + '"\n',
+    "unclosed quote": '1,1,0.0,0.0,1.0,0.0,2,"' + "b,\n" * LONG,
+    "NUL": "1,1,0.0,0.0,1.0,0.0,2,a\x00b\n",
+}
+# The INGEST_CASES and UNUSED_COLUMN_CASES where np.loadtxt, the only
+# reader, decides otherwise than the row loop: it takes no integer beyond
+# int64, no "1_000" and no non-ASCII digit, and no csv field size limit.
+# Each maps to ingest_tracks' ParseError message after the path, or, for
+# a file it reads, to data rows the row loop reads to the same tracks.
+TOO_WIDE = "could not convert string '9223372036854775808' to int64"
+CHANGED = {
+    "frame 2**63": f"row 2: {TOO_WIDE}",
+    "lane 2**63 after a duplicate": f"row 4: {TOO_WIDE}",
+    "id 2**63": f"row 2: {TOO_WIDE}",
+    "frames -2**63 and 0, lane 2**63": f"row 3: {TOO_WIDE}",
+    "1_000": "row 2: could not convert string '1_000' to int64",
+    "unicode digits": "row 2: could not convert string '١' to int64",
+    "200 000-digit field": "vehicle 1: non-finite x",
+    "long finite field": ("1,1,0.0,0.0,1.0,0.0,2\n2,1,0.0,0,1,0,2\n",),
+    "long unused field": "vehicle 1 has duplicate frames",
+    "unclosed quote": "vehicle 1 has duplicate frames",
+}
+
+
+def _expected_outcome(tmp_path, case, path):
+    """What ingest_tracks must give for ``case`` written to ``path``."""
+    assert CHANGED.keys() <= INGEST_CASES.keys() | UNUSED_COLUMN_CASES.keys()
+    want = CHANGED.get(case)
+    if isinstance(want, str):
+        return ParseError, f"{path}: {want}"
+    if want is not None:
+        path = tmp_path / "same-tracks.csv"
+        path.write_text(HEADER + want[0])
+    return _ingest_outcome(ingest_tracks_reference, path, "normalized")
+
 
 @pytest.mark.parametrize("case", INGEST_CASES)
 def test_ingest_matches_row_loop_reference(tmp_path, case):
@@ -300,26 +393,19 @@ def test_ingest_matches_row_loop_reference(tmp_path, case):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = _ingest_outcome(ingest_tracks, path, "normalized")
-    assert got == _ingest_outcome(ingest_tracks_reference, path, "normalized")
+    assert got == _expected_outcome(tmp_path, case, path)
     assert not caught      # e.g. loadtxt's warning on a file without data rows
 
 
-LONG_FILE = "".join(f"{f},1,{f / 8},0.0,1.0,0.0,2,x\n" for f in range(7000))
-
-
-@pytest.mark.parametrize("text", [
-    "", "1,1,0.0,0.0,1.0,0.0,2,x\n",
-    "1,1,0.0,0.0,1.0,0.0,2," + "a" * LONG + "\n",
-    "a,b\n" * 3 + '1,1,0.0,0.0,1.0,0.0,2,"' + "b,\n" * LONG + '"\n',
-    '1,1,0.0,0.0,1.0,0.0,2,"' + "b,\n" * LONG,
-    "1,1,0.0,0.0,1.0,0.0,2,a\x00b\n",
-], ids=["none", "plain", "long unused field", "long quoted field", "unclosed quote", "NUL"])
-def test_ingest_unused_columns_match_row_loop_reference(tmp_path, text):
-    # A field in a column the schema does not name still has to pass csv.reader.
+@pytest.mark.parametrize("case", UNUSED_COLUMN_CASES)
+def test_ingest_unused_columns_match_row_loop_reference(tmp_path, case):
+    # A field in a column the schema does not name still has to pass
+    # np.loadtxt; a bad row after 7000 good ones is still named by its line.
     path = tmp_path / "tracks.csv"
-    path.write_bytes((HEADER.rstrip("\n") + ",note\n" + LONG_FILE + text).encode())
-    want = _ingest_outcome(ingest_tracks_reference, path, "normalized")
-    assert _ingest_outcome(ingest_tracks, path, "normalized") == want
+    path.write_bytes((HEADER.rstrip("\n") + ",note\n" + LONG_FILE
+                      + UNUSED_COLUMN_CASES[case]).encode())
+    got = _ingest_outcome(ingest_tracks, path, "normalized")
+    assert got == _expected_outcome(tmp_path, case, path)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -353,27 +439,6 @@ def test_raw_track_validation():
     with pytest.raises(ValueError):
         RawTrack(1, np.array([1, 2]), np.array([0.0, np.nan]), np.zeros(2),
                  np.zeros(2), np.zeros(2), np.zeros(2, dtype=np.int64))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_field_limit_scan_matches_line_reference(monkeypatch, seed):
-    # Short texts of line ends, quotes and long runs against small limits
-    # and chunks, so lines and "\r\n" pairs straddle chunk boundaries.
-    rng = np.random.default_rng(seed)
-    pieces = np.array(["a", "bb", "é", "\n", "\r", "\r\n", '"'])
-    old_limit = csv.field_size_limit()
-    try:
-        for _ in range(500):
-            limit, chunk = rng.choice([1, 2, 3, 5, 8, 17]), rng.choice([1, 2, 3, 7, 64])
-            weights = rng.random(pieces.size)
-            text = "".join(rng.choice(pieces, rng.integers(0, 40), p=weights / weights.sum()))
-            csv.field_size_limit(int(limit))
-            monkeypatch.setattr(scenario, "_SCAN_CHUNK", int(chunk))
-            want = within_field_limit_reference(io.StringIO(text, newline=""))
-            assert scenario._within_field_limit(io.StringIO(text, newline="")) == want, \
-                (text, limit, chunk)
-    finally:
-        csv.field_size_limit(old_limit)
 
 
 def _columns(n_rows, **bad):
@@ -461,10 +526,14 @@ def test_track_batch_rows_are_read_only_views():
 
 
 def test_raw_track_takes_integer_ids_only():
-    track = RawTrack(2 ** 70, [1, 2], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
-                     [1, 1])
-    assert track.vehicle_id == 2 ** 70
-    assert track.batch.vehicle_ids.dtype == object
+    for wide in (2 ** 70, 2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(ValueError, match=f"^vehicle id {wide} lies beyond int64$"):
+            RawTrack(wide, [1, 2], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), [1, 1])
+    with pytest.raises(ValueError, match=f"^vehicle id {2 ** 64 - 1} lies beyond int64$"):
+        TrackBatch(np.array([3, 2 ** 64 - 1], dtype=np.uint64), [0, 1, 2], [1, 1],
+                   [1, 1], np.zeros((4, 2)))
+    track = RawTrack(2 ** 63 - 1, [1], [0.0], [0.0], [0.0], [0.0], [1])
+    assert track.vehicle_id == 2 ** 63 - 1 and track.batch.vehicle_ids.dtype == np.int64
     assert RawTrack(np.int32(5), [1], [0.0], [0.0], [0.0], [0.0], [1]).vehicle_id == 5
     with pytest.raises(TypeError):
         RawTrack(1.5, [1, 2], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), [1, 1])
