@@ -9,14 +9,14 @@ from .spectral import (ProductBasis, Spectrum, complete_spectrum, eigendecompose
 from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
                        TrackBatch, balance, extract_scenarios, ingest_tracks,
-                       label_maneuver, load_archive, save_archive, scenario_batch,
+                       label_maneuver, load_archive, save_archive,
                        split, synthesize, track_batch)
 from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
                     Trajectory, TrajectoryBatch, build_basis, decode, decode_batch,
                     decode_partials, forward, gelu, gelu_grad, init_params,
                     load_checkpoint, loss_batch, predict, predict_batch,
                     preset_config, save_checkpoint, scenario_spectra,
-                    scenario_spectrum, select_channels, trajectory_batch,
+                    select_channels, trajectory_batch,
                     truth_trajectories, truth_trajectory)
 from .training import (AdamState, DivergenceError, TrainConfig, TrainResult,
                        adam_step, gradients, train, trajectory_loss)

@@ -168,8 +168,8 @@ def _subset(scenarios, args):
     side of ``split``, copied without the other side."""
     if args.subset == "all":
         return scenarios
-    batch, train, test = split_indices(scenarios, args.split_ratio, args.seed)
-    return batch[train if args.subset == "train" else test]
+    train, test = split_indices(scenarios, args.split_ratio, args.seed)
+    return scenarios[train if args.subset == "train" else test]
 
 
 def _load_archive_and_checkpoint(args):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .graph import _frozen, inverse_distance_weights
-from .scenario import scenario_batch
+from .scenario import ScenarioBatch
 from .special import erf, expit
 from .spectral import (ProductBasis, complete_spectrum, gft_extended,
                        path_spectrum, star_spectra, truncate_spectrum,
@@ -380,10 +380,9 @@ def truth_trajectory(scenario) -> Trajectory:
     return truth_trajectories(_own_batch(scenario))[0]
 
 
-def truth_trajectories(scenarios) -> TrajectoryBatch:
-    """The recorded futures of scenarios, a batch or a sequence (see
-    ``scenario.scenario_batch``), as trajectories anchored at (0, 0)."""
-    futures = scenario_batch(scenarios).futures
+def truth_trajectories(batch: ScenarioBatch) -> TrajectoryBatch:
+    """The recorded futures of ``batch`` as trajectories anchored at (0, 0)."""
+    futures = batch.futures
     x = np.zeros((futures.shape[0], futures.shape[1] + 1))
     y = np.zeros_like(x)
     x[:, 1:] = futures[:, :, 0]
@@ -411,16 +410,15 @@ def select_channels(features, k: int):
     raise ValueError(f"k must be 2 or 4, got {k}")
 
 
-def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
-    """Truncated spectral coefficients of scenarios, a batch or a sequence
-    (see ``scenario.scenario_batch``), one row each: (B, z).
+def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
+                     config: ModelConfig) -> np.ndarray:
+    """Truncated spectral coefficients of ``batch``, one row per scenario: (B, z).
 
     With weighting enabled, each scenario's spatial factor is the star
     reweighted by inverse hub distance at its last observed step, and all
     of them come from one closed-form ``star_spectra`` call; otherwise
     every scenario uses the reference basis.
     """
-    batch = scenario_batch(scenarios)
     if (batch.t_obs, batch.n_vehicles) != (config.t_obs, config.n_v):
         raise ValueError(
             f"scenario grid ({batch.t_obs}, {batch.n_vehicles}) does "
@@ -435,18 +433,11 @@ def scenario_spectra(scenarios, basis: ProductBasis, config: ModelConfig) -> np.
     return truncate_spectrum(gft_extended(feats, basis, spatial), config.p)
 
 
-def scenario_spectrum(scenario, basis: ProductBasis, config: ModelConfig) -> np.ndarray:
-    """Truncated spectral coefficients of one scenario, flattened to (z,)."""
-    return scenario_spectra(_own_batch(scenario), basis, config)[0]
-
-
-def predict_batch(scenarios, basis: ProductBasis, params: ModelParams,
+def predict_batch(batch: ScenarioBatch, basis: ProductBasis, params: ModelParams,
                   config: ModelConfig) -> TrajectoryBatch:
-    """Full inference path for scenarios, a batch or a sequence (see
-    ``scenario.scenario_batch``): one spectral pass, one forward pass and
-    one decode over the whole batch, whose fps and horizon are checked
-    against the config once."""
-    batch = scenario_batch(scenarios)
+    """Full inference path for ``batch``: one spectral pass, one forward
+    pass and one decode over the whole batch, whose fps and horizon are
+    checked against the config once."""
     if batch.fps != config.fps:
         raise ValueError(
             f"scenario fps {batch.fps} does not match model fps {config.fps}"

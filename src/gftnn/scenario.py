@@ -325,7 +325,7 @@ class ScenarioBatch:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return _ScenarioRow(self, range(len(self))[index])
+            return Scenario(self, range(len(self))[index])
         rows = np.arange(len(self))[index].tolist()
         return ScenarioBatch(tuple(self.ids[i] for i in rows), self.codes[index],
                              self.v0[index], self.features[index], self.futures[index],
@@ -337,21 +337,12 @@ class ScenarioBatch:
 
 
 class Scenario:
-    """One scenario: row ``index`` of ``batch``, a ``ScenarioBatch``.
+    """One scenario: row ``index`` of ``batch``, a ``ScenarioBatch`` whose
+    rule has passed. ``batch[i]`` makes it; it reads views of the arrays."""
 
-    ``Scenario(scenario_id, features, future, v0, fps, maneuver)`` copies
-    the (4, T_obs, N_V) features and (T_pred, 2) future into a batch of
-    one; a fault raises the scenario rule's message.
-    """
-
-    def __init__(self, scenario_id, features, future, v0, fps, maneuver):
-        try:
-            self.batch = ScenarioBatch(
-                (scenario_id,), (maneuver,), (v0,), np.array(features, dtype=np.float64)[None],
-                np.array(future, dtype=np.float64)[None], fps)
-        except _RowError as exc:
-            raise ValueError(exc.reason) from None
-        self.index = 0
+    def __init__(self, batch: ScenarioBatch, index: int):
+        self.batch = batch
+        self.index = index
 
     scenario_id = property(lambda self: self.batch.ids[self.index])
     features = property(lambda self: self.batch.features[self.index])
@@ -364,45 +355,12 @@ class Scenario:
     n_vehicles = property(lambda self: self.batch.n_vehicles)
 
 
-class _ScenarioRow(Scenario):
-    """A row of a batch whose rule has passed: it is not checked again."""
-
-    def __init__(self, batch: ScenarioBatch, index: int):
-        self.batch = batch
-        self.index = index
-
-
-def scenario_batch(scenarios) -> ScenarioBatch:
-    """``scenarios`` as one batch: a ``ScenarioBatch`` as it is, and a
-    sequence of scenarios on one grid at one fps stacked into a new batch,
-    which the scenario rule checks."""
-    if isinstance(scenarios, ScenarioBatch):
-        return scenarios
-    rows = list(scenarios)
-    if not rows:
-        raise ValueError("no scenarios to batch")
-    first = rows[0]
-    grid = (first.t_obs, first.t_pred, first.n_vehicles)
-    for s in rows:
-        if s.fps != first.fps:
-            raise ValueError(f"scenario {s.scenario_id!r} has fps {s.fps}, but "
-                             f"{first.scenario_id!r} has {first.fps}; a batch holds one fps")
-        if (s.t_obs, s.t_pred, s.n_vehicles) != grid:
-            raise ValueError(
-                f"scenario {s.scenario_id!r} has grid (t_obs, t_pred, n_vehicles) = "
-                f"{(s.t_obs, s.t_pred, s.n_vehicles)}, but {first.scenario_id!r} has "
-                f"{grid}; an archive holds one grid")
-    return ScenarioBatch(tuple(s.scenario_id for s in rows), [s.maneuver for s in rows],
-                         [s.v0 for s in rows], np.stack([s.features for s in rows]),
-                         np.stack([s.future for s in rows]), first.fps)
-
-
 @dataclass(frozen=True)
 class DatasetSplit:
     """Train and test scenarios, each a ``ScenarioBatch`` as ``split``
-    makes them or a sequence of scenarios (see ``scenario_batch``)."""
+    makes them; ``test`` may be ``[]``, no held-out side."""
 
-    train: ScenarioBatch | list
+    train: ScenarioBatch
     test: ScenarioBatch | list
     seed: int
 
@@ -415,35 +373,42 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
     the only reader of the data rows, converts the columns the schema names
     in one pass, skipping blank lines, and one lexsort on (vehicle id,
     frame) groups them into the batch's columns. A row it refuses raises
-    ParseError naming the row's line (``_parse_error``); a track that breaks
+    ParseError naming the row's line (``_parse_error``); a byte the file's
+    codec refuses, naming its line (``_decode_error``); a track that breaks
     the track rule or repeats a frame, for the first such vehicle.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
     mapping = SCHEMAS[schema]
     with open(path, newline="") as src:
-        # A pipe cannot seek back to name a bad row, so it is read to memory.
-        fh = src if src.seekable() else io.StringIO(src.read(), newline="")
+        # A pipe cannot seek back to name a bad row, so its bytes are read to memory.
+        data = None if src.seekable() else src.buffer.read()
         try:
-            header = next(csv.reader(fh), None)
-        except csv.Error as exc:
-            raise ParseError(f"{path}: header: {exc}") from None
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        # A repeated name means its last column, as csv.DictReader read it.
-        index = {name: i for i, name in enumerate(header)}
-        for col in mapping.values():
-            if col not in index:
-                raise SchemaError(f"{path}: missing column '{col}'")
-        columns = [index[mapping[name]] for name in _ROW.names]
-        try:
-            with warnings.catch_warnings():
-                # A header alone is a file of no tracks.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=_ROW, comments=None, delimiter=",",
-                                  quotechar='"', usecols=columns, ndmin=1)
-        except ValueError as exc:
-            raise _parse_error(fh, path, columns, exc) from None
+            fh = src if data is None else io.StringIO(data.decode(src.encoding), newline="")
+            try:
+                header = next(csv.reader(fh), None)
+            except csv.Error as exc:
+                raise ParseError(f"{path}: header: {exc}") from None
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            # A repeated name means its last column, as csv.DictReader read it.
+            index = {name: i for i, name in enumerate(header)}
+            for col in mapping.values():
+                if col not in index:
+                    raise SchemaError(f"{path}: missing column '{col}'")
+            columns = [index[mapping[name]] for name in _ROW.names]
+            try:
+                with warnings.catch_warnings():
+                    # A header alone is a file of no tracks.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, dtype=_ROW, comments=None, delimiter=",",
+                                      quotechar='"', usecols=columns, ndmin=1)
+            except UnicodeDecodeError:
+                raise           # a ValueError too; the handler below names its line
+            except ValueError as exc:
+                raise _parse_error(fh, path, columns, exc) from None
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, data, exc) from None
     rows = rows[np.lexsort((rows["frame"], rows["vehicle_id"]))]
     vehicle = rows["vehicle_id"]
     first = np.ones(rows.size, dtype=bool)
@@ -490,6 +455,21 @@ def _parse_error(fh, path, columns, exc) -> ParseError:
     except ValueError as bad:
         return ParseError(f"{path}: row {reader.line_num}: {bad}")
     return ParseError(f"{path}: row {reader.line_num}: {message[:found.start()]}")
+
+
+def _decode_error(path, data, exc) -> ParseError:
+    """The ParseError for ``exc``, a byte of ``path`` its codec refuses, on
+    the byte's file line. ``exc`` counts from the chunk it decoded, so the
+    file's bytes (``data``, or read again) are decoded strictly once more."""
+    if data is None:
+        with open(path, "rb") as raw:
+            data = raw.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as bad:
+        line = data.count(b"\n", 0, bad.start) + 1
+        return ParseError(f"{path}: line {line}: {bad}")
+    return ParseError(f"{path}: {exc}")     # the file changed since it was read
 
 
 def _valid_fps(fps) -> bool:
@@ -710,10 +690,9 @@ def _nearest(data, cands, low, high, last, i0, rank, no_rank, k):
     return np.take_along_axis(at, order[:, :k], axis=1)
 
 
-def balance(scenarios, seed: int) -> ScenarioBatch:
-    """Down-sample the majority classes to the size of the smallest one;
-    the kept scenarios stay in their order."""
-    batch = scenario_batch(scenarios)
+def balance(batch: ScenarioBatch, seed: int) -> ScenarioBatch:
+    """Down-sample the majority classes of ``batch`` to the size of the
+    smallest one; the kept scenarios stay in their order."""
     groups = [np.flatnonzero(batch.codes == code) for code in range(len(MANEUVERS))]
     for m, idx in zip(MANEUVERS, groups):
         if not idx.size:
@@ -728,26 +707,24 @@ def balance(scenarios, seed: int) -> ScenarioBatch:
     return batch[np.sort(np.concatenate(keep))]
 
 
-def split(scenarios, ratio: float, seed: int) -> DatasetSplit:
-    """Deterministic stratified train/test split into two batches, the
-    rows ``split_indices`` gives."""
-    batch, train_idx, test_idx = split_indices(scenarios, ratio, seed)
+def split(batch: ScenarioBatch, ratio: float, seed: int) -> DatasetSplit:
+    """Deterministic stratified train/test split of ``batch`` into two
+    batches, the rows ``split_indices`` gives."""
+    train_idx, test_idx = split_indices(batch, ratio, seed)
     return DatasetSplit(train=batch[train_idx], test=batch[test_idx], seed=seed)
 
 
-def split_indices(scenarios, ratio: float, seed: int):
-    """``scenarios`` as one batch (see ``scenario_batch``) and the row
-    indices of its train and test sides.
+def split_indices(batch: ScenarioBatch, ratio: float, seed: int):
+    """The row indices of the train and test sides of ``batch``.
 
     Per-class quotas use largest-remainder rounding so the overall train
     fraction matches ``ratio`` as closely as an integer count allows.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
-    n = len(scenarios)
+    n = len(batch)
     if n < 2:
         raise SplitError(f"need at least 2 scenarios to split, got {n}")
-    batch = scenario_batch(scenarios)
     target_train = min(max(int(round(ratio * n)), 1), n - 1)
     groups = [np.flatnonzero(batch.codes == code) for code in range(len(MANEUVERS))]
     quota = [int(ratio * idx.size) for idx in groups]
@@ -766,7 +743,7 @@ def split_indices(scenarios, ratio: float, seed: int):
     test_idx = rng.permutation(np.concatenate(test_idx))
     if not train_idx.size or not test_idx.size:
         raise SplitError("split produced an empty side; adjust ratio or data")
-    return batch, train_idx, test_idx
+    return train_idx, test_idx
 
 
 def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
@@ -900,9 +877,8 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     return replace(batch, ids=tuple(f"synth-{i:05d}" for i in range(n)))
 
 
-def save_archive(path, scenarios, fps):
-    """Write scenarios, a batch or a sequence (see ``scenario_batch``), to
-    an archive (format version 3).
+def save_archive(path, batch: ScenarioBatch, fps):
+    """Write the scenarios of ``batch`` to an archive (format version 3).
 
     The head holds the fps, the grid (t_obs, t_pred, n_vehicles) every
     scenario shares and each scenario's id, maneuver and v0; the payload
@@ -910,9 +886,8 @@ def save_archive(path, scenarios, fps):
     futures, as raw float64 (see ``store.write_document``).
     """
     fps = float(fps)
-    if not len(scenarios):
+    if not len(batch):
         raise ValueError("an archive needs at least one scenario")
-    batch = scenario_batch(scenarios)
     if batch.fps != fps:
         raise ValueError(
             f"scenario {batch.ids[0]} has fps {batch.fps}, archive wants {fps}"

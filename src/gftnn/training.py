@@ -17,10 +17,9 @@ import numpy as np
 
 from . import metrics
 from .model import (OUT, ModelConfig, ModelParams, NumericError, _decode,
-                    _ensure_finite, _partials, build_basis, decode_batch,
+                    _ensure_finite, _own_batch, _partials, build_basis, decode_batch,
                     forward, gelu_grad, init_params, loss_batch,
                     save_checkpoint, scenario_spectra)
-from .scenario import scenario_batch
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -122,7 +121,8 @@ def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
 def gradients(scenario, params: ModelParams, config: ModelConfig,
               basis) -> ModelParams:
     """Loss gradients for a single scenario (a batch of one)."""
-    return _batch_loss_and_grads(*_prepare([scenario], basis, config), params, config)[1]
+    return _batch_loss_and_grads(*_prepare(_own_batch(scenario), basis, config),
+                                 params, config)[1]
 
 
 class AdamState:
@@ -187,10 +187,9 @@ class TrainResult:
     epochs_trained: int
 
 
-def _prepare(scenarios, basis, config):
+def _prepare(batch, basis, config):
     """Spectra (computed once: the transform never changes during training),
-    futures and v0 of scenarios, a batch or a sequence (``scenario_batch``)."""
-    batch = scenario_batch(scenarios)
+    futures and v0 of ``batch``."""
     return scenario_spectra(batch, basis, config), batch.futures, batch.v0
 
 

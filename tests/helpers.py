@@ -13,8 +13,8 @@ from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
                          gelu, gelu_grad)
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import (ACCEL_RANGE, CHANNELS, LANE_WIDTH, MANEUVERS, RATE_RANGE,
-                            SCHEMAS, SPEED_RANGE, ParseError, RawTrack, Scenario,
-                            SchemaError, _SCENE_VEHICLES, _window_steps)
+                            SCHEMAS, SPEED_RANGE, ParseError, RawTrack,
+                            ScenarioBatch, SchemaError, _SCENE_VEHICLES, _window_steps)
 
 
 def tiny_config(**overrides):
@@ -408,10 +408,11 @@ def label_maneuver_reference(lane_ids, lateral, t0_index: int) -> str:
 def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
                                 t_pred: float = 5.0, n_vehicles: int = 9,
                                 stride: int | None = None,
-                                target_ids=None) -> list[Scenario]:
+                                target_ids=None) -> ScenarioBatch:
     """The quadratic extractor ``extract_scenarios`` replaced, kept verbatim
     as the oracle its output must match bit for bit: every window scans
-    every other track for coverage.
+    every other track for coverage. The windows' arrays are stacked into
+    one ``ScenarioBatch`` at the end.
 
     Slide fixed windows over every track and cut model-ready scenarios.
 
@@ -435,7 +436,7 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     window = t_obs_steps + t_pred_steps
-    scenarios = []
+    ids, maneuvers, v0s, features, futures = [], [], [], [], []
     skipped = 0
     for target in sorted(tracks, key=lambda tr: tr.vehicle_id):
         if target_ids is not None and target.vehicle_id not in target_ids:
@@ -484,19 +485,19 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
             ], axis=1)
             maneuver = label_maneuver_reference(target.lane_id[rows], target.y[rows],
                                                 t_obs_steps - 1)
-            scenarios.append(Scenario(
-                scenario_id=f"v{target.vehicle_id}-f{start}",
-                features=feats,
-                future=future,
-                v0=float(target.vx[i0]),
-                fps=float(fps),
-                maneuver=maneuver,
-            ))
+            ids.append(f"v{target.vehicle_id}-f{start}")
+            maneuvers.append(maneuver)
+            v0s.append(float(target.vx[i0]))
+            features.append(feats)
+            futures.append(future)
             start += stride
     if skipped:
         logging.getLogger("gftnn.scenario").info(
             "extract_scenarios: skipped %d windows with coverage gaps", skipped)
-    return scenarios
+    return ScenarioBatch(
+        tuple(ids), maneuvers, v0s,
+        np.reshape(features, (-1, len(CHANNELS), t_obs_steps, n_vehicles)),
+        np.reshape(futures, (-1, t_pred_steps, 2)), float(fps))
 
 
 def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
@@ -563,18 +564,19 @@ def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s
 
 def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
                          t_obs: float = 3.0, t_pred: float = 5.0,
-                         n_vehicles: int = 9) -> list[Scenario]:
+                         n_vehicles: int = 9) -> ScenarioBatch:
     """The per-scene ``synthesize`` the one-call version replaced, kept as
     the oracle its output must match bit for bit: each scene is drawn on
     its own (frames from 0, target id 1) and cut by the quadratic
-    ``extract_scenarios_reference``.
+    ``extract_scenarios_reference``. The scenes' arrays are stacked into
+    one ``ScenarioBatch`` at the end.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     rng = np.random.default_rng(seed)
     n_frames = t_obs_steps + t_pred_steps
-    out = []
+    maneuvers, v0s, features, futures = [], [], [], []
     for i in range(n):
         maneuver = MANEUVERS[i % 3]
         tracks = list(synthetic_scenes_reference(
@@ -588,5 +590,9 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
                 f"with labels {[s.maneuver for s in scen]}, wanted {maneuver}"
             )
         s = scen[0]
-        out.append(Scenario(f"synth-{i:05d}", s.features, s.future, s.v0, s.fps, s.maneuver))
-    return out
+        maneuvers.append(s.maneuver)
+        v0s.append(s.v0)
+        features.append(s.features)
+        futures.append(s.future)
+    return ScenarioBatch(tuple(f"synth-{i:05d}" for i in range(n)), maneuvers, v0s,
+                         np.stack(features), np.stack(futures), float(fps))

@@ -14,28 +14,31 @@ from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Traject
                          decode_partials, forward, gaussian_cdf, gelu, gelu_grad,
                          init_params, load_checkpoint, param_shapes, predict,
                          predict_batch, preset_config, save_checkpoint,
-                         scenario_spectra, scenario_spectrum, select_channels,
+                         scenario_spectra, select_channels,
                          truth_trajectories, truth_trajectory)
 from gftnn.metrics import evaluate
-from gftnn.scenario import Scenario, save_archive, synthesize
+from gftnn.scenario import ScenarioBatch, save_archive, synthesize
 from gftnn.special import expit
 from gftnn.spectral import gft_extended, truncate_spectrum
 from helpers import edited_head, rewrite_head, split_head, tiny_config
 
 
-def manual_scenario(n_v=3, t_obs=6, t_pred=10, fps=2.0, offsets=((1.0, 0.0), (0.0, -1.0))):
-    """Hand-built scenario whose neighbours sit at fixed offsets from the target."""
-    rng = np.random.default_rng(42)
-    feats = rng.normal(size=(4, t_obs, n_v))
-    t = np.arange(t_obs) / fps
-    feats[0, :, 0] = 20.0 * t
-    feats[1, :, 0] = 0.0
-    for slot, (dx, dy) in enumerate(offsets, start=1):
-        feats[0, :, slot] = feats[0, :, 0] + dx
-        feats[1, :, slot] = feats[1, :, 0] + dy
+def manual_batch(*offsets, n_v=3, t_obs=6, t_pred=10, fps=2.0):
+    """Hand-built scenarios, one per entry of ``offsets``, whose neighbours
+    sit at that entry's fixed offsets from the target."""
+    feats = np.empty((len(offsets), 4, t_obs, n_v))
+    for f, slots in zip(feats, offsets):
+        f[...] = np.random.default_rng(42).normal(size=(4, t_obs, n_v))
+        f[0, :, 0] = 20.0 * (np.arange(t_obs) / fps)
+        f[1, :, 0] = 0.0
+        for slot, (dx, dy) in enumerate(slots, start=1):
+            f[0, :, slot] = f[0, :, 0] + dx
+            f[1, :, slot] = f[1, :, 0] + dy
     future = np.stack([20.0 * (np.arange(1, t_pred + 1) / fps),
                        np.zeros(t_pred)], axis=1)
-    return Scenario("manual-0", feats, future, 20.0, fps, "keep_lane")
+    n = len(offsets)
+    return ScenarioBatch(tuple(f"manual-{i}" for i in range(n)), ("keep_lane",) * n,
+                         (20.0,) * n, feats, np.broadcast_to(future, (n, t_pred, 2)), fps)
 
 
 # --------------------------------------------------------------------- config
@@ -514,18 +517,13 @@ def test_batch_trajectory_row_is_a_view_that_the_rule_does_not_check_again(monke
         batch[3]
 
 
-def test_predict_batch_and_evaluate_give_the_same_values_for_lists_and_batches(basis_30x9):
+def test_evaluate_gives_the_same_values_for_lists_and_batches_of_trajectories(basis_30x9):
     cfg = preset_config("gftnn", 10)
     params = init_params(cfg, 3)
     batch = synthesize(7, 10, seed=32, noise_std=0.05)
     batched = predict_batch(batch, basis_30x9, params, cfg)
-    listed = predict_batch(list(batch), basis_30x9, params, cfg)
-    for name in ("x", "y"):
-        assert np.array_equal(getattr(batched, name).view(np.uint64),
-                              getattr(listed, name).view(np.uint64))
-    truths = truth_trajectories(batch)
-    a = evaluate(batched, truths, 0.1)
-    b = evaluate(list(listed), [truth_trajectory(s) for s in batch], 0.1)
+    a = evaluate(batched, truth_trajectories(batch), 0.1)
+    b = evaluate(list(batched), [truth_trajectory(s) for s in batch], 0.1)
     assert repr(a) == repr(b)
 
 
@@ -539,11 +537,11 @@ def test_truth_trajectory_prepends_origin():
 
 def test_truth_trajectories_are_the_per_scenario_truths_read_only():
     # Futures holding a signed zero and a subnormal keep their bits.
-    scenarios = list(synthesize(4, 10, seed=17, noise_std=0.05))
-    s = scenarios[2]
-    future = s.future.copy()
-    future[3] = [-0.0, 5e-324]
-    scenarios[2] = Scenario(s.scenario_id, s.features, future, s.v0, s.fps, s.maneuver)
+    batch = synthesize(4, 10, seed=17, noise_std=0.05)
+    futures = batch.futures.copy()
+    futures[2, 3] = [-0.0, 5e-324]
+    scenarios = ScenarioBatch(batch.ids, batch.codes, batch.v0, batch.features, futures,
+                              batch.fps)
     rows = truth_trajectories(scenarios)
     assert len(rows) == len(scenarios)
     for row, scenario in zip(rows, scenarios):
@@ -607,27 +605,27 @@ def test_build_basis_gives_the_bits_version_2_files_store(name, fps):
     assert digest.hexdigest() == STORED_V2_BASIS_SHA256[name, fps]
 
 
-def test_scenario_spectrum_k2_uses_velocity_channels(basis_30x9):
-    scen = synthesize(1, 10, seed=17, noise_std=0.05)[0]
+def test_scenario_spectra_k2_uses_velocity_channels(basis_30x9):
+    scen = synthesize(1, 10, seed=17, noise_std=0.05)
     cfg = preset_config("gftnn", 10)
     cfg2 = dataclasses.replace(cfg, k=2)
-    full = gft_extended(scen.features[2:4], basis_30x9)
-    assert np.array_equal(scenario_spectrum(scen, basis_30x9, cfg2),
+    full = gft_extended(scen.features[0, 2:4], basis_30x9)
+    assert np.array_equal(scenario_spectra(scen, basis_30x9, cfg2)[0],
                           truncate_spectrum(full, cfg2.p))
-    assert scenario_spectrum(scen, basis_30x9, cfg).shape == (cfg.z,)
+    assert scenario_spectra(scen, basis_30x9, cfg).shape == (1, cfg.z)
 
 
-def test_scenario_spectrum_rejects_wrong_grid(basis_30x9):
-    scen = synthesize(1, 25, seed=18)[0]
+def test_scenario_spectra_rejects_wrong_grid(basis_30x9):
+    scen = synthesize(1, 25, seed=18)
     cfg = preset_config("gftnn", 10)
     with pytest.raises(ValueError, match="grid"):
-        scenario_spectrum(scen, basis_30x9, cfg)
+        scenario_spectra(scen, basis_30x9, cfg)
 
 
 def test_scenario_spectra_unweighted_uses_reference_basis(monkeypatch):
     cfg = tiny_config()
     basis = build_basis(cfg)
-    scenarios = [manual_scenario(), manual_scenario(offsets=((4.0, 0.0), (0.0, -1.0)))]
+    scenarios = manual_batch(((1.0, 0.0), (0.0, -1.0)), ((4.0, 0.0), (0.0, -1.0)))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("unweighted spectra must not solve an eigenproblem")
@@ -656,37 +654,36 @@ def test_runtime_bases_never_call_the_jacobi_solver(monkeypatch):
 
 @pytest.mark.parametrize("fps", [10, 25])
 @pytest.mark.parametrize("preset", PRESETS)
-def test_scenario_spectra_rows_match_scenario_spectrum(preset, fps, basis_30x9,
-                                                       basis_75x9):
+def test_scenario_spectra_rows_match_batches_of_one(preset, fps, basis_30x9, basis_75x9):
     cfg = preset_config(preset, fps)
     basis = basis_30x9 if fps == 10 else basis_75x9
     scenarios = synthesize(8, fps, seed=23, noise_std=0.05)
     rows = scenario_spectra(scenarios, basis, cfg)
     assert rows.shape == (len(scenarios), cfg.z)
-    for row, scen in zip(rows, scenarios):
-        assert np.array_equal(row, scenario_spectrum(scen, basis, cfg))
+    for i, row in enumerate(rows):
+        assert np.array_equal(row, scenario_spectra(scenarios[i:i + 1], basis, cfg)[0])
 
 
 def test_weighted_basis_matches_unweighted_at_unit_distance():
     # neighbours exactly 1 m from the target give unit weights, so the
     # distance-weighted spatial basis must coincide with the reference one
-    scen = manual_scenario(offsets=((1.0, 0.0), (0.0, -1.0)))
+    scen = manual_batch(((1.0, 0.0), (0.0, -1.0)))
     cfg_w = tiny_config(k=2, weighted=True)
     cfg_u = tiny_config(k=2, weighted=False)
     basis = build_basis(cfg_u)
-    assert np.array_equal(scenario_spectrum(scen, basis, cfg_w),
-                          scenario_spectrum(scen, basis, cfg_u))
+    assert np.array_equal(scenario_spectra(scen, basis, cfg_w),
+                          scenario_spectra(scen, basis, cfg_u))
 
 
 def test_weighted_basis_differs_off_unit_distance():
     # distances must be *unequal*: equal distances only rescale the star
     # Laplacian, which leaves its eigenvectors (and the spectrum) unchanged
-    scen = manual_scenario(offsets=((4.0, 0.0), (0.0, -1.0)))
+    scen = manual_batch(((4.0, 0.0), (0.0, -1.0)))
     cfg_w = tiny_config(k=2, weighted=True)
     cfg_u = tiny_config(k=2, weighted=False)
     basis = build_basis(cfg_u)
-    assert not np.array_equal(scenario_spectrum(scen, basis, cfg_w),
-                              scenario_spectrum(scen, basis, cfg_u))
+    assert not np.array_equal(scenario_spectra(scen, basis, cfg_w),
+                              scenario_spectra(scen, basis, cfg_u))
 
 
 def test_predict_deterministic(basis_30x9):

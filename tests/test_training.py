@@ -6,8 +6,9 @@ import pytest
 
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
-                         param_shapes, predict, save_checkpoint, truth_trajectory)
-from gftnn.scenario import DatasetSplit, Scenario, split, synthesize
+                         param_shapes, predict, predict_batch, save_checkpoint,
+                         truth_trajectories, truth_trajectory)
+from gftnn.scenario import DatasetSplit, ScenarioBatch, synthesize
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
                             gradients, train, trajectory_loss)
@@ -83,14 +84,14 @@ def test_gradients_vanish_at_zero_residual():
     # residual is zero bit for bit and every gradient must be exactly zero
     cfg = tiny_config()
     basis = build_basis(cfg)
-    scen = tiny_scenarios(1, seed=1)[0]
+    scen = tiny_scenarios(1, seed=1)
     params = init_params(cfg, 2)
-    s, _, v0 = _prepare([scen], basis, cfg)
+    s, _, v0 = _prepare(scen, basis, cfg)
     h_z, _ = forward(s, params, cfg)
     x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
-    perfect = Scenario(scen.scenario_id, scen.features, np.stack([x[0, 1:], y[0, 1:]], axis=1),
-                       scen.v0, scen.fps, scen.maneuver)
-    grads = gradients(perfect, params, cfg, basis)
+    perfect = ScenarioBatch(scen.ids, scen.codes, scen.v0, scen.features,
+                            np.stack([x[:, 1:], y[:, 1:]], axis=2), scen.fps)
+    grads = gradients(perfect[0], params, cfg, basis)
     for name, arr in grads.items():
         assert np.array_equal(arr, np.zeros_like(arr)), name
 
@@ -122,6 +123,28 @@ def test_gradients_match_finite_differences():
             an = grad_map[name][idx]
             rel = abs(fd - an) / max(abs(fd) + abs(an), 1e-6)
             assert rel < 1e-4, f"{name}{idx}: fd={fd} analytic={an}"
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_row_functions_run_on_the_rows_slice_of_a_larger_batch(weighted):
+    # Row 2 of a 5-row batch is a view; predict, truth_trajectory and
+    # gradients on it run on the slice batch[2:3], bit for bit. The
+    # 5-row pass agrees with that slice within rounding: its matrix
+    # products may sum in another order.
+    cfg = tiny_config(weighted=weighted)
+    basis = build_basis(cfg)
+    batch = tiny_scenarios(5, seed=18)
+    row, one = batch[2], batch[2:3]
+    params = init_params(cfg, 9)
+    truth, truths = truth_trajectory(row), truth_trajectories(batch)[2]
+    pred, alone = predict(row, basis, params, cfg), predict_batch(one, basis, params, cfg)[0]
+    among = predict_batch(batch, basis, params, cfg)[2]
+    for name in ("x", "y"):
+        assert same_bits(getattr(truth, name), getattr(truths, name))
+        assert same_bits(getattr(pred, name), getattr(alone, name))
+        assert np.max(np.abs(getattr(pred, name) - getattr(among, name))) <= 1e-12
+    want = _batch_loss_and_grads(*_prepare(one, basis, cfg), params, cfg)[1]
+    assert same_bits(gradients(row, params, cfg, basis).flat, want.flat)
 
 
 def test_batched_gradients_average_per_scenario():
@@ -322,8 +345,7 @@ def test_train_zero_learning_rate_is_a_control_run():
 
 def test_train_overfits_single_scenario():
     cfg = tiny_config()
-    scen = tiny_scenarios(1, seed=14, noise_std=0.0)[0]
-    ds = DatasetSplit(train=[scen], test=[], seed=0)
+    ds = DatasetSplit(train=tiny_scenarios(1, seed=14, noise_std=0.0), test=[], seed=0)
     tc = TrainConfig(learning_rate=3e-3, epochs=500, batch_size=1, seed=0)
     result = train(ds, cfg, tc)
     losses = np.array([row["train_loss"] for row in result.history])
@@ -344,18 +366,6 @@ def test_train_deterministic():
     assert r1.history == r2.history
     for (name, a), (_, b) in zip(r1.params.items(), r2.params.items()):
         assert np.array_equal(a, b), name
-
-
-def test_train_gives_the_same_bits_for_lists_and_batches():
-    cfg = tiny_config()
-    ds = split(tiny_scenarios(14, seed=16), 0.7, seed=2)
-    rows = DatasetSplit(train=list(ds.train), test=list(ds.test), seed=ds.seed)
-    tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=1)
-    batched, listed = train(ds, cfg, tc), train(rows, cfg, tc)
-    # repr compares every float bit for bit, NaN included
-    assert repr(batched.history) == repr(listed.history)
-    assert np.array_equal(batched.params.flat.view(np.uint64),
-                          listed.params.flat.view(np.uint64))
 
 
 def test_train_writes_log(tmp_path):
