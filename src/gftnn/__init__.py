@@ -12,9 +12,9 @@ from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        label_maneuver, load_archive, save_archive,
                        split, synthesize, track_batch)
 from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
-                    Trajectory, TrajectoryBatch, build_basis, decode, decode_batch,
-                    decode_partials, forward, gelu, gelu_grad, init_params,
-                    load_checkpoint, loss_batch, predict, predict_batch,
+                    Trajectory, TrajectoryBatch, build_basis, check_grid, decode,
+                    decode_batch, decode_partials, forward, gelu, gelu_grad,
+                    init_params, load_checkpoint, loss_batch, predict, predict_batch,
                     preset_config, save_checkpoint, scenario_spectra,
                     select_channels, trajectory_batch,
                     truth_trajectories, truth_trajectory)

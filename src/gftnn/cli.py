@@ -17,12 +17,12 @@ import numpy as np
 
 from .metrics import (check_bin_width, evaluate, write_histogram_csv,
                       write_report_json)
-from .model import (PRESETS, ModelConfig, NumericError, build_basis,
+from .model import (PRESETS, ModelConfig, NumericError, build_basis, check_grid,
                     load_checkpoint, predict, predict_batch, preset_config,
                     truth_trajectories)
-from .scenario import (MANEUVERS, balance, extract_scenarios, ingest_tracks,
-                       load_archive, save_archive, split, split_indices, synthesize,
-                       SCHEMAS)
+from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, balance,
+                       extract_scenarios, ingest_tracks, load_archive, save_archive,
+                       split, split_indices, synthesize, SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
 from .store import read_document
 from .training import DivergenceError, TrainConfig, train
@@ -108,7 +108,9 @@ def cmd_spectrum(args):
         print(f"wrote {recon_path} (p={args.p}, max reconstruction error {err:.6f})")
 
 
-def _model_config(args, batch, fps) -> ModelConfig:
+def _model_config(args, batch) -> ModelConfig:
+    """The config ``--preset`` names, on the grid of ``batch``, which must
+    match a named preset's."""
     t_obs, t_pred, n_v = batch.t_obs, batch.t_pred, batch.n_vehicles
     preset = args.preset
     if preset != "custom":
@@ -120,12 +122,8 @@ def _model_config(args, batch, fps) -> ModelConfig:
                 f"preset {preset!r} already fixes: {', '.join(fixed)}; "
                 f"use --preset custom to override"
             )
-        config = preset_config(preset, fps, n_vehicles=n_v, hidden=args.hidden)
-        if (config.t_obs, config.t_pred) != (t_obs, t_pred):
-            raise ValueError(
-                f"archive windows ({t_obs}, {t_pred}) do not match preset "
-                f"({config.t_obs}, {config.t_pred})"
-            )
+        config = preset_config(preset, batch.fps, n_vehicles=n_v, hidden=args.hidden)
+        check_grid(batch, config)
         return config
     return ModelConfig(
         k=args.k if args.k is not None else 4,
@@ -133,14 +131,14 @@ def _model_config(args, batch, fps) -> ModelConfig:
         p=args.p if args.p is not None else t_obs,
         hidden=args.hidden,
         graph_kind=args.graph_kind if args.graph_kind is not None else "spider",
-        weighted=args.weighted, fps=fps,
+        weighted=args.weighted, fps=batch.fps,
     )
 
 
 def cmd_train(args):
     _require(args, "archive")
-    scenarios, fps = load_archive(args.archive)
-    config = _model_config(args, scenarios, fps)
+    scenarios, _ = load_archive(args.archive)
+    config = _model_config(args, scenarios)
     resume = None
     if args.resume is not None:
         resume = load_checkpoint(args.resume)
@@ -174,13 +172,11 @@ def _subset(scenarios, args):
 
 def _load_archive_and_checkpoint(args):
     """The archive's scenarios, the checkpoint that scores them (without
-    its Adam moments) and its reference basis."""
-    scenarios, fps = load_archive(args.archive)
+    its Adam moments) and its reference basis. The archive must lie on the
+    checkpoint's grid, also for ``eval --self-test``."""
+    scenarios, _ = load_archive(args.archive)
     ckpt = load_checkpoint(args.checkpoint, optimizer=False)
-    if fps != ckpt.config.fps:
-        raise ValueError(
-            f"archive fps {fps} does not match checkpoint fps {ckpt.config.fps}"
-        )
+    check_grid(scenarios, ckpt.config)
     return scenarios, ckpt, build_basis(ckpt.config)
 
 
@@ -239,9 +235,12 @@ def _build_parser():
     p.add_argument("--input", help="CSV file with per-frame vehicle samples")
     p.add_argument("--schema", choices=sorted(SCHEMAS), default="normalized")
     p.add_argument("--fps", type=float, help="sampling rate of the recording")
-    p.add_argument("--t-obs", type=float, default=3.0, help="observation window in seconds")
-    p.add_argument("--t-pred", type=float, default=5.0, help="prediction window in seconds")
-    p.add_argument("--n-vehicles", type=int, default=9, help="vehicle slots per scenario")
+    p.add_argument("--t-obs", type=float, default=T_OBS_S,
+                   help="observation window in seconds")
+    p.add_argument("--t-pred", type=float, default=T_PRED_S,
+                   help="prediction window in seconds")
+    p.add_argument("--n-vehicles", type=int, default=N_VEHICLES,
+                   help="vehicle slots per scenario")
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("synth", parents=[common],
@@ -249,9 +248,9 @@ def _build_parser():
     p.add_argument("--n", type=int, help="number of scenarios")
     p.add_argument("--fps", type=float)
     p.add_argument("--noise-std", type=float, default=0.05, help="position noise in metres")
-    p.add_argument("--t-obs", type=float, default=3.0)
-    p.add_argument("--t-pred", type=float, default=5.0)
-    p.add_argument("--n-vehicles", type=int, default=9)
+    p.add_argument("--t-obs", type=float, default=T_OBS_S)
+    p.add_argument("--t-pred", type=float, default=T_PRED_S)
+    p.add_argument("--n-vehicles", type=int, default=N_VEHICLES)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("spectrum", parents=[common],

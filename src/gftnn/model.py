@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .graph import _frozen, inverse_distance_weights
-from .scenario import ScenarioBatch
+from .scenario import N_VEHICLES, T_OBS_S, T_PRED_S, ScenarioBatch, _window_steps
 from .special import erf, expit
 from .spectral import (ProductBasis, complete_spectrum, gft_extended,
                        path_spectrum, star_spectra, truncate_spectrum,
@@ -28,8 +28,6 @@ LN_EPS = 1e-5
 CHECKPOINT_VERSION = 4
 GRAPH_KINDS = ("spider", "mesh")
 PRESETS = ("gftnn", "gftnn-w", "gftnn-rdcby5", "gftnn-rdcby15")
-PRESET_T_OBS_S = 3.0            # observed window of every preset, seconds
-PRESET_T_PRED_S = 5.0           # predicted window of every preset, seconds
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -82,16 +80,15 @@ class ModelConfig:
         return self.k * self.p * self.n_v
 
 
-def preset_config(preset: str, fps, n_vehicles: int = 9,
+def preset_config(preset: str, fps, n_vehicles: int = N_VEHICLES,
                   hidden: int = 50) -> ModelConfig:
-    """Named configurations over PRESET_T_OBS_S observed and PRESET_T_PRED_S
+    """Named configurations over the default T_OBS_S observed and T_PRED_S
     predicted seconds; fps must be one of the supported camera rates."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {PRESETS}")
     if fps not in (10, 25):
         raise ValueError(f"preset {preset!r} expects fps 10 or 25, got {fps}")
-    t_obs = round(fps * PRESET_T_OBS_S)
-    t_pred = round(fps * PRESET_T_PRED_S)
+    t_obs, t_pred = _window_steps(fps, T_OBS_S, T_PRED_S)
     k = 4
     weighted = False
     p = t_obs
@@ -410,20 +407,29 @@ def select_channels(features, k: int):
     raise ValueError(f"k must be 2 or 4, got {k}")
 
 
+def check_grid(batch: ScenarioBatch, config: ModelConfig):
+    """Refuse ``batch`` unless it lies on the grid ``config`` was built for:
+    its fps, t_obs, t_pred and n_vehicles. The ValueError names every field
+    that differs."""
+    grid = (("fps", batch.fps, config.fps), ("t_obs", batch.t_obs, config.t_obs),
+            ("t_pred", batch.t_pred, config.t_pred),
+            ("n_vehicles", batch.n_vehicles, config.n_v))
+    differ = [f"{name} {have} != {want}" for name, have, want in grid if have != want]
+    if differ:
+        raise ValueError(f"scenario grid does not match the model: {', '.join(differ)}")
+
+
 def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
                      config: ModelConfig) -> np.ndarray:
     """Truncated spectral coefficients of ``batch``, one row per scenario: (B, z).
 
-    With weighting enabled, each scenario's spatial factor is the star
+    The batch must lie on the config's grid (``check_grid``). With
+    weighting enabled, each scenario's spatial factor is the star
     reweighted by inverse hub distance at its last observed step, and all
     of them come from one closed-form ``star_spectra`` call; otherwise
     every scenario uses the reference basis.
     """
-    if (batch.t_obs, batch.n_vehicles) != (config.t_obs, config.n_v):
-        raise ValueError(
-            f"scenario grid ({batch.t_obs}, {batch.n_vehicles}) does "
-            f"not match config ({config.t_obs}, {config.n_v})"
-        )
+    check_grid(batch, config)
     spatial = None
     if config.weighted:
         positions = batch.features[:, :2, config.t_obs - 1, :].transpose(0, 2, 1)
@@ -436,16 +442,7 @@ def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
 def predict_batch(batch: ScenarioBatch, basis: ProductBasis, params: ModelParams,
                   config: ModelConfig) -> TrajectoryBatch:
     """Full inference path for ``batch``: one spectral pass, one forward
-    pass and one decode over the whole batch, whose fps and horizon are
-    checked against the config once."""
-    if batch.fps != config.fps:
-        raise ValueError(
-            f"scenario fps {batch.fps} does not match model fps {config.fps}"
-        )
-    if batch.t_pred != config.t_pred:
-        raise ValueError(
-            f"scenario horizon {batch.t_pred} does not match config {config.t_pred}"
-        )
+    pass and one decode over the whole batch."""
     h_z, _ = forward(scenario_spectra(batch, basis, config), params, config)
     return TrajectoryBatch(*decode_batch(h_z, batch.v0, config.t_pred, config.fps))
 
@@ -491,10 +488,10 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint of format version 4; any other version is refused.
 
-    Callers score a checkpoint with ``build_basis(config)``. A corrupt
-    file, an unknown config key, a non-finite parameter or a negative
-    epoch count or optimizer step raises a ValueError naming the path and
-    the key.
+    Callers score a checkpoint with ``build_basis(config)``. Every key
+    the writer writes is required. A corrupt file, an unknown or missing
+    key, a non-finite parameter or a negative epoch count or optimizer
+    step raises a ValueError naming the path and the key.
 
     With ``optimizer=False``, for scoring, Adam's moments are not read and
     the result's ``optimizer`` is None. The head and the file length are
@@ -517,7 +514,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                 raise doc.error(f"params {name} is not finite")
         if state is not None and optimizer:
             state.update(m=doc.payload.read("m"), v=doc.payload.read("v"))
-    epochs_trained = doc.value("epochs_trained", int, 0)
+    epochs_trained = doc.value("epochs_trained", int)
     if epochs_trained < 0:
         raise doc.error(f"epochs_trained is {epochs_trained}, expected a "
                         f"non-negative integer")
@@ -542,4 +539,4 @@ def _config_from_doc(table: Table) -> ModelConfig:
         raise table.error(f"has unknown keys: {', '.join(unknown)}")
     types = typing.get_type_hints(ModelConfig)
     return table.build(ModelConfig, **{
-        f.name: table.value(f.name, types[f.name], f.default) for f in known})
+        f.name: table.value(f.name, types[f.name]) for f in known})

@@ -32,6 +32,12 @@ MANEUVERS = ("keep_lane", "lane_change_left", "lane_change_right")
 CHANNELS = ("x_rel", "y_rel", "vx_rel", "vy_rel")
 LANE_WIDTH = 3.5
 ARCHIVE_VERSION = 3
+# The default grid: 3 s observed and 5 s predicted (the protocol of Deo &
+# Trivedi, CVPRW 2018) over 9 vehicle slots. Every preset, the extraction
+# and synthesis defaults and the CLI's window options take it from here.
+T_OBS_S = 3.0
+T_PRED_S = 5.0
+N_VEHICLES = 9
 # The most steps an observation or a prediction window may span, 100 s at
 # 100 fps; a longer window is refused before anything is allocated.
 MAX_WINDOW_STEPS = 10_000
@@ -527,8 +533,8 @@ def _maneuver_codes(lane_ids, lateral):
     return np.where(changed[rows, at], (dy > 0.0) + 2 * (dy < 0.0), 0)
 
 
-def extract_scenarios(tracks, fps, t_obs: float = 3.0, t_pred: float = 5.0,
-                      n_vehicles: int = 9, stride: int | None = None,
+def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRED_S,
+                      n_vehicles: int = N_VEHICLES, stride: int | None = None,
                       target_ids=None) -> ScenarioBatch:
     """Slide fixed windows over every track and cut model-ready scenarios,
     returned as one ``ScenarioBatch`` in target-id order.
@@ -839,8 +845,8 @@ def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
 
 
 def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
-               t_obs: float = 3.0, t_pred: float = 5.0,
-               n_vehicles: int = 9) -> ScenarioBatch:
+               t_obs: float = T_OBS_S, t_pred: float = T_PRED_S,
+               n_vehicles: int = N_VEHICLES) -> ScenarioBatch:
     """Generate labelled scenarios from a parametric motion family.
 
     Classes cycle keep/left/right so counts differ by at most one. The

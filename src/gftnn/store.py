@@ -16,7 +16,6 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING
 
 import numpy as np
 
@@ -190,13 +189,11 @@ class Table:
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.where} {message}")
 
-    def value(self, key: str, kind: type, default=MISSING):
+    def value(self, key: str, kind: type):
         """The value under ``key``, of JSON type ``kind`` (an integer also
-        reads as a float), or ``default`` if given and the key is absent."""
+        reads as a float); an absent key is an error."""
         if key not in self.obj:
-            if default is MISSING:
-                raise self.error(f"is missing key {key!r}")
-            return default
+            raise self.error(f"is missing key {key!r}")
         value = self.obj[key]
         if kind is float and type(value) is int:
             return float(value)

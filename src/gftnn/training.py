@@ -181,8 +181,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
 @dataclass
 class TrainResult:
     params: ModelParams
-    config: ModelConfig
-    basis: object
     history: list
     epochs_trained: int
 
@@ -293,5 +291,4 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
         save_checkpoint(checkpoint_path, config, basis, params,
                         epochs_trained=epochs_trained,
                         optimizer=state.as_dict())
-    return TrainResult(params=params, config=config, basis=basis,
-                       history=history, epochs_trained=epochs_trained)
+    return TrainResult(params=params, history=history, epochs_trained=epochs_trained)

@@ -318,8 +318,9 @@ def test_train_custom_preset(tmp_path, capsys):
 def test_train_window_mismatch(tmp_path, capsys):
     archive = synth_archive(tmp_path, extra=["--t-obs", "2.0"])
     err = run_fail(capsys, ["train", "--archive", str(archive),
-                            "--preset", "gftnn", "--out", str(tmp_path)])
-    assert "windows" in err
+                            "--preset", "gftnn", "--out", str(tmp_path / "run")])
+    assert err == "error: scenario grid does not match the model: t_obs 20 != 30\n"
+    assert not (tmp_path / "run").exists()
 
 
 # ----------------------------------------------------------------------- eval
@@ -551,6 +552,22 @@ def test_eval_rejects_rate_mismatch(tmp_path, capsys):
                             "--checkpoint", str(ckpt),
                             "--out", str(tmp_path / "eval")])
     assert "fps" in err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--self-test"],
+                                     ["predict", "--scenario-id", "synth-00000"]],
+                         ids=["eval", "self-test", "predict"])
+def test_a_checkpoint_on_another_grid_is_refused_on_one_line(tmp_path, capsys, command):
+    archive = synth_archive(tmp_path)
+    config = preset_config("gftnn-rdcby15", 25, hidden=8)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    out = tmp_path / "out"
+    err = run_fail(capsys, [*command, "--archive", str(archive), "--checkpoint", str(ckpt),
+                            "--out", str(out)])
+    assert err == ("error: scenario grid does not match the model: fps 10.0 != 25.0, "
+                   "t_obs 30 != 75, t_pred 50 != 125\n")
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- predict

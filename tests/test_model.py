@@ -616,10 +616,13 @@ def test_scenario_spectra_k2_uses_velocity_channels(basis_30x9):
 
 
 def test_scenario_spectra_rejects_wrong_grid(basis_30x9):
-    scen = synthesize(1, 25, seed=18)
+    # Every field of the grid that differs is named.
+    scen = synthesize(1, 25, seed=18, t_pred=4.0, n_vehicles=5)
     cfg = preset_config("gftnn", 10)
-    with pytest.raises(ValueError, match="grid"):
+    with pytest.raises(ValueError) as info:
         scenario_spectra(scen, basis_30x9, cfg)
+    assert str(info.value) == ("scenario grid does not match the model: fps 25.0 != 10.0, "
+                               "t_obs 75 != 30, t_pred 100 != 50, n_vehicles 5 != 9")
 
 
 def test_scenario_spectra_unweighted_uses_reference_basis(monkeypatch):
@@ -707,7 +710,8 @@ def test_predict_rejects_rate_mismatch(basis_75x9):
 def test_predict_rejects_horizon_mismatch(basis_30x9):
     scen = synthesize(1, 10, seed=21, t_pred=4.0)[0]
     cfg = preset_config("gftnn", 10)
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match="^scenario grid does not match the model: "
+                                         "t_pred 40 != 50$"):
         predict(scen, basis_30x9, init_params(cfg, 0), cfg)
 
 
@@ -818,6 +822,10 @@ def _config(**values):
     return edited_head(change)
 
 
+def _config_without(key):
+    return edited_head(lambda head: head["config"].pop(key))
+
+
 def _infinite_first_param(data):
     start = data.index(b"\n") + 1
     return data[:start] + np.array([np.inf], "<f8").tobytes() + data[start + 8:]
@@ -905,6 +913,13 @@ CORRUPT_PAYLOADS = [
     (_config(weighted=1), "checkpoint config weighted is an integer, expected a boolean"),
     (edited_head(lambda head: head["optimizer"].update(step=True)),
      "checkpoint optimizer step is a boolean, expected an integer"),
+    # The writer writes every key, so none is filled in from a default.
+    (_config_without("hidden"), "checkpoint config is missing key 'hidden'"),
+    (_config_without("graph_kind"), "checkpoint config is missing key 'graph_kind'"),
+    (_config_without("weighted"), "checkpoint config is missing key 'weighted'"),
+    (_config_without("fps"), "checkpoint config is missing key 'fps'"),
+    (edited_head(lambda head: head.pop("epochs_trained")),
+     "checkpoint is missing key 'epochs_trained'"),
 ]
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
-                         param_shapes, predict, predict_batch, save_checkpoint,
-                         truth_trajectories, truth_trajectory)
+                         param_shapes, predict, predict_batch, preset_config,
+                         save_checkpoint, truth_trajectories, truth_trajectory)
 from gftnn.scenario import DatasetSplit, ScenarioBatch, synthesize
 from gftnn.training import (AdamState, DivergenceError, TrainConfig,
                             _batch_loss_and_grads, _prepare, adam_step,
@@ -458,6 +458,17 @@ def test_train_resume_rejects_other_config(tmp_path):
     other = tiny_config(hidden=5)
     with pytest.raises(ValueError, match="config"):
         train(ds, other, tc, resume=ckpt)
+
+
+def test_train_refuses_scenarios_at_another_fps():
+    # 7.5 s and 12.5 s at 10 fps are the 75 and 125 steps of a 25 fps
+    # preset: the step counts fit, the rate does not.
+    scens = synthesize(6, 10, seed=1, t_obs=7.5, t_pred=12.5)
+    ds = DatasetSplit(train=scens, test=[], seed=0)
+    tc = TrainConfig(epochs=1, batch_size=2)
+    with pytest.raises(ValueError, match=r"^scenario grid does not match the model: "
+                                         r"fps 10\.0 != 25\.0$"):
+        train(ds, preset_config("gftnn", 25), tc)
 
 
 def test_train_reports_divergence():
