@@ -15,11 +15,11 @@ import os
 import sys
 import numpy as np
 
-from .metrics import (check_bin_width, evaluate, write_histogram_csv,
+from .metrics import (BIN_WIDTH, check_bin_width, evaluate, write_histogram_csv,
                       write_report_json)
-from .model import (PRESETS, ModelConfig, NumericError, build_basis, check_grid,
-                    load_checkpoint, predict, predict_batch, preset_config,
-                    truth_trajectories)
+from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis,
+                    check_grid, check_resume, load_checkpoint, predict, predict_batch,
+                    preset_config, truth_trajectories)
 from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, balance,
                        extract_scenarios, ingest_tracks, load_archive, save_archive,
                        split, split_indices, synthesize, SCHEMAS)
@@ -92,6 +92,8 @@ def cmd_spectrum(args):
     drift = abs(energy_signal - energy_coeffs) / max(energy_signal, 1.0)
     if drift > 1e-9:
         raise RuntimeError(f"energy not preserved: relative drift {drift:.3e}")
+    # Reconstructed before any write, so a --p out of range writes nothing.
+    recon = None if args.p is None else inverse_gft(fhat, basis, args.p)
     spectrum_path = _out_path(args, "eigenvalues.csv")
     coeff_path = _out_path(args, "coefficients.csv")
     write_spectrum_csv(basis, spectrum_path)
@@ -100,8 +102,7 @@ def cmd_spectrum(args):
           f"parseval drift {drift:.3e}")
     print(f"wrote {spectrum_path}")
     print(f"wrote {coeff_path}")
-    if args.p is not None:
-        recon = inverse_gft(fhat, basis, args.p)
+    if recon is not None:
         recon_path = _out_path(args, "reconstruction.csv")
         write_tensor_csv(recon, recon_path, header=("k", "t", "v", "value"))
         err = float(np.max(np.abs(recon - scenario.features)))
@@ -111,28 +112,23 @@ def cmd_spectrum(args):
 def _model_config(args, batch) -> ModelConfig:
     """The config ``--preset`` names, on the grid of ``batch``, which must
     match a named preset's."""
-    t_obs, t_pred, n_v = batch.t_obs, batch.t_pred, batch.n_vehicles
+    given = {name: getattr(args, name) for name in ("p", "k", "graph_kind")
+             if getattr(args, name) is not None}
     preset = args.preset
     if preset != "custom":
-        fixed = [name for name in ("p", "k", "graph_kind") if getattr(args, name) is not None]
-        if args.weighted:
-            fixed.append("weighted")
+        fixed = list(given) + (["weighted"] if args.weighted else [])
         if fixed:
             raise ValueError(
                 f"preset {preset!r} already fixes: {', '.join(fixed)}; "
                 f"use --preset custom to override"
             )
-        config = preset_config(preset, batch.fps, n_vehicles=n_v, hidden=args.hidden)
+        config = preset_config(preset, batch.fps, n_vehicles=batch.n_vehicles,
+                               hidden=args.hidden)
         check_grid(batch, config)
         return config
-    return ModelConfig(
-        k=args.k if args.k is not None else 4,
-        t_obs=t_obs, t_pred=t_pred, n_v=n_v,
-        p=args.p if args.p is not None else t_obs,
-        hidden=args.hidden,
-        graph_kind=args.graph_kind if args.graph_kind is not None else "spider",
-        weighted=args.weighted, fps=batch.fps,
-    )
+    return ModelConfig(**{"k": 4, "p": batch.t_obs, **given}, t_obs=batch.t_obs,
+                       t_pred=batch.t_pred, n_v=batch.n_vehicles, hidden=args.hidden,
+                       weighted=args.weighted, fps=batch.fps)
 
 
 def cmd_train(args):
@@ -142,6 +138,7 @@ def cmd_train(args):
     resume = None
     if args.resume is not None:
         resume = load_checkpoint(args.resume)
+        check_resume(resume, config)
     dataset = split(scenarios, args.split_ratio, args.seed)
     del scenarios           # the split copied its rows; the archive is not needed
     train_config = TrainConfig(
@@ -218,74 +215,74 @@ def cmd_predict(args):
 
 
 def _build_parser():
-    """The ``gftnn`` parser and its subcommand parsers by name. Each option
-    declares its built-in default here."""
+    """The ``gftnn`` parser and its subcommand parsers by name. Each option is
+    declared once (a shared one in a parent parser); library defaults are imported."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with default options")
     common.add_argument("--seed", type=int, default=0, help="seed for every random choice")
     common.add_argument("--out", default=".", help="output directory (default: .)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--fps", type=float, help="sampling rate in frames per second")
+    grid.add_argument("--t-obs", type=float, default=T_OBS_S,
+                      help="observation window in seconds")
+    grid.add_argument("--t-pred", type=float, default=T_PRED_S,
+                      help="prediction window in seconds")
+    grid.add_argument("--n-vehicles", type=int, default=N_VEHICLES,
+                      help="vehicle slots per scenario")
+    # eval --subset scores a side of train's split only under train's ratio.
+    split_ratio = argparse.ArgumentParser(add_help=False)
+    split_ratio.add_argument("--split-ratio", type=float, default=0.7,
+                             help="share of the scenarios on the training side")
 
     parser = argparse.ArgumentParser(
         prog="gftnn",
         description="Graph-spectral trajectory prediction for highway traffic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prep", parents=[common],
+    p = sub.add_parser("prep", parents=[common, grid],
                        help="convert recorded tracks to a scenario archive")
     p.add_argument("--input", help="CSV file with per-frame vehicle samples")
     p.add_argument("--schema", choices=sorted(SCHEMAS), default="normalized")
-    p.add_argument("--fps", type=float, help="sampling rate of the recording")
-    p.add_argument("--t-obs", type=float, default=T_OBS_S,
-                   help="observation window in seconds")
-    p.add_argument("--t-pred", type=float, default=T_PRED_S,
-                   help="prediction window in seconds")
-    p.add_argument("--n-vehicles", type=int, default=N_VEHICLES,
-                   help="vehicle slots per scenario")
     p.set_defaults(func=cmd_prep)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[common, grid],
                        help="generate labelled synthetic scenarios")
     p.add_argument("--n", type=int, help="number of scenarios")
-    p.add_argument("--fps", type=float)
     p.add_argument("--noise-std", type=float, default=0.05, help="position noise in metres")
-    p.add_argument("--t-obs", type=float, default=T_OBS_S)
-    p.add_argument("--t-pred", type=float, default=T_PRED_S)
-    p.add_argument("--n-vehicles", type=int, default=N_VEHICLES)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="write eigenvalues and coefficients of a scenario")
     p.add_argument("--archive")
     p.add_argument("--scenario-id", help="default: first scenario")
-    p.add_argument("--graph-kind", choices=("spider", "mesh"), default="spider")
+    p.add_argument("--graph-kind", choices=GRAPH_KINDS, default=ModelConfig.graph_kind)
     p.add_argument("--p", type=int,
                    help="also write the reconstruction from the p lowest modes")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("train", parents=[common], help="fit a model")
+    p = sub.add_parser("train", parents=[common, split_ratio], help="fit a model")
     p.add_argument("--archive")
     p.add_argument("--preset", choices=PRESETS + ("custom",), default="gftnn")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float,
-                   default=1e-4)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=50, help="width of the per-channel MLP")
-    p.add_argument("--split-ratio", type=float, default=0.7)
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden,
+                   help="width of the per-channel MLP")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--p", type=int, help="custom preset: temporal modes kept")
     p.add_argument("--k", type=int, help="custom preset: feature channels")
     p.add_argument("--weighted", action="store_true",
                    help="custom preset: inverse-distance spatial weights")
-    p.add_argument("--graph-kind", choices=("spider", "mesh"))
+    p.add_argument("--graph-kind", choices=GRAPH_KINDS)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, split_ratio],
                        help="displacement metrics of a checkpoint")
     p.add_argument("--archive")
     p.add_argument("--checkpoint")
-    p.add_argument("--bin-width", type=float, default=0.1)
+    p.add_argument("--bin-width", type=float, default=BIN_WIDTH)
     p.add_argument("--subset", choices=("all", "train", "test"), default="all")
-    p.add_argument("--split-ratio", type=float, default=0.7)
     p.add_argument("--self-test", action="store_true",
                    help="score the ground truth against itself")
     p.set_defaults(func=cmd_eval)
@@ -321,8 +318,8 @@ def _config_defaults(command: argparse.ArgumentParser, path):
             raise doc.error(f"{key} is {value!r}, expected one of "
                             f"{', '.join(action.choices)}")
         values[key] = value
-    # The --seed and --out actions come from the common parent and are
-    # shared by every subcommand; the parser is built anew for each main().
+    # The actions of a parent parser are shared by every subcommand that
+    # uses it; the parser is built anew for each main().
     command.set_defaults(**values)
 
 

@@ -20,6 +20,7 @@ from .model import trajectory_batch
 
 # The most bins a histogram may have; a narrower bin width is refused.
 HISTOGRAM_MAX_BINS = 1_000_000
+BIN_WIDTH = 0.1     # metres, the histogram bin width unless one is given
 
 
 def _displacements(predictions, truths):
@@ -83,7 +84,7 @@ def check_bin_width(bin_width):
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
 
 
-def histogram(values, bin_width: float = 0.1):
+def histogram(values, bin_width: float = BIN_WIDTH):
     """Fixed-width histogram anchored at zero; returns (edges, counts).
 
     A value lands in bin floor(v / bin_width); edges has one more entry
@@ -126,7 +127,7 @@ class EvalReport:
     bin_counts: np.ndarray
 
 
-def evaluate(predictions, truths, bin_width: float = 0.1) -> EvalReport:
+def evaluate(predictions, truths, bin_width: float = BIN_WIDTH) -> EvalReport:
     dx, dy = _displacements(predictions, truths)
     per = per_scenario_ade_from_displacements(dx, dy)
     edges, counts = histogram(per, bin_width)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class ModelConfig:
     hidden: int = 50
     graph_kind: str = "spider"
     weighted: bool = False
-    fps: float = 25.0
+    fps: float = field(kw_only=True)
 
     def __post_init__(self):
         if self.k not in (2, 4):
@@ -81,7 +81,7 @@ class ModelConfig:
 
 
 def preset_config(preset: str, fps, n_vehicles: int = N_VEHICLES,
-                  hidden: int = 50) -> ModelConfig:
+                  hidden: int = ModelConfig.hidden) -> ModelConfig:
     """Named configurations over the default T_OBS_S observed and T_PRED_S
     predicted seconds; fps must be one of the supported camera rates."""
     if preset not in PRESETS:
@@ -411,12 +411,25 @@ def check_grid(batch: ScenarioBatch, config: ModelConfig):
     """Refuse ``batch`` unless it lies on the grid ``config`` was built for:
     its fps, t_obs, t_pred and n_vehicles. The ValueError names every field
     that differs."""
-    grid = (("fps", batch.fps, config.fps), ("t_obs", batch.t_obs, config.t_obs),
-            ("t_pred", batch.t_pred, config.t_pred),
-            ("n_vehicles", batch.n_vehicles, config.n_v))
-    differ = [f"{name} {have} != {want}" for name, have, want in grid if have != want]
+    _refuse_differences("scenario grid does not match the model", (
+        ("fps", batch.fps, config.fps), ("t_obs", batch.t_obs, config.t_obs),
+        ("t_pred", batch.t_pred, config.t_pred),
+        ("n_vehicles", batch.n_vehicles, config.n_v)))
+
+
+def check_resume(checkpoint: Checkpoint, config: ModelConfig):
+    """Refuse to continue ``checkpoint`` under a ``config`` other than its
+    own. The ValueError names every field that differs."""
+    _refuse_differences("checkpoint config does not match the requested config", (
+        (f.name, getattr(checkpoint.config, f.name), getattr(config, f.name))
+        for f in fields(ModelConfig)))
+
+
+def _refuse_differences(message: str, values):
+    """Raise ``message``, naming each (name, have, want) of ``values`` that differ."""
+    differ = [f"{name} {have} != {want}" for name, have, want in values if have != want]
     if differ:
-        raise ValueError(f"scenario grid does not match the model: {', '.join(differ)}")
+        raise ValueError(f"{message}: {', '.join(differ)}")
 
 
 def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
@@ -476,12 +489,10 @@ def save_checkpoint(path, config: ModelConfig, basis: ProductBasis,
     """
     head = {"format_version": CHECKPOINT_VERSION, "config": asdict(config),
             "epochs_trained": int(epochs_trained)}
-    flat = (params.n_params,)
-    arrays = {"params": (flat, [params.flat])}
+    arrays = {"params": params.flat}
     if optimizer is not None:
         head["optimizer"] = {"step": int(optimizer["step"])}
-        for moment in ("m", "v"):
-            arrays[moment] = (flat, [optimizer[moment]])
+        arrays.update(m=optimizer["m"], v=optimizer["v"])
     write_document(path, head, arrays)
 
 

@@ -534,19 +534,17 @@ def _maneuver_codes(lane_ids, lateral):
 
 
 def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRED_S,
-                      n_vehicles: int = N_VEHICLES, stride: int | None = None,
-                      target_ids=None) -> ScenarioBatch:
+                      n_vehicles: int = N_VEHICLES, target_ids=None) -> ScenarioBatch:
     """Slide fixed windows over every track and cut model-ready scenarios,
     returned as one ``ScenarioBatch`` in target-id order.
 
     ``tracks`` is a ``TrackBatch`` or an iterable of tracks (see
-    ``track_batch``). Windows advance by ``stride`` frames (default: the
-    prediction length, so consecutive futures of one target do not
-    overlap). A window needs the target fully covered over observation and
-    prediction; neighbours only need the observation part and are ranked
-    by distance to the target at the last observed step, then by vehicle
-    id, then by their order in ``tracks``. Free slots are filled with ghost
-    copies of the target.
+    ``track_batch``). A target's windows advance by the prediction length,
+    so its consecutive futures do not overlap. A window needs the target
+    fully covered over observation and prediction; neighbours only need
+    the observation part and are ranked by distance to the target at the
+    last observed step, then by vehicle id, then by their order in
+    ``tracks``. Free slots are filled with ghost copies of the target.
 
     The work is linear in tracks times windows, all of it array code over
     the batch's columns, which are read in place. Every track's contiguous
@@ -562,10 +560,6 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     if n_vehicles < 2:
         raise ValueError(f"need at least 2 vehicle slots, got {n_vehicles}")
-    if stride is None:
-        stride = t_pred_steps
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
     tracks = track_batch(tracks)
     window = t_obs_steps + t_pred_steps
     frame, track_row, vehicle = tracks.frame, tracks.offsets, tracks.vehicle_ids
@@ -593,17 +587,18 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
     order = vehicle.argsort(kind="stable")
     id_rank = vehicle[order].searchsorted(vehicle)
     targets = order if target_ids is None else order[np.isin(vehicle[order], list(target_ids))]
-    # Window k of a target starts k strides after its first frame; its runs,
-    # target after target, each cover the windows k_low up to k_low + count.
+    # Window k of a target starts k prediction lengths after its first frame;
+    # its runs, target after target, each cover the windows k_low up to k_low + count.
     runs = _concat_ranges(track_run[targets], track_run[targets + 1] - track_run[targets])
     base = first_frame[run_track[runs]]
-    k_low = -((base - run_start[runs]) // stride)
-    count = np.maximum((run_end[runs] - (window - 1) - base) // stride + 1 - k_low, 0)
+    k_low = -((base - run_start[runs]) // t_pred_steps)
+    count = np.maximum((run_end[runs] - (window - 1) - base) // t_pred_steps + 1 - k_low, 0)
     win_run = runs.repeat(count)
     win_track = run_track[win_run]
-    win_start = first_frame[win_track] + stride * _concat_ranges(k_low, count)
+    win_start = first_frame[win_track] + t_pred_steps * _concat_ranges(k_low, count)
     win_first = run_off[win_run] + win_start
-    skipped = int(np.maximum((span[targets] - (window - 1)) // stride + 1, 0).sum()) - win_run.size
+    skipped = int(np.maximum((span[targets] - (window - 1)) // t_pred_steps + 1, 0).sum())
+    skipped -= win_run.size
     # A run that covers a window's observation starts at most one longest
     # run before its last observed frame, and not after its first.
     by_start = run_start.argsort(kind="stable")
@@ -910,8 +905,7 @@ def save_archive(path, batch: ScenarioBatch, fps):
                       for scenario_id, code, v0
                       in zip(batch.ids, batch.codes.tolist(), batch.v0.tolist())],
     }
-    write_document(path, head, {"features": (batch.features.shape, [batch.features]),
-                                "future": (batch.futures.shape, [batch.futures])})
+    write_document(path, head, {"features": batch.features, "future": batch.futures})
 
 
 def load_archive(path):

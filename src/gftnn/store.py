@@ -28,25 +28,19 @@ _TOKENS = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"(\s*:)?|[][{},]')
 def write_document(path, head: dict, arrays: dict):
     """Write ``head`` and ``arrays`` to ``path`` in the binary layout.
 
-    ``arrays`` maps each name to its shape and the arrays whose values
-    fill that shape in order; the head gains an ``arrays`` key declaring
-    every name and shape. The file is written beside ``path`` and then
-    moved onto it, so a write that fails leaves the old file as it was.
+    ``arrays`` maps each name to its array; the head gains an ``arrays``
+    key declaring every name and its array's shape. The file is written
+    beside ``path`` and then moved onto it, so a write that fails leaves
+    the old file as it was.
     """
-    blocks = []
-    for name, (shape, parts) in arrays.items():
-        parts = [np.ascontiguousarray(part, dtype="<f8") for part in parts]
-        if sum(part.size for part in parts) != math.prod(shape):
-            raise ValueError(f"{name}: {sum(part.size for part in parts)} values "
-                             f"do not fill shape {tuple(shape)}")
-        blocks.append(parts)
-    line = json.dumps({**head, "arrays": {name: list(shape) for name, (shape, _)
-                                          in arrays.items()}}) + "\n"
+    arrays = {name: np.ascontiguousarray(array, dtype="<f8")
+              for name, array in arrays.items()}
+    line = json.dumps({**head, "arrays": {name: list(array.shape)
+                                          for name, array in arrays.items()}}) + "\n"
     with _replacing(path) as fh:
         fh.write(line.encode("ascii"))
-        for parts in blocks:
-            for part in parts:
-                fh.write(part)
+        for array in arrays.values():
+            fh.write(array)
 
 
 @contextlib.contextmanager

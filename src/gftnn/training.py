@@ -17,8 +17,8 @@ import numpy as np
 
 from . import metrics
 from .model import (OUT, ModelConfig, ModelParams, NumericError, _decode,
-                    _ensure_finite, _own_batch, _partials, build_basis, decode_batch,
-                    forward, gelu_grad, init_params, loss_batch,
+                    _ensure_finite, _own_batch, _partials, build_basis, check_resume,
+                    decode_batch, forward, gelu_grad, init_params, loss_batch,
                     save_checkpoint, scenario_spectra)
 
 
@@ -215,8 +215,8 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     """
     if not split.train:
         raise ValueError("training split is empty")
-    if resume is not None and resume.config != config:
-        raise ValueError("checkpoint config does not match the requested config")
+    if resume is not None:
+        check_resume(resume, config)
     basis = build_basis(config)
     s_train, fut_train, v0_train = _prepare(split.train, basis, config)
     test_data = _prepare(split.test, basis, config) if split.test else None

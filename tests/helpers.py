@@ -407,21 +407,19 @@ def label_maneuver_reference(lane_ids, lateral, t0_index: int) -> str:
 
 def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
                                 t_pred: float = 5.0, n_vehicles: int = 9,
-                                stride: int | None = None,
                                 target_ids=None) -> ScenarioBatch:
-    """The quadratic extractor ``extract_scenarios`` replaced, kept verbatim
-    as the oracle its output must match bit for bit: every window scans
-    every other track for coverage. The windows' arrays are stacked into
-    one ``ScenarioBatch`` at the end.
+    """The quadratic extractor ``extract_scenarios`` replaced, kept as the
+    oracle its output must match bit for bit: every window scans every
+    other track for coverage. The windows' arrays are stacked into one
+    ``ScenarioBatch`` at the end.
 
     Slide fixed windows over every track and cut model-ready scenarios.
 
-    Windows advance by ``stride`` frames (default: the prediction length,
-    so consecutive futures of one target do not overlap). A window needs
-    the target fully covered over observation and prediction; neighbours
-    only need the observation part and are ranked by distance to the
-    target at the last observed step. Free slots are filled with ghost
-    copies of the target.
+    Windows advance by the prediction length, so consecutive futures of
+    one target do not overlap. A window needs the target fully covered
+    over observation and prediction; neighbours only need the observation
+    part and are ranked by distance to the target at the last observed
+    step. Free slots are filled with ghost copies of the target.
     """
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
@@ -431,10 +429,6 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
         raise ValueError(f"window too short at fps={fps}")
     if n_vehicles < 2:
         raise ValueError(f"need at least 2 vehicle slots, got {n_vehicles}")
-    if stride is None:
-        stride = t_pred_steps
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
     window = t_obs_steps + t_pred_steps
     ids, maneuvers, v0s, features, futures = [], [], [], [], []
     skipped = 0
@@ -447,7 +441,7 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
             rows = _window_rows_reference(target, start, window)
             if rows is None:
                 skipped += 1
-                start += stride
+                start += t_pred_steps
                 continue
             obs = rows[:t_obs_steps]
             pred = rows[t_obs_steps:]
@@ -490,7 +484,7 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
             v0s.append(float(target.vx[i0]))
             features.append(feats)
             futures.append(future)
-            start += stride
+            start += t_pred_steps
     if skipped:
         logging.getLogger("gftnn.scenario").info(
             "extract_scenarios: skipped %d windows with coverage gaps", skipped)

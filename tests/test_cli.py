@@ -15,12 +15,13 @@ import pytest
 import gftnn
 from gftnn import cli
 from gftnn.cli import main
-from gftnn.metrics import (HISTOGRAM_MAX_BINS, evaluate, write_histogram_csv,
-                           write_report_json)
-from gftnn.model import (build_basis, init_params, load_checkpoint, predict,
-                         predict_batch, preset_config, save_checkpoint,
-                         truth_trajectory)
+from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
+                           write_histogram_csv, write_report_json)
+from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
+                         load_checkpoint, predict, predict_batch, preset_config,
+                         save_checkpoint, truth_trajectory)
 from gftnn.scenario import MAX_WINDOW_STEPS, RawTrack, load_archive, split, synthesize
+from gftnn.training import TrainConfig
 from helpers import multilane_scene, three_class_tracks, write_tracks_csv
 
 
@@ -235,6 +236,16 @@ def test_spectrum_reconstruction(tmp_path, capsys):
     assert "error 0.000000" in out
 
 
+@pytest.mark.parametrize("p", ["0", "31"])
+def test_spectrum_refuses_p_out_of_range_before_writing(tmp_path, capsys, p):
+    archive = synth_archive(tmp_path, n=3)
+    out_dir = tmp_path / "spec"
+    err = run_fail(capsys, ["spectrum", "--archive", str(archive), "--p", p,
+                            "--out", str(out_dir)])
+    assert err == f"error: p must be in [1, 30], got {p}\n"
+    assert not out_dir.exists()
+
+
 def test_spectrum_unknown_scenario(tmp_path, capsys):
     archive = synth_archive(tmp_path, n=3)
     err = run_fail(capsys, ["spectrum", "--archive", str(archive),
@@ -275,16 +286,22 @@ def test_train_resume_roundtrip(tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_train_resume_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("options, differ", [
+    (["--hidden", "6"], "hidden 8 != 6"),
+    (["--preset", "custom", "--p", "3", "--hidden", "6"], "p 2 != 3, hidden 8 != 6"),
+], ids=["hidden", "p-and-hidden"])
+def test_train_resume_mismatch(tmp_path, capsys, options, differ):
+    # The refusal names every field that differs, before --out exists.
     archive = synth_archive(tmp_path)
     run = tmp_path / "run"
     base = ["train", "--archive", str(archive), "--preset", "gftnn-rdcby15",
-            "--epochs", "1", "--batch-size", "4", "--out", str(run),
-            "--seed", "0"]
-    run_ok(capsys, base + ["--hidden", "8"])
-    err = run_fail(capsys, base + ["--hidden", "6",
-                                   "--resume", str(run / "checkpoint.json")])
-    assert "does not match" in err
+            "--epochs", "1", "--batch-size", "4", "--seed", "0"]
+    run_ok(capsys, base + ["--hidden", "8", "--out", str(run)])
+    resumed = tmp_path / "resumed"
+    err = run_fail(capsys, base + options + ["--resume", str(run / "checkpoint.json"),
+                                             "--out", str(resumed)])
+    assert err == f"error: checkpoint config does not match the requested config: {differ}\n"
+    assert not resumed.exists()
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -706,6 +723,38 @@ def test_unknown_preset_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--archive", "x.json", "--preset", "mlp"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["prep", "synth"])
+def test_grid_options_show_their_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    for option in ("--fps FPS sampling rate in frames per second",
+                   "--t-obs T_OBS observation window in seconds",
+                   "--t-pred T_PRED prediction window in seconds",
+                   "--n-vehicles N_VEHICLES vehicle slots per scenario"):
+        assert option in shown
+
+
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
+
+
+@pytest.mark.parametrize("command, dest, default, choices", [
+    ("train", "epochs", _TRAIN_DEFAULTS["epochs"], None),
+    ("train", "learning_rate", _TRAIN_DEFAULTS["learning_rate"], None),
+    ("train", "batch_size", _TRAIN_DEFAULTS["batch_size"], None),
+    ("train", "hidden", _MODEL_DEFAULTS["hidden"], None),
+    ("train", "graph_kind", None, GRAPH_KINDS),
+    ("spectrum", "graph_kind", _MODEL_DEFAULTS["graph_kind"], GRAPH_KINDS),
+    ("eval", "bin_width", BIN_WIDTH, None),
+])
+def test_cli_defaults_are_the_library_defaults(command, dest, default, choices):
+    (action,) = [action for action in cli._build_parser()[1][command]._actions
+                 if action.dest == dest]
+    assert (action.default, action.choices) == (default, choices)
 
 
 def test_console_entry_point(tmp_path):

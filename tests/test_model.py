@@ -63,6 +63,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="n_v"):
         tiny_config(n_v=1)
     assert "n_blocks" not in {f.name for f in dataclasses.fields(ModelConfig)}
+    # The rate has no default and is passed by name; it stays the last
+    # field, so asdict and checkpoint heads keep their order.
+    with pytest.raises(TypeError, match="fps"):
+        ModelConfig(k=2, t_obs=6, t_pred=10, n_v=3, p=6)
+    with pytest.raises(TypeError):
+        ModelConfig(2, 6, 10, 3, 6, 4, "spider", False, 2.0)
+    assert dataclasses.fields(ModelConfig)[-1].name == "fps"
 
 
 def test_config_sizes():

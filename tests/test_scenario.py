@@ -635,12 +635,13 @@ def test_extract_translation_invariance():
     assert np.max(np.abs(s1.future - s2.future)) < 1e-9
 
 
-def test_extract_stride_controls_window_count():
-    # window = 80 frames at 10 fps; 130 frames fit two windows at stride 50
+def test_extract_windows_advance_by_the_prediction_length():
+    # A window is 30 + 50 frames at 10 fps and the next starts 50 frames
+    # on, so 130 frames fit two; with 1 s predicted, a window is 40 frames
+    # and the next starts 10 on, so they fit ten.
     track = straight_track(1, 130)
-    assert len(extract_scenarios([track], 10)) == 2
-    assert len(extract_scenarios([track], 10, stride=10)) == 6
-    assert len(extract_scenarios([track], 10, stride=100)) == 1
+    assert extract_scenarios([track], 10).ids == ("v1-f0", "v1-f50")
+    assert len(extract_scenarios([track], 10, t_pred=1.0)) == 10
 
 
 def test_extract_neighbour_ranking_by_distance():
@@ -689,8 +690,6 @@ def test_extract_rejects_bad_args():
     track = straight_track(1, 80)
     with pytest.raises(ValueError):
         extract_scenarios([track], 0)
-    with pytest.raises(ValueError):
-        extract_scenarios([track], 10, stride=0)
     with pytest.raises(ValueError):
         extract_scenarios([track], 10, n_vehicles=1)
 
@@ -764,7 +763,9 @@ def lone_vehicle(tracks, fps):
                     np.full(n, 20.0), np.zeros(n), np.full(n, 2, dtype=np.int64))
 
 
-@pytest.mark.parametrize("fps, n_vehicles, stride, target_ids, duplicate_id, block", [
+# pred_steps None keeps the 5 s prediction; a shorter one steps the
+# windows by fewer frames, so they overlap more.
+@pytest.mark.parametrize("fps, n_vehicles, pred_steps, target_ids, duplicate_id, block", [
     (10, 9, None, None, False, None),
     (25, 9, None, None, True, None),
     (10, 2, None, None, True, None),
@@ -779,14 +780,15 @@ def lone_vehicle(tracks, fps):
     (10, 9, 1, None, False, "pairs"),
     (25, 2, None, {1, 4, 15, LONE_ID}, True, "pairs"),
 ])
-def test_extract_matches_quadratic_reference(caplog, monkeypatch, fps, n_vehicles, stride,
-                                             target_ids, duplicate_id, block):
+def test_extract_matches_quadratic_reference(caplog, monkeypatch, fps, n_vehicles,
+                                             pred_steps, target_ids, duplicate_id, block):
     caplog.set_level(logging.INFO, logger="gftnn.scenario")
     tracks = multilane_scene(fps, fps, duplicate_id=duplicate_id)
+    t_pred = 5.0 if pred_steps is None else pred_steps / fps
     blocks = []
     if block is not None:
         tracks.append(lone_vehicle(tracks, fps))
-        per_window = round(3.0 * fps) * n_vehicles + round(5.0 * fps) + 1
+        per_window = round(3.0 * fps) * n_vehicles + round(t_pred * fps) + 1
         monkeypatch.setattr(scenario, "_GATHER_BLOCK",
                             2 * per_window if block == "pairs" else block)
         window_blocks = scenario._window_blocks
@@ -796,7 +798,7 @@ def test_extract_matches_quadratic_reference(caplog, monkeypatch, fps, n_vehicle
                 blocks.append(cut)
                 yield cut
         monkeypatch.setattr(scenario, "_window_blocks", spy)
-    kwargs = dict(n_vehicles=n_vehicles, stride=stride, target_ids=target_ids)
+    kwargs = dict(t_pred=t_pred, n_vehicles=n_vehicles, target_ids=target_ids)
     got = extract_scenarios(tracks, fps, **kwargs)
     logged = list(caplog.messages)
     caplog.clear()
@@ -1348,8 +1350,8 @@ def test_scenario_rule_refuses_alike_a_batch_and_an_archive(tmp_path, change, re
     head["fps"] = rows[1]["fps"]
     for entry, row in zip(head["scenarios"], rows):
         entry.update(maneuver=row["maneuver"], v0=row["v0"])
-    write_document(path, head, {"features": ((3, 4, 30, 9), fields["features"]),
-                                "future": ((3, 50, 2), fields["future"])})
+    write_document(path, head, {"features": np.stack(fields["features"]),
+                                "future": np.stack(fields["future"])})
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == f"{path}: {named}"

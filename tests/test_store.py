@@ -73,14 +73,6 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, save, room):
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
-def test_write_document_refuses_arrays_that_do_not_fill_their_shape(tmp_path):
-    path = tmp_path / "doc.json"
-    with pytest.raises(ValueError, match=r"^a: 5 values do not fill shape \(2, 3\)$"):
-        store.write_document(path, {"version": 1},
-                             {"a": ((2, 3), [np.zeros(3), np.zeros(2)])})
-    assert not path.exists()
-
-
 @pytest.mark.parametrize("text, at", [
     ('{"a": [1, {"b": "x", "c": [1, 2,', "a[1].c[2]"),
     ('{"a": {"b": 1}, "c": ', "c"),
@@ -108,11 +100,9 @@ def test_read_document_names_the_path_and_the_fault(tmp_path, data, message):
 
 
 def test_payload_reads_each_array_as_a_fresh_writable_copy(tmp_path):
-    # An array given in parts is stored as one, in the order of its parts.
     path = tmp_path / "doc.json"
     store.write_document(path, {"version": 1},
-                         {"a": ((2, 3), [np.arange(3.0), np.arange(3.0, 6.0)]),
-                          "b": ((1,), [np.array([-0.0])])})
+                         {"a": np.arange(6.0).reshape(2, 3), "b": np.array([-0.0])})
     with store.open_document(path, "doc", "version", 1) as doc:
         assert doc.obj == {"version": 1, "arrays": {"a": [2, 3], "b": [1]}}
         assert doc.payload.shapes == {"a": (2, 3), "b": (1,)}

@@ -455,8 +455,9 @@ def test_train_resume_rejects_other_config(tmp_path):
     tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=4)
     train(ds, cfg, tc, checkpoint_path=ckpt_path)
     ckpt = load_checkpoint(ckpt_path)
-    other = tiny_config(hidden=5)
-    with pytest.raises(ValueError, match="config"):
+    other = tiny_config(hidden=5, p=4)
+    with pytest.raises(ValueError, match=r"^checkpoint config does not match the "
+                                         r"requested config: p 6 != 4, hidden 4 != 5$"):
         train(ds, other, tc, resume=ckpt)
 
 
