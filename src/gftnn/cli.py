@@ -214,53 +214,45 @@ def cmd_predict(args):
     print(f"wrote {path}")
 
 
-def _build_parser():
-    """The ``gftnn`` parser and its subcommand parsers by name. Each option is
-    declared once (a shared one in a parent parser); library defaults are imported."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default options")
-    common.add_argument("--seed", type=int, default=0, help="seed for every random choice")
-    common.add_argument("--out", default=".", help="output directory (default: .)")
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--fps", type=float, help="sampling rate in frames per second")
-    grid.add_argument("--t-obs", type=float, default=T_OBS_S,
-                      help="observation window in seconds")
-    grid.add_argument("--t-pred", type=float, default=T_PRED_S,
-                      help="prediction window in seconds")
-    grid.add_argument("--n-vehicles", type=int, default=N_VEHICLES,
-                      help="vehicle slots per scenario")
+def _common_options(p):
+    p.add_argument("--config", help="JSON file with default options")
+    p.add_argument("--seed", type=int, default=0, help="seed for every random choice")
+    p.add_argument("--out", default=".", help="output directory (default: .)")
+
+
+def _grid_options(p):
+    p.add_argument("--fps", type=float, help="sampling rate in frames per second")
+    p.add_argument("--t-obs", type=float, default=T_OBS_S, help="observation window in seconds")
+    p.add_argument("--t-pred", type=float, default=T_PRED_S,
+                   help="prediction window in seconds")
+    p.add_argument("--n-vehicles", type=int, default=N_VEHICLES,
+                   help="vehicle slots per scenario")
+
+
+def _split_ratio_option(p):
     # eval --subset scores a side of train's split only under train's ratio.
-    split_ratio = argparse.ArgumentParser(add_help=False)
-    split_ratio.add_argument("--split-ratio", type=float, default=0.7,
-                             help="share of the scenarios on the training side")
+    p.add_argument("--split-ratio", type=float, default=0.7,
+                   help="share of the scenarios on the training side")
 
-    parser = argparse.ArgumentParser(
-        prog="gftnn",
-        description="Graph-spectral trajectory prediction for highway traffic.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prep", parents=[common, grid],
-                       help="convert recorded tracks to a scenario archive")
+def _prep_options(p):
     p.add_argument("--input", help="CSV file with per-frame vehicle samples")
     p.add_argument("--schema", choices=sorted(SCHEMAS), default="normalized")
-    p.set_defaults(func=cmd_prep)
 
-    p = sub.add_parser("synth", parents=[common, grid],
-                       help="generate labelled synthetic scenarios")
+
+def _synth_options(p):
     p.add_argument("--n", type=int, help="number of scenarios")
     p.add_argument("--noise-std", type=float, default=0.05, help="position noise in metres")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="write eigenvalues and coefficients of a scenario")
+
+def _spectrum_options(p):
     p.add_argument("--archive")
     p.add_argument("--scenario-id", help="default: first scenario")
     p.add_argument("--graph-kind", choices=GRAPH_KINDS, default=ModelConfig.graph_kind)
-    p.add_argument("--p", type=int,
-                   help="also write the reconstruction from the p lowest modes")
-    p.set_defaults(func=cmd_spectrum)
+    p.add_argument("--p", type=int, help="also write the reconstruction from the p lowest modes")
 
-    p = sub.add_parser("train", parents=[common, split_ratio], help="fit a model")
+
+def _train_options(p):
     p.add_argument("--archive")
     p.add_argument("--preset", choices=PRESETS + ("custom",), default="gftnn")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -275,24 +267,57 @@ def _build_parser():
     p.add_argument("--weighted", action="store_true",
                    help="custom preset: inverse-distance spatial weights")
     p.add_argument("--graph-kind", choices=GRAPH_KINDS)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common, split_ratio],
-                       help="displacement metrics of a checkpoint")
+
+def _eval_options(p):
     p.add_argument("--archive")
     p.add_argument("--checkpoint")
     p.add_argument("--bin-width", type=float, default=BIN_WIDTH)
     p.add_argument("--subset", choices=("all", "train", "test"), default="all")
     p.add_argument("--self-test", action="store_true",
                    help="score the ground truth against itself")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="write the predicted trajectory of one scenario")
+
+def _predict_options(p):
     p.add_argument("--archive")
     p.add_argument("--checkpoint")
     p.add_argument("--scenario-id")
-    p.set_defaults(func=cmd_predict)
+
+
+# name: (help, adders of the options after the common ones, handler); an
+# option two subcommands share is declared once, in its own adder.
+_COMMANDS = {
+    "prep": ("convert recorded tracks to a scenario archive",
+             (_grid_options, _prep_options), cmd_prep),
+    "synth": ("generate labelled synthetic scenarios",
+              (_grid_options, _synth_options), cmd_synth),
+    "spectrum": ("write eigenvalues and coefficients of a scenario",
+                 (_spectrum_options,), cmd_spectrum),
+    "train": ("fit a model", (_split_ratio_option, _train_options), cmd_train),
+    "eval": ("displacement metrics of a checkpoint",
+             (_split_ratio_option, _eval_options), cmd_eval),
+    "predict": ("write the predicted trajectory of one scenario",
+                (_predict_options,), cmd_predict),
+}
+
+
+def _build_parser(command=None):
+    """The ``gftnn`` parser and its subcommand parsers by name: only
+    ``command``'s if it names one, else all. Library defaults are imported."""
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    parser = argparse.ArgumentParser(
+        prog="gftnn",
+        description="Graph-spectral trajectory prediction for highway traffic.")
+    # A one-command tree shows every command in its usage, as the full one does.
+    full = len(names) == len(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if full else "{" + ",".join(_COMMANDS) + "}")
+    for name in names:
+        help_text, adders, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add in (_common_options,) + adders:
+            add(p)
+        p.set_defaults(func=handler)
     return parser, sub.choices
 
 
@@ -318,13 +343,12 @@ def _config_defaults(command: argparse.ArgumentParser, path):
             raise doc.error(f"{key} is {value!r}, expected one of "
                             f"{', '.join(action.choices)}")
         values[key] = value
-    # The actions of a parent parser are shared by every subcommand that
-    # uses it; the parser is built anew for each main().
     command.set_defaults(**values)
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     # Bad input and failed runs print one line; any other exception is a
     # defect and keeps its traceback.
@@ -332,6 +356,8 @@ def main(argv=None) -> int:
         if args.config:
             _config_defaults(commands[args.command], args.config)
             args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         args.func(args)
     except (ValueError, OSError, DivergenceError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,6 +80,9 @@ class ModelConfig:
         return self.k * self.p * self.n_v
 
 
+_CONFIG_TYPES = typing.get_type_hints(ModelConfig)   # resolved once, not per load
+
+
 def preset_config(preset: str, fps, n_vehicles: int = N_VEHICLES,
                   hidden: int = ModelConfig.hidden) -> ModelConfig:
     """Named configurations over the default T_OBS_S observed and T_PRED_S
@@ -548,6 +551,5 @@ def _config_from_doc(table: Table) -> ModelConfig:
     unknown = sorted(set(table.obj) - {f.name for f in known})
     if unknown:
         raise table.error(f"has unknown keys: {', '.join(unknown)}")
-    types = typing.get_type_hints(ModelConfig)
     return table.build(ModelConfig, **{
-        f.name: table.value(f.name, types[f.name]) for f in known})
+        f.name: table.value(f.name, _CONFIG_TYPES[f.name]) for f in known})

@@ -757,6 +757,86 @@ def test_cli_defaults_are_the_library_defaults(command, dest, default, choices):
     assert (action.default, action.choices) == (default, choices)
 
 
+_MINIMAL_ARGV = {
+    "prep": ["--input", "tracks.csv", "--fps", "5"],
+    "synth": ["--n", "3", "--fps", "10"],
+    "spectrum": ["--archive", "archive.json"],
+    "train": ["--archive", "archive.json"],
+    "eval": ["--archive", "archive.json", "--checkpoint", "checkpoint.json"],
+    "predict": ["--archive", "archive.json", "--checkpoint", "checkpoint.json",
+                "--scenario-id", "synth-00000"],
+}
+
+
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", list(_MINIMAL_ARGV))
+def test_negative_seed_is_refused_before_any_output(tmp_path, capsys, monkeypatch,
+                                                    command, from_config):
+    # The inputs exist, so without the refusal prep would print its row count.
+    monkeypatch.chdir(tmp_path)
+    write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
+    synth_archive(tmp_path, name=".", n=3)
+    argv = [command] + _MINIMAL_ARGV[command] + ["--out", "out"]
+    if from_config:
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", "cfg.json"]
+    else:
+        argv += ["--seed", "-1"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _action_facts(parser):
+    return [(type(action), action.option_strings, action.dest, action.default, action.type,
+             action.choices, action.nargs, action.help) for action in parser._actions]
+
+
+@pytest.mark.parametrize("command", list(_MINIMAL_ARGV))
+def test_the_parser_main_builds_for_a_command_is_the_full_trees(monkeypatch, capsys,
+                                                                 command):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build = cli._build_parser
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    ((_, slim),) = built
+    assert list(slim) == [command]
+    full = build()[1][command]
+    assert _action_facts(slim[command]) == _action_facts(full)
+    assert capsys.readouterr().out == slim[command].format_help() == full.format_help()
+
+
+@pytest.mark.parametrize("argv, code, stream, message", [
+    ([], 2, "err", "gftnn: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "err", "gftnn: error: argument command: invalid choice: 'bogus' "
+                          "(choose from 'prep', 'synth', 'spectrum', 'train', 'eval', "
+                          "'predict')\n"),
+    (["predict", "--bogus", "1"], 2, "err",
+     "gftnn: error: unrecognized arguments: --bogus 1\n"),
+    (["--help"], 0, "out", None),
+], ids=["no-command", "unknown-command", "unknown-option", "help"])
+def test_top_level_usage_and_errors_are_the_full_trees(monkeypatch, capsys, argv, code,
+                                                       stream, message):
+    # A one-command tree, built for predict, still shows every command in its usage.
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._build_parser()[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    shown = getattr(capsys.readouterr(), stream)
+    assert shown == (full.format_help() if message is None else full.format_usage() + message)
+    assert "{prep,synth,spectrum,train,eval,predict}" in shown
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gftnn.cli", "synth", "--n", "3", "--fps", "10",
