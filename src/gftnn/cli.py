@@ -216,8 +216,11 @@ def cmd_predict(args):
 
 def _common_options(p):
     p.add_argument("--config", help="JSON file with default options")
-    p.add_argument("--seed", type=int, default=0, help="seed for every random choice")
     p.add_argument("--out", default=".", help="output directory (default: .)")
+
+
+def _seed_option(p):
+    p.add_argument("--seed", type=int, default=0, help="seed for every random choice")
 
 
 def _grid_options(p):
@@ -288,14 +291,14 @@ def _predict_options(p):
 # option two subcommands share is declared once, in its own adder.
 _COMMANDS = {
     "prep": ("convert recorded tracks to a scenario archive",
-             (_grid_options, _prep_options), cmd_prep),
+             (_seed_option, _grid_options, _prep_options), cmd_prep),
     "synth": ("generate labelled synthetic scenarios",
-              (_grid_options, _synth_options), cmd_synth),
+              (_seed_option, _grid_options, _synth_options), cmd_synth),
     "spectrum": ("write eigenvalues and coefficients of a scenario",
                  (_spectrum_options,), cmd_spectrum),
-    "train": ("fit a model", (_split_ratio_option, _train_options), cmd_train),
+    "train": ("fit a model", (_seed_option, _split_ratio_option, _train_options), cmd_train),
     "eval": ("displacement metrics of a checkpoint",
-             (_split_ratio_option, _eval_options), cmd_eval),
+             (_seed_option, _split_ratio_option, _eval_options), cmd_eval),
     "predict": ("write the predicted trajectory of one scenario",
                 (_predict_options,), cmd_predict),
 }
@@ -308,10 +311,9 @@ def _build_parser(command=None):
     parser = argparse.ArgumentParser(
         prog="gftnn",
         description="Graph-spectral trajectory prediction for highway traffic.")
-    # A one-command tree shows every command in its usage, as the full one does.
-    full = len(names) == len(_COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if full else "{" + ",".join(_COMMANDS) + "}")
+    # A one-command tree never prints its own usage: main builds one only
+    # for a known command, whose parser reports every error in the call.
+    sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         help_text, adders, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
@@ -349,14 +351,16 @@ def _config_defaults(command: argparse.ArgumentParser, path):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:     # refused in argparse's words, with their command's usage
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     # Bad input and failed runs print one line; any other exception is a
     # defect and keeps its traceback.
     try:
         if args.config:
             _config_defaults(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        if args.seed < 0:
+        if vars(args).get("seed", 0) < 0:
             raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         args.func(args)
     except (ValueError, OSError, DivergenceError, NumericError) as exc:

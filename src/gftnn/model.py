@@ -184,7 +184,7 @@ def gelu_grad(x, cdf=None):
 
 
 def _ensure_finite(arr, layer: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {layer}")
 
 
@@ -206,10 +206,11 @@ def forward(s, params: ModelParams, config: ModelConfig):
     h_s = s * params.w_s
     _ensure_finite(h_s, "spectral_gate")
     x = h_s.reshape(b, config.k, config.zk).transpose(1, 0, 2)
-    normed = np.subtract(x, x.mean(axis=2, keepdims=True), order="C")
+    # Means as add.reduce / n: the bits of mean(), with less dispatch.
+    normed = np.subtract(x, np.add.reduce(x, axis=2, keepdims=True) / config.zk, order="C")
     # The gate output is spent: its buffer takes the squares for the variance.
     sq = np.multiply(normed, normed, out=x)
-    sig = np.sqrt(sq.mean(axis=2, keepdims=True) + LN_EPS)
+    sig = np.sqrt(np.add.reduce(sq, axis=2, keepdims=True) / config.zk + LN_EPS)
     del h_s, x, sq
     np.divide(normed, sig, out=normed)
     z_lin = np.matmul(normed, params.w_n.transpose(0, 2, 1))
@@ -218,7 +219,7 @@ def forward(s, params: ModelParams, config: ModelConfig):
     act = z_lin * cdf
     out = np.matmul(act, params.w_l.transpose(0, 2, 1))
     out += params.b_l[:, None, :]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
         raise NumericError(f"non-finite values in mlp_block_{k}")
     sg = expit(out.transpose(1, 0, 2).reshape(b, OUT * config.k))
@@ -337,7 +338,7 @@ def loss_batch(x, y, futures):
     carries no signal. Returns the (B,) losses and the displacements."""
     dx = x[:, 1:] - futures[:, :, 0]
     dy = y[:, 1:] - futures[:, :, 1]
-    return np.mean(dx * dx + dy * dy, axis=1), dx, dy
+    return np.add.reduce(dx * dx + dy * dy, axis=1) / dx.shape[1], dx, dy
 
 
 def _partials(h_z, terms):

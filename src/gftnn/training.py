@@ -71,20 +71,20 @@ def _backward_batch(s, dx, dy, h_z, terms, cache, params: ModelParams,
     d_xhat = scale * dx
     d_yhat = scale * dy
     dx_dh1, dy_dh2, dy_dh3 = _partials(h_z, terms)
-    d_h1 = np.sum(d_xhat * dx_dh1[1:], axis=1)
-    d_h2 = np.sum(d_yhat * dy_dh2[:, 1:], axis=1)
-    d_h3 = np.sum(d_yhat * dy_dh3[:, 1:], axis=1)
-    d_hz = np.stack([d_h1, d_h2, d_h3], axis=1)
+    d_hz = np.empty((b, OUT))
+    np.add.reduce(d_xhat * dx_dh1[1:], axis=1, out=d_hz[:, 0])
+    np.add.reduce(d_yhat * dy_dh2[:, 1:], axis=1, out=d_hz[:, 1])
+    np.add.reduce(d_yhat * dy_dh3[:, 1:], axis=1, out=d_hz[:, 2])
     _ensure_finite(d_hz, "decoder")
     sg = cache["sg"]
     np.matmul(d_hz.T, sg, out=grads.w_h)
-    np.sum(d_hz, axis=0, out=grads.b_h)
+    np.add.reduce(d_hz, axis=0, out=grads.b_h)
     d_hc = (d_hz @ params.w_h) * sg * (1.0 - sg)
     # The channel blocks, stacked as (k, B, ...) like the forward pass.
     d_out = d_hc.reshape(b, config.k, OUT).transpose(1, 0, 2)
     normed, sig = cache["normed"], cache["sig"]
     np.matmul(d_out.transpose(0, 2, 1), cache["act"], out=grads.w_l)
-    np.sum(d_out, axis=1, out=grads.b_l)
+    np.add.reduce(d_out, axis=1, out=grads.b_l)
     d_z = np.matmul(d_out, params.w_l)
     d_z *= gelu_grad(cache["z_lin"], cache["cdf"])
     if b == 1:
@@ -93,16 +93,16 @@ def _backward_batch(s, dx, dy, h_z, terms, cache, params: ModelParams,
         np.einsum("kbh,kbz->khz", d_z, normed, out=grads.w_n)
     else:
         np.matmul(d_z.transpose(0, 2, 1), normed, out=grads.w_n)
-    np.sum(d_z, axis=1, out=grads.b_n)
+    np.add.reduce(d_z, axis=1, out=grads.b_n)
     d_norm = np.matmul(d_z, params.w_n)
-    proj = np.mean(d_norm * normed, axis=2, keepdims=True)
-    d_norm -= d_norm.mean(axis=2, keepdims=True)
+    proj = np.add.reduce(d_norm * normed, axis=2, keepdims=True) / config.zk
+    d_norm -= np.add.reduce(d_norm, axis=2, keepdims=True) / config.zk
     d_norm -= normed * proj
     d_hs = np.empty((b, config.z))
     np.divide(d_norm, sig, out=d_hs.reshape(b, config.k, config.zk).transpose(1, 0, 2))
     _ensure_finite(d_hs, "spectral_gate")
     d_hs *= s
-    np.sum(d_hs, axis=0, out=grads.w_s)
+    np.add.reduce(d_hs, axis=0, out=grads.w_s)
 
 
 def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
@@ -111,7 +111,7 @@ def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
     h_z, cache = forward(s, params, config)
     x, y, terms = _decode(h_z, v0, config.t_pred, config.fps)
     per_scenario, dx, dy = loss_batch(x, y, futures)
-    loss = float(per_scenario.mean())
+    loss = float(np.add.reduce(per_scenario) / per_scenario.size)
     if grads is None:
         grads = ModelParams(params.shapes)
     _backward_batch(s, dx, dy, h_z, terms, cache, params, config, grads)
@@ -150,14 +150,16 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     """One bias-corrected Adam update over the flat parameter vector, in place.
 
     ``params.flat``, ``state.m`` and ``state.v`` take their new values and
-    ``state.step`` advances. The operations are those of Kingma & Ba,
-    Algorithm 1, in the same order, written into existing buffers:
-    ``state.work`` and ``grads.flat``, which holds no gradient afterwards.
+    ``state.step`` advances. The moments are Kingma & Ba's Algorithm 1; the
+    update is their section 2 ordering, params -= alpha_t m / (sqrt(v) + eps_hat)
+    with alpha_t = lr sqrt(c2) / c1, eps_hat = eps sqrt(c2) and c_i = 1 - beta_i^t:
+    Algorithm 1's update in exact arithmetic, a few ulps off it in floats. It
+    reuses ``state.work`` and ``grads.flat``, which holds no gradient afterwards.
     """
     t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    root_c2 = math.sqrt(1.0 - b2 ** t)
     g, m, v, work = grads.flat, state.m, state.v, state.work
     # v = b2 v + ((1 - b2) g) g, then m = b1 m + (1 - b1) g; g is free after.
     np.multiply(v, b2, out=v)
@@ -167,14 +169,12 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     np.multiply(m, b1, out=m)
     np.multiply(g, 1.0 - b1, out=g)
     np.add(m, g, out=m)
-    # params -= lr (m / c1) / (sqrt(v / c2) + eps)
-    np.divide(m, c1, out=g)
-    np.multiply(g, config.learning_rate, out=g)
-    np.divide(v, c2, out=work)
-    np.sqrt(work, out=work)
-    np.add(work, ADAM_EPS, out=work)
-    np.divide(g, work, out=g)
-    np.subtract(params.flat, g, out=params.flat)
+    # params -= alpha_t m / (sqrt(v) + eps_hat)
+    np.sqrt(v, out=work)
+    np.add(work, ADAM_EPS * root_c2, out=work)
+    np.divide(m, work, out=work)
+    np.multiply(work, config.learning_rate * root_c2 / c1, out=work)
+    np.subtract(params.flat, work, out=params.flat)
     state.step = t
 
 
@@ -222,16 +222,12 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     test_data = _prepare(split.test, basis, config) if split.test else None
     if resume is not None:
         params = resume.params.copy()
-        epoch0 = resume.epochs_trained
-        if resume.optimizer is not None:
-            opt = resume.optimizer
-            state = AdamState(opt["m"].copy(), opt["v"].copy(), opt["step"])
-        else:
-            state = AdamState.initial(params)
+        epoch0, opt = resume.epochs_trained, resume.optimizer
     else:
         params = init_params(config, train_config.seed)
-        state = AdamState.initial(params)
-        epoch0 = 0
+        epoch0, opt = 0, None
+    state = (AdamState.initial(params) if opt is None
+             else AdamState(opt["m"].copy(), opt["v"].copy(), opt["step"]))
     grads = ModelParams(params.shapes)
     rng = np.random.default_rng(train_config.seed)
     n = len(split.train)
@@ -250,24 +246,23 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
         for e in range(1, train_config.epochs + 1):
             epoch = epoch0 + e
             perm = rng.permutation(n)
+            s_epoch, fut_epoch, v0_epoch = s_train[perm], fut_train[perm], v0_train[perm]
             total = 0.0
             for b0 in range(0, n, train_config.batch_size):
-                idx = perm[b0:b0 + train_config.batch_size]
+                end = min(b0 + train_config.batch_size, n)
                 try:
                     loss = _batch_loss_and_grads(
-                        s_train[idx], fut_train[idx], v0_train[idx], params,
+                        s_epoch[b0:end], fut_epoch[b0:end], v0_epoch[b0:end], params,
                         config, grads)[0]
+                    if not math.isfinite(loss):
+                        raise NumericError("loss is not finite")
                 except NumericError as exc:
-                    raise DivergenceError(
-                        f"epoch {epoch}, batch {b0 // train_config.batch_size}: {exc}"
-                    ) from exc
-                if not np.isfinite(loss):
-                    raise DivergenceError(
-                        f"epoch {epoch}, batch {b0 // train_config.batch_size}: "
-                        f"loss is not finite"
-                    )
+                    raise DivergenceError(f"epoch {epoch}, batch "
+                                          f"{b0 // train_config.batch_size}: {exc}") from exc
                 adam_step(params, grads, state, train_config)
-                total += loss * idx.size
+                total += loss * (end - b0)
+            # Freed before the test pass and the next gather: one shuffled copy at a time.
+            del s_epoch, fut_epoch, v0_epoch
             train_loss = total / n
             if test_data is not None:
                 test_loss, ade, fde = _test_metrics(*test_data, params, config)

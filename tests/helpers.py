@@ -2,6 +2,7 @@
 import csv
 import json
 import logging
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -49,22 +50,23 @@ def rewrite_head(path, change):
 
 
 def adam_step_per_array(params, grads, state, config):
-    """Reference Adam update, one loop iteration per named parameter array.
+    """Reference Adam update, one loop iteration per named parameter array,
+    in ``training.adam_step``'s ordering.
 
     ``state`` is a dict of step count and named moments; returns the new
     named parameters and state.
     """
     t = state["step"] + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    root_c2 = math.sqrt(1.0 - b2 ** t)
+    alpha = config.learning_rate * root_c2 / (1.0 - b1 ** t)
     new_m, new_v, new_p = {}, {}, {}
     grad_map = dict(grads.items())
     for name, p_arr in params.items():
         g = grad_map[name]
         m = b1 * state["m"][name] + (1.0 - b1) * g
         v = b2 * state["v"][name] + (1.0 - b2) * g * g
-        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        update = (m / (np.sqrt(v) + ADAM_EPS * root_c2)) * alpha
         new_m[name] = m
         new_v[name] = v
         new_p[name] = p_arr - update
@@ -149,11 +151,11 @@ def adam_step_fresh(flat, g, m, v, step, learning_rate):
     in-place ``training.adam_step``; returns the new params, m and v."""
     t = step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    root_c2 = math.sqrt(1.0 - b2 ** t)
+    alpha = learning_rate * root_c2 / (1.0 - b1 ** t)
     m = b1 * m + (1.0 - b1) * g
     v = b2 * v + (1.0 - b2) * g * g
-    update = learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    update = (m / (np.sqrt(v) + ADAM_EPS * root_c2)) * alpha
     return flat - update, m, v
 
 

@@ -768,8 +768,11 @@ _MINIMAL_ARGV = {
 }
 
 
+_SEEDED = ("prep", "synth", "train", "eval")
+
+
 @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("command", list(_MINIMAL_ARGV))
+@pytest.mark.parametrize("command", _SEEDED)
 def test_negative_seed_is_refused_before_any_output(tmp_path, capsys, monkeypatch,
                                                     command, from_config):
     # The inputs exist, so without the refusal prep would print its row count.
@@ -785,6 +788,29 @@ def test_negative_seed_is_refused_before_any_output(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", sorted(set(_MINIMAL_ARGV) - set(_SEEDED)))
+def test_commands_that_draw_nothing_take_no_seed(tmp_path, capsys, monkeypatch, command,
+                                                 from_config):
+    # spectrum and predict draw no random number, so a seed is an unknown
+    # option to them and an unknown key in their config file.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    synth_archive(tmp_path, name=".", n=3)
+    argv = [command] + _MINIMAL_ARGV[command] + ["--out", "out"]
+    if from_config:
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 0}))
+        assert main(argv + ["--config", "cfg.json"]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: seed\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"gftnn {command}: error: unrecognized arguments: --seed 0\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -820,13 +846,12 @@ def test_the_parser_main_builds_for_a_command_is_the_full_trees(monkeypatch, cap
     (["bogus"], 2, "err", "gftnn: error: argument command: invalid choice: 'bogus' "
                           "(choose from 'prep', 'synth', 'spectrum', 'train', 'eval', "
                           "'predict')\n"),
-    (["predict", "--bogus", "1"], 2, "err",
-     "gftnn: error: unrecognized arguments: --bogus 1\n"),
     (["--help"], 0, "out", None),
-], ids=["no-command", "unknown-command", "unknown-option", "help"])
+], ids=["no-command", "unknown-command", "help"])
 def test_top_level_usage_and_errors_are_the_full_trees(monkeypatch, capsys, argv, code,
                                                        stream, message):
-    # A one-command tree, built for predict, still shows every command in its usage.
+    # A call that names no command builds the full tree, whose usage names
+    # every command.
     monkeypatch.setenv("COLUMNS", "80")
     full = cli._build_parser()[0]
     with pytest.raises(SystemExit) as exc:
@@ -835,6 +860,19 @@ def test_top_level_usage_and_errors_are_the_full_trees(monkeypatch, capsys, argv
     shown = getattr(capsys.readouterr(), stream)
     assert shown == (full.format_help() if message is None else full.format_usage() + message)
     assert "{prep,synth,spectrum,train,eval,predict}" in shown
+
+
+def test_an_unknown_option_is_refused_with_its_commands_usage(monkeypatch, capsys):
+    # The command's own parser refuses it, so the usage shows that command's
+    # options, as the full tree's parser for it would.
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._build_parser()[1]["predict"]
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--bogus", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        full.format_usage() + "gftnn predict: error: unrecognized arguments: --bogus 1\n")
+    assert full.format_usage().startswith("usage: gftnn predict [-h] [--config CONFIG]")
 
 
 def test_console_entry_point(tmp_path):

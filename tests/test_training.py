@@ -9,9 +9,9 @@ from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          param_shapes, predict, predict_batch, preset_config,
                          save_checkpoint, truth_trajectories, truth_trajectory)
 from gftnn.scenario import DatasetSplit, ScenarioBatch, synthesize
-from gftnn.training import (AdamState, DivergenceError, TrainConfig,
-                            _batch_loss_and_grads, _prepare, adam_step,
-                            gradients, train, trajectory_loss)
+from gftnn.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                            DivergenceError, TrainConfig, _batch_loss_and_grads,
+                            _prepare, adam_step, gradients, train, trajectory_loss)
 from helpers import (adam_step_fresh, adam_step_per_array, backward_per_channel,
                      forward_per_channel, tiny_config)
 
@@ -249,6 +249,38 @@ def test_adam_flat_update_matches_per_array_reference():
     assert state.step == 5
 
 
+def test_adam_update_is_algorithm_1_within_a_few_ulps():
+    # adam_step orders the update as Kingma & Ba's section 2 does, which is
+    # Algorithm 1 in exact arithmetic. Algorithm 1 rounds six times on the
+    # way to the update and the section-2 ordering eight, so the two part by
+    # a few ulps of the update (at most 5 on these inputs); the moments are
+    # Algorithm 1's bit for bit.
+    cfg = tiny_config()
+    params = init_params(cfg, 40)
+    state = AdamState.initial(params)
+    rng = np.random.default_rng(41)
+    lr, b1, b2 = 1e-3, ADAM_BETA1, ADAM_BETA2
+    m = np.zeros(params.n_params)
+    v = np.zeros(params.n_params)
+    # Each entry keeps one scale, so some see only gradients far below eps.
+    scale = 10.0 ** rng.uniform(-12.0, 3.0, size=params.n_params)
+    for t in range(1, 501):
+        g = scale * rng.normal(size=params.n_params) * (rng.random(params.n_params) > 0.1)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        want = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # From zero parameters the new parameters are minus the update, exactly.
+        params.flat[:] = 0.0
+        adam_step(params, ModelParams(params.shapes, g.copy()), state,
+                  TrainConfig(learning_rate=lr))
+        assert same_bits(state.m, m) and same_bits(state.v, v), t
+        ulps = np.abs(-params.flat - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 8, (t, ulps.max())
+    assert state.step == 500
+
+
 def test_adam_updates_in_place():
     cfg = tiny_config()
     params = init_params(cfg, 12)
@@ -482,4 +514,19 @@ def test_train_reports_divergence():
     ckpt = Checkpoint(config=cfg, params=params, epochs_trained=0, optimizer=None)
     tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=5)
     with pytest.raises(DivergenceError, match="epoch 1"):
+        train(ds, cfg, tc, resume=ckpt)
+
+
+def test_train_reports_an_overflowing_loss():
+    # Latents and gradients stay finite, but the squared displacement
+    # overflows: the loss check names the epoch and the batch.
+    cfg = tiny_config()
+    scens = tiny_scenarios(2, seed=19)
+    ds = DatasetSplit(train=scens, test=[], seed=0)
+    params = init_params(cfg, 0)
+    params.b_h[0] = 1e159
+    ckpt = Checkpoint(config=cfg, params=params, epochs_trained=0, optimizer=None)
+    tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=1, seed=5)
+    with np.errstate(over="ignore"), pytest.raises(
+            DivergenceError, match=r"^epoch 1, batch 0: loss is not finite$"):
         train(ds, cfg, tc, resume=ckpt)
