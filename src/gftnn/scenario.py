@@ -18,7 +18,7 @@ import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,7 +279,7 @@ class ScenarioBatch:
     the scenario rule once over the whole arrays and freezes them; a row
     that breaks it raises ValueError naming its index and id. ``batch[i]``
     is a ``Scenario`` row that reads views of the arrays; a slice or an
-    index array gives a batch.
+    index array gives a batch of those rows, which is not checked again.
     """
 
     ids: tuple
@@ -333,9 +333,16 @@ class ScenarioBatch:
         if isinstance(index, (int, np.integer)):
             return Scenario(self, range(len(self))[index])
         rows = np.arange(len(self))[index].tolist()
-        return ScenarioBatch(tuple(self.ids[i] for i in rows), self.codes[index],
-                             self.v0[index], self.features[index], self.futures[index],
-                             self.fps)
+        return self._derive(ids=tuple(self.ids[i] for i in rows),
+                            codes=_frozen(self.codes[index], np.int64),
+                            v0=_frozen(self.v0[index]), features=_frozen(self.features[index]),
+                            futures=_frozen(self.futures[index]))
+
+    def _derive(self, **fields):
+        """This batch with ``fields``, rows of it or new ids, which need no new check."""
+        batch = object.__new__(ScenarioBatch)
+        batch.__dict__.update(self.__dict__, **fields)
+        return batch
 
     t_obs = property(lambda self: self.features.shape[2])
     t_pred = property(lambda self: self.futures.shape[1])
@@ -747,6 +754,13 @@ def split_indices(batch: ScenarioBatch, ratio: float, seed: int):
     return train_idx, test_idx
 
 
+def _uniform(u, *ranges):
+    """Rows of ``random()`` doubles as ``Generator.uniform`` maps them, one
+    (lo, hi) range per column: the columns lo + (hi - lo) * u."""
+    lo, hi = np.array(ranges).T
+    return (lo + (hi - lo) * np.reshape(u, (-1, len(ranges)))).T
+
+
 def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
                       n_vehicles, noise_std) -> TrackBatch:
     """The tracks of one scene per maneuver code: a target with that
@@ -767,32 +781,38 @@ def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
     The random draws, whose order fixes every scene, are made scene by
     scene: the target's speed, acceleration, position, lane and
     lane-change rate, its noise, the number of cruisers, then each
-    cruiser's speed, offset, lane and noise (of every frame). Every column
-    is then computed for all scenes at once and written into the batch.
+    cruiser's speed, offset, lane and noise (of every frame). Each
+    unbroken run of draws of one kind is one call on the same stream:
+    ``uniform(lo, hi)`` is lo + (hi - lo) u of one ``random()`` double u,
+    so a run of uniforms is one ``random(k)`` mapped for all scenes at
+    once; ``normal(0, s, (2, m))`` draws two ``normal(0, s, m)``; and
+    ``integers``, which takes 32-bit halves from a buffer, stays a call
+    of its own. Every column is then computed for all scenes at once and
+    written into the batch.
     """
     n_max = min(_SCENE_VEHICLES - 1, n_vehicles - 1)
     n_obs = t0_index + 1
     noisy = noise_std > 0.0
-    targets = []        # per scene: speed, acceleration, position, lane, rate
-    cruisers = []       # per cruiser: scene, speed, offset, lane
-    target_noise, cruiser_noise = [], []    # x noise, y noise per vehicle
+    target_u, lane0, rate_u = [], [], []    # per scene
+    scene, cruiser_u, lane_n = [], [], []   # per cruiser
+    target_noise, cruiser_noise = [], []    # (x, y) noise rows per vehicle
     for i in range(len(codes)):
-        targets.append((rng.uniform(*SPEED_RANGE), rng.uniform(*ACCEL_RANGE),
-                        rng.uniform(0.0, 200.0), int(rng.integers(1, 5)),
-                        rng.uniform(*RATE_RANGE)))
+        target_u.append(rng.random(3))
+        lane0.append(rng.integers(1, 5))
+        rate_u.append(rng.random())
         if noisy:
-            target_noise += [rng.normal(0.0, noise_std, n_frames),
-                             rng.normal(0.0, noise_std, n_frames)]
-        for _ in range(int(rng.integers(0, n_max + 1))):
-            cruisers.append((i, rng.uniform(*SPEED_RANGE), rng.uniform(-80.0, 80.0),
-                             int(rng.integers(1, 5))))
+            target_noise.append(rng.normal(0.0, noise_std, (2, n_frames)))
+        for _ in range(rng.integers(0, n_max + 1)):
+            scene.append(i)
+            cruiser_u.append(rng.random(2))
+            lane_n.append(rng.integers(1, 5))
             if noisy:
-                cruiser_noise += [rng.normal(0.0, noise_std, n_frames)[:n_obs].copy(),
-                                  rng.normal(0.0, noise_std, n_frames)[:n_obs].copy()]
-    v0, accel, x0, lane0, rate = np.array(targets).T
-    scene, vn, dx0, lane_n = np.array(cruisers).reshape(-1, 4).T
-    scene = scene.astype(np.int64)
-    n, n_cruisers = len(targets), scene.size
+                cruiser_noise.append(rng.normal(0.0, noise_std, (2, n_frames))[:, :n_obs].copy())
+    v0, accel, x0 = _uniform(target_u, SPEED_RANGE, ACCEL_RANGE, (0.0, 200.0))
+    (rate,) = _uniform(rate_u, RATE_RANGE)
+    vn, dx0 = _uniform(cruiser_u, SPEED_RANGE, (-80.0, 80.0))
+    lane0, scene, lane_n = (np.array(a, dtype=np.int64) for a in (lane0, scene, lane_n))
+    n, n_cruisers = len(codes), scene.size
     split = n * n_frames
     motion = np.empty((4, split + n_cruisers * n_obs))
     # The targets' and the cruisers' rows, one row of steps per vehicle.
@@ -800,8 +820,7 @@ def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
     cruiser_motion = motion[:, split:].reshape(4, n_cruisers, n_obs)
     for columns, noise in ((target_motion, target_noise), (cruiser_motion, cruiser_noise)):
         if noise:
-            np.stack(noise[0::2], out=columns[0])
-            np.stack(noise[1::2], out=columns[1])
+            np.stack(noise, axis=1, out=columns[:2])
     del target_noise, cruiser_noise
 
     def put(columns, channel, values):
@@ -821,7 +840,7 @@ def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
     g = expit(rate[:, None] * (times - mid))
     y = ((lane0 + 0.5) * LANE_WIDTH)[:, None] + amplitude[:, None] * g
     lane = np.concatenate((np.floor(y / LANE_WIDTH).astype(np.int64).reshape(-1),
-                           lane_n.astype(np.int64).repeat(n_obs)))
+                           lane_n.repeat(n_obs)))
     put(target_motion, 1, y)
     put(target_motion, 3, (amplitude * rate)[:, None] * g * (1.0 - g))
     put(cruiser_motion, 0, (x0[scene] + dx0)[:, None] + vn[:, None] * times[:n_obs])
@@ -875,7 +894,7 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
             f"synthetic scene {i} produced 1 scenarios with labels "
             f"{[batch[i].maneuver]}, wanted {MANEUVERS[wanted[i]]}"
         )
-    return replace(batch, ids=tuple(f"synth-{i:05d}" for i in range(n)))
+    return batch._derive(ids=tuple(f"synth-{i:05d}" for i in range(n)))
 
 
 def save_archive(path, batch: ScenarioBatch, fps):

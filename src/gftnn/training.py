@@ -110,8 +110,10 @@ def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
     and into fresh arrays otherwise."""
     h_z, cache = forward(s, params, config)
     x, y, terms = _decode(h_z, v0, config.t_pred, config.fps)
-    per_scenario, dx, dy = loss_batch(x, y, futures)
-    loss = float(np.add.reduce(per_scenario) / per_scenario.size)
+    # The loss may overflow; ``train`` checks that it is finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_scenario, dx, dy = loss_batch(x, y, futures)
+        loss = float(np.add.reduce(per_scenario) / per_scenario.size)
     if grads is None:
         grads = ModelParams(params.shapes)
     _backward_batch(s, dx, dy, h_z, terms, cache, params, config, grads)
@@ -235,49 +237,42 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     for _ in range(epoch0):
         rng.permutation(n)
     history = []
-    log_fh = writer = None
-    if log_path is not None:
-        new_file = not (os.path.exists(log_path) and os.path.getsize(log_path) > 0)
-        log_fh = open(log_path, "a", newline="")
-        writer = csv.writer(log_fh)
-        if new_file:
-            writer.writerow(["epoch", "train_loss", "test_loss", "ade", "fde"])
-    try:
-        for e in range(1, train_config.epochs + 1):
-            epoch = epoch0 + e
-            perm = rng.permutation(n)
-            s_epoch, fut_epoch, v0_epoch = s_train[perm], fut_train[perm], v0_train[perm]
-            total = 0.0
-            for b0 in range(0, n, train_config.batch_size):
-                end = min(b0 + train_config.batch_size, n)
-                try:
-                    loss = _batch_loss_and_grads(
-                        s_epoch[b0:end], fut_epoch[b0:end], v0_epoch[b0:end], params,
-                        config, grads)[0]
-                    if not math.isfinite(loss):
-                        raise NumericError("loss is not finite")
-                except NumericError as exc:
-                    raise DivergenceError(f"epoch {epoch}, batch "
-                                          f"{b0 // train_config.batch_size}: {exc}") from exc
-                adam_step(params, grads, state, train_config)
-                total += loss * (end - b0)
-            # Freed before the test pass and the next gather: one shuffled copy at a time.
-            del s_epoch, fut_epoch, v0_epoch
-            train_loss = total / n
-            if test_data is not None:
-                test_loss, ade, fde = _test_metrics(*test_data, params, config)
-            else:
-                test_loss = ade = fde = float("nan")
-            row = {"epoch": epoch, "train_loss": train_loss,
-                   "test_loss": test_loss, "ade": ade, "fde": fde}
-            history.append(row)
-            if writer is not None:
-                writer.writerow([epoch, repr(train_loss), repr(test_loss),
-                                 repr(ade), repr(fde)])
-                log_fh.flush()
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    for e in range(1, train_config.epochs + 1):
+        epoch = epoch0 + e
+        perm = rng.permutation(n)
+        s_epoch, fut_epoch, v0_epoch = s_train[perm], fut_train[perm], v0_train[perm]
+        total = 0.0
+        for b0 in range(0, n, train_config.batch_size):
+            end = min(b0 + train_config.batch_size, n)
+            try:
+                loss = _batch_loss_and_grads(
+                    s_epoch[b0:end], fut_epoch[b0:end], v0_epoch[b0:end], params,
+                    config, grads)[0]
+                if not math.isfinite(loss):
+                    raise NumericError("loss is not finite")
+            except NumericError as exc:
+                raise DivergenceError(f"epoch {epoch}, batch "
+                                      f"{b0 // train_config.batch_size}: {exc}") from exc
+            adam_step(params, grads, state, train_config)
+            total += loss * (end - b0)
+        # Freed before the test pass and the next gather: one shuffled copy at a time.
+        del s_epoch, fut_epoch, v0_epoch
+        train_loss = total / n
+        if test_data is not None:
+            test_loss, ade, fde = _test_metrics(*test_data, params, config)
+        else:
+            test_loss = ade = fde = float("nan")
+        row = {"epoch": epoch, "train_loss": train_loss,
+               "test_loss": test_loss, "ade": ade, "fde": fde}
+        history.append(row)
+        if log_path is not None:
+            # Opened per row: a run that fails before its first row writes no log.
+            new_file = not (os.path.exists(log_path) and os.path.getsize(log_path) > 0)
+            with open(log_path, "a", newline="") as log_fh:
+                writer = csv.writer(log_fh)
+                if new_file:
+                    writer.writerow(row.keys())
+                writer.writerow(map(repr, row.values()))
     epochs_trained = epoch0 + train_config.epochs
     # The spectra and the gradient buffer are spent; free them before
     # encoding the checkpoint, the largest allocation of a run.

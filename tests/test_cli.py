@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,28 @@ def test_train_resume_roundtrip(tmp_path, capsys):
     assert load_checkpoint(run / "checkpoint.json").epochs_trained == 4
     lines = (run / "training_log.csv").read_text().strip().splitlines()
     assert len(lines) == 5
+
+
+def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys):
+    # A checkpoint whose latent bias overflows the loss: the run prints no
+    # numpy warning, only the one error line, and a fresh --out gets no log.
+    archive = synth_archive(tmp_path)
+    run, resumed = tmp_path / "run", tmp_path / "resumed"
+    args = ["train", "--archive", str(archive), "--preset", "gftnn", "--hidden", "8",
+            "--epochs", "1", "--seed", "0"]
+    run_ok(capsys, args + ["--out", str(run)])
+    ckpt = load_checkpoint(run / "checkpoint.json")
+    params = ckpt.params.copy()
+    params.b_h[0] = 1e159
+    save_checkpoint(run / "checkpoint.json", ckpt.config, build_basis(ckpt.config), params,
+                    ckpt.epochs_trained, ckpt.optimizer)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = run_fail(capsys, args + ["--resume", str(run / "checkpoint.json"),
+                                       "--out", str(resumed)])
+    assert [str(w.message) for w in caught] == []
+    assert err == "error: epoch 2, batch 0: loss is not finite\n"
+    assert not (resumed / "training_log.csv").exists()
 
 
 @pytest.mark.parametrize("options, differ", [

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from gftnn import scenario
+from gftnn.model import _own_batch
 from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseError,
                             RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
                             TrackBatch, _window_steps, balance, extract_scenarios,
@@ -876,6 +878,23 @@ def test_synthesize_matches_per_scene_reference(tmp_path, fps, noise_std, n_vehi
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
+# The sha256 of the archives of the benchmark's synth sizes at seed 3,
+# with and without noise: (n, fps, noise_std) -> digest. A change to the
+# random stream fails here even if the per-scene oracle changes with it.
+SYNTH_ARCHIVE_SHA256 = {
+    (150, 10, 0.05): "9300de05d353f1267c23439aaf91b7ef177051ce8afeb184d71c31bc8ee062a1",
+    (80, 25, 0.0): "e67006721b1947256060db5e0643f4dcd97c5daae7575b82da4fbc5c98fd968e",
+    (80, 25, 0.05): "7cdab045b7e1f1ac4f821de3ed921ef28f77dddde90a70845853cfa968edac82",
+}
+
+
+@pytest.mark.parametrize("n, fps, noise_std", sorted(SYNTH_ARCHIVE_SHA256))
+def test_synth_archive_bytes_are_pinned(tmp_path, n, fps, noise_std):
+    save_archive(tmp_path / "archive.json", synthesize(n, fps, 3, noise_std=noise_std), fps)
+    digest = hashlib.sha256((tmp_path / "archive.json").read_bytes()).hexdigest()
+    assert digest == SYNTH_ARCHIVE_SHA256[n, fps, noise_std]
+
+
 # ------------------------------------------------------------------ labelling
 
 def test_label_keep_lane():
@@ -1285,10 +1304,37 @@ def test_batch_row_is_a_view_that_the_rule_does_not_check_again(monkeypatch):
     assert last.scenario_id == "synth-00004"
     with pytest.raises(IndexError):
         batch[5]
-    # A slice or an index array is a batch, which the rule checks.
+    # A slice or an index array is a batch of rows the rule has passed:
+    # it is not checked again.
     assert batch[1:3].ids == ("synth-00001", "synth-00002")
     assert batch[np.array([3, 0])].ids == ("synth-00003", "synth-00000")
-    assert len(checked) == 2
+    assert checked == []
+
+
+def test_slices_of_a_checked_batch_skip_the_rule_and_keep_its_bytes(monkeypatch):
+    batch = synthesize(7, 10, seed=30, noise_std=0.05)
+    calls = []
+    rule = scenario._check_rule
+    monkeypatch.setattr(scenario, "_check_rule",
+                        lambda *args: calls.append(args) or rule(*args))
+    indices = [slice(1, 4), slice(None, None, -2), np.array([5, 0, 3]), batch.codes == 1,
+               [6], slice(6, 7)]
+    got = [batch[index] for index in indices[:-1]] + [_own_batch(batch[6])]
+    assert calls == []
+    for index, part in zip(indices, got):
+        rows = np.arange(len(batch))[index]
+        want = ScenarioBatch([batch.ids[i] for i in rows], batch.codes[rows], batch.v0[rows],
+                             batch.features[rows], batch.futures[rows], batch.fps)
+        assert _scenario_bytes(part) == _scenario_bytes(want)
+        assert part.codes.tobytes() == want.codes.tobytes() and part.fps == want.fps
+        for name in ("codes", "v0", "features", "futures"):
+            assert not getattr(part, name).flags.writeable
+    assert len(calls) == len(indices)
+    # synthesize checks its tracks once and its scenarios once; renaming the
+    # batch checks nothing.
+    calls.clear()
+    assert _scenario_bytes(synthesize(7, 10, seed=30, noise_std=0.05)) == _scenario_bytes(batch)
+    assert len(calls) == 2
 
 
 def test_archive_rejects_fps_mismatch(tmp_path):
