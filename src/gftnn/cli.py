@@ -144,8 +144,10 @@ def cmd_train(args):
     train_config = TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed)
-    log_path = _out_path(args, "training_log.csv")
-    ckpt_path = _out_path(args, "checkpoint.json")
+    # train makes --out with its first log row, so a run that diverges
+    # before it leaves no directory.
+    log_path = os.path.join(args.out, "training_log.csv")
+    ckpt_path = os.path.join(args.out, "checkpoint.json")
     result = train(dataset, config, train_config,
                    log_path=log_path, checkpoint_path=ckpt_path, resume=resume)
     last = result.history[-1]

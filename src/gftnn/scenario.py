@@ -16,6 +16,7 @@ import itertools
 import logging
 import math
 import operator
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -72,6 +73,9 @@ _MOTION = ("x", "y", "vx", "vy")
 _ROW = np.dtype([("vehicle_id", np.int64), ("frame", np.int64), ("x", np.float64),
                  ("y", np.float64), ("vx", np.float64), ("vy", np.float64),
                  ("lane_id", np.int64)])
+# Suffixes numpy's DataSource opens through a decompressor, whatever the
+# file holds; ingest_tracks reads a file so named through its own stream.
+_PACKED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class SchemaError(ValueError):
@@ -384,11 +388,15 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
 
     The header is read with csv.reader. numpy's C reader (``np.loadtxt``),
     the only reader of the data rows, converts the columns the schema names
-    in one pass, skipping blank lines, and one lexsort on (vehicle id,
-    frame) groups them into the batch's columns. A row it refuses raises
-    ParseError naming the row's line (``_parse_error``); a byte the file's
-    codec refuses, naming its line (``_decode_error``); a track that breaks
-    the track rule or repeats a frame, for the first such vehicle.
+    in one pass, skipping blank lines. It reads a seekable file by its
+    absolute path, past the header's lines, in large chunks; a pipe, or a
+    file whose name numpy would decompress, it reads through the open
+    stream, a line at a time. One lexsort on (vehicle id, frame) orders the
+    rows, and each column is gathered in that order straight into the
+    batch's arrays. A row numpy refuses raises ParseError naming the row's
+    line (``_parse_error``); a byte the file's codec refuses, naming its
+    line (``_decode_error``); a track that breaks the track rule or repeats
+    a frame, for the first such vehicle.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
@@ -398,8 +406,9 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
         data = None if src.seekable() else src.buffer.read()
         try:
             fh = src if data is None else io.StringIO(data.decode(src.encoding), newline="")
+            reader = csv.reader(fh)
             try:
-                header = next(csv.reader(fh), None)
+                header = next(reader, None)
             except csv.Error as exc:
                 raise ParseError(f"{path}: header: {exc}") from None
             if header is None:
@@ -410,30 +419,38 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
                 if col not in index:
                     raise SchemaError(f"{path}: missing column '{col}'")
             columns = [index[mapping[name]] for name in _ROW.names]
+            source, skip = fh, 0
+            if data is None and isinstance(src.name, str) and not src.name.endswith(_PACKED):
+                # An absolute path is never taken for a URL.
+                source, skip = os.path.join(os.getcwd(), src.name), reader.line_num
             try:
                 with warnings.catch_warnings():
                     # A header alone is a file of no tracks.
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, dtype=_ROW, comments=None, delimiter=",",
-                                      quotechar='"', usecols=columns, ndmin=1)
+                    rows = np.loadtxt(source, dtype=_ROW, comments=None, delimiter=",",
+                                      quotechar='"', usecols=columns, ndmin=1,
+                                      skiprows=skip, encoding=src.encoding)
             except UnicodeDecodeError:
                 raise           # a ValueError too; the handler below names its line
             except ValueError as exc:
                 raise _parse_error(fh, path, columns, exc) from None
         except UnicodeDecodeError as exc:
             raise _decode_error(path, data, exc) from None
-    rows = rows[np.lexsort((rows["frame"], rows["vehicle_id"]))]
-    vehicle = rows["vehicle_id"]
+    order = np.lexsort((rows["frame"], rows["vehicle_id"]))
+    vehicle, frame, lane = (rows[name].take(order) for name in ("vehicle_id", "frame", "lane_id"))
+    motion = np.empty((len(_MOTION), rows.size))
+    for name, out in zip(_MOTION, motion):
+        rows[name].take(order, out=out)
     first = np.ones(rows.size, dtype=bool)
     np.not_equal(vehicle[1:], vehicle[:-1], out=first[1:])
     offsets = np.append(np.flatnonzero(first), rows.size)
     try:
-        return TrackBatch(vehicle[offsets[:-1]], offsets, rows["frame"], rows["lane_id"],
-                          [rows[name] for name in _MOTION])
+        return TrackBatch(vehicle[offsets[:-1]], offsets, frame, lane, motion)
     except _RowError as exc:
-        track, reason = rows[offsets[exc.index]:offsets[exc.index + 1]], exc.reason
-        if (track["frame"][1:] == track["frame"][:-1]).any():
-            reason = f"vehicle {track['vehicle_id'][0]} has duplicate frames"
+        start, stop = offsets[exc.index:exc.index + 2]
+        reason = exc.reason
+        if (frame[start + 1:stop] == frame[start:stop - 1]).any():
+            reason = f"vehicle {vehicle[start]} has duplicate frames"
         raise ParseError(f"{path}: {reason}") from None
 
 

@@ -266,7 +266,9 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
                "test_loss": test_loss, "ade": ade, "fde": fde}
         history.append(row)
         if log_path is not None:
-            # Opened per row: a run that fails before its first row writes no log.
+            # Opened per row, and its directory made with the first: a run
+            # that fails before its first row writes no log and no directory.
+            os.makedirs(os.path.dirname(log_path) or os.curdir, exist_ok=True)
             new_file = not (os.path.exists(log_path) and os.path.getsize(log_path) > 0)
             with open(log_path, "a", newline="") as log_fh:
                 writer = csv.writer(log_fh)

@@ -15,7 +15,8 @@ from gftnn.model import (LN_EPS, ModelConfig, ModelParams, _ensure_finite,
 from gftnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from gftnn.scenario import (ACCEL_RANGE, CHANNELS, LANE_WIDTH, MANEUVERS, RATE_RANGE,
                             SCHEMAS, SPEED_RANGE, ParseError, RawTrack,
-                            ScenarioBatch, SchemaError, _SCENE_VEHICLES, _window_steps)
+                            ScenarioBatch, SchemaError, TrackBatch, _SCENE_VEHICLES,
+                            _window_steps)
 
 
 def tiny_config(**overrides):
@@ -216,6 +217,15 @@ def bisect_star_secular(c, d2, delta, gap):
     return np.where(gap > 0.0, tau, 0.0)
 
 
+def tracks_from_columns(tracks) -> TrackBatch:
+    """One ``TrackBatch`` of ``tracks``, (vehicle_id, frame, x, y, vx, vy,
+    lane_id) column tuples, in their order: the track rule checks them
+    once, not once per track."""
+    ids, frame, x, y, vx, vy, lane = zip(*tracks)
+    return TrackBatch(ids, np.cumsum([0, *map(np.size, frame)]), np.concatenate(frame),
+                      np.concatenate(lane), [np.concatenate(c) for c in (x, y, vx, vy)])
+
+
 def _logistic_track(vehicle_id, fps, n_frames, t0_index, x0, v, lane0,
                     amplitude, rate=2.0):
     times = np.arange(n_frames) / fps
@@ -225,23 +235,23 @@ def _logistic_track(vehicle_id, fps, n_frames, t0_index, x0, v, lane0,
     y = (lane0 + 0.5) * LANE_WIDTH + amplitude * g
     vy = amplitude * rate * g * (1.0 - g)
     lane = np.floor(y / LANE_WIDTH).astype(np.int64)
-    return RawTrack(vehicle_id, np.arange(n_frames), x, y,
-                    np.full(n_frames, float(v)), vy, lane)
+    return vehicle_id, np.arange(n_frames), x, y, np.full(n_frames, float(v)), vy, lane
 
 
 def three_class_tracks(fps):
-    """Three vehicles, one maneuver class each, sharing frames 0..M-1."""
+    """Three vehicles, one maneuver class each, sharing frames 0..M-1, as
+    one ``TrackBatch``."""
     t_obs = round(3.0 * fps)
     t_pred = round(5.0 * fps)
     m = t_obs + t_pred
     t0 = t_obs - 1
-    return [
+    return tracks_from_columns([
         _logistic_track(1, fps, m, t0, x0=10.0, v=25.0, lane0=2, amplitude=0.0),
         _logistic_track(2, fps, m, t0, x0=200.0, v=30.0, lane0=1,
                         amplitude=LANE_WIDTH),
         _logistic_track(3, fps, m, t0, x0=400.0, v=28.0, lane0=3,
                         amplitude=-LANE_WIDTH),
-    ]
+    ])
 
 
 def write_tracks_csv(path, tracks, schema="normalized"):
@@ -317,7 +327,8 @@ def ingest_tracks_reference(path, schema: str = "normalized") -> list[RawTrack]:
 
 
 def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
-    """Seeded four-lane recording for extraction checks, in shuffled order.
+    """Seeded four-lane recording for extraction checks, one ``TrackBatch``
+    in shuffled order.
 
     Vehicles enter at staggered frames and stay for half a window to two
     and a half windows (3 s observed plus 5 s predicted), so some give no
@@ -346,25 +357,24 @@ def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
             gap = int(rng.integers(1, n - 5))
             keep[gap:gap + int(rng.integers(1, 5))] = False
         frame = int(rng.integers(0, window)) + np.arange(n)
-        tracks.append(RawTrack(vid, frame[keep], x[keep], (lane[keep] + 0.5) * LANE_WIDTH,
-                               np.full(n, v)[keep], np.zeros(n)[keep], lane[keep]))
-    lead = tracks[0]
+        tracks.append((vid, frame[keep], x[keep], (lane[keep] + 0.5) * LANE_WIDTH,
+                       np.full(n, v)[keep], np.zeros(n)[keep], lane[keep]))
+    _, lead_frame, lead_x, lead_y, lead_vx, lead_vy, lead_lane = tracks[0]
     gap = 12.5
     twins = [(n_tracks + 1, gap), (n_tracks + 2, gap), (n_tracks + 3, -gap)]
     if duplicate_id:
         twins.append((n_tracks + 3, -gap))
     for k, (vid, dx) in enumerate(twins, start=1):
-        tracks.append(RawTrack(vid, lead.frame, lead.x + dx, lead.y,
-                               lead.vx + k, lead.vy, lead.lane_id))
-    leave = int(lead.frame[0]) + window - 1
+        tracks.append((vid, lead_frame, lead_x + dx, lead_y, lead_vx + k, lead_vy, lead_lane))
+    leave = int(lead_frame[0]) + window - 1
     frame = np.arange(leave - 3 * window, leave) + 1
-    v = lead.vx[0]
-    x = np.round((lead.x[0] + 3.0 + v * (frame - lead.frame[0]) / fps) * 16.0) / 16.0
-    lane = int(lead.lane_id[0]) + (1 if lead.lane_id[0] < 4 else -1)
+    v = lead_vx[0]
+    x = np.round((lead_x[0] + 3.0 + v * (frame - lead_frame[0]) / fps) * 16.0) / 16.0
+    lane = int(lead_lane[0]) + (1 if lead_lane[0] < 4 else -1)
     n = frame.size
-    tracks.append(RawTrack(n_tracks + 5, frame, x, np.full(n, (lane + 0.5) * LANE_WIDTH),
-                           np.full(n, v), np.zeros(n), np.full(n, lane)))
-    return [tracks[i] for i in rng.permutation(len(tracks))]
+    tracks.append((n_tracks + 5, frame, x, np.full(n, (lane + 0.5) * LANE_WIDTH),
+                   np.full(n, v), np.zeros(n), np.full(n, lane)))
+    return tracks_from_columns([tracks[i] for i in rng.permutation(len(tracks))])
 
 
 def _window_rows_reference(track: RawTrack, first_frame: int, n_frames: int):
@@ -498,8 +508,8 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
 
 def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s,
                                 n_vehicles, noise_std):
-    """The tracks of one scene per maneuver, scene after scene: a target
-    with that maneuver plus random cruisers.
+    """The tracks of one scene per maneuver, scene after scene, as one
+    ``TrackBatch``: a target with that maneuver plus random cruisers.
 
     Scene i covers frames i·n_frames onward; its target has vehicle id
     1 + i·_SCENE_VEHICLES and its cruisers the ids after it, so no
@@ -508,16 +518,15 @@ def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s
     of one lane width, centred halfway into the prediction window, which
     keeps the lane id at the last observed step unchanged and flips it
     inside the window. Lane ids come from the noise-free lateral position
-    so labels stay exact under sensor noise. The cruisers' constant
-    lateral speed and lane id columns are shared read-only arrays.
+    so labels stay exact under sensor noise.
 
     The per-scene generator ``scenario._synthetic_scenes`` replaced, kept
-    verbatim (but for gftnn's own ``special.expit``) as the oracle of its
-    draws and columns.
+    verbatim as the oracle of its draws and columns, but for gftnn's own
+    ``special.expit`` and one batch of all tracks in place of one
+    ``RawTrack`` per track.
     """
     times = np.arange(n_frames) / fps
-    still = np.zeros(n_frames)
-    cruise_lanes = {}
+    tracks = []
     for i, maneuver in enumerate(maneuvers):
         v0 = rng.uniform(*SPEED_RANGE)
         accel = rng.uniform(*ACCEL_RANGE)
@@ -540,7 +549,7 @@ def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s
         if noise_std > 0.0:
             x = x + rng.normal(0.0, noise_std, n_frames)
             y = y + rng.normal(0.0, noise_std, n_frames)
-        yield RawTrack(first_id, frames, x, y, vx, vy, lane)
+        tracks.append((first_id, frames, x, y, vx, vy, lane))
         n_neighbours = int(rng.integers(0, min(_SCENE_VEHICLES - 1, n_vehicles - 1) + 1))
         for j in range(n_neighbours):
             vn = rng.uniform(*SPEED_RANGE)
@@ -552,10 +561,9 @@ def synthetic_scenes_reference(rng, maneuvers, fps, n_frames, t0_index, t_pred_s
             if noise_std > 0.0:
                 xn = xn + rng.normal(0.0, noise_std, n_frames)
                 yn = yn + rng.normal(0.0, noise_std, n_frames)
-            if lane_n not in cruise_lanes:
-                cruise_lanes[lane_n] = np.full(n_frames, lane_n, dtype=np.int64)
-            yield RawTrack(first_id + 1 + j, frames, xn, yn,
-                           np.full(n_frames, vn), still, cruise_lanes[lane_n])
+            tracks.append((first_id + 1 + j, frames, xn, yn, np.full(n_frames, vn),
+                           np.zeros(n_frames), np.full(n_frames, lane_n, dtype=np.int64)))
+    return tracks_from_columns(tracks)
 
 
 def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
@@ -575,9 +583,9 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
     maneuvers, v0s, features, futures = [], [], [], []
     for i in range(n):
         maneuver = MANEUVERS[i % 3]
-        tracks = list(synthetic_scenes_reference(
+        tracks = synthetic_scenes_reference(
             rng, [maneuver], fps, n_frames, t_obs_steps - 1,
-            t_pred_steps / fps, n_vehicles, noise_std))
+            t_pred_steps / fps, n_vehicles, noise_std)
         scen = extract_scenarios_reference(tracks, fps, t_obs, t_pred, n_vehicles,
                                            target_ids={1})
         if len(scen) != 1 or scen[0].maneuver != maneuver:

@@ -21,7 +21,7 @@ from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, truth_trajectory)
-from gftnn.scenario import MAX_WINDOW_STEPS, RawTrack, load_archive, split, synthesize
+from gftnn.scenario import MAX_WINDOW_STEPS, TrackBatch, load_archive, split, synthesize
 from gftnn.training import TrainConfig
 from helpers import multilane_scene, three_class_tracks, write_tracks_csv
 
@@ -93,8 +93,9 @@ def test_prep_of_a_mirrored_recording_mirrors_the_archive(tmp_path, capsys, seed
     # (y and vy negated, the lane order reversed) swaps left and right
     # lane changes and negates every lateral channel, and nothing else.
     tracks = multilane_scene(seed, fps, n_tracks=200)
-    mirrored = [RawTrack(tr.vehicle_id, tr.frame, tr.x, -tr.y, tr.vx, -tr.vy, 5 - tr.lane_id)
-                for tr in tracks]
+    x, y, vx, vy = tracks.motion
+    mirrored = TrackBatch(tracks.vehicle_ids, tracks.offsets, tracks.frame,
+                          5 - tracks.lane_id, (x, -y, vx, -vy))
     out = {}
     for name, recording in (("plain", tracks), ("mirrored", mirrored)):
         write_tracks_csv(tmp_path / f"{name}.csv", recording)
@@ -289,7 +290,7 @@ def test_train_resume_roundtrip(tmp_path, capsys):
 
 def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys):
     # A checkpoint whose latent bias overflows the loss: the run prints no
-    # numpy warning, only the one error line, and a fresh --out gets no log.
+    # numpy warning, only the one error line, and a fresh --out is not made.
     archive = synth_archive(tmp_path)
     run, resumed = tmp_path / "run", tmp_path / "resumed"
     args = ["train", "--archive", str(archive), "--preset", "gftnn", "--hidden", "8",
@@ -306,7 +307,7 @@ def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys)
                                        "--out", str(resumed)])
     assert [str(w.message) for w in caught] == []
     assert err == "error: epoch 2, batch 0: loss is not finite\n"
-    assert not (resumed / "training_log.csv").exists()
+    assert not resumed.exists()
 
 
 @pytest.mark.parametrize("options, differ", [

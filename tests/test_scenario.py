@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import logging
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -473,6 +475,133 @@ def test_ingest_names_the_line_of_a_bad_byte_in_a_pipe(line):
                                f"byte 0xff in position {offset}: invalid start byte")
 
 
+def _track_bits(batch):
+    """Every column of a TrackBatch as its 64-bit words."""
+    return [getattr(batch, name).view(np.uint64).tolist()
+            for name in ("vehicle_ids", "offsets", "frame", "lane_id", "motion")]
+
+
+def _through_a_pipe(data, read):
+    """``read(path)`` of a pipe that carries ``data``, written from a thread
+    so that data beyond the pipe's buffer cannot block the reader."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+        writer.join()
+
+
+def _two_line_header(data):
+    # An unused last column whose quoted name holds a line break.
+    head, rest = data.split(b"\n", 1)
+    return head + b',"a\nnote"\n' + rest.replace(b"\n", b",x\n")
+
+
+# Copies of a recording that ingest_tracks must read to the bits of the
+# plain file: a file name and an edit of the file's bytes. numpy would
+# decompress a file named like the last four, so they are read as a stream.
+ROUTE_COPIES = {
+    "CRLF": ("crlf.csv", lambda data: data.replace(b"\n", b"\r\n")),
+    "header over two lines": ("header.csv", _two_line_header),
+    "named .csv.gz": ("tracks.csv.gz", lambda data: data),
+    "named .bz2": ("tracks.bz2", lambda data: data),
+    "named .xz": ("tracks.xz", lambda data: data),
+    "named .lzma": ("tracks.lzma", lambda data: data),
+}
+
+
+@pytest.fixture
+def recording_csv(tmp_path):
+    """A recording with LF line ends (csv.writer ends its lines in CRLF)."""
+    path = tmp_path / "tracks.csv"
+    write_tracks_csv(path, multilane_scene(7, 25, n_tracks=16))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    return path
+
+
+@pytest.mark.parametrize("case", ROUTE_COPIES)
+def test_ingest_reads_a_copy_to_the_plain_file_s_bits(tmp_path, recording_csv, case):
+    name, edit = ROUTE_COPIES[case]
+    copy = tmp_path / name
+    copy.write_bytes(edit(recording_csv.read_bytes()))
+    assert _track_bits(ingest_tracks(copy)) == _track_bits(ingest_tracks(recording_csv))
+
+
+def test_ingest_reads_a_relative_path_that_looks_like_a_url(tmp_path, recording_csv,
+                                                            monkeypatch):
+    (tmp_path / "http:").mkdir()
+    (tmp_path / "http:" / "x.csv").write_bytes(recording_csv.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert (_track_bits(ingest_tracks("http:/x.csv"))
+            == _track_bits(ingest_tracks(recording_csv)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_ingest_reads_a_pipe_to_the_plain_file_s_bits(recording_csv):
+    got = _through_a_pipe(recording_csv.read_bytes(), ingest_tracks)
+    assert _track_bits(got) == _track_bits(ingest_tracks(recording_csv))
+
+
+def test_ingest_hands_numpy_a_plain_file_by_its_absolute_path(tmp_path, recording_csv,
+                                                              monkeypatch):
+    # numpy reads a path in large chunks, and a file object a line at a time.
+    read = []
+    loadtxt = np.loadtxt
+
+    def spy(source, **kwargs):
+        read.append((source, kwargs["skiprows"]))
+        return loadtxt(source, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.chdir(tmp_path)
+    ingest_tracks("tracks.csv")
+    copy = tmp_path / "tracks.csv.gz"
+    copy.write_bytes(recording_csv.read_bytes())
+    ingest_tracks(copy)
+    (by_path, skip), (stream, no_skip) = read
+    assert (by_path, skip) == (str(recording_csv), 1)
+    assert hasattr(stream, "read") and no_skip == 0
+
+
+GOOD_ROWS = "".join(f"{f},1,{f / 8!r},0.0,1.0,0.0,2\n" for f in range(1, 7001))
+# Data rows after HEADER and GOOD_ROWS that every route must refuse with
+# the same message.
+BAD_ROWS = {
+    "short row": b"2,1,0.1\n",
+    "bad float": b"2,1,oops,0.0,1.0,0.0,2\n",
+    "int64 overflow": b"9223372036854775808,1,0.0,0.0,1.0,0.0,2\n",
+    "non-UTF-8 byte": b"2,1,\xff0.5,0.0,1.0,0.0,2\n",
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_ingest_refuses_a_bad_row_alike_by_path_and_by_stream(tmp_path, case):
+    data = (HEADER + GOOD_ROWS).encode() + BAD_ROWS[case]
+
+    def reason(path):
+        with pytest.raises(ParseError) as info:
+            ingest_tracks(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message
+        return message[len(f"{path}: "):]
+
+    by_path, by_name = tmp_path / "bad.csv", tmp_path / "bad.csv.gz"
+    by_path.write_bytes(data)
+    by_name.write_bytes(data)
+    want = reason(by_path)
+    assert want.startswith(("row 7002", "line 7002"))
+    assert reason(by_name) == want
+    assert _through_a_pipe(data, reason) == want
+
 def test_raw_track_validation():
     with pytest.raises(ValueError):
         RawTrack(1, np.array([2, 1]), np.zeros(2), np.zeros(2), np.zeros(2),
@@ -582,7 +711,7 @@ def test_raw_track_takes_integer_ids_only():
 
 @pytest.mark.parametrize("duplicate_id", [False, True])
 def test_extract_takes_a_list_a_generator_or_a_batch(duplicate_id):
-    tracks = multilane_scene(3, 10, duplicate_id=duplicate_id)
+    tracks = list(multilane_scene(3, 10, duplicate_id=duplicate_id))
     batch = track_batch(tracks)
     assert [tr.vehicle_id for tr in batch] == [tr.vehicle_id for tr in tracks]
     want = _scenario_bytes(extract_scenarios(tracks, 10))
@@ -785,7 +914,7 @@ def lone_vehicle(tracks, fps):
 def test_extract_matches_quadratic_reference(caplog, monkeypatch, fps, n_vehicles,
                                              pred_steps, target_ids, duplicate_id, block):
     caplog.set_level(logging.INFO, logger="gftnn.scenario")
-    tracks = multilane_scene(fps, fps, duplicate_id=duplicate_id)
+    tracks = list(multilane_scene(fps, fps, duplicate_id=duplicate_id))
     t_pred = 5.0 if pred_steps is None else pred_steps / fps
     blocks = []
     if block is not None:
