@@ -42,6 +42,9 @@ N_VEHICLES = 9
 # The most steps an observation or a prediction window may span, 100 s at
 # 100 fps; a longer window is refused before anything is allocated.
 MAX_WINDOW_STEPS = 10_000
+# The most vehicle slots of a scenario, far past one target's neighbourhood;
+# a larger count is refused before anything is allocated.
+MAX_VEHICLE_SLOTS = 1_000
 # Elements of the largest matrix extract_scenarios builds per block of
 # windows: candidate runs or gathered rows, times the block's windows.
 _GATHER_BLOCK = 1 << 14
@@ -526,6 +529,11 @@ def _window_steps(fps, t_obs, t_pred):
     return steps
 
 
+def _check_slots(n_vehicles):
+    if not 2 <= n_vehicles <= MAX_VEHICLE_SLOTS:
+        raise ValueError(f"need 2 to {MAX_VEHICLE_SLOTS} vehicle slots, got {n_vehicles}")
+
+
 def label_maneuver(lane_ids, lateral, t0_index: int) -> str:
     """Label from the lane sequence at and after the last observed step.
 
@@ -582,8 +590,7 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
     and its gathered rows stay within ``_GATHER_BLOCK`` elements.
     """
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
-    if n_vehicles < 2:
-        raise ValueError(f"need at least 2 vehicle slots, got {n_vehicles}")
+    _check_slots(n_vehicles)
     tracks = track_batch(tracks)
     window = t_obs_steps + t_pred_steps
     frame, track_row, vehicle = tracks.frame, tracks.offsets, tracks.vehicle_ids
@@ -897,6 +904,7 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
+    _check_slots(n_vehicles)
     wanted = np.arange(n) % len(MANEUVERS)
     tracks = _synthetic_scenes(
         np.random.default_rng(seed), wanted, fps, t_obs_steps + t_pred_steps,

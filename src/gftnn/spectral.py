@@ -14,7 +14,8 @@ inverse-distance weighted star (``star_spectra``). Each fixes one sign
 and one basis of every degenerate eigenspace, so rounding noise in the
 input cannot flip or rotate them. The weighted star's eigenvalues are
 the roots of a secular equation, each found by a few safeguarded
-rational steps and a finish on adjacent floats (``_secular_roots``).
+rational steps, one pair of probes around the last step and a halving
+down to adjacent floats (``_secular_roots``).
 ``symmetric_eigh`` is a cyclic Jacobi solver for any other symmetric
 matrix and the reference the closed forms are tested against.
 """
@@ -191,11 +192,9 @@ def complete_spectrum(n: int) -> Spectrum:
 
 
 # The secular root finder of ``star_spectra``: at most SECULAR_MODEL_STEPS
-# rational steps per root, then windows of SECULAR_PROBES evenly spaced
-# floats; the first window reaches SECULAR_NOISE_WIDTHS rounding widths of
-# the computed function past the last step.
+# rational steps per root, then one pair of probes SECULAR_NOISE_WIDTHS
+# rounding widths of the computed function past the last step, then halving.
 SECULAR_MODEL_STEPS = 12
-SECULAR_PROBES = 7
 SECULAR_NOISE_WIDTHS = 2.0
 _EPS = np.finfo(np.float64).eps
 
@@ -221,10 +220,11 @@ def _secular_roots(c, d2, delta, gap):
       of f with the terms off the lower pole frozen at tau = 0, bounds the
       root from above.
     - Once a step is within the rounding noise of f (LAPACK's erretm,
-      here eps (|c| + tau + sum_j |d2_j / (delta_j - tau)|) / |f'|), or after
-      SECULAR_MODEL_STEPS steps, windows of SECULAR_PROBES evenly spaced
-      floats cut the bracket: first around the last step's root, then
-      across the bracket, until lo and hi are adjacent floats.
+      here eps (|c| + tau + sum_j |d2_j / (delta_j - tau)|) / |f'|), one pair
+      of probes, that step's root less and plus its size and
+      SECULAR_NOISE_WIDTHS noise widths, cuts the bracket. Roots still
+      stepping after SECULAR_MODEL_STEPS steps skip the probes. Halving
+      then ends every bracket on adjacent floats.
     - Of lo and hi the one with the smaller |f| is the root; a pole has an
       infinite one.
 
@@ -279,28 +279,24 @@ def _secular_roots(c, d2, delta, gap):
             inside = (yk.view(np.int64) > lo_k) & (yk.view(np.int64) < hi_k)
             x[k] = np.where(inside, yk, (lo_k + width // 2).view(np.float64))
             modelled[k] = (size > noise) & (width > 1)
-        # The first window spans [y - reach, y + reach] within the bracket,
-        # or the whole bracket where the steps ran out.
-        centre = np.clip(y.view(np.int64), lo, hi)
-        ulps = np.fmin(reach / np.spacing(np.abs(y)), hi - lo).astype(np.int64) + 1
-        ulps = np.where(modelled, hi - lo, ulps)
-        first = np.maximum(centre - ulps, lo + 1)
-        last = centre + np.minimum(ulps, hi - 1 - centre)
-        step = np.maximum(1, (last - first) // (SECULAR_PROBES - 1))
-        probes = np.arange(SECULAR_PROBES)
+        # Where the steps converged, probe y - reach and y + reach, kept
+        # strictly inside the bracket (the upper one without forming
+        # centre + ulps, which can overflow).
+        k = np.flatnonzero(~modelled & (hi - lo > 1))
+        lo_k, hi_k = lo[k], hi[k]
+        centre = np.clip(y[k].view(np.int64), lo_k, hi_k)
+        ulps = np.fmin(reach[k] / np.spacing(np.abs(y[k])), hi_k - lo_k).astype(np.int64) + 1
+        tau = np.stack([np.maximum(centre - ulps, lo_k + 1),
+                        centre + np.minimum(ulps, hi_k - 1 - centre)], axis=1)
+        up = _secular(c[k], d2[k], delta[k], tau.view(np.float64)) > 0.0
+        lo[k] = np.max(np.where(up, tau, lo_k[:, None]), axis=1)
+        hi[k] = np.min(np.where(up, hi_k[:, None], tau), axis=1)
+        # Then halve every bracket down to adjacent floats.
         while (k := np.flatnonzero(hi - lo > 1)).size:
-            lo_k, hi_k = lo[k, None], hi[k, None]
-            tau = np.minimum(first[k, None] + step[k, None] * probes, hi_k - 1)
-            up = _secular(c[k], d2[k], delta[k], tau.view(np.float64)) > 0.0
-            # The new bracket: the first probe with f <= 0 (or hi) and the
-            # point before it (or lo).
-            j = np.argmax(np.concatenate([~up, np.ones_like(lo_k, bool)], axis=1), axis=1)
-            tau = np.concatenate([lo_k, tau, hi_k], axis=1)
-            rows_k = np.arange(k.size)
-            lo_k, hi_k = tau[rows_k, j], tau[rows_k, j + 1]
-            lo[k], hi[k] = lo_k, hi_k
-            step[k] = step_k = -(-(hi_k - lo_k) // (SECULAR_PROBES + 1))
-            first[k] = lo_k + step_k
+            lo_k, hi_k = lo[k], hi[k]
+            mid = lo_k + (hi_k - lo_k) // 2
+            up = _secular(c[k], d2[k], delta[k], mid[:, None].view(np.float64))[:, 0] > 0.0
+            lo[k], hi[k] = np.where(up, mid, lo_k), np.where(up, hi_k, mid)
         ends = np.stack([lo, hi], axis=1).view(np.float64)
         residual = np.abs(_secular(c, d2, delta, ends))
     tau = np.zeros(gap.shape)

@@ -255,7 +255,8 @@ def three_class_tracks(fps):
 
 
 def write_tracks_csv(path, tracks, schema="normalized"):
-    """Dump tracks as one row per (frame, vehicle), in the given schema."""
+    """Dump tracks as one row per (frame, vehicle), in the given schema,
+    with LF line ends."""
     cols = SCHEMAS[schema]
     order = ("frame", "vehicle_id", "x", "y", "vx", "vy", "lane_id")
     rows = []
@@ -266,7 +267,7 @@ def write_tracks_csv(path, tracks, schema="normalized"):
                          repr(float(tr.vy[i])), int(tr.lane_id[i])))
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([cols[name] for name in order])
         writer.writerows(rows)
 

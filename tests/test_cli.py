@@ -21,7 +21,8 @@ from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, truth_trajectory)
-from gftnn.scenario import MAX_WINDOW_STEPS, TrackBatch, load_archive, split, synthesize
+from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch, load_archive,
+                            split, synthesize)
 from gftnn.training import TrainConfig
 from helpers import multilane_scene, three_class_tracks, write_tracks_csv
 
@@ -175,9 +176,14 @@ def test_non_finite_options_fail_on_one_line(tmp_path, capsys, argv, message):
      f"t_obs of 1000000000.0 s at fps=10.0 gives more than {MAX_WINDOW_STEPS} steps"),
     (["prep", "--fps", "5", "--t-pred", "1e9"],
      f"t_pred of 1000000000.0 s at fps=5.0 gives more than {MAX_WINDOW_STEPS} steps"),
+    (["synth", "--n", "3", "--fps", "10", "--n-vehicles", "100000000"],
+     f"need 2 to {MAX_VEHICLE_SLOTS} vehicle slots, got 100000000"),
+    (["prep", "--fps", "5", "--n-vehicles", "100000000"],
+     f"need 2 to {MAX_VEHICLE_SLOTS} vehicle slots, got 100000000"),
 ])
 def test_windows_past_the_step_bound_fail_on_one_line(tmp_path, capsys, argv, message):
-    # Refused before any frame is allocated: 1e10 steps would take tens of GiB.
+    # Refused before any frame is allocated: 1e10 steps, or 1e8 slots,
+    # would take tens of GiB.
     if argv[0] == "prep":
         write_tracks_csv(tmp_path / "tracks.csv", three_class_tracks(fps=5))
         argv = argv + ["--input", str(tmp_path / "tracks.csv")]

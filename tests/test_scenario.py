@@ -13,9 +13,9 @@ import pytest
 
 from gftnn import scenario
 from gftnn.model import _own_batch
-from gftnn.scenario import (MANEUVERS, MAX_WINDOW_STEPS, BalanceError, ParseError,
-                            RawTrack, Scenario, ScenarioBatch, SchemaError, SplitError,
-                            TrackBatch, _window_steps, balance, extract_scenarios,
+from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, BalanceError,
+                            ParseError, RawTrack, Scenario, ScenarioBatch, SchemaError,
+                            SplitError, TrackBatch, _window_steps, balance, extract_scenarios,
                             ingest_tracks, label_maneuver, load_archive, save_archive,
                             split, synthesize, track_batch)
 from gftnn.store import write_document
@@ -520,10 +520,9 @@ ROUTE_COPIES = {
 
 @pytest.fixture
 def recording_csv(tmp_path):
-    """A recording with LF line ends (csv.writer ends its lines in CRLF)."""
+    """A recording with LF line ends."""
     path = tmp_path / "tracks.csv"
     write_tracks_csv(path, multilane_scene(7, 25, n_tracks=16))
-    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
     return path
 
 
@@ -873,6 +872,30 @@ def test_window_steps_are_bounded():
         assert str(info.value) == message
         with pytest.raises(ValueError) as info:
             extract_scenarios([straight_track(1, 80)], fps, t_obs=t_obs, t_pred=t_pred)
+        assert str(info.value) == message
+
+
+def test_slot_counts_are_bounded(monkeypatch):
+    batch = synthesize(1, 2.0, seed=0, n_vehicles=MAX_VEHICLE_SLOTS)
+    assert batch.n_vehicles == MAX_VEHICLE_SLOTS
+    track = straight_track(1, 80)
+    assert extract_scenarios([track], 10, n_vehicles=MAX_VEHICLE_SLOTS).n_vehicles == \
+        MAX_VEHICLE_SLOTS
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("slot count refused too late")
+
+    # Refused before any track or scene is built: 1e8 slots of 30 steps
+    # would take 96 GB of features.
+    monkeypatch.setattr(scenario, "track_batch", unreached)
+    monkeypatch.setattr(scenario, "_synthetic_scenes", unreached)
+    for slots in (1, MAX_VEHICLE_SLOTS + 1, 100_000_000):
+        message = f"need 2 to {MAX_VEHICLE_SLOTS} vehicle slots, got {slots}"
+        with pytest.raises(ValueError) as info:
+            extract_scenarios([track], 10, n_vehicles=slots)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            synthesize(3, 10, seed=0, n_vehicles=slots)
         assert str(info.value) == message
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gftnn import spectral
 from gftnn.graph import (D_FLOOR, Graph, Laplacian, apply_inverse_distance_weights,
                          build_line_graph, build_mesh_graph, build_spider_graph,
                          inverse_distance_weights, laplacian)
@@ -290,12 +291,18 @@ def _next_float(tau, step):
     return (tau.view(np.int64) + step).view(np.float64)
 
 
-@pytest.mark.parametrize("case", sorted(_secular_corpus()))
-def test_secular_roots_match_the_bisection(case):
+# The default number of rational steps, then none (halving alone) and one
+# (most roots halve, the rest take the probe pair first).
+@pytest.mark.parametrize("case, steps", [
+    pytest.param(case, steps, id=case if steps is None else f"{case}-{steps} steps")
+    for steps in (None, 0, 1) for case in sorted(_secular_corpus())])
+def test_secular_roots_match_the_bisection(case, steps, monkeypatch):
     # Every computed term of f, and the sum and difference of them, rounds
     # monotonically, so the computed f falls across the bracket and changes
     # sign once: the rational steps end on the bisection's pair of adjacent
     # floats and pick the same one, bit for bit.
+    if steps is not None:
+        monkeypatch.setattr(spectral, "SECULAR_MODEL_STEPS", steps)
     for weights in _secular_corpus()[case]:
         c, d2, delta, gap = star_secular_equation(weights)
         tau = _secular_roots(c, d2, delta, gap)
