@@ -20,9 +20,10 @@ from .metrics import (BIN_WIDTH, check_bin_width, evaluate, write_histogram_csv,
 from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis,
                     check_grid, check_resume, load_checkpoint, predict, predict_batch,
                     preset_config, truth_trajectories)
-from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, balance,
-                       extract_scenarios, ingest_tracks, load_archive, save_archive,
-                       split, split_indices, synthesize, SCHEMAS)
+from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, _check_slots,
+                       _window_steps, balance, extract_scenarios, ingest_tracks,
+                       load_archive, save_archive, split, split_indices, synthesize,
+                       SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
 from .store import read_document
 from .training import DivergenceError, TrainConfig, train
@@ -45,16 +46,25 @@ def _class_counts(batch) -> str:
     return ", ".join(f"{m}={count}" for m, count in zip(MANEUVERS, counts))
 
 
-def _find_scenario(batch, scenario_id):
+def _find_scenario(ids, scenario_id) -> int:
+    """The row of ``scenario_id`` among ``ids``, or the first row if it is None."""
     if scenario_id is None:
-        return batch[0]
-    if scenario_id not in batch.ids:
+        return 0
+    if scenario_id not in ids:
         raise ValueError(f"scenario {scenario_id!r} not found in archive")
-    return batch[batch.ids.index(scenario_id)]
+    return ids.index(scenario_id)
+
+
+def _one_scenario(scenario_id):
+    """The ``load_archive`` row chooser that reads only ``scenario_id``'s row."""
+    return lambda ids, codes: [_find_scenario(ids, scenario_id)]
 
 
 def cmd_prep(args):
     _require(args, "input", "fps")
+    # The grid extract_scenarios will cut, refused before the input is read.
+    _window_steps(args.fps, args.t_obs, args.t_pred)
+    _check_slots(args.n_vehicles)
     tracks = ingest_tracks(args.input, args.schema)
     print(f"read {tracks.frame.size} rows of {len(tracks)} vehicles from {args.input}")
     scenarios = extract_scenarios(tracks, args.fps, args.t_obs, args.t_pred, args.n_vehicles)
@@ -80,8 +90,8 @@ def cmd_synth(args):
 
 def cmd_spectrum(args):
     _require(args, "archive")
-    scenarios, fps = load_archive(args.archive)
-    scenario = _find_scenario(scenarios, args.scenario_id)
+    scenarios, fps = load_archive(args.archive, _one_scenario(args.scenario_id))
+    scenario = scenarios[0]
     config = ModelConfig(k=4, t_obs=scenario.t_obs, t_pred=scenario.t_pred,
                          n_v=scenario.n_vehicles, p=scenario.t_obs,
                          graph_kind=args.graph_kind, fps=fps)
@@ -160,20 +170,26 @@ def cmd_train(args):
     print(f"wrote {log_path}")
 
 
-def _subset(scenarios, args):
-    """The scenarios ``--subset`` scores: all of them, or the rows of one
-    side of ``split``, copied without the other side."""
+def _subset(args):
+    """The ``load_archive`` row chooser of the scenarios ``--subset``
+    scores: None for all of them, else the rows of one side of ``split``
+    in its drawn order, which ``split_indices`` draws from the head's
+    maneuver codes, so the other side is never read."""
     if args.subset == "all":
-        return scenarios
-    train, test = split_indices(scenarios, args.split_ratio, args.seed)
-    return scenarios[train if args.subset == "train" else test]
+        return None
+    side = ("train", "test").index(args.subset)
+    return lambda ids, codes: split_indices(codes, args.split_ratio, args.seed)[side]
 
 
-def _load_archive_and_checkpoint(args):
-    """The archive's scenarios, the checkpoint that scores them (without
-    its Adam moments) and its reference basis. The archive must lie on the
-    checkpoint's grid, also for ``eval --self-test``."""
-    scenarios, _ = load_archive(args.archive)
+def _load_archive_and_checkpoint(args, rows=None):
+    """The archive's scenarios (only those the ``load_archive`` chooser
+    ``rows`` picks, if given), the checkpoint that scores them (without
+    its Adam moments) and its reference basis. The archive must lie on
+    the checkpoint's grid, also for ``eval --self-test``."""
+    if rows is None:
+        scenarios, _ = load_archive(args.archive)
+    else:
+        scenarios, _ = load_archive(args.archive, rows)
     ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     check_grid(scenarios, ckpt.config)
     return scenarios, ckpt, build_basis(ckpt.config)
@@ -182,14 +198,12 @@ def _load_archive_and_checkpoint(args):
 def cmd_eval(args):
     _require(args, "archive", "checkpoint")
     check_bin_width(args.bin_width)
-    scenarios, ckpt, basis = _load_archive_and_checkpoint(args)
-    chosen = _subset(scenarios, args)
-    del scenarios           # a split subset is a copy; the archive is not needed
-    truths = truth_trajectories(chosen)
+    scenarios, ckpt, basis = _load_archive_and_checkpoint(args, _subset(args))
+    truths = truth_trajectories(scenarios)
     if args.self_test:
         predictions = truths
     else:
-        predictions = predict_batch(chosen, basis, ckpt.params, ckpt.config)
+        predictions = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
     report = evaluate(predictions, truths, args.bin_width)
     report_path = _out_path(args, "eval_report.json")
     hist_path = _out_path(args, "histogram.csv")
@@ -203,8 +217,9 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     _require(args, "archive", "checkpoint", "scenario_id")
-    scenarios, ckpt, basis = _load_archive_and_checkpoint(args)
-    scenario = _find_scenario(scenarios, args.scenario_id)
+    scenarios, ckpt, basis = _load_archive_and_checkpoint(
+        args, _one_scenario(args.scenario_id))
+    scenario = scenarios[0]
     trajectory = predict(scenario, basis, ckpt.params, ckpt.config)
     path = _out_path(args, f"trajectory_{scenario.scenario_id}.csv")
     with open(path, "w", newline="") as fh:

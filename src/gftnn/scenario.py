@@ -307,8 +307,7 @@ class ScenarioBatch:
         codes = np.asarray(self.codes)
         names = codes.tolist()
         if codes.dtype.kind not in "iu":
-            codes = np.array([MANEUVERS.index(m) if m in MANEUVERS else -1 for m in names],
-                             dtype=np.int64)
+            codes = _maneuver_index(names)
         v0 = np.asarray(self.v0, dtype=np.float64)
         n = len(ids)
         if {codes.shape, v0.shape, f.shape[:1], fut.shape[:1]} != {(n,)}:
@@ -321,11 +320,7 @@ class ScenarioBatch:
              lambda i: f"scenario {ids[i]}: non-finite data"),
             ((f[:, 0, 0, 0] != 0.0) | (f[:, 1, 0, 0] != 0.0),
              lambda i: f"scenario {ids[i]}: target must start at the origin"),
-            ((codes < 0) | (codes >= len(MANEUVERS)),
-             lambda i: f"unknown maneuver {names[i]!r}"),
-            (~np.isfinite(v0), lambda i: f"scenario {ids[i]}: v0 must be finite, got {v0[i]}"),
-            (np.full(n, not _valid_fps(self.fps)),
-             lambda i: f"scenario {ids[i]}: fps must be positive and finite, got {self.fps}"),
+            *_head_checks(ids, names, codes, v0, self.fps),
         )
         _check_rule(checks, lambda i: f"scenario {i} ({ids[i]!r})")
         for name, value in (("ids", ids), ("codes", _frozen(codes, np.int64)),
@@ -354,6 +349,26 @@ class ScenarioBatch:
     t_obs = property(lambda self: self.features.shape[2])
     t_pred = property(lambda self: self.futures.shape[1])
     n_vehicles = property(lambda self: self.features.shape[3])
+
+
+def _maneuver_index(names) -> np.ndarray:
+    """The int64 indices into MANEUVERS of the maneuver ``names``; a name
+    that is not one of them becomes -1."""
+    return np.array([MANEUVERS.index(m) if m in MANEUVERS else -1 for m in names],
+                    dtype=np.int64)
+
+
+def _head_checks(ids, names, codes, v0, fps):
+    """The scenario rule's checks of what an archive head holds (a known
+    maneuver, a finite v0 and the fps), as ``_check_rule`` pairs; ``names``
+    are the maneuvers as given and ``codes`` their ``_maneuver_index``."""
+    return (
+        ((codes < 0) | (codes >= len(MANEUVERS)),
+         lambda i: f"unknown maneuver {names[i]!r}"),
+        (~np.isfinite(v0), lambda i: f"scenario {ids[i]}: v0 must be finite, got {v0[i]}"),
+        (np.full(len(ids), not _valid_fps(fps)),
+         lambda i: f"scenario {ids[i]}: fps must be positive and finite, got {fps}"),
+    )
 
 
 class Scenario:
@@ -741,24 +756,28 @@ def balance(batch: ScenarioBatch, seed: int) -> ScenarioBatch:
 
 def split(batch: ScenarioBatch, ratio: float, seed: int) -> DatasetSplit:
     """Deterministic stratified train/test split of ``batch`` into two
-    batches, the rows ``split_indices`` gives."""
-    train_idx, test_idx = split_indices(batch, ratio, seed)
+    batches, the rows ``split_indices`` gives for its codes."""
+    train_idx, test_idx = split_indices(batch.codes, ratio, seed)
     return DatasetSplit(train=batch[train_idx], test=batch[test_idx], seed=seed)
 
 
-def split_indices(batch: ScenarioBatch, ratio: float, seed: int):
-    """The row indices of the train and test sides of ``batch``.
+def split_indices(codes, ratio: float, seed: int):
+    """The row indices of the train and test sides of the scenarios whose
+    maneuver codes are ``codes``, each side in its drawn order. It needs
+    the codes alone, so ``load_archive`` can call it on an archive's head
+    and read only one side.
 
     Per-class quotas use largest-remainder rounding so the overall train
     fraction matches ``ratio`` as closely as an integer count allows.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
-    n = len(batch)
+    codes = np.asarray(codes)
+    n = len(codes)
     if n < 2:
         raise SplitError(f"need at least 2 scenarios to split, got {n}")
     target_train = min(max(int(round(ratio * n)), 1), n - 1)
-    groups = [np.flatnonzero(batch.codes == code) for code in range(len(MANEUVERS))]
+    groups = [np.flatnonzero(codes == code) for code in range(len(MANEUVERS))]
     quota = [int(ratio * idx.size) for idx in groups]
     # Largest remainders first, ties in class order.
     for code in sorted(range(len(groups)),
@@ -952,14 +971,21 @@ def save_archive(path, batch: ScenarioBatch, fps):
     write_document(path, head, {"features": batch.features, "future": batch.futures})
 
 
-def load_archive(path):
+def load_archive(path, rows=None):
     """Read a scenario archive of format version 3; returns (batch, fps),
     where batch is a ``ScenarioBatch``. Any other version is refused.
 
-    The batch holds the payload's two blocks as read-only arrays, checked
-    by the scenario rule once. The head's scenario entries are read before
-    any array check. A corrupt or empty document raises ValueError naming
-    the path and, for a bad scenario, its index and id, with the key at
+    Every scenario entry of the head is read and checked first (its JSON
+    types, a known maneuver, a finite v0 and the fps), and opening the
+    archive checks that the payload holds exactly the bytes the head
+    declares. Without ``rows`` the batch holds the payload's two blocks,
+    checked whole by the scenario rule once. ``rows``, if given, is called
+    as ``rows(ids, codes)`` with the head's ids and maneuver codes before
+    any payload byte is read, and returns the indices of the scenarios to
+    read; the batch holds only those, in that order, and the rule's data
+    checks (finite data, a target at the origin) cover only them. A
+    corrupt or empty document raises ValueError naming the path and, for
+    a bad scenario, its index in the archive and its id, with the key at
     fault.
     """
     with open_document(path, "archive", "version", ARCHIVE_VERSION) as doc:
@@ -974,11 +1000,24 @@ def load_archive(path):
         doc.payload.expect({"features": (n, len(CHANNELS), t_obs, n_vehicles),
                             "future": (n, t_pred, 2)},
                            f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
-        features = doc.payload.read("features")
-        future = doc.payload.read("future")
-    ids, maneuvers, v0 = zip(*fields)
+        ids, codes, v0 = zip(*fields)
+
+        def describe(i):
+            return f"{path}: scenario {i} ({ids[i]!r})"
+
+        take = None
+        if rows is not None:
+            names, codes, v0 = codes, _maneuver_index(codes), np.array(v0)
+            _check_rule(_head_checks(ids, names, codes, v0, fps), describe)
+            take = np.asarray(rows(ids, codes), dtype=np.int64)
+            codes, v0 = codes[take], v0[take]
+        features = doc.payload.read("features", take)
+        future = doc.payload.read("future", take)
+    picked = range(n) if take is None else take.tolist()
     try:
-        return ScenarioBatch(ids, maneuvers, v0, features, future, fps), fps
+        return ScenarioBatch([ids[i] for i in picked], codes, v0, features, future, fps), fps
+    except _RowError as exc:    # named by its index in the archive
+        raise ValueError(f"{describe(picked[exc.index])}: {exc.reason}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -126,13 +126,40 @@ class Payload:
         if unknown:
             raise declared.error(f"has unknown keys: {', '.join(unknown)}")
 
-    def read(self, name: str) -> np.ndarray:
-        """The array ``name`` as a fresh writable float64 array of its shape."""
-        arr = np.empty(self.shapes[name], dtype="<f8")
-        self._fh.seek(self._offsets[name])
+    def read(self, name: str, rows=None) -> np.ndarray:
+        """The array ``name`` as a fresh writable float64 array of its shape,
+        or only ``rows``, indices along its leading axis, stacked in the
+        order given. Only those rows' bytes are read: in file order, each
+        run of consecutive rows in one call, then put in the given order.
+        """
+        shape = self.shapes[name]
+        offset = self._offsets[name]
+        if rows is None:
+            arr = np.empty(shape, dtype="<f8")
+            self._read_into(arr, offset, name)
+            return arr.astype(np.float64, copy=False)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size and not (0 <= rows.min() and rows.max() < shape[0]):
+            raise IndexError(f"rows of {name} must lie in [0, {shape[0]})")
+        # In file order: a shuffled side of a split has almost no runs of
+        # consecutive rows in its own order but many in file order, and
+        # the file's buffer serves a row smaller than itself without a call.
+        order = np.argsort(rows, kind="stable")
+        ordered = rows[order]
+        stacked = np.empty((rows.size, *shape[1:]), dtype="<f8")
+        row_bytes = 8 * math.prod(shape[1:])
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1] + 1) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, rows.size]) if rows.size else ():
+            self._read_into(stacked[lo:hi], offset + int(ordered[lo]) * row_bytes, name)
+        arr = np.empty_like(stacked)
+        arr[order] = stacked
+        return arr.astype(np.float64, copy=False)
+
+    def _read_into(self, arr: np.ndarray, offset: int, name: str):
+        """Fill ``arr`` with the bytes of array ``name`` from file ``offset`` on."""
+        self._fh.seek(offset)
         if self._fh.readinto(arr) != arr.nbytes:
             raise self._head.error(f"ends inside array {name}")
-        return arr.astype(np.float64, copy=False)
 
 
 def _not_json(path, kind: str, exc: json.JSONDecodeError) -> ValueError:

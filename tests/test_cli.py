@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 import gftnn
-from gftnn import cli
+from gftnn import cli, store
 from gftnn.cli import main
 from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
                            write_histogram_csv, write_report_json)
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, truth_trajectory)
-from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch, load_archive,
-                            split, synthesize)
+from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch,
+                            load_archive, save_archive, split, split_indices, synthesize)
 from gftnn.training import TrainConfig
 from helpers import multilane_scene, three_class_tracks, write_tracks_csv
 
@@ -190,6 +190,26 @@ def test_windows_past_the_step_bound_fail_on_one_line(tmp_path, capsys, argv, me
     err = run_fail(capsys, argv + ["--out", str(tmp_path / "out")])
     assert err == f"error: {message}\n"
     assert not (tmp_path / "out" / "archive.json").exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--n-vehicles", "100000000"],
+     f"need 2 to {MAX_VEHICLE_SLOTS} vehicle slots, got 100000000"),
+    (["--t-obs", "1e9"],
+     f"t_obs of 1000000000.0 s at fps=10.0 gives more than {MAX_WINDOW_STEPS} steps"),
+])
+def test_prep_refuses_its_grid_before_it_reads_the_input(tmp_path, capsys, monkeypatch,
+                                                         option, message):
+    path = tmp_path / "tracks.csv"
+    path.write_text("frame,vehicle_id,x,y,vx,vy,lane_id\n"
+                    "1,1,0.0,0.0,1.0,0.0,2\n2,1,0.1,0.0,1.0,0.0,2\n")
+    read = []
+    monkeypatch.setattr(cli, "ingest_tracks", lambda *args: read.append(args))
+    assert main(["prep", "--input", str(path), "--fps", "10", *option,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert read == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -421,10 +441,11 @@ def test_eval_subset_uses_the_split(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("side", ["train", "test"])
-def test_eval_subset_is_one_side_of_the_split_bit_for_bit(side):
+def test_eval_subset_is_one_side_of_the_split_bit_for_bit(tmp_path, side):
     scenarios = synthesize(23, 10, seed=7)
+    save_archive(tmp_path / "archive.json", scenarios, 10)
     args = argparse.Namespace(subset=side, split_ratio=0.6, seed=4)
-    chosen = cli._subset(scenarios, args)
+    chosen, _ = load_archive(tmp_path / "archive.json", cli._subset(args))
     want = getattr(split(scenarios, 0.6, seed=4), side)
     assert chosen.ids == want.ids
     assert chosen.fps == want.fps
@@ -643,6 +664,178 @@ def test_predict_unknown_scenario(tmp_path, capsys):
                             "--checkpoint", str(ckpt),
                             "--scenario-id", "nope", "--out", str(tmp_path)])
     assert "not found" in err
+
+
+# ------------------------------------------------------------------ row reads
+
+def _payload_reads(monkeypatch):
+    """The (array name, bytes) of every ``Payload.read`` from now on."""
+    reads = []
+    original = store.Payload.read
+
+    def read(self, name, *args, **kwargs):
+        array = original(self, name, *args, **kwargs)
+        reads.append((name, array.nbytes))
+        return array
+
+    monkeypatch.setattr(store.Payload, "read", read)
+    return reads
+
+
+def _archive_bytes(reads):
+    return sum(size for name, size in reads if name in ("features", "future"))
+
+
+# 4 x 30 x 9 features and 50 x 2 future values of one scenario at 10 fps.
+SCENARIO_BYTES = 8 * (4 * 30 * 9 + 50 * 2)
+
+# The calls that read some rows of an archive, given its path and a checkpoint.
+ROW_READS = {
+    "predict": lambda archive, ckpt: ["predict", "--archive", archive, "--checkpoint", ckpt,
+                                      "--scenario-id", "synth-00003"],
+    "spectrum": lambda archive, ckpt: ["spectrum", "--archive", archive,
+                                       "--scenario-id", "synth-00003"],
+    "eval-test": lambda archive, ckpt: ["eval", "--archive", archive, "--checkpoint", ckpt,
+                                        "--subset", "test"],
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "spectrum"])
+def test_an_unknown_scenario_is_refused_before_the_payload_is_read(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    archive, ckpt = trained_checkpoint(tmp_path, capsys)
+    argv = ROW_READS[command](str(archive), str(ckpt))
+    argv[argv.index("synth-00003")] = "nope"
+    reads = _payload_reads(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", "error: scenario 'nope' not found in archive\n")
+    assert reads == []
+
+
+@pytest.mark.parametrize("command", sorted(ROW_READS))
+def test_row_reads_refuse_a_truncated_payload(tmp_path, capsys, monkeypatch, command):
+    # The length check covers the whole payload, not only the rows read.
+    archive, ckpt = trained_checkpoint(tmp_path, capsys)
+    archive.write_bytes(archive.read_bytes()[:-8])
+    with pytest.raises(ValueError) as info:
+        load_archive(archive)
+    message = str(info.value)
+    payload = 12 * SCENARIO_BYTES
+    assert message.endswith(f"payload is {payload - 8} bytes, expected {payload} "
+                            f"for the arrays its head declares")
+    reads = _payload_reads(monkeypatch)
+    assert main(ROW_READS[command](str(archive), str(ckpt))
+                + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert reads == []
+
+
+@pytest.mark.parametrize("key, value", [("maneuver", "u_turn"), ("v0", math.nan)])
+@pytest.mark.parametrize("command", sorted(ROW_READS))
+def test_row_reads_refuse_a_bad_entry_they_do_not_read(tmp_path, capsys, command, key,
+                                                        value):
+    archive, ckpt = trained_checkpoint(tmp_path, capsys)
+    scenarios, _ = load_archive(archive)
+    train_side, _ = split_indices(scenarios.codes, 0.7, 0)
+    unread = next(i for i in train_side.tolist() if i != 3)
+    line, rest = archive.read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    head["scenarios"][unread][key] = value
+    archive.write_bytes(json.dumps(head).encode() + b"\n" + rest)
+    with pytest.raises(ValueError) as info:
+        load_archive(archive)
+    message = str(info.value)
+    assert message.startswith(f"{archive}: scenario {unread} ('synth-{unread:05d}'): ")
+    assert main(ROW_READS[command](str(archive), str(ckpt))
+                + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_nan_features_in_an_unread_row_stop_only_the_reads_of_that_row(tmp_path, capsys):
+    archive, ckpt = trained_checkpoint(tmp_path, capsys)
+    scored = ["--archive", str(archive), "--checkpoint", str(ckpt)]
+    run_ok(capsys, ["predict", *scored, "--scenario-id", "synth-00003",
+                    "--out", str(tmp_path / "clean")])
+    data = bytearray(archive.read_bytes())
+    at = data.index(b"\n") + 1 + 5 * SCENARIO_BYTES + 8 * 100     # a value of row 5
+    data[at:at + 8] = np.float64(np.nan).tobytes()
+    archive.write_bytes(bytes(data))
+    run_ok(capsys, ["predict", *scored, "--scenario-id", "synth-00003",
+                    "--out", str(tmp_path / "poked")])
+    name = "trajectory_synth-00003.csv"
+    assert (tmp_path / "poked" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+    # Whatever reads row 5 refuses it, named by its index in the archive.
+    codes = np.array([MANEUVERS.index(entry["maneuver"]) for entry
+                      in json.loads(data[:data.index(b"\n")])["scenarios"]])
+    train_side, _ = split_indices(codes, 0.7, 0)
+    side = "train" if 5 in train_side else "test"
+    other = "test" if side == "train" else "train"
+    message = f"error: {archive}: scenario 5 ('synth-00005'): scenario synth-00005: " \
+              f"non-finite data\n"
+    for argv in (["eval", *scored], ["eval", *scored, "--subset", side],
+                 ["predict", *scored, "--scenario-id", "synth-00005"]):
+        assert main(argv + ["--out", str(tmp_path / "refused")]) == 1
+        assert capsys.readouterr() == ("", message)
+    run_ok(capsys, ["eval", *scored, "--subset", other, "--out", str(tmp_path / "other")])
+
+
+@pytest.mark.parametrize("preset, fps", [("gftnn", 10), ("gftnn-w", 25)])
+def test_row_reads_write_the_bytes_of_a_full_read(tmp_path, capsys, monkeypatch, preset, fps):
+    # The oracle is the route that reads the whole archive and then picks
+    # the scenario by id or the side of the split by its indices.
+    archive = synth_archive(tmp_path, n=14, fps=fps)
+    split_args = ["--split-ratio", "0.6", "--seed", "2"]
+    run_ok(capsys, ["train", "--archive", str(archive), "--preset", preset, "--hidden", "8",
+                    "--epochs", "1", "--batch-size", "4", *split_args,
+                    "--out", str(tmp_path / "run")])
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    scored = ["--archive", str(archive), "--checkpoint", str(ckpt)]
+    scenario_id = "synth-00009"
+
+    def by_id(batch):
+        return batch[[cli._find_scenario(batch.ids, scenario_id)]]
+
+    calls = {
+        "predict": (["predict", *scored, "--scenario-id", scenario_id], by_id),
+        "spectrum": (["spectrum", "--archive", str(archive), "--scenario-id", scenario_id,
+                      "--p", "5"], by_id),
+        "eval-train": (["eval", *scored, "--subset", "train", *split_args],
+                       lambda batch: batch[split_indices(batch.codes, 0.6, 2)[0]]),
+        "eval-test": (["eval", *scored, "--subset", "test", *split_args],
+                      lambda batch: batch[split_indices(batch.codes, 0.6, 2)[1]]),
+    }
+    for name, (argv, pick) in calls.items():
+        got, want = tmp_path / "rows" / name, tmp_path / "full" / name
+        out = run_ok(capsys, argv + ["--out", str(got)])
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "load_archive",
+                            lambda path, rows=None: (pick(load_archive(path)[0]), float(fps)))
+            oracle = run_ok(capsys, argv + ["--out", str(want)])
+        assert out == oracle.replace(str(want), str(got))
+        names = sorted(path.name for path in want.iterdir())
+        assert names == sorted(path.name for path in got.iterdir()) and len(names) >= 1
+        for file in names:
+            assert (got / file).read_bytes() == (want / file).read_bytes(), (name, file)
+
+
+def test_predict_reads_one_scenario_of_a_large_archive(tmp_path, capsys, monkeypatch):
+    # What predict reads of the payload does not grow with the archive;
+    # eval --subset test reads its own side and no more.
+    _, ckpt = trained_checkpoint(tmp_path, capsys)
+    archive = tmp_path / "large.json"
+    scenarios = synthesize(1000, 10, seed=5)
+    save_archive(archive, scenarios, 10)
+    scored = ["--archive", str(archive), "--checkpoint", str(ckpt)]
+    reads = _payload_reads(monkeypatch)
+    run_ok(capsys, ["predict", *scored, "--scenario-id", "synth-00777",
+                    "--out", str(tmp_path / "pred")])
+    assert _archive_bytes(reads) == SCENARIO_BYTES
+    reads.clear()
+    out = run_ok(capsys, ["eval", *scored, "--subset", "test",
+                          "--out", str(tmp_path / "eval")])
+    _, test_side = split_indices(scenarios.codes, 0.7, 0)
+    assert out.startswith(f"n={test_side.size} ")
+    assert _archive_bytes(reads) == test_side.size * SCENARIO_BYTES
 
 
 # ------------------------------------------------------------- config plumbing

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import threading
 import warnings
@@ -1357,8 +1358,7 @@ def _scenario_value(index, key, value):
 ARCHIVE_PAYLOAD = 8 * (3 * 4 * 30 * 9 + 3 * 50 * 2)
 GRID = "on grid (t_obs, t_pred, n_vehicles)"
 
-
-@pytest.mark.parametrize("edit, message", [
+CORRUPT_ARCHIVES = [
     (lambda data: data.replace(b'"fps": 10.0', b'"fps": 10.0.', 1),
      "archive head is not valid JSON at fps: Expecting ',' delimiter: "
      "line 1 column 27 (char 26)"),
@@ -1418,7 +1418,10 @@ GRID = "on grid (t_obs, t_pred, n_vehicles)"
     (edited_head(lambda head: head["arrays"].update(features=[3, 4, 0, 9])),
      "archive arrays features has shape [3, 4, 0, 9], expected a list of positive "
      "integers"),
-])
+]
+
+
+@pytest.mark.parametrize("edit, message", CORRUPT_ARCHIVES)
 def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(3, 10, seed=21), 10)
@@ -1426,6 +1429,92 @@ def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("edit, message", CORRUPT_ARCHIVES)
+def test_a_row_read_refuses_what_a_full_read_refuses_before_it_chooses(tmp_path, edit,
+                                                                      message):
+    # The whole head is checked, and the payload's length, before the
+    # chooser sees the head.
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(3, 10, seed=21), 10)
+    path.write_bytes(edit(path.read_bytes()))
+    chosen = []
+    with pytest.raises(ValueError) as info:
+        load_archive(path, lambda ids, codes: chosen.append(ids) or [0])
+    assert str(info.value) == f"{path}: {message}"
+    assert chosen == []
+
+
+def test_a_row_read_is_those_rows_of_a_full_read_in_their_order(tmp_path):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(9, 10, seed=23, noise_std=0.05), 10)
+    full, _ = load_archive(path)
+    seen = []
+
+    def choose(ids, codes):
+        seen.append((ids, codes.tolist()))
+        return [7, 2, 3, 4, 0, 8, 2]
+
+    batch, fps = load_archive(path, choose)
+    assert fps == 10.0
+    assert seen == [(full.ids, full.codes.tolist())]
+    want = full[[7, 2, 3, 4, 0, 8, 2]]
+    assert batch.ids == want.ids
+    for name in ("codes", "v0", "features", "futures"):
+        got = getattr(batch, name)
+        assert not got.flags.writeable and got.tobytes() == getattr(want, name).tobytes()
+
+
+def _poke_nan(path, row):
+    """Set one feature value of archive row ``row`` to NaN, which the
+    scenario rule refuses; the head stays as it is."""
+    data = bytearray(path.read_bytes())
+    at = data.index(b"\n") + 1 + 8 * (row * 4 * 30 * 9 + 100)
+    data[at:at + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+
+
+def test_a_row_read_checks_the_data_of_its_rows_only(tmp_path):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(5, 10, seed=24), 10)
+    _poke_nan(path, 3)
+    message = f"{path}: scenario 3 ('synth-00003'): scenario synth-00003: non-finite data"
+    with pytest.raises(ValueError) as info:
+        load_archive(path)
+    assert str(info.value) == message
+    batch, _ = load_archive(path, lambda ids, codes: [4, 1])
+    assert batch.ids == ("synth-00004", "synth-00001")
+    # A read row that breaks the rule is named by its index in the archive.
+    with pytest.raises(ValueError) as info:
+        load_archive(path, lambda ids, codes: [4, 3])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("maneuver", "u_turn", "unknown maneuver 'u_turn'"),
+    ("v0", math.nan, "scenario synth-00003: v0 must be finite, got nan"),
+])
+def test_a_row_read_checks_every_head_entry(tmp_path, key, value, reason):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(5, 10, seed=24), 10)
+    rewrite_head(path, lambda head: head["scenarios"][3].update({key: value}))
+    for rows in (None, lambda ids, codes: [0]):
+        with pytest.raises(ValueError) as info:
+            load_archive(path, rows)
+        assert str(info.value) == f"{path}: scenario 3 ('synth-00003'): {reason}"
+
+
+def test_a_row_read_names_a_bad_fps_as_a_full_read_does(tmp_path):
+    path = tmp_path / "arch.json"
+    save_archive(path, synthesize(3, 10, seed=24), 10)
+    rewrite_head(path, lambda head: head.update(fps=-1.0))
+    message = (f"{path}: scenario 0 ('synth-00000'): scenario synth-00000: "
+               f"fps must be positive and finite, got -1.0")
+    for rows in (None, lambda ids, codes: [2]):
+        with pytest.raises(ValueError) as info:
+            load_archive(path, rows)
+        assert str(info.value) == message
 
 
 def test_archive_scenarios_are_read_only_views_of_the_payload(tmp_path):

@@ -1,4 +1,5 @@
 import errno
+import os
 
 import numpy as np
 import pytest
@@ -113,3 +114,63 @@ def test_payload_reads_each_array_as_a_fresh_writable_copy(tmp_path):
     assert first.dtype == np.float64 and first.flags.writeable
     assert not np.shares_memory(first, second)
     assert np.signbit(b[0])
+
+
+class _CountedReads:
+    """An open binary file that counts its ``readinto`` calls."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.seek = fh.seek
+        self.reads = 0
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return self._fh.readinto(buffer)
+
+
+@pytest.mark.parametrize("rows, reads", [
+    ([4, 5, 6, 1, 2, 9], 3),
+    ([3], 1),
+    ([7, 6, 5], 1),
+    ([2, 2], 2),
+    (range(10), 1),
+    (np.array([9, 0]), 2),
+    ([], 0),
+])
+def test_payload_reads_rows_in_file_order_one_call_per_run(tmp_path, rows, reads):
+    # The rows come back in the order given; the file is read in its own
+    # order, each run of consecutive rows in one call.
+    path = tmp_path / "doc.json"
+    a = np.arange(10 * 2 * 3, dtype=float).reshape(10, 2, 3)
+    store.write_document(path, {"version": 1}, {"b": np.ones(4), "a": a})
+    with store.open_document(path, "doc", "version", 1) as doc:
+        counted = doc.payload._fh = _CountedReads(doc.payload._fh)
+        got = doc.payload.read("a", rows)
+    assert got.shape == (len(rows), 2, 3) and got.dtype == np.float64
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert got.tobytes() == a[list(rows)].tobytes()
+    assert counted.reads == reads
+
+
+@pytest.mark.parametrize("rows", [[10], [-1], [0, 10]])
+def test_payload_refuses_rows_outside_the_array(tmp_path, rows):
+    path = tmp_path / "doc.json"
+    store.write_document(path, {"version": 1}, {"a": np.zeros((10, 2))})
+    with store.open_document(path, "doc", "version", 1) as doc:
+        with pytest.raises(IndexError, match=r"rows of a must lie in \[0, 10\)"):
+            doc.payload.read("a", rows)
+
+
+def test_payload_names_an_array_the_file_ends_inside(tmp_path):
+    # The length is checked when the document opens; a file cut short
+    # after that fails the read instead of returning short. (The array is
+    # larger than the file's buffer, which the head line's read filled.)
+    path = tmp_path / "doc.json"
+    store.write_document(path, {"version": 1}, {"a": np.ones((3, 4000))})
+    with store.open_document(path, "doc", "version", 1) as doc:
+        os.truncate(path, os.path.getsize(path) - 8)
+        for rows in (None, [2], [1, 2]):
+            with pytest.raises(ValueError, match=r"doc ends inside array a$"):
+                doc.payload.read("a", rows)
+        assert doc.payload.read("a", [1, 0]).tobytes() == np.ones((2, 4000)).tobytes()
