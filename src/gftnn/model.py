@@ -19,8 +19,7 @@ from .graph import _frozen, inverse_distance_weights
 from .scenario import N_VEHICLES, T_OBS_S, T_PRED_S, ScenarioBatch, _window_steps
 from .special import erf, expit
 from .spectral import (ProductBasis, complete_spectrum, gft_extended,
-                       path_spectrum, star_spectra, truncate_spectrum,
-                       unit_star_spectrum)
+                       path_spectrum, star_spectra, unit_star_spectrum)
 from .store import Table, open_document, write_document
 
 OUT = 3
@@ -438,7 +437,8 @@ def _refuse_differences(message: str, values):
 
 def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
                      config: ModelConfig) -> np.ndarray:
-    """Truncated spectral coefficients of ``batch``, one row per scenario: (B, z).
+    """Truncated spectral coefficients of ``batch``, one row per scenario: (B, z),
+    each scenario's p kept temporal modes alone transformed and flattened.
 
     The batch must lie on the config's grid (``check_grid``). With
     weighting enabled, each scenario's spatial factor is the star
@@ -453,7 +453,7 @@ def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
         # One (V, V) basis per scenario, shared by its channels.
         spatial = star_spectra(inverse_distance_weights(positions))[1][:, None]
     feats = select_channels(batch.features, config.k)
-    return truncate_spectrum(gft_extended(feats, basis, spatial), config.p)
+    return gft_extended(feats, basis, spatial, config.p).reshape(len(batch), -1)
 
 
 def predict_batch(batch: ScenarioBatch, basis: ProductBasis, params: ModelParams,

@@ -25,14 +25,16 @@ import numpy as np
 
 from .graph import _frozen
 from .special import expit
-from .store import Table, open_document, write_document
+from .store import open_document, write_document
 
 log = logging.getLogger(__name__)
 
 MANEUVERS = ("keep_lane", "lane_change_left", "lane_change_right")
 CHANNELS = ("x_rel", "y_rel", "vx_rel", "vy_rel")
 LANE_WIDTH = 3.5
-ARCHIVE_VERSION = 3
+ARCHIVE_VERSION = 4
+# An archive's (n,) columns, in file order before the features and futures.
+_COLUMNS = ("codes", "v0", "first_frame", "vehicle_id")
 # The default grid: 3 s observed and 5 s predicted (the protocol of Deo &
 # Trivedi, CVPRW 2018) over 9 vehicle slots. Every preset, the extraction
 # and synthesis defaults and the CLI's window options take it from here.
@@ -282,16 +284,19 @@ class ScenarioBatch:
     """Model-ready samples on one grid at one fps, one row each: observed
     features plus the target's future.
 
-    The constructor, which also takes maneuver names for ``codes``, checks
-    the scenario rule once over the whole arrays and freezes them; a row
-    that breaks it raises ValueError naming its index and id. ``batch[i]``
-    is a ``Scenario`` row that reads views of the arrays; a slice or an
-    index array gives a batch of those rows, which is not checked again.
+    The constructor, which also takes maneuver names for ``codes`` and
+    whole floats for the integer fields, checks the scenario rule once
+    over the whole arrays and freezes them; a row that breaks it raises
+    ValueError naming its index and id. ``batch[i]`` is a ``Scenario`` row
+    that reads views of the arrays; a slice or an index array gives a
+    batch of those rows, which is not checked again.
     """
 
     ids: tuple
     codes: np.ndarray           # (n,) indices into MANEUVERS
     v0: np.ndarray              # (n,) target longitudinal speed at the last observed step
+    first_frame: np.ndarray     # (n,) int64 frame the window starts at, in [0, 2**53]
+    vehicle_id: np.ndarray      # (n,) int64 id of the target vehicle, in [-2**53, 2**53]
     features: np.ndarray        # (n, 4, T_obs, N_V)
     futures: np.ndarray         # (n, T_pred, 2) displacement from the last observed position
     fps: float
@@ -304,15 +309,16 @@ class ScenarioBatch:
         if fut.ndim != 3 or fut.shape[2] != 2 or fut.shape[1] < 1:
             raise ValueError(f"future must be (T_pred, 2), got {fut.shape[1:]}")
         ids = tuple(self.ids)
-        codes = np.asarray(self.codes)
-        names = codes.tolist()
-        if codes.dtype.kind not in "iu":
-            codes = _maneuver_index(names)
+        given = np.asarray(self.codes)
+        codes = _maneuver_index(given)
         v0 = np.asarray(self.v0, dtype=np.float64)
+        first, vehicle = np.asarray(self.first_frame), np.asarray(self.vehicle_id)
         n = len(ids)
-        if {codes.shape, v0.shape, f.shape[:1], fut.shape[:1]} != {(n,)}:
+        if {codes.shape, v0.shape, first.shape, vehicle.shape,
+                f.shape[:1], fut.shape[:1]} != {(n,)}:
             raise ValueError(f"a batch of {n} ids has maneuvers of shape {codes.shape}, "
-                             f"v0 {v0.shape}, features {f.shape} and futures {fut.shape}")
+                             f"v0 {v0.shape}, first_frame {first.shape}, vehicle_id "
+                             f"{vehicle.shape}, features {f.shape} and futures {fut.shape}")
         # The checks in the order the rule applies them: a row is named by
         # the first check it fails.
         checks = (
@@ -320,12 +326,19 @@ class ScenarioBatch:
              lambda i: f"scenario {ids[i]}: non-finite data"),
             ((f[:, 0, 0, 0] != 0.0) | (f[:, 1, 0, 0] != 0.0),
              lambda i: f"scenario {ids[i]}: target must start at the origin"),
-            *_head_checks(ids, names, codes, v0, self.fps),
+            *_head_checks(ids, given, codes, v0, self.fps),
+            (~_integral(first) | (first < 0), lambda i: f"scenario {ids[i]}: first_frame "
+                                                        f"must be an integer in [0, 2**53], "
+                                                        f"got {first[i]}"),
+            (~_integral(vehicle), lambda i: f"scenario {ids[i]}: vehicle_id must be an "
+                                            f"integer in [-2**53, 2**53], got {vehicle[i]}"),
         )
         _check_rule(checks, lambda i: f"scenario {i} ({ids[i]!r})")
         for name, value in (("ids", ids), ("codes", _frozen(codes, np.int64)),
-                            ("v0", _frozen(v0)), ("features", _frozen(f)),
-                            ("futures", _frozen(fut)), ("fps", float(self.fps))):
+                            ("v0", _frozen(v0)), ("first_frame", _frozen(first, np.int64)),
+                            ("vehicle_id", _frozen(vehicle, np.int64)),
+                            ("features", _frozen(f)), ("futures", _frozen(fut)),
+                            ("fps", float(self.fps))):
             object.__setattr__(self, name, value)
 
     def __len__(self):
@@ -335,10 +348,10 @@ class ScenarioBatch:
         if isinstance(index, (int, np.integer)):
             return Scenario(self, range(len(self))[index])
         rows = np.arange(len(self))[index].tolist()
+        arrays = {name: getattr(self, name) for name in (*_COLUMNS, "features", "futures")}
         return self._derive(ids=tuple(self.ids[i] for i in rows),
-                            codes=_frozen(self.codes[index], np.int64),
-                            v0=_frozen(self.v0[index]), features=_frozen(self.features[index]),
-                            futures=_frozen(self.futures[index]))
+                            **{name: _frozen(array[index], array.dtype)
+                               for name, array in arrays.items()})
 
     def _derive(self, **fields):
         """This batch with ``fields``, rows of it or new ids, which need no new check."""
@@ -351,20 +364,29 @@ class ScenarioBatch:
     n_vehicles = property(lambda self: self.features.shape[3])
 
 
-def _maneuver_index(names) -> np.ndarray:
-    """The int64 indices into MANEUVERS of the maneuver ``names``; a name
-    that is not one of them becomes -1."""
-    return np.array([MANEUVERS.index(m) if m in MANEUVERS else -1 for m in names],
-                    dtype=np.int64)
+def _maneuver_index(given: np.ndarray) -> np.ndarray:
+    """The int64 indices into MANEUVERS of ``given``, maneuver names or
+    numbers; a name that is not one of them, or a number that is not one's
+    index, becomes -1."""
+    if given.dtype.kind not in "iuf":
+        return np.array([MANEUVERS.index(m) if m in MANEUVERS else -1
+                         for m in given.tolist()], dtype=np.int64)
+    known = _integral(given) & (given >= 0) & (given < len(MANEUVERS))
+    return np.where(known, given, -1).astype(np.int64)
 
 
-def _head_checks(ids, names, codes, v0, fps):
-    """The scenario rule's checks of what an archive head holds (a known
-    maneuver, a finite v0 and the fps), as ``_check_rule`` pairs; ``names``
-    are the maneuvers as given and ``codes`` their ``_maneuver_index``."""
+def _integral(values: np.ndarray) -> np.ndarray:
+    """Which of ``values``, integers or floats, are integers in [-2**53,
+    2**53], all of which float64, an archive's column type, holds exactly."""
+    return (values == np.trunc(values)) & (-2 ** 53 <= values) & (values <= 2 ** 53)
+
+
+def _head_checks(ids, given, codes, v0, fps):
+    """The scenario rule's checks that every row of an archive read passes
+    (a known maneuver, a finite v0 and the fps), as ``_check_rule`` pairs;
+    ``given`` are the maneuvers as given and ``codes`` their index."""
     return (
-        ((codes < 0) | (codes >= len(MANEUVERS)),
-         lambda i: f"unknown maneuver {names[i]!r}"),
+        (codes < 0, lambda i: f"unknown maneuver {given.tolist()[i]!r}"),
         (~np.isfinite(v0), lambda i: f"scenario {ids[i]}: v0 must be finite, got {v0[i]}"),
         (np.full(len(ids), not _valid_fps(fps)),
          lambda i: f"scenario {ids[i]}: fps must be positive and finite, got {fps}"),
@@ -383,6 +405,8 @@ class Scenario:
     features = property(lambda self: self.batch.features[self.index])
     future = property(lambda self: self.batch.futures[self.index])
     v0 = property(lambda self: float(self.batch.v0[self.index]))
+    first_frame = property(lambda self: int(self.batch.first_frame[self.index]))
+    vehicle_id = property(lambda self: int(self.batch.vehicle_id[self.index]))
     fps = property(lambda self: self.batch.fps)
     maneuver = property(lambda self: MANEUVERS[self.batch.codes[self.index]])
     t_obs = property(lambda self: self.batch.t_obs)
@@ -684,11 +708,11 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
         futures[w] = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
         v0[w] = rest[2, :, 0]
         codes[w] = _maneuver_codes(tracks.lane_id[rows[:, n_obs:]], rest[1])
-    ids = tuple(f"v{v}-f{start}"
-                for v, start in zip(vehicle[win_track].tolist(), win_start.tolist()))
+    target = vehicle[win_track]
+    ids = tuple(f"v{v}-f{start}" for v, start in zip(target.tolist(), win_start.tolist()))
     if skipped:
         log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
-    return ScenarioBatch(ids, codes, v0, features, futures, float(fps))
+    return ScenarioBatch(ids, codes, v0, win_start, target, features, futures, float(fps))
 
 
 def _concat_ranges(starts, counts):
@@ -942,12 +966,13 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
 
 
 def save_archive(path, batch: ScenarioBatch, fps):
-    """Write the scenarios of ``batch`` to an archive (format version 3).
+    """Write the scenarios of ``batch`` to an archive (format version 4).
 
     The head holds the fps, the grid (t_obs, t_pred, n_vehicles) every
-    scenario shares and each scenario's id, maneuver and v0; the payload
-    is the batch's (n, 4, T_obs, N_V) features and then its (n, T_pred, 2)
-    futures, as raw float64 (see ``store.write_document``).
+    scenario shares and the scenario ids, as one list of strings. The
+    payload is, as raw float64 (see ``store.write_document``), the (n,)
+    columns of maneuver codes, v0, first_frame and vehicle_id, then the
+    batch's (n, 4, T_obs, N_V) features and its (n, T_pred, 2) futures.
     """
     fps = float(fps)
     if not len(batch):
@@ -964,74 +989,56 @@ def save_archive(path, batch: ScenarioBatch, fps):
         "t_obs": batch.t_obs,
         "t_pred": batch.t_pred,
         "n_vehicles": batch.n_vehicles,
-        "scenarios": [{"id": scenario_id, "maneuver": MANEUVERS[code], "v0": v0}
-                      for scenario_id, code, v0
-                      in zip(batch.ids, batch.codes.tolist(), batch.v0.tolist())],
+        "ids": list(batch.ids),
     }
-    write_document(path, head, {"features": batch.features, "future": batch.futures})
+    columns = {name: getattr(batch, name) for name in _COLUMNS}
+    write_document(path, head, {**columns, "features": batch.features, "future": batch.futures})
 
 
 def load_archive(path, rows=None):
-    """Read a scenario archive of format version 3; returns (batch, fps),
+    """Read a scenario archive of format version 4; returns (batch, fps),
     where batch is a ``ScenarioBatch``. Any other version is refused.
 
-    Every scenario entry of the head is read and checked first (its JSON
-    types, a known maneuver, a finite v0 and the fps), and opening the
-    archive checks that the payload holds exactly the bytes the head
-    declares. Without ``rows`` the batch holds the payload's two blocks,
-    checked whole by the scenario rule once. ``rows``, if given, is called
-    as ``rows(ids, codes)`` with the head's ids and maneuver codes before
-    any payload byte is read, and returns the indices of the scenarios to
-    read; the batch holds only those, in that order, and the rule's data
-    checks (finite data, a target at the origin) cover only them. A
-    corrupt or empty document raises ValueError naming the path and, for
-    a bad scenario, its index in the archive and its id, with the key at
-    fault.
+    The head's fps, grid and ids (a list of strings) are read first, the
+    payload's length is checked against the head, and the four (n,)
+    columns are read whole. Without ``rows`` the batch holds the whole
+    payload, checked by the scenario rule once. ``rows``, if given, is
+    called as ``rows(ids, codes)`` once every row has passed the rule's
+    checks of its code, v0 and the fps, and returns the indices of the
+    scenarios to read: only their features and futures are read, in that
+    order, and the rule's other checks cover only them. A corrupt or empty
+    document raises ValueError naming the path and, for a bad scenario,
+    its index in the archive and its id, with the key at fault.
     """
     with open_document(path, "archive", "version", ARCHIVE_VERSION) as doc:
         fps = doc.value("fps", float)
         grid = tuple(doc.value(key, int) for key in ("t_obs", "t_pred", "n_vehicles"))
-        entries = doc.value("scenarios", list)
-        fields = [_entry(path, index, obj) for index, obj in enumerate(entries)]
-        if not entries:
+        ids = tuple(doc.value("ids", list))
+        if set(map(type, ids)) - {str}:
+            raise doc.error("ids must be a list of strings")
+        if not ids:
             raise ValueError(f"{path}: archive contains no scenarios")
-        n = len(entries)
+        n = len(ids)
         t_obs, t_pred, n_vehicles = grid
-        doc.payload.expect({"features": (n, len(CHANNELS), t_obs, n_vehicles),
+        doc.payload.expect({**dict.fromkeys(_COLUMNS, (n,)),
+                            "features": (n, len(CHANNELS), t_obs, n_vehicles),
                             "future": (n, t_pred, 2)},
                            f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
-        ids, codes, v0 = zip(*fields)
-
-        def describe(i):
-            return f"{path}: scenario {i} ({ids[i]!r})"
-
+        describe = lambda i: f"{path}: scenario {i} ({ids[i]!r})"
+        columns = [doc.payload.read(name) for name in _COLUMNS]
         take = None
         if rows is not None:
-            names, codes, v0 = codes, _maneuver_index(codes), np.array(v0)
-            _check_rule(_head_checks(ids, names, codes, v0, fps), describe)
+            given, v0 = columns[:2]
+            codes = _maneuver_index(given)
+            _check_rule(_head_checks(ids, given, codes, v0, fps), describe)
             take = np.asarray(rows(ids, codes), dtype=np.int64)
-            codes, v0 = codes[take], v0[take]
+            columns = [column[take] for column in (codes, *columns[1:])]
         features = doc.payload.read("features", take)
         future = doc.payload.read("future", take)
     picked = range(n) if take is None else take.tolist()
     try:
-        return ScenarioBatch([ids[i] for i in picked], codes, v0, features, future, fps), fps
+        return ScenarioBatch([ids[i] for i in picked], *columns, features, future, fps), fps
     except _RowError as exc:    # named by its index in the archive
         raise ValueError(f"{describe(picked[exc.index])}: {exc.reason}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _entry(path, index: int, obj):
-    """(id, maneuver, v0) of scenario entry ``index`` of an archive head.
-    An entry that is not an object whose id and maneuver are strings and
-    whose v0 is a number is read through a Table named by index and id,
-    which names the fault."""
-    if (type(obj) is dict and type(obj.get("id")) is str
-            and type(obj.get("maneuver")) is str and type(obj.get("v0")) in (float, int)):
-        return obj["id"], obj["maneuver"], float(obj["v0"])
-    where = f"{path}: scenario {index}"
-    if isinstance(obj, dict):
-        where += f" ({obj.get('id')!r})"
-    item = Table(obj, where)
-    return item.value("id", str), item.value("maneuver", str), item.value("v0", float)

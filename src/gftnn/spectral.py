@@ -462,9 +462,9 @@ def _on_grid(arr, basis: ProductBasis) -> np.ndarray:
     return a
 
 
-def gft_extended(signal, basis: ProductBasis, spatial=None) -> np.ndarray:
+def gft_extended(signal, basis: ProductBasis, spatial=None, p: int | None = None) -> np.ndarray:
     """Transform a (..., time, vehicle) signal into the product eigenbasis,
-    U1^T F U2 over the last two axes.
+    U1^T F U2 over the last two axes, or U1[:, :p]^T F U2 with ``p``.
 
     Entry (..., l1, l2) of the result is the projection onto the Kronecker
     product of temporal eigenvector l1 and spatial eigenvector l2.
@@ -473,6 +473,9 @@ def gft_extended(signal, basis: ProductBasis, spatial=None) -> np.ndarray:
     the leading axes of the signal.
     """
     f = _on_grid(signal, basis)
+    u1 = basis.temporal.eigenvectors
+    if p is not None and not 1 <= p <= u1.shape[1]:
+        raise ValueError(f"p must be in [1, {u1.shape[1]}], got {p}")
     u2 = basis.spatial.eigenvectors
     if spatial is not None:
         spatial = np.asarray(spatial, dtype=np.float64)
@@ -482,7 +485,7 @@ def gft_extended(signal, basis: ProductBasis, spatial=None) -> np.ndarray:
                 f"got {spatial.shape}"
             )
         u2 = spatial
-    return basis.temporal.eigenvectors.T @ f @ u2
+    return u1[:, :p].T @ f @ u2
 
 
 # The transform of one (time, vehicle) signal, under its earlier name.

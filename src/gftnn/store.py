@@ -84,6 +84,7 @@ def open_document(path, kind: str, version_key: str, version: int):
         if text[end:] != "\n":
             raise doc.error("has no newline after its head")
         doc.payload = Payload(fh, doc, len(line))
+        del line, text      # only the parsed head stays while the block reads
         yield doc
 
 

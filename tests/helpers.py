@@ -50,6 +50,20 @@ def rewrite_head(path, change):
     path.write_bytes(edited_head(change)(path.read_bytes()))
 
 
+def poked(name, row, value, item=0):
+    """A byte edit of an archive or checkpoint file that writes ``value``,
+    as float64, over item ``item`` of row ``row`` of its payload array
+    ``name``, keeping every other byte."""
+    def edit(data):
+        line = data[:data.index(b"\n") + 1]
+        arrays = json.loads(line)["arrays"]
+        names = list(arrays)
+        at = len(line) + 8 * sum(math.prod(arrays[key]) for key in names[:names.index(name)])
+        at += 8 * (row * math.prod(arrays[name][1:]) + item)
+        return data[:at] + np.float64(value).tobytes() + data[at + 8:]
+    return edit
+
+
 def adam_step_per_array(params, grads, state, config):
     """Reference Adam update, one loop iteration per named parameter array,
     in ``training.adam_step``'s ordering.
@@ -341,7 +355,8 @@ def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
     tie exactly. With ``duplicate_id`` a fourth twin sits in the place of
     the one behind and carries its vehicle id. The last vehicle, the
     longest track, drives in the next lane close to vehicle 1 and leaves
-    at the last observed frame of vehicle 1's second window.
+    at the last observed frame of vehicle 1's second window. Entries start
+    two windows after frame 0, so no frame is negative.
     """
     rng = np.random.default_rng(seed)
     window = round(3.0 * fps) + round(5.0 * fps)
@@ -357,7 +372,7 @@ def multilane_scene(seed, fps, n_tracks=12, duplicate_id=False):
         elif vid % 3 == 2:
             gap = int(rng.integers(1, n - 5))
             keep[gap:gap + int(rng.integers(1, 5))] = False
-        frame = int(rng.integers(0, window)) + np.arange(n)
+        frame = 2 * window + int(rng.integers(0, window)) + np.arange(n)
         tracks.append((vid, frame[keep], x[keep], (lane[keep] + 0.5) * LANE_WIDTH,
                        np.full(n, v)[keep], np.zeros(n)[keep], lane[keep]))
     _, lead_frame, lead_x, lead_y, lead_vx, lead_vy, lead_lane = tracks[0]
@@ -444,6 +459,7 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
         raise ValueError(f"need at least 2 vehicle slots, got {n_vehicles}")
     window = t_obs_steps + t_pred_steps
     ids, maneuvers, v0s, features, futures = [], [], [], [], []
+    first_frames, vehicle_ids = [], []
     skipped = 0
     for target in sorted(tracks, key=lambda tr: tr.vehicle_id):
         if target_ids is not None and target.vehicle_id not in target_ids:
@@ -493,6 +509,8 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
             maneuver = label_maneuver_reference(target.lane_id[rows], target.y[rows],
                                                 t_obs_steps - 1)
             ids.append(f"v{target.vehicle_id}-f{start}")
+            first_frames.append(start)
+            vehicle_ids.append(target.vehicle_id)
             maneuvers.append(maneuver)
             v0s.append(float(target.vx[i0]))
             features.append(feats)
@@ -502,7 +520,7 @@ def extract_scenarios_reference(tracks, fps, t_obs: float = 3.0,
         logging.getLogger("gftnn.scenario").info(
             "extract_scenarios: skipped %d windows with coverage gaps", skipped)
     return ScenarioBatch(
-        tuple(ids), maneuvers, v0s,
+        tuple(ids), maneuvers, v0s, first_frames, vehicle_ids,
         np.reshape(features, (-1, len(CHANNELS), t_obs_steps, n_vehicles)),
         np.reshape(futures, (-1, t_pred_steps, 2)), float(fps))
 
@@ -574,7 +592,9 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
     the oracle its output must match bit for bit: each scene is drawn on
     its own (frames from 0, target id 1) and cut by the quadratic
     ``extract_scenarios_reference``. The scenes' arrays are stacked into
-    one ``ScenarioBatch`` at the end.
+    one ``ScenarioBatch`` at the end, each scene's first frame and target
+    id renumbered to its place in one batch of all scenes (scene i from
+    frame i·n_frames, its target id 1 + i·_SCENE_VEHICLES).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -582,6 +602,7 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
     rng = np.random.default_rng(seed)
     n_frames = t_obs_steps + t_pred_steps
     maneuvers, v0s, features, futures = [], [], [], []
+    first_frames, vehicle_ids = [], []
     for i in range(n):
         maneuver = MANEUVERS[i % 3]
         tracks = synthetic_scenes_reference(
@@ -597,7 +618,10 @@ def synthesize_reference(n: int, fps, seed: int, noise_std: float = 0.0,
         s = scen[0]
         maneuvers.append(s.maneuver)
         v0s.append(s.v0)
+        first_frames.append(s.first_frame + i * n_frames)
+        vehicle_ids.append(s.vehicle_id + i * _SCENE_VEHICLES)
         features.append(s.features)
         futures.append(s.future)
     return ScenarioBatch(tuple(f"synth-{i:05d}" for i in range(n)), maneuvers, v0s,
-                         np.stack(features), np.stack(futures), float(fps))
+                         first_frames, vehicle_ids, np.stack(features), np.stack(futures),
+                         float(fps))

@@ -21,10 +21,11 @@ from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, truth_trajectory)
-from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch,
-                            load_archive, save_archive, split, split_indices, synthesize)
+from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch, load_archive,
+                            save_archive, split, split_indices, synthesize)
+from gftnn.store import write_document
 from gftnn.training import TrainConfig
-from helpers import multilane_scene, three_class_tracks, write_tracks_csv
+from helpers import multilane_scene, poked, three_class_tracks, write_tracks_csv
 
 
 def run_ok(capsys, argv):
@@ -528,16 +529,27 @@ def test_eval_refuses_bin_width_with_too_many_bins(tmp_path, capsys, monkeypatch
 
 
 def earlier_version(tmp_path, document, version):
-    """A head-only file of an earlier ``document`` version, beside a current
-    archive and checkpoint; returns (archive, checkpoint, old file, message).
-    Versions before archive 3 and checkpoint 4 were one JSON object, and the
-    returned archive or checkpoint is the old file."""
+    """A file of an earlier ``document`` version, beside a current archive
+    and checkpoint; returns (archive, checkpoint, old file, message).
+    Versions before archive 3 and checkpoint 4 were one JSON object. An
+    archive of version 3 was a head line that listed each scenario's id,
+    maneuver and v0, then the features and the futures. The returned
+    archive or checkpoint is the old file."""
     archive = synth_archive(tmp_path, n=6)
     ckpt = tmp_path / "checkpoint.json"
     config = preset_config("gftnn", 10)
     save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
     old = tmp_path / f"{document}_v{version}.json"
-    if document == "archive":
+    if document == "archive" and version == 3:
+        batch, _ = load_archive(archive)
+        write_document(old, {
+            "version": 3, "fps": 10.0, "feature_order": "(channel, time, vehicle) row-major",
+            "channels": ["x_rel", "y_rel", "vx_rel", "vy_rel"], "t_obs": batch.t_obs,
+            "t_pred": batch.t_pred, "n_vehicles": batch.n_vehicles,
+            "scenarios": [{"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0}
+                          for s in batch]}, {"features": batch.features, "future": batch.futures})
+        archive = old
+    elif document == "archive":
         old.write_text(json.dumps({"version": version, "fps": 10.0, "scenarios": []}))
         archive = old
     else:
@@ -548,7 +560,7 @@ def earlier_version(tmp_path, document, version):
     return archive, ckpt, old, f"{old}: {document} has unsupported version {version}"
 
 
-EARLIER_VERSIONS = [("archive", 1), ("archive", 2),
+EARLIER_VERSIONS = [("archive", 1), ("archive", 2), ("archive", 3),
                     ("checkpoint", 1), ("checkpoint", 2), ("checkpoint", 3)]
 LOADS = {"archive": load_archive, "checkpoint": load_checkpoint,
          "scoring checkpoint": lambda path: load_checkpoint(path, optimizer=False)}
@@ -688,6 +700,8 @@ def _archive_bytes(reads):
 
 # 4 x 30 x 9 features and 50 x 2 future values of one scenario at 10 fps.
 SCENARIO_BYTES = 8 * (4 * 30 * 9 + 50 * 2)
+# One scenario's code, v0, first frame and target id.
+COLUMN_BYTES = 8 * 4
 
 # The calls that read some rows of an archive, given its path and a checkpoint.
 ROW_READS = {
@@ -701,15 +715,16 @@ ROW_READS = {
 
 
 @pytest.mark.parametrize("command", ["predict", "spectrum"])
-def test_an_unknown_scenario_is_refused_before_the_payload_is_read(tmp_path, capsys,
-                                                                   monkeypatch, command):
+def test_an_unknown_scenario_is_refused_before_any_data_is_read(tmp_path, capsys,
+                                                                monkeypatch, command):
     archive, ckpt = trained_checkpoint(tmp_path, capsys)
     argv = ROW_READS[command](str(archive), str(ckpt))
     argv[argv.index("synth-00003")] = "nope"
     reads = _payload_reads(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr() == ("", "error: scenario 'nope' not found in archive\n")
-    assert reads == []
+    # Only the (n,) columns were read, no scenario's data.
+    assert reads == [(name, 8 * 12) for name in ("codes", "v0", "first_frame", "vehicle_id")]
 
 
 @pytest.mark.parametrize("command", sorted(ROW_READS))
@@ -720,7 +735,7 @@ def test_row_reads_refuse_a_truncated_payload(tmp_path, capsys, monkeypatch, com
     with pytest.raises(ValueError) as info:
         load_archive(archive)
     message = str(info.value)
-    payload = 12 * SCENARIO_BYTES
+    payload = 12 * (COLUMN_BYTES + SCENARIO_BYTES)
     assert message.endswith(f"payload is {payload - 8} bytes, expected {payload} "
                             f"for the arrays its head declares")
     reads = _payload_reads(monkeypatch)
@@ -730,18 +745,15 @@ def test_row_reads_refuse_a_truncated_payload(tmp_path, capsys, monkeypatch, com
     assert reads == []
 
 
-@pytest.mark.parametrize("key, value", [("maneuver", "u_turn"), ("v0", math.nan)])
+@pytest.mark.parametrize("name, value", [("codes", 5.0), ("v0", math.nan)])
 @pytest.mark.parametrize("command", sorted(ROW_READS))
-def test_row_reads_refuse_a_bad_entry_they_do_not_read(tmp_path, capsys, command, key,
-                                                        value):
+def test_row_reads_refuse_a_bad_code_or_v0_they_do_not_read(tmp_path, capsys, command, name,
+                                                             value):
     archive, ckpt = trained_checkpoint(tmp_path, capsys)
     scenarios, _ = load_archive(archive)
     train_side, _ = split_indices(scenarios.codes, 0.7, 0)
     unread = next(i for i in train_side.tolist() if i != 3)
-    line, rest = archive.read_bytes().split(b"\n", 1)
-    head = json.loads(line)
-    head["scenarios"][unread][key] = value
-    archive.write_bytes(json.dumps(head).encode() + b"\n" + rest)
+    archive.write_bytes(poked(name, unread, value)(archive.read_bytes()))
     with pytest.raises(ValueError) as info:
         load_archive(archive)
     message = str(info.value)
@@ -756,17 +768,13 @@ def test_nan_features_in_an_unread_row_stop_only_the_reads_of_that_row(tmp_path,
     scored = ["--archive", str(archive), "--checkpoint", str(ckpt)]
     run_ok(capsys, ["predict", *scored, "--scenario-id", "synth-00003",
                     "--out", str(tmp_path / "clean")])
-    data = bytearray(archive.read_bytes())
-    at = data.index(b"\n") + 1 + 5 * SCENARIO_BYTES + 8 * 100     # a value of row 5
-    data[at:at + 8] = np.float64(np.nan).tobytes()
-    archive.write_bytes(bytes(data))
+    codes = load_archive(archive)[0].codes
+    archive.write_bytes(poked("features", 5, math.nan, 100)(archive.read_bytes()))
     run_ok(capsys, ["predict", *scored, "--scenario-id", "synth-00003",
                     "--out", str(tmp_path / "poked")])
     name = "trajectory_synth-00003.csv"
     assert (tmp_path / "poked" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
     # Whatever reads row 5 refuses it, named by its index in the archive.
-    codes = np.array([MANEUVERS.index(entry["maneuver"]) for entry
-                      in json.loads(data[:data.index(b"\n")])["scenarios"]])
     train_side, _ = split_indices(codes, 0.7, 0)
     side = "train" if 5 in train_side else "test"
     other = "test" if side == "train" else "train"

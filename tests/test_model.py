@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from gftnn import spectral
+from gftnn import model, spectral
 from gftnn import store
 from gftnn.cli import main
 from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory,
@@ -38,7 +38,8 @@ def manual_batch(*offsets, n_v=3, t_obs=6, t_pred=10, fps=2.0):
                        np.zeros(t_pred)], axis=1)
     n = len(offsets)
     return ScenarioBatch(tuple(f"manual-{i}" for i in range(n)), ("keep_lane",) * n,
-                         (20.0,) * n, feats, np.broadcast_to(future, (n, t_pred, 2)), fps)
+                         (20.0,) * n, (0,) * n, range(1, n + 1), feats,
+                         np.broadcast_to(future, (n, t_pred, 2)), fps)
 
 
 # --------------------------------------------------------------------- config
@@ -547,8 +548,8 @@ def test_truth_trajectories_are_the_per_scenario_truths_read_only():
     batch = synthesize(4, 10, seed=17, noise_std=0.05)
     futures = batch.futures.copy()
     futures[2, 3] = [-0.0, 5e-324]
-    scenarios = ScenarioBatch(batch.ids, batch.codes, batch.v0, batch.features, futures,
-                              batch.fps)
+    scenarios = ScenarioBatch(batch.ids, batch.codes, batch.v0, batch.first_frame,
+                              batch.vehicle_id, batch.features, futures, batch.fps)
     rows = truth_trajectories(scenarios)
     assert len(rows) == len(scenarios)
     for row, scenario in zip(rows, scenarios):
@@ -672,6 +673,39 @@ def test_scenario_spectra_rows_match_batches_of_one(preset, fps, basis_30x9, bas
     assert rows.shape == (len(scenarios), cfg.z)
     for i, row in enumerate(rows):
         assert np.array_equal(row, scenario_spectra(scenarios[i:i + 1], basis, cfg)[0])
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 150])
+@pytest.mark.parametrize("fps", [10, 25])
+@pytest.mark.parametrize("preset", PRESETS + ("custom weighted, p 7",))
+def test_scenario_spectra_form_the_kept_modes_to_the_bits_of_all_modes(monkeypatch, preset,
+                                                                        fps, n):
+    # Transforming only the p kept temporal modes gives the bits of
+    # transforming all t_obs of them and then truncating, on the same
+    # signal and bases.
+    if preset in PRESETS:
+        cfg = preset_config(preset, fps)
+    else:
+        cfg = dataclasses.replace(preset_config("gftnn-w", fps), p=7)
+    scenarios = synthesize(150, fps, seed=31, noise_std=0.05)[:n]
+    full = []
+
+    def transform(signal, basis, spatial=None, p=None):
+        assert p == cfg.p
+        full.append(truncate_spectrum(gft_extended(signal, basis, spatial), p))
+        return gft_extended(signal, basis, spatial, p)
+
+    monkeypatch.setattr(model, "gft_extended", transform)
+    rows = scenario_spectra(scenarios, build_basis(cfg), cfg)
+    assert len(full) == 1 and rows.shape == full[0].shape == (n, cfg.z)
+    assert rows.tobytes() == full[0].tobytes()
+
+
+def test_gft_extended_refuses_a_p_outside_the_temporal_modes(basis_30x9):
+    signal = np.zeros((4, 30, 9))
+    for p in (0, 31):
+        with pytest.raises(ValueError, match=rf"^p must be in \[1, 30\], got {p}$"):
+            gft_extended(signal, basis_30x9, p=p)
 
 
 def test_weighted_basis_matches_unweighted_at_unit_distance():

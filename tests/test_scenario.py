@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,8 +22,8 @@ from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, Bala
                             split, synthesize, track_batch)
 from gftnn.store import write_document
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
-                     label_maneuver_reference, multilane_scene, rewrite_head, split_head,
-                     synthesize_reference, three_class_tracks, write_tracks_csv)
+                     label_maneuver_reference, multilane_scene, poked, rewrite_head,
+                     split_head, synthesize_reference, three_class_tracks, write_tracks_csv)
 
 
 def straight_track(vehicle_id, n, v=30.0, x0=0.0, y=8.75, lane=2, fps=10.0):
@@ -722,6 +723,20 @@ def test_extract_takes_a_list_a_generator_or_a_batch(duplicate_id):
     assert track_batch(batch) is batch
 
 
+def test_extract_refuses_a_window_that_starts_before_frame_0():
+    t = np.arange(80) / 10
+    track = RawTrack(7, np.arange(-10, 70), 30.0 * t, np.full(80, 8.75), np.full(80, 30.0),
+                     np.zeros(80), np.full(80, 2))
+    with pytest.raises(ValueError) as info:
+        extract_scenarios([track], 10)
+    assert str(info.value) == ("scenario 0 ('v7-f-10'): scenario v7-f-10: first_frame must "
+                               "be an integer in [0, 2**53], got -10")
+    shifted = RawTrack(7, np.arange(80), 30.0 * t, np.full(80, 8.75), np.full(80, 30.0),
+                       np.zeros(80), np.full(80, 2))
+    (scen,) = extract_scenarios([shifted], 10)
+    assert (scen.scenario_id, scen.first_frame, scen.vehicle_id) == ("v7-f0", 0, 7)
+
+
 def test_extract_refuses_a_track_whose_frames_span_more_than_int64():
     track = RawTrack(4, [-2 ** 63, 0], np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
                      [1, 1])
@@ -901,8 +916,9 @@ def test_slot_counts_are_bounded(monkeypatch):
 
 
 def _scenario_bytes(scenarios):
-    return [(s.scenario_id, s.maneuver, s.features.shape, s.features.tobytes(),
-             s.future.tobytes(), np.float64(s.v0).tobytes()) for s in scenarios]
+    return [(s.scenario_id, s.maneuver, s.first_frame, s.vehicle_id, s.features.shape,
+             s.features.tobytes(), s.future.tobytes(), np.float64(s.v0).tobytes())
+            for s in scenarios]
 
 
 LONE_ID = 99
@@ -1035,17 +1051,33 @@ def test_synthesize_matches_per_scene_reference(tmp_path, fps, noise_std, n_vehi
 # with and without noise: (n, fps, noise_std) -> digest. A change to the
 # random stream fails here even if the per-scene oracle changes with it.
 SYNTH_ARCHIVE_SHA256 = {
-    (150, 10, 0.05): "9300de05d353f1267c23439aaf91b7ef177051ce8afeb184d71c31bc8ee062a1",
-    (80, 25, 0.0): "e67006721b1947256060db5e0643f4dcd97c5daae7575b82da4fbc5c98fd968e",
-    (80, 25, 0.05): "7cdab045b7e1f1ac4f821de3ed921ef28f77dddde90a70845853cfa968edac82",
+    (150, 10, 0.05): "2ea2684560a371e57fd0464825d929b5027b64cd705714f1af5e2435169f1522",
+    (80, 25, 0.0): "dbb7ff4fb1f6833caac3fd9b38db44e97c95730bfad4ebca201989730001d8d8",
+    (80, 25, 0.05): "0c73ea3643ed156690d667e818ab29b417c0cb8e5618d09676a43fa5c7909576",
+}
+# The sha256 of the features and then the future bytes of the same
+# archives, which format version 3 stored alone after its head: version 4
+# added columns and moved the per-scenario values out of the head, and
+# these digests, taken from version-3 archives, hold that it kept every
+# feature and future byte.
+SYNTH_DATA_SHA256 = {
+    (150, 10, 0.05): "8fac68ec2cbda6f9f98efa66979ae0092d63a8b378f8961548a4dda129037af2",
+    (80, 25, 0.0): "2ebd9512333182fd69a15e212739c6d2b611fc2843768a1f5b5bc5befdd66fa6",
+    (80, 25, 0.05): "79f9f061d7a0ccb6a7c5f3081043c063adc28c20a8fd0dc61b1b7e1d891057d6",
 }
 
 
 @pytest.mark.parametrize("n, fps, noise_std", sorted(SYNTH_ARCHIVE_SHA256))
 def test_synth_archive_bytes_are_pinned(tmp_path, n, fps, noise_std):
-    save_archive(tmp_path / "archive.json", synthesize(n, fps, 3, noise_std=noise_std), fps)
-    digest = hashlib.sha256((tmp_path / "archive.json").read_bytes()).hexdigest()
-    assert digest == SYNTH_ARCHIVE_SHA256[n, fps, noise_std]
+    path = tmp_path / "archive.json"
+    save_archive(path, synthesize(n, fps, 3, noise_std=noise_std), fps)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SYNTH_ARCHIVE_SHA256[n, fps, noise_std]
+    arrays = split_head(path)[0]["arrays"]
+    data_bytes = 8 * (math.prod(arrays["features"]) + math.prod(arrays["future"]))
+    assert list(arrays)[-2:] == ["features", "future"]
+    assert hashlib.sha256(data[-data_bytes:]).hexdigest() == \
+        SYNTH_DATA_SHA256[n, fps, noise_std]
 
 
 # ------------------------------------------------------------------ labelling
@@ -1279,30 +1311,36 @@ def test_archive_roundtrip(tmp_path):
         assert a.scenario_id == b.scenario_id
         assert a.maneuver == b.maneuver
         assert a.v0 == b.v0
+        assert (a.first_frame, a.vehicle_id) == (b.first_frame, b.vehicle_id)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.future, b.future)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_archive_bytes_are_the_head_line_then_raw_arrays(tmp_path, n):
-    # Pins format version 3: one line of json.dumps(head), then every
+    # Pins format version 4: one line of json.dumps(head), then every
+    # scenario's maneuver code, v0, first frame and target id, then every
     # scenario's features and then every future, as little-endian float64.
     scen = synthesize(3, 10, seed=18, noise_std=0.05)[:n]
     path = tmp_path / "arch.json"
     save_archive(path, scen, 10)
     head = {
-        "version": 3,
+        "version": 4,
         "fps": 10.0,
         "feature_order": "(channel, time, vehicle) row-major",
         "channels": ["x_rel", "y_rel", "vx_rel", "vy_rel"],
         "t_obs": 30,
         "t_pred": 50,
         "n_vehicles": 9,
-        "scenarios": [{"id": s.scenario_id, "maneuver": s.maneuver, "v0": s.v0}
-                      for s in scen],
-        "arrays": {"features": [n, 4, 30, 9], "future": [n, 50, 2]},
+        "ids": [s.scenario_id for s in scen],
+        "arrays": {"codes": [n], "v0": [n], "first_frame": [n], "vehicle_id": [n],
+                   "features": [n, 4, 30, 9], "future": [n, 50, 2]},
     }
-    raw = b"".join(s.features.astype("<f8").tobytes() for s in scen)
+    columns = [[MANEUVERS.index(s.maneuver) for s in scen], [s.v0 for s in scen],
+               [s.first_frame for s in scen], [s.vehicle_id for s in scen]]
+    assert columns[2:] == [[80 * i for i in range(n)], [1 + 9 * i for i in range(n)]]
+    raw = b"".join(np.array(column, dtype="<f8").tobytes() for column in columns)
+    raw += b"".join(s.features.astype("<f8").tobytes() for s in scen)
     raw += b"".join(s.future.astype("<f8").tobytes() for s in scen)
     assert path.read_bytes() == json.dumps(head).encode() + b"\n" + raw
 
@@ -1316,13 +1354,15 @@ def test_archive_roundtrip_keeps_every_bit(tmp_path):
     features[:, 2, 1, 3] = 5e-324
     features[:, 3, 2, 4] = -0.0
     futures[:, 0] = [5e-324, -0.0]
-    scen = ScenarioBatch(batch.ids, batch.codes, batch.v0, features, futures, batch.fps)
+    scen = ScenarioBatch(batch.ids, batch.codes, batch.v0, batch.first_frame,
+                         batch.vehicle_id, features, futures, batch.fps)
     path = tmp_path / "arch.json"
     save_archive(path, scen, 10)
     back, fps = load_archive(path)
     assert fps == 10.0
     for a, b in zip(scen, back, strict=True):
-        assert (a.scenario_id, a.maneuver, a.v0) == (b.scenario_id, b.maneuver, b.v0)
+        assert (a.scenario_id, a.maneuver, a.v0, a.first_frame, a.vehicle_id) == \
+            (b.scenario_id, b.maneuver, b.v0, b.first_frame, b.vehicle_id)
         for name in ("features", "future"):
             got = getattr(b, name)
             assert got.dtype == np.float64 and not got.flags.writeable
@@ -1330,12 +1370,12 @@ def test_archive_roundtrip_keeps_every_bit(tmp_path):
                                   getattr(a, name).view(np.uint64)), name
 
 
-@pytest.mark.parametrize("stored", [99, 1, 2, "3", True, 3.0, None])
+@pytest.mark.parametrize("stored", [99, 1, 2, 3, "4", True, 4.0, None])
 def test_archive_rejects_unknown_version(tmp_path, stored):
     # The version is checked before anything else in the head.
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(2, 10, seed=21), 10)
-    rewrite_head(path, lambda head: head.update(version=stored, scenarios=5))
+    rewrite_head(path, lambda head: head.update(version=stored, ids=5))
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == f"{path}: archive has unsupported version {stored!r}"
@@ -1348,14 +1388,31 @@ def test_save_archive_refuses_no_scenarios(tmp_path):
     assert not path.exists()
 
 
-def _scenario_value(index, key, value):
-    def change(head):
-        head["scenarios"][index][key] = value
-    return edited_head(change)
+def test_first_frames_and_target_ids_are_integers_an_archive_holds(tmp_path):
+    # float64, the archive's column type, holds every integer up to 2**53
+    # in magnitude; the rule refuses any other.
+    batch = synthesize(3, 10, seed=21)
+    for name, value, bounds in (("first_frame", 2 ** 53 + 1, "[0, 2**53]"),
+                                ("vehicle_id", -2 ** 63, "[-2**53, 2**53]")):
+        fields = {"first_frame": batch.first_frame, "vehicle_id": batch.vehicle_id,
+                  name: np.array([0, value, 0])}
+        with pytest.raises(ValueError) as info:
+            ScenarioBatch(batch.ids, batch.codes, batch.v0, fields["first_frame"],
+                          fields["vehicle_id"], batch.features, batch.futures, 10.0)
+        assert str(info.value) == (f"scenario 1 ('synth-00001'): scenario synth-00001: "
+                                   f"{name} must be an integer in {bounds}, got {value}")
+    edge = ScenarioBatch(batch.ids, batch.codes, batch.v0, [0, 2 ** 53, 0],
+                         [1, -2 ** 53, 2 ** 53], batch.features, batch.futures, 10.0)
+    path = tmp_path / "arch.json"
+    save_archive(path, edge, 10)
+    back, _ = load_archive(path)
+    assert back.first_frame.tolist() == [0, 2 ** 53, 0]
+    assert back.vehicle_id.tolist() == [1, -2 ** 53, 2 ** 53]
 
 
-# 3 scenarios at 10 fps: 3 x 4 x 30 x 9 features and 3 x 50 x 2 future values.
-ARCHIVE_PAYLOAD = 8 * (3 * 4 * 30 * 9 + 3 * 50 * 2)
+# 3 scenarios at 10 fps: 4 columns of 3 values, 3 x 4 x 30 x 9 features and
+# 3 x 50 x 2 future values.
+ARCHIVE_PAYLOAD = 8 * (4 * 3 + 3 * 4 * 30 * 9 + 3 * 50 * 2)
 GRID = "on grid (t_obs, t_pred, n_vehicles)"
 
 CORRUPT_ARCHIVES = [
@@ -1370,39 +1427,37 @@ CORRUPT_ARCHIVES = [
     (edited_head(lambda head: head.update(t_obs=29)),
      f"archive arrays features has shape (3, 4, 30, 9), expected (3, 4, 29, 9) "
      f"for 3 scenarios {GRID} = (29, 50, 9)"),
-    (edited_head(lambda head: head["scenarios"].pop()),
-     f"archive arrays features has shape (3, 4, 30, 9), expected (2, 4, 30, 9) "
-     f"for 2 scenarios {GRID} = (30, 50, 9)"),
+    (edited_head(lambda head: head["ids"].pop()),
+     f"archive arrays codes has shape (3,), expected (2,) for 2 scenarios {GRID} = (30, 50, 9)"),
     (edited_head(lambda head: head["arrays"].update(future=[3, 100, 1])),
      f"archive arrays future has shape (3, 100, 1), expected (3, 50, 2) "
      f"for 3 scenarios {GRID} = (30, 50, 9)"),
     (lambda data: edited_head(lambda head: head["arrays"].update(labels=[1]))(data) + bytes(8),
      "archive arrays has unknown keys: labels"),
-    (edited_head(lambda head: head.update(scenarios=[])), "archive contains no scenarios"),
+    (edited_head(lambda head: head.update(ids=[])), "archive contains no scenarios"),
     (edited_head(lambda head: head.update(t_obs="30")),
      "archive t_obs is a string, expected an integer"),
     (edited_head(lambda head: head.pop("n_vehicles")), "archive is missing key 'n_vehicles'"),
-    (edited_head(lambda head: head["scenarios"].insert(1, [0.0])),
-     "scenario 1 is not a JSON object"),
-    (_scenario_value(1, "v0", "25"),
-     "scenario 1 ('synth-00001') v0 is a string, expected a number"),
-    (_scenario_value(1, "v0", True),
-     "scenario 1 ('synth-00001') v0 is a boolean, expected a number"),
-    (_scenario_value(0, "maneuver", None),
-     "scenario 0 ('synth-00000') maneuver is null, expected a string"),
-    (_scenario_value(1, "id", 5), "scenario 1 (5) id is an integer, expected a string"),
-    (edited_head(lambda head: head["scenarios"][1].pop("maneuver")),
-     "scenario 1 ('synth-00001') is missing key 'maneuver'"),
-    (edited_head(lambda head: head["scenarios"][2].pop("v0")),
-     "scenario 2 ('synth-00002') is missing key 'v0'"),
-    (edited_head(lambda head: head["scenarios"][1].pop("id")),
-     "scenario 1 (None) is missing key 'id'"),
+    (edited_head(lambda head: head["ids"].insert(1, [0.0])), "archive ids must be a list of "
+                                                             "strings"),
+    (edited_head(lambda head: head["ids"].__setitem__(1, 5)),
+     "archive ids must be a list of strings"),
+    (edited_head(lambda head: head["ids"].__setitem__(0, None)),
+     "archive ids must be a list of strings"),
+    (edited_head(lambda head: head["ids"].__setitem__(2, {"id": "synth-00002"})),
+     "archive ids must be a list of strings"),
+    (poked("codes", 1, 3.0), "scenario 1 ('synth-00001'): unknown maneuver 3.0"),
+    (poked("codes", 2, 0.5), "scenario 2 ('synth-00002'): unknown maneuver 0.5"),
+    (poked("codes", 0, -1.0), "scenario 0 ('synth-00000'): unknown maneuver -1.0"),
+    (poked("codes", 1, math.nan), "scenario 1 ('synth-00001'): unknown maneuver nan"),
+    (poked("v0", 2, math.nan),
+     "scenario 2 ('synth-00002'): scenario synth-00002: v0 must be finite, got nan"),
+    (poked("v0", 1, -math.inf),
+     "scenario 1 ('synth-00001'): scenario synth-00001: v0 must be finite, got -inf"),
     (edited_head(lambda head: head.pop("fps")), "archive is missing key 'fps'"),
-    (edited_head(lambda head: head.pop("scenarios")), "archive is missing key 'scenarios'"),
-    (edited_head(lambda head: head.update(scenarios=5)),
-     "archive scenarios is an integer, expected a list"),
-    (edited_head(lambda head: head.update(scenarios={})),
-     "archive scenarios is an object, expected a list"),
+    (edited_head(lambda head: head.pop("ids")), "archive is missing key 'ids'"),
+    (edited_head(lambda head: head.update(ids=5)), "archive ids is an integer, expected a list"),
+    (edited_head(lambda head: head.update(ids={})), "archive ids is an object, expected a list"),
     (edited_head(lambda head: head.update(t_pred=True)),
      "archive t_pred is a boolean, expected an integer"),
     (edited_head(lambda head: head.update(fps="10")), "archive fps is a string, expected a number"),
@@ -1413,6 +1468,8 @@ CORRUPT_ARCHIVES = [
                        "(char 0)"),
     (lambda data: edited_head(lambda head: head["arrays"].pop("future"))(data)[:-8 * 300],
      "archive arrays is missing key 'future'"),
+    (lambda data: edited_head(lambda head: head["arrays"].pop("vehicle_id"))(data)[:-8 * 3],
+     "archive arrays is missing key 'vehicle_id'"),
     (edited_head(lambda head: head["arrays"].update(features=None)),
      "archive arrays features is null, expected a list"),
     (edited_head(lambda head: head["arrays"].update(features=[3, 4, 0, 9])),
@@ -1434,8 +1491,8 @@ def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
 @pytest.mark.parametrize("edit, message", CORRUPT_ARCHIVES)
 def test_a_row_read_refuses_what_a_full_read_refuses_before_it_chooses(tmp_path, edit,
                                                                       message):
-    # The whole head is checked, and the payload's length, before the
-    # chooser sees the head.
+    # The whole head, the payload's length and every row's code and v0 are
+    # checked before the chooser sees the ids and codes.
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(3, 10, seed=21), 10)
     path.write_bytes(edit(path.read_bytes()))
@@ -1461,25 +1518,27 @@ def test_a_row_read_is_those_rows_of_a_full_read_in_their_order(tmp_path):
     assert seen == [(full.ids, full.codes.tolist())]
     want = full[[7, 2, 3, 4, 0, 8, 2]]
     assert batch.ids == want.ids
-    for name in ("codes", "v0", "features", "futures"):
+    for name in ("codes", "v0", "first_frame", "vehicle_id", "features", "futures"):
         got = getattr(batch, name)
         assert not got.flags.writeable and got.tobytes() == getattr(want, name).tobytes()
 
 
-def _poke_nan(path, row):
-    """Set one feature value of archive row ``row`` to NaN, which the
-    scenario rule refuses; the head stays as it is."""
-    data = bytearray(path.read_bytes())
-    at = data.index(b"\n") + 1 + 8 * (row * 4 * 30 * 9 + 100)
-    data[at:at + 8] = np.float64(np.nan).tobytes()
-    path.write_bytes(bytes(data))
-
-
-def test_a_row_read_checks_the_data_of_its_rows_only(tmp_path):
+@pytest.mark.parametrize("name, item, value, reason", [
+    ("features", 100, math.nan, "non-finite data"),
+    ("future", 7, math.inf, "non-finite data"),
+    ("first_frame", 0, -1.0, "first_frame must be an integer in [0, 2**53], got -1.0"),
+    ("first_frame", 0, 2.5, "first_frame must be an integer in [0, 2**53], got 2.5"),
+    ("first_frame", 0, math.inf, "first_frame must be an integer in [0, 2**53], got inf"),
+    ("vehicle_id", 0, math.nan, "vehicle_id must be an integer in [-2**53, 2**53], got nan"),
+    ("vehicle_id", 0, -0.5, "vehicle_id must be an integer in [-2**53, 2**53], got -0.5"),
+    ("vehicle_id", 0, 2.0 ** 63,
+     "vehicle_id must be an integer in [-2**53, 2**53], got 9.223372036854776e+18"),
+])
+def test_a_row_read_checks_the_data_of_its_rows_only(tmp_path, name, item, value, reason):
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(5, 10, seed=24), 10)
-    _poke_nan(path, 3)
-    message = f"{path}: scenario 3 ('synth-00003'): scenario synth-00003: non-finite data"
+    path.write_bytes(poked(name, 3, value, item)(path.read_bytes()))
+    message = f"{path}: scenario 3 ('synth-00003'): scenario synth-00003: {reason}"
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == message
@@ -1491,14 +1550,14 @@ def test_a_row_read_checks_the_data_of_its_rows_only(tmp_path):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("key, value, reason", [
-    ("maneuver", "u_turn", "unknown maneuver 'u_turn'"),
+@pytest.mark.parametrize("name, value, reason", [
+    ("codes", 7.0, "unknown maneuver 7.0"),
     ("v0", math.nan, "scenario synth-00003: v0 must be finite, got nan"),
 ])
-def test_a_row_read_checks_every_head_entry(tmp_path, key, value, reason):
+def test_a_row_read_checks_every_code_and_v0(tmp_path, name, value, reason):
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(5, 10, seed=24), 10)
-    rewrite_head(path, lambda head: head["scenarios"][3].update({key: value}))
+    path.write_bytes(poked(name, 3, value)(path.read_bytes()))
     for rows in (None, lambda ids, codes: [0]):
         with pytest.raises(ValueError) as info:
             load_archive(path, rows)
@@ -1515,6 +1574,26 @@ def test_a_row_read_names_a_bad_fps_as_a_full_read_does(tmp_path):
         with pytest.raises(ValueError) as info:
             load_archive(path, rows)
         assert str(info.value) == message
+
+
+def test_a_row_read_grows_by_less_than_200_bytes_a_scenario(tmp_path):
+    # A one-row read parses the head's ids and reads the codes and v0
+    # columns whole, and no scenario's data but its own: its tracemalloc
+    # peak grows with the archive by less than 200 bytes per scenario.
+    three = synthesize(3, 2, seed=9, n_vehicles=2)
+    peaks = {}
+    for n in (60, 6000):
+        path = tmp_path / f"arch{n}.json"
+        batch = three[np.arange(n) % 3]._derive(ids=tuple(f"synth-{i:05d}" for i in range(n)))
+        save_archive(path, batch, 2)
+        load_archive(path, lambda ids, codes: [0])
+        tracemalloc.start()
+        try:
+            load_archive(path, lambda ids, codes: [n - 1])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[6000] - peaks[60]) / (6000 - 60) < 200, peaks
 
 
 def test_archive_scenarios_are_read_only_views_of_the_payload(tmp_path):
@@ -1565,6 +1644,7 @@ def test_slices_of_a_checked_batch_skip_the_rule_and_keep_its_bytes(monkeypatch)
     for index, part in zip(indices, got):
         rows = np.arange(len(batch))[index]
         want = ScenarioBatch([batch.ids[i] for i in rows], batch.codes[rows], batch.v0[rows],
+                             batch.first_frame[rows], batch.vehicle_id[rows],
                              batch.features[rows], batch.futures[rows], batch.fps)
         assert _scenario_bytes(part) == _scenario_bytes(want)
         assert part.codes.tobytes() == want.codes.tobytes() and part.fps == want.fps
@@ -1604,18 +1684,31 @@ RULE_FAULTS = [
     (_set("future", (49, 1), -np.inf), "scenario {id}: non-finite data"),
     (_set("features", (0, 0, 0), 1.0), "scenario {id}: target must start at the origin"),
     (_set("features", (1, 0, 0), -0.5), "scenario {id}: target must start at the origin"),
-    (_put("maneuver", "jump"), "unknown maneuver 'jump'"),
+    (_put("codes", 3.0), "unknown maneuver 3.0"),
+    (_put("codes", 1.5), "unknown maneuver 1.5"),
+    (_put("codes", np.nan), "unknown maneuver nan"),
     (_put("v0", np.nan), "scenario {id}: v0 must be finite, got nan"),
     (_put("v0", np.inf), "scenario {id}: v0 must be finite, got inf"),
     (_put("v0", -np.inf), "scenario {id}: v0 must be finite, got -inf"),
+    (_put("first_frame", -3.0), "scenario {id}: first_frame must be an integer in [0, 2**53], "
+                                "got -3.0"),
+    (_put("first_frame", 0.25), "scenario {id}: first_frame must be an integer in [0, 2**53], "
+                                "got 0.25"),
+    (_put("vehicle_id", np.inf), "scenario {id}: vehicle_id must be an integer in "
+                                 "[-2**53, 2**53], got inf"),
+    (_put("vehicle_id", -2.0 ** 54), "scenario {id}: vehicle_id must be an integer in "
+                                     "[-2**53, 2**53], got -1.8014398509481984e+16"),
 ] + [(_put("fps", fps), f"scenario {{id}}: fps must be positive and finite, got {fps}")
      for fps in (0.0, -10.0, np.inf, -np.inf, np.nan)]
 
 
 @pytest.mark.parametrize("change, reason", RULE_FAULTS)
 def test_scenario_rule_refuses_alike_a_batch_and_an_archive(tmp_path, change, reason):
-    rows = [{"scenario_id": s.scenario_id, "features": s.features, "future": s.future,
-             "v0": s.v0, "fps": s.fps, "maneuver": s.maneuver}
+    # Every per-scenario value a float, as an archive stores it.
+    rows = [{"scenario_id": s.scenario_id, "codes": float(MANEUVERS.index(s.maneuver)),
+             "v0": s.v0, "first_frame": float(s.first_frame),
+             "vehicle_id": float(s.vehicle_id), "features": s.features, "future": s.future,
+             "fps": s.fps}
             for s in synthesize(3, 10, seed=21)]
     change(rows[1])
     # A batch holds one fps, so a bad fps is every row's fault, and the
@@ -1626,19 +1719,17 @@ def test_scenario_rule_refuses_alike_a_batch_and_an_archive(tmp_path, change, re
     bad = 0 if "fps" in reason else 1
     named = f"scenario {bad} ('synth-0000{bad}'): " + reason.format(id=f"synth-0000{bad}")
     fields = {name: [row[name] for row in rows] for name in rows[0]}
+    columns = ("codes", "v0", "first_frame", "vehicle_id", "features", "future")
+    arrays = {name: np.array(fields[name]) for name in columns}
     with pytest.raises(ValueError) as info:
-        ScenarioBatch(fields["scenario_id"], fields["maneuver"], fields["v0"],
-                      np.stack(fields["features"]), np.stack(fields["future"]), rows[1]["fps"])
+        ScenarioBatch(fields["scenario_id"], *arrays.values(), rows[1]["fps"])
     assert str(info.value) == named
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(3, 10, seed=21), 10)
     head, _ = split_head(path)
     del head["arrays"]
     head["fps"] = rows[1]["fps"]
-    for entry, row in zip(head["scenarios"], rows):
-        entry.update(maneuver=row["maneuver"], v0=row["v0"])
-    write_document(path, head, {"features": np.stack(fields["features"]),
-                                "future": np.stack(fields["future"])})
+    write_document(path, head, arrays)
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == f"{path}: {named}"
@@ -1654,12 +1745,25 @@ def test_batch_refuses_a_bad_grid(features, future, message):
     # A grid is the whole batch's, so the message names no row.
     features, future = np.zeros(features), np.zeros(future)
     with pytest.raises(ValueError) as info:
-        ScenarioBatch(("x", "y"), ("keep_lane",) * 2, (20.0,) * 2,
+        ScenarioBatch(("x", "y"), ("keep_lane",) * 2, (20.0,) * 2, (0, 0), (1, 2),
                       np.stack([features] * 2), np.stack([future] * 2), 10.0)
     assert str(info.value) == message
+
+
+def test_batch_takes_maneuver_names_and_names_an_unknown_one():
+    good = synthesize(3, 10, seed=20)
+    names = [MANEUVERS[code] for code in good.codes]
+    batch = ScenarioBatch(good.ids, names, good.v0, good.first_frame, good.vehicle_id,
+                          good.features, good.futures, 10.0)
+    assert batch.codes.tolist() == good.codes.tolist() and batch.codes.dtype == np.int64
+    with pytest.raises(ValueError) as info:
+        ScenarioBatch(good.ids, names[:2] + ["jump"], good.v0, good.first_frame,
+                      good.vehicle_id, good.features, good.futures, 10.0)
+    assert str(info.value) == "scenario 2 ('synth-00002'): unknown maneuver 'jump'"
 
 
 def test_batch_refuses_fields_of_different_lengths():
     good = synthesize(3, 10, seed=20)
     with pytest.raises(ValueError, match="^a batch of 2 ids has maneuvers of shape"):
-        ScenarioBatch(good.ids[:2], good.codes, good.v0, good.features, good.futures, 10.0)
+        ScenarioBatch(good.ids[:2], good.codes, good.v0, good.first_frame, good.vehicle_id,
+                      good.features, good.futures, 10.0)

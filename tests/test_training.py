@@ -89,7 +89,8 @@ def test_gradients_vanish_at_zero_residual():
     s, _, v0 = _prepare(scen, basis, cfg)
     h_z, _ = forward(s, params, cfg)
     x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
-    perfect = ScenarioBatch(scen.ids, scen.codes, scen.v0, scen.features,
+    perfect = ScenarioBatch(scen.ids, scen.codes, scen.v0, scen.first_frame,
+                            scen.vehicle_id, scen.features,
                             np.stack([x[:, 1:], y[:, 1:]], axis=2), scen.fps)
     grads = gradients(perfect[0], params, cfg, basis)
     for name, arr in grads.items():
