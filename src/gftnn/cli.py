@@ -18,8 +18,8 @@ import numpy as np
 from .metrics import (BIN_WIDTH, check_bin_width, evaluate, write_histogram_csv,
                       write_report_json)
 from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis,
-                    check_grid, check_resume, load_checkpoint, predict, predict_batch,
-                    preset_config, truth_trajectories)
+                    check_grid, check_resume, load_checkpoint, loss_batch, predict,
+                    predict_batch, preset_config)
 from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, _check_slots,
                        _window_steps, balance, extract_scenarios, ingest_tracks,
                        load_archive, save_archive, split, split_indices, synthesize,
@@ -47,11 +47,15 @@ def _class_counts(batch) -> str:
 
 
 def _find_scenario(ids, scenario_id) -> int:
-    """The row of ``scenario_id`` among ``ids``, or the first row if it is None."""
+    """The row of ``scenario_id`` among ``ids``, or the first row if it is
+    None. An id that no row or more than one row holds is refused."""
     if scenario_id is None:
         return 0
-    if scenario_id not in ids:
+    count = ids.count(scenario_id)
+    if count == 0:
         raise ValueError(f"scenario {scenario_id!r} not found in archive")
+    if count > 1:
+        raise ValueError(f"scenario {scenario_id!r} is held by {count} rows of the archive")
     return ids.index(scenario_id)
 
 
@@ -181,15 +185,12 @@ def _subset(args):
     return lambda ids, codes: split_indices(codes, args.split_ratio, args.seed)[side]
 
 
-def _load_archive_and_checkpoint(args, rows=None):
-    """The archive's scenarios (only those the ``load_archive`` chooser
-    ``rows`` picks, if given), the checkpoint that scores them (without
-    its Adam moments) and its reference basis. The archive must lie on
-    the checkpoint's grid, also for ``eval --self-test``."""
-    if rows is None:
-        scenarios, _ = load_archive(args.archive)
-    else:
-        scenarios, _ = load_archive(args.archive, rows)
+def _load_archive_and_checkpoint(args, rows):
+    """The archive's scenarios that the ``load_archive`` chooser ``rows``
+    picks (all of them if it is None), the checkpoint that scores them
+    (without its Adam moments) and its reference basis. The archive must
+    lie on the checkpoint's grid, also for ``eval --self-test``."""
+    scenarios, _ = load_archive(args.archive, rows)
     ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     check_grid(scenarios, ckpt.config)
     return scenarios, ckpt, build_basis(ckpt.config)
@@ -199,12 +200,12 @@ def cmd_eval(args):
     _require(args, "archive", "checkpoint")
     check_bin_width(args.bin_width)
     scenarios, ckpt, basis = _load_archive_and_checkpoint(args, _subset(args))
-    truths = truth_trajectories(scenarios)
     if args.self_test:
-        predictions = truths
+        dx = dy = np.zeros(scenarios.futures.shape[:2])
     else:
-        predictions = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
-    report = evaluate(predictions, truths, args.bin_width)
+        x, y = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
+        _, dx, dy = loss_batch(x, y, scenarios.futures)
+    report = evaluate(dx, dy, args.bin_width)
     report_path = _out_path(args, "eval_report.json")
     hist_path = _out_path(args, "histogram.csv")
     write_report_json(report, report_path)

@@ -16,26 +16,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import trajectory_batch
+from .model import loss_batch
 
 # The most bins a histogram may have; a narrower bin width is refused.
 HISTOGRAM_MAX_BINS = 1_000_000
 BIN_WIDTH = 0.1     # metres, the histogram bin width unless one is given
 
 
+def _stacked(trajectories):
+    """The (B, T_pred + 1) ``x`` and ``y`` of a list of equally long
+    trajectories."""
+    for i, t in enumerate(trajectories):
+        if len(t) != len(trajectories[0]):
+            raise ValueError(f"trajectory {i} has {len(t)} samples, but trajectory 0 "
+                             f"has {len(trajectories[0])}; a batch holds one length")
+    return np.stack([t.x for t in trajectories]), np.stack([t.y for t in trajectories])
+
+
 def _displacements(predictions, truths):
-    """(B, T_pred) displacements of predicted from true trajectories, each
-    a batch or a sequence (see ``model.trajectory_batch``), at steps 1 on."""
+    """(B, T_pred) displacements of predicted from true trajectories, two
+    equally long lists, at steps 1 on: ``model.loss_batch``'s."""
     if len(predictions) != len(truths):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(truths)} truths"
         )
     if len(predictions) == 0:
         raise ValueError("cannot evaluate an empty set of trajectories")
-    pred, truth = trajectory_batch(predictions), trajectory_batch(truths)
-    if pred.x.shape != truth.x.shape:
+    (x, y), (tx, ty) = _stacked(predictions), _stacked(truths)
+    if x.shape != tx.shape:
         raise ValueError("prediction and truth lengths differ")
-    return pred.x[:, 1:] - truth.x[:, 1:], pred.y[:, 1:] - truth.y[:, 1:]
+    return loss_batch(x, y, np.stack([tx[:, 1:], ty[:, 1:]], axis=2))[1:]
 
 
 def ade_from_displacements(dx, dy) -> float:
@@ -127,12 +137,13 @@ class EvalReport:
     bin_counts: np.ndarray
 
 
-def evaluate(predictions, truths, bin_width: float = BIN_WIDTH) -> EvalReport:
-    dx, dy = _displacements(predictions, truths)
+def evaluate(dx, dy, bin_width: float = BIN_WIDTH) -> EvalReport:
+    """The report of (B, T_pred) displacements ``dx, dy`` at steps 1 on,
+    as ``model.loss_batch`` gives them."""
     per = per_scenario_ade_from_displacements(dx, dy)
     edges, counts = histogram(per, bin_width)
     return EvalReport(
-        n_scenarios=len(predictions),
+        n_scenarios=len(dx),
         ade=ade_from_displacements(dx, dy),
         fde=fde_from_displacements(dx, dy),
         ade_euclid_mean=ade_euclid_mean_from_displacements(dx, dy),

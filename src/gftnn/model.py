@@ -229,68 +229,30 @@ def forward(s, params: ModelParams, config: ModelConfig):
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryBatch:
-    """Planar trajectories sampled at step 0 .. T_pred, relative to step 0:
-    the rows of (B, T_pred + 1) arrays ``x`` and ``y``, which the
-    trajectory rule checks once and freezes. ``batch[i]`` is row i, a
-    ``Trajectory`` that reads views of them."""
+class Trajectory:
+    """A planar trajectory sampled at step 0 .. T_pred, relative to step 0:
+    (T_pred + 1,) arrays ``x`` and ``y``, which the trajectory rule checks
+    and freezes as copies."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2 or x.shape != y.shape or x.shape[1] < 2:
-            raise ValueError(f"bad trajectory shapes {x.shape[1:]}, {y.shape[1:]}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("trajectory must be finite")
+        x = np.array(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValueError(f"bad trajectory shapes {x.shape}, {y.shape}")
+        _check_finite(x, y)
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
 
     def __len__(self):
-        return len(self.x)
-
-    def __getitem__(self, index: int) -> "Trajectory":
-        return _TrajectoryRow(self, range(len(self))[index])
+        return self.x.size
 
 
-class Trajectory:
-    """One trajectory: row ``index`` of ``batch``, a ``TrajectoryBatch``.
-    ``Trajectory(x, y)`` copies x and y into a batch of one."""
-
-    def __init__(self, x, y):
-        self.batch = TrajectoryBatch(np.array(x, dtype=np.float64)[None],
-                                     np.array(y, dtype=np.float64)[None])
-        self.index = 0
-
-    x = property(lambda self: self.batch.x[self.index])
-    y = property(lambda self: self.batch.y[self.index])
-
-    def __len__(self):
-        return self.batch.x.shape[1]
-
-
-class _TrajectoryRow(Trajectory):
-    """A row of a batch whose rule has passed: it is not checked again."""
-
-    def __init__(self, batch: TrajectoryBatch, index: int):
-        self.batch = batch
-        self.index = index
-
-
-def trajectory_batch(trajectories) -> TrajectoryBatch:
-    """``trajectories`` as one batch: a ``TrajectoryBatch`` as it is, and a
-    sequence of equally long trajectories stacked into a new batch, which
-    the trajectory rule checks."""
-    if isinstance(trajectories, TrajectoryBatch):
-        return trajectories
-    rows = list(trajectories)
-    for i, t in enumerate(rows):
-        if len(t) != len(rows[0]):
-            raise ValueError(f"trajectory {i} has {len(t)} samples, but trajectory 0 "
-                             f"has {len(rows[0])}; a batch holds one length")
-    return TrajectoryBatch(np.stack([t.x for t in rows]), np.stack([t.y for t in rows]))
+def _check_finite(x, y):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("trajectory must be finite")
 
 
 def _decode_terms(h_z, t_pred: int, fps):
@@ -327,7 +289,7 @@ def decode(h_z, v0: float, t_pred: int, fps) -> Trajectory:
     if h.shape != (OUT,):
         raise ValueError(f"latent state must have shape ({OUT},), got {h.shape}")
     x, y = decode_batch(h[None, :], np.array([v0], dtype=np.float64), t_pred, fps)
-    return TrajectoryBatch(x, y)[0]
+    return Trajectory(x[0], y[0])
 
 
 def loss_batch(x, y, futures):
@@ -377,17 +339,8 @@ def _own_batch(scenario):
 
 def truth_trajectory(scenario) -> Trajectory:
     """The recorded future as a trajectory anchored at (0, 0)."""
-    return truth_trajectories(_own_batch(scenario))[0]
-
-
-def truth_trajectories(batch: ScenarioBatch) -> TrajectoryBatch:
-    """The recorded futures of ``batch`` as trajectories anchored at (0, 0)."""
-    futures = batch.futures
-    x = np.zeros((futures.shape[0], futures.shape[1] + 1))
-    y = np.zeros_like(x)
-    x[:, 1:] = futures[:, :, 0]
-    y[:, 1:] = futures[:, :, 1]
-    return TrajectoryBatch(x, y)
+    future = scenario.future
+    return Trajectory(np.append(0.0, future[:, 0]), np.append(0.0, future[:, 1]))
 
 
 def build_basis(config: ModelConfig) -> ProductBasis:
@@ -457,17 +410,23 @@ def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
 
 
 def predict_batch(batch: ScenarioBatch, basis: ProductBasis, params: ModelParams,
-                  config: ModelConfig) -> TrajectoryBatch:
+                  config: ModelConfig):
     """Full inference path for ``batch``: one spectral pass, one forward
-    pass and one decode over the whole batch."""
+    pass and one decode over the whole batch. Returns the decoded
+    (B, T_pred + 1) trajectories ``x, y``, which must be finite."""
     h_z, _ = forward(scenario_spectra(batch, basis, config), params, config)
-    return TrajectoryBatch(*decode_batch(h_z, batch.v0, config.t_pred, config.fps))
+    # A decode that overflows is refused by the check, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = decode_batch(h_z, batch.v0, config.t_pred, config.fps)
+    _check_finite(x, y)
+    return x, y
 
 
 def predict(scenario, basis: ProductBasis, params: ModelParams,
             config: ModelConfig) -> Trajectory:
     """Full inference path for one scenario (a batch of one)."""
-    return predict_batch(_own_batch(scenario), basis, params, config)[0]
+    x, y = predict_batch(_own_batch(scenario), basis, params, config)
+    return Trajectory(x[0], y[0])
 
 
 @dataclass(frozen=True)

@@ -509,20 +509,6 @@ def inverse_gft(coefficients, basis: ProductBasis, p: int | None = None) -> np.n
     return u1 @ fhat[..., :p, :] @ basis.spatial.eigenvectors.T
 
 
-def truncate_spectrum(coefficients, p: int) -> np.ndarray:
-    """Keep the p lowest temporal modes and flatten each (k, l1, l2) block of
-    a (..., k, l1, l2) array row-major: one row per leading index.
-    """
-    fhat = np.asarray(coefficients, dtype=np.float64)
-    if fhat.ndim < 3:
-        raise ValueError(
-            f"expected (..., channel, time, vehicle) coefficients, got shape {fhat.shape}"
-        )
-    if not 1 <= p <= fhat.shape[-2]:
-        raise ValueError(f"p must be in [1, {fhat.shape[-2]}], got {p}")
-    return fhat[..., :p, :].reshape(fhat.shape[:-3] + (-1,)).copy()
-
-
 def write_spectrum_csv(basis: ProductBasis, path):
     """Factor eigenvalues, one row per (axis, index)."""
     with open(path, "w", newline="") as fh:

@@ -20,9 +20,10 @@ from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
                            write_histogram_csv, write_report_json)
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
-                         save_checkpoint, truth_trajectory)
-from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch, load_archive,
-                            save_archive, split, split_indices, synthesize)
+                         save_checkpoint)
+from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch,
+                            extract_scenarios, load_archive, save_archive, split,
+                            split_indices, synthesize)
 from gftnn.store import write_document
 from gftnn.training import TrainConfig
 from helpers import multilane_scene, poked, three_class_tracks, write_tracks_csv
@@ -469,8 +470,9 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
     scenarios, _ = load_archive(archive)
     ckpt = load_checkpoint(run / "checkpoint.json")
     basis = build_basis(ckpt.config)
-    batched = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
-    report = evaluate(batched, [truth_trajectory(s) for s in scenarios], 0.1)
+    x, y = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
+    futures = scenarios.futures
+    report = evaluate(x[:, 1:] - futures[:, :, 0], y[:, 1:] - futures[:, :, 1], 0.1)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
     write_report_json(report, oracle / "eval_report.json")
@@ -478,10 +480,52 @@ def test_eval_weighted_matches_batched_predict(tmp_path, capsys):
     for name in ("eval_report.json", "histogram.csv"):
         assert (tmp_path / "eval" / name).read_bytes() == (oracle / name).read_bytes()
     # a batch of one may round differently from a row of a larger batch
-    for scenario, row in zip(scenarios, batched):
+    for scenario, row_x, row_y in zip(scenarios, x, y):
         single = predict(scenario, basis, ckpt.params, ckpt.config)
-        assert np.max(np.abs(single.x - row.x)) <= 1e-12
-        assert np.max(np.abs(single.y - row.y)) <= 1e-12
+        assert np.max(np.abs(single.x - row_x)) <= 1e-12
+        assert np.max(np.abs(single.y - row_y)) <= 1e-12
+
+
+@pytest.mark.parametrize("preset, fps", [("gftnn", 10), ("gftnn-w", 25)])
+def test_training_log_and_eval_of_the_test_side_give_the_same_floats(tmp_path, capsys,
+                                                                     preset, fps):
+    # train's per-epoch test pass and eval --subset test score the same
+    # side of the same split with the same parameters: the last log row's
+    # ade and fde are the report's, bit for bit.
+    archive = synth_archive(tmp_path, n=60, fps=fps, extra=["--seed", "3"])
+    split_args = ["--split-ratio", "0.5", "--seed", "3"]
+    run = tmp_path / "run"
+    run_ok(capsys, ["train", "--archive", str(archive), "--preset", preset, "--epochs", "2",
+                    "--batch-size", "8", *split_args, "--out", str(run)])
+    run_ok(capsys, ["eval", "--archive", str(archive), "--checkpoint",
+                    str(run / "checkpoint.json"), "--subset", "test", *split_args,
+                    "--out", str(tmp_path / "eval")])
+    with open(run / "training_log.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+    assert last["epoch"] == "2" and report["n_scenarios"] == 30
+    assert (float(last["ade"]), float(last["fde"])) == (report["ade"], report["fde"])
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict", "--scenario-id", "synth-00002"]],
+                         ids=["eval", "predict"])
+def test_a_decode_that_overflows_ends_on_one_line(tmp_path, capsys, command):
+    # A finite latent acceleration near the largest float decodes to inf:
+    # no numpy warning, one error line, and no --out.
+    archive = synth_archive(tmp_path, n=6)
+    config = preset_config("gftnn", 10, hidden=8)
+    params = init_params(config, 0)
+    params.b_h[0] = 1e308
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, config, build_basis(config), params)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = run_fail(capsys, [*command, "--archive", str(archive),
+                                "--checkpoint", str(ckpt), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert err == "error: trajectory must be finite\n"
+    assert not out.exists()
 
 
 def predict_batch_spy(monkeypatch):
@@ -617,7 +661,7 @@ def test_eval_reports_corrupt_document_on_one_line(tmp_path, capsys, document, e
 
 def test_internal_errors_keep_their_traceback(tmp_path, monkeypatch):
     # Only bad input and failed runs become one "error:" line.
-    def broken(path):
+    def broken(path, rows=None):
         raise KeyError("internal")
     monkeypatch.setattr("gftnn.cli.load_archive", broken)
     with pytest.raises(KeyError, match="internal"):
@@ -725,6 +769,29 @@ def test_an_unknown_scenario_is_refused_before_any_data_is_read(tmp_path, capsys
     assert capsys.readouterr() == ("", "error: scenario 'nope' not found in archive\n")
     # Only the (n,) columns were read, no scenario's data.
     assert reads == [(name, 8 * 12) for name in ("codes", "v0", "first_frame", "vehicle_id")]
+
+
+@pytest.mark.parametrize("command", ["predict", "spectrum"])
+def test_an_id_two_rows_hold_is_refused_before_any_data_is_read(tmp_path, capsys,
+                                                                monkeypatch, command):
+    # Two tracks that share a vehicle id and a start frame give two windows
+    # of one id; neither is chosen in silence.
+    scenarios = extract_scenarios(multilane_scene(3, 10, duplicate_id=True), 10)
+    assert [i for i, sid in enumerate(scenarios.ids) if sid == "v15-f229"] == [22, 24]
+    archive = tmp_path / "archive.json"
+    save_archive(archive, scenarios, 10)
+    ckpt = tmp_path / "checkpoint.json"
+    config = preset_config("gftnn", 10, hidden=8)
+    save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
+    argv = ROW_READS[command](str(archive), str(ckpt))
+    argv[argv.index("synth-00003")] = "v15-f229"
+    reads = _payload_reads(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: scenario 'v15-f229' is held by 2 rows of the archive\n")
+    assert reads == [(name, 8 * len(scenarios))
+                     for name in ("codes", "v0", "first_frame", "vehicle_id")]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(ROW_READS))

@@ -162,11 +162,8 @@ def test_histogram_zero_values_land_in_first_bin():
 
 def test_evaluate_report_consistency():
     rng = np.random.default_rng(2)
-    truths = [Trajectory(np.cumsum(rng.uniform(1, 3, size=8)),
-                         rng.normal(size=8)) for _ in range(10)]
-    preds = [Trajectory(t.x + rng.normal(0, 0.5, size=8),
-                        t.y + rng.normal(0, 0.5, size=8)) for t in truths]
-    report = evaluate(preds, truths, bin_width=0.25)
+    dx, dy = rng.normal(0, 0.5, size=(2, 10, 7))
+    report = evaluate(dx, dy, bin_width=0.25)
     assert report.n_scenarios == 10
     assert report.bin_counts.sum() == 10
     assert report.per_scenario_ade.shape == (10,)
@@ -176,10 +173,20 @@ def test_evaluate_report_consistency():
     assert report.bin_edges.size == report.bin_counts.size + 1
 
 
-def test_report_writers_roundtrip(tmp_path):
+def test_evaluate_reads_displacements_as_the_list_functions_form_them():
     truths = [traj(), traj(slope=2.0)]
     preds = [traj(dx=0.5), traj(dy=1.25, slope=2.0)]
-    report = evaluate(preds, truths, bin_width=0.5)
+    report = evaluate(np.array([[0.5] * 5, [0.0] * 5]), np.array([[0.0] * 5, [1.25] * 5]))
+    assert report.n_scenarios == 2
+    assert (report.ade, report.fde, report.ade_euclid_mean) == (
+        ade(preds, truths), fde(preds, truths), ade_euclid_mean(preds, truths))
+    assert report.per_scenario_ade.tolist() == per_scenario_ade(preds, truths).tolist()
+    assert report.per_scenario_ade.tolist() == [0.5, 1.25]
+
+
+def test_report_writers_roundtrip(tmp_path):
+    report = evaluate(np.array([[0.5] * 5, [0.0] * 5]), np.array([[0.0] * 5, [1.25] * 5]),
+                      bin_width=0.5)
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "hist.csv"
     write_report_json(report, jpath)

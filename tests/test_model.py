@@ -10,16 +10,15 @@ from gftnn import model, spectral
 from gftnn import store
 from gftnn.cli import main
 from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory,
-                         TrajectoryBatch, build_basis, decode, decode_batch,
+                         build_basis, decode, decode_batch,
                          decode_partials, forward, gaussian_cdf, gelu, gelu_grad,
-                         init_params, load_checkpoint, param_shapes, predict,
+                         init_params, load_checkpoint, loss_batch, param_shapes, predict,
                          predict_batch, preset_config, save_checkpoint,
-                         scenario_spectra, select_channels,
-                         truth_trajectories, truth_trajectory)
-from gftnn.metrics import evaluate
+                         scenario_spectra, select_channels, truth_trajectory)
+from gftnn.metrics import (ade, ade_euclid_mean, evaluate, fde, per_scenario_ade)
 from gftnn.scenario import ScenarioBatch, save_archive, synthesize
 from gftnn.special import expit
-from gftnn.spectral import gft_extended, truncate_spectrum
+from gftnn.spectral import gft_extended
 from helpers import edited_head, rewrite_head, split_head, tiny_config
 
 
@@ -77,6 +76,14 @@ def test_config_sizes():
     cfg = tiny_config()
     assert cfg.zk == 18
     assert cfg.z == 36
+
+
+def test_encoder_input_sizes_per_preset_at_25_fps():
+    # 4 channels x 9 vehicles x 75, 15 and 5 kept temporal modes.
+    assert [preset_config(name, 25).z for name in ("gftnn", "gftnn-rdcby5",
+                                                   "gftnn-rdcby15")] == [2700, 540, 180]
+    with pytest.raises(ValueError, match=r"^p must be in \[1, 75\], got 76$"):
+        dataclasses.replace(preset_config("gftnn", 25), p=76)
 
 
 def test_preset_table():
@@ -470,69 +477,61 @@ def test_trajectory_validation():
         Trajectory(np.zeros(5), np.zeros(4))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, np.inf]), np.zeros(2))
-    tr = Trajectory(np.zeros(3), np.zeros(3))
+    x = np.zeros(3)
+    tr = Trajectory(x, np.zeros(3))
     with pytest.raises(ValueError):
         tr.x[0] = 1.0
+    x[0] = 1.0      # the trajectory holds a copy
+    assert tr.x[0] == 0.0
 
 
-def test_predict_batch_rows_are_the_decoded_rows_read_only(basis_30x9):
-    # The batch is checked and frozen once; each row is what Trajectory(...)
-    # builds from it, and as read-only.
+def test_predict_batch_returns_the_decoded_arrays(basis_30x9):
+    # The (B, T_pred + 1) arrays decode_batch gives, and predict's rows of
+    # batches of one are Trajectory copies of them, read-only.
     cfg = preset_config("gftnn", 10)
     params = init_params(cfg, 2)
     scenarios = synthesize(5, 10, seed=31, noise_std=0.05)
     h_z, _ = forward(scenario_spectra(scenarios, basis_30x9, cfg), params, cfg)
-    x, y = decode_batch(h_z, np.array([s.v0 for s in scenarios]), cfg.t_pred, cfg.fps)
-    rows = predict_batch(scenarios, basis_30x9, params, cfg)
-    for row, xi, yi in zip(rows, x, y):
-        assert isinstance(row, Trajectory) and len(row) == cfg.t_pred + 1
-        assert row.x.dtype == np.float64
-        assert np.array_equal(row.x.view(np.uint64), xi.view(np.uint64))
-        assert np.array_equal(row.y.view(np.uint64), yi.view(np.uint64))
-        for arr in (row.x, row.y):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+    want = decode_batch(h_z, np.array([s.v0 for s in scenarios]), cfg.t_pred, cfg.fps)
+    got = predict_batch(scenarios, basis_30x9, params, cfg)
+    for arr, ref in zip(got, want):
+        assert arr.shape == (5, cfg.t_pred + 1) and arr.dtype == np.float64
+        assert np.array_equal(arr.view(np.uint64), ref.view(np.uint64))
+    row = predict(scenarios[2], basis_30x9, params, cfg)
+    assert isinstance(row, Trajectory) and len(row) == cfg.t_pred + 1
+    alone = predict_batch(scenarios[2:3], basis_30x9, params, cfg)
+    for arr, ref in ((row.x, alone[0][0]), (row.y, alone[1][0])):
+        assert np.array_equal(arr.view(np.uint64), ref.view(np.uint64))
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 @pytest.mark.parametrize("x, y, message", [
-    (np.array([[0.0, 1.0], [0.0, np.inf]]), np.zeros((2, 2)), "trajectory must be finite"),
-    (np.zeros((2, 2)), np.array([[0.0, 1.0], [np.nan, 0.0]]), "trajectory must be finite"),
-    (np.zeros((2, 1)), np.zeros((2, 1)), r"bad trajectory shapes \(1,\), \(1,\)"),
-    (np.zeros((2, 3)), np.zeros((2, 4)), r"bad trajectory shapes \(3,\), \(4,\)"),
+    (np.array([0.0, np.inf]), np.zeros(2), "trajectory must be finite"),
+    (np.zeros(2), np.array([np.nan, 0.0]), "trajectory must be finite"),
+    (np.zeros(1), np.zeros(1), r"bad trajectory shapes \(1,\), \(1,\)"),
+    (np.zeros(3), np.zeros(4), r"bad trajectory shapes \(3,\), \(4,\)"),
+    (np.zeros((2, 3)), np.zeros((2, 3)), r"bad trajectory shapes \(2, 3\), \(2, 3\)"),
 ])
-def test_batch_trajectories_refuse_what_trajectory_refuses(x, y, message):
-    # The batch rule gives the message Trajectory(...) gives for the row
-    # that breaks it.
+def test_trajectory_refuses_with_its_rule_messages(x, y, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        TrajectoryBatch(x, y)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Trajectory(x[1], y[1])
+        Trajectory(x, y)
 
 
-def test_batch_trajectory_row_is_a_view_that_the_rule_does_not_check_again(monkeypatch):
-    batch = TrajectoryBatch(np.arange(12.0).reshape(3, 4), np.zeros((3, 4)))
-    checked = []
-    rule = TrajectoryBatch.__post_init__
-    monkeypatch.setattr(TrajectoryBatch, "__post_init__",
-                        lambda self: checked.append(self) or rule(self))
-    row = batch[1]
-    assert checked == []
-    assert isinstance(row, Trajectory) and row.batch is batch and len(row) == 4
-    assert np.shares_memory(row.x, batch.x) and np.shares_memory(row.y, batch.y)
-    assert not row.x.flags.writeable
-    assert row.x.tolist() == [4.0, 5.0, 6.0, 7.0]
-    with pytest.raises(IndexError):
-        batch[3]
-
-
-def test_evaluate_gives_the_same_values_for_lists_and_batches_of_trajectories(basis_30x9):
+def test_evaluate_of_loss_batch_displacements_matches_the_list_metrics(basis_30x9):
+    # The report of eval's arrays and the list functions over Trajectory
+    # rows read the same displacements, so they agree bit for bit.
     cfg = preset_config("gftnn", 10)
     params = init_params(cfg, 3)
     batch = synthesize(7, 10, seed=32, noise_std=0.05)
-    batched = predict_batch(batch, basis_30x9, params, cfg)
-    a = evaluate(batched, truth_trajectories(batch), 0.1)
-    b = evaluate(list(batched), [truth_trajectory(s) for s in batch], 0.1)
-    assert repr(a) == repr(b)
+    x, y = predict_batch(batch, basis_30x9, params, cfg)
+    report = evaluate(*loss_batch(x, y, batch.futures)[1:], 0.1)
+    preds = [Trajectory(xi, yi) for xi, yi in zip(x, y)]
+    truths = [truth_trajectory(s) for s in batch]
+    assert report.n_scenarios == 7
+    assert (report.ade, report.fde, report.ade_euclid_mean) == (
+        ade(preds, truths), fde(preds, truths), ade_euclid_mean(preds, truths))
+    assert report.per_scenario_ade.tobytes() == per_scenario_ade(preds, truths).tobytes()
 
 
 def test_truth_trajectory_prepends_origin():
@@ -543,21 +542,19 @@ def test_truth_trajectory_prepends_origin():
     assert np.array_equal(tr.y[1:], scen.future[:, 1])
 
 
-def test_truth_trajectories_are_the_per_scenario_truths_read_only():
-    # Futures holding a signed zero and a subnormal keep their bits.
+def test_truth_trajectory_keeps_the_bits_of_the_future_read_only():
+    # A future holding a signed zero and a subnormal keeps their bits.
     batch = synthesize(4, 10, seed=17, noise_std=0.05)
     futures = batch.futures.copy()
     futures[2, 3] = [-0.0, 5e-324]
     scenarios = ScenarioBatch(batch.ids, batch.codes, batch.v0, batch.first_frame,
                               batch.vehicle_id, batch.features, futures, batch.fps)
-    rows = truth_trajectories(scenarios)
-    assert len(rows) == len(scenarios)
-    for row, scenario in zip(rows, scenarios):
-        single = truth_trajectory(scenario)
-        assert isinstance(row, Trajectory)
-        for got, want in ((row.x, single.x), (row.y, single.y)):
-            assert got.shape == want.shape and got.dtype == np.float64
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for scenario, future in zip(scenarios, futures):
+        tr = truth_trajectory(scenario)
+        for got, want in ((tr.x, future[:, 0]), (tr.y, future[:, 1])):
+            assert got.shape == (future.shape[0] + 1,) and got.dtype == np.float64
+            assert got[0] == 0.0 and not np.signbit(got[0])
+            assert np.array_equal(got[1:].view(np.uint64), want.view(np.uint64))
             with pytest.raises(ValueError):
                 got[0] = 1.0
 
@@ -619,7 +616,7 @@ def test_scenario_spectra_k2_uses_velocity_channels(basis_30x9):
     cfg2 = dataclasses.replace(cfg, k=2)
     full = gft_extended(scen.features[0, 2:4], basis_30x9)
     assert np.array_equal(scenario_spectra(scen, basis_30x9, cfg2)[0],
-                          truncate_spectrum(full, cfg2.p))
+                          full[..., :cfg2.p, :].reshape(-1))
     assert scenario_spectra(scen, basis_30x9, cfg).shape == (1, cfg.z)
 
 
@@ -645,7 +642,7 @@ def test_scenario_spectra_unweighted_uses_reference_basis(monkeypatch):
     rows = scenario_spectra(scenarios, basis, cfg)
     for row, scen in zip(rows, scenarios):
         fhat = gft_extended(select_channels(scen.features, cfg.k), basis)
-        assert np.array_equal(row, truncate_spectrum(fhat, cfg.p))
+        assert np.array_equal(row, fhat[..., :cfg.p, :].reshape(-1))
 
 
 def test_runtime_bases_never_call_the_jacobi_solver(monkeypatch):
@@ -692,7 +689,7 @@ def test_scenario_spectra_form_the_kept_modes_to_the_bits_of_all_modes(monkeypat
 
     def transform(signal, basis, spatial=None, p=None):
         assert p == cfg.p
-        full.append(truncate_spectrum(gft_extended(signal, basis, spatial), p))
+        full.append(gft_extended(signal, basis, spatial)[..., :p, :].reshape(len(signal), -1))
         return gft_extended(signal, basis, spatial, p)
 
     monkeypatch.setattr(model, "gft_extended", transform)

@@ -10,7 +10,7 @@ from gftnn.scenario import synthesize
 from gftnn.spectral import (DEGENERACY_TOL, ProductBasis, Spectrum,
                             complete_spectrum, eigendecompose, gft_2d,
                             _secular_roots, gft_extended, inverse_gft, path_spectrum,
-                            star_spectra, symmetric_eigh, truncate_spectrum,
+                            star_spectra, symmetric_eigh,
                             unit_star_spectrum, write_spectrum_csv, write_tensor_csv)
 from helpers import (bisect_star_secular, random_graph, star_secular,
                      star_secular_equation)
@@ -482,9 +482,9 @@ def test_gft_leading_axes_match_per_signal_transforms():
     assert np.max(np.abs(inverse_gft(fhat, basis) - f)) < 1e-9
     assert np.array_equal(inverse_gft(fhat, basis, 2)[1, 0],
                           inverse_gft(fhat[1, 0], basis, 2))
-    s = truncate_spectrum(fhat, 2)
-    assert s.shape == (3, 16)
-    assert np.array_equal(s[2], truncate_spectrum(fhat[2], 2))
+    kept = gft_extended(f, basis, p=2)
+    assert kept.shape == (3, 2, 2, 4)
+    assert np.array_equal(kept[2], gft_extended(f[2], basis, p=2))
 
 
 def test_gft_per_item_spatial_bases_broadcast():
@@ -511,8 +511,6 @@ def test_gft_shape_mismatch():
         gft_extended(np.zeros(4), basis)
     with pytest.raises(ValueError):
         inverse_gft(np.zeros((2, 5, 5)), basis)
-    with pytest.raises(ValueError):
-        truncate_spectrum(np.zeros((5, 4)), 1)
 
 
 def test_inverse_roundtrip_full_p():
@@ -551,26 +549,6 @@ def test_inverse_p_out_of_range():
         inverse_gft(fhat, basis, p=0)
     with pytest.raises(ValueError):
         inverse_gft(fhat, basis, p=6)
-
-
-def test_truncate_flattening_order():
-    rng = np.random.default_rng(15)
-    fhat = rng.normal(size=(3, 6, 4))
-    s = truncate_spectrum(fhat, p=2)
-    assert s.shape == (3 * 2 * 4,)
-    for k in range(3):
-        for l1 in range(2):
-            for l2 in range(4):
-                assert s[k * 8 + l1 * 4 + l2] == fhat[k, l1, l2]
-
-
-def test_truncate_lengths_per_preset_grid():
-    fhat = np.zeros((4, 75, 9))
-    assert truncate_spectrum(fhat, 75).size == 2700
-    assert truncate_spectrum(fhat, 15).size == 540
-    assert truncate_spectrum(fhat, 5).size == 180
-    with pytest.raises(ValueError):
-        truncate_spectrum(fhat, 76)
 
 
 def test_transform_deterministic_bitwise(basis_30x9):

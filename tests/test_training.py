@@ -7,7 +7,7 @@ import pytest
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
                          param_shapes, predict, predict_batch, preset_config,
-                         save_checkpoint, truth_trajectories, truth_trajectory)
+                         save_checkpoint, truth_trajectory)
 from gftnn.scenario import DatasetSplit, ScenarioBatch, synthesize
 from gftnn.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             DivergenceError, TrainConfig, _batch_loss_and_grads,
@@ -137,13 +137,13 @@ def test_row_functions_run_on_the_rows_slice_of_a_larger_batch(weighted):
     batch = tiny_scenarios(5, seed=18)
     row, one = batch[2], batch[2:3]
     params = init_params(cfg, 9)
-    truth, truths = truth_trajectory(row), truth_trajectories(batch)[2]
-    pred, alone = predict(row, basis, params, cfg), predict_batch(one, basis, params, cfg)[0]
-    among = predict_batch(batch, basis, params, cfg)[2]
-    for name in ("x", "y"):
-        assert same_bits(getattr(truth, name), getattr(truths, name))
-        assert same_bits(getattr(pred, name), getattr(alone, name))
-        assert np.max(np.abs(getattr(pred, name) - getattr(among, name))) <= 1e-12
+    truth, pred = truth_trajectory(row), predict(row, basis, params, cfg)
+    alone = predict_batch(one, basis, params, cfg)
+    among = predict_batch(batch, basis, params, cfg)
+    for i, name in enumerate(("x", "y")):
+        assert same_bits(getattr(truth, name)[1:], batch.futures[2, :, i])
+        assert same_bits(getattr(pred, name), alone[i][0])
+        assert np.max(np.abs(getattr(pred, name) - among[i][2])) <= 1e-12
     want = _batch_loss_and_grads(*_prepare(one, basis, cfg), params, cfg)[1]
     assert same_bits(gradients(row, params, cfg, basis).flat, want.flat)
 
