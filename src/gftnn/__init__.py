@@ -11,11 +11,11 @@ from .scenario import (MANEUVERS, BalanceError, DatasetSplit, ParseError,
                        TrackBatch, balance, extract_scenarios, ingest_tracks,
                        label_maneuver, load_archive, save_archive,
                        split, synthesize, track_batch)
-from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError,
-                    Trajectory, build_basis, check_grid, decode, decode_batch,
-                    decode_partials, forward, gelu, gelu_grad, init_params,
-                    load_checkpoint, loss_batch, predict, predict_batch, preset_config,
-                    save_checkpoint, scenario_spectra, select_channels, truth_trajectory)
+from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError, Trajectory,
+                    build_basis, check_grid, decode, decode_batch, decode_partials, forward,
+                    gelu, gelu_grad, init_params, load_checkpoint, loss_batch, predict,
+                    predict_batch, preset_config, save_checkpoint, scenario_spectra, score,
+                    select_channels, truth_trajectory)
 from .training import (AdamState, DivergenceError, TrainConfig, TrainResult,
                        adam_step, gradients, train, trajectory_loss)
 from .metrics import (EvalReport, ade, ade_euclid_mean, evaluate, fde,

@@ -18,8 +18,8 @@ import numpy as np
 from .metrics import (BIN_WIDTH, check_bin_width, evaluate, write_histogram_csv,
                       write_report_json)
 from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis,
-                    check_grid, check_resume, load_checkpoint, loss_batch, predict,
-                    predict_batch, preset_config)
+                    check_grid, load_checkpoint, predict, preset_config,
+                    scenario_spectra, score)
 from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, _check_slots,
                        _window_steps, balance, extract_scenarios, ingest_tracks,
                        load_archive, save_archive, split, split_indices, synthesize,
@@ -149,10 +149,7 @@ def cmd_train(args):
     _require(args, "archive")
     scenarios, _ = load_archive(args.archive)
     config = _model_config(args, scenarios)
-    resume = None
-    if args.resume is not None:
-        resume = load_checkpoint(args.resume)
-        check_resume(resume, config)
+    resume = None if args.resume is None else load_checkpoint(args.resume)
     dataset = split(scenarios, args.split_ratio, args.seed)
     del scenarios           # the split copied its rows; the archive is not needed
     train_config = TrainConfig(
@@ -203,8 +200,8 @@ def cmd_eval(args):
     if args.self_test:
         dx = dy = np.zeros(scenarios.futures.shape[:2])
     else:
-        x, y = predict_batch(scenarios, basis, ckpt.params, ckpt.config)
-        _, dx, dy = loss_batch(x, y, scenarios.futures)
+        dx, dy = score(scenario_spectra(scenarios, basis, ckpt.config), scenarios.v0,
+                       scenarios.futures, ckpt.params, ckpt.config)[1:3]
     report = evaluate(dx, dy, args.bin_width)
     report_path = _out_path(args, "eval_report.json")
     hist_path = _out_path(args, "histogram.csv")

@@ -225,7 +225,7 @@ def forward(s, params: ModelParams, config: ModelConfig):
     h_z = sg @ params.w_h.T + params.b_h
     _ensure_finite(h_z, "head")
     return h_z, {"sig": sig, "normed": normed, "z_lin": z_lin, "cdf": cdf,
-                 "act": act, "sg": sg}
+                 "act": act, "sg": sg, "h_z": h_z}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,17 +242,13 @@ class Trajectory:
         y = np.array(self.y, dtype=np.float64)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ValueError(f"bad trajectory shapes {x.shape}, {y.shape}")
-        _check_finite(x, y)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("trajectory must be finite")
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
 
     def __len__(self):
         return self.x.size
-
-
-def _check_finite(x, y):
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("trajectory must be finite")
 
 
 def _decode_terms(h_z, t_pred: int, fps):
@@ -300,6 +296,24 @@ def loss_batch(x, y, futures):
     dx = x[:, 1:] - futures[:, :, 0]
     dy = y[:, 1:] - futures[:, :, 1]
     return np.add.reduce(dx * dx + dy * dy, axis=1) / dx.shape[1], dx, dy
+
+
+def score(s, v0, futures, params: ModelParams, config: ModelConfig):
+    """Forward pass, decode and loss of (B, z) spectra against the speeds
+    ``v0`` and recorded ``futures``. Returns the batch-mean loss, the
+    (B, T_pred) displacements ``dx, dy`` and the backward pass's cache:
+    ``forward``'s plus the ``_decode_terms``. Overflow warns of nothing and
+    raises NumericError, "non-finite values in decoder" or "loss is not
+    finite". Losses are >= 0: only a mean that is not finite checks the decode."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_z, cache = forward(s, params, config)
+        x, y, cache["terms"] = _decode(h_z, v0, config.t_pred, config.fps)
+        per_scenario, dx, dy = loss_batch(x, y, futures)
+        loss = float(np.add.reduce(per_scenario) / per_scenario.size)
+    if not math.isfinite(loss):
+        _ensure_finite((x, y), "decoder")
+        raise NumericError("loss is not finite")
+    return loss, dx, dy, cache
 
 
 def _partials(h_z, terms):
@@ -411,14 +425,14 @@ def scenario_spectra(batch: ScenarioBatch, basis: ProductBasis,
 
 def predict_batch(batch: ScenarioBatch, basis: ProductBasis, params: ModelParams,
                   config: ModelConfig):
-    """Full inference path for ``batch``: one spectral pass, one forward
-    pass and one decode over the whole batch. Returns the decoded
-    (B, T_pred + 1) trajectories ``x, y``, which must be finite."""
-    h_z, _ = forward(scenario_spectra(batch, basis, config), params, config)
-    # A decode that overflows is refused by the check, without a warning.
+    """Full inference path for ``batch``: one spectral pass, one forward pass
+    and one decode over the whole batch. Returns the decoded (B, T_pred + 1)
+    arrays ``x, y``; one that is not finite raises ``score``'s NumericError."""
+    s = scenario_spectra(batch, basis, config)
     with np.errstate(over="ignore", invalid="ignore"):
+        h_z, _ = forward(s, params, config)
         x, y = decode_batch(h_z, batch.v0, config.t_pred, config.fps)
-    _check_finite(x, y)
+    _ensure_finite((x, y), "decoder")
     return x, y
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .model import (OUT, ModelConfig, ModelParams, NumericError, _decode,
-                    _ensure_finite, _own_batch, _partials, build_basis, check_resume,
-                    decode_batch, forward, gelu_grad, init_params, loss_batch,
-                    save_checkpoint, scenario_spectra)
+from .model import (OUT, ModelConfig, ModelParams, NumericError, _ensure_finite,
+                    _own_batch, _partials, build_basis, check_resume, gelu_grad,
+                    init_params, loss_batch, save_checkpoint, scenario_spectra, score)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -61,16 +60,16 @@ def trajectory_loss(pred, truth) -> float:
     return float(per_scenario[0])
 
 
-def _backward_batch(s, dx, dy, h_z, terms, cache, params: ModelParams,
-                    config: ModelConfig, grads: ModelParams):
+def _backward_batch(s, dx, dy, cache, params: ModelParams, config: ModelConfig,
+                    grads: ModelParams):
     """Gradients of the batch-mean loss for every parameter array, written
-    into ``grads`` (every entry is overwritten). ``terms`` are the
-    ``model._decode_terms`` the trajectories were decoded with."""
+    into ``grads`` (every entry is overwritten), from what ``model.score``
+    returned for ``s``."""
     b, t_pred = dx.shape
     scale = 2.0 / (b * t_pred)
     d_xhat = scale * dx
     d_yhat = scale * dy
-    dx_dh1, dy_dh2, dy_dh3 = _partials(h_z, terms)
+    dx_dh1, dy_dh2, dy_dh3 = _partials(cache["h_z"], cache["terms"])
     d_hz = np.empty((b, OUT))
     np.add.reduce(d_xhat * dx_dh1[1:], axis=1, out=d_hz[:, 0])
     np.add.reduce(d_yhat * dy_dh2[:, 1:], axis=1, out=d_hz[:, 1])
@@ -105,18 +104,13 @@ def _backward_batch(s, dx, dy, h_z, terms, cache, params: ModelParams,
     np.add.reduce(d_hs, axis=0, out=grads.w_s)
 
 
-def _batch_loss_and_grads(s, futures, v0, params, config, grads=None):
-    """Batch-mean loss and its gradients, written into ``grads`` when given
-    and into fresh arrays otherwise."""
-    h_z, cache = forward(s, params, config)
-    x, y, terms = _decode(h_z, v0, config.t_pred, config.fps)
-    # The loss may overflow; ``train`` checks that it is finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_scenario, dx, dy = loss_batch(x, y, futures)
-        loss = float(np.add.reduce(per_scenario) / per_scenario.size)
+def _batch_loss_and_grads(s, v0, futures, params, config, grads=None):
+    """``model.score``'s batch-mean loss and its gradients, written into
+    ``grads`` when given and into fresh arrays otherwise."""
+    loss, dx, dy, cache = score(s, v0, futures, params, config)
     if grads is None:
         grads = ModelParams(params.shapes)
-    _backward_batch(s, dx, dy, h_z, terms, cache, params, config, grads)
+    _backward_batch(s, dx, dy, cache, params, config, grads)
     return loss, grads
 
 
@@ -188,18 +182,9 @@ class TrainResult:
 
 
 def _prepare(batch, basis, config):
-    """Spectra (computed once: the transform never changes during training),
-    futures and v0 of ``batch``."""
-    return scenario_spectra(batch, basis, config), batch.futures, batch.v0
-
-
-def _test_metrics(s, futures, v0, params, config):
-    h_z, _ = forward(s, params, config)
-    x, y = decode_batch(h_z, v0, config.t_pred, config.fps)
-    per_scenario, dx, dy = loss_batch(x, y, futures)
-    return (float(per_scenario.mean()),
-            metrics.ade_from_displacements(dx, dy),
-            metrics.fde_from_displacements(dx, dy))
+    """``model.score``'s spectra (computed once: the transform never changes
+    during training), v0 and futures of ``batch``."""
+    return scenario_spectra(batch, basis, config), batch.v0, batch.futures
 
 
 def train(split, config: ModelConfig, train_config: TrainConfig,
@@ -209,9 +194,10 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     Per epoch the data is reshuffled deterministically from the seed. The
     logged train loss is the batch-size-weighted mean of the batch losses
     (each measured before its update step); test loss and displacement
-    metrics are computed after the epoch. ``resume`` accepts a loaded
-    checkpoint and continues its epoch count, optimizer state and shuffle
-    sequence, so N epochs and M resumed ones give the bits of N + M epochs.
+    metrics are computed after the epoch; a test pass that ``model.score``
+    refuses ends the run as a batch does. ``resume`` accepts a loaded checkpoint
+    and continues its epoch count, optimizer state and shuffle sequence, so
+    N epochs and M resumed ones give the bits of N + M epochs.
     The run updates its own copy of the parameters and the moments in
     place; ``resume`` is left as it was.
     """
@@ -220,7 +206,7 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     if resume is not None:
         check_resume(resume, config)
     basis = build_basis(config)
-    s_train, fut_train, v0_train = _prepare(split.train, basis, config)
+    s_train, v0_train, fut_train = _prepare(split.train, basis, config)
     test_data = _prepare(split.test, basis, config) if split.test else None
     if resume is not None:
         params = resume.params.copy()
@@ -240,26 +226,29 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     for e in range(1, train_config.epochs + 1):
         epoch = epoch0 + e
         perm = rng.permutation(n)
-        s_epoch, fut_epoch, v0_epoch = s_train[perm], fut_train[perm], v0_train[perm]
+        s_epoch, v0_epoch, fut_epoch = s_train[perm], v0_train[perm], fut_train[perm]
         total = 0.0
         for b0 in range(0, n, train_config.batch_size):
             end = min(b0 + train_config.batch_size, n)
             try:
                 loss = _batch_loss_and_grads(
-                    s_epoch[b0:end], fut_epoch[b0:end], v0_epoch[b0:end], params,
+                    s_epoch[b0:end], v0_epoch[b0:end], fut_epoch[b0:end], params,
                     config, grads)[0]
-                if not math.isfinite(loss):
-                    raise NumericError("loss is not finite")
             except NumericError as exc:
                 raise DivergenceError(f"epoch {epoch}, batch "
                                       f"{b0 // train_config.batch_size}: {exc}") from exc
             adam_step(params, grads, state, train_config)
             total += loss * (end - b0)
         # Freed before the test pass and the next gather: one shuffled copy at a time.
-        del s_epoch, fut_epoch, v0_epoch
+        del s_epoch, v0_epoch, fut_epoch
         train_loss = total / n
         if test_data is not None:
-            test_loss, ade, fde = _test_metrics(*test_data, params, config)
+            try:
+                test_loss, dx, dy = score(*test_data, params, config)[:3]
+            except NumericError as exc:
+                raise DivergenceError(f"epoch {epoch}, test pass: {exc}") from exc
+            ade = metrics.ade_from_displacements(dx, dy)
+            fde = metrics.fde_from_displacements(dx, dy)
         else:
             test_loss = ade = fde = float("nan")
         row = {"epoch": epoch, "train_loss": train_loss,
@@ -278,7 +267,7 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     epochs_trained = epoch0 + train_config.epochs
     # The spectra and the gradient buffer are spent; free them before
     # encoding the checkpoint, the largest allocation of a run.
-    del s_train, fut_train, v0_train, test_data, grads
+    del s_train, v0_train, fut_train, test_data, grads
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, config, basis, params,
                         epochs_trained=epochs_trained,

@@ -20,7 +20,7 @@ from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
                            write_histogram_csv, write_report_json)
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
-                         save_checkpoint)
+                         save_checkpoint, score)
 from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch,
                             extract_scenarios, load_archive, save_archive, split,
                             split_indices, synthesize)
@@ -316,9 +316,15 @@ def test_train_resume_roundtrip(tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys):
-    # A checkpoint whose latent bias overflows the loss: the run prints no
-    # numpy warning, only the one error line, and a fresh --out is not made.
+@pytest.mark.parametrize("bias, message", [
+    (1e159, "loss is not finite"),
+    (1e308, "non-finite values in decoder"),
+], ids=["loss", "decode"])
+def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys, bias,
+                                                                message):
+    # A checkpoint whose latent bias overflows the loss, or already the
+    # decode: the run prints no numpy warning, only the one error line, and
+    # a fresh --out is not made.
     archive = synth_archive(tmp_path)
     run, resumed = tmp_path / "run", tmp_path / "resumed"
     args = ["train", "--archive", str(archive), "--preset", "gftnn", "--hidden", "8",
@@ -326,7 +332,7 @@ def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys)
     run_ok(capsys, args + ["--out", str(run)])
     ckpt = load_checkpoint(run / "checkpoint.json")
     params = ckpt.params.copy()
-    params.b_h[0] = 1e159
+    params.b_h[0] = bias
     save_checkpoint(run / "checkpoint.json", ckpt.config, build_basis(ckpt.config), params,
                     ckpt.epochs_trained, ckpt.optimizer)
     with warnings.catch_warnings(record=True) as caught:
@@ -334,7 +340,7 @@ def test_a_diverging_resume_ends_on_one_line_and_writes_no_log(tmp_path, capsys)
         err = run_fail(capsys, args + ["--resume", str(run / "checkpoint.json"),
                                        "--out", str(resumed)])
     assert [str(w.message) for w in caught] == []
-    assert err == "error: epoch 2, batch 0: loss is not finite\n"
+    assert err == f"error: epoch 2, batch 0: {message}\n"
     assert not resumed.exists()
 
 
@@ -507,36 +513,65 @@ def test_training_log_and_eval_of_the_test_side_give_the_same_floats(tmp_path, c
     assert (float(last["ade"]), float(last["fde"])) == (report["ade"], report["fde"])
 
 
-@pytest.mark.parametrize("command", [["eval"], ["predict", "--scenario-id", "synth-00002"]],
-                         ids=["eval", "predict"])
-def test_a_decode_that_overflows_ends_on_one_line(tmp_path, capsys, command):
-    # A finite latent acceleration near the largest float decodes to inf:
-    # no numpy warning, one error line, and no --out.
+def overflowing_checkpoint(tmp_path, bias):
+    """A 6-scenario archive and an untrained checkpoint whose latent
+    acceleration bias is ``bias``."""
     archive = synth_archive(tmp_path, n=6)
     config = preset_config("gftnn", 10, hidden=8)
     params = init_params(config, 0)
-    params.b_h[0] = 1e308
+    params.b_h[0] = bias
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(ckpt, config, build_basis(config), params)
+    return archive, ckpt
+
+
+PREDICT = ["predict", "--scenario-id", "synth-00002"]
+
+
+@pytest.mark.parametrize("command, bias, message", [
+    (["eval"], 1e308, "non-finite values in decoder"),
+    (PREDICT, 1e308, "non-finite values in decoder"),
+    (["eval"], 1e159, "loss is not finite"),
+], ids=["eval", "predict", "eval-loss"])
+def test_a_decode_that_overflows_ends_on_one_line(tmp_path, capsys, command, bias,
+                                                  message):
+    # A finite latent acceleration near the largest float decodes to inf;
+    # one a little past its square root decodes, but its squared
+    # displacement, the loss, does not: no numpy warning, one error line,
+    # and no --out.
+    archive, ckpt = overflowing_checkpoint(tmp_path, bias)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         err = run_fail(capsys, [*command, "--archive", str(archive),
                                 "--checkpoint", str(ckpt), "--out", str(out)])
     assert [str(w.message) for w in caught] == []
-    assert err == "error: trajectory must be finite\n"
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
-def predict_batch_spy(monkeypatch):
-    """The batches ``cli`` passes to ``predict_batch``, which still runs."""
+def test_predict_writes_the_finite_trajectory_of_a_loss_that_overflows(tmp_path, capsys):
+    # predict decodes without a loss: the checkpoint eval refuses for its
+    # loss gives a finite trajectory.
+    archive, ckpt = overflowing_checkpoint(tmp_path, 1e159)
+    run_ok(capsys, [*PREDICT, "--archive", str(archive), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "out")])
+    with open(tmp_path / "out" / "trajectory_synth-00002.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    x = np.array([float(row["x"]) for row in rows])
+    assert np.isfinite(x).all() and x.max() > 1e150
+
+
+def score_spy(monkeypatch):
+    """The row counts of the spectra ``cli`` passes to ``score``, which
+    still runs."""
     calls = []
 
-    def spy(scenarios, *args):
-        calls.append(scenarios)
-        return predict_batch(scenarios, *args)
+    def spy(s, *args):
+        calls.append(len(s))
+        return score(s, *args)
 
-    monkeypatch.setattr(cli, "predict_batch", spy)
+    monkeypatch.setattr(cli, "score", spy)
     return calls
 
 
@@ -548,7 +583,7 @@ def test_eval_refuses_bin_width_that_is_not_positive_and_finite(tmp_path, capsys
     ckpt = tmp_path / "checkpoint.json"
     config = preset_config("gftnn", 10)
     save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
-    calls = predict_batch_spy(monkeypatch)
+    calls = score_spy(monkeypatch)
     err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
                             f"--bin-width={width}", "--out", str(tmp_path / "eval")])
     assert err == f"error: bin width must be positive and finite, got {float(width)}\n"
@@ -563,12 +598,12 @@ def test_eval_refuses_bin_width_with_too_many_bins(tmp_path, capsys, monkeypatch
     ckpt = tmp_path / "checkpoint.json"
     config = preset_config("gftnn", 10)
     save_checkpoint(ckpt, config, build_basis(config), init_params(config, 0))
-    calls = predict_batch_spy(monkeypatch)
+    calls = score_spy(monkeypatch)
     err = run_fail(capsys, ["eval", "--archive", str(archive), "--checkpoint", str(ckpt),
                             "--bin-width", "1e-300", "--out", str(tmp_path / "eval")])
     assert err.startswith(f"error: bin width 1e-300 needs more than {HISTOGRAM_MAX_BINS} bins")
     assert err.count("\n") == 1
-    assert len(calls) == 1
+    assert calls == [6]
     assert not (tmp_path / "eval").exists()
 
 

@@ -12,9 +12,9 @@ from gftnn.cli import main
 from gftnn.model import (GRAPH_KINDS, PRESETS, ModelConfig, ModelParams, Trajectory,
                          build_basis, decode, decode_batch,
                          decode_partials, forward, gaussian_cdf, gelu, gelu_grad,
-                         init_params, load_checkpoint, loss_batch, param_shapes, predict,
+                         init_params, load_checkpoint, param_shapes, predict,
                          predict_batch, preset_config, save_checkpoint,
-                         scenario_spectra, select_channels, truth_trajectory)
+                         scenario_spectra, score, select_channels, truth_trajectory)
 from gftnn.metrics import (ade, ade_euclid_mean, evaluate, fde, per_scenario_ade)
 from gftnn.scenario import ScenarioBatch, save_archive, synthesize
 from gftnn.special import expit
@@ -518,14 +518,16 @@ def test_trajectory_refuses_with_its_rule_messages(x, y, message):
         Trajectory(x, y)
 
 
-def test_evaluate_of_loss_batch_displacements_matches_the_list_metrics(basis_30x9):
-    # The report of eval's arrays and the list functions over Trajectory
-    # rows read the same displacements, so they agree bit for bit.
+def test_evaluate_of_score_displacements_matches_the_list_metrics(basis_30x9):
+    # The report of eval's arrays, score's displacements, and the list
+    # functions over predict_batch's Trajectory rows read the same
+    # displacements, so they agree bit for bit.
     cfg = preset_config("gftnn", 10)
     params = init_params(cfg, 3)
     batch = synthesize(7, 10, seed=32, noise_std=0.05)
     x, y = predict_batch(batch, basis_30x9, params, cfg)
-    report = evaluate(*loss_batch(x, y, batch.futures)[1:], 0.1)
+    s = scenario_spectra(batch, basis_30x9, cfg)
+    report = evaluate(*score(s, batch.v0, batch.futures, params, cfg)[1:3], 0.1)
     preds = [Trajectory(xi, yi) for xi, yi in zip(x, y)]
     truths = [truth_trajectory(s) for s in batch]
     assert report.n_scenarios == 7

@@ -7,7 +7,7 @@ import pytest
 from gftnn.model import (Checkpoint, ModelParams, build_basis, decode_batch,
                          forward, init_params, load_checkpoint, loss_batch,
                          param_shapes, predict, predict_batch, preset_config,
-                         save_checkpoint, truth_trajectory)
+                         save_checkpoint, score, truth_trajectory)
 from gftnn.scenario import DatasetSplit, ScenarioBatch, synthesize
 from gftnn.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             DivergenceError, TrainConfig, _batch_loss_and_grads,
@@ -86,12 +86,14 @@ def test_gradients_vanish_at_zero_residual():
     basis = build_basis(cfg)
     scen = tiny_scenarios(1, seed=1)
     params = init_params(cfg, 2)
-    s, _, v0 = _prepare(scen, basis, cfg)
+    s, v0, _ = _prepare(scen, basis, cfg)
     h_z, _ = forward(s, params, cfg)
     x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
     perfect = ScenarioBatch(scen.ids, scen.codes, scen.v0, scen.first_frame,
                             scen.vehicle_id, scen.features,
                             np.stack([x[:, 1:], y[:, 1:]], axis=2), scen.fps)
+    loss, dx, dy, _ = score(*_prepare(perfect, basis, cfg), params, cfg)
+    assert loss == 0.0 and not dx.any() and not dy.any()
     grads = gradients(perfect[0], params, cfg, basis)
     for name, arr in grads.items():
         assert np.array_equal(arr, np.zeros_like(arr)), name
@@ -154,8 +156,7 @@ def test_batched_gradients_average_per_scenario():
     scens = tiny_scenarios(3, seed=6)
     params = init_params(cfg, 7)
     per = [gradients(s, params, cfg, basis) for s in scens]
-    s, fut, v0 = _prepare(scens, basis, cfg)
-    loss, batched = _batch_loss_and_grads(s, fut, v0, params, cfg)
+    loss, batched = _batch_loss_and_grads(*_prepare(scens, basis, cfg), params, cfg)
     want_loss = np.mean([trajectory_loss(predict(sc, basis, params, cfg),
                                          truth_trajectory(sc))
                          for sc in scens])
@@ -329,9 +330,11 @@ def test_step_matches_per_channel_oracle(b, k):
         x, y = decode_batch(h_z, v0, cfg.t_pred, cfg.fps)
         per_scenario, dx, dy = loss_batch(x, y, futures)
         ref_grads = backward_per_channel(s, dx, dy, h_z, cache, ref, cfg)
-        loss, out = _batch_loss_and_grads(s, futures, v0, params, cfg, grads)
-        assert out is grads
+        loss, got_dx, got_dy, _ = score(s, v0, futures, params, cfg)
         assert loss == float(per_scenario.mean()), step
+        assert same_bits(got_dx, dx) and same_bits(got_dy, dy), step
+        got_loss, out = _batch_loss_and_grads(s, v0, futures, params, cfg, grads)
+        assert out is grads and got_loss == loss, step
         assert same_bits(forward(s, params, cfg)[0], h_z), step
         for (name, got), (_, want) in zip(grads.items(), ref_grads.items()):
             assert same_bits(got, want), (step, name)
@@ -519,8 +522,9 @@ def test_train_reports_divergence():
 
 
 def test_train_reports_an_overflowing_loss():
-    # Latents and gradients stay finite, but the squared displacement
-    # overflows: the loss check names the epoch and the batch.
+    # Latents and the decode stay finite, but the squared displacement
+    # overflows: the loss check names the epoch and the batch, and numpy
+    # warns of nothing (the suite raises its warnings).
     cfg = tiny_config()
     scens = tiny_scenarios(2, seed=19)
     ds = DatasetSplit(train=scens, test=[], seed=0)
@@ -528,6 +532,24 @@ def test_train_reports_an_overflowing_loss():
     params.b_h[0] = 1e159
     ckpt = Checkpoint(config=cfg, params=params, epochs_trained=0, optimizer=None)
     tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=1, seed=5)
-    with np.errstate(over="ignore"), pytest.raises(
-            DivergenceError, match=r"^epoch 1, batch 0: loss is not finite$"):
+    with pytest.raises(DivergenceError, match=r"^epoch 1, batch 0: loss is not finite$"):
         train(ds, cfg, tc, resume=ckpt)
+
+
+def test_train_refuses_a_test_pass_that_overflows(tmp_path):
+    # A test scenario with a finite but huge speed decodes to finite values
+    # whose squared displacement overflows: the test pass ends the run,
+    # without a numpy warning (which the suite raises) and before the
+    # epoch's log row.
+    cfg = tiny_config()
+    scens = tiny_scenarios(4, seed=19)
+    v0 = scens.v0.copy()
+    v0[3] = 1e306
+    scens = ScenarioBatch(scens.ids, scens.codes, v0, scens.first_frame,
+                          scens.vehicle_id, scens.features, scens.futures, scens.fps)
+    ds = DatasetSplit(train=scens[:3], test=scens[3:], seed=0)
+    tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2, seed=5)
+    log = tmp_path / "log.csv"
+    with pytest.raises(DivergenceError, match=r"^epoch 1, test pass: loss is not finite$"):
+        train(ds, cfg, tc, log_path=log)
+    assert not log.exists()
