@@ -19,11 +19,11 @@ from .metrics import (BIN_WIDTH, check_bin_width, evaluate, write_histogram_csv,
                       write_report_json)
 from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis,
                     check_grid, load_checkpoint, predict, preset_config,
-                    scenario_spectra, score)
-from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, _check_slots,
-                       _window_steps, balance, extract_scenarios, ingest_tracks,
-                       load_archive, save_archive, split, split_indices, synthesize,
-                       SCHEMAS)
+                    scenario_spectra, score_blocks)
+from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, DatasetSplit,
+                       _check_slots, _window_steps, balance, extract_scenarios,
+                       ingest_tracks, load_archive, open_archive, save_archive,
+                       split_indices, synthesize, SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
 from .store import read_document
 from .training import DivergenceError, TrainConfig, train
@@ -124,8 +124,8 @@ def cmd_spectrum(args):
 
 
 def _model_config(args, batch) -> ModelConfig:
-    """The config ``--preset`` names, on the grid of ``batch``, which must
-    match a named preset's."""
+    """The config ``--preset`` names, on the grid of ``batch``, a batch or
+    an archive, which must match a named preset's."""
     given = {name: getattr(args, name) for name in ("p", "k", "graph_kind")
              if getattr(args, name) is not None}
     preset = args.preset
@@ -147,11 +147,6 @@ def _model_config(args, batch) -> ModelConfig:
 
 def cmd_train(args):
     _require(args, "archive")
-    scenarios, _ = load_archive(args.archive)
-    config = _model_config(args, scenarios)
-    resume = None if args.resume is None else load_checkpoint(args.resume)
-    dataset = split(scenarios, args.split_ratio, args.seed)
-    del scenarios           # the split copied its rows; the archive is not needed
     train_config = TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed)
@@ -159,8 +154,14 @@ def cmd_train(args):
     # before it leaves no directory.
     log_path = os.path.join(args.out, "training_log.csv")
     ckpt_path = os.path.join(args.out, "checkpoint.json")
-    result = train(dataset, config, train_config,
-                   log_path=log_path, checkpoint_path=ckpt_path, resume=resume)
+    with open_archive(args.archive) as archive:
+        config = _model_config(args, archive)
+        resume = None if args.resume is None else load_checkpoint(args.resume)
+        # split's sides, drawn from the head; train reads each block by block.
+        sides = split_indices(archive.codes(), args.split_ratio, args.seed)
+        dataset = DatasetSplit(*map(archive.take, sides), seed=args.seed)
+        result = train(dataset, config, train_config,
+                       log_path=log_path, checkpoint_path=ckpt_path, resume=resume)
     last = result.history[-1]
     print(f"model: preset={args.preset} parameters={result.params.n_params} "
           f"train={len(dataset.train)} test={len(dataset.test)}")
@@ -171,37 +172,42 @@ def cmd_train(args):
     print(f"wrote {log_path}")
 
 
-def _subset(args):
-    """The ``load_archive`` row chooser of the scenarios ``--subset``
-    scores: None for all of them, else the rows of one side of ``split``
-    in its drawn order, which ``split_indices`` draws from the head's
-    maneuver codes, so the other side is never read."""
+def _subset(args, archive):
+    """The rows of ``archive`` that ``--subset`` scores: all of them, or
+    one side of ``split`` in its drawn order, which ``split_indices``
+    draws from the head's maneuver codes, so the other side is never read."""
     if args.subset == "all":
-        return None
+        return archive
     side = ("train", "test").index(args.subset)
-    return lambda ids, codes: split_indices(codes, args.split_ratio, args.seed)[side]
+    return archive.take(split_indices(archive.codes(), args.split_ratio, args.seed)[side])
 
 
-def _load_archive_and_checkpoint(args, rows):
-    """The archive's scenarios that the ``load_archive`` chooser ``rows``
-    picks (all of them if it is None), the checkpoint that scores them
-    (without its Adam moments) and its reference basis. The archive must
-    lie on the checkpoint's grid, also for ``eval --self-test``."""
-    scenarios, _ = load_archive(args.archive, rows)
+def _checkpoint(args, grid):
+    """The checkpoint that scores scenarios on ``grid``, a batch or an
+    archive (without its Adam moments), and its reference basis. The grid
+    must be the checkpoint's, also for ``eval --self-test``."""
     ckpt = load_checkpoint(args.checkpoint, optimizer=False)
-    check_grid(scenarios, ckpt.config)
-    return scenarios, ckpt, build_basis(ckpt.config)
+    check_grid(grid, ckpt.config)
+    return ckpt, build_basis(ckpt.config)
 
 
 def cmd_eval(args):
     _require(args, "archive", "checkpoint")
     check_bin_width(args.bin_width)
-    scenarios, ckpt, basis = _load_archive_and_checkpoint(args, _subset(args))
-    if args.self_test:
-        dx = dy = np.zeros(scenarios.futures.shape[:2])
-    else:
-        dx, dy = score(scenario_spectra(scenarios, basis, ckpt.config), scenarios.v0,
-                       scenarios.futures, ckpt.params, ckpt.config)[1:3]
+    with open_archive(args.archive) as archive:
+        rows = _subset(args, archive)
+        ckpt, basis = _checkpoint(args, rows)
+        # One block's features at a time; only the displacements are kept.
+        blocks = rows.blocks()
+        if args.self_test:
+            for _ in blocks:    # read all the same, so the scenario rule checks each row
+                pass
+            dx = dy = np.zeros((len(rows), rows.t_pred))
+        else:
+            config = ckpt.config
+            dx, dy = score_blocks(((scenario_spectra(block, basis, config), block.v0,
+                                    block.futures) for block in blocks),
+                                  len(rows), ckpt.params, config)[1:]
     report = evaluate(dx, dy, args.bin_width)
     report_path = _out_path(args, "eval_report.json")
     hist_path = _out_path(args, "histogram.csv")
@@ -215,8 +221,8 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     _require(args, "archive", "checkpoint", "scenario_id")
-    scenarios, ckpt, basis = _load_archive_and_checkpoint(
-        args, _one_scenario(args.scenario_id))
+    scenarios, _ = load_archive(args.archive, _one_scenario(args.scenario_id))
+    ckpt, basis = _checkpoint(args, scenarios)
     scenario = scenarios[0]
     trajectory = predict(scenario, basis, ckpt.params, ckpt.config)
     path = _out_path(args, f"trajectory_{scenario.scenario_id}.csv")

@@ -295,7 +295,16 @@ def loss_batch(x, y, futures):
     carries no signal. Returns the (B,) losses and the displacements."""
     dx = x[:, 1:] - futures[:, :, 0]
     dy = y[:, 1:] - futures[:, :, 1]
-    return np.add.reduce(dx * dx + dy * dy, axis=1) / dx.shape[1], dx, dy
+    return _row_losses(dx, dy), dx, dy
+
+
+def _row_losses(dx, dy):
+    """``loss_batch``'s (B,) losses of (B, T_pred) displacements."""
+    return np.add.reduce(dx * dx + dy * dy, axis=1) / dx.shape[1]
+
+
+def _mean_loss(per_scenario) -> float:
+    return float(np.add.reduce(per_scenario) / per_scenario.size)
 
 
 def score(s, v0, futures, params: ModelParams, config: ModelConfig):
@@ -309,11 +318,29 @@ def score(s, v0, futures, params: ModelParams, config: ModelConfig):
         h_z, cache = forward(s, params, config)
         x, y, cache["terms"] = _decode(h_z, v0, config.t_pred, config.fps)
         per_scenario, dx, dy = loss_batch(x, y, futures)
-        loss = float(np.add.reduce(per_scenario) / per_scenario.size)
+        loss = _mean_loss(per_scenario)
     if not math.isfinite(loss):
         _ensure_finite((x, y), "decoder")
         raise NumericError("loss is not finite")
     return loss, dx, dy, cache
+
+
+def score_blocks(blocks, n: int, params: ModelParams, config: ModelConfig):
+    """``score`` of each (s, v0, futures) block of ``blocks``, n rows in
+    all. Returns the mean loss over the n rows and their (n, T_pred)
+    displacements ``dx, dy``, each block's rows as ``score`` gives them;
+    the mean is formed over all rows as ``score`` forms a batch's, so one
+    block gives ``score``'s bits. It refuses as ``score`` does."""
+    dx, dy = np.empty((n, config.t_pred)), np.empty((n, config.t_pred))
+    end = 0
+    for s, v0, futures in blocks:
+        start, end = end, end + len(s)
+        dx[start:end], dy[start:end] = score(s, v0, futures, params, config)[1:3]
+    with np.errstate(over="ignore"):
+        loss = _mean_loss(_row_losses(dx, dy))
+    if not math.isfinite(loss):
+        raise NumericError("loss is not finite")
+    return loss, dx, dy
 
 
 def _partials(h_z, terms):

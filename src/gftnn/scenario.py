@@ -10,6 +10,8 @@ so a positive lateral displacement is a left lane change.
 """
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import io
 import itertools
@@ -47,6 +49,11 @@ MAX_WINDOW_STEPS = 10_000
 # The most vehicle slots of a scenario, far past one target's neighbourhood;
 # a larger count is refused before anything is allocated.
 MAX_VEHICLE_SLOTS = 1_000
+# Rows of an archive that eval scores, and train transforms, at once, so
+# the features a command holds are one block's, whatever the archive's size.
+# Every benchmark eval and every held-out side of its quality pass fits in
+# one block.
+BLOCK_ROWS = 256
 # Elements of the largest matrix extract_scenarios builds per block of
 # windows: candidate runs or gathered rows, times the block's windows.
 _GATHER_BLOCK = 1 << 14
@@ -359,6 +366,12 @@ class ScenarioBatch:
         batch.__dict__.update(self.__dict__, **fields)
         return batch
 
+    def blocks(self):
+        """The batch in slices of ``BLOCK_ROWS`` rows, in order, as
+        ``Archive.blocks`` reads an archive's rows."""
+        for start in range(0, len(self), BLOCK_ROWS):
+            yield self[start:start + BLOCK_ROWS]
+
     t_obs = property(lambda self: self.features.shape[2])
     t_pred = property(lambda self: self.futures.shape[1])
     n_vehicles = property(lambda self: self.features.shape[3])
@@ -417,10 +430,11 @@ class Scenario:
 @dataclass(frozen=True)
 class DatasetSplit:
     """Train and test scenarios, each a ``ScenarioBatch`` as ``split``
-    makes them; ``test`` may be ``[]``, no held-out side."""
+    makes them or the ``Archive`` rows of one side, which ``train`` reads
+    block by block; ``test`` may be ``[]``, no held-out side."""
 
-    train: ScenarioBatch
-    test: ScenarioBatch | list
+    train: ScenarioBatch | Archive
+    test: ScenarioBatch | Archive | list
     seed: int
 
 
@@ -788,8 +802,8 @@ def split(batch: ScenarioBatch, ratio: float, seed: int) -> DatasetSplit:
 def split_indices(codes, ratio: float, seed: int):
     """The row indices of the train and test sides of the scenarios whose
     maneuver codes are ``codes``, each side in its drawn order. It needs
-    the codes alone, so ``load_archive`` can call it on an archive's head
-    and read only one side.
+    the codes alone, so ``train`` and ``eval --subset`` can call it on an
+    archive's head and read each side, or only one, block by block.
 
     Per-class quotas use largest-remainder rounding so the overall train
     fraction matches ``ratio`` as closely as an integer count allows.
@@ -995,20 +1009,80 @@ def save_archive(path, batch: ScenarioBatch, fps):
     write_document(path, head, {**columns, "features": batch.features, "future": batch.futures})
 
 
-def load_archive(path, rows=None):
-    """Read a scenario archive of format version 4; returns (batch, fps),
-    where batch is a ``ScenarioBatch``. Any other version is refused.
+class Archive:
+    """Rows of an open scenario archive (see ``open_archive``): all of
+    them, or the ones ``take`` picks, in the order picked. The head, the
+    ids and the (n,) columns are in memory; ``read`` and ``blocks`` read
+    the chosen rows' features and futures from the payload. ``fps``,
+    ``t_obs``, ``t_pred`` and ``n_vehicles`` are the archive's, ``ids``
+    are every row's, and ``len`` counts the chosen rows."""
 
-    The head's fps, grid and ids (a list of strings) are read first, the
+    def __init__(self, path, doc, fps, ids, grid, columns, rows):
+        self.path = path
+        self._doc = doc
+        self.fps = fps
+        self.ids = ids
+        self.t_obs, self.t_pred, self.n_vehicles = grid
+        self._columns = columns
+        self._rows = rows
+
+    def __len__(self):
+        return self._rows.size
+
+    def _describe(self, i) -> str:
+        return f"{self.path}: scenario {i} ({self.ids[i]!r})"
+
+    def codes(self) -> np.ndarray:
+        """The maneuver codes of every row of the archive, once every row
+        has passed the scenario rule's checks of its code, its v0 and the
+        fps; the first row that fails raises ValueError naming its index
+        and id."""
+        given, v0 = self._columns[:2]
+        codes = _maneuver_index(given)
+        _check_rule(_head_checks(self.ids, given, codes, v0, self.fps), self._describe)
+        return codes
+
+    def take(self, rows) -> "Archive":
+        """The rows ``rows``, indices into the whole archive, in that order."""
+        picked = copy.copy(self)
+        picked._rows = np.asarray(rows, dtype=np.int64)
+        return picked
+
+    def read(self, start=0, stop=None) -> ScenarioBatch:
+        """The chosen rows ``start`` to ``stop`` (to the last if None) as a
+        batch that the scenario rule checked. Only their features and
+        futures are read; a row that breaks the rule raises ValueError
+        naming its index in the archive and its id, with the key at fault."""
+        picked = self._rows[start:stop]
+        payload = self._doc.payload
+        columns = [column[picked] for column in self._columns]
+        features, future = payload.read("features", picked), payload.read("future", picked)
+        picked = picked.tolist()
+        try:
+            return ScenarioBatch([self.ids[i] for i in picked], *columns, features, future,
+                                 self.fps)
+        except _RowError as exc:    # named by its index in the archive
+            raise ValueError(f"{self._describe(picked[exc.index])}: {exc.reason}") from None
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from None
+
+    def blocks(self):
+        """The chosen rows as ``read`` gives them, ``BLOCK_ROWS`` at a time, in order."""
+        for start in range(0, len(self), BLOCK_ROWS):
+            yield self.read(start, start + BLOCK_ROWS)
+
+
+@contextlib.contextmanager
+def open_archive(path):
+    """The scenario archive at ``path``, of format version 4, as an
+    ``Archive`` of all its rows; the file stays open until the block ends.
+    Any other version is refused.
+
+    The head's fps, grid and ids (a list of strings) are read, the
     payload's length is checked against the head, and the four (n,)
-    columns are read whole. Without ``rows`` the batch holds the whole
-    payload, checked by the scenario rule once. ``rows``, if given, is
-    called as ``rows(ids, codes)`` once every row has passed the rule's
-    checks of its code, v0 and the fps, and returns the indices of the
-    scenarios to read: only their features and futures are read, in that
-    order, and the rule's other checks cover only them. A corrupt or empty
-    document raises ValueError naming the path and, for a bad scenario,
-    its index in the archive and its id, with the key at fault.
+    columns are read whole; no scenario's features or future are read
+    here. A corrupt or empty document raises ValueError naming the path
+    and the key at fault.
     """
     with open_document(path, "archive", "version", ARCHIVE_VERSION) as doc:
         fps = doc.value("fps", float)
@@ -1024,21 +1098,25 @@ def load_archive(path, rows=None):
                             "features": (n, len(CHANNELS), t_obs, n_vehicles),
                             "future": (n, t_pred, 2)},
                            f"{n} scenarios on grid (t_obs, t_pred, n_vehicles) = {grid}")
-        describe = lambda i: f"{path}: scenario {i} ({ids[i]!r})"
         columns = [doc.payload.read(name) for name in _COLUMNS]
-        take = None
+        yield Archive(path, doc, fps, ids, grid, columns, np.arange(n))
+
+
+def load_archive(path, rows=None):
+    """Read a scenario archive of format version 4 (see ``open_archive``);
+    returns (batch, fps), where batch is a ``ScenarioBatch``: the
+    archive's one-block read.
+
+    Without ``rows`` the batch holds every scenario, checked by the
+    scenario rule once. ``rows``, if given, is called as ``rows(ids,
+    codes)`` with ``Archive.codes``, once every row has passed the rule's
+    checks of its code, v0 and the fps, and returns the indices of the
+    scenarios to read: only their features and futures are read, in that
+    order, and the rule's other checks cover only them. A bad scenario
+    raises ValueError naming the path, its index in the archive and its
+    id, with the key at fault.
+    """
+    with open_archive(path) as archive:
         if rows is not None:
-            given, v0 = columns[:2]
-            codes = _maneuver_index(given)
-            _check_rule(_head_checks(ids, given, codes, v0, fps), describe)
-            take = np.asarray(rows(ids, codes), dtype=np.int64)
-            columns = [column[take] for column in (codes, *columns[1:])]
-        features = doc.payload.read("features", take)
-        future = doc.payload.read("future", take)
-    picked = range(n) if take is None else take.tolist()
-    try:
-        return ScenarioBatch([ids[i] for i in picked], *columns, features, future, fps), fps
-    except _RowError as exc:    # named by its index in the archive
-        raise ValueError(f"{describe(picked[exc.index])}: {exc.reason}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            archive = archive.take(rows(archive.ids, archive.codes()))
+        return archive.read(), archive.fps

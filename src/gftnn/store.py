@@ -132,6 +132,7 @@ class Payload:
         or only ``rows``, indices along its leading axis, stacked in the
         order given. Only those rows' bytes are read: in file order, each
         run of consecutive rows in one call, then put in the given order.
+        Rows that ascend by one are one run, read straight into the result.
         """
         shape = self.shapes[name]
         offset = self._offsets[name]
@@ -140,18 +141,24 @@ class Payload:
             self._read_into(arr, offset, name)
             return arr.astype(np.float64, copy=False)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size and not (0 <= rows.min() and rows.max() < shape[0]):
-            raise IndexError(f"rows of {name} must lie in [0, {shape[0]})")
         # In file order: a shuffled side of a split has almost no runs of
         # consecutive rows in its own order but many in file order, and
         # the file's buffer serves a row smaller than itself without a call.
-        order = np.argsort(rows, kind="stable")
-        ordered = rows[order]
+        order, ordered = None, rows
+        breaks = rows[1:] != rows[:-1] + 1
+        if breaks.any():
+            order = np.argsort(rows, kind="stable")
+            ordered = rows[order]
+            breaks = ordered[1:] != ordered[:-1] + 1
+        if rows.size and not (0 <= ordered[0] and ordered[-1] < shape[0]):
+            raise IndexError(f"rows of {name} must lie in [0, {shape[0]})")
         stacked = np.empty((rows.size, *shape[1:]), dtype="<f8")
         row_bytes = 8 * math.prod(shape[1:])
-        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1] + 1) + 1).tolist()
+        cuts = (np.flatnonzero(breaks) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, rows.size]) if rows.size else ():
             self._read_into(stacked[lo:hi], offset + int(ordered[lo]) * row_bytes, name)
+        if order is None:
+            return stacked.astype(np.float64, copy=False)
         arr = np.empty_like(stacked)
         arr[order] = stacked
         return arr.astype(np.float64, copy=False)

@@ -18,7 +18,9 @@ import numpy as np
 from . import metrics
 from .model import (OUT, ModelConfig, ModelParams, NumericError, _ensure_finite,
                     _own_batch, _partials, build_basis, check_resume, gelu_grad,
-                    init_params, loss_batch, save_checkpoint, scenario_spectra, score)
+                    init_params, loss_batch, save_checkpoint, scenario_spectra, score,
+                    score_blocks)
+from .scenario import BLOCK_ROWS
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -181,23 +183,42 @@ class TrainResult:
     epochs_trained: int
 
 
-def _prepare(batch, basis, config):
+def _prepare(side, basis, config):
     """``model.score``'s spectra (computed once: the transform never changes
-    during training), v0 and futures of ``batch``."""
-    return scenario_spectra(batch, basis, config), batch.v0, batch.futures
+    during training), v0 and futures of ``side``, a ``ScenarioBatch`` or
+    the ``Archive`` rows of one, transformed block by block as
+    ``side.blocks()`` gives them: only one block's features are held."""
+    n = len(side)
+    s, v0, futures = np.empty((n, config.z)), np.empty(n), np.empty((n, config.t_pred, 2))
+    end = 0
+    for block in side.blocks():
+        start, end = end, end + len(block)
+        s[start:end] = scenario_spectra(block, basis, config)
+        v0[start:end], futures[start:end] = block.v0, block.futures
+    return s, v0, futures
+
+
+def _blocks(data):
+    """The rows of ``_prepare``'s (s, v0, futures) in blocks of ``BLOCK_ROWS``."""
+    for start in range(0, len(data[0]), BLOCK_ROWS):
+        yield tuple(array[start:start + BLOCK_ROWS] for array in data)
 
 
 def train(split, config: ModelConfig, train_config: TrainConfig,
           log_path=None, checkpoint_path=None, resume=None) -> TrainResult:
     """Minibatch Adam over the training split.
 
-    Per epoch the data is reshuffled deterministically from the seed. The
-    logged train loss is the batch-size-weighted mean of the batch losses
-    (each measured before its update step); test loss and displacement
-    metrics are computed after the epoch; a test pass that ``model.score``
-    refuses ends the run as a batch does. ``resume`` accepts a loaded checkpoint
-    and continues its epoch count, optimizer state and shuffle sequence, so
-    N epochs and M resumed ones give the bits of N + M epochs.
+    Each side is transformed to spectra block by block, so a side of
+    ``Archive`` rows is never held as features. Per epoch the data is
+    reshuffled deterministically from the seed, and each batch gathers
+    its rows from the spectra. The logged train loss is the
+    batch-size-weighted mean of the batch losses (each measured before its
+    update step); test loss and displacement metrics are computed after
+    the epoch, scored in the blocks of the side; a test pass that
+    ``model.score`` refuses ends the run as a batch does. ``resume``
+    accepts a loaded checkpoint and continues its epoch count, optimizer
+    state and shuffle sequence, so N epochs and M resumed ones give the
+    bits of N + M epochs.
     The run updates its own copy of the parameters and the moments in
     place; ``resume`` is left as it was.
     """
@@ -226,25 +247,22 @@ def train(split, config: ModelConfig, train_config: TrainConfig,
     for e in range(1, train_config.epochs + 1):
         epoch = epoch0 + e
         perm = rng.permutation(n)
-        s_epoch, v0_epoch, fut_epoch = s_train[perm], v0_train[perm], fut_train[perm]
         total = 0.0
         for b0 in range(0, n, train_config.batch_size):
-            end = min(b0 + train_config.batch_size, n)
+            rows = perm[b0:b0 + train_config.batch_size]
             try:
-                loss = _batch_loss_and_grads(
-                    s_epoch[b0:end], v0_epoch[b0:end], fut_epoch[b0:end], params,
-                    config, grads)[0]
+                loss = _batch_loss_and_grads(s_train[rows], v0_train[rows], fut_train[rows],
+                                             params, config, grads)[0]
             except NumericError as exc:
                 raise DivergenceError(f"epoch {epoch}, batch "
                                       f"{b0 // train_config.batch_size}: {exc}") from exc
             adam_step(params, grads, state, train_config)
-            total += loss * (end - b0)
-        # Freed before the test pass and the next gather: one shuffled copy at a time.
-        del s_epoch, v0_epoch, fut_epoch
+            total += loss * rows.size
         train_loss = total / n
         if test_data is not None:
             try:
-                test_loss, dx, dy = score(*test_data, params, config)[:3]
+                test_loss, dx, dy = score_blocks(_blocks(test_data), len(split.test),
+                                                 params, config)
             except NumericError as exc:
                 raise DivergenceError(f"epoch {epoch}, test pass: {exc}") from exc
             ade = metrics.ade_from_displacements(dx, dy)

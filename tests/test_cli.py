@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gftnn
-from gftnn import cli, store
+from gftnn import cli, model, store
 from gftnn.cli import main
 from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
                            write_histogram_csv, write_report_json)
@@ -22,8 +22,8 @@ from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, score)
 from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch,
-                            extract_scenarios, load_archive, save_archive, split,
-                            split_indices, synthesize)
+                            extract_scenarios, load_archive, open_archive, save_archive,
+                            split, split_indices, synthesize)
 from gftnn.store import write_document
 from gftnn.training import TrainConfig
 from helpers import multilane_scene, poked, three_class_tracks, write_tracks_csv
@@ -453,7 +453,8 @@ def test_eval_subset_is_one_side_of_the_split_bit_for_bit(tmp_path, side):
     scenarios = synthesize(23, 10, seed=7)
     save_archive(tmp_path / "archive.json", scenarios, 10)
     args = argparse.Namespace(subset=side, split_ratio=0.6, seed=4)
-    chosen, _ = load_archive(tmp_path / "archive.json", cli._subset(args))
+    with open_archive(tmp_path / "archive.json") as archive:
+        chosen = cli._subset(args, archive).read()
     want = getattr(split(scenarios, 0.6, seed=4), side)
     assert chosen.ids == want.ids
     assert chosen.fps == want.fps
@@ -563,15 +564,15 @@ def test_predict_writes_the_finite_trajectory_of_a_loss_that_overflows(tmp_path,
 
 
 def score_spy(monkeypatch):
-    """The row counts of the spectra ``cli`` passes to ``score``, which
-    still runs."""
+    """The row counts of the spectra ``model.score`` is called on, block
+    by block, which it still scores."""
     calls = []
 
     def spy(s, *args):
         calls.append(len(s))
         return score(s, *args)
 
-    monkeypatch.setattr(cli, "score", spy)
+    monkeypatch.setattr(model, "score", spy)
     return calls
 
 
@@ -696,9 +697,9 @@ def test_eval_reports_corrupt_document_on_one_line(tmp_path, capsys, document, e
 
 def test_internal_errors_keep_their_traceback(tmp_path, monkeypatch):
     # Only bad input and failed runs become one "error:" line.
-    def broken(path, rows=None):
+    def broken(path):
         raise KeyError("internal")
-    monkeypatch.setattr("gftnn.cli.load_archive", broken)
+    monkeypatch.setattr("gftnn.cli.open_archive", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["eval", "--archive", str(tmp_path / "a.json"),
               "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path)])
@@ -890,9 +891,10 @@ def test_nan_features_in_an_unread_row_stop_only_the_reads_of_that_row(tmp_path,
 
 
 @pytest.mark.parametrize("preset, fps", [("gftnn", 10), ("gftnn-w", 25)])
-def test_row_reads_write_the_bytes_of_a_full_read(tmp_path, capsys, monkeypatch, preset, fps):
-    # The oracle is the route that reads the whole archive and then picks
-    # the scenario by id or the side of the split by its indices.
+def test_row_reads_write_the_bytes_of_a_full_read(tmp_path, capsys, preset, fps):
+    # The oracle is the same call on an archive that holds only the rows
+    # picked from a whole read, by the scenario's id or by the split's
+    # indices, and that it reads whole: an eval over all of its rows.
     archive = synth_archive(tmp_path, n=14, fps=fps)
     split_args = ["--split-ratio", "0.6", "--seed", "2"]
     run_ok(capsys, ["train", "--archive", str(archive), "--preset", preset, "--hidden", "8",
@@ -917,10 +919,10 @@ def test_row_reads_write_the_bytes_of_a_full_read(tmp_path, capsys, monkeypatch,
     for name, (argv, pick) in calls.items():
         got, want = tmp_path / "rows" / name, tmp_path / "full" / name
         out = run_ok(capsys, argv + ["--out", str(got)])
-        with monkeypatch.context() as patched:
-            patched.setattr(cli, "load_archive",
-                            lambda path, rows=None: (pick(load_archive(path)[0]), float(fps)))
-            oracle = run_ok(capsys, argv + ["--out", str(want)])
+        picked = tmp_path / f"picked-{name}.json"
+        save_archive(picked, pick(load_archive(archive)[0]), fps)
+        whole = ["--archive", str(picked)] + (["--subset", "all"] if argv[0] == "eval" else [])
+        oracle = run_ok(capsys, argv + whole + ["--out", str(want)])
         assert out == oracle.replace(str(want), str(got))
         names = sorted(path.name for path in want.iterdir())
         assert names == sorted(path.name for path in got.iterdir()) and len(names) >= 1

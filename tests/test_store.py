@@ -153,7 +153,31 @@ def test_payload_reads_rows_in_file_order_one_call_per_run(tmp_path, rows, reads
     assert counted.reads == reads
 
 
-@pytest.mark.parametrize("rows", [[10], [-1], [0, 10]])
+def test_payload_reads_rows_that_ascend_by_one_straight_into_the_result(tmp_path,
+                                                                      monkeypatch):
+    # Each block of an all-rows read is one run: one call, no sort and no
+    # second copy, and the bytes of those rows of a whole read.
+    path = tmp_path / "doc.json"
+    a = np.random.default_rng(3).standard_normal((600, 2, 3))
+    store.write_document(path, {"version": 1}, {"b": np.ones(4), "a": a})
+
+    def unsorted(*args, **kwargs):
+        raise AssertionError("rows that ascend by one were sorted")
+
+    with store.open_document(path, "doc", "version", 1) as doc:
+        whole = doc.payload.read("a")
+        counted = doc.payload._fh = _CountedReads(doc.payload._fh)
+        monkeypatch.setattr(store.np, "argsort", unsorted)
+        for start, stop in ((0, 256), (256, 512), (512, 600), (599, 600), (0, 600)):
+            counted.reads = 0
+            got = doc.payload.read("a", np.arange(start, stop))
+            assert counted.reads == 1
+            assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == whole[start:stop].tobytes()
+    assert whole.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[10], [-1], [0, 10], [9, 10], [-1, 0]])
 def test_payload_refuses_rows_outside_the_array(tmp_path, rows):
     path = tmp_path / "doc.json"
     store.write_document(path, {"version": 1}, {"a": np.zeros((10, 2))})
