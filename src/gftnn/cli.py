@@ -18,8 +18,8 @@ import numpy as np
 from .metrics import (BIN_WIDTH, check_bin_width, evaluate, write_histogram_csv,
                       write_report_json)
 from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis,
-                    check_grid, load_checkpoint, predict, preset_config,
-                    scenario_spectra, score_blocks)
+                    block_spectra, check_grid, load_checkpoint, predict, preset_config,
+                    score_blocks)
 from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, DatasetSplit,
                        _check_slots, _window_steps, balance, extract_scenarios,
                        ingest_tracks, load_archive, open_archive, save_archive,
@@ -197,17 +197,16 @@ def cmd_eval(args):
     with open_archive(args.archive) as archive:
         rows = _subset(args, archive)
         ckpt, basis = _checkpoint(args, rows)
-        # One block's features at a time; only the displacements are kept.
+        # One block at a time, dropped before the next is read; only the
+        # displacements are kept.
         blocks = rows.blocks()
         if args.self_test:
-            for _ in blocks:    # read all the same, so the scenario rule checks each row
-                pass
+            for block in blocks:    # read all the same, so the scenario rule checks each row
+                del block
             dx = dy = np.zeros((len(rows), rows.t_pred))
         else:
-            config = ckpt.config
-            dx, dy = score_blocks(((scenario_spectra(block, basis, config), block.v0,
-                                    block.futures) for block in blocks),
-                                  len(rows), ckpt.params, config)[1:]
+            dx, dy = score_blocks(block_spectra(blocks, basis, ckpt.config),
+                                  len(rows), ckpt.params, ckpt.config)[1:]
     report = evaluate(dx, dy, args.bin_width)
     report_path = _out_path(args, "eval_report.json")
     hist_path = _out_path(args, "histogram.csv")

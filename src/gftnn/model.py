@@ -330,17 +330,27 @@ def score_blocks(blocks, n: int, params: ModelParams, config: ModelConfig):
     all. Returns the mean loss over the n rows and their (n, T_pred)
     displacements ``dx, dy``, each block's rows as ``score`` gives them;
     the mean is formed over all rows as ``score`` forms a batch's, so one
-    block gives ``score``'s bits. It refuses as ``score`` does."""
+    block gives ``score``'s bits. It refuses as ``score`` does. A block
+    is dropped once it is scored, before the next is taken."""
     dx, dy = np.empty((n, config.t_pred)), np.empty((n, config.t_pred))
     end = 0
     for s, v0, futures in blocks:
         start, end = end, end + len(s)
         dx[start:end], dy[start:end] = score(s, v0, futures, params, config)[1:3]
+        del s, v0, futures
     with np.errstate(over="ignore"):
         loss = _mean_loss(_row_losses(dx, dy))
     if not math.isfinite(loss):
         raise NumericError("loss is not finite")
     return loss, dx, dy
+
+
+def block_spectra(blocks, basis: ProductBasis, config: ModelConfig):
+    """``score_blocks``' (s, v0, futures) of each batch of ``blocks``: its
+    spectra, v0 and futures. ``map`` drops each batch once they are
+    taken, so no batch outlives its spectra or stays while the next is read."""
+    return map(lambda batch: (scenario_spectra(batch, basis, config), batch.v0, batch.futures),
+               blocks)
 
 
 def _partials(h_z, terms):

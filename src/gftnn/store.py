@@ -132,7 +132,7 @@ class Payload:
         or only ``rows``, indices along its leading axis, stacked in the
         order given. Only those rows' bytes are read: in file order, each
         run of consecutive rows in one call, then put in the given order.
-        Rows that ascend by one are one run, read straight into the result.
+        Rows that ascend are read straight into the result.
         """
         shape = self.shapes[name]
         offset = self._offsets[name]
@@ -145,11 +145,10 @@ class Payload:
         # consecutive rows in its own order but many in file order, and
         # the file's buffer serves a row smaller than itself without a call.
         order, ordered = None, rows
-        breaks = rows[1:] != rows[:-1] + 1
-        if breaks.any():
+        if (rows[1:] < rows[:-1]).any():
             order = np.argsort(rows, kind="stable")
             ordered = rows[order]
-            breaks = ordered[1:] != ordered[:-1] + 1
+        breaks = ordered[1:] != ordered[:-1] + 1
         if rows.size and not (0 <= ordered[0] and ordered[-1] < shape[0]):
             raise IndexError(f"rows of {name} must lie in [0, {shape[0]})")
         stacked = np.empty((rows.size, *shape[1:]), dtype="<f8")

@@ -20,7 +20,7 @@ from .model import (OUT, ModelConfig, ModelParams, NumericError, _ensure_finite,
                     _own_batch, _partials, build_basis, check_resume, gelu_grad,
                     init_params, loss_batch, save_checkpoint, scenario_spectra, score,
                     score_blocks)
-from .scenario import BLOCK_ROWS
+from .scenario import BLOCK_ROWS, Archive
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -187,14 +187,20 @@ def _prepare(side, basis, config):
     """``model.score``'s spectra (computed once: the transform never changes
     during training), v0 and futures of ``side``, a ``ScenarioBatch`` or
     the ``Archive`` rows of one, transformed block by block as
-    ``side.blocks()`` gives them: only one block's features are held."""
+    ``side.blocks()`` gives them: only one block's features are held, and
+    each block is dropped before the next is read. An ``Archive`` side is
+    read in file order and each row placed at its drawn position; a
+    row's spectra are its own, whichever block it is transformed in."""
     n = len(side)
     s, v0, futures = np.empty((n, config.z)), np.empty(n), np.empty((n, config.t_pred, 2))
+    at, side = side.in_file_order() if isinstance(side, Archive) else (np.arange(n), side)
     end = 0
     for block in side.blocks():
-        start, end = end, end + len(block)
-        s[start:end] = scenario_spectra(block, basis, config)
-        v0[start:end], futures[start:end] = block.v0, block.futures
+        rows = at[end:end + len(block)]
+        end += len(block)
+        s[rows] = scenario_spectra(block, basis, config)
+        v0[rows], futures[rows] = block.v0, block.futures
+        del block
     return s, v0, futures
 
 

@@ -1,21 +1,23 @@
-"""Block reads: eval and train hold one block of an archive's rows at a time."""
+"""Block reads: eval and train hold one block of an archive's rows at a time, and
+synth one block of scenes beyond its output."""
 import contextlib
 import io
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from gftnn import model
+from gftnn import model, store
 from gftnn.cli import main
 from gftnn.metrics import evaluate
-from gftnn.model import (build_basis, init_params, load_checkpoint, preset_config,
-                         save_checkpoint, scenario_spectra, score_blocks)
-from gftnn.scenario import (BLOCK_ROWS, load_archive, open_archive, save_archive, split,
-                            split_indices, synthesize)
-from gftnn.training import TrainConfig, train
+from gftnn.model import (block_spectra, build_basis, init_params, load_checkpoint,
+                         preset_config, save_checkpoint, score_blocks)
+from gftnn.scenario import (BLOCK_ROWS, Archive, load_archive, open_archive, save_archive,
+                            split, split_indices, synthesize)
+from gftnn.training import TrainConfig, _prepare, train
 from helpers import poked
 
 # The preset each test grid is scored with: the reference and the weighted
@@ -86,9 +88,8 @@ def test_blocks_cover_each_chosen_row_once_in_order(archives, tmp_path, monkeypa
     # blocks.
     ckpt_doc = load_checkpoint(ckpt, optimizer=False)
     config, basis = ckpt_doc.config, build_basis(ckpt_doc.config)
-    blocks = ((scenario_spectra(b, basis, config), b.v0, b.futures)
-              for b in whole[rows].blocks())
-    dx, dy = score_blocks(blocks, rows.size, ckpt_doc.params, config)[1:]
+    dx, dy = score_blocks(block_spectra(whole[rows].blocks(), basis, config), rows.size,
+                          ckpt_doc.params, config)[1:]
     scored = score_spy(monkeypatch)
     rc, out = quiet_main(["eval", "--archive", paths[n], "--checkpoint", ckpt,
                           "--subset", subset, "--split-ratio", RATIO, "--seed", SEED,
@@ -139,6 +140,112 @@ def test_a_corrupt_row_in_the_second_block_is_refused(archives, tmp_path, monkey
                               f"scenario synth-{bad:05d}: non-finite data\n")
     # The first block was read and scored; the refusal wrote nothing.
     assert [len(v0) for v0 in scored] == [BLOCK_ROWS]
+    assert not out.exists()
+
+
+def live_blocks(monkeypatch):
+    """How many batches ``Archive.read`` returned are alive at each read,
+    before it reads, and at each ``model.score`` call, which still reads
+    and scores."""
+    blocks, counts = [], {"read": [], "score": []}
+    read, score = Archive.read, model.score
+
+    def alive():
+        return sum(ref() is not None for ref in blocks)
+
+    def spy_read(self, *args):
+        counts["read"].append(alive())
+        batch = read(self, *args)
+        blocks.append(weakref.ref(batch))
+        return batch
+
+    def spy_score(*args):
+        counts["score"].append(alive())
+        return score(*args)
+
+    monkeypatch.setattr(Archive, "read", spy_read)
+    monkeypatch.setattr(model, "score", spy_score)
+    return counts
+
+
+@pytest.mark.parametrize("command, flags, reads, scores", [
+    ("eval", [], 3, 3),
+    ("eval", ["--subset", "test"], 2, 2),
+    ("eval", ["--self-test"], 3, 0),
+    # Both sides are read, two blocks each; the test pass scores two
+    # blocks of spectra, not of rows.
+    ("train", ["--preset", "gftnn", "--hidden", 8, "--epochs", 1], 4, 2),
+])
+def test_no_block_outlives_its_scoring(archives, tmp_path, monkeypatch, command, flags,
+                                       reads, scores):
+    # 600 rows are three blocks, and each side of the split two: every
+    # block is dropped before it is scored and before the next is read.
+    paths, ckpt = archives["gftnn"]
+    counts = live_blocks(monkeypatch)
+    checkpoint = ["--checkpoint", ckpt] if command == "eval" else []
+    rc, _ = quiet_main([command, "--archive", paths[600], *checkpoint, *flags,
+                        "--split-ratio", RATIO, "--seed", SEED, "--out", tmp_path / "out"])
+    assert rc == 0
+    assert counts == {"read": [0] * reads, "score": [0] * scores}
+
+
+def count_reads(monkeypatch):
+    """The ``Payload._read_into`` calls per array name, which still read."""
+    calls = {}
+    read_into = store.Payload._read_into
+
+    def spy(self, arr, offset, name):
+        calls[name] = calls.get(name, 0) + 1
+        return read_into(self, arr, offset, name)
+
+    monkeypatch.setattr(store.Payload, "_read_into", spy)
+    return calls
+
+
+@pytest.mark.parametrize("preset", GRIDS)
+def test_train_reads_a_shuffled_side_in_file_order(archives, monkeypatch, preset):
+    # Each side of the split of 600 is shuffled and spans two blocks.
+    # train reads it in file order, one call per run of consecutive rows
+    # (a block's edge may cut a run), and places each row at its drawn
+    # position: the spectra of the rows read whole in drawn order. A read
+    # of the side gives the bytes of those rows of a whole read.
+    paths, _ = archives[preset]
+    whole = load_archive(paths[600])[0]
+    config = preset_config(preset, GRIDS[preset], hidden=8)
+    basis = build_basis(config)
+    for rows in split_indices(whole.codes, RATIO, SEED):
+        want = _prepare(whole[rows], basis, config)
+        runs = 1 + int(np.count_nonzero(np.diff(np.sort(rows)) != 1))
+        blocks = -(-rows.size // BLOCK_ROWS)
+        with open_archive(paths[600]) as archive:
+            side = archive.take(rows)
+            calls = count_reads(monkeypatch)
+            got = _prepare(side, basis, config)
+            assert set(calls) == {"features", "future"}
+            assert max(calls.values()) <= runs + blocks - 1, (calls, runs)
+            monkeypatch.undo()
+            read = side.read()
+        for name, got_array, want_array in zip(("spectra", "v0", "futures"), got, want):
+            assert got_array.tobytes() == want_array.tobytes(), name
+        assert read.ids == whole[rows].ids
+        for name in ("codes", "v0", "first_frame", "vehicle_id", "features", "futures"):
+            assert getattr(read, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
+
+
+def test_train_names_a_corrupt_row_by_its_archive_index(archives, tmp_path):
+    # A row of the training side past its first block in file order.
+    paths, _ = archives["gftnn"]
+    codes = load_archive(paths[600])[0].codes
+    bad = int(np.sort(split_indices(codes, RATIO, SEED)[0])[BLOCK_ROWS + 3])
+    archive = tmp_path / "archive.json"
+    archive.write_bytes(poked("features", bad, math.nan, 7)(paths[600].read_bytes()))
+    out = tmp_path / "run"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, stdout = quiet_main(["train", "--archive", archive, "--hidden", 8, "--epochs", 1,
+                                 "--split-ratio", RATIO, "--seed", SEED, "--out", out])
+    assert (rc, stdout) == (1, "")
+    assert err.getvalue() == (f"error: {archive}: scenario {bad} ('synth-{bad:05d}'): "
+                              f"scenario synth-{bad:05d}: non-finite data\n")
     assert not out.exists()
 
 
@@ -220,3 +327,24 @@ def test_cli_train_holds_less_than_the_archives_features(large_archives, tmp_pat
     peak = traced_peak(["train", "--archive", paths[LARGE[1]], "--preset", "gftnn-rdcby15",
                         "--hidden", 8, "--epochs", 1, "--out", tmp_path / "run"])
     assert peak < features, (peak, features)
+
+
+def test_synth_peak_grows_by_its_arrays():
+    # synthesize holds its output and one block: from one block to four,
+    # its tracemalloc peak less its arrays' bytes grows by at most one
+    # block's rows of them (the block written into the output) and 1 MB.
+    excess = {}
+    for n in (BLOCK_ROWS, 4 * BLOCK_ROWS):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            batch = synthesize(n, 10, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(batch, name).nbytes for name in
+                     ("codes", "v0", "first_frame", "vehicle_id", "features", "futures"))
+        excess[n] = peak - arrays, arrays
+        del batch
+    block = excess[BLOCK_ROWS][1]
+    assert excess[4 * BLOCK_ROWS][0] - excess[BLOCK_ROWS][0] <= block + 1e6, excess

@@ -1048,22 +1048,28 @@ def test_synthesize_matches_per_scene_reference(tmp_path, fps, noise_std, n_vehi
 
 
 # The sha256 of the archives of the benchmark's synth sizes at seed 3,
-# with and without noise: (n, fps, noise_std) -> digest. A change to the
-# random stream fails here even if the per-scene oracle changes with it.
+# with and without noise, and of two that synth draws and cuts in several
+# blocks of BLOCK_ROWS scenes: (n, fps, noise_std) -> digest. A change to
+# the random stream fails here even if the per-scene oracle changes with it.
 SYNTH_ARCHIVE_SHA256 = {
     (150, 10, 0.05): "2ea2684560a371e57fd0464825d929b5027b64cd705714f1af5e2435169f1522",
     (80, 25, 0.0): "dbb7ff4fb1f6833caac3fd9b38db44e97c95730bfad4ebca201989730001d8d8",
     (80, 25, 0.05): "0c73ea3643ed156690d667e818ab29b417c0cb8e5618d09676a43fa5c7909576",
+    (600, 10, 0.05): "31e9a6dde2070cb9730cc9723a533e7b9648c80613ae1088dce19ed8ed9df9ae",
+    (300, 25, 0.0): "4baa0717c66655dba40b52e8aabc2841ef3ca8f8a5375552bcf61859f97d94c7",
 }
 # The sha256 of the features and then the future bytes of the same
 # archives, which format version 3 stored alone after its head: version 4
 # added columns and moved the per-scenario values out of the head, and
-# these digests, taken from version-3 archives, hold that it kept every
-# feature and future byte.
+# the first three digests, taken from version-3 archives, hold that it
+# kept every feature and future byte. The multi-block two were taken
+# from version-4 archives made in one block.
 SYNTH_DATA_SHA256 = {
     (150, 10, 0.05): "8fac68ec2cbda6f9f98efa66979ae0092d63a8b378f8961548a4dda129037af2",
     (80, 25, 0.0): "2ebd9512333182fd69a15e212739c6d2b611fc2843768a1f5b5bc5befdd66fa6",
     (80, 25, 0.05): "79f9f061d7a0ccb6a7c5f3081043c063adc28c20a8fd0dc61b1b7e1d891057d6",
+    (600, 10, 0.05): "ecb36ea0ae22fa78736aa702da40a6784fc399a3169e0f3befcabc41daa7f51b",
+    (300, 25, 0.0): "613ab5422d3da532843cab2e145d3cdf737fe7d7b04aae0d57bef5b6317c7953",
 }
 
 

@@ -177,6 +177,27 @@ def test_payload_reads_rows_that_ascend_by_one_straight_into_the_result(tmp_path
     assert whole.tobytes() == a.tobytes()
 
 
+def test_payload_reads_ascending_rows_straight_into_the_result(tmp_path, monkeypatch):
+    # Rows in file order with gaps, as a side of a split read in file
+    # order gives them: one call per run, no sort and no second copy.
+    path = tmp_path / "doc.json"
+    a = np.random.default_rng(4).standard_normal((600, 2, 3))
+    store.write_document(path, {"version": 1}, {"a": a})
+
+    def unsorted(*args, **kwargs):
+        raise AssertionError("ascending rows were sorted")
+
+    with store.open_document(path, "doc", "version", 1) as doc:
+        counted = doc.payload._fh = _CountedReads(doc.payload._fh)
+        monkeypatch.setattr(store.np, "argsort", unsorted)
+        for rows, runs in (([0, 2, 3, 7, 599], 4), ([5, 5, 6], 2), ([1, 300], 2)):
+            counted.reads = 0
+            got = doc.payload.read("a", rows)
+            assert counted.reads == runs
+            assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == a[rows].tobytes()
+
+
 @pytest.mark.parametrize("rows", [[10], [-1], [0, 10], [9, 10], [-1, 0]])
 def test_payload_refuses_rows_outside_the_array(tmp_path, rows):
     path = tmp_path / "doc.json"
