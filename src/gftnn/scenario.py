@@ -49,11 +49,10 @@ MAX_WINDOW_STEPS = 10_000
 # The most vehicle slots of a scenario, far past one target's neighbourhood;
 # a larger count is refused before anything is allocated.
 MAX_VEHICLE_SLOTS = 1_000
-# Rows of an archive that eval scores, and train transforms, at once, and
-# scenes that synthesize draws and cuts at once, so the features a command
-# holds beyond its output are one block's, whatever the archive's size.
-# Every benchmark eval, every held-out side of its quality pass and every
-# timed synth fits in one block.
+# Rows of an archive that eval scores, and train transforms, at once, so
+# the features a command holds are one block's, whatever the archive's size.
+# Every benchmark eval and every held-out side of its quality pass fits in
+# one block.
 BLOCK_ROWS = 256
 # Elements of the largest matrix extract_scenarios builds per block of
 # windows: candidate runs or gathered rows, times the block's windows.
@@ -356,9 +355,10 @@ class ScenarioBatch:
         if isinstance(index, (int, np.integer)):
             return Scenario(self, range(len(self))[index])
         rows = np.arange(len(self))[index].tolist()
+        arrays = {name: getattr(self, name) for name in (*_COLUMNS, "features", "futures")}
         return self._derive(ids=tuple(self.ids[i] for i in rows),
                             **{name: _frozen(array[index], array.dtype)
-                               for name, array in _arrays(self)})
+                               for name, array in arrays.items()})
 
     def _derive(self, **fields):
         """This batch with ``fields``, rows of it or new ids, which need no new check."""
@@ -375,12 +375,6 @@ class ScenarioBatch:
     t_obs = property(lambda self: self.features.shape[2])
     t_pred = property(lambda self: self.futures.shape[1])
     n_vehicles = property(lambda self: self.features.shape[3])
-
-
-def _arrays(batch: ScenarioBatch):
-    """(name, array) of each per-row array of ``batch``: the (n,) columns,
-    then the features and futures."""
-    return [(name, getattr(batch, name)) for name in (*_COLUMNS, "features", "futures")]
 
 
 def _maneuver_index(given: np.ndarray) -> np.ndarray:
@@ -848,23 +842,22 @@ def _uniform(u, *ranges):
     return (lo + (hi - lo) * np.reshape(u, (-1, len(ranges)))).T
 
 
-def _synthetic_scenes(rng, codes, first, fps, n_frames, t0_index, t_pred_s,
+def _synthetic_scenes(rng, codes, fps, n_frames, t0_index, t_pred_s,
                       n_vehicles, noise_std) -> TrackBatch:
-    """The tracks of one scene per maneuver code, scenes ``first`` onward
-    of a synthesis: a target with that maneuver plus random cruisers, as
-    one batch that holds every target and then every cruiser.
+    """The tracks of one scene per maneuver code: a target with that
+    maneuver plus random cruisers, as one batch that holds every target
+    and then every cruiser.
 
-    Scene i of the synthesis covers frames i·n_frames onward; its target
-    has vehicle id 1 + i·_SCENE_VEHICLES and its cruisers the ids after
-    it, so no vehicle is in view with another scene's, of this batch or
-    another. Longitudinal motion is uniformly accelerated; lane changes
-    follow a logistic lateral profile of one lane width, centred halfway
-    into the prediction window, which keeps the lane id at the last
-    observed step unchanged and flips it inside the window. Lane ids come
-    from the noise-free lateral position so labels stay exact under
-    sensor noise. A cruiser's track ends at the last observed step (step
-    ``t0_index``), since extraction reads a neighbour over the
-    observation only.
+    Scene i covers frames i·n_frames onward; its target has vehicle id
+    1 + i·_SCENE_VEHICLES and its cruisers the ids after it, so no
+    vehicle is in view with another scene's. Longitudinal motion is
+    uniformly accelerated; lane changes follow a logistic lateral profile
+    of one lane width, centred halfway into the prediction window, which
+    keeps the lane id at the last observed step unchanged and flips it
+    inside the window. Lane ids come from the noise-free lateral position
+    so labels stay exact under sensor noise. A cruiser's track ends at the
+    last observed step (step ``t0_index``), since extraction reads a
+    neighbour over the observation only.
 
     The random draws, whose order fixes every scene, are made scene by
     scene: the target's speed, acceleration, position, lane and
@@ -935,14 +928,13 @@ def _synthetic_scenes(rng, codes, first, fps, n_frames, t0_index, t_pred_s,
     put(cruiser_motion, 1, ((lane_n + 0.5) * LANE_WIDTH)[:, None])
     put(cruiser_motion, 2, vn[:, None])
     put(cruiser_motion, 3, 0.0)
-    frame = first * n_frames + np.concatenate(
-        (np.arange(split), ((scene * n_frames)[:, None] + np.arange(n_obs)).reshape(-1)))
+    frame = np.concatenate((np.arange(split),
+                            ((scene * n_frames)[:, None] + np.arange(n_obs)).reshape(-1)))
     # A cruiser's id follows its target's and the cruisers before it in its scene.
     per_scene = np.bincount(scene, minlength=n)
     place = np.arange(n_cruisers) - (per_scene.cumsum() - per_scene)[scene]
     return TrackBatch(
-        first * _SCENE_VEHICLES + np.concatenate(
-            (1 + np.arange(n) * _SCENE_VEHICLES, 2 + scene * _SCENE_VEHICLES + place)),
+        np.concatenate((1 + np.arange(n) * _SCENE_VEHICLES, 2 + scene * _SCENE_VEHICLES + place)),
         np.concatenate((np.arange(n) * n_frames, split + np.arange(n_cruisers + 1) * n_obs)),
         frame, lane, motion)
 
@@ -959,14 +951,10 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
 
     Every scene gets frames and vehicle ids of its own (see
     ``_synthetic_scenes``), so no scene's vehicle can be another's
-    neighbour. Scenes are drawn, built and cut ``BLOCK_ROWS`` at a time on
-    one generator, whose draws run scene by scene: each block's scenes
-    are drawn into one ``TrackBatch``, one ``extract_scenarios`` call cuts
-    the one window of every scene's target from it, and its labels are
-    checked with one compare. One block is the batch; more blocks are
-    written in turn into the batch's arrays, each checked by the rules
-    once and dropped before the next is drawn, so no more than the
-    output and one block are held. The batch is renamed ``synth-%05d``.
+    neighbour. All scenes are drawn into one ``TrackBatch`` first, and one
+    ``extract_scenarios`` call then cuts the one window of every scene's
+    target from it. The labels are checked with one compare, and the batch
+    is renamed ``synth-%05d`` as a whole.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -974,35 +962,20 @@ def synthesize(n: int, fps, seed: int, noise_std: float = 0.0,
         raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     _check_slots(n_vehicles)
-    rng = np.random.default_rng(seed)
     wanted = np.arange(n) % len(MANEUVERS)
-    batch = None
-    for first in range(0, n, BLOCK_ROWS):
-        codes = wanted[first:first + BLOCK_ROWS]
-        block = extract_scenarios(
-            _synthetic_scenes(rng, codes, first, fps, t_obs_steps + t_pred_steps,
-                              t_obs_steps - 1, t_pred_steps / fps, n_vehicles, noise_std),
-            fps, t_obs, t_pred, n_vehicles,
-            target_ids=range(1 + first * _SCENE_VEHICLES,
-                             1 + (first + codes.size) * _SCENE_VEHICLES, _SCENE_VEHICLES))
-        lost = np.flatnonzero(block.codes != codes)
-        if lost.size:
-            i = int(lost[0])
-            raise RuntimeError(
-                f"synthetic scene {first + i} produced 1 scenarios with labels "
-                f"{[block[i].maneuver]}, wanted {MANEUVERS[codes[i]]}"
-            )
-        if n <= BLOCK_ROWS:
-            batch = block
-        else:
-            if batch is None:   # the batch's arrays, which each block fills in turn
-                batch = block._derive(**{name: np.empty((n, *array.shape[1:]), array.dtype)
-                                         for name, array in _arrays(block)})
-            for name, array in _arrays(block):
-                getattr(batch, name)[first:first + codes.size] = array
-        del block
-    for _, array in _arrays(batch):
-        array.flags.writeable = False
+    tracks = _synthetic_scenes(
+        np.random.default_rng(seed), wanted, fps, t_obs_steps + t_pred_steps,
+        t_obs_steps - 1, t_pred_steps / fps, n_vehicles, noise_std)
+    batch = extract_scenarios(
+        tracks, fps, t_obs, t_pred, n_vehicles,
+        target_ids=range(1, 1 + n * _SCENE_VEHICLES, _SCENE_VEHICLES))
+    lost = np.flatnonzero(batch.codes != wanted)
+    if lost.size:
+        i = int(lost[0])
+        raise RuntimeError(
+            f"synthetic scene {i} produced 1 scenarios with labels "
+            f"{[batch[i].maneuver]}, wanted {MANEUVERS[wanted[i]]}"
+        )
     return batch._derive(ids=tuple(f"synth-{i:05d}" for i in range(n)))
 
 

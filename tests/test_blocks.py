@@ -1,5 +1,4 @@
-"""Block reads: eval and train hold one block of an archive's rows at a time, and
-synth one block of scenes beyond its output."""
+"""Block reads: eval and train hold one block of an archive's rows at a time."""
 import contextlib
 import io
 import json
@@ -328,23 +327,3 @@ def test_cli_train_holds_less_than_the_archives_features(large_archives, tmp_pat
                         "--hidden", 8, "--epochs", 1, "--out", tmp_path / "run"])
     assert peak < features, (peak, features)
 
-
-def test_synth_peak_grows_by_its_arrays():
-    # synthesize holds its output and one block: from one block to four,
-    # its tracemalloc peak less its arrays' bytes grows by at most one
-    # block's rows of them (the block written into the output) and 1 MB.
-    excess = {}
-    for n in (BLOCK_ROWS, 4 * BLOCK_ROWS):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            batch = synthesize(n, 10, seed=5)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        arrays = sum(getattr(batch, name).nbytes for name in
-                     ("codes", "v0", "first_frame", "vehicle_id", "features", "futures"))
-        excess[n] = peak - arrays, arrays
-        del batch
-    block = excess[BLOCK_ROWS][1]
-    assert excess[4 * BLOCK_ROWS][0] - excess[BLOCK_ROWS][0] <= block + 1e6, excess

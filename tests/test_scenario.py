@@ -1048,9 +1048,9 @@ def test_synthesize_matches_per_scene_reference(tmp_path, fps, noise_std, n_vehi
 
 
 # The sha256 of the archives of the benchmark's synth sizes at seed 3,
-# with and without noise, and of two that synth draws and cuts in several
-# blocks of BLOCK_ROWS scenes: (n, fps, noise_std) -> digest. A change to
-# the random stream fails here even if the per-scene oracle changes with it.
+# with and without noise, and of two larger than one block of BLOCK_ROWS
+# rows: (n, fps, noise_std) -> digest. A change to the random stream fails
+# here even if the per-scene oracle changes with it.
 SYNTH_ARCHIVE_SHA256 = {
     (150, 10, 0.05): "2ea2684560a371e57fd0464825d929b5027b64cd705714f1af5e2435169f1522",
     (80, 25, 0.0): "dbb7ff4fb1f6833caac3fd9b38db44e97c95730bfad4ebca201989730001d8d8",
@@ -1062,8 +1062,8 @@ SYNTH_ARCHIVE_SHA256 = {
 # archives, which format version 3 stored alone after its head: version 4
 # added columns and moved the per-scenario values out of the head, and
 # the first three digests, taken from version-3 archives, hold that it
-# kept every feature and future byte. The multi-block two were taken
-# from version-4 archives made in one block.
+# kept every feature and future byte. The last two were taken from
+# version-4 archives.
 SYNTH_DATA_SHA256 = {
     (150, 10, 0.05): "8fac68ec2cbda6f9f98efa66979ae0092d63a8b378f8961548a4dda129037af2",
     (80, 25, 0.0): "2ebd9512333182fd69a15e212739c6d2b611fc2843768a1f5b5bc5befdd66fa6",

@@ -153,49 +153,30 @@ def test_payload_reads_rows_in_file_order_one_call_per_run(tmp_path, rows, reads
     assert counted.reads == reads
 
 
-def test_payload_reads_rows_that_ascend_by_one_straight_into_the_result(tmp_path,
-                                                                      monkeypatch):
-    # Each block of an all-rows read is one run: one call, no sort and no
-    # second copy, and the bytes of those rows of a whole read.
+def test_payload_reads_ascending_rows_straight_into_the_result(tmp_path, monkeypatch):
+    # Rows in file order, each block of an all-rows read or a side of a
+    # split read in file order: one call per run of consecutive rows, no
+    # sort and no second copy, and the bytes of those rows of a whole read.
     path = tmp_path / "doc.json"
     a = np.random.default_rng(3).standard_normal((600, 2, 3))
     store.write_document(path, {"version": 1}, {"b": np.ones(4), "a": a})
 
     def unsorted(*args, **kwargs):
-        raise AssertionError("rows that ascend by one were sorted")
+        raise AssertionError("ascending rows were sorted")
 
     with store.open_document(path, "doc", "version", 1) as doc:
         whole = doc.payload.read("a")
         counted = doc.payload._fh = _CountedReads(doc.payload._fh)
         monkeypatch.setattr(store.np, "argsort", unsorted)
-        for start, stop in ((0, 256), (256, 512), (512, 600), (599, 600), (0, 600)):
-            counted.reads = 0
-            got = doc.payload.read("a", np.arange(start, stop))
-            assert counted.reads == 1
-            assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
-            assert got.tobytes() == whole[start:stop].tobytes()
-    assert whole.tobytes() == a.tobytes()
-
-
-def test_payload_reads_ascending_rows_straight_into_the_result(tmp_path, monkeypatch):
-    # Rows in file order with gaps, as a side of a split read in file
-    # order gives them: one call per run, no sort and no second copy.
-    path = tmp_path / "doc.json"
-    a = np.random.default_rng(4).standard_normal((600, 2, 3))
-    store.write_document(path, {"version": 1}, {"a": a})
-
-    def unsorted(*args, **kwargs):
-        raise AssertionError("ascending rows were sorted")
-
-    with store.open_document(path, "doc", "version", 1) as doc:
-        counted = doc.payload._fh = _CountedReads(doc.payload._fh)
-        monkeypatch.setattr(store.np, "argsort", unsorted)
-        for rows, runs in (([0, 2, 3, 7, 599], 4), ([5, 5, 6], 2), ([1, 300], 2)):
+        for rows, runs in ((np.arange(0, 256), 1), (np.arange(256, 512), 1),
+                           (np.arange(512, 600), 1), ([599], 1), (np.arange(600), 1),
+                           ([0, 2, 3, 7, 599], 4), ([5, 5, 6], 2), ([1, 300], 2)):
             counted.reads = 0
             got = doc.payload.read("a", rows)
             assert counted.reads == runs
             assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
-            assert got.tobytes() == a[rows].tobytes()
+            assert got.tobytes() == whole[rows].tobytes()
+    assert whole.tobytes() == a.tobytes()
 
 
 @pytest.mark.parametrize("rows", [[10], [-1], [0, 10], [9, 10], [-1, 0]])
