@@ -21,7 +21,7 @@ from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis
                     block_spectra, check_grid, load_checkpoint, predict, preset_config,
                     score_blocks)
 from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, DatasetSplit,
-                       _check_slots, _window_steps, balance, extract_scenarios,
+                       _check_slots, _window_steps, balance_indices, extract_scenarios,
                        ingest_tracks, load_archive, open_archive, save_archive,
                        split_indices, synthesize, SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
@@ -41,8 +41,8 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
-def _class_counts(batch) -> str:
-    counts = np.bincount(batch.codes, minlength=len(MANEUVERS))
+def _class_counts(codes) -> str:
+    counts = np.bincount(codes, minlength=len(MANEUVERS))
     return ", ".join(f"{m}={count}" for m, count in zip(MANEUVERS, counts))
 
 
@@ -71,14 +71,23 @@ def cmd_prep(args):
     _check_slots(args.n_vehicles)
     tracks = ingest_tracks(args.input, args.schema)
     print(f"read {tracks.frame.size} rows of {len(tracks)} vehicles from {args.input}")
-    scenarios = extract_scenarios(tracks, args.fps, args.t_obs, args.t_pred, args.n_vehicles)
-    if not scenarios:
-        raise ValueError("no scenarios could be extracted from the input")
-    balanced = balance(scenarios, args.seed)
+    labelled = []
+
+    def kept(codes):
+        # extract_scenarios passes every window's label and cuts only
+        # the windows this returns.
+        if not codes.size:
+            raise ValueError("no scenarios could be extracted from the input")
+        labelled.append(codes)
+        return balance_indices(codes, args.seed)
+
+    balanced = extract_scenarios(tracks, args.fps, args.t_obs, args.t_pred, args.n_vehicles,
+                                 rows=kept)
     path = _out_path(args, "archive.json")
     save_archive(path, balanced, args.fps)
-    print(f"extracted {len(scenarios)} scenarios ({_class_counts(scenarios)})")
-    print(f"kept {len(balanced)} after balancing ({_class_counts(balanced)})")
+    (codes,) = labelled
+    print(f"extracted {codes.size} scenarios ({_class_counts(codes)})")
+    print(f"kept {len(balanced)} after balancing ({_class_counts(balanced.codes)})")
     print(f"wrote {path}")
 
 
@@ -88,7 +97,7 @@ def cmd_synth(args):
                            t_obs=args.t_obs, t_pred=args.t_pred, n_vehicles=args.n_vehicles)
     path = _out_path(args, "archive.json")
     save_archive(path, scenarios, args.fps)
-    print(f"generated {len(scenarios)} scenarios ({_class_counts(scenarios)})")
+    print(f"generated {len(scenarios)} scenarios ({_class_counts(scenarios.codes)})")
     print(f"wrote {path}")
 
 

@@ -448,11 +448,11 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
     absolute path, past the header's lines, in large chunks; a pipe, or a
     file whose name numpy would decompress, it reads through the open
     stream, a line at a time. One lexsort on (vehicle id, frame) orders the
-    rows, and each column is gathered in that order straight into the
-    batch's arrays. A row numpy refuses raises ParseError naming the row's
-    line (``_parse_error``); a byte the file's codec refuses, naming its
-    line (``_decode_error``); a track that breaks the track rule or repeats
-    a frame, for the first such vehicle.
+    rows, one gather takes the parsed records in that order, and the
+    batch's columns are copied out of them. A row numpy refuses raises
+    ParseError naming the row's line (``_parse_error``); a byte the file's
+    codec refuses, naming its line (``_decode_error``); a track that breaks
+    the track rule or repeats a frame, for the first such vehicle.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
@@ -492,14 +492,15 @@ def ingest_tracks(path, schema: str = "normalized") -> TrackBatch:
                 raise _parse_error(fh, path, columns, exc) from None
         except UnicodeDecodeError as exc:
             raise _decode_error(path, data, exc) from None
-    order = np.lexsort((rows["frame"], rows["vehicle_id"]))
-    vehicle, frame, lane = (rows[name].take(order) for name in ("vehicle_id", "frame", "lane_id"))
-    motion = np.empty((len(_MOTION), rows.size))
-    for name, out in zip(_MOTION, motion):
-        rows[name].take(order, out=out)
-    first = np.ones(rows.size, dtype=bool)
+    # Whole records are gathered in one take, which reads each once; a
+    # take per column strides through every record once per column.
+    rows = rows.take(np.lexsort((rows["frame"], rows["vehicle_id"])))
+    vehicle, frame, lane = (rows[name].copy() for name in ("vehicle_id", "frame", "lane_id"))
+    motion = np.stack([rows[name] for name in _MOTION])
+    del rows
+    first = np.ones(frame.size, dtype=bool)
     np.not_equal(vehicle[1:], vehicle[:-1], out=first[1:])
-    offsets = np.append(np.flatnonzero(first), rows.size)
+    offsets = np.append(np.flatnonzero(first), frame.size)
     try:
         return TrackBatch(vehicle[offsets[:-1]], offsets, frame, lane, motion)
     except _RowError as exc:
@@ -619,7 +620,8 @@ def _maneuver_codes(lane_ids, lateral):
 
 
 def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRED_S,
-                      n_vehicles: int = N_VEHICLES, target_ids=None) -> ScenarioBatch:
+                      n_vehicles: int = N_VEHICLES, target_ids=None,
+                      rows=None) -> ScenarioBatch:
     """Slide fixed windows over every track and cut model-ready scenarios,
     returned as one ``ScenarioBatch`` in target-id order.
 
@@ -636,11 +638,16 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
     frame runs are found at once; each run yields the windows it covers,
     which one ``repeat``/``cumsum`` enumerates, and a window looks up its
     neighbours among the runs that start at most one longest run before
-    it. The windows are then cut in blocks: one masked distance and one
-    sort per block pick the neighbours, one gather takes every slot's
-    observation and the target's future into the batch's arrays, and every
-    window's label comes from one pass. A block's padded candidate matrix
-    and its gathered rows stay within ``_GATHER_BLOCK`` elements.
+    it. Every window is labelled first, from its target's lane ids and y
+    from the last observed step on. ``rows``, if given, is then called as
+    ``rows(codes)`` with those labels, in target-id order, and returns the
+    indices of the windows to cut: the batch holds only those, in that
+    order, the rows of the batch that a call without ``rows`` returns.
+    The windows are cut in blocks: one masked distance and one sort per
+    block pick the neighbours, and one gather takes every slot's
+    observation and the target's future into the batch's arrays. A block's
+    padded candidate matrix and its gathered rows stay within
+    ``_GATHER_BLOCK`` elements.
     """
     t_obs_steps, t_pred_steps = _window_steps(fps, t_obs, t_pred)
     _check_slots(n_vehicles)
@@ -683,6 +690,21 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
     win_first = run_off[win_run] + win_start
     skipped = int(np.maximum((span[targets] - (window - 1)) // t_pred_steps + 1, 0).sum())
     skipped -= win_run.size
+    if skipped:
+        log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
+    # Every window's label, from the target's rows from its last observed
+    # step to the window's end, at most _GATHER_BLOCK rows at a time.
+    ahead = np.arange(t_pred_steps + 1)
+    codes = np.empty(win_run.size, dtype=np.int64)
+    step = max(1, _GATHER_BLOCK // ahead.size)
+    for lo in range(0, codes.size, step):
+        future = (win_first[lo:lo + step, None] + (t_obs_steps - 1)) + ahead
+        codes[lo:lo + step] = _maneuver_codes(tracks.lane_id[future], tracks.motion[1][future])
+    if rows is not None:
+        codes.flags.writeable = False
+        chosen = np.asarray(rows(codes), dtype=np.int64)
+        win_track, win_start, win_first, codes = (
+            a[chosen] for a in (win_track, win_start, win_first, codes))
     # A run that covers a window's observation starts at most one longest
     # run before its last observed frame, and not after its first.
     by_start = run_start.argsort(kind="stable")
@@ -695,13 +717,11 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
     # Rows gathered per window: every slot over the observation, then the
     # target from its last observed step to the window's end.
     back = np.arange(1 - t_obs_steps, 1)[:, None]
-    ahead = np.arange(t_pred_steps + 1)
     data = tracks.motion
     n = win_start.size
     features = np.empty((n, len(CHANNELS), t_obs_steps, n_vehicles))
     futures = np.empty((n, t_pred_steps, 2))
     v0 = np.empty(n)
-    codes = np.empty(n, dtype=np.int64)
     n_obs = t_obs_steps * n_vehicles
     for w in _window_blocks(win_high - win_low, n_obs + ahead.size):
         last = win_start[w] + (t_obs_steps - 1)
@@ -710,9 +730,9 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
         slot_at[:, 0] = i0
         slot_at[:, 1:] = _nearest(data, cands, win_low[w], win_high[w], last, i0,
                                   id_rank[win_track[w]], len(tracks), n_vehicles - 1)
-        rows = np.concatenate([(back + slot_at[:, None]).reshape(last.size, n_obs),
-                               i0[:, None] + ahead], axis=1)
-        got = data.take(rows, axis=1)
+        gathered = np.concatenate([(back + slot_at[:, None]).reshape(last.size, n_obs),
+                                   i0[:, None] + ahead], axis=1)
+        got = data.take(gathered, axis=1)
         feats = features[w]
         feats[...] = got[:, :, :n_obs].reshape(
             4, last.size, t_obs_steps, n_vehicles).transpose(1, 0, 2, 3)
@@ -721,11 +741,8 @@ def extract_scenarios(tracks, fps, t_obs: float = T_OBS_S, t_pred: float = T_PRE
         rest = got[:, :, n_obs:]
         futures[w] = (rest[:2, :, 1:] - rest[:2, :, :1]).transpose(1, 2, 0)
         v0[w] = rest[2, :, 0]
-        codes[w] = _maneuver_codes(tracks.lane_id[rows[:, n_obs:]], rest[1])
     target = vehicle[win_track]
     ids = tuple(f"v{v}-f{start}" for v, start in zip(target.tolist(), win_start.tolist()))
-    if skipped:
-        log.info("extract_scenarios: skipped %d windows with coverage gaps", skipped)
     return ScenarioBatch(ids, codes, v0, win_start, target, features, futures, float(fps))
 
 
@@ -777,8 +794,18 @@ def _nearest(data, cands, low, high, last, i0, rank, no_rank, k):
 
 def balance(batch: ScenarioBatch, seed: int) -> ScenarioBatch:
     """Down-sample the majority classes of ``batch`` to the size of the
-    smallest one; the kept scenarios stay in their order."""
-    groups = [np.flatnonzero(batch.codes == code) for code in range(len(MANEUVERS))]
+    smallest one: the rows ``balance_indices`` gives for its codes."""
+    return batch[balance_indices(batch.codes, seed)]
+
+
+def balance_indices(codes, seed: int) -> np.ndarray:
+    """The ascending row indices that keep, of the scenarios whose maneuver
+    codes are ``codes``, as many of each class as the smallest class has,
+    drawn class by class. It needs the codes alone, so ``prep`` can pass it
+    to ``extract_scenarios`` and cut only the windows it keeps. An empty
+    class raises BalanceError naming it."""
+    codes = np.asarray(codes)
+    groups = [np.flatnonzero(codes == code) for code in range(len(MANEUVERS))]
     for m, idx in zip(MANEUVERS, groups):
         if not idx.size:
             raise BalanceError(f"no scenarios with maneuver '{m}'")
@@ -789,7 +816,7 @@ def balance(batch: ScenarioBatch, seed: int) -> ScenarioBatch:
         if idx.size > n_min:
             idx = idx[np.sort(rng.choice(idx.size, size=n_min, replace=False))]
         keep.append(idx)
-    return batch[np.sort(np.concatenate(keep))]
+    return np.sort(np.concatenate(keep))
 
 
 def split(batch: ScenarioBatch, ratio: float, seed: int) -> DatasetSplit:

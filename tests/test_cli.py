@@ -1,7 +1,9 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -21,9 +23,9 @@ from gftnn.metrics import (BIN_WIDTH, HISTOGRAM_MAX_BINS, evaluate,
 from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, score)
-from gftnn.scenario import (MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, TrackBatch,
-                            extract_scenarios, load_archive, open_archive, save_archive,
-                            split, split_indices, synthesize)
+from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, RawTrack,
+                            TrackBatch, balance, extract_scenarios, load_archive,
+                            open_archive, save_archive, split, split_indices, synthesize)
 from gftnn.store import write_document
 from gftnn.training import TrainConfig
 from helpers import multilane_scene, poked, three_class_tracks, write_tracks_csv
@@ -116,6 +118,64 @@ def test_prep_of_a_mirrored_recording_mirrors_the_archive(tmp_path, capsys, seed
     assert mirror.v0.tobytes() == plain.v0.tobytes()
     assert np.array_equal(mirror.features, plain.features * [[[1]], [[-1]], [[1]], [[-1]]])
     assert np.array_equal(mirror.futures, plain.futures * [1, -1])
+
+
+# The sha256 of prep's archive at --seed 3 of multilane_scene(seed, fps,
+# n_tracks=200), taken when prep still cut every window and balanced the
+# batch after (numpy 2.4.6): (seed, fps) -> digest.
+PREP_ARCHIVE_SHA256 = {
+    (0, 10): "bb98640edac663cbf9e6dd9df12aa1b0d55dbaca04cdfa7db7bbd73d3de95e2a",
+    (1, 25): "3a3ee561c47aa7f8046f95a0bcc2eb67d8ef253854ecda78d0d0bd66916a6979",
+}
+
+
+def _counts(batch):
+    return ", ".join(f"{m}={np.count_nonzero(batch.codes == code)}"
+                     for code, m in enumerate(MANEUVERS))
+
+
+@pytest.mark.parametrize("seed, fps", sorted(PREP_ARCHIVE_SHA256))
+def test_prep_writes_the_archive_of_balancing_every_window(tmp_path, capsys, caplog,
+                                                           seed, fps):
+    # prep cuts only the windows balancing keeps, and writes the bytes of
+    # cutting every window and balancing the batch; its counts are those
+    # of every window and of the kept ones.
+    caplog.set_level(logging.INFO, logger="gftnn.scenario")
+    tracks = multilane_scene(seed, fps, n_tracks=200)
+    write_tracks_csv(tmp_path / "tracks.csv", tracks)
+    out = run_ok(capsys, ["prep", "--input", str(tmp_path / "tracks.csv"), "--fps", str(fps),
+                          "--seed", "3", "--out", str(tmp_path / "prep")]).splitlines()
+    assert any("skipped" in message for message in caplog.messages)
+    every = extract_scenarios(tracks, fps)
+    kept = balance(every, 3)
+    assert set(every.codes.tolist()) == {0, 1, 2} and len(kept) < len(every)
+    save_archive(tmp_path / "oracle.json", kept, fps)
+    data = (tmp_path / "prep" / "archive.json").read_bytes()
+    assert data == (tmp_path / "oracle.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PREP_ARCHIVE_SHA256[seed, fps]
+    assert out[1:3] == [f"extracted {len(every)} scenarios ({_counts(every)})",
+                        f"kept {len(kept)} after balancing ({_counts(kept)})"]
+
+
+def _drop_last_frame(track):
+    return RawTrack(track.vehicle_id, *(getattr(track, name)[:-1] for name in
+                                        ("frame", "x", "y", "vx", "vy", "lane_id")))
+
+
+@pytest.mark.parametrize("keep, message", [
+    # Every track a frame short of one window.
+    (lambda tracks: [_drop_last_frame(tr) for tr in tracks],
+     "no scenarios could be extracted from the input"),
+    # Vehicle 3, the right lane change, left out.
+    (lambda tracks: list(tracks)[:2], "no scenarios with maneuver 'lane_change_right'"),
+])
+def test_prep_that_keeps_no_window_writes_nothing(tmp_path, capsys, keep, message):
+    path = tmp_path / "tracks.csv"
+    write_tracks_csv(path, keep(three_class_tracks(fps=5)))
+    err = run_fail(capsys, ["prep", "--input", str(path), "--fps", "5",
+                            "--out", str(tmp_path / "out")])
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_prep_reports_schema_problem(tmp_path, capsys):

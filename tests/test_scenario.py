@@ -17,9 +17,9 @@ from gftnn import scenario
 from gftnn.model import _own_batch
 from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, BalanceError,
                             ParseError, RawTrack, Scenario, ScenarioBatch, SchemaError,
-                            SplitError, TrackBatch, _window_steps, balance, extract_scenarios,
-                            ingest_tracks, label_maneuver, load_archive, save_archive,
-                            split, synthesize, track_batch)
+                            SplitError, TrackBatch, _window_steps, balance, balance_indices,
+                            extract_scenarios, ingest_tracks, label_maneuver, load_archive,
+                            save_archive, split, synthesize, track_batch)
 from gftnn.store import write_document
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
                      label_maneuver_reference, multilane_scene, poked, rewrite_head,
@@ -1012,6 +1012,39 @@ def test_extract_ranks_an_overflowing_distance_before_ghosts():
     assert np.array_equal(got[0].features[:, :, 2], got[0].features[:, :, 0])
 
 
+@pytest.mark.parametrize("fps, block", [(10, None), (25, None), (25, 3), (10, "pairs")])
+def test_extract_cuts_only_the_windows_rows_chooses(caplog, monkeypatch, fps, block):
+    # rows sees every window's label, read-only, and the batch is the
+    # chosen rows of the batch of every window, byte for byte, in the
+    # order chosen; the log is the same.
+    caplog.set_level(logging.INFO, logger="gftnn.scenario")
+    tracks = multilane_scene(fps, fps, n_tracks=40)
+    if block is not None:
+        per_window = round(3.0 * fps) * 9 + round(5.0 * fps) + 1
+        monkeypatch.setattr(scenario, "_GATHER_BLOCK",
+                            2 * per_window if block == "pairs" else block)
+    every = extract_scenarios(tracks, fps)
+    logged = list(caplog.messages)
+    assert "skipped" in logged[0] and len(every) > 20
+    rng = np.random.default_rng(fps)
+    picks = [np.sort(rng.choice(len(every), size=size, replace=False))
+             for size in (0, 1, len(every) // 3, len(every))]
+    picks.append(rng.permutation(len(every))[:10])
+    seen = []
+    for pick in picks:
+        caplog.clear()
+
+        def rows(codes):
+            seen.append(codes)
+            return pick.tolist()
+        got = extract_scenarios(tracks, fps, rows=rows)
+        assert _scenario_bytes(got) == _scenario_bytes(every[pick])
+        assert caplog.messages == logged
+    assert len(seen) == len(picks)
+    for codes in seen:
+        assert not codes.flags.writeable and codes.tobytes() == every.codes.tobytes()
+
+
 def test_synthesize_makes_one_extraction_call(monkeypatch):
     calls = []
     extract = scenario.extract_scenarios
@@ -1190,6 +1223,16 @@ def test_balance_empty_class_names_it():
     scen = scen[scen.codes != MANEUVERS.index("lane_change_left")]
     with pytest.raises(BalanceError, match="lane_change_left"):
         balance(scen, seed=0)
+
+
+def test_balance_is_the_rows_balance_indices_draws_from_the_codes():
+    scen = synthesize(21, 10, seed=3)[:13]  # 5 keep, 4 left, 4 right
+    rows = balance_indices(scen.codes, 7)
+    assert np.array_equal(rows, np.unique(rows))
+    assert np.bincount(scen.codes[rows]).tolist() == [4, 4, 4]
+    assert balance(scen, seed=7).ids == scen[rows].ids
+    with pytest.raises(BalanceError, match="lane_change_left"):
+        balance_indices(np.array([0, 2, 2]), 0)
 
 
 # -------------------------------------------------------------------- split
