@@ -8,7 +8,7 @@ from .spectral import (ProductBasis, Spectrum, complete_spectrum, eigendecompose
                        symmetric_eigh, unit_star_spectrum)
 from .scenario import (BLOCK_ROWS, MANEUVERS, Archive, BalanceError, DatasetSplit,
                        ParseError, RawTrack, Scenario, ScenarioBatch, SchemaError,
-                       SplitError, TrackBatch, balance, extract_scenarios, ingest_tracks,
+                       SplitError, TrackBatch, extract_scenarios, ingest_tracks,
                        label_maneuver, load_archive, open_archive, save_archive,
                        split, synthesize, track_batch)
 from .model import (PRESETS, Checkpoint, ModelConfig, ModelParams, NumericError, Trajectory,

@@ -22,8 +22,8 @@ from .model import (GRAPH_KINDS, PRESETS, ModelConfig, NumericError, build_basis
                     score_blocks)
 from .scenario import (MANEUVERS, N_VEHICLES, T_OBS_S, T_PRED_S, DatasetSplit,
                        _check_slots, _window_steps, balance_indices, extract_scenarios,
-                       ingest_tracks, load_archive, open_archive, save_archive,
-                       split_indices, synthesize, SCHEMAS)
+                       ingest_tracks, open_archive, save_archive, split_indices, synthesize,
+                       SCHEMAS)
 from .spectral import gft_extended, inverse_gft, write_spectrum_csv, write_tensor_csv
 from .store import read_document
 from .training import DivergenceError, TrainConfig, train
@@ -59,9 +59,12 @@ def _find_scenario(ids, scenario_id) -> int:
     return ids.index(scenario_id)
 
 
-def _one_scenario(scenario_id):
-    """The ``load_archive`` row chooser that reads only ``scenario_id``'s row."""
-    return lambda ids, codes: [_find_scenario(ids, scenario_id)]
+def _one_scenario(path, scenario_id):
+    """A batch of the archive's one row that ``_find_scenario`` finds; only
+    its data is read, once ``codes`` has checked every row's head values."""
+    with open_archive(path) as archive:
+        archive.codes()
+        return archive.take([_find_scenario(archive.ids, scenario_id)]).read()
 
 
 def cmd_prep(args):
@@ -103,11 +106,10 @@ def cmd_synth(args):
 
 def cmd_spectrum(args):
     _require(args, "archive")
-    scenarios, fps = load_archive(args.archive, _one_scenario(args.scenario_id))
-    scenario = scenarios[0]
+    scenario = _one_scenario(args.archive, args.scenario_id)[0]
     config = ModelConfig(k=4, t_obs=scenario.t_obs, t_pred=scenario.t_pred,
                          n_v=scenario.n_vehicles, p=scenario.t_obs,
-                         graph_kind=args.graph_kind, fps=fps)
+                         graph_kind=args.graph_kind, fps=scenario.fps)
     basis = build_basis(config)
     fhat = gft_extended(scenario.features, basis)
     energy_signal = float(np.sum(scenario.features ** 2))
@@ -182,9 +184,9 @@ def cmd_train(args):
 
 
 def _subset(args, archive):
-    """The rows of ``archive`` that ``--subset`` scores: all of them, or
-    one side of ``split`` in its drawn order, which ``split_indices``
-    draws from the head's maneuver codes, so the other side is never read."""
+    """The rows of ``archive`` that ``--subset`` scores, in file order: all
+    of them, or one side of ``split``, which ``split_indices`` draws from
+    the head's maneuver codes, so the other side is never read."""
     if args.subset == "all":
         return archive
     side = ("train", "test").index(args.subset)
@@ -229,7 +231,7 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     _require(args, "archive", "checkpoint", "scenario_id")
-    scenarios, _ = load_archive(args.archive, _one_scenario(args.scenario_id))
+    scenarios = _one_scenario(args.archive, args.scenario_id)
     ckpt, basis = _checkpoint(args, scenarios)
     scenario = scenarios[0]
     trajectory = predict(scenario, basis, ckpt.params, ckpt.config)

@@ -431,7 +431,8 @@ class Scenario:
 class DatasetSplit:
     """Train and test scenarios, each a ``ScenarioBatch`` as ``split``
     makes them or the ``Archive`` rows of one side, which ``train`` reads
-    block by block; ``test`` may be ``[]``, no held-out side."""
+    block by block; either way a side's rows keep their order in the
+    whole. ``test`` may be ``[]``, no held-out side."""
 
     train: ScenarioBatch | Archive
     test: ScenarioBatch | Archive | list
@@ -792,12 +793,6 @@ def _nearest(data, cands, low, high, last, i0, rank, no_rank, k):
     return np.take_along_axis(at, order[:, :k], axis=1)
 
 
-def balance(batch: ScenarioBatch, seed: int) -> ScenarioBatch:
-    """Down-sample the majority classes of ``batch`` to the size of the
-    smallest one: the rows ``balance_indices`` gives for its codes."""
-    return batch[balance_indices(batch.codes, seed)]
-
-
 def balance_indices(codes, seed: int) -> np.ndarray:
     """The ascending row indices that keep, of the scenarios whose maneuver
     codes are ``codes``, as many of each class as the smallest class has,
@@ -828,9 +823,10 @@ def split(batch: ScenarioBatch, ratio: float, seed: int) -> DatasetSplit:
 
 def split_indices(codes, ratio: float, seed: int):
     """The row indices of the train and test sides of the scenarios whose
-    maneuver codes are ``codes``, each side in its drawn order. It needs
-    the codes alone, so ``train`` and ``eval --subset`` can call it on an
-    archive's head and read each side, or only one, block by block.
+    maneuver codes are ``codes``, each side ascending, so an archive's side
+    is read in file order. It needs the codes alone, so ``train`` and
+    ``eval --subset`` can call it on an archive's head and read each side,
+    or only one, block by block.
 
     Per-class quotas use largest-remainder rounding so the overall train
     fraction matches ``ratio`` as closely as an integer count allows.
@@ -855,8 +851,8 @@ def split_indices(codes, ratio: float, seed: int):
         perm = rng.permutation(idx.size)
         train_idx.append(idx[perm[:take]])
         test_idx.append(idx[perm[take:]])
-    train_idx = rng.permutation(np.concatenate(train_idx))
-    test_idx = rng.permutation(np.concatenate(test_idx))
+    train_idx = np.sort(np.concatenate(train_idx))
+    test_idx = np.sort(np.concatenate(test_idx))
     if not train_idx.size or not test_idx.size:
         raise SplitError("split produced an empty side; adjust ratio or data")
     return train_idx, test_idx
@@ -1038,7 +1034,7 @@ def save_archive(path, batch: ScenarioBatch, fps):
 
 class Archive:
     """Rows of an open scenario archive (see ``open_archive``): all of
-    them, or the ones ``take`` picks, in the order picked. The head, the
+    them, or the ones ``take`` picks, in file order. The head, the
     ids and the (n,) columns are in memory; ``read`` and ``blocks`` read
     the chosen rows' features and futures from the payload. ``fps``,
     ``t_obs``, ``t_pred`` and ``n_vehicles`` are the archive's, ``ids``
@@ -1070,17 +1066,12 @@ class Archive:
         return codes
 
     def take(self, rows) -> "Archive":
-        """The rows ``rows``, indices into the whole archive, in that order."""
+        """The rows ``rows``, ascending indices into the whole archive: a
+        read gives them in file order, each run of consecutive rows in one
+        call, and rows that descend are refused when read."""
         picked = copy.copy(self)
         picked._rows = np.asarray(rows, dtype=np.int64)
         return picked
-
-    def in_file_order(self):
-        """(at, rows): the chosen rows in file order, an ``Archive`` whose
-        blocks read each run of consecutive rows in one call, and the place
-        of each among the chosen rows, so that its row i is chosen row ``at[i]``."""
-        at = np.argsort(self._rows, kind="stable")
-        return at, self.take(self._rows[at])
 
     def read(self, start=0, stop=None) -> ScenarioBatch:
         """The chosen rows ``start`` to ``stop`` (to the last if None) as a
@@ -1136,21 +1127,12 @@ def open_archive(path):
         yield Archive(path, doc, fps, ids, grid, columns, np.arange(n))
 
 
-def load_archive(path, rows=None):
+def load_archive(path):
     """Read a scenario archive of format version 4 (see ``open_archive``);
-    returns (batch, fps), where batch is a ``ScenarioBatch``: the
-    archive's one-block read.
-
-    Without ``rows`` the batch holds every scenario, checked by the
-    scenario rule once. ``rows``, if given, is called as ``rows(ids,
-    codes)`` with ``Archive.codes``, once every row has passed the rule's
-    checks of its code, v0 and the fps, and returns the indices of the
-    scenarios to read: only their features and futures are read, in that
-    order, and the rule's other checks cover only them. A bad scenario
-    raises ValueError naming the path, its index in the archive and its
-    id, with the key at fault.
+    returns (batch, fps), where batch is a ``ScenarioBatch`` of every
+    scenario, checked by the scenario rule once: the archive's one-block
+    read. A bad scenario raises ValueError naming the path, its index in
+    the archive and its id, with the key at fault.
     """
     with open_archive(path) as archive:
-        if rows is not None:
-            archive = archive.take(rows(archive.ids, archive.codes()))
         return archive.read(), archive.fps

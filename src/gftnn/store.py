@@ -129,10 +129,10 @@ class Payload:
 
     def read(self, name: str, rows=None) -> np.ndarray:
         """The array ``name`` as a fresh writable float64 array of its shape,
-        or only ``rows``, indices along its leading axis, stacked in the
-        order given. Only those rows' bytes are read: in file order, each
-        run of consecutive rows in one call, then put in the given order.
-        Rows that ascend are read straight into the result.
+        or only ``rows``, ascending indices along its leading axis, stacked
+        in that order. Only those rows' bytes are read, each run of
+        consecutive rows in one call straight into the result. Rows that
+        descend or lie outside the array raise IndexError.
         """
         shape = self.shapes[name]
         offset = self._offsets[name]
@@ -141,25 +141,16 @@ class Payload:
             self._read_into(arr, offset, name)
             return arr.astype(np.float64, copy=False)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        # In file order: a shuffled side of a split has almost no runs of
-        # consecutive rows in its own order but many in file order, and
-        # the file's buffer serves a row smaller than itself without a call.
-        order, ordered = None, rows
-        if (rows[1:] < rows[:-1]).any():
-            order = np.argsort(rows, kind="stable")
-            ordered = rows[order]
-        breaks = ordered[1:] != ordered[:-1] + 1
-        if rows.size and not (0 <= ordered[0] and ordered[-1] < shape[0]):
+        steps = np.diff(rows)
+        if (steps < 0).any():
+            raise IndexError(f"rows of {name} must ascend")
+        if rows.size and not (0 <= rows[0] and rows[-1] < shape[0]):
             raise IndexError(f"rows of {name} must lie in [0, {shape[0]})")
-        stacked = np.empty((rows.size, *shape[1:]), dtype="<f8")
+        arr = np.empty((rows.size, *shape[1:]), dtype="<f8")
         row_bytes = 8 * math.prod(shape[1:])
-        cuts = (np.flatnonzero(breaks) + 1).tolist()
+        cuts = (np.flatnonzero(steps != 1) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, rows.size]) if rows.size else ():
-            self._read_into(stacked[lo:hi], offset + int(ordered[lo]) * row_bytes, name)
-        if order is None:
-            return stacked.astype(np.float64, copy=False)
-        arr = np.empty_like(stacked)
-        arr[order] = stacked
+            self._read_into(arr[lo:hi], offset + int(rows[lo]) * row_bytes, name)
         return arr.astype(np.float64, copy=False)
 
     def _read_into(self, arr: np.ndarray, offset: int, name: str):

@@ -16,7 +16,7 @@ from gftnn.model import (block_spectra, build_basis, init_params, load_checkpoin
                          preset_config, save_checkpoint, score_blocks)
 from gftnn.scenario import (BLOCK_ROWS, Archive, load_archive, open_archive, save_archive,
                             split, split_indices, synthesize)
-from gftnn.training import TrainConfig, _prepare, train
+from gftnn.training import TrainConfig, train
 from helpers import poked
 
 # The preset each test grid is scored with: the reference and the weighted
@@ -201,34 +201,46 @@ def count_reads(monkeypatch):
     return calls
 
 
+# (codes, ratio, seed, train side, test side): the sides split_indices
+# drew when it gave each in a random order, sorted.
+DRAWN_SIDES = [
+    ([0, 1, 2] * 4, 0.7, 0, [0, 3, 4, 5, 6, 7, 10, 11], [1, 2, 8, 9]),
+    ([0] * 7 + [1] * 3 + [2] * 5, 0.6, 2, [2, 3, 5, 6, 7, 9, 10, 12, 14],
+     [0, 1, 4, 8, 11, 13]),
+    ([2, 2, 0, 2, 1, 1, 1, 0, 2, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 2], 0.5, 3,
+     [2, 4, 5, 7, 8, 9, 13, 14, 17, 19], [0, 1, 3, 6, 10, 11, 12, 15, 16, 18]),
+    ([2, 2, 1, 0, 0, 1, 2, 0, 1, 1, 0], 0.3, 11, [5, 6, 10], [0, 1, 2, 3, 4, 7, 8, 9]),
+]
+
+
+@pytest.mark.parametrize("codes, ratio, seed, train_side, test_side", DRAWN_SIDES)
+def test_split_sides_ascend_and_keep_their_drawn_members(codes, ratio, seed, train_side,
+                                                        test_side):
+    sides = split_indices(np.array(codes), ratio, seed)
+    assert [side.tolist() for side in sides] == [train_side, test_side]
+
+
 @pytest.mark.parametrize("preset", GRIDS)
-def test_train_reads_a_shuffled_side_in_file_order(archives, monkeypatch, preset):
-    # Each side of the split of 600 is shuffled and spans two blocks.
-    # train reads it in file order, one call per run of consecutive rows
-    # (a block's edge may cut a run), and places each row at its drawn
-    # position: the spectra of the rows read whole in drawn order. A read
-    # of the side gives the bytes of those rows of a whole read.
-    paths, _ = archives[preset]
-    whole = load_archive(paths[600])[0]
-    config = preset_config(preset, GRIDS[preset], hidden=8)
-    basis = build_basis(config)
-    for rows in split_indices(whole.codes, RATIO, SEED):
-        want = _prepare(whole[rows], basis, config)
-        runs = 1 + int(np.count_nonzero(np.diff(np.sort(rows)) != 1))
-        blocks = -(-rows.size // BLOCK_ROWS)
-        with open_archive(paths[600]) as archive:
-            side = archive.take(rows)
-            calls = count_reads(monkeypatch)
-            got = _prepare(side, basis, config)
-            assert set(calls) == {"features", "future"}
-            assert max(calls.values()) <= runs + blocks - 1, (calls, runs)
-            monkeypatch.undo()
-            read = side.read()
-        for name, got_array, want_array in zip(("spectra", "v0", "futures"), got, want):
-            assert got_array.tobytes() == want_array.tobytes(), name
-        assert read.ids == whole[rows].ids
-        for name in ("codes", "v0", "first_frame", "vehicle_id", "features", "futures"):
-            assert getattr(read, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
+@pytest.mark.parametrize("command, read_sides", [
+    (["train", "--hidden", 8, "--epochs", 1], (0, 1)),
+    (["eval", "--subset", "train"], (0,)),
+    (["eval", "--subset", "test"], (1,)),
+])
+def test_a_side_is_read_in_one_call_per_run(archives, tmp_path, monkeypatch, preset,
+                                           command, read_sides):
+    # Each side of the split of 600 spans two blocks and ascends: a command
+    # reads it in one call per run of consecutive rows of the archive, and
+    # a block's edge may cut one run more.
+    paths, ckpt = archives[preset]
+    sides = split_indices(load_archive(paths[600])[0].codes, RATIO, SEED)
+    bound = sum(1 + int(np.count_nonzero(np.diff(np.sort(sides[i])) != 1))
+                + -(-sides[i].size // BLOCK_ROWS) - 1 for i in read_sides)
+    scored = ["--preset", preset] if command[0] == "train" else ["--checkpoint", ckpt]
+    calls = count_reads(monkeypatch)
+    rc, _ = quiet_main([*command, "--archive", paths[600], *scored, "--split-ratio", RATIO,
+                        "--seed", SEED, "--out", tmp_path / "out"])
+    assert rc == 0
+    assert max(calls["features"], calls["future"]) <= bound, (calls, bound)
 
 
 def test_train_names_a_corrupt_row_by_its_archive_index(archives, tmp_path):

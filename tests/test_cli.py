@@ -24,7 +24,7 @@ from gftnn.model import (GRAPH_KINDS, ModelConfig, build_basis, init_params,
                          load_checkpoint, predict, predict_batch, preset_config,
                          save_checkpoint, score)
 from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, RawTrack,
-                            TrackBatch, balance, extract_scenarios, load_archive,
+                            TrackBatch, balance_indices, extract_scenarios, load_archive,
                             open_archive, save_archive, split, split_indices, synthesize)
 from gftnn.store import write_document
 from gftnn.training import TrainConfig
@@ -147,7 +147,7 @@ def test_prep_writes_the_archive_of_balancing_every_window(tmp_path, capsys, cap
                           "--seed", "3", "--out", str(tmp_path / "prep")]).splitlines()
     assert any("skipped" in message for message in caplog.messages)
     every = extract_scenarios(tracks, fps)
-    kept = balance(every, 3)
+    kept = every[balance_indices(every.codes, 3)]
     assert set(every.codes.tolist()) == {0, 1, 2} and len(kept) < len(every)
     save_archive(tmp_path / "oracle.json", kept, fps)
     data = (tmp_path / "prep" / "archive.json").read_bytes()

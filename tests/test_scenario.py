@@ -17,9 +17,9 @@ from gftnn import scenario
 from gftnn.model import _own_batch
 from gftnn.scenario import (MANEUVERS, MAX_VEHICLE_SLOTS, MAX_WINDOW_STEPS, BalanceError,
                             ParseError, RawTrack, Scenario, ScenarioBatch, SchemaError,
-                            SplitError, TrackBatch, _window_steps, balance, balance_indices,
+                            SplitError, TrackBatch, _window_steps, balance_indices,
                             extract_scenarios, ingest_tracks, label_maneuver, load_archive,
-                            save_archive, split, synthesize, track_batch)
+                            open_archive, save_archive, split, synthesize, track_batch)
 from gftnn.store import write_document
 from helpers import (edited_head, extract_scenarios_reference, ingest_tracks_reference,
                      label_maneuver_reference, multilane_scene, poked, rewrite_head,
@@ -1202,35 +1202,35 @@ def test_balance_downsamples_to_minority():
     # drop most right changes: 4 keep, 4 left, 1 right
     right = scen.codes == MANEUVERS.index("lane_change_right")
     subset = scen[np.concatenate([np.flatnonzero(~right), np.flatnonzero(right)[:1]])]
-    out = balance(subset, seed=1)
+    out = subset[balance_indices(subset.codes, seed=1)]
     counts = {m: sum(s.maneuver == m for s in out) for m in MANEUVERS}
     assert counts == {m: 1 for m in MANEUVERS}
 
 
 def test_balance_keeps_balanced_input():
     scen = synthesize(9, 10, seed=2)
-    assert balance(scen, seed=0).ids == scen.ids
+    assert scen[balance_indices(scen.codes, seed=0)].ids == scen.ids
 
 
 def test_balance_deterministic():
     scen = synthesize(21, 10, seed=3)
     subset = scen[:13]  # 5 keep, 4 left, 4 right: forces a random down-sample
-    assert balance(subset, seed=7).ids == balance(subset, seed=7).ids
+    assert np.array_equal(balance_indices(subset.codes, seed=7),
+                          balance_indices(subset.codes, seed=7))
 
 
 def test_balance_empty_class_names_it():
     scen = synthesize(9, 10, seed=4)
     scen = scen[scen.codes != MANEUVERS.index("lane_change_left")]
     with pytest.raises(BalanceError, match="lane_change_left"):
-        balance(scen, seed=0)
+        balance_indices(scen.codes, seed=0)
 
 
-def test_balance_is_the_rows_balance_indices_draws_from_the_codes():
+def test_balance_indices_ascend_and_keep_the_smallest_class_count():
     scen = synthesize(21, 10, seed=3)[:13]  # 5 keep, 4 left, 4 right
     rows = balance_indices(scen.codes, 7)
     assert np.array_equal(rows, np.unique(rows))
     assert np.bincount(scen.codes[rows]).tolist() == [4, 4, 4]
-    assert balance(scen, seed=7).ids == scen[rows].ids
     with pytest.raises(BalanceError, match="lane_change_left"):
         balance_indices(np.array([0, 2, 2]), 0)
 
@@ -1537,17 +1537,28 @@ def test_archive_corrupt_payload_names_path_and_fault(tmp_path, edit, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+def read_rows(path, rows):
+    """The ascending ``rows`` of the archive at ``path``, read as ``predict``
+    and ``eval --subset`` read theirs: ``codes`` checks every row's code,
+    v0 and the fps, then only those rows' data is read."""
+    with open_archive(path) as archive:
+        archive.codes()
+        return archive.take(rows).read()
+
+
 @pytest.mark.parametrize("edit, message", CORRUPT_ARCHIVES)
 def test_a_row_read_refuses_what_a_full_read_refuses_before_it_chooses(tmp_path, edit,
                                                                       message):
     # The whole head, the payload's length and every row's code and v0 are
-    # checked before the chooser sees the ids and codes.
+    # checked before any row is chosen by its id or code.
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(3, 10, seed=21), 10)
     path.write_bytes(edit(path.read_bytes()))
     chosen = []
     with pytest.raises(ValueError) as info:
-        load_archive(path, lambda ids, codes: chosen.append(ids) or [0])
+        with open_archive(path) as archive:
+            archive.codes()
+            chosen.append(archive.ids)
     assert str(info.value) == f"{path}: {message}"
     assert chosen == []
 
@@ -1556,16 +1567,16 @@ def test_a_row_read_is_those_rows_of_a_full_read_in_their_order(tmp_path):
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(9, 10, seed=23, noise_std=0.05), 10)
     full, _ = load_archive(path)
-    seen = []
-
-    def choose(ids, codes):
-        seen.append((ids, codes.tolist()))
-        return [7, 2, 3, 4, 0, 8, 2]
-
-    batch, fps = load_archive(path, choose)
-    assert fps == 10.0
-    assert seen == [(full.ids, full.codes.tolist())]
-    want = full[[7, 2, 3, 4, 0, 8, 2]]
+    rows = [0, 2, 2, 3, 4, 7, 8]
+    with open_archive(path) as archive:
+        assert archive.fps == 10.0
+        assert archive.ids == full.ids
+        assert archive.codes().tolist() == full.codes.tolist()
+        batch = archive.take(rows).read()
+        # Rows that descend are refused, not put in the order given.
+        with pytest.raises(IndexError, match="rows of features must ascend"):
+            archive.take([7, 2]).read()
+    want = full[rows]
     assert batch.ids == want.ids
     for name in ("codes", "v0", "first_frame", "vehicle_id", "features", "futures"):
         got = getattr(batch, name)
@@ -1591,11 +1602,10 @@ def test_a_row_read_checks_the_data_of_its_rows_only(tmp_path, name, item, value
     with pytest.raises(ValueError) as info:
         load_archive(path)
     assert str(info.value) == message
-    batch, _ = load_archive(path, lambda ids, codes: [4, 1])
-    assert batch.ids == ("synth-00004", "synth-00001")
+    assert read_rows(path, [1, 4]).ids == ("synth-00001", "synth-00004")
     # A read row that breaks the rule is named by its index in the archive.
     with pytest.raises(ValueError) as info:
-        load_archive(path, lambda ids, codes: [4, 3])
+        read_rows(path, [3, 4])
     assert str(info.value) == message
 
 
@@ -1607,9 +1617,9 @@ def test_a_row_read_checks_every_code_and_v0(tmp_path, name, value, reason):
     path = tmp_path / "arch.json"
     save_archive(path, synthesize(5, 10, seed=24), 10)
     path.write_bytes(poked(name, 3, value)(path.read_bytes()))
-    for rows in (None, lambda ids, codes: [0]):
+    for read in (load_archive, lambda path: read_rows(path, [0])):
         with pytest.raises(ValueError) as info:
-            load_archive(path, rows)
+            read(path)
         assert str(info.value) == f"{path}: scenario 3 ('synth-00003'): {reason}"
 
 
@@ -1619,9 +1629,9 @@ def test_a_row_read_names_a_bad_fps_as_a_full_read_does(tmp_path):
     rewrite_head(path, lambda head: head.update(fps=-1.0))
     message = (f"{path}: scenario 0 ('synth-00000'): scenario synth-00000: "
                f"fps must be positive and finite, got -1.0")
-    for rows in (None, lambda ids, codes: [2]):
+    for read in (load_archive, lambda path: read_rows(path, [2])):
         with pytest.raises(ValueError) as info:
-            load_archive(path, rows)
+            read(path)
         assert str(info.value) == message
 
 
@@ -1635,10 +1645,10 @@ def test_a_row_read_grows_by_less_than_200_bytes_a_scenario(tmp_path):
         path = tmp_path / f"arch{n}.json"
         batch = three[np.arange(n) % 3]._derive(ids=tuple(f"synth-{i:05d}" for i in range(n)))
         save_archive(path, batch, 2)
-        load_archive(path, lambda ids, codes: [0])
+        read_rows(path, [0])
         tracemalloc.start()
         try:
-            load_archive(path, lambda ids, codes: [n - 1])
+            read_rows(path, [n - 1])
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
